@@ -61,6 +61,25 @@ void BM_IndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexBuild)->Arg(500)->Arg(2000)->Unit(benchmark::kMillisecond);
 
+// A pair-indexed build in the shape of one ranked-serving shard: 3,000
+// paper-shaped nodes with pair lists for the 16 most frequent terms up to
+// NEAR/2. The pair lists dominate this build (docs/pair_index.md).
+void BM_IndexBuildPairs(benchmark::State& state) {
+  Corpus corpus = GenerateCorpus(BenchCorpusOptions(3000, 6));
+  fts::IndexBuildOptions options;
+  options.pairs.frequent_terms = 16;
+  options.pairs.max_distance = 2;
+  size_t pair_keys = 0;
+  for (auto _ : state) {
+    InvertedIndex index = IndexBuilder::Build(corpus, options);
+    pair_keys = index.pair_index() == nullptr ? 0 : index.pair_index()->num_keys();
+    benchmark::DoNotOptimize(index.num_nodes());
+  }
+  state.counters["nodes"] = static_cast<double>(corpus.num_nodes());
+  state.counters["pair_keys"] = static_cast<double>(pair_keys);
+}
+BENCHMARK(BM_IndexBuildPairs)->Unit(benchmark::kMillisecond);
+
 void BM_ListCursorScan(benchmark::State& state) {
   // Sequential scan of the hot list through the resident block cursor —
   // the access path every engine's kSequential mode now takes.

@@ -1,28 +1,11 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
+#include <cassert>
 
 #include "index/block_posting_list.h"
 
 namespace fts {
-
-namespace {
-
-/// Per-node occurrence map: token -> positions, ordered by token id so
-/// appends hit each inverted list in node order.
-using NodeOccurrences = std::map<TokenId, std::vector<PositionInfo>>;
-
-NodeOccurrences CollectOccurrences(const TokenizedDocument& doc) {
-  NodeOccurrences occ;
-  for (size_t i = 0; i < doc.size(); ++i) {
-    occ[doc.tokens[i]].push_back(doc.positions[i]);
-  }
-  return occ;
-}
-
-}  // namespace
 
 InvertedIndex IndexBuilder::Build(const Corpus& corpus) {
   return Build(corpus, IndexBuildOptions{});
@@ -41,24 +24,35 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
   }
   index.block_lists_.resize(vocab);
   index.unique_tokens_.assign(num_nodes, 0);
-  index.node_norms_.assign(num_nodes, 0.0);
 
-  // Encode each list directly into its block-compressed resident form,
-  // tracking the per-entry shape statistics as entries stream by (the
-  // compressed form only exposes them again via a decode). Per-node
-  // occurrence maps are kept so TF-IDF norms can be computed once document
-  // frequencies are known.
+  // Group-and-append: each document's occurrences are grouped by token
+  // with one sort of packed (token << 32 | index-in-document) keys — the
+  // index is unique, so each group keeps document order — and every group
+  // is appended straight to its token's list, encoded into the
+  // block-compressed resident form as entries stream by in node order.
+  // Nothing per node outlives its iteration except the unique-token count.
   IndexStats& s = index.stats_;
-  std::vector<NodeOccurrences> per_node(num_nodes);
+  std::vector<uint64_t> keys;
+  std::vector<PositionInfo> group;
   for (NodeId n = 0; n < num_nodes; ++n) {
     const TokenizedDocument& doc = corpus.doc(n);
-    per_node[n] = CollectOccurrences(doc);
-    index.unique_tokens_[n] = static_cast<uint32_t>(per_node[n].size());
-    for (const auto& [tok, positions] : per_node[n]) {
-      index.block_lists_[tok].Append(n, positions);
-      s.pos_per_entry =
-          std::max(s.pos_per_entry, static_cast<uint32_t>(positions.size()));
+    keys.clear();
+    for (size_t i = 0; i < doc.size(); ++i) {
+      keys.push_back(static_cast<uint64_t>(doc.tokens[i]) << 32 | i);
     }
+    std::sort(keys.begin(), keys.end());
+    uint32_t uniq = 0;
+    for (size_t g = 0; g < keys.size(); ++uniq) {
+      const uint64_t tok = keys[g] >> 32;
+      group.clear();
+      for (; g < keys.size() && keys[g] >> 32 == tok; ++g) {
+        group.push_back(doc.positions[static_cast<uint32_t>(keys[g])]);
+      }
+      index.block_lists_[tok].Append(n, group);
+      s.pos_per_entry =
+          std::max(s.pos_per_entry, static_cast<uint32_t>(group.size()));
+    }
+    index.unique_tokens_[n] = uniq;
     if (!doc.positions.empty()) {
       index.block_any_list_->Append(n, doc.positions);
       s.total_positions += doc.positions.size();
@@ -69,50 +63,18 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
   for (BlockPostingList& l : index.block_lists_) l.Finish();
   index.block_any_list_->Finish();
 
-  // TF-IDF norms: ||n||_2 = sqrt(sum_t (tf(n,t) * idf(t))^2) using the
-  // paper's formulae tf = occurs/unique_tokens, idf = ln(1 + db_size/df).
-  // df comes from the block-list headers (no payload decode). The sum runs
-  // in *sorted token text* order — a canonical order independent of
-  // dictionary interning — so the floating-point addition sequence is
-  // identical wherever the same logical corpus is indexed. Segment-level
-  // snapshot stats (index/index_snapshot.h) recompute norms with global
-  // document frequencies in the same order, which is what makes
-  // multi-segment scores bit-identical to a single-shot build.
-  std::vector<TokenId> sorted_toks;
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    const uint32_t uniq = index.unique_tokens_[n];
-    if (uniq == 0) {
-      index.node_norms_[n] = 1.0;  // empty node: neutral norm, never scored
-      continue;
-    }
-    sorted_toks.clear();
-    for (const auto& [tok, positions] : per_node[n]) sorted_toks.push_back(tok);
-    std::sort(sorted_toks.begin(), sorted_toks.end(),
-              [&corpus](TokenId a, TokenId b) {
-                return corpus.token_text(a) < corpus.token_text(b);
-              });
-    double sum_sq = 0;
-    for (const TokenId tok : sorted_toks) {
-      const std::vector<PositionInfo>& positions = per_node[n][tok];
-      const double df = static_cast<double>(index.block_lists_[tok].num_entries());
-      const double idf = std::log(1.0 + static_cast<double>(num_nodes) / df);
-      const double tf = static_cast<double>(positions.size()) / uniq;
-      sum_sq += tf * idf * tf * idf;
-    }
-    index.node_norms_[n] = sum_sq > 0 ? std::sqrt(sum_sq) : 1.0;
-  }
-  index.RecomputeMinUniqNorm();
-
   // Remaining corpus shape statistics (paper Section 5.1.2 parameters).
   s.cnodes = num_nodes;
   uint64_t total_entries = 0;
   uint64_t nonempty_lists = 0;
-  for (const BlockPostingList& l : index.block_lists_) {
+  std::vector<uint32_t> df(vocab, 0);
+  for (TokenId t = 0; t < vocab; ++t) {
+    const BlockPostingList& l = index.block_lists_[t];
     if (l.empty()) continue;
+    df[t] = static_cast<uint32_t>(l.num_entries());
     ++nonempty_lists;
     total_entries += l.num_entries();
-    s.entries_per_token =
-        std::max(s.entries_per_token, static_cast<uint32_t>(l.num_entries()));
+    s.entries_per_token = std::max(s.entries_per_token, df[t]);
   }
   s.avg_pos_per_cnode =
       num_nodes == 0 ? 0 : static_cast<double>(s.total_positions) / num_nodes;
@@ -120,6 +82,14 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
       nonempty_lists == 0 ? 0 : static_cast<double>(total_entries) / nonempty_lists;
   s.avg_pos_per_entry =
       total_entries == 0 ? 0 : static_cast<double>(s.total_positions) / total_entries;
+
+  // TF-IDF norms from the finished list headers, through the same pass
+  // snapshots run with global statistics (index/inverted_index.h). Freshly
+  // built lists always decode.
+  [[maybe_unused]] const Status norms =
+      ComputeNodeNorms(index, df, num_nodes, nullptr, &index.node_norms_,
+                       &index.min_uniq_norm_);
+  assert(norms.ok());
 
   // Auxiliary pair lists last: their frequent-term ranking reads the
   // finished token-list dfs, and nothing above depends on them.

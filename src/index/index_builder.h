@@ -4,9 +4,16 @@
 // L2 norms are precomputed here, matching the paper's observation that "all
 // of the scoring information in R_t can be precomputed", Section 3.1).
 //
-// Lists are encoded straight into their block-compressed resident form; the
-// raw uncompressed twin exists only as the differential-test oracle
-// (testing/raw_posting_oracle.h).
+// Two passes. The group-and-append pass walks the documents in node order,
+// groups each document's occurrences by token with one sort of packed
+// (token, index-in-document) keys, and appends every group straight to its
+// token's list, encoded into the block-compressed resident form; only the
+// per-node unique-token count outlives a document. The norm pass then reads
+// the finished list headers through ComputeNodeNorms
+// (index/inverted_index.h), the same pass snapshots run with global
+// statistics. The raw uncompressed twin of a list exists only as the
+// differential-test oracle (testing/raw_posting_oracle.h). The saved bytes
+// are pinned by tests/index_builder_golden_test.cc.
 
 #ifndef FTS_INDEX_INDEX_BUILDER_H_
 #define FTS_INDEX_INDEX_BUILDER_H_

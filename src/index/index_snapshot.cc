@@ -1,25 +1,11 @@
 #include "index/index_snapshot.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "index/block_posting_list.h"
 #include "index/pair_index.h"
 
 namespace fts {
 
 namespace {
-
-/// Token ids of `index` ordered by token text — the canonical scoring
-/// order shared with IndexBuilder's norm loop.
-std::vector<TokenId> TokensByText(const InvertedIndex& index) {
-  std::vector<TokenId> toks(index.vocabulary_size());
-  for (TokenId t = 0; t < toks.size(); ++t) toks[t] = t;
-  std::sort(toks.begin(), toks.end(), [&index](TokenId a, TokenId b) {
-    return index.token_text(a) < index.token_text(b);
-  });
-  return toks;
-}
 
 /// Pass 2 of the stats computation: per-segment global df projections and
 /// global-idf norms, from an already-aggregated global df table. Factored
@@ -33,7 +19,6 @@ Status ComputeSegmentStats(
     const std::unordered_map<std::string, uint32_t>* df_by_text,
     std::vector<SegmentScoringStats>* stats) {
   const size_t num_segments = segments.size();
-  std::vector<BlockPostingList::EntryRef> entries;
   stats->resize(num_segments);
   for (size_t s = 0; s < num_segments; ++s) {
     const InvertedIndex& idx = *segments[s].index;
@@ -47,46 +32,17 @@ Status ComputeSegmentStats(
       const auto it = df_by_text->find(idx.token_text(t));
       st.global_df[t] = it == df_by_text->end() ? 0 : it->second;
     }
-
-    std::vector<double> sum_sq(idx.num_nodes(), 0.0);
-    for (const TokenId t : TokensByText(idx)) {
-      const uint32_t df_global = st.global_df[t];
-      if (df_global == 0) continue;  // every occurrence tombstoned
-      const BlockPostingList* list = idx.block_list(t);
-      if (list == nullptr || list->empty()) continue;
-      const double df = static_cast<double>(df_global);
-      const double idf = std::log(1.0 + static_cast<double>(live_nodes) / df);
-      for (size_t b = 0; b < list->num_blocks(); ++b) {
-        FTS_RETURN_IF_ERROR(list->DecodeBlockEntries(b, &entries));
-        for (const BlockPostingList::EntryRef& e : entries) {
-          const NodeId n = e.header.node;
-          if (dead != nullptr && dead->Contains(n)) continue;
-          const uint32_t uniq = idx.unique_tokens(n);
-          const double tf = static_cast<double>(e.header.pos_count) / uniq;
-          sum_sq[n] += tf * idf * tf * idf;
-        }
-      }
-    }
-    st.norms.assign(idx.num_nodes(), 1.0);
-    for (NodeId n = 0; n < idx.num_nodes(); ++n) {
-      if (dead != nullptr && dead->Contains(n)) continue;  // never scored
-      st.norms[n] = sum_sq[n] > 0 ? std::sqrt(sum_sq[n]) : 1.0;
-      // Same product expression TfIdfModel::LeafScore divides by, so the
-      // minimum is an exact lower bound on any live denominator.
-      const double un =
-          std::max<uint32_t>(1, idx.unique_tokens(n)) * st.norms[n];
-      st.min_uniq_norm = std::min(st.min_uniq_norm, un);
-    }
+    FTS_RETURN_IF_ERROR(ComputeNodeNorms(idx, st.global_df, live_nodes, dead,
+                                         &st.norms, &st.min_uniq_norm));
   }
   return Status::OK();
 }
 
 /// Computes the global scoring stats over `segments` (header-only decode;
-/// position bytes are never touched). Norm sums replicate IndexBuilder's
-/// arithmetic exactly — same expressions, same sorted-token-text addition
-/// order — with global live df / live_nodes substituted for the per-segment
-/// statistics, so every score over the snapshot is bit-identical to a
-/// single-shot build of the surviving documents.
+/// position bytes are never touched). Norms come from the ComputeNodeNorms
+/// pass IndexBuilder runs, with global live df / live_nodes substituted for
+/// the per-segment statistics, so every score over the snapshot is
+/// bit-identical to a single-shot build of the surviving documents.
 Status ComputeStats(const std::vector<SegmentView>& segments,
                     uint64_t live_nodes,
                     std::unordered_map<std::string, uint32_t>* df_by_text,

@@ -14,9 +14,10 @@
 // Scoring stays bit-identical to a single-shot build of the surviving
 // documents: TF-IDF idf and node norms depend on corpus-global document
 // frequencies, so Create() precomputes SnapshotScoringStats — global live
-// df per token and per-segment node norms recomputed under global idf, in
-// the same canonical sorted-token-text summation order IndexBuilder uses —
-// and the score models read them instead of the per-segment statistics.
+// df per token and per-segment node norms recomputed under global idf by
+// the ComputeNodeNorms pass IndexBuilder itself runs
+// (index/inverted_index.h) — and the score models read them instead of the
+// per-segment statistics.
 // The single-segment, no-tombstone case (ForIndex, and every pre-segment
 // caller) skips the stats entirely and evaluates exactly as before.
 
@@ -45,9 +46,9 @@ struct SegmentScoringStats {
   uint64_t live_nodes = 0;
   /// Global live document frequency by this segment's local TokenId.
   std::vector<uint32_t> global_df;
-  /// Node norms by local NodeId, recomputed with global idf in canonical
-  /// sorted-token-text order (bit-identical to what IndexBuilder would
-  /// compute for the merged surviving corpus).
+  /// Node norms by local NodeId, recomputed with global idf by
+  /// ComputeNodeNorms (bit-identical to what IndexBuilder would compute for
+  /// the merged surviving corpus).
   std::vector<double> norms;
   /// Global live df by token text, for query tokens that are
   /// out-of-vocabulary in this segment but live elsewhere (they still

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <numeric>
 
 #include "index/block_posting_list.h"
 #include "index/index_source.h"
@@ -221,6 +223,44 @@ void InvertedIndex::RecomputeMinUniqNorm() {
     min_un = std::min(min_un, un);
   }
   min_uniq_norm_ = min_un;
+}
+
+Status ComputeNodeNorms(const InvertedIndex& index, std::span<const uint32_t> df,
+                        uint64_t num_docs, const TombstoneSet* dead,
+                        std::vector<double>* norms, double* min_uniq_norm) {
+  std::vector<TokenId> by_text(index.vocabulary_size());
+  std::iota(by_text.begin(), by_text.end(), TokenId{0});
+  std::sort(by_text.begin(), by_text.end(), [&index](TokenId a, TokenId b) {
+    return index.token_text(a) < index.token_text(b);
+  });
+  std::vector<double> sum_sq(index.num_nodes(), 0.0);
+  std::vector<BlockPostingList::EntryRef> entries;
+  for (const TokenId t : by_text) {
+    if (df[t] == 0) continue;  // absent, or every occurrence tombstoned
+    const BlockPostingList* list = index.block_list(t);
+    if (list == nullptr || list->empty()) continue;
+    const double idf =
+        std::log(1.0 + static_cast<double>(num_docs) / static_cast<double>(df[t]));
+    for (size_t b = 0; b < list->num_blocks(); ++b) {
+      FTS_RETURN_IF_ERROR(list->DecodeBlockEntries(b, &entries));
+      for (const BlockPostingList::EntryRef& e : entries) {
+        const NodeId n = e.header.node;
+        if (dead != nullptr && dead->Contains(n)) continue;
+        const uint32_t uniq = index.unique_tokens(n);
+        const double tf = static_cast<double>(e.header.pos_count) / uniq;
+        sum_sq[n] += tf * idf * tf * idf;
+      }
+    }
+  }
+  norms->assign(index.num_nodes(), 1.0);
+  *min_uniq_norm = std::numeric_limits<double>::infinity();
+  for (NodeId n = 0; n < index.num_nodes(); ++n) {
+    if (dead != nullptr && dead->Contains(n)) continue;  // never scored
+    (*norms)[n] = sum_sq[n] > 0 ? std::sqrt(sum_sq[n]) : 1.0;
+    const double un = std::max<uint32_t>(1, index.unique_tokens(n)) * (*norms)[n];
+    *min_uniq_norm = std::min(*min_uniq_norm, un);
+  }
+  return Status::OK();
 }
 
 TokenId InvertedIndex::LookupToken(std::string_view token) const {

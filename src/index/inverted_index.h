@@ -264,8 +264,7 @@ class InvertedIndex {
   Status ValidateBlocks() const;
 
   /// Refreshes min_uniq_norm_ from the per-node scalar tables; called by
-  /// the builder after computing norms and by the loaders after parsing
-  /// the scalar section.
+  /// the loaders after parsing the scalar section.
   void RecomputeMinUniqNorm();
 
   std::vector<BlockPostingList> block_lists_;          // indexed by TokenId
@@ -282,6 +281,25 @@ class InvertedIndex {
   std::shared_ptr<IndexSource> source_;
   bool lazy_validation_ = false;
 };
+
+class TombstoneSet;  // index/tombstone_set.h
+
+/// The TF-IDF norm pass shared by IndexBuilder (local statistics) and
+/// IndexSnapshot (snapshot-global ones): ||n||_2 = sqrt(sum_t (tf(n,t) *
+/// idf(t))^2) with the paper's tf = occurs/unique_tokens and idf = ln(1 +
+/// num_docs/df[t]), df indexed by `index`'s token ids. Reads list headers
+/// only (no position bytes). The sum runs in *sorted token text* order — a
+/// canonical order independent of dictionary interning — so every node
+/// adds the same terms in the same order wherever the same logical corpus
+/// is indexed; that is what keeps multi-segment and sharded scores
+/// bit-identical to a single-shot build. Tokens with df 0 and nodes in
+/// `dead` (nullable) contribute nothing; dead and empty nodes get the
+/// neutral norm 1.0. `*min_uniq_norm` receives the minimum over live nodes
+/// of max(1, unique_tokens(n)) * norm — the expression TF-IDF LeafScore
+/// divides by (+infinity when no node is live).
+Status ComputeNodeNorms(const InvertedIndex& index, std::span<const uint32_t> df,
+                        uint64_t num_docs, const TombstoneSet* dead,
+                        std::vector<double>* norms, double* min_uniq_norm);
 
 }  // namespace fts
 

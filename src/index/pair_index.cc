@@ -1,7 +1,8 @@
 #include "index/pair_index.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
+#include <tuple>
 
 #include "index/inverted_index.h"
 
@@ -28,24 +29,38 @@ PairIndex PairIndex::Build(const Corpus& corpus, const InvertedIndex& index,
   });
   if (cands.size() > opts.frequent_terms) cands.resize(opts.frequent_terms);
   out.frequent_ = std::move(cands);
-  out.RebuildLookups();
+
+  // The inner loop ranks through a dense TokenId -> rank table; rank_, the
+  // hash map queries use, is built with the other lookups at the end.
+  constexpr uint32_t kUnranked = static_cast<uint32_t>(-1);
+  const size_t vocab = corpus.vocabulary_size();
+  std::vector<uint32_t> rank(vocab, kUnranked);
+  for (size_t r = 0; r < out.frequent_.size(); ++r) {
+    rank[out.frequent_[r]] = static_cast<uint32_t>(r);
+  }
 
   // One pass over the corpus. Co-occurrences are found by the windowed
   // double loop (offsets are strictly increasing within a document, so the
-  // inner loop is bounded by the window's token span); records accumulate
-  // per (key, node) and flush to the key's building list in node order,
-  // which is exactly the append order BlockPostingList requires. Ordered
-  // maps keep both the per-node flush and the final key table sorted by
-  // packed key, so keys_ comes out sorted with no extra pass.
+  // inner loop is bounded by the window's token span). A document's records
+  // collect in one flat vector, sorted by (key, offset, signed delta), and
+  // each key's run flushes to its building list in node order — exactly
+  // the append order BlockPostingList requires. Building lists are
+  // addressed through a key -> slot map and sorted by key once at the end.
+  struct Record {
+    uint64_t key;
+    uint32_t offset;
+    int32_t delta;
+  };
   const uint32_t window = opts.max_distance + 1;
-  std::map<uint64_t, BlockPostingList> building;
-  std::map<uint64_t, std::vector<PositionInfo>> recs;
-  std::unordered_map<TokenId, uint32_t> tf;
+  std::vector<BlockPostingList> building;
+  std::vector<uint64_t> building_keys;
+  std::unordered_map<uint64_t, uint32_t> slot_of;
+  std::vector<Record> recs;
+  std::vector<uint32_t> tf(vocab, 0);
   std::vector<PositionInfo> entry;
   for (NodeId n = 0; n < corpus.num_nodes(); ++n) {
     const TokenizedDocument& doc = corpus.doc(n);
     recs.clear();
-    tf.clear();
     for (const TokenId t : doc.tokens) ++tf[t];
     for (size_t i = 0; i < doc.size(); ++i) {
       const uint32_t off_i = doc.positions[i].offset;
@@ -53,39 +68,51 @@ PairIndex PairIndex::Build(const Corpus& corpus, const InvertedIndex& index,
            j < doc.size() && doc.positions[j].offset - off_i <= window; ++j) {
         const TokenId a = doc.tokens[i], b = doc.tokens[j];
         if (a == b) continue;
-        const size_t ra = out.rank(a), rb = out.rank(b);
-        if (ra == kNotFrequent && rb == kNotFrequent) continue;
+        const uint32_t ra = rank[a], rb = rank[b];
+        if (ra == kUnranked && rb == kUnranked) continue;
         const uint32_t off_j = doc.positions[j].offset;
         const int32_t gap = static_cast<int32_t>(off_j - off_i);
-        const bool a_first = ra < rb;
-        const TokenId first = a_first ? a : b;
-        const TokenId second = a_first ? b : a;
-        recs[PackKey(first, second)].push_back(
-            {a_first ? off_i : off_j,
-             ZigZag(a_first ? gap : -gap), 0});
+        if (ra < rb) {
+          recs.push_back({PackKey(a, b), off_i, gap});
+        } else {
+          recs.push_back({PackKey(b, a), off_j, -gap});
+        }
       }
     }
-    for (auto& [key, rv] : recs) {
-      std::sort(rv.begin(), rv.end(),
-                [](const PositionInfo& x, const PositionInfo& y) {
-                  if (x.offset != y.offset) return x.offset < y.offset;
-                  return UnZigZag(x.sentence) < UnZigZag(y.sentence);
-                });
+    std::sort(recs.begin(), recs.end(), [](const Record& x, const Record& y) {
+      return std::tie(x.key, x.offset, x.delta) < std::tie(y.key, y.offset, y.delta);
+    });
+    for (size_t g = 0; g < recs.size();) {
+      const uint64_t key = recs[g].key;
       entry.clear();
       entry.push_back({tf[static_cast<TokenId>(key >> 32)],
                        tf[static_cast<TokenId>(key)], 0});
-      entry.insert(entry.end(), rv.begin(), rv.end());
-      building[key].Append(n, entry);
+      for (; g < recs.size() && recs[g].key == key; ++g) {
+        entry.push_back({recs[g].offset, ZigZag(recs[g].delta), 0});
+      }
+      const auto [it, fresh] =
+          slot_of.try_emplace(key, static_cast<uint32_t>(building.size()));
+      if (fresh) {
+        building.emplace_back();
+        building_keys.push_back(key);
+      }
+      building[it->second].Append(n, entry);
     }
+    for (const TokenId t : doc.tokens) tf[t] = 0;
   }
 
-  out.keys_.reserve(building.size());
-  out.lists_.reserve(building.size());
-  for (auto& [key, list] : building) {
-    list.Finish();
-    out.keys_.push_back(
-        {static_cast<TokenId>(key >> 32), static_cast<TokenId>(key)});
-    out.lists_.push_back(std::move(list));
+  std::vector<uint32_t> order(building.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    return building_keys[x] < building_keys[y];
+  });
+  out.keys_.reserve(order.size());
+  out.lists_.reserve(order.size());
+  for (const uint32_t slot : order) {
+    building[slot].Finish();
+    out.keys_.push_back({static_cast<TokenId>(building_keys[slot] >> 32),
+                         static_cast<TokenId>(building_keys[slot])});
+    out.lists_.push_back(std::move(building[slot]));
   }
   out.RebuildLookups();
   return out;

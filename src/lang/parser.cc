@@ -1,5 +1,7 @@
 #include "lang/parser.h"
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "lang/lexer.h"
@@ -24,14 +26,34 @@ class Parser {
       : tokens_(std::move(tokens)), registry_(registry) {}
 
   StatusOr<LangExprPtr> Parse() {
-    FTS_ASSIGN_OR_RETURN(LangExprPtr e, ParseOr());
+    FTS_ASSIGN_OR_RETURN(Sub e, ParseOr(0));
     if (cur().kind != LexKind::kEnd) {
       return Err("unexpected trailing input");
     }
-    return e;
+    return std::move(e.expr);
   }
 
  private:
+  /// A parsed subexpression and its AST height (a leaf is 1).
+  struct Sub {
+    LangExprPtr expr;
+    size_t height = 1;
+  };
+
+  /// Bounds the AST height at kMaxQueryDepth as the tree is built, so a
+  /// rejected tree is never deeper than the limit either — its recursive
+  /// destruction, like ClassifyQuery and the translators, recurses once per
+  /// level.
+  StatusOr<Sub> Node(LangExprPtr e, size_t height) const {
+    if (height > kMaxQueryDepth) return TooDeep();
+    return Sub{std::move(e), height};
+  }
+
+  Status TooDeep() const {
+    return Err("query nested deeper than " + std::to_string(kMaxQueryDepth) +
+               " levels");
+  }
+
   const LexToken& cur() const { return tokens_[pos_]; }
   const LexToken& peek() const {
     return tokens_[pos_ + 1 < tokens_.size() ? pos_ + 1 : tokens_.size() - 1];
@@ -53,32 +75,38 @@ class Parser {
     return Status::OK();
   }
 
-  StatusOr<LangExprPtr> ParseOr() {
-    FTS_ASSIGN_OR_RETURN(LangExprPtr l, ParseAnd());
+  // `nest` counts the enclosing '(' / NOT / SOME / EVERY levels: the
+  // parser's own recursion, checked before it descends further so hostile
+  // nesting fails before it can exhaust the stack.
+  StatusOr<Sub> ParseOr(size_t nest) {
+    FTS_ASSIGN_OR_RETURN(Sub l, ParseAnd(nest));
     while (cur().kind == LexKind::kOr) {
       Advance();
-      FTS_ASSIGN_OR_RETURN(LangExprPtr r, ParseAnd());
-      l = LangExpr::Or(std::move(l), std::move(r));
+      FTS_ASSIGN_OR_RETURN(Sub r, ParseAnd(nest));
+      FTS_ASSIGN_OR_RETURN(l, Node(LangExpr::Or(std::move(l.expr), std::move(r.expr)),
+                                   std::max(l.height, r.height) + 1));
     }
     return l;
   }
 
-  StatusOr<LangExprPtr> ParseAnd() {
-    FTS_ASSIGN_OR_RETURN(LangExprPtr l, ParseUnary());
+  StatusOr<Sub> ParseAnd(size_t nest) {
+    FTS_ASSIGN_OR_RETURN(Sub l, ParseUnary(nest));
     while (cur().kind == LexKind::kAnd) {
       Advance();
-      FTS_ASSIGN_OR_RETURN(LangExprPtr r, ParseUnary());
-      l = LangExpr::And(std::move(l), std::move(r));
+      FTS_ASSIGN_OR_RETURN(Sub r, ParseUnary(nest));
+      FTS_ASSIGN_OR_RETURN(l, Node(LangExpr::And(std::move(l.expr), std::move(r.expr)),
+                                   std::max(l.height, r.height) + 1));
     }
     return l;
   }
 
-  StatusOr<LangExprPtr> ParseUnary() {
+  StatusOr<Sub> ParseUnary(size_t nest) {
+    if (nest > kMaxQueryDepth) return TooDeep();
     switch (cur().kind) {
       case LexKind::kNot: {
         Advance();
-        FTS_ASSIGN_OR_RETURN(LangExprPtr e, ParseUnary());
-        return LangExprPtr(LangExpr::Not(std::move(e)));
+        FTS_ASSIGN_OR_RETURN(Sub e, ParseUnary(nest + 1));
+        return Node(LangExpr::Not(std::move(e.expr)), e.height + 1);
       }
       case LexKind::kSome:
       case LexKind::kEvery: {
@@ -87,62 +115,63 @@ class Parser {
         if (cur().kind != LexKind::kIdent) return Err("expected variable name");
         std::string var = cur().text;
         Advance();
-        FTS_ASSIGN_OR_RETURN(LangExprPtr body, ParseUnary());
-        return some ? LangExpr::Some(std::move(var), std::move(body))
-                    : LangExpr::Every(std::move(var), std::move(body));
+        FTS_ASSIGN_OR_RETURN(Sub body, ParseUnary(nest + 1));
+        return Node(some ? LangExpr::Some(std::move(var), std::move(body.expr))
+                         : LangExpr::Every(std::move(var), std::move(body.expr)),
+                    body.height + 1);
       }
       default:
-        return ParsePrimary();
+        return ParsePrimary(nest);
     }
   }
 
-  StatusOr<LangExprPtr> ParsePrimary() {
+  StatusOr<Sub> ParsePrimary(size_t nest) {
     switch (cur().kind) {
       case LexKind::kLParen: {
         Advance();
-        FTS_ASSIGN_OR_RETURN(LangExprPtr e, ParseOr());
+        FTS_ASSIGN_OR_RETURN(Sub e, ParseOr(nest + 1));
         FTS_RETURN_IF_ERROR(Expect(LexKind::kRParen));
         return e;
       }
       case LexKind::kString: {
         std::string tok = cur().text;
         Advance();
-        return LangExprPtr(LangExpr::Token(std::move(tok)));
+        return Sub{LangExpr::Token(std::move(tok))};
       }
       case LexKind::kAny:
         Advance();
-        return LangExprPtr(LangExpr::Any());
+        return Sub{LangExpr::Any()};
       case LexKind::kIdent: {
         if (peek().kind == LexKind::kHas) return ParseHas();
         if (peek().kind == LexKind::kLParen) return ParseCall();
         // Bare word: token literal.
         std::string tok = cur().text;
         Advance();
-        return LangExprPtr(LangExpr::Token(std::move(tok)));
+        return Sub{LangExpr::Token(std::move(tok))};
       }
       default:
         return Err("expected a token, ANY, variable, predicate, or '('");
     }
   }
 
-  StatusOr<LangExprPtr> ParseHas() {
+  StatusOr<Sub> ParseHas() {
     std::string var = cur().text;
     Advance();  // ident
     Advance();  // HAS
     if (cur().kind == LexKind::kString || cur().kind == LexKind::kIdent) {
       std::string tok = cur().text;
       Advance();
-      return LangExprPtr(LangExpr::VarHasToken(std::move(var), std::move(tok)));
+      return Sub{LangExpr::VarHasToken(std::move(var), std::move(tok))};
     }
     if (cur().kind == LexKind::kAny) {
       Advance();
-      return LangExprPtr(LangExpr::VarHasAny(std::move(var)));
+      return Sub{LangExpr::VarHasAny(std::move(var))};
     }
     return Err("expected string literal or ANY after HAS");
   }
 
   // Predicate application, or DIST's dist(Token, Token, Integer).
-  StatusOr<LangExprPtr> ParseCall() {
+  StatusOr<Sub> ParseCall() {
     std::string name = cur().text;
     Advance();  // ident
     Advance();  // '('
@@ -173,11 +202,10 @@ class Parser {
     }
     Advance();  // ')'
     FTS_RETURN_IF_ERROR(pred->ValidateSignature(vars.size(), consts.size()));
-    return LangExprPtr(
-        LangExpr::Pred(std::move(name), std::move(vars), std::move(consts)));
+    return Sub{LangExpr::Pred(std::move(name), std::move(vars), std::move(consts))};
   }
 
-  StatusOr<LangExprPtr> ParseDistCall() {
+  StatusOr<Sub> ParseDistCall() {
     auto parse_token = [this]() -> StatusOr<std::string> {
       if (cur().kind == LexKind::kString || cur().kind == LexKind::kIdent) {
         std::string t = cur().text;
@@ -199,7 +227,7 @@ class Parser {
     Advance();
     FTS_RETURN_IF_ERROR(Expect(LexKind::kRParen));
     if (d < 0) return Status::InvalidArgument("dist() distance must be non-negative");
-    return LangExprPtr(LangExpr::Dist(std::move(t1), std::move(t2), d));
+    return Sub{LangExpr::Dist(std::move(t1), std::move(t2), d)};
   }
 
   std::vector<LexToken> tokens_;

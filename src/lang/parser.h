@@ -19,6 +19,7 @@
 #ifndef FTS_LANG_PARSER_H_
 #define FTS_LANG_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/status.h"
@@ -36,6 +37,14 @@ enum class SurfaceLanguage {
 };
 
 const char* SurfaceLanguageToString(SurfaceLanguage lang);
+
+/// Deepest query ParseQuery accepts: both the AST height (every operator
+/// counts, so a left-deep `a OR b OR ...` chain is as deep as it is long)
+/// and the nesting of '(' / NOT / SOME / EVERY are bounded by it. Deeper
+/// queries fail with InvalidArgument before the parser, the AST's
+/// recursive destructor or any later recursive pass can exhaust a
+/// worker's stack. A fixed limit, not an option.
+inline constexpr size_t kMaxQueryDepth = 256;
 
 /// Parses `query` and verifies it stays within `lang`'s constructs.
 /// Predicate names are validated against `registry` at parse time.

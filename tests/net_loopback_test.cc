@@ -151,6 +151,30 @@ TEST(NetLoopbackTest, ParseErrorAnsweredInBand) {
   EXPECT_EQ(after->num_nodes, 5u);
 }
 
+TEST(NetLoopbackTest, DeeplyNestedQueryAnsweredInBand) {
+  // 10^5-level nesting in each shape the parser bounds: the worker answers
+  // InvalidArgument instead of overflowing its stack, and keeps serving.
+  Loopback lb;
+  const size_t depth = 100000;
+  std::string parens, nots, chain = "'apple'";
+  for (size_t i = 0; i < depth; ++i) {
+    parens += "(";
+    nots += "NOT ";
+    chain += " OR 'apple'";
+  }
+  parens += "'apple'" + std::string(depth, ')');
+  nots += "'apple'";
+  for (const std::string& q : {parens, nots, chain}) {
+    auto got = lb.client->Search(q);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->status.code(), StatusCode::kInvalidArgument);
+  }
+  auto after = lb.client->Search("'apple'");
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->status.ok());
+  EXPECT_FALSE(after->nodes.empty());
+}
+
 TEST(NetLoopbackTest, PipelinedAsyncCallsAllComplete) {
   FtsServer::Options options;
   options.service.num_workers = 2;

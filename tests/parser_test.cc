@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace fts {
 namespace {
 
@@ -161,6 +163,58 @@ TEST(ParserTest, RoundTripThroughToString) {
     ASSERT_TRUE(e2.ok()) << (*e1)->ToString();
     EXPECT_EQ((*e1)->ToString(), (*e2)->ToString());
   }
+}
+
+// Hostile nesting: each shape at 10^5 levels must fail cleanly with
+// InvalidArgument instead of exhausting the stack (in the parser, or in the
+// recursive destruction of a half-built tree), and each must be accepted
+// right up to kMaxQueryDepth.
+std::string Repeat(const std::string& s, size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+std::string NestedParens(size_t depth) {
+  return Repeat("(", depth) + "'a'" + Repeat(")", depth);
+}
+
+std::string NotChain(size_t nots) { return Repeat("NOT ", nots) + "'a'"; }
+
+std::string OrChain(size_t terms) { return "'a'" + Repeat(" OR 'a'", terms - 1); }
+
+void ExpectTooDeep(const std::string& q) {
+  auto e = ParseQuery(q, SurfaceLanguage::kComp);
+  ASSERT_FALSE(e.ok()) << q.substr(0, 40);
+  EXPECT_EQ(e.status().code(), StatusCode::kInvalidArgument);
+}
+
+constexpr size_t kHostileDepth = 100000;
+
+TEST(ParserTest, DeepParenthesesRejected) {
+  ExpectTooDeep(NestedParens(kHostileDepth));
+  ExpectTooDeep(NestedParens(kMaxQueryDepth + 1));
+  EXPECT_NE(MustParse(NestedParens(kMaxQueryDepth)), nullptr);
+}
+
+TEST(ParserTest, DeepNotChainRejected) {
+  ExpectTooDeep(NotChain(kHostileDepth));
+  // n NOTs over a leaf is n + 1 levels.
+  ExpectTooDeep(NotChain(kMaxQueryDepth));
+  EXPECT_NE(MustParse(NotChain(kMaxQueryDepth - 1)), nullptr);
+  ExpectTooDeep(Repeat("SOME p ", kHostileDepth) + "p HAS 'a'");
+}
+
+TEST(ParserTest, LeftDeepChainCountsTowardDepth) {
+  // Left-deep chains recurse no deeper in the parser, but the tree they
+  // build is as deep as the chain is long.
+  ExpectTooDeep(OrChain(kHostileDepth));
+  ExpectTooDeep("'a'" + Repeat(" AND 'a'", kHostileDepth - 1));
+  ExpectTooDeep(OrChain(kMaxQueryDepth + 1));
+  EXPECT_NE(MustParse(OrChain(kMaxQueryDepth)), nullptr);
+  // A chain inside nesting adds to the nesting's height.
+  ExpectTooDeep("NOT (" + OrChain(kMaxQueryDepth) + ")");
 }
 
 }  // namespace
