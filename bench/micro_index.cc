@@ -193,7 +193,7 @@ BENCHMARK(BM_AdaptiveVsFixedSelective)->DenseRange(0, 2)->ArgName("mode");
 // header/directory structures.
 // ---------------------------------------------------------------------------
 
-/// Shared per-shape v3 index file in the system temp dir, written once per
+/// Shared per-shape index file in the system temp dir, written once per
 /// process (the file is intentionally left for the OS temp cleaner: later
 /// iterations of other series reuse it through the static map).
 const std::pair<std::string, size_t>& SharedIndexFile(uint32_t cnodes) {

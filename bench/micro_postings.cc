@@ -39,30 +39,22 @@ const BlockPostingList& TopicBlockList(const InvertedIndex& index) {
   return list ? *list : empty;
 }
 
-// Serialized footprint of one hot list, raw (v1 stream, approximated by the
-// in-memory entry/position sizes it re-encodes) vs block-compressed.
+// Serialized footprint: the whole index saved in the on-disk format, plus
+// one hot list's raw in-memory size vs its block-compressed twin.
 void BM_SerializedBytes(benchmark::State& state) {
   const InvertedIndex& index = SharedIndex(6000, static_cast<uint32_t>(state.range(0)));
   const PostingList& raw = TopicList(index);
   const BlockPostingList& block = TopicBlockList(index);
-  std::string v1_blob, v2_blob;
+  std::string blob;
   for (auto _ : state) {
-    fts::SaveIndexToString(index, &v1_blob, fts::IndexFormat::kV1);
-    fts::SaveIndexToString(index, &v2_blob, fts::IndexFormat::kV2);
-    benchmark::DoNotOptimize(v1_blob.data());
-    benchmark::DoNotOptimize(v2_blob.data());
+    fts::SaveIndexToString(index, &blob);
+    benchmark::DoNotOptimize(blob.data());
   }
-  // Raw in-memory footprint of the list vs its compressed twin.
   state.counters["list_raw_bytes"] = static_cast<double>(
       raw.num_entries() * sizeof(fts::PostingEntry) +
       raw.total_positions() * sizeof(fts::PositionInfo));
   state.counters["list_block_bytes"] = static_cast<double>(block.byte_size());
-  state.counters["index_v1_bytes"] = static_cast<double>(v1_blob.size());
-  state.counters["index_v2_bytes"] = static_cast<double>(v2_blob.size());
-  state.counters["v1_over_v2"] =
-      v2_blob.empty() ? 0.0
-                      : static_cast<double>(v1_blob.size()) /
-                            static_cast<double>(v2_blob.size());
+  state.counters["index_bytes"] = static_cast<double>(blob.size());
 }
 BENCHMARK(BM_SerializedBytes)->Arg(6)->Unit(benchmark::kMillisecond);
 

@@ -11,7 +11,11 @@ by the *median* ratio across all benchmarks of that binary. A uniformly
 slower machine shifts every ratio equally and cancels out; a benchmark that
 regressed relative to its peers sticks out. The check fails when any
 normalized ratio exceeds the threshold (default 1.25 = >25% relative
-regression).
+regression). Host noise flags a different few benchmarks on each run, so
+before declaring a regression the script re-runs only the flagged
+benchmarks (--benchmark_filter on their names) --runs more times, keeps
+each benchmark's minimum over all runs, re-normalizes, and reports only
+what is still over the threshold.
 
 Modes:
   --mode blocking   exit non-zero on regression (Release CI)
@@ -38,6 +42,7 @@ syntax, so the script passes a plain seconds value (default 0.05).
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -73,7 +78,13 @@ def load_times(path):
     return times, doc.get("context", {}).get("fts_decode_arm")
 
 
-def run_bench(build_dir, bench, min_time, out_path):
+def posix_escape(name):
+    """Escapes `name` for google-benchmark's POSIX-extended filter regex
+    (only ERE metacharacters; escaping anything else is undefined there)."""
+    return re.sub(r"([.\[\]{}()\\*+?^$|])", r"\\\1", name)
+
+
+def run_bench(build_dir, bench, min_time, out_path, names=None):
     binary = os.path.join(build_dir, bench)
     if not os.path.exists(binary):
         raise FileNotFoundError(f"benchmark binary not found: {binary}")
@@ -83,34 +94,54 @@ def run_bench(build_dir, bench, min_time, out_path):
         f"--benchmark_out={out_path}",
         "--benchmark_out_format=json",
     ]
+    if names:
+        cmd.append("--benchmark_filter=^(" +
+                   "|".join(posix_escape(n) for n in names) + ")$")
     subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
 
 
-def check_bench(build_dir, baseline_dir, bench, min_time, threshold, runs,
-                max_bench_ms):
-    """Returns (regressions, report_lines)."""
-    # Best-of-N: scheduler interference only ever inflates timings, so the
-    # per-benchmark minimum over a few short runs is far stabler than one
-    # longer run.
-    current = {}
+def collect_min_times(build_dir, bench, min_time, runs, current, names=None):
+    """Runs `bench` `runs` times (only `names` when given), folding each
+    benchmark's minimum CPU time into `current`. Best-of-N: scheduler
+    interference only ever inflates timings, so the per-benchmark minimum
+    over a few short runs is far stabler than one longer run. Returns the
+    decode arm the runs recorded."""
     arm = None
     for _ in range(runs):
         with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
             out_path = tmp.name
         try:
-            run_bench(build_dir, bench, min_time, out_path)
+            run_bench(build_dir, bench, min_time, out_path, names)
             run_times, run_arm = load_times(out_path)
             arm = arm or run_arm
             for name, t in run_times.items():
                 current[name] = min(t, current.get(name, float("inf")))
-        except (FileNotFoundError, subprocess.CalledProcessError) as e:
-            # A missing or crashing binary must not take the whole check
-            # down with a traceback — report it and move on to the other
-            # binaries (a baseline with no runnable binary is a wiring
-            # problem the report line makes visible).
-            return [], [f"{bench}: run failed ({e}); skipped"]
         finally:
             os.unlink(out_path)
+    return arm
+
+
+def normalized_regressions(current, baseline, common, threshold):
+    """(median machine ratio, {name: normalized ratio}, [flagged names])."""
+    ratios = {name: current[name] / baseline[name] for name in common}
+    median = statistics.median(ratios.values())
+    norms = {name: ratios[name] / median if median > 0 else float("inf")
+             for name in common}
+    return median, norms, [n for n in common if norms[n] > threshold]
+
+
+def check_bench(build_dir, baseline_dir, bench, min_time, threshold, runs,
+                max_bench_ms):
+    """Returns (regressions, report_lines)."""
+    current = {}
+    try:
+        arm = collect_min_times(build_dir, bench, min_time, runs, current)
+    except (FileNotFoundError, subprocess.CalledProcessError) as e:
+        # A missing or crashing binary must not take the whole check
+        # down with a traceback — report it and move on to the other
+        # binaries (a baseline with no runnable binary is a wiring
+        # problem the report line makes visible).
+        return [], [f"{bench}: run failed ({e}); skipped"]
 
     # Decode-arm-aware baseline selection: SIMD group decode makes the
     # decode-heavy benchmarks genuinely faster, so a scalar-forced run
@@ -148,8 +179,23 @@ def check_bench(build_dir, baseline_dir, bench, min_time, threshold, runs,
     if not common:
         return [], [f"{bench}: no common benchmarks with baseline; skipped"]
 
-    ratios = {name: current[name] / baseline[name] for name in common}
-    median = statistics.median(ratios.values())
+    median, norms, flagged = normalized_regressions(current, baseline, common,
+                                                    threshold)
+    rerun_note = None
+    if flagged:
+        # Confirm before declaring: re-run only the flagged benchmarks, keep
+        # the per-benchmark minimum over all runs, and re-normalize. A real
+        # regression survives; a noise spike on one run does not.
+        try:
+            collect_min_times(build_dir, bench, min_time, runs, current,
+                              names=flagged)
+        except subprocess.CalledProcessError as e:
+            return [], [f"{bench}: re-run failed ({e}); skipped"]
+        median, norms, confirmed = normalized_regressions(
+            current, baseline, common, threshold)
+        rerun_note = (f"  re-ran {len(flagged)} flagged benchmark(s) "
+                      f"{runs} more time(s): {len(confirmed)} still over "
+                      f"{threshold:.2f}x")
     arm_note = ""
     if arm is not None or baseline_arm is not None:
         arm_note = (f", decode arm {arm or 'unknown'} vs baseline "
@@ -159,6 +205,8 @@ def check_bench(build_dir, baseline_dir, bench, min_time, threshold, runs,
               f"{median:.2f}x (normalizing by it){arm_note}"]
     if arm_warning:
         report.append(arm_warning)
+    if rerun_note:
+        report.append(rerun_note)
     if too_long:
         report.append(f"  {len(too_long)} benchmark(s) over {max_bench_ms}ms "
                       f"per iteration skipped (cold single-iteration smoke "
@@ -171,7 +219,7 @@ def check_bench(build_dir, baseline_dir, bench, min_time, threshold, runs,
 
     regressions = []
     for name in common:
-        norm = ratios[name] / median if median > 0 else float("inf")
+        norm = norms[name]
         flag = ""
         if norm > threshold:
             regressions.append((name, norm))
@@ -193,7 +241,8 @@ def main():
                         help="skip benchmarks whose baseline iteration "
                              "exceeds this many milliseconds")
     parser.add_argument("--runs", type=int, default=3,
-                        help="short runs per binary; per-benchmark minimum "
+                        help="short runs per binary, and re-runs of any "
+                             "flagged benchmarks; per-benchmark minimum "
                              "is compared (noise is one-sided)")
     parser.add_argument("--mode", choices=["blocking", "advisory"],
                         default="blocking")

@@ -1,7 +1,7 @@
-// FNV-1a hashing shared by the index envelope checksum and the per-block
-// payload checksums of the v3 on-disk format. The streaming form lets the
-// v3 writer/loader checksum the header and directory regions of a file
-// while hopping over (never touching) the block payload bytes in between.
+// FNV-1a hashing shared by the index trailer hash and the per-block payload
+// checksums of the on-disk format. The streaming form lets the writer and
+// loader hash the header and directory regions of a file while hopping
+// over (never touching) the block payload bytes in between.
 
 #ifndef FTS_COMMON_FNV_H_
 #define FTS_COMMON_FNV_H_
@@ -30,7 +30,7 @@ inline uint64_t Fnv1a64(std::string_view data) {
 }
 
 /// 32-bit digest via xor-folding the 64-bit hash — the per-block payload
-/// checksum of the v3 index format (4 bytes a block keeps the skip
+/// checksum of the index format (4 bytes a block keeps the skip
 /// directory small while still catching any single-bit payload flip).
 inline uint32_t Fnv1a32(std::string_view data) {
   const uint64_t h = Fnv1a64(data);

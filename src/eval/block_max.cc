@@ -45,7 +45,7 @@ struct BmLeaf {
   TokenId id;
   const BlockPostingList* list;  // null for OOV tokens
   BlockListCursor cursor;
-  std::vector<double> block_ub;  // per block; +inf when !has_block_max()
+  std::vector<double> block_ub;  // per block impact upper bound
   size_t sb = 0;                 // shallow frontier block index
 
   size_t num_blocks() const { return list ? list->num_blocks() : 0; }
@@ -136,12 +136,10 @@ class BlockMaxEvaluator {
                              tombstones_);
         BmLeaf& leaf = leaves_.back();
         if (leaf.list != nullptr) {
-          const bool bounded = leaf.list->has_block_max();
           leaf.block_ub.reserve(leaf.list->num_blocks());
           for (const BlockPostingList::SkipEntry& s : leaf.list->skips()) {
             leaf.block_ub.push_back(
-                bounded ? model_.EntryScoreUpperBound(index_, id, s.max_tf)
-                        : std::numeric_limits<double>::infinity());
+                model_.EntryScoreUpperBound(index_, id, s.max_tf));
           }
         }
         tree_.push_back(node);
@@ -168,9 +166,9 @@ class BlockMaxEvaluator {
   /// Upper-bound combinators. The model's JoinScore/UnionBoth are monotone
   /// in each score argument over the model's score range (sums for TfIdf,
   /// products / noisy-or over [0,1] for probabilistic), so combining upper
-  /// bounds yields an upper bound. +inf (an unbounded v2/v3 list) must be
-  /// propagated without calling the model: the probabilistic expressions
-  /// multiply, and inf * 0 is NaN.
+  /// bounds yields an upper bound. +inf (a model that cannot bound a list)
+  /// must be propagated without calling the model: the probabilistic
+  /// expressions multiply, and inf * 0 is NaN.
   double CombineAnd(double l, double r) const {
     if (std::isinf(l) || std::isinf(r)) {
       return std::numeric_limits<double>::infinity();
@@ -205,11 +203,7 @@ class BlockMaxEvaluator {
         // sound for any entry inside it and O(1); computing the exact
         // entry score here would double the scoring work of every
         // candidate that survives to DeepEval.
-        const size_t resident = leaf.cursor.current_block();
-        return Bounded(resident < leaf.block_ub.size()
-                           ? leaf.block_ub[resident]
-                           : std::numeric_limits<double>::infinity(),
-                       d);
+        return Bounded(leaf.block_ub[leaf.cursor.current_block()], d);
       }
       // cur < d: the cursor is stale for this probe; use the block bound.
     }

@@ -6,7 +6,7 @@
 // matching node, then keeps the top k. When k is small that is almost all
 // wasted work: once the top-k heap is full, a candidate can only enter by
 // beating the heap's weakest score, and whole blocks whose impact upper
-// bounds (from the per-block max_tf in the v4 skip directory) cannot beat
+// bounds (from the per-block max_tf in the skip directory) cannot beat
 // that threshold need never be decoded. This evaluator walks candidates in
 // ascending node-id order, maintains a per-expression score upper bound
 // from the leaves' shallow block frontiers, and hops the document ranges —
@@ -21,10 +21,8 @@
 // upper bound is <= the heap threshold could never enter the heap (equal
 // scores lose the tie-break to the smaller ids already present).
 //
-// Lists loaded from v2/v3 files carry no max_tf (has_block_max() false);
-// their blocks get an unbounded (+inf) upper bound, which disables
-// skipping for that list while remaining exact — graceful fallback to
-// full-work evaluation inside the same loop.
+// A score model that cannot bound a list returns +inf for its blocks, which
+// disables skipping for that list while remaining exact.
 
 #ifndef FTS_EVAL_BLOCK_MAX_H_
 #define FTS_EVAL_BLOCK_MAX_H_

@@ -45,7 +45,7 @@ class IngestService : public SnapshotSource {
     /// segment when the snapshot holds more than this many segments.
     size_t merge_factor = 8;
     /// When non-empty, every sealed segment is also flushed to
-    /// `<spill_dir>/segment-<seal#>.fts` as an ordinary v3 index file,
+    /// `<spill_dir>/segment-<seal#>.fts` as an ordinary index file,
     /// crash-consistently (write-then-rename; see SaveSegmentAtomic).
     std::string spill_dir;
     /// IndexBuilder knobs applied to every seal and compaction. With

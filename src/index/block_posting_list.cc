@@ -80,23 +80,6 @@ PostingList BlockPostingList::Materialize() const {
   return out;
 }
 
-BlockPostingList BlockPostingList::ToVarintOnly() const {
-  BlockPostingList out(block_size_);
-  out.dense_enabled_ = false;
-  std::vector<PostingEntry> entries;
-  std::vector<PositionInfo> positions;
-  for (size_t b = 0; b < num_blocks(); ++b) {
-    Status s = DecodeBlock(b, &entries, &positions);
-    assert(s.ok());
-    (void)s;
-    for (const PostingEntry& e : entries) {
-      out.Append(e.node, {positions.data() + e.pos_begin, e.pos_count});
-    }
-  }
-  out.Finish();
-  return out;
-}
-
 void BlockPostingList::Append(NodeId node, std::span<const PositionInfo> positions) {
   assert(pending_.empty() || pending_.back().node < node);
   assert(skips_.empty() || !pending_.empty() || skips_.back().max_node < node);
@@ -139,8 +122,8 @@ void BlockPostingList::FlushPending() {
 
   // First node of the block is absolute so blocks decode independently;
   // subsequent ids are strictly positive deltas. Each entry's positions
-  // (offset/sentence/paragraph deltas, as in the v1 stream) sit behind a
-  // byte-length so header-only decoding can hop over them.
+  // (offset/sentence/paragraph deltas) sit behind a byte-length so
+  // header-only decoding can hop over them.
   NodeId prev_node = 0;
   bool first = true;
   std::string pos_bytes;
@@ -175,7 +158,7 @@ void BlockPostingList::FlushPendingBitset(SkipEntry* skip) {
   //   words              nwords little-endian uint64, bit i = id base+i
   //   counts             entry_count varints (per-entry position counts)
   //   pos_lens           entry_count varints (per-entry position byte len)
-  //   pos bytes          concatenated per-entry position deltas (v1 coding)
+  //   pos bytes          concatenated per-entry position deltas
   // The count and length streams are contiguous — unlike the interleaved
   // sparse layout — so DecodeBlockEntries runs them through the dispatched
   // (SIMD-capable) group decoder in bulk.
@@ -307,8 +290,8 @@ Status BlockPostingList::DecodeBlockEntries(size_t block,
       return Status::Corruption("non-increasing node ids across blocks");
     }
     prev_node = node;
-    if (has_block_max_ && count > skip.max_tf) {
-      // A crafted v4 file must not be able to understate a block's max_tf:
+    if (count > skip.max_tf) {
+      // A crafted file must not be able to understate a block's max_tf:
       // an entry whose position count exceeds the recorded block maximum
       // would make the block-max impact bound an under-estimate and let
       // top-k evaluation skip a true top result.
@@ -418,7 +401,7 @@ Status BlockPostingList::DecodeBitsetBlock(size_t block, const SkipEntry& skip,
     }
     if (simd && counters != nullptr) ++counters->simd_groups_decoded;
     for (uint32_t j = 0; j < chunk; ++j) {
-      if (has_block_max_ && buf[j] > skip.max_tf) {
+      if (buf[j] > skip.max_tf) {
         return Status::Corruption("entry position count exceeds block max_tf");
       }
       (*entries)[done + j].header.pos_count = buf[j];
@@ -634,35 +617,17 @@ BlockPostingList BlockPostingList::FromParts(uint32_t block_size,
                                              uint64_t num_entries,
                                              uint64_t total_positions,
                                              std::vector<SkipEntry> skips,
-                                             std::string data,
-                                             bool has_block_max) {
-  BlockPostingList out(block_size);
-  out.num_entries_ = num_entries;
-  out.total_positions_ = total_positions;
-  out.skips_ = std::move(skips);
-  out.owned_ = std::move(data);
-  out.has_block_max_ = has_block_max;
-  return out;
-}
-
-BlockPostingList BlockPostingList::FromParts(uint32_t block_size,
-                                             uint64_t num_entries,
-                                             uint64_t total_positions,
-                                             std::vector<SkipEntry> skips,
                                              std::string_view data,
-                                             std::vector<uint32_t> checksums,
-                                             bool first_touch_validation,
-                                             bool has_block_max) {
+                                             std::vector<uint32_t> checksums) {
   BlockPostingList out(block_size);
   out.num_entries_ = num_entries;
   out.total_positions_ = total_positions;
   out.skips_ = std::move(skips);
-  out.has_block_max_ = has_block_max;
   // An empty slice must still present a non-null view so data() does not
   // fall back to owned_ (harmless today, but keep the invariant tight).
   out.view_ = data.data() != nullptr ? data : std::string_view("", 0);
   out.block_checksums_ = std::move(checksums);
-  if (first_touch_validation && !out.skips_.empty()) {
+  if (!out.skips_.empty()) {
     out.block_verified_ =
         std::make_unique<std::atomic<uint8_t>[]>(out.skips_.size());
     for (size_t b = 0; b < out.skips_.size(); ++b) {

@@ -1,11 +1,11 @@
-// Block-compressed, skip-seekable posting storage (the v2..v5 index layouts).
+// Block-compressed, skip-seekable posting storage (the v6 index layout).
 //
 // A BlockPostingList stores the same logical (cn, PosList) sequence as a
 // PostingList, but packed into fixed-size blocks (kDefaultBlockSize entries)
 // of varint-coded deltas: node ids are delta-coded within a block (first id
 // absolute, so every block decodes independently), and positions are coded
-// as in the v1 stream (offset/sentence/paragraph deltas) behind a per-entry
-// byte-length, so entry headers decode without touching position bytes.
+// as offset/sentence/paragraph deltas behind a per-entry byte-length, so
+// entry headers decode without touching position bytes.
 // Each block is fronted by a skip header (max_node, byte_offset,
 // entry_count), so a cursor can locate the unique block that may contain a
 // target node with a binary search over headers and decode only that block
@@ -25,10 +25,10 @@
 //
 // Payload bytes are either owned (built lists) or a string_view slice of
 // the index's shared IndexSource (loaded lists — heap buffer or mmap'd
-// file region). Lists loaded lazily from a v3 file carry per-block
-// checksums and validate each block — checksum plus structure — on its
-// first decode, memoized per block; a first-touch failure is reported
-// through the cursor's sticky status() and the cursor fails closed.
+// file region). Loaded lists carry per-block checksums and validate each
+// block — checksum plus structure — on its first decode, memoized per
+// block; a first-touch failure is reported through the cursor's sticky
+// status() and the cursor fails closed.
 
 #ifndef FTS_INDEX_BLOCK_POSTING_LIST_H_
 #define FTS_INDEX_BLOCK_POSTING_LIST_H_
@@ -52,7 +52,7 @@ class BlockPostingList {
  public:
   static constexpr uint32_t kDefaultBlockSize = 128;
 
-  /// Per-block payload encodings (the v5 hybrid format). The builder
+  /// Per-block payload encodings (the hybrid format). The builder
   /// classifies each sealed block: sparse blocks keep the varint-delta
   /// layout; blocks whose id span is within kDenseSpanFactor of their
   /// entry count become fixed-width bitset blocks — a base id plus
@@ -73,12 +73,10 @@ class BlockPostingList {
   /// byte inside data(); `max_node` is the id of its last entry. `max_tf`
   /// is the largest per-entry position count in the block — the block-max
   /// statistic score models turn into an impact upper bound so top-k
-  /// evaluation can skip blocks that cannot beat the heap threshold. It is
-  /// populated by the builder and by v4/v5 loads; v2/v3 loads leave it 0
-  /// and clear has_block_max(), which disables score-based skipping for
-  /// the list (full evaluation fallback). `encoding` selects the block's
-  /// payload layout (kEncodingVarint / kEncodingBitset); it is serialized
-  /// only by the v5 format — every block of a v<=4 file is varint-coded.
+  /// evaluation can skip blocks that cannot beat the heap threshold. Every
+  /// block's entries are checked against it on decode, so a file cannot
+  /// understate it. `encoding` selects the block's payload layout
+  /// (kEncodingVarint / kEncodingBitset).
   struct SkipEntry {
     NodeId max_node = 0;
     uint32_t byte_offset = 0;
@@ -95,24 +93,13 @@ class BlockPostingList {
   static bool SetDenseBlocksEnabledByDefault(bool enabled);
   static bool DenseBlocksEnabledByDefault();
 
-  /// Per-list override of the process default; only affects blocks sealed
-  /// after the call (set it before the first Append).
-  void set_dense_blocks(bool enabled) { dense_enabled_ = enabled; }
-
-  /// True when any block of this list is bitset-encoded. Legacy (v<=4)
-  /// saves must transcode such lists to all-varint first — an old magic
-  /// must never front a payload old readers cannot parse.
+  /// True when any block of this list is bitset-encoded.
   bool has_bitset_blocks() const {
     for (const SkipEntry& s : skips_) {
       if (s.encoding != kEncodingVarint) return true;
     }
     return false;
   }
-
-  /// Re-encodes this list with bitset blocks disabled (identical logical
-  /// contents, every block varint-coded). Used by the v<=4 save paths and
-  /// the encoding-differential tests.
-  BlockPostingList ToVarintOnly() const;
 
   explicit BlockPostingList(uint32_t block_size = kDefaultBlockSize)
       : block_size_(block_size == 0 ? kDefaultBlockSize : block_size) {}
@@ -145,12 +132,6 @@ class BlockPostingList {
   const SkipEntry& skip(size_t block) const { return skips_[block]; }
   const std::vector<SkipEntry>& skips() const { return skips_; }
 
-  /// True when every skip entry carries a trustworthy max_tf (built lists
-  /// and v4 loads). False for v2/v3 loads, whose skip directories predate
-  /// the statistic — block-max evaluation must then treat every block's
-  /// impact upper bound as unbounded (full evaluation fallback).
-  bool has_block_max() const { return has_block_max_; }
-
   /// Compressed payload (concatenated block bytes). Built lists own their
   /// bytes; loaded lists borrow a slice of the index's IndexSource (heap
   /// buffer or mmap'd file region), which the owning InvertedIndex keeps
@@ -159,8 +140,9 @@ class BlockPostingList {
     return view_.data() != nullptr ? view_ : std::string_view(owned_);
   }
 
-  /// Total compressed footprint: payload plus skip-table bytes as laid out
-  /// on disk (the serialized v2 size of this list, minus framing varints).
+  /// Compressed footprint: payload plus the varint-coded max_node,
+  /// byte_offset and entry_count of each skip entry (the on-disk directory
+  /// adds a checksum, max_tf and encoding tag per block).
   size_t byte_size() const;
 
   /// Resident heap footprint of this list in bytes (owned payload + skip
@@ -225,28 +207,17 @@ class BlockPostingList {
                                   std::vector<uint32_t>* offsets,
                                   EvalCounters* counters = nullptr) const;
 
-  /// Reassembles a list from its serialized parts with an owned payload
-  /// copy (index_io v1 re-encode helpers and tests). `has_block_max`
-  /// declares whether the skip entries carry valid max_tf values.
-  static BlockPostingList FromParts(uint32_t block_size, uint64_t num_entries,
-                                    uint64_t total_positions,
-                                    std::vector<SkipEntry> skips, std::string data,
-                                    bool has_block_max = false);
-
   /// Reassembles a list whose payload is a borrowed slice of an
-  /// IndexSource (the v2/v3 load paths). `checksums`, when non-empty, is
-  /// the per-block FNV-1a32 payload checksum table of the v3 format; with
-  /// `first_touch_validation` set, each block's checksum and structure are
-  /// verified on its first decode (memoized — see DecodeBlockEntries)
-  /// instead of at load time. Without it, checksums are verified by the
-  /// load-time ValidateBlocks pass and queries never re-check.
+  /// IndexSource (the load path). `checksums` is the per-block FNV-1a32
+  /// payload checksum table; each block's checksum and structure are
+  /// verified on its first decode (memoized — see DecodeBlockEntries).
+  /// Eager loads trigger every first decode up front via
+  /// InvertedIndex::ValidateBlocks; lazy loads leave them to queries.
   static BlockPostingList FromParts(uint32_t block_size, uint64_t num_entries,
                                     uint64_t total_positions,
                                     std::vector<SkipEntry> skips,
                                     std::string_view data,
-                                    std::vector<uint32_t> checksums,
-                                    bool first_touch_validation,
-                                    bool has_block_max = false);
+                                    std::vector<uint32_t> checksums);
 
   /// True when block `block` has already passed (or never needs) first-touch
   /// validation. Cursors use the transition to charge
@@ -279,19 +250,16 @@ class BlockPostingList {
   uint64_t uid_ = NextUid();
   size_t num_entries_ = 0;
   size_t total_positions_ = 0;
-  /// Built lists always compute max_tf; FromParts loads declare it.
-  bool has_block_max_ = true;
-  /// Built (and v1-re-encoded) lists own their payload here; loaded lists
-  /// leave it empty and set view_ instead.
+  /// Built lists own their payload here; loaded lists leave it empty and
+  /// set view_ instead.
   std::string owned_;
   /// Borrowed payload slice into the owning index's IndexSource.
   std::string_view view_;
   std::vector<SkipEntry> skips_;
-  /// v3 per-block payload checksums (FNV-1a32); empty for built lists and
-  /// v1/v2 loads (those validate eagerly under the envelope checksum).
+  /// Per-block payload checksums (FNV-1a32); empty for built lists.
   std::vector<uint32_t> block_checksums_;
-  /// First-touch validation memo, one flag per block; null when every block
-  /// is already trusted (built lists, eagerly validated loads). Atomic so
+  /// First-touch validation memo, one flag per block; null for built lists,
+  /// whose blocks are trusted. Atomic so
   /// concurrent read-only queries over a shared index may race benignly on
   /// the memo without UB.
   mutable std::unique_ptr<std::atomic<uint8_t>[]> block_verified_;

@@ -1,6 +1,7 @@
 #include "index/index_io.h"
 
 #include <bit>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <utility>
@@ -16,15 +17,12 @@ namespace fts {
 
 namespace {
 
-constexpr char kMagicV1[8] = {'F', 'T', 'S', 'I', 'D', 'X', '1', '\0'};
-constexpr char kMagicV2[8] = {'F', 'T', 'S', 'I', 'D', 'X', '2', '\0'};
-constexpr char kMagicV3[8] = {'F', 'T', 'S', 'I', 'D', 'X', '3', '\0'};
-constexpr char kMagicV4[8] = {'F', 'T', 'S', 'I', 'D', 'X', '4', '\0'};
-constexpr char kMagicV5[8] = {'F', 'T', 'S', 'I', 'D', 'X', '5', '\0'};
-constexpr char kMagicV6[8] = {'F', 'T', 'S', 'I', 'D', 'X', '6', '\0'};
-constexpr size_t kMagicSize = sizeof(kMagicV1);
+constexpr char kMagic[8] = {'F', 'T', 'S', 'I', 'D', 'X', '6', '\0'};
+constexpr size_t kMagicSize = sizeof(kMagic);
+/// Byte of the magic that holds the format version digit.
+constexpr size_t kVersionByte = 6;
 constexpr size_t kTrailerSize = 8;  // fixed64 checksum
-/// The smallest byte count any version can occupy: magic + trailer. Inputs
+/// The smallest byte count a file can occupy: magic + trailer. Inputs
 /// below this are rejected before any section parsing runs.
 constexpr size_t kMinFileSize = kMagicSize + kTrailerSize;
 
@@ -55,74 +53,12 @@ Status GetDouble(std::string_view data, size_t* offset, double* d) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 posting lists: flat delta-coded entry stream.
-// ---------------------------------------------------------------------------
-
-void PutPostingList(std::string* out, const PostingList& list) {
-  PutVarint64(out, list.num_entries());
-  NodeId prev_node = 0;
-  for (size_t i = 0; i < list.num_entries(); ++i) {
-    const PostingEntry& e = list.entry(i);
-    PutVarint32(out, e.node - prev_node);  // first entry: absolute id
-    prev_node = e.node;
-    auto positions = list.positions(e);
-    PutVarint32(out, e.pos_count);
-    uint32_t prev_off = 0, prev_sent = 0, prev_para = 0;
-    for (const PositionInfo& p : positions) {
-      PutVarint32(out, p.offset - prev_off);
-      PutVarint32(out, p.sentence - prev_sent);
-      PutVarint32(out, p.paragraph - prev_para);
-      prev_off = p.offset;
-      prev_sent = p.sentence;
-      prev_para = p.paragraph;
-    }
-  }
-}
-
-Status GetPostingList(std::string_view data, size_t* offset, PostingList* list) {
-  uint64_t num_entries;
-  FTS_RETURN_IF_ERROR(GetVarint64(data, offset, &num_entries));
-  NodeId prev_node = 0;
-  std::vector<PositionInfo> positions;
-  for (uint64_t i = 0; i < num_entries; ++i) {
-    uint32_t node_delta, count;
-    FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &node_delta));
-    NodeId node = (i == 0) ? node_delta : prev_node + node_delta;
-    if (i > 0 && (node_delta == 0 || node < prev_node)) {
-      return Status::Corruption("non-increasing node ids in posting list");
-    }
-    prev_node = node;
-    FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &count));
-    // Each position takes at least 3 bytes; bound before reserving.
-    if (count > (data.size() - *offset) / 3) {
-      return Status::Corruption("position count larger than remaining input");
-    }
-    positions.clear();
-    positions.reserve(count);
-    uint32_t off = 0, sent = 0, para = 0;
-    for (uint32_t j = 0; j < count; ++j) {
-      uint32_t d_off, d_sent, d_para;
-      FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &d_off));
-      FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &d_sent));
-      FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &d_para));
-      off += d_off;
-      sent += d_sent;
-      para += d_para;
-      positions.push_back(PositionInfo{off, sent, para});
-    }
-    list->Append(node, positions);
-  }
-  return Status::OK();
-}
-
-// ---------------------------------------------------------------------------
-// v2..v5 posting lists: block-compressed payload + skip table, dumped
-// verbatim from / adopted verbatim into BlockPostingList. v3 extends each
-// skip entry with the block's FNV-1a32 payload checksum and records where
-// payload bytes sit (the trailer checksum hops over them); v4 additionally
-// appends the block's max_tf (largest per-entry position count), the
-// block-max statistic top-k evaluation turns into impact upper bounds; v5
-// appends the block's encoding tag (varint-delta vs fixed-width bitset).
+// Posting lists: the BlockPostingList skip directory, each entry extended
+// with the block's FNV-1a32 payload checksum, its max_tf (largest
+// per-entry position count, the block-max statistic top-k evaluation turns
+// into impact upper bounds) and its encoding tag (varint-delta vs
+// fixed-width bitset), then the payload dumped verbatim from / adopted
+// verbatim into BlockPostingList. The trailer hash hops over payloads.
 // ---------------------------------------------------------------------------
 
 /// Byte range of one list's payload within the serialized output.
@@ -132,8 +68,6 @@ struct PayloadRange {
 };
 
 void PutBlockPostingList(std::string* out, const BlockPostingList& list,
-                         bool with_checksums, bool with_block_max,
-                         bool with_encoding,
                          std::vector<PayloadRange>* payload_ranges) {
   PutVarint64(out, list.num_entries());
   PutVarint64(out, list.total_positions());
@@ -147,23 +81,19 @@ void PutBlockPostingList(std::string* out, const BlockPostingList& list,
     PutVarint32(out, s.max_node - prev_max);
     PutVarint32(out, s.byte_offset - prev_off);
     PutVarint32(out, s.entry_count);
-    if (with_checksums) {
-      const size_t end = b + 1 < list.num_blocks() ? list.skip(b + 1).byte_offset
-                                                   : payload.size();
-      PutVarint32(out, Fnv1a32(payload.substr(s.byte_offset, end - s.byte_offset)));
-    }
-    if (with_block_max) PutVarint32(out, s.max_tf);
-    // The encoding tag lives in the directory, so the v5 trailer hash
-    // covers it: a flipped tag is Corruption at load, never a block parsed
-    // under the wrong layout.
-    if (with_encoding) PutVarint32(out, s.encoding);
+    const size_t end = b + 1 < list.num_blocks() ? list.skip(b + 1).byte_offset
+                                                 : payload.size();
+    PutVarint32(out, Fnv1a32(payload.substr(s.byte_offset, end - s.byte_offset)));
+    PutVarint32(out, s.max_tf);
+    // The encoding tag lives in the directory, so the trailer hash covers
+    // it: a flipped tag is Corruption at load, never a block parsed under
+    // the wrong layout.
+    PutVarint32(out, s.encoding);
     prev_max = s.max_node;
     prev_off = s.byte_offset;
   }
   PutVarint64(out, payload.size());
-  if (payload_ranges != nullptr) {
-    payload_ranges->push_back({out->size(), out->size() + payload.size()});
-  }
+  payload_ranges->push_back({out->size(), out->size() + payload.size()});
   out->append(payload);
 }
 
@@ -174,22 +104,17 @@ struct BlockListDirectory {
   uint64_t total_positions = 0;
   uint32_t block_size = 0;
   std::vector<BlockPostingList::SkipEntry> skips;
-  std::vector<uint32_t> checksums;  // v3 only
+  std::vector<uint32_t> checksums;
   size_t payload_begin = 0;
   size_t payload_size = 0;
 };
 
-/// Parses one list's directory (v2..v5 share everything except the
-/// per-block checksum, max_tf and encoding fields) and skips its payload,
-/// leaving
-/// `*offset` past the list. Every count is bounded by the remaining input
-/// before sizing containers: the envelope checksum is recomputable by an
-/// attacker, so a crafted header must fail with Corruption, not a giant
-/// allocation.
+/// Parses one list's directory and skips its payload, leaving `*offset`
+/// past the list. Every count is bounded by the remaining input before
+/// sizing containers: the trailer hash is recomputable by an attacker, so
+/// a crafted header must fail with Corruption, not a giant allocation.
 Status GetBlockListDirectory(std::string_view data, size_t* offset,
-                             bool with_checksums, bool with_block_max,
-                             bool with_encoding, uint64_t cnodes,
-                             BlockListDirectory* dir) {
+                             uint64_t cnodes, BlockListDirectory* dir) {
   uint64_t num_blocks;
   FTS_RETURN_IF_ERROR(GetVarint64(data, offset, &dir->num_entries));
   FTS_RETURN_IF_ERROR(GetVarint64(data, offset, &dir->total_positions));
@@ -198,46 +123,40 @@ Status GetBlockListDirectory(std::string_view data, size_t* offset,
   if (dir->block_size == 0 && num_blocks > 0) {
     return Status::Corruption("zero block size in nonempty block list");
   }
-  // Each skip entry takes at least 3 (v2), 4 (v3), 5 (v4) or 6 (v5) bytes.
-  const size_t min_entry_bytes = (with_checksums ? 4u : 3u) +
-                                 (with_block_max ? 1u : 0u) +
-                                 (with_encoding ? 1u : 0u);
-  if (num_blocks > (data.size() - *offset) / min_entry_bytes) {
+  // Each skip entry takes at least 6 bytes (six varints).
+  if (num_blocks > (data.size() - *offset) / 6) {
     return Status::Corruption("skip table larger than remaining input");
   }
   dir->skips.reserve(num_blocks);
-  if (with_checksums) dir->checksums.reserve(num_blocks);
+  dir->checksums.reserve(num_blocks);
   NodeId prev_max = 0;
   uint32_t prev_off = 0;
   uint64_t skipped_entries = 0;
   for (uint64_t b = 0; b < num_blocks; ++b) {
-    uint32_t d_max, d_off, count;
+    uint32_t d_max, d_off, count, checksum, encoding;
+    BlockPostingList::SkipEntry s;
     FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &d_max));
     FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &d_off));
     FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &count));
-    if (with_checksums) {
-      uint32_t checksum;
-      FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &checksum));
-      dir->checksums.push_back(checksum);
+    FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &checksum));
+    FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &s.max_tf));
+    FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &encoding));
+    if (encoding > BlockPostingList::kEncodingBitset) {
+      return Status::Corruption("unknown block encoding tag");
     }
-    BlockPostingList::SkipEntry s;
-    if (with_block_max) {
-      FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &s.max_tf));
-    }
-    if (with_encoding) {
-      uint32_t encoding;
-      FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &encoding));
-      if (encoding > BlockPostingList::kEncodingBitset) {
-        return Status::Corruption("unknown block encoding tag");
-      }
-      s.encoding = static_cast<uint8_t>(encoding);
-    }
-    s.max_node = prev_max + d_max;
-    s.byte_offset = prev_off + d_off;
-    s.entry_count = count;
-    if (b > 0 && (d_max == 0 || d_off == 0)) {
+    // Deltas are summed in 64 bits: a delta that wraps past 2^32 would
+    // hand a lazily validated block a max_node far above its successors',
+    // and only the last block's max_node is range-checked below.
+    const uint64_t max_node = uint64_t{prev_max} + d_max;
+    const uint64_t byte_offset = uint64_t{prev_off} + d_off;
+    if ((b > 0 && (d_max == 0 || d_off == 0)) || max_node > UINT32_MAX ||
+        byte_offset > UINT32_MAX) {
       return Status::Corruption("non-increasing skip table");
     }
+    s.max_node = static_cast<NodeId>(max_node);
+    s.byte_offset = static_cast<uint32_t>(byte_offset);
+    s.entry_count = count;
+    s.encoding = static_cast<uint8_t>(encoding);
     if (count == 0 || count > dir->block_size) {
       return Status::Corruption("bad block entry count");
     }
@@ -245,6 +164,7 @@ Status GetBlockListDirectory(std::string_view data, size_t* offset,
     prev_off = s.byte_offset;
     skipped_entries += count;
     dir->skips.push_back(s);
+    dir->checksums.push_back(checksum);
   }
   if (skipped_entries != dir->num_entries) {
     return Status::Corruption("skip table entry counts disagree with header");
@@ -314,34 +234,23 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
                               std::to_string(data.size()) + " < " +
                               std::to_string(kMinFileSize) + " bytes)");
   }
-  const bool is_v1 = std::memcmp(data.data(), kMagicV1, kMagicSize) == 0;
-  const bool is_v2 = std::memcmp(data.data(), kMagicV2, kMagicSize) == 0;
-  const bool is_v3 = std::memcmp(data.data(), kMagicV3, kMagicSize) == 0;
-  const bool is_v4 = std::memcmp(data.data(), kMagicV4, kMagicSize) == 0;
-  const bool is_v5 = std::memcmp(data.data(), kMagicV5, kMagicSize) == 0;
-  const bool is_v6 = std::memcmp(data.data(), kMagicV6, kMagicSize) == 0;
-  if (!is_v1 && !is_v2 && !is_v3 && !is_v4 && !is_v5 && !is_v6) {
+  if (std::memcmp(data.data(), kMagic, kMagicSize) != 0) {
+    const char version = data[kVersionByte];
+    if (std::memcmp(data.data(), kMagic, kVersionByte) == 0 &&
+        data[kVersionByte + 1] == '\0' && version >= '1' && version <= '5') {
+      // A retired format: fail closed with a message that says what to do,
+      // rather than the generic bad-magic error.
+      return Status::Corruption(std::string("index format v") + version +
+                                " is no longer supported; rebuild the "
+                                "index to write the current v6 format");
+    }
     return Status::Corruption("bad index magic");
   }
-  // v3+ share the lazy-loadable envelope (header-only trailer hash,
-  // per-block checksums); v4 adds max_tf per skip entry, v5 the per-block
-  // encoding tag, v6 the optional pair-index section.
-  const bool header_hashed = is_v3 || is_v4 || is_v5 || is_v6;
-  const bool with_block_max = is_v4 || is_v5 || is_v6;
   const size_t body_end = data.size() - kTrailerSize;
 
-  // v1/v2 carry a whole-body checksum: verify it up front (this reads the
-  // entire input, so these versions never load lazily). The v3/v4 trailer
-  // covers only header/directory bytes; it is accumulated during the parse
-  // below, hopping over payload ranges without touching them.
-  if (!header_hashed) {
-    size_t coff = body_end;
-    uint64_t stored;
-    FTS_RETURN_IF_ERROR(GetFixed64(data, &coff, &stored));
-    if (stored != Fnv1a64(data.substr(kMagicSize, body_end - kMagicSize))) {
-      return Status::Corruption("index checksum mismatch");
-    }
-  }
+  // The trailer covers only header/directory bytes; it is accumulated
+  // during the parse below, hopping over payload ranges without touching
+  // them.
   uint64_t header_hash = kFnv1aSeed;
   size_t hash_mark = kMagicSize;  // next byte not yet folded into header_hash
 
@@ -387,146 +296,113 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     offset += len;
   }
 
-  if (is_v1) {
-    // Decode each flat stream into a raw transient and re-encode it into
-    // the block-resident form, one list at a time (peak extra memory is a
-    // single decoded list, not a mirror of the index). The re-encoded
-    // lists own their bytes, so the source is not retained.
-    index.block_lists_.resize(vocab);
-    for (uint64_t t = 0; t < vocab; ++t) {
-      PostingList raw;
-      FTS_RETURN_IF_ERROR(GetPostingList(data, &offset, &raw));
-      index.block_lists_[t] = BlockPostingList::FromPostingList(raw);
-    }
-    PostingList any;
-    FTS_RETURN_IF_ERROR(GetPostingList(data, &offset, &any));
-    *index.block_any_list_ = BlockPostingList::FromPostingList(any);
-    // Same guarantees as the v2 path: in particular, node ids must stay
-    // below cnodes so per-node scalar lookups can never go out of range.
-    FTS_RETURN_IF_ERROR(index.ValidateBlocks());
-  } else {
-    const bool with_checksums = header_hashed;
-    const bool lazy = header_hashed && prefer_lazy;
-    const auto adopt = [&](BlockPostingList* list) -> Status {
-      BlockListDirectory dir;
-      FTS_RETURN_IF_ERROR(GetBlockListDirectory(
-          data, &offset, with_checksums, with_block_max,
-          /*with_encoding=*/is_v5 || is_v6, s.cnodes, &dir));
-      if (header_hashed) {
-        // Fold the header/directory bytes since the last payload into the
-        // trailer hash, then hop over this list's payload untouched.
-        header_hash = Fnv1aAccumulate(
-            header_hash, data.substr(hash_mark, dir.payload_begin - hash_mark));
-        hash_mark = dir.payload_begin + dir.payload_size;
-      }
-      *list = BlockPostingList::FromParts(
-          dir.block_size == 0 ? BlockPostingList::kDefaultBlockSize
-                              : dir.block_size,
-          dir.num_entries, dir.total_positions, std::move(dir.skips),
-          data.substr(dir.payload_begin, dir.payload_size),
-          std::move(dir.checksums),
-          /*first_touch_validation=*/with_checksums,
-          /*has_block_max=*/with_block_max);
-      return Status::OK();
-    };
-    index.block_lists_.resize(vocab);
-    for (uint64_t t = 0; t < vocab; ++t) {
-      FTS_RETURN_IF_ERROR(adopt(&index.block_lists_[t]));
-    }
-    FTS_RETURN_IF_ERROR(adopt(index.block_any_list_.get()));
-    if (is_v6) {
-      // Optional pair-index section: frequent-term table (rank order),
-      // then the sorted canonical key table with each key's list inline.
-      // Every structural invariant Find()/the planner rely on is enforced
-      // here; the lists themselves get the same directory checks and
-      // (lazy or eager) payload validation as any other list.
-      uint32_t max_distance;
-      uint64_t num_frequent;
-      FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &max_distance));
-      FTS_RETURN_IF_ERROR(GetVarint64(data, &offset, &num_frequent));
-      if (num_frequent > body_end - offset) {  // >= 1 byte per id
-        return Status::Corruption("pair frequent table larger than input");
-      }
-      auto pair = std::make_unique<PairIndex>();
-      pair->max_distance_ = max_distance;
-      pair->frequent_.reserve(num_frequent);
-      for (uint64_t i = 0; i < num_frequent; ++i) {
-        uint32_t tok;
-        FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &tok));
-        if (tok >= vocab) {
-          return Status::Corruption("pair frequent token out of vocabulary");
-        }
-        pair->frequent_.push_back(tok);
-      }
-      pair->RebuildLookups();
-      if (pair->rank_.size() != pair->frequent_.size()) {
-        return Status::Corruption("duplicate pair frequent token");
-      }
-      uint64_t num_keys;
-      FTS_RETURN_IF_ERROR(GetVarint64(data, &offset, &num_keys));
-      if (num_keys > (body_end - offset) / 2) {  // >= 2 bytes per key
-        return Status::Corruption("pair key table larger than input");
-      }
-      if (num_keys > 0 && num_frequent == 0) {
-        return Status::Corruption("pair keys without frequent table");
-      }
-      pair->keys_.reserve(num_keys);
-      pair->lists_.resize(num_keys);
-      TokenId prev_first = 0;
-      TokenId prev_second = 0;
-      for (uint64_t i = 0; i < num_keys; ++i) {
-        uint32_t d_first, second;
-        FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &d_first));
-        FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &second));
-        const TokenId first = prev_first + d_first;
-        if (first >= vocab || second >= vocab || first == second) {
-          return Status::Corruption("bad pair key");
-        }
-        if (i > 0 && d_first == 0 && second <= prev_second) {
-          return Status::Corruption("non-increasing pair key table");
-        }
-        // Canonical orientation: `first` must be frequent, and when both
-        // sides are frequent the better-ranked one leads — the exact rule
-        // Find() canonicalizes queries with.
-        const size_t rf = pair->rank(first);
-        if (rf == PairIndex::kNotFrequent || pair->rank(second) < rf) {
-          return Status::Corruption("non-canonical pair key orientation");
-        }
-        prev_first = first;
-        prev_second = second;
-        pair->keys_.push_back({first, second});
-        FTS_RETURN_IF_ERROR(adopt(&pair->lists_[i]));
-      }
-      pair->RebuildLookups();
-      if (!pair->keys_.empty()) index.pair_index_ = std::move(pair);
-    }
-    if (header_hashed) {
-      if (offset != body_end) {
-        return Status::Corruption("trailing bytes in index payload");
-      }
-      header_hash = Fnv1aAccumulate(header_hash,
-                                    data.substr(hash_mark, body_end - hash_mark));
-      size_t coff = body_end;
-      uint64_t stored;
-      FTS_RETURN_IF_ERROR(GetFixed64(data, &coff, &stored));
-      if (stored != header_hash) {
-        return Status::Corruption("index header checksum mismatch");
-      }
-    }
-    index.source_ = source;  // lists view into it from here on
-    if (lazy) {
-      // O(header) load: per-block structure and payload checksums are
-      // verified on first decode instead (memoized in BlockPostingList).
-      index.lazy_validation_ = true;
-    } else {
-      // Adopted payloads are fully validated up front (streaming, O(block)
-      // scratch) so query-time cursors never touch malformed bytes.
-      FTS_RETURN_IF_ERROR(index.ValidateBlocks());
-    }
+  const auto adopt = [&](BlockPostingList* list) -> Status {
+    BlockListDirectory dir;
+    FTS_RETURN_IF_ERROR(GetBlockListDirectory(data, &offset, s.cnodes, &dir));
+    // Fold the header/directory bytes since the last payload into the
+    // trailer hash, then hop over this list's payload untouched.
+    header_hash = Fnv1aAccumulate(
+        header_hash, data.substr(hash_mark, dir.payload_begin - hash_mark));
+    hash_mark = dir.payload_begin + dir.payload_size;
+    *list = BlockPostingList::FromParts(
+        dir.block_size == 0 ? BlockPostingList::kDefaultBlockSize
+                            : dir.block_size,
+        dir.num_entries, dir.total_positions, std::move(dir.skips),
+        data.substr(dir.payload_begin, dir.payload_size),
+        std::move(dir.checksums));
+    return Status::OK();
+  };
+  index.block_lists_.resize(vocab);
+  for (uint64_t t = 0; t < vocab; ++t) {
+    FTS_RETURN_IF_ERROR(adopt(&index.block_lists_[t]));
   }
+  FTS_RETURN_IF_ERROR(adopt(index.block_any_list_.get()));
+
+  // Pair-index section: frequent-term table (rank order), then the sorted
+  // canonical key table with each key's list inline. Every structural
+  // invariant Find()/the planner rely on is enforced here; the lists
+  // themselves get the same directory checks and (lazy or eager) payload
+  // validation as any other list.
+  uint32_t max_distance;
+  uint64_t num_frequent;
+  FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &max_distance));
+  FTS_RETURN_IF_ERROR(GetVarint64(data, &offset, &num_frequent));
+  if (num_frequent > body_end - offset) {  // >= 1 byte per id
+    return Status::Corruption("pair frequent table larger than input");
+  }
+  auto pair = std::make_unique<PairIndex>();
+  pair->max_distance_ = max_distance;
+  pair->frequent_.reserve(num_frequent);
+  for (uint64_t i = 0; i < num_frequent; ++i) {
+    uint32_t tok;
+    FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &tok));
+    if (tok >= vocab) {
+      return Status::Corruption("pair frequent token out of vocabulary");
+    }
+    pair->frequent_.push_back(tok);
+  }
+  pair->RebuildLookups();
+  if (pair->rank_.size() != pair->frequent_.size()) {
+    return Status::Corruption("duplicate pair frequent token");
+  }
+  uint64_t num_keys;
+  FTS_RETURN_IF_ERROR(GetVarint64(data, &offset, &num_keys));
+  if (num_keys > (body_end - offset) / 2) {  // >= 2 bytes per key
+    return Status::Corruption("pair key table larger than input");
+  }
+  if (num_keys > 0 && num_frequent == 0) {
+    return Status::Corruption("pair keys without frequent table");
+  }
+  pair->keys_.reserve(num_keys);
+  pair->lists_.resize(num_keys);
+  TokenId prev_first = 0;
+  TokenId prev_second = 0;
+  for (uint64_t i = 0; i < num_keys; ++i) {
+    uint32_t d_first, second;
+    FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &d_first));
+    FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &second));
+    const TokenId first = prev_first + d_first;
+    if (first >= vocab || second >= vocab || first == second) {
+      return Status::Corruption("bad pair key");
+    }
+    if (i > 0 && d_first == 0 && second <= prev_second) {
+      return Status::Corruption("non-increasing pair key table");
+    }
+    // Canonical orientation: `first` must be frequent, and when both sides
+    // are frequent the better-ranked one leads — the exact rule Find()
+    // canonicalizes queries with.
+    const size_t rf = pair->rank(first);
+    if (rf == PairIndex::kNotFrequent || pair->rank(second) < rf) {
+      return Status::Corruption("non-canonical pair key orientation");
+    }
+    prev_first = first;
+    prev_second = second;
+    pair->keys_.push_back({first, second});
+    FTS_RETURN_IF_ERROR(adopt(&pair->lists_[i]));
+  }
+  pair->RebuildLookups();
+  if (!pair->keys_.empty()) index.pair_index_ = std::move(pair);
 
   if (offset != body_end) {
     return Status::Corruption("trailing bytes in index payload");
+  }
+  header_hash = Fnv1aAccumulate(header_hash,
+                                data.substr(hash_mark, body_end - hash_mark));
+  size_t coff = body_end;
+  uint64_t stored;
+  FTS_RETURN_IF_ERROR(GetFixed64(data, &coff, &stored));
+  if (stored != header_hash) {
+    return Status::Corruption("index header checksum mismatch");
+  }
+  index.source_ = source;  // lists view into it from here on
+  if (prefer_lazy) {
+    // O(header) load: per-block structure and payload checksums are
+    // verified on first decode instead (memoized in BlockPostingList).
+    index.lazy_validation_ = true;
+  } else {
+    // Adopted payloads are fully validated up front (streaming, O(block)
+    // scratch) so query-time cursors never touch malformed bytes.
+    FTS_RETURN_IF_ERROR(index.ValidateBlocks());
   }
   // The per-node scalars are now final: refresh the derived minimum the
   // score models use for impact upper bounds.
@@ -535,88 +411,48 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   return Status::OK();
 }
 
-void SaveIndexToString(const InvertedIndex& index, std::string* out,
-                       IndexFormat format) {
+void SaveIndexToString(const InvertedIndex& index, std::string* out) {
   out->clear();
-  const char* magic = kMagicV6;
-  if (format == IndexFormat::kV1) magic = kMagicV1;
-  if (format == IndexFormat::kV2) magic = kMagicV2;
-  if (format == IndexFormat::kV3) magic = kMagicV3;
-  if (format == IndexFormat::kV4) magic = kMagicV4;
-  if (format == IndexFormat::kV5) magic = kMagicV5;
-  out->append(magic, kMagicSize);
+  out->append(kMagic, kMagicSize);
   PutCommonSections(index, out);
 
-  const bool with_encoding =
-      format == IndexFormat::kV5 || format == IndexFormat::kV6;
-  const bool with_block_max = format == IndexFormat::kV4 || with_encoding;
-  const bool with_checksums = format == IndexFormat::kV3 || with_block_max;
   std::vector<PayloadRange> payload_ranges;
-  if (format == IndexFormat::kV1) {
-    // The flat v1 stream is produced from a per-list transient decode; the
-    // raw form is never resident in the index.
-    for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
-      PutPostingList(out, index.block_list(t)->Materialize());
-    }
-    PutPostingList(out, index.block_any_list().Materialize());
-  } else {
-    // Only the v5 directory can describe bitset blocks; saving a hybrid
-    // list under an older magic transcodes it to all-varint first so every
-    // v<=4 file stays parseable by v<=4 readers.
-    const auto put_list = [&](const BlockPostingList& list) {
-      if (!with_encoding && list.has_bitset_blocks()) {
-        PutBlockPostingList(out, list.ToVarintOnly(), with_checksums,
-                            with_block_max, with_encoding,
-                            with_checksums ? &payload_ranges : nullptr);
-      } else {
-        PutBlockPostingList(out, list, with_checksums, with_block_max,
-                            with_encoding,
-                            with_checksums ? &payload_ranges : nullptr);
-      }
-    };
-    for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
-      put_list(*index.block_list(t));
-    }
-    put_list(index.block_any_list());
-    if (format == IndexFormat::kV6) {
-      // Pair-index section: an index without one writes the empty shape
-      // (max_distance 0, no frequent terms, no keys) so the loader needs
-      // no presence flag. Saving to v<=5 drops the section entirely.
-      const PairIndex* pair = index.pair_index();
-      PutVarint32(out, pair != nullptr ? pair->max_distance() : 0);
-      PutVarint64(out, pair != nullptr ? pair->num_frequent() : 0);
-      if (pair != nullptr) {
-        for (const TokenId t : pair->frequent_terms()) PutVarint32(out, t);
-      }
-      PutVarint64(out, pair != nullptr ? pair->num_keys() : 0);
-      if (pair != nullptr) {
-        TokenId prev_first = 0;
-        for (size_t i = 0; i < pair->num_keys(); ++i) {
-          const PairTermKey& k = pair->key(i);
-          PutVarint32(out, k.first - prev_first);
-          PutVarint32(out, k.second);
-          prev_first = k.first;
-          put_list(pair->list(i));
-        }
-      }
+  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
+    PutBlockPostingList(out, *index.block_list(t), &payload_ranges);
+  }
+  PutBlockPostingList(out, index.block_any_list(), &payload_ranges);
+  // Pair-index section: an index without one writes the empty shape
+  // (max_distance 0, no frequent terms, no keys) so the loader needs no
+  // presence flag.
+  const PairIndex* pair = index.pair_index();
+  PutVarint32(out, pair != nullptr ? pair->max_distance() : 0);
+  PutVarint64(out, pair != nullptr ? pair->num_frequent() : 0);
+  if (pair != nullptr) {
+    for (const TokenId t : pair->frequent_terms()) PutVarint32(out, t);
+  }
+  PutVarint64(out, pair != nullptr ? pair->num_keys() : 0);
+  if (pair != nullptr) {
+    TokenId prev_first = 0;
+    for (size_t i = 0; i < pair->num_keys(); ++i) {
+      const PairTermKey& k = pair->key(i);
+      PutVarint32(out, k.first - prev_first);
+      PutVarint32(out, k.second);
+      prev_first = k.first;
+      PutBlockPostingList(out, pair->list(i), &payload_ranges);
     }
   }
 
-  if (with_checksums) {
-    // v3/v4/v5 trailer: header/directory bytes only — block payloads are
-    // covered by their per-block checksums, so a lazy loader can verify
-    // everything it eagerly reads without touching payload bytes.
-    uint64_t hash = kFnv1aSeed;
-    size_t mark = kMagicSize;
-    for (const PayloadRange& r : payload_ranges) {
-      hash = Fnv1aAccumulate(hash, std::string_view(*out).substr(mark, r.begin - mark));
-      mark = r.end;
-    }
-    hash = Fnv1aAccumulate(hash, std::string_view(*out).substr(mark));
-    PutFixed64(out, hash);
-  } else {
-    PutFixed64(out, Fnv1a64(std::string_view(*out).substr(kMagicSize)));
+  // Trailer: header/directory bytes only — block payloads are covered by
+  // their per-block checksums, so a lazy loader can verify everything it
+  // eagerly reads without touching payload bytes.
+  uint64_t hash = kFnv1aSeed;
+  size_t mark = kMagicSize;
+  for (const PayloadRange& r : payload_ranges) {
+    hash = Fnv1aAccumulate(hash, std::string_view(*out).substr(mark, r.begin - mark));
+    mark = r.end;
   }
+  hash = Fnv1aAccumulate(hash, std::string_view(*out).substr(mark));
+  PutFixed64(out, hash);
 }
 
 Status LoadIndexFromString(const std::string& data, InvertedIndex* out) {
@@ -626,10 +462,9 @@ Status LoadIndexFromString(const std::string& data, InvertedIndex* out) {
                              /*prefer_lazy=*/false, out);
 }
 
-Status SaveIndexToFile(const InvertedIndex& index, const std::string& path,
-                       IndexFormat format) {
+Status SaveIndexToFile(const InvertedIndex& index, const std::string& path) {
   std::string data;
-  SaveIndexToString(index, &data, format);
+  SaveIndexToString(index, &data);
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return Status::IOError("cannot open for write: " + path);
   f.write(data.data(), static_cast<std::streamsize>(data.size()));
@@ -641,11 +476,10 @@ Status LoadIndexFromFile(const std::string& path, InvertedIndex* out,
                          const LoadOptions& options) {
   if (options.mode == LoadOptions::Mode::kMmap) {
     // IOError (cannot open/stat/map) stays distinct from Corruption (opened
-    // but not a parseable index). A v3/v4 file loads lazily in O(header);
-    // v1/v2 files validate eagerly over the mapping.
+    // but not a parseable index). The file loads lazily in O(header).
     FTS_ASSIGN_OR_RETURN(std::shared_ptr<IndexSource> source,
                          IndexSource::MapFile(path));
-    // The load parses (and for v1/v2 fully validates) front to back:
+    // The load parses the header and directories front to back:
     // sequential readahead helps. Hints are best-effort, failures ignored.
     (void)source->Advise(AccessHint::kSequential);
     FTS_RETURN_IF_ERROR(

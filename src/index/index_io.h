@@ -1,51 +1,22 @@
-// Binary serialization of InvertedIndex.
+// Binary serialization of InvertedIndex: the v6 format ("FTSIDX6\0"), the
+// only one written or read (layout in docs/index_format.md).
 //
-// Six versions share a common envelope — an 8-byte magic whose 7th byte
-// is the version digit and varint-coded sections:
+// An 8-byte magic, varint-coded sections (statistics, per-node scalars,
+// dictionary), one block list per token plus IL_ANY, an optional
+// pair-index section, and a trailing FNV-1a 64 hash. Each list is the
+// BlockPostingList skip directory — per block: max_node, byte_offset,
+// entry_count, FNV-1a32 payload checksum, max_tf, encoding tag — followed
+// by its payload bytes verbatim. The trailer hash covers only the header
+// and directory bytes, never a payload, which is what makes lazy loading
+// sound: an mmap load verifies everything it reads in O(header) time, and
+// each block's checksum and structure are verified on its first decode
+// (first-touch validation, memoized per block). The pair section holds the
+// auxiliary (frequent-term, other-term) lists of index/pair_index.h in the
+// same list layout; an index without a pair index writes it empty.
 //
-//   v1 ("FTSIDX1\0"): posting lists as flat delta-coded entry streams;
-//       trailing FNV-1a 64 checksum over the whole body.
-//   v2 ("FTSIDX2\0"): posting lists in the block-compressed skip-seekable
-//       layout of BlockPostingList; whole-body trailing checksum. Loading
-//       adopts the compressed blocks directly — no per-entry re-encode —
-//       then fully validates them before any cursor reads them.
-//   v3 ("FTSIDX3\0"): the v2 block layout plus a per-block
-//       FNV-1a32 payload checksum in each skip entry; the trailing
-//       checksum covers only the header and directory bytes (everything
-//       except block payloads). That split is what makes lazy loading
-//       sound: an mmap load verifies the header/directory in O(header)
-//       without touching a single payload byte, and each block's checksum
-//       and structure are verified on its first decode instead
-//       (first-touch validation, memoized per block).
-//   v4 ("FTSIDX4\0"): v3 plus a block-max statistic — each skip entry
-//       additionally records max_tf, the largest per-entry position count
-//       in its block. Score models turn it into a per-block impact upper
-//       bound, so top-k evaluation can skip blocks that cannot beat the
-//       heap threshold (docs/index_format.md). The lazy loading story is
-//       identical to v3; the trailer hash covers the max_tf bytes (they
-//       live in the directory). v2/v3 files still load, with
-//       has_block_max() false — block-max evaluation then falls back to
-//       full evaluation for those lists.
-//   v5 ("FTSIDX5\0"): v4 plus a per-block encoding tag in
-//       each skip entry, enabling the hybrid block representation of
-//       BlockPostingList — dense blocks stored as fixed-width bitsets
-//       (word-AND intersectable), sparse blocks staying varint-delta. The
-//       tag lives in the directory, so it is covered by the trailer hash
-//       and a flipped tag surfaces as Corruption at load. v1–v4 files
-//       still load (every block varint-coded); saving to a v<=4 format
-//       transcodes any bitset blocks back to varint, so an old magic
-//       never fronts a payload old readers cannot parse.
-//   v6 ("FTSIDX6\0", the default): v5 plus an *optional* pair-index
-//       section after IL_ANY — the auxiliary (frequent-term, other-term)
-//       lists of index/pair_index.h, serialized with the same per-list
-//       block directory (per-block checksums, max_tf, encoding tags) as
-//       every other list, so they lazy-load and first-touch validate
-//       identically. An index without a pair index writes an empty
-//       section; saving to v<=5 drops the section entirely (old readers
-//       parse the file unchanged, the feature is simply off).
-//
-// Loading sniffs the magic and accepts all six; any path leaves the
-// block lists as the index's only representation, viewing their payload
+// Files of the retired v1-v5 formats fail closed with Corruption naming
+// their version; they must be rebuilt from the source documents. Loaded
+// block lists are the index's only representation, viewing their payload
 // bytes out of one shared IndexSource (heap buffer or mmap'd file region)
 // instead of holding per-list copies.
 
@@ -61,16 +32,6 @@
 
 namespace fts {
 
-/// On-disk format version selector for Save*.
-enum class IndexFormat {
-  kV1 = 1,  ///< flat posting streams (legacy)
-  kV2 = 2,  ///< block-compressed postings, whole-body checksum
-  kV3 = 3,  ///< block-compressed + per-block checksums, lazy-loadable
-  kV4 = 4,  ///< v3 + per-block max_tf for block-max top-k skipping
-  kV5 = 5,  ///< v4 + per-block encoding tag (hybrid bitset/varint)
-  kV6 = 6,  ///< v5 + optional pair-index section (default)
-};
-
 /// How LoadIndexFromFile materializes the file.
 struct LoadOptions {
   enum class Mode {
@@ -78,10 +39,8 @@ struct LoadOptions {
     /// front. Always available; the only mode for non-file inputs.
     kEager,
     /// mmap the file read-only and decode blocks straight from the
-    /// mapping. v3/v4/v5 files load in O(header) time with first-touch
-    /// validation; v1/v2 files fall back to full eager validation over
-    /// the mapping (their whole-body checksum must be read anyway), still
-    /// avoiding the heap copy of payload bytes. The mapping is advised
+    /// mapping. The load runs in O(header) time; each block is validated
+    /// on its first decode instead. The mapping is advised
     /// MADV_SEQUENTIAL for the load-time parse and MADV_RANDOM for the
     /// block-seek serving phase that follows.
     kMmap,
@@ -98,25 +57,23 @@ struct LoadOptions {
 };
 
 /// Serializes `index` into `out` (replacing its contents).
-void SaveIndexToString(const InvertedIndex& index, std::string* out,
-                       IndexFormat format = IndexFormat::kV6);
+void SaveIndexToString(const InvertedIndex& index, std::string* out);
 
-/// Deserializes an index previously produced by SaveIndexToString (any
-/// format version; detected from the magic). The index copies `data` into
-/// an owned heap buffer once and views posting payloads out of it.
+/// Deserializes an index previously produced by SaveIndexToString. The
+/// index copies `data` into an owned heap buffer once and views posting
+/// payloads out of it.
 Status LoadIndexFromString(const std::string& data, InvertedIndex* out);
 
 /// Writes the serialized index to `path` (atomic rename not attempted; see
 /// docs/index_format.md for the write-then-rename recommendation when the
 /// file may be mmap-loaded concurrently).
-Status SaveIndexToFile(const InvertedIndex& index, const std::string& path,
-                       IndexFormat format = IndexFormat::kV6);
+Status SaveIndexToFile(const InvertedIndex& index, const std::string& path);
 
 /// Reads and deserializes an index from `path`. Returns IOError when the
 /// file cannot be opened or read at all, and Corruption when it opens but
 /// is not a parseable index — including files smaller than the fixed
 /// envelope (magic + trailer), which are rejected with a distinct message
-/// before any section parsing runs.
+/// before any section parsing runs, and files of a retired format version.
 ///
 /// Deprecated shim for new read-path code: prefer LoadSnapshotFromFile,
 /// which returns the owned one-segment IndexSnapshot the snapshot entry
@@ -125,7 +82,7 @@ Status SaveIndexToFile(const InvertedIndex& index, const std::string& path,
 Status LoadIndexFromFile(const std::string& path, InvertedIndex* out,
                          const LoadOptions& options = {});
 
-/// Loads `path` (same formats and `options` semantics as LoadIndexFromFile)
+/// Loads `path` (same `options` semantics as LoadIndexFromFile)
 /// and wraps it as an owned one-segment IndexSnapshot — the generation a
 /// Searcher or SearchService serves directly. The snapshot owns the index;
 /// the last holder (snapshot or draining query) frees it.

@@ -163,7 +163,7 @@ class PairIndex;         // index/pair_index.h
 /// Where a loaded index's posting payload bytes live (see
 /// index/index_source.h and docs/index_format.md for the full matrix).
 enum class IndexStorage {
-  /// Lists own their bytes (built in memory, or v1 loads that re-encode).
+  /// Lists own their bytes (built in memory).
   kOwned,
   /// Lists view into one shared heap buffer (LoadIndexFromString, eager
   /// LoadIndexFromFile).
@@ -243,7 +243,7 @@ class InvertedIndex {
   size_t MappedBytes() const;
 
   /// True when per-block validation is deferred to first decode (lazy mmap
-  /// loads of the v3 format) rather than performed at load time.
+  /// loads) rather than performed at load time.
   bool lazy_validation() const { return lazy_validation_; }
 
   /// Auxiliary (frequent-term, other-term) pair lists for fast phrase and

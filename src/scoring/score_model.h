@@ -60,7 +60,7 @@ class AlgebraScoreModel {
   /// Upper bound on EntryScore(index, token, n, count) over every node n
   /// and every count <= max_tf — the per-block impact bound of block-max
   /// top-k evaluation (max_tf being the block's largest position count,
-  /// from the v4 skip directory). Soundness contract: for any node in the
+  /// from the skip directory). Soundness contract: for any node in the
   /// index and any entry in the block, the actual EntryScore, evaluated by
   /// this model with its exact floating-point expressions, must compare <=
   /// to this bound. The base implementation returns +infinity ("cannot

@@ -408,8 +408,7 @@ BlockPostingList AssembleLazy(const LazyListParts& parts) {
   return BlockPostingList::FromParts(parts.block_size, parts.num_entries,
                                      parts.total_positions, parts.skips,
                                      std::string_view(parts.payload),
-                                     parts.checksums,
-                                     /*first_touch_validation=*/true);
+                                     parts.checksums);
 }
 
 TEST(FirstTouchValidationTest, CleanLazyListStreamsIdenticalToBuilt) {
@@ -618,11 +617,16 @@ TEST(DenseBlockTest, CurrentDenseBlockExposesTheBitsetView) {
   EXPECT_FALSE(scursor.CurrentDenseBlock(&view));
 }
 
-TEST(DenseBlockTest, ToVarintOnlyPreservesContent) {
+TEST(DenseBlockTest, VarintOnlyBuildPreservesContent) {
+  // Build the same list twice, the second time with bitset blocks disabled
+  // (the FTS_DISABLE_BITSET_BLOCKS differential axis): the content, block
+  // boundaries and block maxima match; only the representation differs.
   const PostingList raw = MakeRawList(300, 1, 3);
   const BlockPostingList dense = BlockPostingList::FromPostingList(raw, 128);
   ASSERT_TRUE(dense.has_bitset_blocks());
-  const BlockPostingList varint = dense.ToVarintOnly();
+  const bool prev = BlockPostingList::SetDenseBlocksEnabledByDefault(false);
+  const BlockPostingList varint = BlockPostingList::FromPostingList(raw, 128);
+  BlockPostingList::SetDenseBlocksEnabledByDefault(prev);
   EXPECT_FALSE(varint.has_bitset_blocks());
   ExpectListsEqual(raw, varint.Materialize());
   EXPECT_EQ(varint.num_entries(), dense.num_entries());

@@ -60,7 +60,7 @@ std::vector<NodeId> NaiveNodes(const Corpus& corpus, const LangExprPtr& query) {
 constexpr ScoringKind kAllScoring[] = {ScoringKind::kNone, ScoringKind::kTfIdf,
                                        ScoringKind::kProbabilistic};
 
-/// Round-trips `src` through a v3 temp file and loads it back mmap'd with
+/// Round-trips `src` through a temp file and loads it back mmap'd with
 /// lazy first-touch validation — the storage-mode twin every combination
 /// below is additionally evaluated against. The temp file is removed
 /// immediately (the mapping pins the inode), so nothing leaks on failure.

@@ -37,7 +37,7 @@ namespace {
 
 constexpr int kThreads = 8;
 
-/// Round-trips `src` through a v3 temp file and loads it back mmap'd with
+/// Round-trips `src` through a temp file and loads it back mmap'd with
 /// lazy first-touch validation (file removed immediately; the mapping pins
 /// the inode).
 InvertedIndex LoadMmapTwin(const InvertedIndex& src, const std::string& tag) {

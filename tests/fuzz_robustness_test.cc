@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "common/fnv.h"
 #include "common/rng.h"
+#include "common/varint.h"
 #include "eval/bool_engine.h"
 #include "eval/router.h"
 #include "index/block_posting_list.h"
@@ -118,14 +124,10 @@ TEST_P(IndexFuzz, MutatedBlobsAreRejectedOrSane) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IndexFuzz, ::testing::Values(7, 8));
 
 // ---------------------------------------------------------------------------
-// v2 loader corruption sweep. With blocks as the only resident form, the v2
-// load path both adopts compressed payloads verbatim and validates them
-// fully (InvertedIndex::ValidateBlocks) before any cursor can read them, so
-// every mutation must surface as Status::Corruption — never a crash, hang,
-// or oversized allocation (the ASan+UBSan CI job runs this sweep).
+// Shared fixtures: a small index, file helpers, and a resealer.
 // ---------------------------------------------------------------------------
 
-std::string SaveSmallV2Index() {
+std::string SaveSmallIndex() {
   CorpusGenOptions opts;
   opts.seed = 11;
   opts.num_nodes = 50;
@@ -135,129 +137,7 @@ std::string SaveSmallV2Index() {
   Corpus corpus = GenerateCorpus(opts);
   InvertedIndex index = IndexBuilder::Build(corpus);
   std::string blob;
-  SaveIndexToString(index, &blob, IndexFormat::kV2);
-  return blob;
-}
-
-// Mirrors the envelope checksum (FNV-1a 64 over everything after the magic)
-// so mutations can be re-sealed and reach the structural validators.
-uint64_t BodyChecksum(const std::string& data) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 8; i + 8 < data.size(); ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-void ResealChecksum(std::string* data) {
-  const uint64_t h = BodyChecksum(*data);
-  std::memcpy(data->data() + data->size() - 8, &h, 8);
-}
-
-TEST(V2CorruptionSweep, EveryByteFlipIsRejected) {
-  const std::string blob = SaveSmallV2Index();
-  ASSERT_EQ(blob[6], '2');
-  for (size_t pos = 0; pos < blob.size(); ++pos) {
-    std::string mutated = blob;
-    mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (pos % 8)));
-    InvertedIndex loaded;
-    const Status s = LoadIndexFromString(mutated, &loaded);
-    ASSERT_FALSE(s.ok()) << "byte " << pos << " flip accepted";
-    EXPECT_EQ(s.code(), StatusCode::kCorruption) << "byte " << pos;
-  }
-}
-
-TEST(V2CorruptionSweep, EveryTruncationIsRejected) {
-  const std::string blob = SaveSmallV2Index();
-  for (size_t len = 0; len < blob.size(); ++len) {
-    std::string mutated = blob.substr(0, len);
-    InvertedIndex loaded;
-    const Status s = LoadIndexFromString(mutated, &loaded);
-    ASSERT_FALSE(s.ok()) << "truncation to " << len << " accepted";
-    EXPECT_EQ(s.code(), StatusCode::kCorruption) << "length " << len;
-  }
-}
-
-class V2ResealedFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(V2ResealedFuzz, ResealedMutationsAreRejectedOrSane) {
-  // The checksum is recomputable by an attacker; reseal it after each
-  // mutation so the structural validators — skip-table checks, block
-  // decode bounds, ValidateBlocks totals — do the rejecting. A mutation
-  // that happens to stay structurally valid (e.g. a changed position
-  // delta) may load, in which case queries must still run without
-  // faulting.
-  const std::string blob = SaveSmallV2Index();
-  auto scored_query = ParseQuery("'w0' OR 'w3'", SurfaceLanguage::kBool);
-  ASSERT_TRUE(scored_query.ok());
-  Rng rng(GetParam());
-  for (int trial = 0; trial < 400; ++trial) {
-    std::string mutated = blob;
-    const int mutations = 1 + static_cast<int>(rng.Uniform(4));
-    for (int m = 0; m < mutations; ++m) {
-      // Bias mutations into the posting sections (past the fixed header)
-      // so block payloads and skip tables absorb most of the damage.
-      const size_t body = mutated.size() - 16;
-      const size_t pos = 8 + rng.Uniform(body);
-      switch (rng.Uniform(4)) {
-        case 0:
-          mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << rng.Uniform(8)));
-          break;
-        case 1:
-          mutated[pos] = static_cast<char>(rng.Uniform(256));
-          break;
-        case 2:
-          mutated[pos] = static_cast<char>(0xFF);  // max varint continuation
-          break;
-        default:
-          mutated[pos] = 0;
-          break;
-      }
-    }
-    ResealChecksum(&mutated);
-    InvertedIndex loaded;
-    const Status s = LoadIndexFromString(mutated, &loaded);
-    if (s.ok()) {
-      QueryRouter router(&loaded);
-      (void)router.Evaluate("'w0' AND 'w1'");
-      (void)router.Evaluate("'w1' OR NOT 'w2'");
-      // Scored evaluation indexes the per-node scalar tables by posting
-      // node id, so it additionally proves the loader's node-range
-      // validation (out-of-range ids would fault under ASan here).
-      BoolEngine scored(&loaded, ScoringKind::kTfIdf);
-      (void)scored.Evaluate(*scored_query);
-    } else {
-      EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, V2ResealedFuzz, ::testing::Values(1, 2, 3));
-
-// ---------------------------------------------------------------------------
-// v3 / mmap first-touch corruption sweeps. A lazy (mmap) load verifies only
-// the header/directory trailer checksum up front; every block payload byte
-// is covered by a per-block checksum verified on the block's first decode.
-// So EVERY single-byte flip must surface as Corruption — at load time when
-// it lands in the header/directory/trailer, or at first decode when it
-// lands in a payload — and truncations must all fail at load (the
-// directory bounds every payload range). Never UB, a crash, or a silently
-// wrong answer; the ASan+UBSan CI job runs this sweep exhaustively
-// (FTS_MMAP_EXHAUSTIVE=1), other runs sample every 7th byte.
-// ---------------------------------------------------------------------------
-
-std::string SaveSmallIndexAs(IndexFormat format) {
-  CorpusGenOptions opts;
-  opts.seed = 11;
-  opts.num_nodes = 50;
-  opts.min_doc_len = 5;
-  opts.max_doc_len = 40;
-  opts.vocabulary = 120;
-  Corpus corpus = GenerateCorpus(opts);
-  InvertedIndex index = IndexBuilder::Build(corpus);
-  std::string blob;
-  SaveIndexToString(index, &blob, format);
+  SaveIndexToString(index, &blob);
   return blob;
 }
 
@@ -270,6 +150,12 @@ void WriteFile(const std::string& path, const std::string& data) {
   ASSERT_TRUE(f.good());
   f.write(data.data(), static_cast<std::streamsize>(data.size()));
   ASSERT_TRUE(f.good());
+}
+
+Status LoadMapped(const std::string& path, InvertedIndex* out) {
+  LoadOptions mmap;
+  mmap.mode = LoadOptions::Mode::kMmap;
+  return LoadIndexFromFile(path, out, mmap);
 }
 
 /// Streams one list through a cursor (the production read path) and
@@ -299,67 +185,339 @@ Status TouchEveryBlock(const InvertedIndex& index) {
   return Status::OK();
 }
 
-TEST(MmapFirstTouchSweep, EveryByteFlipSurfacesCorruption) {
-  // All mmap-capable formats: v3, v4 (whose skip entries additionally
-  // carry the block-max tf used for ranked early termination — a flipped
-  // max_tf must be caught by the directory trailer checksum, never become
-  // a silently unsound score bound), and v5 (whose skip entries carry the
-  // per-block encoding tag — a flipped tag must likewise be caught by the
-  // trailer checksum, never reinterpret a block under the wrong decoder).
-  for (IndexFormat format :
-       {IndexFormat::kV3, IndexFormat::kV4, IndexFormat::kV5,
-        IndexFormat::kV6}) {
-    const std::string blob = SaveSmallIndexAs(format);
-    ASSERT_EQ(blob[6], static_cast<char>('0' + static_cast<int>(format)));
-    const std::string path = ::testing::TempDir() + "/fts_mmap_flip_sweep.idx";
-    LoadOptions mmap;
-    mmap.mode = LoadOptions::Mode::kMmap;
-    for (size_t pos = 0; pos < blob.size(); pos += SweepStride()) {
-      std::string mutated = blob;
-      mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (pos % 8)));
-      WriteFile(path, mutated);
-      InvertedIndex loaded;
-      Status s = LoadIndexFromFile(path, &loaded, mmap);
-      if (s.ok()) {
-        // The flip was in a payload the lazy load never read: it must be
-        // caught by the flipped block's checksum on first touch, and
-        // queries against the poisoned index must fail closed, not fault.
-        s = TouchEveryBlock(loaded);
-        QueryRouter router(&loaded);
-        (void)router.Evaluate("'w0' AND 'w1'");
-      }
-      ASSERT_FALSE(s.ok()) << "byte " << pos << " flip never surfaced";
-      EXPECT_EQ(s.code(), StatusCode::kCorruption) << "byte " << pos;
+/// Re-seals a (mutated) v6 blob: recomputes every per-block payload
+/// checksum and the trailer hash over the header/directory bytes. Both are
+/// recomputable by anyone, so they only catch accidents; resealing lets a
+/// mutation through to the structural validators behind them, which are
+/// what must stop a crafted file. Walks the layout of
+/// docs/index_format.md, copying every other byte verbatim. Returns false
+/// when the bytes no longer parse far enough to reseal (the loader then
+/// sees the unsealed blob, which must fail anyway).
+class V6Resealer {
+ public:
+  explicit V6Resealer(std::string_view in) : in_(in) {}
+
+  bool Run(std::string* sealed) {
+    if (in_.size() < 16) return false;
+    out_.assign(in_.substr(0, 8));  // magic
+    off_ = 8;
+    uint64_t cnodes, vocab, len, count;
+    // Statistics: two varint64, three varint32, three doubles.
+    if (!Copy(&cnodes) || !Copy() || !Copy() || !Copy() || !Copy() ||
+        !CopyBytes(24)) {
+      return false;
     }
-    std::remove(path.c_str());
+    for (uint64_t n = 0; n < cnodes; ++n) {
+      if (!Copy() || !CopyBytes(8)) return false;
+    }
+    if (!Copy(&vocab)) return false;
+    for (uint64_t t = 0; t < vocab; ++t) {
+      if (!Copy(&len) || !CopyBytes(len)) return false;
+    }
+    for (uint64_t t = 0; t <= vocab; ++t) {  // token lists, then IL_ANY
+      if (!List()) return false;
+    }
+    // Pair section: max_distance, frequent table, keys with inline lists.
+    if (!Copy() || !Copy(&count)) return false;
+    for (uint64_t i = 0; i < count; ++i) {
+      if (!Copy()) return false;
+    }
+    if (!Copy(&count)) return false;
+    for (uint64_t i = 0; i < count; ++i) {
+      if (!Copy() || !Copy() || !List()) return false;
+    }
+    if (off_ + 8 != in_.size()) return false;
+    uint64_t hash = kFnv1aSeed;
+    size_t mark = 8;
+    for (const auto& [begin, end] : payloads_) {
+      hash = Fnv1aAccumulate(hash,
+                             std::string_view(out_).substr(mark, begin - mark));
+      mark = end;
+    }
+    hash = Fnv1aAccumulate(hash, std::string_view(out_).substr(mark));
+    char trailer[8];
+    std::memcpy(trailer, &hash, 8);
+    out_.append(trailer, 8);
+    *sealed = std::move(out_);
+    return true;
   }
+
+ private:
+  /// Reads one varint without copying it.
+  bool Skip(uint64_t* value = nullptr) {
+    uint64_t v;
+    if (!GetVarint64(in_, &off_, &v).ok()) return false;
+    if (value != nullptr) *value = v;
+    return true;
+  }
+
+  /// Copies one varint verbatim.
+  bool Copy(uint64_t* value = nullptr) {
+    const size_t begin = off_;
+    if (!Skip(value)) return false;
+    out_.append(in_.substr(begin, off_ - begin));
+    return true;
+  }
+
+  bool CopyBytes(uint64_t n) {
+    if (n > in_.size() - off_) return false;
+    out_.append(in_.substr(off_, n));
+    off_ += n;
+    return true;
+  }
+
+  /// One list: header and directory, with each block's checksum varint
+  /// recomputed over the block's payload range, then the payload.
+  bool List() {
+    uint64_t num_blocks;
+    if (!Copy() || !Copy() || !Copy() || !Copy(&num_blocks)) return false;
+    struct Block {
+      std::string_view head;  // max_node delta, byte_offset delta, count
+      std::string_view tail;  // max_tf, encoding
+      uint64_t offset;
+    };
+    std::vector<Block> blocks;
+    uint64_t offset = 0;
+    for (uint64_t b = 0; b < num_blocks; ++b) {
+      const size_t head = off_;
+      uint64_t d_off;
+      if (!Skip() || !Skip(&d_off) || !Skip()) return false;
+      const size_t head_end = off_;
+      if (!Skip()) return false;  // the stale checksum
+      const size_t tail = off_;
+      if (!Skip() || !Skip()) return false;
+      offset += d_off;
+      blocks.push_back({in_.substr(head, head_end - head),
+                        in_.substr(tail, off_ - tail), offset});
+    }
+    const size_t size_begin = off_;
+    uint64_t data_size;
+    if (!Skip(&data_size) || data_size > in_.size() - off_) return false;
+    const std::string_view payload = in_.substr(off_, data_size);
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      const uint64_t begin = std::min(blocks[b].offset, data_size);
+      const uint64_t end = b + 1 < blocks.size()
+                               ? std::min(blocks[b + 1].offset, data_size)
+                               : data_size;
+      out_.append(blocks[b].head);
+      PutVarint32(&out_,
+                  Fnv1a32(payload.substr(begin, end > begin ? end - begin : 0)));
+      out_.append(blocks[b].tail);
+    }
+    out_.append(in_.substr(size_begin, off_ - size_begin));
+    payloads_.emplace_back(out_.size(), out_.size() + data_size);
+    out_.append(payload);
+    off_ += data_size;
+    return true;
+  }
+
+  std::string_view in_;
+  size_t off_ = 0;
+  std::string out_;
+  std::vector<std::pair<size_t, size_t>> payloads_;  // [begin, end) in out_
+};
+
+/// Reseals `blob` in place when it still parses; see V6Resealer.
+bool ResealV6(std::string* blob) {
+  std::string sealed;
+  if (!V6Resealer(*blob).Run(&sealed)) return false;
+  *blob = std::move(sealed);
+  return true;
+}
+
+// ---------------------------------------------------------------------------
+// Eager loader corruption sweeps. The eager (heap) load path adopts
+// compressed payloads verbatim and validates them fully
+// (InvertedIndex::ValidateBlocks) before any cursor can read them, so
+// every mutation must surface as Status::Corruption — never a crash, hang,
+// or oversized allocation (the ASan+UBSan CI job runs these sweeps).
+// ---------------------------------------------------------------------------
+
+TEST(EagerCorruptionSweep, EveryByteFlipIsRejected) {
+  const std::string blob = SaveSmallIndex();
+  for (size_t pos = 0; pos < blob.size(); ++pos) {
+    std::string mutated = blob;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (pos % 8)));
+    InvertedIndex loaded;
+    const Status s = LoadIndexFromString(mutated, &loaded);
+    ASSERT_FALSE(s.ok()) << "byte " << pos << " flip accepted";
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << "byte " << pos;
+  }
+}
+
+TEST(EagerCorruptionSweep, EveryTruncationIsRejected) {
+  const std::string blob = SaveSmallIndex();
+  for (size_t len = 0; len < blob.size(); ++len) {
+    std::string mutated = blob.substr(0, len);
+    InvertedIndex loaded;
+    const Status s = LoadIndexFromString(mutated, &loaded);
+    ASSERT_FALSE(s.ok()) << "truncation to " << len << " accepted";
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << "length " << len;
+  }
+}
+
+TEST(ResealerTest, ResealingAnIntactBlobIsTheIdentity) {
+  // The resealer must reproduce the writer's checksums exactly, or the
+  // resealed tests below would only ever exercise the checksum checks.
+  const std::string blob = SaveSmallIndex();
+  std::string resealed = blob;
+  ASSERT_TRUE(ResealV6(&resealed));
+  EXPECT_EQ(resealed, blob);
+  // A payload flip plus a reseal must get past both checksums. The byte
+  // before the empty three-byte pair section and the trailer ends IL_ANY's
+  // payload: a position delta, whose low bit changes a value but not the
+  // structure, so the resealed blob loads.
+  std::string mutated = blob;
+  const size_t pos = mutated.size() - 8 - 3 - 1;
+  mutated[pos] = static_cast<char>(mutated[pos] ^ 0x01);
+  InvertedIndex loaded;
+  EXPECT_EQ(LoadIndexFromString(mutated, &loaded).code(),
+            StatusCode::kCorruption);
+  ASSERT_TRUE(ResealV6(&mutated));
+  const Status s = LoadIndexFromString(mutated, &loaded);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+class ResealedFuzz : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ResealedFuzz, ResealedMutationsAreRejectedOrSane) {
+  // The checksums are recomputable by an attacker; reseal them after each
+  // mutation so the structural validators — skip-table checks, block
+  // decode bounds, ValidateBlocks totals — do the rejecting. A mutation
+  // that happens to stay structurally valid (e.g. a changed position
+  // delta) may load, in which case queries must still run without
+  // faulting. Both load modes run: eager loads validate every block up
+  // front, lazy (mmap) loads only the directory, leaving block structure
+  // to first touch.
+  const std::string blob = SaveSmallIndex();
+  const std::string path = ::testing::TempDir() + "/fts_resealed_fuzz.idx";
+  auto scored_query = ParseQuery("'w0' OR 'w3'", SurfaceLanguage::kBool);
+  ASSERT_TRUE(scored_query.ok());
+  Rng rng(GetParam());
+  int resealed_trials = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string mutated = blob;
+    const int mutations = 1 + static_cast<int>(rng.Uniform(4));
+    for (int m = 0; m < mutations; ++m) {
+      // Mutate anywhere between the magic and the trailer.
+      const size_t body = mutated.size() - 16;
+      const size_t pos = 8 + rng.Uniform(body);
+      switch (rng.Uniform(4)) {
+        case 0:
+          mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << rng.Uniform(8)));
+          break;
+        case 1:
+          mutated[pos] = static_cast<char>(rng.Uniform(256));
+          break;
+        case 2:
+          mutated[pos] = static_cast<char>(0xFF);  // max varint continuation
+          break;
+        default:
+          mutated[pos] = 0;
+          break;
+      }
+    }
+    const bool resealed = ResealV6(&mutated);
+    resealed_trials += resealed;
+    // A resealed blob carries valid checksums, so whatever rejects it must
+    // be a structural check.
+    const auto expect_corruption = [resealed](const Status& s) {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+      if (resealed) {
+        EXPECT_EQ(s.message().find("checksum"), std::string::npos)
+            << s.ToString();
+      }
+    };
+    WriteFile(path, mutated);
+    InvertedIndex eager, mapped;
+    const Status eager_status = LoadIndexFromString(mutated, &eager);
+    const Status mapped_status = LoadMapped(path, &mapped);
+    for (const auto& [s, loaded] :
+         {std::pair<Status, InvertedIndex*>{eager_status, &eager},
+          std::pair<Status, InvertedIndex*>{mapped_status, &mapped}}) {
+      if (!s.ok()) {
+        expect_corruption(s);
+        continue;
+      }
+      const Status touch = TouchEveryBlock(*loaded);
+      if (!touch.ok()) expect_corruption(touch);
+      QueryRouter router(loaded);
+      (void)router.Evaluate("'w0' AND 'w1'");
+      (void)router.Evaluate("'w1' OR NOT 'w2'");
+      (void)router.EvaluateTopK("'w0' OR 'w3'", 5);
+      // Scored evaluation indexes the per-node scalar tables by posting
+      // node id, so it additionally proves the loader's node-range
+      // validation (out-of-range ids would fault under ASan here).
+      BoolEngine scored(loaded, ScoringKind::kTfIdf);
+      (void)scored.Evaluate(*scored_query);
+    }
+  }
+  std::remove(path.c_str());
+  // Most mutations leave the layout walkable, so most trials really do
+  // reach the structural validators.
+  EXPECT_GT(resealed_trials, 200) << resealed_trials << " of 400 resealed";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ResealedFuzz, ::testing::Values(1, 2, 3));
+
+// ---------------------------------------------------------------------------
+// mmap first-touch corruption sweeps. A lazy (mmap) load verifies only
+// the header/directory trailer checksum up front; every block payload byte
+// is covered by a per-block checksum verified on the block's first decode.
+// So EVERY single-byte flip must surface as Corruption — at load time when
+// it lands in the header/directory/trailer, or at first decode when it
+// lands in a payload — and truncations must all fail at load (the
+// directory bounds every payload range). Never UB, a crash, or a silently
+// wrong answer; the ASan+UBSan CI job runs this sweep exhaustively
+// (FTS_MMAP_EXHAUSTIVE=1), other runs sample every 7th byte.
+// ---------------------------------------------------------------------------
+
+TEST(MmapFirstTouchSweep, EveryByteFlipSurfacesCorruption) {
+  // Skip entries carry the block-max tf used for ranked early termination
+  // and the per-block encoding tag: a flip in either must be caught by the
+  // directory trailer checksum, never become a silently unsound score
+  // bound or reinterpret a block under the wrong decoder.
+  const std::string blob = SaveSmallIndex();
+  const std::string path = ::testing::TempDir() + "/fts_mmap_flip_sweep.idx";
+  for (size_t pos = 0; pos < blob.size(); pos += SweepStride()) {
+    std::string mutated = blob;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (pos % 8)));
+    WriteFile(path, mutated);
+    InvertedIndex loaded;
+    Status s = LoadMapped(path, &loaded);
+    if (s.ok()) {
+      // The flip was in a payload the lazy load never read: it must be
+      // caught by the flipped block's checksum on first touch, and
+      // queries against the poisoned index must fail closed, not fault.
+      s = TouchEveryBlock(loaded);
+      QueryRouter router(&loaded);
+      (void)router.Evaluate("'w0' AND 'w1'");
+    }
+    ASSERT_FALSE(s.ok()) << "byte " << pos << " flip never surfaced";
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << "byte " << pos;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(MmapFirstTouchSweep, EveryTruncationFailsAtLoad) {
   // Truncation cuts bytes off the end, which the lazy loader must notice
   // without reading payloads: the directory bounds every payload range and
   // the trailer checksum pins the directory itself.
-  for (IndexFormat format :
-       {IndexFormat::kV3, IndexFormat::kV4, IndexFormat::kV5,
-        IndexFormat::kV6}) {
-    const std::string blob = SaveSmallIndexAs(format);
-    const std::string path = ::testing::TempDir() + "/fts_mmap_trunc_sweep.idx";
-    LoadOptions mmap;
-    mmap.mode = LoadOptions::Mode::kMmap;
-    for (size_t len = 0; len < blob.size(); len += SweepStride()) {
-      WriteFile(path, blob.substr(0, len));
-      InvertedIndex loaded;
-      const Status s = LoadIndexFromFile(path, &loaded, mmap);
-      ASSERT_FALSE(s.ok()) << "truncation to " << len << " accepted";
-      EXPECT_EQ(s.code(), StatusCode::kCorruption) << "length " << len;
-    }
-    std::remove(path.c_str());
+  const std::string blob = SaveSmallIndex();
+  const std::string path = ::testing::TempDir() + "/fts_mmap_trunc_sweep.idx";
+  for (size_t len = 0; len < blob.size(); len += SweepStride()) {
+    WriteFile(path, blob.substr(0, len));
+    InvertedIndex loaded;
+    const Status s = LoadMapped(path, &loaded);
+    ASSERT_FALSE(s.ok()) << "truncation to " << len << " accepted";
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << "length " << len;
   }
+  std::remove(path.c_str());
 }
 
-class V3MmapPayloadFuzz : public ::testing::TestWithParam<uint64_t> {};
+class MmapPayloadFuzz : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(V3MmapPayloadFuzz, RandomMultiByteDamageNeverFaultsLazyQueries) {
+TEST_P(MmapPayloadFuzz, RandomMultiByteDamageNeverFaultsLazyQueries) {
   // Random multi-byte damage (flips, 0xFF varint-continuation bytes,
   // zeroed bytes) across the whole body. Most damage is caught by the
   // trailer or per-block checksums; whatever happens — rejection at load,
@@ -367,73 +525,63 @@ TEST_P(V3MmapPayloadFuzz, RandomMultiByteDamageNeverFaultsLazyQueries) {
   // reads, e.g. inside a never-referenced range) a clean load — queries
   // must run without faulting, which the ASan+UBSan CI job proves. The
   // structural validators behind the checksums are separately exercised by
-  // the eager V2ResealedFuzz above: first-touch decode runs the exact same
-  // DecodeBlockEntries/DecodePositions checks.
-  const std::string path = ::testing::TempDir() + "/fts_mmap_reseal_fuzz.idx";
-  LoadOptions mmap;
-  mmap.mode = LoadOptions::Mode::kMmap;
+  // ResealedFuzz above.
+  const std::string path = ::testing::TempDir() + "/fts_mmap_payload_fuzz.idx";
   Rng rng(GetParam());
-  for (IndexFormat format :
-       {IndexFormat::kV3, IndexFormat::kV4, IndexFormat::kV5,
-        IndexFormat::kV6}) {
-    const std::string blob = SaveSmallIndexAs(format);
-    for (int trial = 0; trial < 120; ++trial) {
-      std::string mutated = blob;
-      // Mutate payload bytes only (the second half of the file is almost
-      // all payload; header/directory damage is covered by the flip sweep).
-      const size_t body = mutated.size() - 16;
-      const int mutations = 1 + static_cast<int>(rng.Uniform(4));
-      for (int m = 0; m < mutations; ++m) {
-        const size_t pos = 8 + rng.Uniform(body);
-        switch (rng.Uniform(3)) {
-          case 0:
-            mutated[pos] =
-                static_cast<char>(mutated[pos] ^ (1 << rng.Uniform(8)));
-            break;
-          case 1:
-            mutated[pos] = static_cast<char>(0xFF);  // max varint continuation
-            break;
-          default:
-            mutated[pos] = 0;
-            break;
-        }
+  const std::string blob = SaveSmallIndex();
+  for (int trial = 0; trial < 480; ++trial) {
+    std::string mutated = blob;
+    const size_t body = mutated.size() - 16;
+    const int mutations = 1 + static_cast<int>(rng.Uniform(4));
+    for (int m = 0; m < mutations; ++m) {
+      const size_t pos = 8 + rng.Uniform(body);
+      switch (rng.Uniform(3)) {
+        case 0:
+          mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << rng.Uniform(8)));
+          break;
+        case 1:
+          mutated[pos] = static_cast<char>(0xFF);  // max varint continuation
+          break;
+        default:
+          mutated[pos] = 0;
+          break;
       }
-      WriteFile(path, mutated);
-      InvertedIndex loaded;
-      const Status s = LoadIndexFromFile(path, &loaded, mmap);
-      if (s.ok()) {
-        const Status touch = TouchEveryBlock(loaded);
-        if (!touch.ok()) {
-          EXPECT_EQ(touch.code(), StatusCode::kCorruption) << touch.ToString();
-        }
-        QueryRouter router(&loaded);
-        (void)router.Evaluate("'w0' AND 'w1'");
-        (void)router.Evaluate("'w1' OR NOT 'w2'");
-        // Ranked evaluation drives the block-max early-termination path,
-        // whose score bounds come from the (v4) skip directory — damaged
-        // maxima must fail closed, never fault or hang.
-        (void)router.EvaluateTopK("'w0' OR 'w3'", 5);
-      } else {
-        EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+    }
+    WriteFile(path, mutated);
+    InvertedIndex loaded;
+    const Status s = LoadMapped(path, &loaded);
+    if (s.ok()) {
+      const Status touch = TouchEveryBlock(loaded);
+      if (!touch.ok()) {
+        EXPECT_EQ(touch.code(), StatusCode::kCorruption) << touch.ToString();
       }
+      QueryRouter router(&loaded);
+      (void)router.Evaluate("'w0' AND 'w1'");
+      (void)router.Evaluate("'w1' OR NOT 'w2'");
+      // Ranked evaluation drives the block-max early-termination path,
+      // whose score bounds come from the skip directory — damaged maxima
+      // must fail closed, never fault or hang.
+      (void)router.EvaluateTopK("'w0' OR 'w3'", 5);
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
     }
   }
   std::remove(path.c_str());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, V3MmapPayloadFuzz, ::testing::Values(4, 5));
+INSTANTIATE_TEST_SUITE_P(Seeds, MmapPayloadFuzz, ::testing::Values(4, 5));
 
 // ---------------------------------------------------------------------------
-// v5 dense-corpus sweep. The small corpora above carry mostly sparse
-// varint blocks; this corpus is built so common tokens produce full
-// 128-entry bitset blocks, putting the new decoder — base/nwords parse,
-// word expansion, popcount/entry-count cross-checks, count/len stream
-// tiling — directly in the blast path of every flip. Damage in the bitset
-// words must surface at first touch; damage in the directory (including
-// the per-block encoding tags) must surface at load.
+// Dense-corpus sweep. The small corpora above carry mostly sparse varint
+// blocks; this corpus is built so common tokens produce full 128-entry
+// bitset blocks, putting the bitset decoder — base/nwords parse, word
+// expansion, popcount/entry-count cross-checks, count/len stream tiling —
+// directly in the blast path of every flip. Damage in the bitset words
+// must surface at first touch; damage in the directory (including the
+// per-block encoding tags) must surface at load.
 // ---------------------------------------------------------------------------
 
-std::string SaveDenseV5Index() {
+std::string SaveDenseIndex() {
   CorpusGenOptions opts;
   opts.seed = 23;
   opts.num_nodes = 200;
@@ -451,14 +599,13 @@ std::string SaveDenseV5Index() {
   }
   EXPECT_TRUE(any_bitset) << "dense fuzz corpus produced no bitset blocks";
   std::string blob;
-  SaveIndexToString(index, &blob, IndexFormat::kV5);
+  SaveIndexToString(index, &blob);
   return blob;
 }
 
-TEST(V5DenseCorruptionSweep, EveryByteFlipSurfacesCorruption) {
-  const std::string blob = SaveDenseV5Index();
-  ASSERT_EQ(blob[6], '5');
-  const std::string path = ::testing::TempDir() + "/fts_v5_dense_sweep.idx";
+TEST(DenseCorruptionSweep, EveryByteFlipSurfacesCorruption) {
+  const std::string blob = SaveDenseIndex();
+  const std::string path = ::testing::TempDir() + "/fts_dense_sweep.idx";
   LoadOptions mmap;
   mmap.mode = LoadOptions::Mode::kMmap;
   for (size_t pos = 0; pos < blob.size(); pos += SweepStride()) {
@@ -478,7 +625,7 @@ TEST(V5DenseCorruptionSweep, EveryByteFlipSurfacesCorruption) {
   std::remove(path.c_str());
 }
 
-TEST(V5DenseCorruptionSweep, RandomBitsetDamageIsRejectedOrSane) {
+TEST(DenseCorruptionSweep, RandomBitsetDamageIsRejectedOrSane) {
   // Random multi-byte damage across the body. Payload damage bypasses the
   // load-time trailer hash entirely (it covers only header + directory),
   // so the per-block checksum and the bitset structural validators do the
@@ -487,8 +634,8 @@ TEST(V5DenseCorruptionSweep, RandomBitsetDamageIsRejectedOrSane) {
   // walk a poisoned bitset. (Structural rejection behind a deliberately
   // resealed per-block checksum is pinned by block_posting_list_test's
   // BitsetWordFlipRejectsEvenWithResealedChecksum.)
-  const std::string blob = SaveDenseV5Index();
-  const std::string path = ::testing::TempDir() + "/fts_v5_dense_reseal.idx";
+  const std::string blob = SaveDenseIndex();
+  const std::string path = ::testing::TempDir() + "/fts_dense_damage.idx";
   LoadOptions mmap;
   mmap.mode = LoadOptions::Mode::kMmap;
   Rng rng(29);
@@ -612,7 +759,25 @@ TEST(V6PairCorruptionSweep, EagerLoadRejectsEveryFlipUpFront) {
   }
 }
 
-TEST(V2CorruptionSweep, OutOfRangeNodeIdsAreRejected) {
+// ---------------------------------------------------------------------------
+// Crafted files: surgical mutations and hand-assembled directories, each
+// resealed so only the structural checks can reject them — in both load
+// modes, since a lazy load validates block structure only on first touch.
+// ---------------------------------------------------------------------------
+
+/// Loads `blob` eagerly and from an mmap'd file; returns both statuses.
+std::vector<Status> LoadBothModes(const std::string& blob) {
+  const std::string path = ::testing::TempDir() + "/fts_crafted.idx";
+  std::vector<Status> results;
+  InvertedIndex eager, mapped;
+  results.push_back(LoadIndexFromString(blob, &eager));
+  WriteFile(path, blob);
+  results.push_back(LoadMapped(path, &mapped));
+  std::remove(path.c_str());
+  return results;
+}
+
+TEST(CraftedFileTest, OutOfRangeNodeIdsAreRejected) {
   // Surgical mutation: shrink the node universe underneath the posting
   // lists. Corpus = { "" , "a" }, so every posting entry references node 1.
   // Rewriting cnodes 2 -> 1 and deleting node 1's scalar record (1-byte
@@ -624,39 +789,137 @@ TEST(V2CorruptionSweep, OutOfRangeNodeIdsAreRejected) {
   corpus.AddDocument("a");
   InvertedIndex index = IndexBuilder::Build(corpus);
   std::string blob;
-  SaveIndexToString(index, &blob, IndexFormat::kV2);
+  SaveIndexToString(index, &blob);
   // Layout after the 8-byte magic: cnodes (varint, value 2 = 1 byte), four
   // more 1-byte stat varints, three 8-byte stat doubles, then per-node
   // scalar records of 9 bytes each.
   const size_t cnodes_off = 8;
   const size_t node1_scalars_off = 8 + 5 + 3 * 8 + 9;
   ASSERT_EQ(blob[cnodes_off], 2);
-  std::string mutated = blob;
-  mutated[cnodes_off] = 1;
-  mutated.erase(node1_scalars_off, 9);
-  ResealChecksum(&mutated);
-  InvertedIndex loaded;
-  const Status s = LoadIndexFromString(mutated, &loaded);
-  ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
-  // Pin the rejection reason: if the layout offsets above ever drift, the
-  // blob would still be rejected, but for the wrong reason — catch that.
-  EXPECT_NE(s.ToString().find("posting node id out of range"), std::string::npos)
-      << s.ToString();
+  blob[cnodes_off] = 1;
+  blob.erase(node1_scalars_off, 9);
+  ASSERT_TRUE(ResealV6(&blob));
+  for (const Status& s : LoadBothModes(blob)) {
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+    // Pin the rejection reason: if the layout offsets above ever drift, the
+    // blob would still be rejected, but for the wrong reason — catch that.
+    EXPECT_NE(s.message().find("posting node id out of range"),
+              std::string::npos)
+        << s.ToString();
+  }
+}
 
-  // Same surgery on a v1 blob: the flat-stream load path validates node
-  // ranges too.
-  SaveIndexToString(index, &blob, IndexFormat::kV1);
-  mutated = blob;
-  ASSERT_EQ(mutated[cnodes_off], 2);
-  mutated[cnodes_off] = 1;
-  mutated.erase(node1_scalars_off, 9);
-  ResealChecksum(&mutated);
-  const Status v1s = LoadIndexFromString(mutated, &loaded);
-  ASSERT_FALSE(v1s.ok());
-  EXPECT_EQ(v1s.code(), StatusCode::kCorruption) << v1s.ToString();
-  EXPECT_NE(v1s.ToString().find("posting node id out of range"), std::string::npos)
-      << v1s.ToString();
+/// Hand-assembles a v6 file: `cnodes` nodes, the one-token vocabulary
+/// {"a"} whose list holds one varint block per entry of `nodes` (a single
+/// entry with one position), an empty IL_ANY and an empty pair section.
+/// The directory records `nodes` as the blocks' max_node values and
+/// `offsets` (default: the true block starts) as their byte offsets, both
+/// delta-coded with 32-bit wrap-around, exactly as a crafted file can.
+/// Checksums and trailer come from ResealV6.
+std::string AssembleV6(uint64_t cnodes, const std::vector<NodeId>& nodes,
+                       std::vector<uint32_t> offsets = {}) {
+  std::string payload;
+  std::vector<uint32_t> starts;
+  for (const NodeId node : nodes) {
+    starts.push_back(static_cast<uint32_t>(payload.size()));
+    PutVarint32(&payload, node);  // absolute first id
+    PutVarint32(&payload, 1);     // position count
+    PutVarint32(&payload, 3);     // position byte length
+    payload.append(3, '\0');      // offset, sentence, paragraph deltas
+  }
+  if (offsets.empty()) offsets = starts;
+  const auto put_double = [](std::string* out, double d) {
+    char buf[8];
+    std::memcpy(buf, &d, 8);
+    out->append(buf, 8);
+  };
+  std::string blob("FTSIDX6\0", 8);
+  PutVarint64(&blob, cnodes);
+  PutVarint64(&blob, nodes.size());  // total positions
+  for (int i = 0; i < 3; ++i) PutVarint32(&blob, 1);
+  for (int i = 0; i < 3; ++i) put_double(&blob, 1.0);
+  for (uint64_t n = 0; n < cnodes; ++n) {
+    PutVarint32(&blob, 1);
+    put_double(&blob, 1.0);
+  }
+  PutVarint64(&blob, 1);  // vocabulary {"a"}
+  PutVarint64(&blob, 1);
+  blob.append("a");
+  PutVarint64(&blob, nodes.size());  // entries
+  PutVarint64(&blob, nodes.size());  // positions
+  PutVarint32(&blob, BlockPostingList::kDefaultBlockSize);
+  PutVarint64(&blob, nodes.size());  // blocks
+  NodeId prev_node = 0;
+  uint32_t prev_off = 0;
+  for (size_t b = 0; b < nodes.size(); ++b) {
+    PutVarint32(&blob, nodes[b] - prev_node);
+    PutVarint32(&blob, offsets[b] - prev_off);
+    PutVarint32(&blob, 1);  // entry count
+    PutVarint32(&blob, 0);  // checksum, filled in by the reseal
+    PutVarint32(&blob, 1);  // max_tf
+    PutVarint32(&blob, BlockPostingList::kEncodingVarint);
+    prev_node = nodes[b];
+    prev_off = offsets[b];
+  }
+  PutVarint64(&blob, payload.size());
+  blob.append(payload);
+  // IL_ANY: no entries, no blocks, no payload.
+  PutVarint64(&blob, 0);
+  PutVarint64(&blob, 0);
+  PutVarint32(&blob, BlockPostingList::kDefaultBlockSize);
+  PutVarint64(&blob, 0);
+  PutVarint64(&blob, 0);
+  blob.append(3, '\0');  // empty pair section
+  blob.append(8, '\0');  // trailer
+  EXPECT_TRUE(ResealV6(&blob));
+  return blob;
+}
+
+TEST(CraftedFileTest, AssembledFileLoads) {
+  // Control for the wrap-around cases below: the assembler's well-formed
+  // output loads in both modes and every block decodes.
+  const std::string blob = AssembleV6(32, {5, 9, 31});
+  for (const Status& s : LoadBothModes(blob)) {
+    EXPECT_TRUE(s.ok()) << s.ToString();
+  }
+  InvertedIndex loaded;
+  ASSERT_TRUE(LoadIndexFromString(blob, &loaded).ok());
+  EXPECT_EQ(loaded.block_list_for_text("a")->Materialize().num_entries(), 3u);
+}
+
+TEST(CraftedFileTest, WrappedSkipDirectoryDeltasAreRejected) {
+  // Block 0 claims max_node 0xFFFFFFF0 and block 1's delta (0x20) wraps
+  // the sum past 2^32 back to 0x10, below cnodes. Only the last block's
+  // max_node is range-checked against cnodes, and block 0 is internally
+  // consistent, so without a wrap check a lazy load accepts the file and
+  // block 0 first-touch-decodes cleanly — handing scoring a node id far
+  // past the per-node tables. The byte-offset deltas get the same check.
+  auto scored_query = ParseQuery("'a'", SurfaceLanguage::kBool);
+  ASSERT_TRUE(scored_query.ok());
+  const std::vector<std::string> crafted = {
+      AssembleV6(32, {0xFFFFFFF0u, 0x10}),
+      // Block 2's offset delta wraps back to byte 5, inside block 1.
+      AssembleV6(32, {1, 2, 3}, {0, 8, 5}),
+  };
+  const std::string path = ::testing::TempDir() + "/fts_wrapped_skip.idx";
+  for (const std::string& blob : crafted) {
+    for (const Status& s : LoadBothModes(blob)) {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+      EXPECT_NE(s.message().find("non-increasing skip table"),
+                std::string::npos)
+          << s.ToString();
+    }
+    WriteFile(path, blob);
+    InvertedIndex mapped;
+    if (LoadMapped(path, &mapped).ok()) {
+      // What the check prevents: scoring indexes the per-node tables with
+      // every decoded id (an out-of-range read that ASan reports).
+      BoolEngine scored(&mapped, ScoringKind::kTfIdf);
+      (void)scored.Evaluate(*scored_query);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

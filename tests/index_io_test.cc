@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "index/block_posting_list.h"
 #include "index/index_builder.h"
@@ -128,7 +129,7 @@ TEST(IndexIoTest, TooSmallFilesAreRejectedWithDistinctMessage) {
   for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{15}}) {
     {
       std::ofstream f(path, std::ios::binary | std::ios::trunc);
-      f.write("FTSIDX3\0ABCDEFG", static_cast<std::streamsize>(len));
+      f.write("FTSIDX6\0ABCDEFG", static_cast<std::streamsize>(len));
     }
     for (auto mode : {LoadOptions::Mode::kEager, LoadOptions::Mode::kMmap}) {
       LoadOptions opts;
@@ -147,47 +148,56 @@ TEST(IndexIoTest, TooSmallFilesAreRejectedWithDistinctMessage) {
   std::remove(path.c_str());
 }
 
-TEST(IndexIoTest, V1FilesStillLoad) {
-  // Backward compat: an index saved in the legacy flat v1 format loads into
-  // an index equal to the original (including rebuilt block lists).
-  InvertedIndex index = BuildTestIndex();
-  std::string data;
-  SaveIndexToString(index, &data, IndexFormat::kV1);
-  ASSERT_EQ(data[6], '1');  // v1 magic
-  InvertedIndex loaded;
-  ASSERT_TRUE(LoadIndexFromString(data, &loaded).ok());
-  ExpectIndexEq(index, loaded);
-}
-
-TEST(IndexIoTest, V6IsTheDefaultFormat) {
+TEST(IndexIoTest, SavesTheV6Magic) {
   InvertedIndex index = BuildTestIndex();
   std::string data;
   SaveIndexToString(index, &data);
-  EXPECT_EQ(data[6], '6');  // v6 magic
+  EXPECT_EQ(data.substr(0, 8), std::string("FTSIDX6\0", 8));
 }
 
-TEST(IndexIoTest, AllFormatLoadsAreEquivalent) {
+TEST(IndexIoTest, RetiredFormatsFailClosed) {
+  // Files of the retired v1-v5 formats are rejected in every load mode with
+  // a message naming the version and the fix, not a generic magic error.
+  // The body is a valid v6 one, so only the magic can reject it.
   InvertedIndex index = BuildTestIndex();
-  std::string v1, v2, v3, v4, v5;
-  SaveIndexToString(index, &v1, IndexFormat::kV1);
-  SaveIndexToString(index, &v2, IndexFormat::kV2);
-  SaveIndexToString(index, &v3, IndexFormat::kV3);
-  SaveIndexToString(index, &v4, IndexFormat::kV4);
-  SaveIndexToString(index, &v5, IndexFormat::kV5);
-  InvertedIndex from_v1, from_v2, from_v3, from_v4, from_v5;
-  ASSERT_TRUE(LoadIndexFromString(v1, &from_v1).ok());
-  ASSERT_TRUE(LoadIndexFromString(v2, &from_v2).ok());
-  ASSERT_TRUE(LoadIndexFromString(v3, &from_v3).ok());
-  ASSERT_TRUE(LoadIndexFromString(v4, &from_v4).ok());
-  ASSERT_TRUE(LoadIndexFromString(v5, &from_v5).ok());
-  ExpectIndexEq(from_v1, from_v2);
-  ExpectIndexEq(from_v1, from_v3);
-  ExpectIndexEq(from_v1, from_v4);
-  ExpectIndexEq(from_v1, from_v5);
+  std::string data;
+  SaveIndexToString(index, &data);
+  const std::string path = ::testing::TempDir() + "/fts_retired_magic.idx";
+  for (char version = '1'; version <= '5'; ++version) {
+    std::string old = data;
+    old[6] = version;
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f.write(old.data(), static_cast<std::streamsize>(old.size()));
+    }
+    const std::string want = std::string("index format v") + version +
+                             " is no longer supported; rebuild the index";
+    InvertedIndex loaded;
+    std::vector<Status> results = {LoadIndexFromString(old, &loaded)};
+    for (auto mode : {LoadOptions::Mode::kEager, LoadOptions::Mode::kMmap}) {
+      LoadOptions opts;
+      opts.mode = mode;
+      results.push_back(LoadIndexFromFile(path, &loaded, opts));
+    }
+    for (const Status& s : results) {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << version;
+      EXPECT_NE(s.message().find(want), std::string::npos)
+          << version << ": " << s.ToString();
+    }
+  }
+  // Any other magic keeps the generic error.
+  std::string unknown = data;
+  unknown[6] = '7';
+  InvertedIndex loaded;
+  const Status s = LoadIndexFromString(unknown, &loaded);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption);
+  EXPECT_NE(s.message().find("bad index magic"), std::string::npos)
+      << s.ToString();
+  std::remove(path.c_str());
 }
 
-TEST(IndexIoTest, DefaultFormatSurvivesResaveRoundTrip) {
-  // v4 -> load -> save -> load is byte-stable and content-equal (max_tf
+TEST(IndexIoTest, SurvivesResaveRoundTrip) {
+  // save -> load -> save is byte-stable and content-equal (max_tf
   // round-trips through the skip directory, so a resave regenerates
   // identical bytes rather than recomputing different bounds).
   InvertedIndex index = BuildTestIndex();
@@ -199,47 +209,16 @@ TEST(IndexIoTest, DefaultFormatSurvivesResaveRoundTrip) {
   EXPECT_EQ(first, second);
 }
 
-TEST(IndexIoTest, BlockMaxAvailabilityByFormat) {
-  // Built indexes and v4 loads carry trustworthy per-block max_tf bounds,
-  // and v1 loads rebuild their block lists from raw postings (recomputing
-  // the maxima); v2/v3 loads parse a skip directory that predates the
-  // statistic and must say so, which makes block-max evaluation fall back
-  // to full evaluation instead of trusting garbage bounds.
-  InvertedIndex index = BuildTestIndex();
-  ASSERT_GT(index.vocabulary_size(), 0u);
-  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
-    EXPECT_TRUE(index.block_list(t)->has_block_max());
-  }
-  struct Case {
-    IndexFormat format;
-    bool has_block_max;
-  };
-  for (const Case c : {Case{IndexFormat::kV1, true},
-                       Case{IndexFormat::kV2, false},
-                       Case{IndexFormat::kV3, false},
-                       Case{IndexFormat::kV4, true},
-                       Case{IndexFormat::kV5, true}}) {
-    std::string data;
-    SaveIndexToString(index, &data, c.format);
-    InvertedIndex loaded;
-    ASSERT_TRUE(LoadIndexFromString(data, &loaded).ok());
-    for (TokenId t = 0; t < loaded.vocabulary_size(); ++t) {
-      EXPECT_EQ(loaded.block_list(t)->has_block_max(), c.has_block_max)
-          << "format " << static_cast<int>(c.format) << " token " << t;
-    }
-    EXPECT_EQ(loaded.min_uniq_norm(), index.min_uniq_norm());
-  }
-}
-
-TEST(IndexIoTest, V4RoundTripsExactBlockMaxima) {
+TEST(IndexIoTest, RoundTripsExactBlockMaxima) {
   // The loaded skip directory must carry the same per-block max_tf the
   // builder computed — an understated bound would make block-max skipping
   // drop true results.
   InvertedIndex index = BuildTestIndex();
   std::string data;
-  SaveIndexToString(index, &data, IndexFormat::kV4);
+  SaveIndexToString(index, &data);
   InvertedIndex loaded;
   ASSERT_TRUE(LoadIndexFromString(data, &loaded).ok());
+  EXPECT_EQ(loaded.min_uniq_norm(), index.min_uniq_norm());
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
     const BlockPostingList* a = index.block_list(t);
     const BlockPostingList* b = loaded.block_list(t);
@@ -251,17 +230,22 @@ TEST(IndexIoTest, V4RoundTripsExactBlockMaxima) {
   }
 }
 
-TEST(IndexIoTest, V4MmapLoadStaysLazyAndKeepsBlockMax) {
+TEST(IndexIoTest, MmapLoadStaysLazyAndKeepsBlockMaxima) {
   InvertedIndex index = BuildTestIndex();
-  const std::string path = ::testing::TempDir() + "/fts_v4_mmap.idx";
-  ASSERT_TRUE(SaveIndexToFile(index, path, IndexFormat::kV4).ok());
+  const std::string path = ::testing::TempDir() + "/fts_mmap_block_max.idx";
+  ASSERT_TRUE(SaveIndexToFile(index, path).ok());
   LoadOptions mmap;
   mmap.mode = LoadOptions::Mode::kMmap;
   InvertedIndex mapped;
   ASSERT_TRUE(LoadIndexFromFile(path, &mapped, mmap).ok());
   EXPECT_TRUE(mapped.lazy_validation());
   for (TokenId t = 0; t < mapped.vocabulary_size(); ++t) {
-    EXPECT_TRUE(mapped.block_list(t)->has_block_max());
+    const BlockPostingList* a = index.block_list(t);
+    const BlockPostingList* b = mapped.block_list(t);
+    ASSERT_EQ(a->num_blocks(), b->num_blocks());
+    for (size_t blk = 0; blk < a->num_blocks(); ++blk) {
+      EXPECT_EQ(a->skip(blk).max_tf, b->skip(blk).max_tf) << t << ":" << blk;
+    }
   }
   ExpectIndexEq(index, mapped);
   std::remove(path.c_str());
@@ -289,8 +273,8 @@ bool AnyBitsetList(const InvertedIndex& index) {
   return false;
 }
 
-TEST(IndexIoTest, V5RoundTripsBitsetBlocks) {
-  // A hybrid list (dense bitset + sparse varint blocks) survives a v5
+TEST(IndexIoTest, RoundTripsBitsetBlocks) {
+  // A hybrid list (dense bitset + sparse varint blocks) survives a
   // save/load byte- and content-exactly, in both storage modes, and the
   // loaded lists keep their bitset encoding (the tag round-trips through
   // the skip directory rather than being re-derived).
@@ -298,15 +282,14 @@ TEST(IndexIoTest, V5RoundTripsBitsetBlocks) {
   ASSERT_TRUE(AnyBitsetList(index)) << "corpus not dense enough to exercise "
                                        "bitset blocks";
   std::string data;
-  SaveIndexToString(index, &data, IndexFormat::kV5);
-  ASSERT_EQ(data[6], '5');
+  SaveIndexToString(index, &data);
   InvertedIndex loaded;
   ASSERT_TRUE(LoadIndexFromString(data, &loaded).ok());
   EXPECT_TRUE(AnyBitsetList(loaded));
   ExpectIndexEq(index, loaded);
 
-  const std::string path = ::testing::TempDir() + "/fts_v5_dense.idx";
-  ASSERT_TRUE(SaveIndexToFile(index, path, IndexFormat::kV5).ok());
+  const std::string path = ::testing::TempDir() + "/fts_dense.idx";
+  ASSERT_TRUE(SaveIndexToFile(index, path).ok());
   LoadOptions mmap;
   mmap.mode = LoadOptions::Mode::kMmap;
   InvertedIndex mapped;
@@ -317,35 +300,15 @@ TEST(IndexIoTest, V5RoundTripsBitsetBlocks) {
   std::remove(path.c_str());
 }
 
-TEST(IndexIoTest, LegacyFormatsTranscodeBitsetBlocksOnSave) {
-  // Saving a hybrid index to a v2..v4 format must transcode bitset blocks
-  // back to varint so an old magic never fronts bytes old readers cannot
-  // parse — content stays identical, only the representation downgrades.
-  // (v1 is exempt: it stores flat postings, no block layout at all, and
-  // its loader rebuilds block lists with the current hybrid builder.)
-  InvertedIndex index = BuildDenseTestIndex();
-  ASSERT_TRUE(AnyBitsetList(index));
-  for (const IndexFormat format :
-       {IndexFormat::kV2, IndexFormat::kV3, IndexFormat::kV4}) {
-    std::string data;
-    SaveIndexToString(index, &data, format);
-    InvertedIndex loaded;
-    ASSERT_TRUE(LoadIndexFromString(data, &loaded).ok())
-        << static_cast<int>(format);
-    EXPECT_FALSE(AnyBitsetList(loaded)) << static_cast<int>(format);
-    ExpectIndexEq(index, loaded);
-  }
-}
-
-TEST(IndexIoTest, V5RejectsEveryDirectoryBitFlip) {
-  // The trailer hash covers the whole directory, including the new per-
-  // block encoding tags — so flipping any byte before the first payload
+TEST(IndexIoTest, RejectsEveryDirectoryBitFlip) {
+  // The trailer hash covers the whole directory, including the per-block
+  // encoding tags — so flipping any byte before the first payload
   // (conservatively: anywhere in the file; eager loads validate all
   // payloads too) must surface as Corruption, never as a silently
   // reinterpreted block.
   InvertedIndex index = BuildDenseTestIndex();
   std::string data;
-  SaveIndexToString(index, &data, IndexFormat::kV5);
+  SaveIndexToString(index, &data);
   for (size_t i = 8; i < data.size(); i += 97) {  // strided full-file sweep
     std::string mutated = data;
     mutated[i] = static_cast<char>(mutated[i] ^ 0x01);
@@ -354,18 +317,6 @@ TEST(IndexIoTest, V5RejectsEveryDirectoryBitFlip) {
               StatusCode::kCorruption)
         << "byte " << i;
   }
-}
-
-TEST(IndexIoTest, V2StillLoadsAndRejectsCorruption) {
-  InvertedIndex index = BuildTestIndex();
-  std::string data;
-  SaveIndexToString(index, &data, IndexFormat::kV2);
-  ASSERT_EQ(data[6], '2');
-  InvertedIndex loaded;
-  ASSERT_TRUE(LoadIndexFromString(data, &loaded).ok());
-  ExpectIndexEq(index, loaded);
-  data[data.size() / 2] = static_cast<char>(data[data.size() / 2] ^ 0x04);
-  EXPECT_EQ(LoadIndexFromString(data, &loaded).code(), StatusCode::kCorruption);
 }
 
 // ---------------------------------------------------------------------------
@@ -433,23 +384,6 @@ TEST(IndexIoTest, PrefaultWarmupLoadsIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(IndexIoTest, MmapLoadOfV1AndV2FallsBackToEagerValidation) {
-  InvertedIndex index = BuildTestIndex();
-  const std::string path = ::testing::TempDir() + "/fts_mmap_compat.idx";
-  LoadOptions mmap;
-  mmap.mode = LoadOptions::Mode::kMmap;
-  for (IndexFormat format : {IndexFormat::kV1, IndexFormat::kV2}) {
-    ASSERT_TRUE(SaveIndexToFile(index, path, format).ok());
-    InvertedIndex loaded;
-    ASSERT_TRUE(LoadIndexFromFile(path, &loaded, mmap).ok());
-    // Older formats cannot defer validation (whole-body checksum), so the
-    // load validates eagerly; v2 still views payloads out of the mapping.
-    EXPECT_FALSE(loaded.lazy_validation());
-    ExpectIndexEq(index, loaded);
-  }
-  std::remove(path.c_str());
-}
-
 TEST(IndexIoTest, MmapSourceOutlivesFileRemoval) {
   // POSIX mmap pins the inode: removing (or write-then-rename replacing)
   // the file under a mapped index must not invalidate it — this is the
@@ -467,7 +401,7 @@ TEST(IndexIoTest, MmapSourceOutlivesFileRemoval) {
 
 TEST(IndexIoTest, LazyLoadValidatesHeaderCorruptionUpFront) {
   // Header/directory bytes (everything before the first payload) are
-  // covered by the v3 trailer checksum and verified even on lazy loads.
+  // covered by the trailer checksum and verified even on lazy loads.
   InvertedIndex index = BuildTestIndex();
   std::string data;
   SaveIndexToString(index, &data);
@@ -483,15 +417,6 @@ TEST(IndexIoTest, LazyLoadValidatesHeaderCorruptionUpFront) {
   InvertedIndex loaded;
   EXPECT_EQ(LoadIndexFromFile(path, &loaded, mmap).code(), StatusCode::kCorruption);
   std::remove(path.c_str());
-}
-
-TEST(IndexIoTest, V1RejectsCorruption) {
-  InvertedIndex index = BuildTestIndex();
-  std::string data;
-  SaveIndexToString(index, &data, IndexFormat::kV1);
-  data[data.size() / 3] = static_cast<char>(data[data.size() / 3] ^ 0x10);
-  InvertedIndex loaded;
-  EXPECT_EQ(LoadIndexFromString(data, &loaded).code(), StatusCode::kCorruption);
 }
 
 }  // namespace

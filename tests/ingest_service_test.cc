@@ -2,7 +2,7 @@
 // generation, Add/Refresh visibility (buffered documents become queryable
 // at the seal), Delete's copy-on-write tombstones and generation
 // immutability (a held snapshot keeps serving the pre-delete corpus),
-// Compact's dense renumbering, and segment spilling to ordinary v3 files
+// Compact's dense renumbering, and segment spilling to ordinary index files
 // that LoadSnapshotFromFile serves back. The concurrent contract lives in
 // ingest_query_hammer_test.cc.
 

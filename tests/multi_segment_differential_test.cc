@@ -129,7 +129,7 @@ SegmentedWorkload MakeSegmented(uint64_t seed) {
   return w;
 }
 
-/// Round-trips `src` through a v3 temp file and loads it back mmap'd with
+/// Round-trips `src` through a temp file and loads it back mmap'd with
 /// lazy first-touch validation (file removed immediately; the mapping pins
 /// the inode).
 InvertedIndex LoadMmapTwin(const InvertedIndex& src, const std::string& tag) {

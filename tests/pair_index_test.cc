@@ -1,8 +1,8 @@
 // PairIndex unit tests: frequent-term selection and canonical key
 // ordering, Find's swap semantics, record-stream invariants (packed tf
 // header, window-bounded signed deltas, lexicographic record order), the
-// v6 on-disk section (heap and mmap round-trips, v5 saves dropping the
-// section, classic sections bit-identical with pairs on or off), and the
+// on-disk section (heap and mmap round-trips, classic sections
+// bit-identical with pairs on or off), and the
 // segment plumbing — Seal and MergeSegments carrying IndexBuildOptions so
 // compaction rebuilds pair lists over the merged corpus.
 
@@ -221,12 +221,24 @@ TEST(PairIndexTest, ClassicSectionsAreBitIdenticalWithPairsOnOrOff) {
   const Corpus corpus = SmallCorpus();
   const InvertedIndex plain = IndexBuilder::Build(corpus);
   const InvertedIndex paired = IndexBuilder::Build(corpus, PairOptions(2, 3));
-  std::string plain_v5, paired_v5;
-  SaveIndexToString(plain, &plain_v5, IndexFormat::kV5);
-  SaveIndexToString(paired, &paired_v5, IndexFormat::kV5);
-  // A v5 save has no pair section, so the files must be byte-identical:
-  // pair construction never perturbs token lists, IL_ANY, or statistics.
-  EXPECT_EQ(plain_v5, paired_v5);
+  std::string plain_blob, paired_blob;
+  SaveIndexToString(plain, &plain_blob);
+  SaveIndexToString(paired, &paired_blob);
+  // The pair section is the last one before the 8-byte trailer; without a
+  // pair index it is three zero varints (max_distance, no frequent terms,
+  // no keys). Everything before it must be byte-identical: pair
+  // construction never perturbs token lists, IL_ANY, or statistics.
+  constexpr size_t kEmptyPairSection = 3;
+  constexpr size_t kTrailer = 8;
+  ASSERT_GT(plain_blob.size(), kEmptyPairSection + kTrailer);
+  const size_t classic = plain_blob.size() - kEmptyPairSection - kTrailer;
+  EXPECT_EQ(plain_blob.substr(classic, kEmptyPairSection),
+            std::string(kEmptyPairSection, '\0'));
+  ASSERT_GT(paired_blob.size(), plain_blob.size());
+  EXPECT_EQ(plain_blob.substr(0, classic), paired_blob.substr(0, classic));
+  // ...and the paired file really carries a section there.
+  EXPECT_NE(paired_blob.substr(classic, kEmptyPairSection),
+            std::string(kEmptyPairSection, '\0'));
 }
 
 TEST(PairIndexTest, V6RoundTripsHeapAndMmap) {
@@ -265,25 +277,9 @@ TEST(PairIndexTest, V6RoundTripsHeapAndMmap) {
   }
 }
 
-TEST(PairIndexTest, OlderFormatsDropThePairSection) {
-  const Corpus corpus = SmallCorpus();
-  const InvertedIndex index = IndexBuilder::Build(corpus, PairOptions(2, 3));
-  ASSERT_NE(index.pair_index(), nullptr);
-  for (IndexFormat format : {IndexFormat::kV1, IndexFormat::kV2,
-                             IndexFormat::kV3, IndexFormat::kV4,
-                             IndexFormat::kV5}) {
-    std::string blob;
-    SaveIndexToString(index, &blob, format);
-    InvertedIndex loaded;
-    ASSERT_TRUE(LoadIndexFromString(blob, &loaded).ok())
-        << static_cast<int>(format);
-    EXPECT_EQ(loaded.pair_index(), nullptr) << static_cast<int>(format);
-  }
-}
-
 TEST(PairIndexTest, V6WithoutPairsLoadsAsNoPairIndex) {
-  // A pair-free index saved as v6 carries the empty section shape and
-  // must load exactly like a v5 file: feature off.
+  // A pair-free index carries the empty section shape and loads with the
+  // feature off.
   const InvertedIndex index = IndexBuilder::Build(SmallCorpus());
   std::string blob;
   SaveIndexToString(index, &blob);

@@ -15,7 +15,6 @@
 #include "eval/searcher.h"
 #include "exec/exec_context.h"
 #include "index/index_builder.h"
-#include "index/index_io.h"
 #include "index/index_snapshot.h"
 #include "lang/ast.h"
 #include "scoring/topk.h"
@@ -150,19 +149,6 @@ TEST(SearcherTopKTest, SelectiveQueriesSkipMostCandidateBlocks) {
       ExpectRankedMatchesFull(tie_searcher, LangExpr::Token("tie"), 10);
   EXPECT_GT(tie_skipped, tie_blocks / 2)
       << "expected a majority of " << tie_blocks << " tied blocks skipped";
-}
-
-TEST(SearcherTopKTest, V3LoadedIndexFallsBackToFullEvaluation) {
-  // Pre-v4 files carry no block maxima: ranked results must still be
-  // exact, with zero score-skips (every block bound is +inf).
-  std::string v3;
-  SaveIndexToString(RankedIndex(), &v3, IndexFormat::kV3);
-  InvertedIndex loaded;
-  ASSERT_TRUE(LoadIndexFromString(v3, &loaded).ok());
-  const auto snapshot = IndexSnapshot::ForIndex(&loaded);
-  Searcher searcher(snapshot, {ScoringKind::kProbabilistic, CursorMode::kSeek});
-  const LangExprPtr q = LangExpr::Token(BackgroundToken(0));
-  EXPECT_EQ(ExpectRankedMatchesFull(searcher, q, 10), 0u);
 }
 
 TEST(SearcherTopKTest, UnscoredTopKTruncatesToSmallestIds) {
