@@ -1,6 +1,6 @@
 // Concurrent-serving benchmarks: SearchService throughput scaling across
 // worker counts (BM_ConcurrentQps — the acceptance bench for the
-// worker-pool layer), per-query service overhead vs a direct router call,
+// worker-pool layer), per-query service overhead vs a direct Searcher call,
 // and the cross-query SharedBlockCache's effect on a repeated-query mix.
 //
 // Throughput benches measure wall time (UseRealTime): the work happens on
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "exec/search_service.h"
 #include "index/index_io.h"
 
@@ -30,8 +30,8 @@ using fts::InvertedIndex;
 using fts::LoadOptions;
 using fts::QueryGenOptions;
 using fts::QueryPolarity;
-using fts::QueryRouter;
 using fts::SearchService;
+using fts::Searcher;
 using fts::benchutil::SharedIndex;
 
 /// The serving mix: fig5-shaped BOOL conjunctions and fig6-shaped PPRED
@@ -153,7 +153,7 @@ BENCHMARK(BM_ConcurrentQpsMmap)
     ->MeasureProcessCPUTime();
 
 /// Per-query service overhead: the same query through the pool (submit,
-/// enqueue, worker wakeup, future) vs a direct router call on the
+/// enqueue, worker wakeup, future) vs a direct Searcher call on the
 /// benchmark thread. The delta is the serving machinery's tax.
 void BM_ServiceSearchLatency(benchmark::State& state) {
   const InvertedIndex& index = SharedIndex(6000, 6);
@@ -174,11 +174,11 @@ BENCHMARK(BM_ServiceSearchLatency)->UseRealTime()->MeasureProcessCPUTime();
 
 void BM_RouterDirectLatency(benchmark::State& state) {
   const InvertedIndex& index = SharedIndex(6000, 6);
-  QueryRouter router(&index);
-  fts::ExecContext ctx = router.MakeContext();
+  const Searcher searcher(fts::IndexSnapshot::ForIndex(&index));
+  fts::ExecContext ctx;
   const std::string query = "'topic0' AND 'topic1' AND 'topic2'";
   for (auto _ : state) {
-    auto r = router.Evaluate(query, ctx);
+    auto r = searcher.Search(query, ctx);
     if (!r.ok()) {
       state.SkipWithError(r.status().ToString().c_str());
       return;
@@ -189,18 +189,20 @@ void BM_RouterDirectLatency(benchmark::State& state) {
 BENCHMARK(BM_RouterDirectLatency);
 
 /// Cross-query amortization in one number: the same query stream through
-/// a router with and without the shared L2 (single thread, so the delta
+/// a Searcher with and without the shared L2 (single thread, so the delta
 /// is pure decode savings, no parallelism).
 void BM_SharedCacheRepeatedQueries(benchmark::State& state) {
   const InvertedIndex& index = SharedIndex(6000, 6);
   const bool with_l2 = state.range(0) != 0;
-  fts::RouterOptions options;
-  if (with_l2) options.shared_cache = std::make_shared<fts::SharedBlockCache>();
-  QueryRouter router(&index, options);
+  fts::SharedBlockCache cache;
+  fts::ExecOptions options;
+  if (with_l2) options.shared_cache = &cache;
+  const Searcher searcher(fts::IndexSnapshot::ForIndex(&index));
   const std::vector<std::string> mix = ServingMix();
   for (auto _ : state) {
     for (const std::string& q : mix) {
-      auto r = router.Evaluate(q);
+      fts::ExecContext ctx(options);
+      auto r = searcher.Search(q, ctx);
       if (!r.ok()) {
         state.SkipWithError(r.status().ToString().c_str());
         return;

@@ -12,16 +12,17 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "exec/exec_context.h"
 
 namespace {
 
 using fts::CursorMode;
 using fts::ExecContext;
+using fts::IndexSnapshot;
 using fts::InvertedIndex;
-using fts::QueryRouter;
 using fts::ScoringKind;
+using fts::Searcher;
 using fts::benchutil::SharedIndex;
 
 /// Scored serving mix over the planted topic tokens: long single lists
@@ -46,12 +47,13 @@ void BM_TopKVsFull(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const ScoringKind scoring =
       state.range(1) == 0 ? ScoringKind::kTfIdf : ScoringKind::kProbabilistic;
-  QueryRouter router(&index, scoring, CursorMode::kAdaptive);
-  ExecContext ctx = router.MakeContext();
+  const Searcher searcher(IndexSnapshot::ForIndex(&index),
+                          {scoring, CursorMode::kAdaptive});
+  ExecContext ctx;
   ctx.set_top_k(k);
   for (auto _ : state) {
     for (const std::string& q : ScoredMix()) {
-      auto r = router.Evaluate(q, ctx);
+      auto r = searcher.Search(q, ctx);
       if (!r.ok()) {
         state.SkipWithError(r.status().ToString().c_str());
         return;

@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "index/index_builder.h"
 #include "lang/classify.h"
 #include "lang/parser.h"
@@ -13,8 +13,9 @@
 
 namespace {
 
-void Show(const fts::QueryRouter& router, const char* query) {
-  auto routed = router.Evaluate(query);
+void Show(const fts::Searcher& searcher, const char* query) {
+  fts::ExecContext ctx;
+  auto routed = searcher.Search(query, ctx);
   if (!routed.ok()) {
     std::printf("  %-70s -> error: %s\n", query, routed.status().ToString().c_str());
     return;
@@ -34,7 +35,7 @@ int main() {
   c3.AddDocument("t1");
   c3.AddDocument("t1 t2");
   fts::InvertedIndex i3 = fts::IndexBuilder::Build(c3);
-  fts::QueryRouter r3(&i3);
+  const fts::Searcher r3(fts::IndexSnapshot::ForIndex(&i3));
   // Every BOOL query over {t1} treats CN0 and CN1 alike...
   Show(r3, "'t1'");
   Show(r3, "NOT 't1'");
@@ -48,7 +49,7 @@ int main() {
   c5.AddDocument("t1 t2 t1");
   c5.AddDocument("t1 t2 t1 t2");
   fts::InvertedIndex i5 = fts::IndexBuilder::Build(c5);
-  fts::QueryRouter r5(&i5);
+  const fts::Searcher r5(fts::IndexSnapshot::ForIndex(&i5));
   // DIST's positive distances hold on both nodes...
   Show(r5, "dist('t1', 't2', 0)");
   Show(r5, "dist('t2', 't1', 0)");
@@ -65,7 +66,7 @@ int main() {
   ch.AddDocument("beta beta alpha");
   ch.AddDocument("gamma delta");
   fts::InvertedIndex ih = fts::IndexBuilder::Build(ch);
-  fts::QueryRouter rh(&ih);
+  const fts::Searcher rh(fts::IndexSnapshot::ForIndex(&ih));
   Show(rh, "'alpha' AND 'beta'");                          // BOOL-NONEG
   Show(rh, "NOT 'alpha'");                                 // BOOL
   Show(rh, "dist('alpha', 'beta', 1)");                    // PPRED

@@ -1,13 +1,13 @@
 // Quickstart: build a corpus, index it, and run queries from every language
-// class through the router.
+// class through the Searcher.
 //
 //   $ ./quickstart
 //
-// Demonstrates the core public API: Corpus -> IndexBuilder -> QueryRouter.
+// Demonstrates the core public API: Corpus -> IndexBuilder -> Searcher.
 
 #include <cstdio>
 
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "index/index_builder.h"
 #include "text/corpus.h"
 
@@ -30,9 +30,12 @@ int main() {
               index.vocabulary_size());
   std::printf("index shape: %s\n\n", index.stats().ToString().c_str());
 
-  // 3. Route queries: the router classifies each query into the cheapest
+  // 3. Route queries: the Searcher classifies each query into the cheapest
   //    language class (BOOL < PPRED < NPRED < COMP) and picks the engine.
-  fts::QueryRouter router(&index, fts::ScoringKind::kTfIdf);
+  //    One index is served through its one-segment snapshot; per-query
+  //    state (caches, counters, deadline, top-k) lives in an ExecContext.
+  const fts::Searcher searcher(fts::IndexSnapshot::ForIndex(&index),
+                               {fts::ScoringKind::kTfIdf});
   const char* queries[] = {
       // Boolean keyword search (BOOL engine, list merges).
       "'software' AND 'usability'",
@@ -47,7 +50,8 @@ int main() {
   };
 
   for (const char* q : queries) {
-    auto routed = router.Evaluate(q);
+    fts::ExecContext ctx;
+    auto routed = searcher.Search(q, ctx);
     if (!routed.ok()) {
       std::printf("query failed: %s\n  %s\n", q, routed.status().ToString().c_str());
       return 1;

@@ -4,7 +4,7 @@
 
 #include <cstdio>
 
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "index/index_builder.h"
 #include "scoring/topk.h"
 #include "workload/corpus_gen.h"
@@ -40,8 +40,10 @@ int main() {
   fts::InvertedIndex index = fts::IndexBuilder::Build(corpus);
   std::printf("corpus: %s\n\n", index.stats().ToString().c_str());
 
-  fts::QueryRouter tfidf(&index, fts::ScoringKind::kTfIdf);
-  fts::QueryRouter prob(&index, fts::ScoringKind::kProbabilistic);
+  const fts::Searcher tfidf(fts::IndexSnapshot::ForIndex(&index),
+                            {fts::ScoringKind::kTfIdf});
+  const fts::Searcher prob(fts::IndexSnapshot::ForIndex(&index),
+                           {fts::ScoringKind::kProbabilistic});
 
   const char* queries[] = {
       "'topic0' OR 'topic1'",
@@ -54,8 +56,10 @@ int main() {
 
   for (const char* q : queries) {
     std::printf("query: %s\n", q);
-    auto a = tfidf.Evaluate(q);
-    auto b = prob.Evaluate(q);
+    fts::ExecContext tfidf_ctx;
+    fts::ExecContext prob_ctx;
+    auto a = tfidf.Search(q, tfidf_ctx);
+    auto b = prob.Search(q, prob_ctx);
     if (!a.ok() || !b.ok()) {
       std::printf("  failed: %s\n",
                   (!a.ok() ? a.status() : b.status()).ToString().c_str());
@@ -76,9 +80,9 @@ int main() {
   // result is bit-identical to full-evaluate-then-TopK above, but the
   // block-max path uses the per-block score bounds to hop blocks that
   // cannot reach the top 5 (EvalCounters::blocks_skipped_by_score).
-  fts::ExecContext ctx = prob.MakeContext();
+  fts::ExecContext ctx;
   ctx.set_top_k(5);
-  auto ranked = prob.Evaluate("'topic0' OR 'topic1'", ctx);
+  auto ranked = prob.Search("'topic0' OR 'topic1'", ctx);
   if (!ranked.ok()) {
     std::printf("ranked query failed: %s\n",
                 ranked.status().ToString().c_str());

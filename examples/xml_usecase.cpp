@@ -14,7 +14,7 @@
 #include <string_view>
 #include <vector>
 
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "index/index_builder.h"
 #include "text/corpus.h"
 
@@ -64,7 +64,7 @@ within a few tokens.</book>
               books.num_nodes());
 
   fts::InvertedIndex index = fts::IndexBuilder::Build(books);
-  fts::QueryRouter router(&index);
+  const fts::Searcher searcher(fts::IndexSnapshot::ForIndex(&index));
 
   // Full-text part (Use Case 10.4): 'efficient', then the phrase
   // 'task completion', in that order, within 10 intervening tokens.
@@ -74,7 +74,8 @@ within a few tokens.</book>
       "AND odistance(t, c, 0)"     // phrase: completion right after task
       "AND odistance(e, t, 10))";  // order + distance bound
 
-  auto routed = router.Evaluate(query);
+  fts::ExecContext ctx;
+  auto routed = searcher.Search(query, ctx);
   if (!routed.ok()) {
     std::printf("query failed: %s\n", routed.status().ToString().c_str());
     return 1;
@@ -90,7 +91,8 @@ within a few tokens.</book>
 
   // Contrast with what weaker languages can say (Section 4): BOOL finds all
   // books with the three words, which over-approximates badly.
-  auto boolish = router.Evaluate("'efficient' AND 'task' AND 'completion'");
+  fts::ExecContext bool_ctx;
+  auto boolish = searcher.Search("'efficient' AND 'task' AND 'completion'", bool_ctx);
   if (boolish.ok()) {
     std::printf("\nBOOL over-approximation ('efficient' AND 'task' AND "
                 "'completion'): %zu books vs %zu correct\n",

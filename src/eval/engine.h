@@ -140,18 +140,16 @@ class Engine {
   /// Evaluates a parsed query under caller-provided per-query execution
   /// state: `ctx` supplies the decoded-block caches (L1, optional L2),
   /// accumulates counters, and may impose a deadline. Returns Unsupported
-  /// when the query falls outside the engine's language class (the router
+  /// when the query falls outside the engine's language class (the Searcher
   /// then falls back to a more expressive engine) and DeadlineExceeded
   /// when ctx's deadline expires mid-evaluation.
   virtual StatusOr<QueryResult> Evaluate(const LangExprPtr& query,
                                          ExecContext& ctx) const = 0;
 
-  /// Deprecated shim: evaluates under a fresh default ExecContext (auto L1
-  /// policy, no L2, no deadline). Prefer the snapshot-based entry point —
-  /// Searcher::Search(query, ExecContext&) — or the context-taking
-  /// overload above; this survives so pre-snapshot call sites stay
-  /// mechanical. Derived classes re-export it with `using
-  /// Engine::Evaluate`.
+  /// Evaluates under a fresh default ExecContext (auto L1 policy, no L2, no
+  /// deadline): the engines' unit-test entry point. Serving code goes
+  /// through Searcher::Search(query, ExecContext&) instead. Derived classes
+  /// re-export it with `using Engine::Evaluate`.
   StatusOr<QueryResult> Evaluate(const LangExprPtr& query) const {
     ExecContext ctx;
     return Evaluate(query, ctx);

@@ -14,21 +14,6 @@ namespace fts {
 
 namespace {
 
-const char* EngineNameForClass(LanguageClass cls) {
-  switch (cls) {
-    case LanguageClass::kBoolNoNeg:
-    case LanguageClass::kBool:
-      return "BOOL";
-    case LanguageClass::kPpred:
-      return "PPRED";
-    case LanguageClass::kNpred:
-      return "NPRED";
-    case LanguageClass::kComp:
-      return "COMP";
-  }
-  return "COMP";
-}
-
 /// df-based candidate estimate for the block-max planner: leaf = document
 /// frequency, AND = min of children (the join cannot exceed its smallest
 /// input), OR = saturating sum. Anything else (unreachable behind
@@ -61,33 +46,38 @@ Searcher::Searcher(std::shared_ptr<const IndexSnapshot> snapshot,
   }
 }
 
-const CompEngine& Searcher::comp_engine(size_t segment) const {
-  return segments_[segment]->comp_engine;
-}
-const BoolEngine& Searcher::bool_engine(size_t segment) const {
-  return segments_[segment]->bool_engine;
-}
-const PpredEngine& Searcher::ppred_engine(size_t segment) const {
-  return segments_[segment]->ppred_engine;
-}
-const NpredEngine& Searcher::npred_engine(size_t segment) const {
-  return segments_[segment]->npred_engine;
-}
-
-const Engine* Searcher::SelectEngine(const SegmentEngines& se,
-                                     LanguageClass cls) const {
+StatusOr<QueryResult> Searcher::EvaluateSegment(const SegmentEngines& se,
+                                                const LangExprPtr& query,
+                                                LanguageClass cls,
+                                                ExecContext& ctx,
+                                                std::string* engine_name) const {
+  const Engine* engine = &se.comp_engine;
   switch (cls) {
     case LanguageClass::kBoolNoNeg:
     case LanguageClass::kBool:
-      return &se.bool_engine;
+      engine = &se.bool_engine;
+      break;
     case LanguageClass::kPpred:
-      return &se.ppred_engine;
+      engine = &se.ppred_engine;
+      break;
     case LanguageClass::kNpred:
-      return &se.npred_engine;
+      engine = &se.npred_engine;
+      break;
     case LanguageClass::kComp:
-      return &se.comp_engine;
+      break;
   }
-  return &se.comp_engine;
+  StatusOr<QueryResult> result = engine->Evaluate(query, ctx);
+  if (!result.ok() && result.status().code() == StatusCode::kUnsupported &&
+      engine != &se.comp_engine) {
+    // A specialized engine declined (e.g. a plan shape it cannot stream);
+    // COMP is complete and always applicable. Declining is a function of
+    // the query alone, so every segment takes the same fallback and the
+    // reported engine stays consistent.
+    result = se.comp_engine.Evaluate(query, ctx);
+    engine = &se.comp_engine;
+  }
+  if (engine_name != nullptr) *engine_name = std::string(engine->name());
+  return result;
 }
 
 StatusOr<RoutedResult> Searcher::Search(std::string_view query,
@@ -108,34 +98,17 @@ StatusOr<RoutedResult> Searcher::SearchParsed(const LangExprPtr& query,
     out.engine = "NONE";
     return out;
   }
-  out.engine = EngineNameForClass(out.language_class);
-
   if (ctx.top_k() > 0) return SearchTopK(query, ctx, std::move(out));
 
-  bool engine_resolved = false;
   for (size_t i = 0; i < segments_.size(); ++i) {
     // An expired deadline must stop the query between segments too —
     // engines check it internally, but a snapshot with many segments
     // would otherwise start (and pay the setup of) every remaining one.
     FTS_RETURN_IF_ERROR(ctx.deadline().Check());
-    const SegmentEngines& se = *segments_[i];
-    const Engine* engine = SelectEngine(se, out.language_class);
-
-    StatusOr<QueryResult> result = engine->Evaluate(query, ctx);
-    if (!result.ok() && result.status().code() == StatusCode::kUnsupported &&
-        engine != &se.comp_engine) {
-      // A specialized engine declined (e.g. a plan shape it cannot stream);
-      // COMP is complete and always applicable. Declining is a function of
-      // the query alone, so every segment takes the same fallback and the
-      // reported engine stays consistent.
-      result = se.comp_engine.Evaluate(query, ctx);
-      engine = &se.comp_engine;
-    }
+    StatusOr<QueryResult> result =
+        EvaluateSegment(*segments_[i], query, out.language_class, ctx,
+                        i == 0 ? &out.engine : nullptr);
     FTS_RETURN_IF_ERROR(result.status());
-    if (!engine_resolved) {
-      out.engine = std::string(engine->name());
-      engine_resolved = true;
-    }
 
     // Rebase the segment's local ids into the snapshot's global id space
     // and append: bases are disjoint and increasing, so the concatenation
@@ -169,7 +142,6 @@ StatusOr<RoutedResult> Searcher::SearchTopK(const LangExprPtr& query,
   // global id order (per-segment ascending, bases increasing), so the heap
   // evolves exactly as TopK over the concatenated full results would.
   TopKAccumulator acc(k);
-  bool engine_resolved = false;
   for (size_t i = 0; i < segments_.size(); ++i) {
     FTS_RETURN_IF_ERROR(ctx.deadline().Check());
     const SegmentEngines& se = *segments_[i];
@@ -202,26 +174,15 @@ StatusOr<RoutedResult> Searcher::SearchTopK(const LangExprPtr& query,
                                                &se.runtime, ctx, base, acc,
                                                &seg_counters));
       out.result.counters.MergeFrom(seg_counters);
-      if (!engine_resolved) {
-        // Block-max trees are BOOL-class by construction.
-        out.engine = std::string(se.bool_engine.name());
-        engine_resolved = true;
-      }
+      // Block-max trees are BOOL-class by construction.
+      if (i == 0) out.engine = std::string(se.bool_engine.name());
       continue;
     }
 
-    const Engine* engine = SelectEngine(se, out.language_class);
-    StatusOr<QueryResult> result = engine->Evaluate(query, ctx);
-    if (!result.ok() && result.status().code() == StatusCode::kUnsupported &&
-        engine != &se.comp_engine) {
-      result = se.comp_engine.Evaluate(query, ctx);
-      engine = &se.comp_engine;
-    }
+    StatusOr<QueryResult> result =
+        EvaluateSegment(se, query, out.language_class, ctx,
+                        i == 0 ? &out.engine : nullptr);
     FTS_RETURN_IF_ERROR(result.status());
-    if (!engine_resolved) {
-      out.engine = std::string(engine->name());
-      engine_resolved = true;
-    }
     QueryResult seg_result = std::move(result).value();
     for (size_t j = 0; j < seg_result.nodes.size(); ++j) {
       acc.Add(base + seg_result.nodes[j],

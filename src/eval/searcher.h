@@ -1,8 +1,11 @@
-// Searcher: the snapshot-based evaluation entry point of the segment
-// architecture (docs/ingestion.md). Evaluation over a live corpus routes
-// through here — a Searcher binds one immutable IndexSnapshot generation
-// and evaluates each query per segment, where the existing engines run
-// unchanged over disjoint doc-id sub-spaces.
+// Searcher: the read entry point. It classifies a query into the paper's
+// complexity hierarchy (Figure 3), dispatches it to the cheapest engine
+// that can evaluate it, and falls back to COMP if a specialized engine
+// declines. A Searcher binds one immutable IndexSnapshot generation and
+// evaluates each query per segment, where the engines run unchanged over
+// disjoint doc-id sub-spaces (docs/ingestion.md). A single InvertedIndex
+// is served through its one-segment snapshot (IndexSnapshot::ForIndex);
+// SearchService (exec/search_service.h) is the pooled form.
 
 #ifndef FTS_EVAL_SEARCHER_H_
 #define FTS_EVAL_SEARCHER_H_
@@ -29,15 +32,17 @@ struct RoutedResult {
   QueryResult result;
   LanguageClass language_class;
   /// Engine that produced the result. Resolved once from the first segment
-  /// actually evaluated (the COMP-fallback decision is query-deterministic,
-  /// so every segment agrees); "NONE" when the snapshot has no segments and
-  /// nothing ran at all.
+  /// (the COMP-fallback decision is query-deterministic, so every segment
+  /// agrees); "NONE" when the snapshot has no segments and nothing ran.
   std::string engine;
 };
 
 /// Construction knobs for a Searcher.
 struct SearcherOptions {
   ScoringKind scoring = ScoringKind::kNone;
+  /// kAdaptive plans seek vs sequential per query from the lists' df
+  /// statistics (PlanFromDfs); kSequential reproduces the paper's access
+  /// counts exactly; kSeek forces skip-seeking everywhere.
   CursorMode mode = CursorMode::kAdaptive;
   /// Phrase/NEAR routing to the pair index when segments carry one
   /// (src/eval/pair_plan.h). kAuto only fires under CursorMode::kAdaptive.
@@ -61,7 +66,9 @@ struct SearcherOptions {
 /// its generation alive even after a writer publishes a newer one.
 ///
 /// Thread safety: immutable after construction; evaluate from many threads
-/// concurrently with one ExecContext per thread.
+/// concurrently with one ExecContext per thread. Per-query state lives in
+/// the context, including the cross-query L2 block cache a caller may
+/// share between contexts (ExecOptions::shared_cache).
 class Searcher {
  public:
   explicit Searcher(std::shared_ptr<const IndexSnapshot> snapshot,
@@ -83,13 +90,6 @@ class Searcher {
                                       ExecContext& ctx) const;
 
   const IndexSnapshot& snapshot() const { return *snapshot_; }
-
-  /// Per-segment engine banks, exposed for the single-segment bridge
-  /// (QueryRouter's engine accessors) and white-box tests.
-  const CompEngine& comp_engine(size_t segment = 0) const;
-  const BoolEngine& bool_engine(size_t segment = 0) const;
-  const PpredEngine& ppred_engine(size_t segment = 0) const;
-  const NpredEngine& npred_engine(size_t segment = 0) const;
 
  private:
   /// One segment's engines plus the runtime they point at. Heap-allocated
@@ -114,8 +114,14 @@ class Searcher {
     CompEngine comp_engine;
   };
 
-  /// The engine the classified language class selects in one segment bank.
-  const Engine* SelectEngine(const SegmentEngines& se, LanguageClass cls) const;
+  /// One segment's evaluate step: runs `query` on the engine the language
+  /// class selects in `se`, falling back to COMP when that engine declines
+  /// with Unsupported. Names the engine that ran in `*engine_name` unless
+  /// it is null (callers pass it for the first segment only).
+  StatusOr<QueryResult> EvaluateSegment(const SegmentEngines& se,
+                                        const LangExprPtr& query,
+                                        LanguageClass cls, ExecContext& ctx,
+                                        std::string* engine_name) const;
 
   /// The ranked (ctx.top_k() > 0) evaluation path: one TopKAccumulator
   /// across all segments, per-segment block-max or full evaluation.

@@ -14,7 +14,8 @@
 //                     context and attached to cursors per the cache policy
 //                     instead of being re-constructed inside each engine
 //   - L2 handle       an optional cross-query SharedBlockCache the L1
-//                     falls through to (attached at router/service scope)
+//                     falls through to (ExecOptions::shared_cache; one
+//                     cache may serve every context of a service)
 //   - deadline        an optional wall-clock bound; engines check it at
 //                     operator granularity and return DeadlineExceeded
 //
@@ -23,7 +24,7 @@
 // service worker may instead keep one context across queries (the L1 then
 // acts as a worker-local warm cache over the same immutable index, which
 // is safe for exactly the reason the L2 is: results never depend on cache
-// state). The index, engines, router, and L2 they reference are all safe
+// state). The index, engines, Searcher, and L2 they reference are all safe
 // to share across many contexts on many threads — see docs/threading.md.
 
 #ifndef FTS_EXEC_EXEC_CONTEXT_H_
@@ -100,9 +101,9 @@ struct ExecOptions {
   size_t top_k = 0;
 };
 
-/// Per-query execution state threaded from the router (or a SearchService
-/// worker) through the engines down to every cursor. Single-threaded; see
-/// file header for the ownership and reuse rules.
+/// Per-query execution state threaded from the Searcher's caller (or a
+/// SearchService worker) through the engines down to every cursor.
+/// Single-threaded; see file header for the ownership and reuse rules.
 class ExecContext {
  public:
   ExecContext() : ExecContext(ExecOptions()) {}

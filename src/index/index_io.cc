@@ -468,6 +468,9 @@ Status SaveIndexToFile(const InvertedIndex& index, const std::string& path) {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) return Status::IOError("cannot open for write: " + path);
   f.write(data.data(), static_cast<std::streamsize>(data.size()));
+  // A small index sits entirely in the stream buffer, so a full device
+  // only reports the failure when close() flushes it.
+  f.close();
   if (!f) return Status::IOError("short write: " + path);
   return Status::OK();
 }

@@ -75,10 +75,9 @@ Status SaveIndexToFile(const InvertedIndex& index, const std::string& path);
 /// envelope (magic + trailer), which are rejected with a distinct message
 /// before any section parsing runs, and files of a retired format version.
 ///
-/// Deprecated shim for new read-path code: prefer LoadSnapshotFromFile,
-/// which returns the owned one-segment IndexSnapshot the snapshot entry
-/// points (Searcher, SearchService) consume directly. This variant
-/// survives for callers managing index lifetime themselves.
+/// The load primitive: LoadSnapshotFromFile wraps it to return the owned
+/// one-segment IndexSnapshot that Searcher and SearchService consume; call
+/// it directly to manage the index's lifetime yourself.
 Status LoadIndexFromFile(const std::string& path, InvertedIndex* out,
                          const LoadOptions& options = {});
 

@@ -105,8 +105,8 @@ class IndexSnapshot {
       uint64_t generation = 0);
 
   /// Borrowed single-segment snapshot over an externally owned index —
-  /// the bridge for every pre-snapshot caller (QueryRouter over one
-  /// InvertedIndex). `index` must outlive the snapshot. No stats, no
+  /// how one InvertedIndex is served (Searcher(ForIndex(&index), ...)).
+  /// `index` must outlive the snapshot. No stats, no
   /// tombstones: evaluation is bit-for-bit the pre-segment read path.
   static std::shared_ptr<const IndexSnapshot> ForIndex(const InvertedIndex* index);
 

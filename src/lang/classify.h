@@ -5,8 +5,8 @@
 //   BOOL-NONEG ⊂ BOOL ⊂ PPRED ⊂ NPRED ⊂ COMP
 //
 // The classifier operates on normalized surface trees (EVERY desugared,
-// double negation removed). The router (eval/router.h) uses the result to
-// dispatch to the matching engine.
+// double negation removed). The Searcher (eval/searcher.h) uses the result
+// to dispatch to the matching engine.
 
 #ifndef FTS_LANG_CLASSIFY_H_
 #define FTS_LANG_CLASSIFY_H_

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "common/metrics.h"
 #include "index/pair_index.h"
 #include "index/shared_block_cache.h"
 
@@ -427,27 +428,9 @@ std::string FtsServer::MetricsText() const {
     line("fts_protocol_errors", protocol_errors_);
   }
   const EvalCounters& c = m.totals;
-  line("fts_eval_entries_scanned", c.entries_scanned);
-  line("fts_eval_positions_scanned", c.positions_scanned);
-  line("fts_eval_tuples_materialized", c.tuples_materialized);
-  line("fts_eval_predicate_evals", c.predicate_evals);
-  line("fts_eval_cursor_ops", c.cursor_ops);
-  line("fts_eval_orderings_run", c.orderings_run);
-  line("fts_eval_skip_checks", c.skip_checks);
-  line("fts_eval_blocks_decoded", c.blocks_decoded);
-  line("fts_eval_entries_decoded", c.entries_decoded);
-  line("fts_eval_positions_decoded", c.positions_decoded);
-  line("fts_eval_blocks_bulk_decoded", c.blocks_bulk_decoded);
-  line("fts_eval_cache_hits", c.cache_hits);
-  line("fts_eval_cache_misses", c.cache_misses);
-  line("fts_eval_shared_cache_hits", c.shared_cache_hits);
-  line("fts_eval_shared_cache_misses", c.shared_cache_misses);
-  line("fts_eval_first_touch_validations", c.first_touch_validations);
-  line("fts_eval_blocks_skipped_by_score", c.blocks_skipped_by_score);
-  line("fts_eval_simd_groups_decoded", c.simd_groups_decoded);
-  line("fts_eval_bitset_blocks_intersected", c.bitset_blocks_intersected);
-  line("fts_eval_pair_seeks", c.pair_seeks);
-  line("fts_eval_pair_entries_decoded", c.pair_entries_decoded);
+#define FTS_COUNTER_LINE(field, label) line("fts_eval_" #field, c.field);
+  FTS_EVAL_COUNTER_FIELDS(FTS_COUNTER_LINE)
+#undef FTS_COUNTER_LINE
   if (const SharedBlockCache* l2 = service_->shared_cache()) {
     const SharedBlockCache::Stats s = l2->stats();
     line("fts_l2_cache_hits", s.hits);

@@ -7,30 +7,14 @@ namespace net {
 
 namespace {
 
-/// Number of EvalCounters fields this build knows how to (de)serialize,
-/// in struct declaration order. Kept next to the field list below so a
-/// new counter is a two-line change here.
-constexpr uint32_t kNumCounterFields = 21;
-
-/// The counters in declaration order; the single source of truth for the
+/// The counters in FTS_EVAL_COUNTER_FIELDS order (common/metrics.h): the
 /// wire layout of EvalCounters (PutCounters writes this order, GetCounters
 /// reads it).
 void CounterFields(EvalCounters& c, uint64_t** fields) {
-  uint64_t* f[] = {
-      &c.entries_scanned,        &c.positions_scanned,
-      &c.tuples_materialized,    &c.predicate_evals,
-      &c.cursor_ops,             &c.orderings_run,
-      &c.skip_checks,            &c.blocks_decoded,
-      &c.entries_decoded,        &c.positions_decoded,
-      &c.blocks_bulk_decoded,    &c.cache_hits,
-      &c.cache_misses,           &c.shared_cache_hits,
-      &c.shared_cache_misses,    &c.first_touch_validations,
-      &c.blocks_skipped_by_score, &c.simd_groups_decoded,
-      &c.bitset_blocks_intersected, &c.pair_seeks,
-      &c.pair_entries_decoded,
-  };
-  static_assert(sizeof(f) / sizeof(f[0]) == kNumCounterFields);
-  std::memcpy(fields, f, sizeof(f));
+  size_t i = 0;
+#define FTS_COUNTER_ADDRESS(field, label) fields[i++] = &c.field;
+  FTS_EVAL_COUNTER_FIELDS(FTS_COUNTER_ADDRESS)
+#undef FTS_COUNTER_ADDRESS
 }
 
 /// Appends the shared request/response prologue.
@@ -151,10 +135,10 @@ void PutDouble(std::string* out, double v) {
 }
 
 void PutCounters(std::string* out, const EvalCounters& c) {
-  uint64_t* fields[kNumCounterFields];
+  uint64_t* fields[kNumEvalCounterFields];
   CounterFields(const_cast<EvalCounters&>(c), fields);
-  PutU32(out, kNumCounterFields);
-  for (uint32_t i = 0; i < kNumCounterFields; ++i) PutU64(out, *fields[i]);
+  PutU32(out, kNumEvalCounterFields);
+  for (uint32_t i = 0; i < kNumEvalCounterFields; ++i) PutU64(out, *fields[i]);
 }
 
 bool WireReader::GetU8(uint8_t* v) {
@@ -206,14 +190,14 @@ bool WireReader::GetCounters(EvalCounters* c) {
   if (!GetU32(&sent)) return false;
   if (static_cast<uint64_t>(sent) * 8 > remaining()) return false;
   *c = EvalCounters{};
-  uint64_t* fields[kNumCounterFields];
+  uint64_t* fields[kNumEvalCounterFields];
   CounterFields(*c, fields);
   for (uint32_t i = 0; i < sent; ++i) {
     uint64_t v = 0;
     if (!GetU64(&v)) return false;
     // Fields beyond what this build knows are skipped: a newer peer's
     // extra counters are not an error (versioning rule, docs/serving.md).
-    if (i < kNumCounterFields) *fields[i] = v;
+    if (i < kNumEvalCounterFields) *fields[i] = v;
   }
   return true;
 }

@@ -1,14 +1,11 @@
 // Seeded random corpora and queries for differential and concurrency
 // tests.
 //
-// The block-resident differential harness and the concurrent-serving
-// stress tests exercise the same workload shape: small dense corpora over
-// a tiny vocabulary (so every list spans multiple blocks and predicates
-// have plenty of witnesses) and random queries drawn from each language
-// class. Those generators live here so the single-threaded harness and
-// the N-thread harness can never drift apart on what they evaluate —
-// test-support code, linked into the library like raw_posting_oracle but
-// never used by production paths.
+// The read-path differential harness and the cursor-level stream tests
+// exercise the same workload shape: small dense corpora over a tiny
+// vocabulary (so predicates have plenty of witnesses) and random queries
+// drawn from each language class. Test-support code, linked into the
+// library like raw_posting_oracle but never used by production paths.
 
 #ifndef FTS_TESTING_RANDOM_WORKLOAD_H_
 #define FTS_TESTING_RANDOM_WORKLOAD_H_

@@ -2,7 +2,7 @@
 //
 // The only posting representation resident in an InvertedIndex is the
 // block-compressed BlockPostingList. The harness in
-// tests/block_resident_differential_test.cc proves that representation
+// tests/read_path_differential_test.cc proves that representation
 // change is invisible: it builds this oracle — the same logical lists in
 // raw random-access PostingList form — from the identical corpus and
 // attaches it to the engines (set_raw_oracle_for_test), which then run the

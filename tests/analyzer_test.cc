@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "index/index_builder.h"
 #include "lang/parser.h"
 #include "text/corpus.h"
@@ -114,8 +114,8 @@ struct AnalyzedSearchFixture : public ::testing::Test {
     EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
     auto rewritten = RewriteQuery(*parsed, analyzer, thesaurus);
     EXPECT_TRUE(rewritten.ok()) << rewritten.status().ToString();
-    QueryRouter router(&index);
-    auto result = router.EvaluateParsed(*rewritten);
+    ExecContext ctx;
+    auto result = Searcher(IndexSnapshot::ForIndex(&index)).SearchParsed(*rewritten, ctx);
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return result.ok() ? result->result.nodes : std::vector<NodeId>{};
   }
@@ -167,8 +167,8 @@ TEST_F(AnalyzedSearchFixture, RewritePreservesProximityStructure) {
   ASSERT_TRUE(parsed.ok());
   auto rewritten = RewriteQuery(*parsed, analyzer);
   ASSERT_TRUE(rewritten.ok());
-  QueryRouter router(&index);
-  auto result = router.EvaluateParsed(*rewritten);
+  ExecContext ctx;
+  auto result = Searcher(IndexSnapshot::ForIndex(&index)).SearchParsed(*rewritten, ctx);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->result.nodes, (std::vector<NodeId>{0}));
 }

@@ -7,6 +7,7 @@
 #include "common/varint_simd.h"
 #include "index/decoded_block_cache.h"
 #include "index/index_builder.h"
+#include "testing/random_workload.h"
 #include "testing/raw_posting_oracle.h"
 #include "workload/corpus_gen.h"
 
@@ -675,6 +676,61 @@ TEST(DenseBlockTest, SimdDecodeCountersChargeWhenActive) {
     EXPECT_EQ(counters.simd_groups_decoded, 0u);
   }
 }
+
+class CursorStreamDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CursorStreamDifferential, CursorStreamsMatchRawOracle) {
+  // Below the engines: every block list replays the exact entry/position
+  // stream of its raw twin, under sequential iteration and under an
+  // interleaved seek/next access pattern.
+  Rng rng(GetParam() * 29 + 1);
+  Corpus corpus = RandomWorkloadCorpus(&rng, 40, 8);
+  RawPostingOracle oracle = BuildRawPostingOracle(corpus);
+  InvertedIndex index = IndexBuilder::Build(corpus);
+  ASSERT_EQ(oracle.lists.size(), index.vocabulary_size());
+  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
+    SCOPED_TRACE(index.token_text(t));
+    // Sequential: identical node and position streams.
+    ListCursor rc(oracle.list(t));
+    BlockListCursor bc(index.block_list(t));
+    while (true) {
+      const NodeId expected = rc.NextEntry();
+      ASSERT_EQ(bc.NextEntry(), expected);
+      if (expected == kInvalidNode) break;
+      auto rp = rc.GetPositions();
+      auto bp = bc.GetPositions();
+      ASSERT_EQ(std::vector<PositionInfo>(rp.begin(), rp.end()),
+                std::vector<PositionInfo>(bp.begin(), bp.end()));
+    }
+    // Interleaved seek/next: identical landing nodes.
+    ListCursor rs(oracle.list(t));
+    BlockListCursor bs(index.block_list(t));
+    while (!rs.exhausted()) {
+      if (rng.Bernoulli(0.5)) {
+        const NodeId target = static_cast<NodeId>(rng.Uniform(
+            static_cast<uint32_t>(corpus.num_nodes()) + 2));
+        ASSERT_EQ(rs.SeekEntry(target), bs.SeekEntry(target));
+      } else {
+        ASSERT_EQ(rs.NextEntry(), bs.NextEntry());
+      }
+      if (!rs.exhausted()) {
+        ASSERT_EQ(rs.GetPositions().size(), bs.GetPositions().size());
+      }
+    }
+  }
+  // IL_ANY too.
+  ListCursor ra(&oracle.any_list);
+  BlockListCursor ba(&index.block_any_list());
+  while (true) {
+    const NodeId expected = ra.NextEntry();
+    ASSERT_EQ(ba.NextEntry(), expected);
+    if (expected == kInvalidNode) break;
+    ASSERT_EQ(ra.GetPositions().size(), ba.GetPositions().size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CursorStreamDifferential,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
 }  // namespace
 }  // namespace fts

@@ -211,5 +211,46 @@ TEST(BoolEngineDenseBlocks, PerListOptOutDisablesFastPath) {
   EXPECT_FALSE(r.nodes.empty());
 }
 
+TEST(SeekEfficiencyTest, ZigZagAndDecodesSubLinearly) {
+  // A rare token AND a dense token: the seek engine must touch a small
+  // fraction of the dense list's entries, while the sequential engine walks
+  // both lists end to end. This pins the acceptance criterion that seeks
+  // perform sub-linear entry decodes, observed through EvalCounters.
+  Corpus corpus;
+  for (int d = 0; d < 4000; ++d) {
+    std::string text = "filler common ";
+    if (d % 2 == 0) text += "dense ";
+    if (d % 500 == 0) text += "needle ";
+    corpus.AddDocument(text);
+  }
+  InvertedIndex index = IndexBuilder::Build(corpus);
+  BoolEngine sequential(&index, ScoringKind::kNone);
+  BoolEngine seeking(&index, ScoringKind::kNone, CursorMode::kSeek);
+  LangExprPtr q = LangExpr::And(LangExpr::Token("needle"), LangExpr::Token("dense"));
+
+  auto seq = sequential.Evaluate(q);
+  auto seek = seeking.Evaluate(q);
+  ASSERT_TRUE(seq.ok() && seek.ok());
+  EXPECT_EQ(seq->nodes, seek->nodes);
+  ASSERT_FALSE(seek->nodes.empty());
+
+  const uint64_t dense_entries = index.df(index.LookupToken("dense"));
+  ASSERT_EQ(dense_entries, 2000u);
+  // Sequential: every entry of both lists is scanned, which with the block
+  // representation as the only resident form means a full linear decode.
+  EXPECT_GE(seq->counters.entries_scanned, dense_entries);
+  EXPECT_GE(seq->counters.entries_decoded, dense_entries);
+  EXPECT_EQ(seq->counters.skip_checks, 0u);
+  // Seek: a handful of landings, with sub-linear block decodes.
+  EXPECT_LT(seek->counters.entries_scanned, dense_entries / 10);
+  EXPECT_GT(seek->counters.skip_checks, 0u);
+  EXPECT_GT(seek->counters.blocks_decoded, 0u);
+  EXPECT_LT(seek->counters.entries_decoded, dense_entries);
+  EXPECT_LT(seek->counters.entries_decoded, seq->counters.entries_decoded);
+  // BOOL never touches PosLists in either mode.
+  EXPECT_EQ(seq->counters.positions_decoded, 0u);
+  EXPECT_EQ(seek->counters.positions_decoded, 0u);
+}
+
 }  // namespace
 }  // namespace fts

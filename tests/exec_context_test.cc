@@ -13,8 +13,9 @@
 #include "eval/comp_engine.h"
 #include "eval/npred_engine.h"
 #include "eval/ppred_engine.h"
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "index/index_builder.h"
+#include "index/shared_block_cache.h"
 #include "lang/parser.h"
 #include "text/corpus.h"
 
@@ -188,33 +189,36 @@ TEST(ExecContextTest, ExpiredDeadlineFailsEveryEngine) {
 
 TEST(ExecContextTest, GenerousDeadlineDoesNotPerturbResults) {
   InvertedIndex index = TestIndex();
-  QueryRouter router(&index, ScoringKind::kTfIdf);
-  auto unbounded = router.Evaluate("'a' AND ('b' OR 'c')");
+  const Searcher searcher(IndexSnapshot::ForIndex(&index), {ScoringKind::kTfIdf});
+  ExecContext unbounded_ctx;
+  auto unbounded = searcher.Search("'a' AND ('b' OR 'c')", unbounded_ctx);
   ASSERT_TRUE(unbounded.ok());
 
-  ExecContext ctx = router.MakeContext();
+  ExecContext ctx;
   ctx.set_deadline(Deadline::After(std::chrono::hours(1)));
-  auto bounded = router.Evaluate("'a' AND ('b' OR 'c')", ctx);
+  auto bounded = searcher.Search("'a' AND ('b' OR 'c')", ctx);
   ASSERT_TRUE(bounded.ok());
   EXPECT_EQ(bounded->result.nodes, unbounded->result.nodes);
   EXPECT_EQ(bounded->result.scores, unbounded->result.scores);
 }
 
-TEST(ExecContextTest, RouterSharedCacheServesAcrossContexts) {
+TEST(ExecContextTest, SharedCacheServesAcrossContexts) {
   InvertedIndex index = TestIndex();
-  RouterOptions options;
-  options.shared_cache = std::make_shared<SharedBlockCache>();
-  QueryRouter router(&index, options);
-  ASSERT_NE(router.shared_cache(), nullptr);
+  SharedBlockCache cache;
+  ExecOptions options;
+  options.shared_cache = &cache;
+  const Searcher searcher(IndexSnapshot::ForIndex(&index));
 
-  auto first = router.Evaluate("'a' AND 'b'");
+  ExecContext first_ctx(options);
+  auto first = searcher.Search("'a' AND 'b'", first_ctx);
   ASSERT_TRUE(first.ok());
-  auto second = router.Evaluate("'a' AND 'b'");
+  ExecContext second_ctx(options);
+  auto second = searcher.Search("'a' AND 'b'", second_ctx);
   ASSERT_TRUE(second.ok());
   EXPECT_GT(second->result.counters.shared_cache_hits, 0u);
   EXPECT_EQ(second->result.counters.blocks_decoded, 0u);
   EXPECT_EQ(second->result.nodes, first->result.nodes);
-  EXPECT_GT(router.shared_cache()->stats().hits, 0u);
+  EXPECT_GT(cache.stats().hits, 0u);
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 #include "common/rng.h"
 #include "common/varint.h"
 #include "eval/bool_engine.h"
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "index/block_posting_list.h"
 #include "index/index_builder.h"
 #include "index/index_io.h"
@@ -27,6 +27,15 @@
 
 namespace fts {
 namespace {
+
+/// Evaluates `query` over `index` through the Searcher (ranked when
+/// `top_k` > 0) and discards the outcome: the callers only require that a
+/// damaged index fails closed instead of faulting.
+void Drive(const InvertedIndex* index, std::string_view query, size_t top_k = 0) {
+  ExecContext ctx;
+  ctx.set_top_k(top_k);
+  (void)Searcher(IndexSnapshot::ForIndex(index)).Search(query, ctx);
+}
 
 class ParserFuzz : public ::testing::TestWithParam<uint64_t> {};
 
@@ -112,9 +121,7 @@ TEST_P(IndexFuzz, MutatedBlobsAreRejectedOrSane) {
     // whichever way it goes, nothing may crash, and an accepted index must
     // answer queries without faulting.
     if (s.ok()) {
-      QueryRouter router(&loaded);
-      auto r = router.Evaluate("'w0' AND 'w1'");
-      (void)r;
+      Drive(&loaded, "'w0' AND 'w1'");
     } else {
       EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
     }
@@ -441,10 +448,9 @@ TEST_P(ResealedFuzz, ResealedMutationsAreRejectedOrSane) {
       }
       const Status touch = TouchEveryBlock(*loaded);
       if (!touch.ok()) expect_corruption(touch);
-      QueryRouter router(loaded);
-      (void)router.Evaluate("'w0' AND 'w1'");
-      (void)router.Evaluate("'w1' OR NOT 'w2'");
-      (void)router.EvaluateTopK("'w0' OR 'w3'", 5);
+      Drive(loaded, "'w0' AND 'w1'");
+      Drive(loaded, "'w1' OR NOT 'w2'");
+      Drive(loaded, "'w0' OR 'w3'", 5);
       // Scored evaluation indexes the per-node scalar tables by posting
       // node id, so it additionally proves the loader's node-range
       // validation (out-of-range ids would fault under ASan here).
@@ -490,8 +496,7 @@ TEST(MmapFirstTouchSweep, EveryByteFlipSurfacesCorruption) {
       // caught by the flipped block's checksum on first touch, and
       // queries against the poisoned index must fail closed, not fault.
       s = TouchEveryBlock(loaded);
-      QueryRouter router(&loaded);
-      (void)router.Evaluate("'w0' AND 'w1'");
+      Drive(&loaded, "'w0' AND 'w1'");
     }
     ASSERT_FALSE(s.ok()) << "byte " << pos << " flip never surfaced";
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << "byte " << pos;
@@ -555,13 +560,12 @@ TEST_P(MmapPayloadFuzz, RandomMultiByteDamageNeverFaultsLazyQueries) {
       if (!touch.ok()) {
         EXPECT_EQ(touch.code(), StatusCode::kCorruption) << touch.ToString();
       }
-      QueryRouter router(&loaded);
-      (void)router.Evaluate("'w0' AND 'w1'");
-      (void)router.Evaluate("'w1' OR NOT 'w2'");
+      Drive(&loaded, "'w0' AND 'w1'");
+      Drive(&loaded, "'w1' OR NOT 'w2'");
       // Ranked evaluation drives the block-max early-termination path,
       // whose score bounds come from the skip directory — damaged maxima
       // must fail closed, never fault or hang.
-      (void)router.EvaluateTopK("'w0' OR 'w3'", 5);
+      Drive(&loaded, "'w0' OR 'w3'", 5);
     } else {
       EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
     }
@@ -616,8 +620,7 @@ TEST(DenseCorruptionSweep, EveryByteFlipSurfacesCorruption) {
     Status s = LoadIndexFromFile(path, &loaded, mmap);
     if (s.ok()) {
       s = TouchEveryBlock(loaded);
-      QueryRouter router(&loaded);
-      (void)router.Evaluate("'topic0' AND 'topic1'");
+      Drive(&loaded, "'topic0' AND 'topic1'");
     }
     ASSERT_FALSE(s.ok()) << "byte " << pos << " flip never surfaced";
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << "byte " << pos;
@@ -665,9 +668,8 @@ TEST(DenseCorruptionSweep, RandomBitsetDamageIsRejectedOrSane) {
       if (!touch.ok()) {
         EXPECT_EQ(touch.code(), StatusCode::kCorruption) << touch.ToString();
       }
-      QueryRouter router(&loaded);
-      (void)router.Evaluate("'topic0' AND 'topic1'");
-      (void)router.EvaluateTopK("'topic0' OR 'topic1'", 5);
+      Drive(&loaded, "'topic0' AND 'topic1'");
+      Drive(&loaded, "'topic0' OR 'topic1'", 5);
     } else {
       EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
     }
@@ -721,8 +723,7 @@ TEST(V6PairCorruptionSweep, EveryByteFlipSurfacesCorruption) {
     Status s = LoadIndexFromFile(path, &loaded, mmap);
     if (s.ok()) {
       s = TouchEveryBlock(loaded);
-      QueryRouter router(&loaded);
-      (void)router.Evaluate("'w0' AND 'w1'");
+      Drive(&loaded, "'w0' AND 'w1'");
     }
     ASSERT_FALSE(s.ok()) << "byte " << pos << " flip never surfaced";
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << "byte " << pos;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <vector>
 
@@ -119,6 +120,16 @@ TEST(IndexIoTest, MissingFileIsIOError) {
   mmap.mode = LoadOptions::Mode::kMmap;
   EXPECT_EQ(LoadIndexFromFile("/nonexistent/path/index.idx", &loaded, mmap).code(),
             StatusCode::kIOError);
+}
+
+TEST(IndexIoTest, SaveToFullDeviceIsIOError) {
+  // /dev/full accepts the open and buffers the write; ENOSPC surfaces only
+  // when the stream is flushed, which must still fail the save.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Corpus corpus;
+  corpus.AddDocument("alpha beta");
+  const InvertedIndex index = IndexBuilder::Build(corpus);
+  EXPECT_EQ(SaveIndexToFile(index, "/dev/full").code(), StatusCode::kIOError);
 }
 
 TEST(IndexIoTest, TooSmallFilesAreRejectedWithDistinctMessage) {

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "index/index_builder.h"
 #include "index/index_io.h"
 #include "scoring/topk.h"
@@ -42,21 +42,27 @@ struct IntegrationFixture : public ::testing::Test {
 Corpus* IntegrationFixture::corpus_ = nullptr;
 InvertedIndex* IntegrationFixture::index_ = nullptr;
 
+/// Evaluates `query` under a fresh per-call context.
+StatusOr<RoutedResult> SearchOnce(const Searcher& searcher, std::string_view query) {
+  ExecContext ctx;
+  return searcher.Search(query, ctx);
+}
+
 TEST_F(IntegrationFixture, SerializedIndexAnswersIdentically) {
   std::string blob;
   SaveIndexToString(*index_, &blob);
   InvertedIndex reloaded;
   ASSERT_TRUE(LoadIndexFromString(blob, &reloaded).ok());
 
-  QueryRouter original(index_);
-  QueryRouter loaded(&reloaded);
+  const Searcher original(IndexSnapshot::ForIndex(index_));
+  const Searcher loaded(IndexSnapshot::ForIndex(&reloaded));
   for (const char* q :
        {"'topic0' AND 'topic1'", "NOT 'topic2'",
         "SOME p SOME q (p HAS 'topic0' AND q HAS 'topic1' AND distance(p, q, 30))",
         "SOME p SOME q (p HAS 'topic0' AND q HAS 'topic1' AND "
         "not_distance(p, q, 30))"}) {
-    auto a = original.Evaluate(q);
-    auto b = loaded.Evaluate(q);
+    auto a = SearchOnce(original, q);
+    auto b = SearchOnce(loaded, q);
     ASSERT_TRUE(a.ok()) << q;
     ASSERT_TRUE(b.ok()) << q;
     EXPECT_EQ(a->result.nodes, b->result.nodes) << q;
@@ -64,7 +70,7 @@ TEST_F(IntegrationFixture, SerializedIndexAnswersIdentically) {
 }
 
 TEST_F(IntegrationFixture, GeneratedWorkloadAgreesAcrossEngines) {
-  QueryRouter router(index_);
+  const Searcher router(IndexSnapshot::ForIndex(index_));
   CompEngine comp(index_, ScoringKind::kNone);
   for (uint32_t toks = 2; toks <= 3; ++toks) {
     for (uint32_t preds = 0; preds <= 2; ++preds) {
@@ -76,7 +82,7 @@ TEST_F(IntegrationFixture, GeneratedWorkloadAgreesAcrossEngines) {
         opts.polarity = pol;
         opts.distance = 40;
         const std::string q = GenerateQuery(opts);
-        auto routed = router.Evaluate(q);
+        auto routed = SearchOnce(router, q);
         ASSERT_TRUE(routed.ok()) << q << ": " << routed.status().ToString();
         auto parsed = ParseQuery(q, SurfaceLanguage::kComp);
         ASSERT_TRUE(parsed.ok());
@@ -90,9 +96,9 @@ TEST_F(IntegrationFixture, GeneratedWorkloadAgreesAcrossEngines) {
 }
 
 TEST_F(IntegrationFixture, RoutingPicksTheCheapClasses) {
-  QueryRouter router(index_);
+  const Searcher router(IndexSnapshot::ForIndex(index_));
   auto cls = [&](const std::string& q) {
-    auto r = router.Evaluate(q);
+    auto r = SearchOnce(router, q);
     EXPECT_TRUE(r.ok()) << q;
     return r.ok() ? r->engine : std::string("?");
   };
@@ -107,8 +113,8 @@ TEST_F(IntegrationFixture, RoutingPicksTheCheapClasses) {
 }
 
 TEST_F(IntegrationFixture, ScoredSearchReturnsRankedTopK) {
-  QueryRouter router(index_, ScoringKind::kTfIdf);
-  auto r = router.Evaluate("'topic0' OR 'topic1'");
+  const Searcher router(IndexSnapshot::ForIndex(index_), {ScoringKind::kTfIdf});
+  auto r = SearchOnce(router, "'topic0' OR 'topic1'");
   ASSERT_TRUE(r.ok());
   ASSERT_FALSE(r->result.nodes.empty());
   auto top = TopK(r->result.nodes, r->result.scores, 10);
@@ -145,16 +151,16 @@ TEST_F(IntegrationFixture, CounterHierarchyMatchesFigure3) {
 }
 
 TEST_F(IntegrationFixture, EmptyAndImpossibleQueries) {
-  QueryRouter router(index_);
-  auto none = router.Evaluate("'nosuchtokenanywhere'");
+  const Searcher router(IndexSnapshot::ForIndex(index_));
+  auto none = SearchOnce(router, "'nosuchtokenanywhere'");
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->result.nodes.empty());
 
-  auto contradiction = router.Evaluate("'topic0' AND NOT 'topic0'");
+  auto contradiction = SearchOnce(router, "'topic0' AND NOT 'topic0'");
   ASSERT_TRUE(contradiction.ok());
   EXPECT_TRUE(contradiction->result.nodes.empty());
 
-  auto everything = router.Evaluate("'topic0' OR NOT 'topic0'");
+  auto everything = SearchOnce(router, "'topic0' OR NOT 'topic0'");
   ASSERT_TRUE(everything.ok());
   EXPECT_EQ(everything->result.nodes.size(), index_->num_nodes());
 }

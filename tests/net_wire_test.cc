@@ -294,6 +294,44 @@ TEST(NetWireTest, MissingPairCounterFieldsFromOlderPeerZeroFill) {
   EXPECT_EQ(got.counters.pair_entries_decoded, 0u);
 }
 
+TEST(NetWireTest, CountersToStringNamesEveryFieldInOrder) {
+  // The counters line printed by examples and tools: one label per field,
+  // in declaration (= wire) order.
+  EvalCounters c;
+  c.entries_scanned = 1;
+  c.positions_scanned = 2;
+  c.tuples_materialized = 3;
+  c.predicate_evals = 4;
+  c.cursor_ops = 5;
+  c.orderings_run = 6;
+  c.skip_checks = 7;
+  c.blocks_decoded = 8;
+  c.entries_decoded = 9;
+  c.positions_decoded = 10;
+  c.blocks_bulk_decoded = 11;
+  c.cache_hits = 12;
+  c.cache_misses = 13;
+  c.shared_cache_hits = 14;
+  c.shared_cache_misses = 15;
+  c.first_touch_validations = 16;
+  c.blocks_skipped_by_score = 17;
+  c.simd_groups_decoded = 18;
+  c.bitset_blocks_intersected = 19;
+  c.pair_seeks = 20;
+  c.pair_entries_decoded = 21;
+  EXPECT_EQ(c.ToString(),
+            "entries=1 positions=2 tuples=3 preds=4 cursor_ops=5 orderings=6 "
+            "skip_checks=7 blocks_decoded=8 entries_decoded=9 positions_decoded=10 "
+            "blocks_bulk_decoded=11 cache_hits=12 cache_misses=13 l2_hits=14 "
+            "l2_misses=15 first_touch=16 blocks_skipped_by_score=17 simd_groups=18 "
+            "bitset_ands=19 pair_seeks=20 pair_entries=21");
+  // Accumulation covers every field too.
+  EvalCounters twice = c;
+  twice += c;
+  EXPECT_EQ(twice.pair_entries_decoded, 42u);
+  EXPECT_EQ(twice.entries_scanned, 2u);
+}
+
 TEST(NetWireTest, CursorModeMapping) {
   EXPECT_FALSE(ToCursorMode(WireCursorMode::kDefault).has_value());
   EXPECT_EQ(ToCursorMode(WireCursorMode::kSequential), CursorMode::kSequential);

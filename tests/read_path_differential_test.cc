@@ -1,0 +1,854 @@
+// The read-path differential harness: every engine of the paper's
+// BOOL ⊂ PPRED ⊂ NPRED ⊂ COMP hierarchy (Sections 3-5), reached through
+// every way the system serves a query, must return exactly what the
+// calculus says. Per seed, one random corpus (testing/random_workload.h) is
+// split into three segments with random tombstoned deletes, and every index
+// is built with a pair index (docs/pair_index.md). Two anchors pin all of
+// it:
+//
+//   nodes   the naive calculus evaluator over the surviving documents;
+//   scores  a kSequential / PairRouting::kOff Searcher over a single-shot
+//           build of the survivors, bit for bit (the reference the
+//           end-to-end benchmark's correctness gate uses).
+//
+// Each cell compares nodes, score bits, engine and language class with
+// the anchors, and the anchor's engine is the one its class selects. The
+// matrix spans cursor mode x scoring model x pair routing x snapshot shape
+// (one segment heap and mmap, three tombstoned segments heap and mmap) x
+// top_k in {0, 10}. The MergeSegments output is pinned byte for byte to
+// the single-shot build, so the one-segment cells cover it. The matrix
+// runs in three cases: OneIndexPathsMatchTheAnchors and
+// SegmentedPathsMatchTheAnchors take the serving default (kAuto) over the
+// one-segment and the segmented shapes; PairRoutingMatchesTheAnchors takes
+// kOff and kForce over every shape.
+//
+// The sample: 10 seeds, each a 30-document corpus with 76 queries (32
+// random BOOL, 6 PPRED and 5 NPRED pipelined, 4 COMP-only, 12 structural,
+// 17 pair-shaped), 760 in all. The serving cases run seeds 1 and 2.
+//
+// CMakeLists.txt registers this one binary with CTest as six slices, named
+// after the suites it replaced and filtered to the cases below; the
+// engines_differential_test slice takes every case the others do not.
+//
+// Where each behaviour of the suites this harness replaced is checked now:
+//
+//   engines_differential: engines vs the oracle, seek vs sequential score
+//     bits -> OneIndexPathsMatchTheAnchors, RawOracleEnginesMatchTheAnchors;
+//     NPRED all-total-orders mode, NPRED on PPRED queries ->
+//     RawOracleEnginesMatchTheAnchors; samepara/samesentence and negations
+//     -> StructuralQuery in the query mix; SeekEfficiencyTest ->
+//     bool_engine_test.cc.
+//   block_resident_differential: engines over block lists vs the raw
+//     PostingList oracle -> RawOracleEnginesMatchTheAnchors; heap vs lazily
+//     validated mmap twin -> OneIndexPathsMatchTheAnchors; cursor
+//     stream/seek vs raw lists -> block_posting_list_test.cc.
+//   multi_segment_differential: three segments with tombstones vs the
+//     single-shot build, tombstoned ids never surfacing, ranked top-10 ==
+//     TopK over the full result, the MergeSegments output ->
+//     SegmentedPathsMatchTheAnchors.
+//   pair_plan_differential: kForce and kOff vs the anchor bit for bit, kOff
+//     never touching pair lists, pair_seeks > 0 iff routable, routing
+//     through tombstoned segments -> PairRoutingMatchesTheAnchors; kAuto
+//     vs the anchor, never routing under forced cursor modes -> the two
+//     kAuto cases; the NPRED single-pass hook ->
+//     NpredSinglePassHookMatchesPipeline.
+//   concurrent_query: 8 threads sharing one small L2, the cold-mmap
+//     first-touch race, SearchService::SearchBatch ->
+//     ConcurrentPathsMatchTheAnchors.
+//   net_scatter_gather: a 3-shard ShardRouter over loopback FtsServers with
+//     the stats exchange -> ShardedClusterMatchesTheAnchors; RouterServer,
+//     shard death, unscored top-k as a prefix -> ReadPathClusterTest.
+
+#include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <initializer_list>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "calculus/naive_eval.h"
+#include "common/rng.h"
+#include "eval/searcher.h"
+#include "exec/exec_context.h"
+#include "exec/search_service.h"
+#include "index/index_builder.h"
+#include "index/index_io.h"
+#include "index/index_snapshot.h"
+#include "index/pair_index.h"
+#include "index/segment_merger.h"
+#include "index/shared_block_cache.h"
+#include "index/tombstone_set.h"
+#include "lang/translate.h"
+#include "net/client.h"
+#include "net/server.h"
+#include "net/shard_router.h"
+#include "scoring/topk.h"
+#include "testing/random_workload.h"
+#include "testing/raw_posting_oracle.h"
+#include "text/corpus.h"
+
+namespace fts {
+namespace {
+
+constexpr size_t kSegments = 3;
+constexpr size_t kTopK = 10;
+constexpr int kThreads = 8;
+constexpr uint32_t kMaxDistance = 4;
+
+constexpr ScoringKind kAllScoring[] = {ScoringKind::kNone, ScoringKind::kTfIdf,
+                                       ScoringKind::kProbabilistic};
+constexpr size_t kTfIdf = 1;
+constexpr size_t kProbabilistic = 2;
+constexpr CursorMode kAllModes[] = {CursorMode::kSequential, CursorMode::kSeek,
+                                    CursorMode::kAdaptive};
+
+/// Unwraps a set-up result; without it there is nothing to compare.
+template <typename T>
+T Must(StatusOr<T> s) {
+  if (!s.ok()) {
+    std::fprintf(stderr, "set-up failed: %s\n", s.status().ToString().c_str());
+    std::abort();
+  }
+  return std::move(s).value();
+}
+
+IndexBuildOptions PairBuild() {
+  IndexBuildOptions options;
+  options.pairs.frequent_terms = 3;  // half the 6-token test vocabulary
+  options.pairs.max_distance = kMaxDistance;
+  return options;
+}
+
+/// A temp file name. It carries the process id: CTest runs slices of this
+/// binary in parallel, and one must not rewrite a file another has mapped.
+std::string TempPath(const std::string& tag) {
+  return ::testing::TempDir() + "/fts_read_path_" + std::to_string(::getpid()) + "_" +
+         tag + ".idx";
+}
+
+/// The bytes SaveIndexToFile writes for `index`.
+std::string SavedBytes(const InvertedIndex& index, const std::string& tag) {
+  const std::string path = TempPath(tag);
+  EXPECT_TRUE(SaveIndexToFile(index, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return bytes;
+}
+
+/// Round-trips `src` through a temp file and maps it back with lazy
+/// first-touch validation. The file is removed at once; the mapping pins
+/// the inode.
+std::shared_ptr<const InvertedIndex> LoadMmapTwin(const InvertedIndex& src,
+                                                  const std::string& tag) {
+  const std::string path = TempPath(tag);
+  EXPECT_TRUE(SaveIndexToFile(src, path).ok());
+  LoadOptions options;
+  options.mode = LoadOptions::Mode::kMmap;
+  auto twin = std::make_shared<InvertedIndex>();
+  EXPECT_TRUE(LoadIndexFromFile(path, twin.get(), options).ok());
+  std::remove(path.c_str());
+  EXPECT_TRUE(twin->lazy_validation());
+  return twin;
+}
+
+/// Copies document `id` of `src` into `dst` verbatim (token spellings and
+/// exact positions), so the copy tokenizes identically.
+void AppendDoc(const Corpus& src, NodeId id, Corpus* dst) {
+  const TokenizedDocument& d = src.doc(id);
+  std::vector<std::string> tokens;
+  tokens.reserve(d.tokens.size());
+  for (TokenId t : d.tokens) tokens.push_back(src.token_text(t));
+  Must(dst->AddTokensWithPositions(tokens, d.positions));
+}
+
+/// SOME v0 SOME v1 (v0 HAS a AND v1 HAS b AND pred(v0, v1, k)) — the shape
+/// the pair planner recognizes.
+LangExprPtr PairQuery(const std::string& a, const std::string& b, const char* pred,
+                      int64_t k) {
+  LangExprPtr body = LangExpr::And(
+      LangExpr::And(LangExpr::VarHasToken("v0", a), LangExpr::VarHasToken("v1", b)),
+      LangExpr::Pred(pred, {"v0", "v1"}, {k}));
+  return LangExpr::Some("v0", LangExpr::Some("v1", std::move(body)));
+}
+
+/// SOME p SOME q (p HAS t1 AND q HAS t2 AND pred(p, q)) over the corpus's
+/// sentence/paragraph structure, positive or negated.
+LangExprPtr StructuralQuery(Rng* rng) {
+  static const char* kPreds[] = {"samepara", "samesentence", "not_samepara",
+                                 "not_samesentence"};
+  LangExprPtr body = LangExpr::And(
+      LangExpr::And(LangExpr::VarHasToken("p", RandomWorkloadToken(rng)),
+                    LangExpr::VarHasToken("q", RandomWorkloadToken(rng))),
+      LangExpr::Pred(kPreds[rng->Uniform(4)], {"p", "q"}, {}));
+  return LangExpr::Some("p", LangExpr::Some("q", std::move(body)));
+}
+
+struct Query {
+  LangExprPtr expr;
+  /// Pair-shaped queries only: whether the single-shot index's pair lists
+  /// serve it (PairRouting::kForce must route iff this holds).
+  std::optional<bool> routable;
+  /// Whether its text names distance, odistance or not_distance. Only
+  /// the first two can take the pair path; without any, every pair
+  /// routing runs the same plan, so only kAuto is checked.
+  bool distance_pred = false;
+};
+
+/// One way of serving the survivors.
+struct Shape {
+  std::string name;
+  std::shared_ptr<const IndexSnapshot> snapshot;
+  /// The three tombstoned segments: global ids still count deleted
+  /// documents and map through World::survivor_id.
+  bool segmented = false;
+};
+
+/// Everything one seed checks against, built once.
+struct World {
+  Corpus surviving;
+  /// Pre-delete global id -> the survivors' dense id; kInvalidNode when
+  /// deleted.
+  std::vector<NodeId> survivor_id;
+  /// The single-shot build of the survivors, its mmap twin, and the
+  /// MergeSegments output of the three segments.
+  std::shared_ptr<const InvertedIndex> reference, reference_mmap, merged;
+  std::vector<Query> queries;
+  std::vector<Shape> shapes;
+  std::vector<std::vector<NodeId>> naive;  // per query
+  /// anchor[s][q]: the score anchor's answer to query q under
+  /// kAllScoring[s]; ranked[s][q]: the top-k request's expected answer.
+  std::vector<RoutedResult> anchor[3];
+  std::vector<RoutedResult> ranked[3];
+};
+
+/// What a top-k request must return: TopK over the full result (unscored:
+/// the first k nodes, without scores).
+RoutedResult Ranked(const RoutedResult& full, size_t k) {
+  RoutedResult out = full;
+  out.result.nodes.clear();
+  out.result.scores.clear();
+  if (full.result.scores.empty()) {
+    const size_t n = std::min(k, full.result.nodes.size());
+    out.result.nodes.assign(full.result.nodes.begin(), full.result.nodes.begin() + n);
+    return out;
+  }
+  for (const ScoredNode& s : TopK(full.result.nodes, full.result.scores, k)) {
+    out.result.nodes.push_back(s.node);
+    out.result.scores.push_back(s.score);
+  }
+  return out;
+}
+
+void AddQueries(Rng* rng, const InvertedIndex& reference, std::vector<Query>* out) {
+  for (int i = 0; i < 32; ++i) out->push_back({RandomBoolQuery(rng, 3), {}});
+  for (int i = 0; i < 6; ++i) out->push_back({RandomPipelinedQuery(rng, false), {}});
+  for (int i = 0; i < 5; ++i) out->push_back({RandomPipelinedQuery(rng, true), {}});
+  for (int i = 0; i < 4; ++i) {
+    // COMP-only shapes: universal quantification (IL_ANY scans) and
+    // complement conjunctions, where tombstones must shrink the scan
+    // universe, not just filter lists.
+    LangExprPtr q =
+        rng->Bernoulli(0.5)
+            ? LangExpr::Every(
+                  "p", LangExpr::Or(LangExpr::VarHasToken("p", RandomWorkloadToken(rng)),
+                                    LangExpr::VarHasToken("p", RandomWorkloadToken(rng))))
+            : LangExpr::And(LangExpr::Not(LangExpr::Token(RandomWorkloadToken(rng))),
+                            LangExpr::Not(LangExpr::Token(RandomWorkloadToken(rng))));
+    out->push_back({std::move(q), {}});
+  }
+  for (int i = 0; i < 12; ++i) out->push_back({StructuralQuery(rng), {}});
+  // Pair-shaped: both predicate spellings, every distance up to past the
+  // stored window, then shapes that can never route (self-pair, OOV).
+  const PairIndex& pairs = *reference.pair_index();
+  for (const char* pred : {"distance", "odistance"}) {
+    for (int64_t k = 0; k <= static_cast<int64_t>(kMaxDistance) + 2; ++k) {
+      const std::string a = RandomWorkloadToken(rng);
+      std::string b = RandomWorkloadToken(rng);
+      while (b == a) b = RandomWorkloadToken(rng);
+      const TokenId ta = reference.LookupToken(a), tb = reference.LookupToken(b);
+      const bool routable = ta != kInvalidToken && tb != kInvalidToken &&
+                            pairs.Find(ta, tb).eligible &&
+                            k <= static_cast<int64_t>(kMaxDistance);
+      out->push_back({PairQuery(a, b, pred, k), routable});
+    }
+  }
+  out->push_back({PairQuery("a", "a", "distance", 2), false});
+  out->push_back({PairQuery("a", "zzz", "distance", 2), false});
+  out->push_back({PairQuery("zzz", "qqq", "odistance", 1), false});
+  for (Query& q : *out) {
+    q.distance_pred = q.expr->ToString().find("distance(") != std::string::npos;
+  }
+}
+
+std::unique_ptr<World> MakeWorld(uint64_t seed) {
+  auto w = std::make_unique<World>();
+  const std::string tag = std::to_string(seed);
+  Rng rng(seed * 6151 + 23);
+  const Corpus full = RandomWorkloadCorpus(&rng, 30, 6);
+  const size_t n = full.num_nodes();
+  std::vector<bool> deleted(n);  // document 0 always survives
+  for (size_t i = 0; i < n; ++i) deleted[i] = i > 0 && rng.Bernoulli(0.25);
+
+  // Contiguous split: segment s owns global ids [s*n/3, (s+1)*n/3).
+  std::vector<Corpus> parts(kSegments);
+  w->survivor_id.assign(n, kInvalidNode);
+  NodeId dense = 0;
+  for (size_t i = 0; i < n; ++i) {
+    AppendDoc(full, static_cast<NodeId>(i), &parts[i * kSegments / n]);
+    if (deleted[i]) continue;
+    w->survivor_id[i] = dense++;
+    AppendDoc(full, static_cast<NodeId>(i), &w->surviving);
+  }
+
+  std::vector<std::shared_ptr<const InvertedIndex>> heap, mapped;
+  std::vector<std::shared_ptr<const TombstoneSet>> tombstones;
+  std::vector<SegmentView> views;
+  NodeId base = 0;
+  for (size_t s = 0; s < kSegments; ++s) {
+    auto seg =
+        std::make_shared<InvertedIndex>(IndexBuilder::Build(parts[s], PairBuild()));
+    std::shared_ptr<TombstoneSet> dead;  // null when nothing is deleted
+    for (NodeId local = 0; local < seg->num_nodes(); ++local) {
+      if (!deleted[base + local]) continue;
+      if (!dead) dead = std::make_shared<TombstoneSet>(seg->num_nodes());
+      dead->MarkDeleted(local);
+    }
+    views.push_back({seg.get(), base, dead.get(), nullptr});
+    base += static_cast<NodeId>(seg->num_nodes());
+    mapped.push_back(LoadMmapTwin(*seg, tag + "_" + std::to_string(s)));
+    heap.push_back(std::move(seg));
+    tombstones.push_back(std::move(dead));
+  }
+  w->reference =
+      std::make_shared<InvertedIndex>(IndexBuilder::Build(w->surviving, PairBuild()));
+  w->merged = std::make_shared<InvertedIndex>(Must(MergeSegments(views, PairBuild())));
+  w->reference_mmap = LoadMmapTwin(*w->reference, tag);
+  w->shapes = {
+      {"single/heap", IndexSnapshot::ForIndex(w->reference.get()), false},
+      {"single/mmap", IndexSnapshot::ForIndex(w->reference_mmap.get()), false},
+      {"segments/heap", Must(IndexSnapshot::Create(heap, tombstones, 1)), true},
+      {"segments/mmap", Must(IndexSnapshot::Create(mapped, tombstones, 1)), true},
+  };
+
+  AddQueries(&rng, *w->reference, &w->queries);
+  for (const Query& q : w->queries) {
+    NaiveCalculusEvaluator oracle(&w->surviving);
+    w->naive.push_back(Must(oracle.Evaluate(Must(TranslateToCalculus(q.expr)))));
+  }
+  for (size_t s = 0; s < 3; ++s) {
+    const Searcher anchor(IndexSnapshot::ForIndex(w->reference.get()),
+                          {kAllScoring[s], CursorMode::kSequential, PairRouting::kOff});
+    for (const Query& q : w->queries) {
+      ExecContext ctx;
+      w->anchor[s].push_back(Must(anchor.SearchParsed(q.expr, ctx)));
+      w->ranked[s].push_back(Ranked(w->anchor[s].back(), kTopK));
+    }
+  }
+  return w;
+}
+
+const World& GetWorld(uint64_t seed) {
+  static std::map<uint64_t, std::unique_ptr<World>> worlds;
+  std::unique_ptr<World>& slot = worlds[seed];
+  if (!slot) slot = MakeWorld(seed);
+  return *slot;
+}
+
+/// `nodes` in the survivors' dense numbering: kInvalidNode marks a
+/// tombstoned or out-of-range id, which no anchor contains.
+std::vector<NodeId> DenseNodes(const World& w, const Shape& shape,
+                               const std::vector<NodeId>& nodes) {
+  if (!shape.segmented) return nodes;
+  std::vector<NodeId> out;
+  out.reserve(nodes.size());
+  for (const NodeId n : nodes) {
+    out.push_back(n < w.survivor_id.size() ? w.survivor_id[n] : kInvalidNode);
+  }
+  return out;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& scores) {
+  std::vector<uint64_t> out(scores.size());
+  if (!scores.empty()) std::memcpy(out.data(), scores.data(), scores.size() * 8);
+  return out;
+}
+
+/// Why `got` differs from `want` (nodes, score bits, engine, class), or "".
+std::string Divergence(const World& w, const Shape& shape, const RoutedResult& got,
+                       const RoutedResult& want) {
+  if (DenseNodes(w, shape, got.result.nodes) != want.result.nodes) return "nodes";
+  if (Bits(got.result.scores) != Bits(want.result.scores)) return "score bits";
+  if (got.engine != want.engine) return "engine " + got.engine + " not " + want.engine;
+  if (got.language_class != want.language_class) return "language class";
+  return "";
+}
+
+/// Whether the matrix evaluates `query` of class `cls` in a cell. Axes a
+/// query's path does not have are not multiplied: pair routing exists only
+/// in the PPRED and NPRED engines and only for distance-family predicates,
+/// cursor modes not in COMP. A ranked request that block-max cannot serve
+/// (anything but BOOL) runs the full evaluation the unranked cells check,
+/// so it is checked once per shape and scoring model, in the default cell
+/// (kAdaptive, kAuto).
+bool InMatrix(const Query& query, LanguageClass cls, CursorMode mode, PairRouting routing,
+              size_t top_k) {
+  const bool pipelined = cls == LanguageClass::kPpred || cls == LanguageClass::kNpred;
+  const bool serving_default =
+      mode == CursorMode::kAdaptive && routing == PairRouting::kAuto;
+  if ((!pipelined || !query.distance_pred) && routing != PairRouting::kAuto) return false;
+  if (cls == LanguageClass::kComp && mode != CursorMode::kAdaptive) return false;
+  if (top_k > 0 && cls > LanguageClass::kBool) return serving_default;
+  return true;
+}
+
+/// The engine the Searcher selects for a query of class `cls`.
+std::string ClassEngine(LanguageClass cls) {
+  switch (cls) {
+    case LanguageClass::kBoolNoNeg:
+    case LanguageClass::kBool:
+      return "BOOL";
+    case LanguageClass::kPpred:
+      return "PPRED";
+    case LanguageClass::kNpred:
+      return "NPRED";
+    case LanguageClass::kComp:
+      break;
+  }
+  return "COMP";
+}
+
+class ReadPathDifferential : public ::testing::TestWithParam<uint64_t> {};
+
+// The serving paths add threads and sockets, not new arithmetic: they run
+// on the first seeds' worlds only.
+class ReadPathServing : public ::testing::TestWithParam<uint64_t> {};
+
+/// Checks every matrix cell of `shape` under `routings`: cursor mode x
+/// scoring model x top_k. Adds the pair seeks the kForce cells took to
+/// `forced_pair_seeks`.
+void ExpectCellsMatch(const World& w, const Shape& shape,
+                      std::initializer_list<PairRouting> routings,
+                      uint64_t* forced_pair_seeks) {
+  EXPECT_EQ(shape.snapshot->live_nodes(), w.surviving.num_nodes()) << shape.name;
+  for (size_t s = 0; s < 3; ++s) {
+    for (CursorMode mode : kAllModes) {
+      for (PairRouting routing : routings) {
+        const Searcher searcher(shape.snapshot, {kAllScoring[s], mode, routing});
+        for (size_t q = 0; q < w.queries.size(); ++q) {
+          for (size_t top_k : {size_t{0}, kTopK}) {
+            if (!InMatrix(w.queries[q], w.anchor[s][q].language_class, mode, routing,
+                          top_k)) {
+              continue;
+            }
+            const auto cell = [&] {
+              return shape.name + " " + ScoringKindToString(kAllScoring[s]) + " " +
+                     CursorModeToString(mode) + " " + PairRoutingToString(routing) +
+                     " top_k=" + std::to_string(top_k) + ": " +
+                     w.queries[q].expr->ToString();
+            };
+            ExecContext ctx;
+            ctx.set_top_k(top_k);
+            auto got = searcher.SearchParsed(w.queries[q].expr, ctx);
+            ASSERT_TRUE(got.ok()) << cell() << ": " << got.status().ToString();
+            const RoutedResult& want = top_k == 0 ? w.anchor[s][q] : w.ranked[s][q];
+            EXPECT_EQ(Divergence(w, shape, *got, want), "") << cell();
+            const uint64_t pair_seeks = got->result.counters.pair_seeks;
+            if (routing == PairRouting::kOff ||
+                (routing == PairRouting::kAuto && mode != CursorMode::kAdaptive)) {
+              // kOff never touches pair lists; forced cursor modes pin
+              // the position pipeline even under kAuto.
+              EXPECT_EQ(pair_seeks, 0u) << cell();
+            }
+            if (routing != PairRouting::kForce) continue;
+            *forced_pair_seeks += pair_seeks;
+            if (w.queries[q].routable && !shape.segmented) {
+              EXPECT_EQ(pair_seeks > 0, *w.queries[q].routable) << cell();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The matrix is split three ways so each slice runs on its own (see
+// CMakeLists.txt): the serving default (kAuto) over one index, the same
+// over the segmented shapes, and the explicit pair routings everywhere.
+
+TEST_P(ReadPathDifferential, OneIndexPathsMatchTheAnchors) {
+  const World& w = GetWorld(GetParam());
+  for (size_t q = 0; q < w.queries.size(); ++q) {
+    for (size_t s = 0; s < 3; ++s) {
+      const RoutedResult& anchor = w.anchor[s][q];
+      EXPECT_EQ(anchor.result.nodes, w.naive[q]) << w.queries[q].expr->ToString();
+      // The anchor ran the engine its class selects, not the COMP
+      // fallback; every cell's engine is compared with it.
+      EXPECT_EQ(anchor.engine, ClassEngine(anchor.language_class))
+          << w.queries[q].expr->ToString();
+    }
+  }
+  uint64_t unused = 0;
+  for (const Shape& shape : w.shapes) {
+    if (!shape.segmented) ExpectCellsMatch(w, shape, {PairRouting::kAuto}, &unused);
+  }
+}
+
+TEST_P(ReadPathDifferential, SegmentedPathsMatchTheAnchors) {
+  const World& w = GetWorld(GetParam());
+  // MergeSegments rebuilds the survivors: its file is the single-shot
+  // build's byte for byte, so the one-segment cells cover it.
+  const std::string tag = std::to_string(GetParam());
+  const std::string merged = SavedBytes(*w.merged, "merged_" + tag);
+  EXPECT_FALSE(merged.empty());
+  EXPECT_TRUE(merged == SavedBytes(*w.reference, "reference_" + tag))
+      << "MergeSegments output differs from the single-shot build";
+  uint64_t unused = 0;
+  for (const Shape& shape : w.shapes) {
+    if (shape.segmented) ExpectCellsMatch(w, shape, {PairRouting::kAuto}, &unused);
+  }
+}
+
+TEST_P(ReadPathDifferential, PairRoutingMatchesTheAnchors) {
+  const World& w = GetWorld(GetParam());
+  for (const Shape& shape : w.shapes) {
+    uint64_t forced_pair_seeks = 0;
+    ExpectCellsMatch(w, shape, {PairRouting::kOff, PairRouting::kForce},
+                     &forced_pair_seeks);
+    EXPECT_GT(forced_pair_seeks, 0u) << shape.name << ": no query took the pair path";
+  }
+}
+
+TEST_P(ReadPathDifferential, RawOracleEnginesMatchTheAnchors) {
+  // The same engine code over the raw PostingList twin of every list
+  // (set_raw_oracle_for_test): the block representation must be invisible.
+  const World& w = GetWorld(GetParam());
+  const InvertedIndex& index = *w.reference;
+  const RawPostingOracle oracle = BuildRawPostingOracle(w.surviving);
+  ASSERT_EQ(oracle.lists.size(), index.vocabulary_size());
+  for (size_t s = 0; s < 3; ++s) {
+    const ScoringKind scoring = kAllScoring[s];
+    // COMP scores every class with its own algebra arithmetic, so its raw
+    // twin is pinned to the block-resident COMP run; nodes to the anchor.
+    CompEngine comp(&index, scoring);
+    CompEngine raw_comp(&index, scoring);
+    raw_comp.set_raw_oracle_for_test(&oracle);
+    for (size_t q = 0; q < w.queries.size(); ++q) {
+      const LangExprPtr& expr = w.queries[q].expr;
+      auto block = comp.Evaluate(expr);
+      auto raw = raw_comp.Evaluate(expr);
+      ASSERT_TRUE(block.ok() && raw.ok()) << expr->ToString();
+      EXPECT_EQ(raw->nodes, w.anchor[s][q].result.nodes) << "COMP: " << expr->ToString();
+      EXPECT_EQ(Bits(raw->scores), Bits(block->scores))
+          << "COMP " << ScoringKindToString(scoring) << ": " << expr->ToString();
+    }
+    for (CursorMode mode : kAllModes) {
+      BoolEngine bool_engine(&index, scoring, mode);
+      PpredEngine ppred(&index, scoring, mode);
+      NpredEngine npred(&index, scoring, NpredOrderingMode::kNecessaryPartialOrders,
+                        mode);
+      NpredEngine total(&index, scoring, NpredOrderingMode::kAllTotalOrders, mode);
+      bool_engine.set_raw_oracle_for_test(&oracle);
+      ppred.set_raw_oracle_for_test(&oracle);
+      ppred.set_pair_routing(PairRouting::kOff);
+      for (NpredEngine* e : {&npred, &total}) {
+        e->set_raw_oracle_for_test(&oracle);
+        e->set_pair_routing(PairRouting::kOff);
+      }
+      for (size_t q = 0; q < w.queries.size(); ++q) {
+        const LangExprPtr& expr = w.queries[q].expr;
+        std::vector<const Engine*> engines;
+        switch (w.anchor[s][q].language_class) {
+          case LanguageClass::kBoolNoNeg:
+          case LanguageClass::kBool:
+            engines = {&bool_engine};
+            break;
+          case LanguageClass::kPpred:
+            engines = {&ppred, &npred};
+            break;
+          case LanguageClass::kNpred:
+            engines = {&npred, &total};
+            break;
+          case LanguageClass::kComp:
+            break;
+        }
+        for (const Engine* engine : engines) {
+          // No generated shape is declined: a decline here would make the
+          // Searcher fall back to COMP silently.
+          auto got = engine->Evaluate(expr);
+          ASSERT_TRUE(got.ok()) << engine->name() << ": " << expr->ToString() << ": "
+                                << got.status().ToString();
+          const RoutedResult& want = w.anchor[s][q];
+          EXPECT_EQ(got->nodes, want.result.nodes)
+              << engine->name() << " " << CursorModeToString(mode) << ": "
+              << expr->ToString();
+          // All-total-orders NPRED pins node sets only: a node scores as
+          // the first ordering that matches it, and this mode enumerates a
+          // different set of orderings.
+          if (engine == &total) continue;
+          EXPECT_EQ(Bits(got->scores), Bits(want.result.scores))
+              << engine->name() << " " << ScoringKindToString(scoring) << " "
+              << CursorModeToString(mode) << ": " << expr->ToString();
+        }
+      }
+    }
+  }
+}
+
+/// Runs every query from kThreads threads against `searcher`, each thread
+/// with its own context over the shared `cache`, `rounds` times (later
+/// rounds hit warm L1/L2 state), and fails on any divergence from the
+/// anchors under kAllScoring[s].
+void Hammer(const World& w, const Shape& shape, const Searcher& searcher,
+            SharedBlockCache* cache, size_t s, int rounds, const std::string& what) {
+  std::mutex failures_mu;
+  std::vector<std::string> failures;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ExecOptions options;
+      options.shared_cache = cache;
+      ExecContext ctx(options);
+      for (int round = 0; round < rounds; ++round) {
+        for (size_t q = 0; q < w.queries.size(); ++q) {
+          auto r = searcher.SearchParsed(w.queries[q].expr, ctx);
+          const std::string failure = r.ok()
+                                          ? Divergence(w, shape, *r, w.anchor[s][q])
+                                          : r.status().ToString();
+          if (failure.empty()) continue;
+          std::lock_guard<std::mutex> lock(failures_mu);
+          failures.push_back(what + ": thread " + std::to_string(t) + " query " +
+                             std::to_string(q) + ": " + failure);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& f : failures) ADD_FAILURE() << f;
+}
+
+TEST_P(ReadPathServing, ConcurrentPathsMatchTheAnchors) {
+  // Under ThreadSanitizer this is the data-race proof for the shared read
+  // path: first-touch validation memoization, L2 lookups and evictions,
+  // and the shared engines.
+  const World& w = GetWorld(GetParam());
+  SharedBlockCache::Options small;
+  small.capacity_blocks = 64;  // eviction-churning
+  small.shards = 4;
+  for (const Shape* shape : {&w.shapes[0], &w.shapes[3]}) {
+    for (CursorMode mode : kAllModes) {
+      SharedBlockCache cache(small);
+      const Searcher searcher(shape->snapshot, {ScoringKind::kTfIdf, mode});
+      Hammer(w, *shape, searcher, &cache, kTfIdf, /*rounds=*/2,
+             shape->name + "/" + CursorModeToString(mode));
+    }
+  }
+
+  // Cold mmap: every thread starts on a freshly mapped index at once, so
+  // first-touch validation of the same blocks races maximally.
+  const auto cold = LoadMmapTwin(*w.reference, "cold_" + std::to_string(GetParam()));
+  const Shape cold_shape{"cold-mmap", IndexSnapshot::ForIndex(cold.get()), false};
+  SharedBlockCache cache;
+  const Searcher searcher(cold_shape.snapshot, {ScoringKind::kProbabilistic});
+  Hammer(w, cold_shape, searcher, &cache, kProbabilistic, /*rounds=*/1, "cold-mmap");
+
+  // The worker pool: batch submission fans the queries (as surface text)
+  // across workers, full and ranked.
+  SearchService::Options options;
+  options.num_workers = kThreads;
+  options.scoring = ScoringKind::kTfIdf;
+  SearchService service(w.reference.get(), options);
+  std::vector<std::string> texts;
+  for (const Query& q : w.queries) texts.push_back(q.expr->ToString());
+  for (size_t top_k : {size_t{0}, kTopK}) {
+    const std::vector<StatusOr<RoutedResult>> results = service.SearchBatch(texts, top_k);
+    ASSERT_EQ(results.size(), texts.size());
+    for (size_t q = 0; q < texts.size(); ++q) {
+      ASSERT_TRUE(results[q].ok()) << texts[q] << ": " << results[q].status().ToString();
+      const RoutedResult& want = top_k == 0 ? w.anchor[kTfIdf][q] : w.ranked[kTfIdf][q];
+      EXPECT_EQ(Divergence(w, w.shapes[0], *results[q], want), "")
+          << "service top_k=" << top_k << ": " << texts[q];
+    }
+  }
+  const ServiceMetricsSnapshot m = service.metrics();
+  EXPECT_EQ(m.submitted, 2 * texts.size());
+  EXPECT_EQ(m.completed, 2 * texts.size());
+  EXPECT_EQ(m.failed, 0u);
+}
+
+::testing::AssertionResult IsOk(const char* expr_text, const Status& s) {
+  if (s.ok()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << expr_text << ": " << s.ToString();
+}
+
+#define ASSERT_OK(expr) ASSERT_PRED_FORMAT1(IsOk, (expr))
+
+/// Three loopback shard servers over contiguous, deliberately uneven
+/// slices of `corpus`, plus a connected router.
+struct Cluster {
+  void Init(const Corpus& corpus, ScoringKind scoring, bool exchange_stats) {
+    const NodeId n = static_cast<NodeId>(corpus.num_nodes());
+    const NodeId cuts[4] = {0, n / 4, n / 2 + 1, n};
+    net::ShardRouter::Options ropts;
+    for (int i = 0; i < 3; ++i) {
+      const Corpus slice = Must(corpus.Slice(cuts[i], cuts[i + 1]));
+      net::FtsServer::Options sopts;
+      sopts.name = "shard" + std::to_string(i);
+      sopts.service.scoring = scoring;
+      sopts.service.num_workers = 1;
+      servers.push_back(std::make_unique<net::FtsServer>(
+          std::make_shared<InvertedIndex>(IndexBuilder::Build(slice, PairBuild())),
+          sopts));
+      ASSERT_OK(servers.back()->Start());
+      ropts.shards.push_back({"127.0.0.1", servers.back()->port()});
+    }
+    router = std::make_unique<net::ShardRouter>(ropts);
+    ASSERT_OK(router->Connect());
+    if (exchange_stats) {
+      ASSERT_OK(router->ExchangeGlobalStats());
+    }
+  }
+
+  std::vector<std::unique_ptr<net::FtsServer>> servers;
+  std::unique_ptr<net::ShardRouter> router;
+};
+
+RoutedResult FromResponse(const net::SearchResponse& r) {
+  RoutedResult out;
+  out.result.nodes.assign(r.nodes.begin(), r.nodes.end());
+  out.result.scores = r.scores;
+  out.engine = r.engine;
+  out.language_class = r.language_class;
+  return out;
+}
+
+TEST_P(ReadPathServing, ShardedClusterMatchesTheAnchors) {
+  // Scatter-gather through real sockets: after the global stats exchange,
+  // shard scores are bit-identical to the single-index run.
+  const World& w = GetWorld(GetParam());
+  for (size_t s = 0; s < 3; ++s) {
+    Cluster cluster;
+    cluster.Init(w.surviving, kAllScoring[s], /*exchange_stats=*/true);
+    if (HasFatalFailure()) return;
+    ASSERT_EQ(cluster.router->total_nodes(), w.surviving.num_nodes());
+    uint64_t entries_scanned = 0;
+    for (size_t q = 0; q < w.queries.size(); ++q) {
+      const std::string text = w.queries[q].expr->ToString();
+      for (size_t top_k : {size_t{0}, kTopK}) {
+        auto routed = cluster.router->Search(text, static_cast<uint32_t>(top_k));
+        ASSERT_OK(routed.status()) << text;
+        ASSERT_OK(routed->status) << text;
+        const RoutedResult& want = top_k == 0 ? w.anchor[s][q] : w.ranked[s][q];
+        EXPECT_EQ(Divergence(w, w.shapes[0], FromResponse(*routed), want), "")
+            << ScoringKindToString(kAllScoring[s]) << " top_k=" << top_k << ": " << text;
+        if (top_k == 0) entries_scanned += routed->counters.entries_scanned;
+      }
+    }
+    // The field-wise counter merge saw real work.
+    EXPECT_GT(entries_scanned, 0u);
+  }
+}
+
+TEST_P(ReadPathDifferential, NpredSinglePassHookMatchesPipeline) {
+  // The NPRED engine's no-negative-predicates single pass carries the same
+  // pair hook as PPRED; drive it directly (the Searcher classifies these
+  // queries as PPRED and never reaches it).
+  const World& w = GetWorld(GetParam());
+  for (const Query& q : w.queries) {
+    if (!q.routable) continue;
+    for (ScoringKind scoring : kAllScoring) {
+      NpredEngine forced(w.reference.get(), scoring,
+                         NpredOrderingMode::kNecessaryPartialOrders,
+                         CursorMode::kAdaptive);
+      forced.set_pair_routing(PairRouting::kForce);
+      NpredEngine pipeline(w.reference.get(), scoring,
+                           NpredOrderingMode::kNecessaryPartialOrders,
+                           CursorMode::kAdaptive);
+      pipeline.set_pair_routing(PairRouting::kOff);
+      auto got = forced.Evaluate(q.expr);
+      auto want = pipeline.Evaluate(q.expr);
+      ASSERT_TRUE(got.ok()) << q.expr->ToString() << ": " << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << q.expr->ToString() << ": " << want.status().ToString();
+      EXPECT_EQ(got->nodes, want->nodes) << q.expr->ToString();
+      EXPECT_EQ(Bits(got->scores), Bits(want->scores)) << q.expr->ToString();
+      EXPECT_EQ(got->counters.orderings_run, want->counters.orderings_run)
+          << q.expr->ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ReadPathDifferential,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+INSTANTIATE_TEST_SUITE_P(Seeds, ReadPathServing, ::testing::Values(1, 2));
+
+TEST(ReadPathClusterTest, RouterServerServesIdenticalResults) {
+  // client -> RouterServer -> shards answers as the in-process router does.
+  const World& w = GetWorld(1);
+  Cluster cluster;
+  cluster.Init(w.surviving, ScoringKind::kTfIdf, /*exchange_stats=*/true);
+  if (HasFatalFailure()) return;
+  net::RouterServer server(cluster.router.get(), net::RouterServer::Options());
+  ASSERT_OK(server.Start());
+  net::FtsClient::Options copts;
+  copts.port = server.port();
+  net::FtsClient client(copts);
+  auto ping = client.Ping();
+  ASSERT_OK(ping.status());
+  EXPECT_EQ(ping->num_nodes, w.surviving.num_nodes());
+  for (const Query& q : w.queries) {
+    const std::string text = q.expr->ToString();
+    auto direct = cluster.router->Search(text, 5);
+    ASSERT_OK(direct.status()) << text;
+    auto remote = client.Search(text, 5);
+    ASSERT_OK(remote.status()) << text;
+    ASSERT_OK(remote->status) << text;
+    EXPECT_EQ(Divergence(w, w.shapes[0], FromResponse(*remote), FromResponse(*direct)),
+              "")
+        << text;
+  }
+  server.Stop();
+}
+
+TEST(ReadPathClusterTest, QueryFailsWhenAShardDies) {
+  // Exactness over availability: a partial scatter-gather answer would
+  // silently drop a shard's documents, so the query must fail instead.
+  Cluster cluster;
+  cluster.Init(GetWorld(1).surviving, ScoringKind::kNone, /*exchange_stats=*/false);
+  if (HasFatalFailure()) return;
+  ASSERT_OK(cluster.router->Search("'a'").status());
+  cluster.servers[1]->Stop();
+  EXPECT_FALSE(cluster.router->Search("'a'").ok());
+  bool any_dead = false;
+  for (const net::ShardHealth& h : cluster.router->Probe()) any_dead |= !h.alive;
+  EXPECT_TRUE(any_dead);
+}
+
+TEST(ReadPathClusterTest, UnscoredTopKIsFirstKOfConcatenation) {
+  const World& w = GetWorld(1);
+  SearchService reference(w.reference.get());
+  Cluster cluster;
+  cluster.Init(w.surviving, ScoringKind::kNone, /*exchange_stats=*/false);
+  if (HasFatalFailure()) return;
+  auto want = reference.Search("'a' OR 'b'", 7);
+  ASSERT_OK(want.status());
+  auto routed = cluster.router->Search("'a' OR 'b'", 7);
+  ASSERT_OK(routed.status());
+  EXPECT_EQ(std::vector<NodeId>(routed->nodes.begin(), routed->nodes.end()),
+            want->result.nodes);
+}
+
+}  // namespace
+}  // namespace fts

@@ -1,12 +1,20 @@
-#include "eval/router.h"
+// Query routing through the Searcher: each language class lands on its
+// engine, plus the adaptive access-mode planner the default engines use.
 
 #include <gtest/gtest.h>
 
+#include "eval/searcher.h"
 #include "index/index_builder.h"
 #include "text/corpus.h"
 
 namespace fts {
 namespace {
+
+/// Evaluates `query` under a fresh per-call context.
+StatusOr<RoutedResult> SearchOnce(const Searcher& searcher, std::string_view query) {
+  ExecContext ctx;
+  return searcher.Search(query, ctx);
+}
 
 struct RouterFixture : public ::testing::Test {
   void SetUp() override {
@@ -15,16 +23,16 @@ struct RouterFixture : public ::testing::Test {
     corpus.AddDocument("gamma epsilon");                    // 2
     corpus.AddDocument("");                                 // 3
     index = IndexBuilder::Build(corpus);
-    router = std::make_unique<QueryRouter>(&index, ScoringKind::kNone);
+    router = std::make_unique<Searcher>(IndexSnapshot::ForIndex(&index));
   }
 
   Corpus corpus;
   InvertedIndex index;
-  std::unique_ptr<QueryRouter> router;
+  std::unique_ptr<Searcher> router;
 };
 
 TEST_F(RouterFixture, RoutesBoolQueriesToBoolEngine) {
-  auto r = router->Evaluate("'alpha' AND 'beta'");
+  auto r = SearchOnce(*router, "'alpha' AND 'beta'");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->engine, "BOOL");
   EXPECT_EQ(r->language_class, LanguageClass::kBoolNoNeg);
@@ -32,7 +40,7 @@ TEST_F(RouterFixture, RoutesBoolQueriesToBoolEngine) {
 }
 
 TEST_F(RouterFixture, RoutesComplementsToBoolEngine) {
-  auto r = router->Evaluate("NOT 'alpha'");
+  auto r = SearchOnce(*router, "NOT 'alpha'");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->engine, "BOOL");
   EXPECT_EQ(r->language_class, LanguageClass::kBool);
@@ -40,23 +48,24 @@ TEST_F(RouterFixture, RoutesComplementsToBoolEngine) {
 }
 
 TEST_F(RouterFixture, RoutesPositivePredicatesToPpred) {
-  auto r = router->Evaluate(
-      "SOME p SOME q (p HAS 'alpha' AND q HAS 'beta' AND distance(p, q, 1))");
+  auto r = SearchOnce(
+      *router, "SOME p SOME q (p HAS 'alpha' AND q HAS 'beta' AND distance(p, q, 1))");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->engine, "PPRED");
   EXPECT_EQ(r->result.nodes, (std::vector<NodeId>{0}));
 }
 
 TEST_F(RouterFixture, RoutesNegativePredicatesToNpred) {
-  auto r = router->Evaluate(
-      "SOME p SOME q (p HAS 'alpha' AND q HAS 'beta' AND not_distance(p, q, 1))");
+  auto r = SearchOnce(*router,
+                      "SOME p SOME q (p HAS 'alpha' AND q HAS 'beta' AND "
+                      "not_distance(p, q, 1))");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->engine, "NPRED");
   EXPECT_EQ(r->result.nodes, (std::vector<NodeId>{1}));
 }
 
 TEST_F(RouterFixture, RoutesUniversalQuantifiersToComp) {
-  auto r = router->Evaluate("EVERY p (p HAS 'gamma' OR p HAS 'epsilon')");
+  auto r = SearchOnce(*router, "EVERY p (p HAS 'gamma' OR p HAS 'epsilon')");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->engine, "COMP");
   // Node 2 entirely gamma/epsilon; the empty node 3 vacuously satisfies.
@@ -73,36 +82,37 @@ TEST_F(RouterFixture, AllEnginesAgreeOnSharedQueries) {
   for (const char* q : queries) {
     auto parsed = ParseQuery(q, SurfaceLanguage::kComp);
     ASSERT_TRUE(parsed.ok());
-    auto routed = router->EvaluateParsed(*parsed);
+    ExecContext ctx;
+    auto routed = router->SearchParsed(*parsed, ctx);
     ASSERT_TRUE(routed.ok()) << q;
-    auto comp = router->comp_engine().Evaluate(*parsed);
+    auto comp = CompEngine(&index, ScoringKind::kNone).Evaluate(*parsed);
     ASSERT_TRUE(comp.ok()) << q;
     EXPECT_EQ(routed->result.nodes, comp->nodes) << q;
   }
 }
 
 TEST_F(RouterFixture, ParseErrorsPropagate) {
-  auto r = router->Evaluate("'alpha' AND");
+  auto r = SearchOnce(*router, "'alpha' AND");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(RouterFixture, ScoredRouterProducesScores) {
-  QueryRouter scored(&index, ScoringKind::kTfIdf);
-  auto r = scored.Evaluate("'alpha' AND 'beta'");
+  const Searcher scored(IndexSnapshot::ForIndex(&index), {ScoringKind::kTfIdf});
+  auto r = SearchOnce(scored, "'alpha' AND 'beta'");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->result.scores.size(), r->result.nodes.size());
   for (double s : r->result.scores) EXPECT_GT(s, 0.0);
 }
 
 TEST_F(RouterFixture, CountersReportEngineWork) {
-  auto r = router->Evaluate("'alpha' AND 'beta'");
+  auto r = SearchOnce(*router, "'alpha' AND 'beta'");
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->result.counters.entries_scanned, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// The adaptive access-mode planner (PlanFromDfs): the heuristic the router's
+// The adaptive access-mode planner (PlanFromDfs): the heuristic the Searcher's
 // default CursorMode::kAdaptive engines consult per query/operator.
 // ---------------------------------------------------------------------------
 
@@ -247,16 +257,17 @@ TEST_F(PlannerBypassFixture, CacheEngagesOnlyForRepeatedLists) {
   EXPECT_GT(repeated->counters.cache_hits, 0u);
 }
 
-TEST_F(PlannerBypassFixture, RouterDefaultIsAdaptive) {
-  QueryRouter adaptive_router(&index, ScoringKind::kNone);
-  auto r = adaptive_router.Evaluate("'rare' AND 'dense'");
+TEST_F(PlannerBypassFixture, SearcherDefaultIsAdaptive) {
+  const Searcher adaptive_router(IndexSnapshot::ForIndex(&index));
+  auto r = SearchOnce(adaptive_router, "'rare' AND 'dense'");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->engine, "BOOL");
   // The selective AND runs as a zig-zag seek under the default planner.
   EXPECT_GT(r->result.counters.skip_checks, 0u);
   // Forced sequential remains available for paper-faithful access counts.
-  QueryRouter paper(&index, ScoringKind::kNone, CursorMode::kSequential);
-  auto p = paper.Evaluate("'rare' AND 'dense'");
+  const Searcher paper(IndexSnapshot::ForIndex(&index),
+                       {ScoringKind::kNone, CursorMode::kSequential});
+  auto p = SearchOnce(paper, "'rare' AND 'dense'");
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->result.counters.skip_checks, 0u);
   EXPECT_EQ(p->result.nodes, r->result.nodes);

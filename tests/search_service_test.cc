@@ -12,7 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "index/index_builder.h"
 #include "text/corpus.h"
 #include "workload/corpus_gen.h"
@@ -30,13 +30,13 @@ InvertedIndex SmallIndex() {
   return IndexBuilder::Build(corpus);
 }
 
-TEST(SearchServiceTest, MatchesDirectRouterEvaluation) {
+TEST(SearchServiceTest, MatchesDirectSearcherEvaluation) {
   InvertedIndex index = SmallIndex();
   SearchService::Options options;
   options.num_workers = 4;
   options.scoring = ScoringKind::kTfIdf;
   SearchService service(&index, options);
-  QueryRouter reference(&index, ScoringKind::kTfIdf);
+  const Searcher reference(IndexSnapshot::ForIndex(&index), {ScoringKind::kTfIdf});
 
   const std::vector<std::string> queries = {
       "'apple'",
@@ -49,7 +49,8 @@ TEST(SearchServiceTest, MatchesDirectRouterEvaluation) {
       "EVERY p (p HAS 'apple' OR p HAS ANY)",
   };
   for (const std::string& q : queries) {
-    auto expected = reference.Evaluate(q);
+    ExecContext ctx;
+    auto expected = reference.Search(q, ctx);
     ASSERT_TRUE(expected.ok()) << q;
     auto got = service.Search(q);
     ASSERT_TRUE(got.ok()) << q << ": " << got.status().ToString();
@@ -69,12 +70,13 @@ TEST(SearchServiceTest, BatchResultsAlignPositionally) {
   const std::vector<std::string> queries = {"'apple'", "'elderberry'",
                                             "'apple' AND 'banana'",
                                             "'nosuchtoken'", "'fig'"};
-  QueryRouter reference(&index);
+  const Searcher reference(IndexSnapshot::ForIndex(&index));
   auto results = service.SearchBatch(queries);
   ASSERT_EQ(results.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << queries[i];
-    auto expected = reference.Evaluate(queries[i]);
+    ExecContext ctx;
+    auto expected = reference.Search(queries[i], ctx);
     ASSERT_TRUE(expected.ok());
     EXPECT_EQ(results[i]->result.nodes, expected->result.nodes) << queries[i];
   }

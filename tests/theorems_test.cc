@@ -10,7 +10,7 @@
 #include "calculus/naive_eval.h"
 #include "compile/ftc_to_fta.h"
 #include "compile/fta_to_ftc.h"
-#include "eval/router.h"
+#include "eval/searcher.h"
 #include "index/index_builder.h"
 #include "lang/classify.h"
 #include "lang/parser.h"
@@ -22,8 +22,8 @@ namespace {
 
 std::vector<NodeId> EvalComp(const Corpus& corpus, const std::string& query) {
   InvertedIndex index = IndexBuilder::Build(corpus);
-  QueryRouter router(&index);
-  auto r = router.Evaluate(query);
+  ExecContext ctx;
+  auto r = Searcher(IndexSnapshot::ForIndex(&index)).Search(query, ctx);
   EXPECT_TRUE(r.ok()) << query << ": " << r.status().ToString();
   return r.ok() ? r->result.nodes : std::vector<NodeId>{};
 }
