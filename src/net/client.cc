@@ -7,22 +7,14 @@ namespace net {
 
 namespace {
 
-/// Completes a typed promise from a raw response payload.
+/// Decodes a raw response payload (or passes its error through).
 template <typename Resp>
-void CompleteTyped(std::promise<StatusOr<Resp>>* promise,
-                   Status (*decode)(std::string_view, Resp*),
-                   StatusOr<std::string> payload) {
-  if (!payload.ok()) {
-    promise->set_value(payload.status());
-    return;
-  }
+StatusOr<Resp> DecodeAs(Status (*decode)(std::string_view, Resp*),
+                        StatusOr<std::string> payload) {
+  FTS_RETURN_IF_ERROR(payload.status());
   Resp resp;
-  const Status s = decode(*payload, &resp);
-  if (!s.ok()) {
-    promise->set_value(s);
-  } else {
-    promise->set_value(std::move(resp));
-  }
+  FTS_RETURN_IF_ERROR(decode(*payload, &resp));
+  return resp;
 }
 
 }  // namespace
@@ -76,18 +68,9 @@ void FtsClient::ReaderLoop() {
       uint64_t id = 0;
       const Status peek = PeekPrologue(payload, &type, &id);
       if (peek.ok()) {
-        Handler handler;
-        {
-          std::lock_guard<std::mutex> lock(pending_mu_);
-          const auto it = pending_.find(id);
-          if (it != pending_.end()) {
-            handler = std::move(it->second);
-            pending_.erase(it);
-          }
-        }
         // No handler = a call that already timed out client-side; the
         // late response is dropped.
-        if (handler) handler(std::move(payload));
+        if (Handler handler = Take(id)) handler(std::move(payload));
         continue;
       }
       // An unreadable prologue cannot be attributed to any request — the
@@ -130,122 +113,98 @@ void FtsClient::Dispatch(uint64_t id, Handler handler,
   }
   if (!sent.ok()) {
     // Reclaim the slot (the reader may have failed it already).
-    Handler reclaimed;
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      const auto it = pending_.find(id);
-      if (it != pending_.end()) {
-        reclaimed = std::move(it->second);
-        pending_.erase(it);
-      }
-    }
-    if (reclaimed) reclaimed(sent);
+    if (Handler reclaimed = Take(id)) reclaimed(sent);
   }
 }
 
-StatusOr<std::string> FtsClient::RoundTrip(uint64_t id,
-                                           const std::string& frame,
-                                           std::chrono::milliseconds timeout) {
-  auto promise = std::make_shared<std::promise<StatusOr<std::string>>>();
-  std::future<StatusOr<std::string>> future = promise->get_future();
-  Dispatch(id, [promise](StatusOr<std::string> payload) {
-    promise->set_value(std::move(payload));
-  }, frame);
-  if (timeout.count() > 0 &&
-      future.wait_for(timeout) != std::future_status::ready) {
-    // Abandon the slot; a late response is dropped by the reader.
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending_.erase(id);
-    return Status::DeadlineExceeded("net: call timed out after " +
-                                    std::to_string(timeout.count()) + "ms");
-  }
-  return future.get();
+template <typename Resp>
+std::future<StatusOr<Resp>> FtsClient::Send(
+    uint64_t id, const std::string& frame,
+    Status (*decode)(std::string_view, Resp*)) {
+  auto promise = std::make_shared<std::promise<StatusOr<Resp>>>();
+  std::future<StatusOr<Resp>> future = promise->get_future();
+  Dispatch(id,
+           [promise, decode](StatusOr<std::string> payload) {
+             promise->set_value(DecodeAs(decode, std::move(payload)));
+           },
+           frame);
+  return future;
 }
+
+FtsClient::Handler FtsClient::Take(uint64_t id) {
+  std::lock_guard<std::mutex> lock(pending_mu_);
+  const auto it = pending_.find(id);
+  if (it == pending_.end()) return nullptr;
+  Handler handler = std::move(it->second);
+  pending_.erase(it);
+  return handler;
+}
+
+void FtsClient::Abandon(uint64_t request_id) { Take(request_id); }
 
 std::future<StatusOr<SearchResponse>> FtsClient::SearchAsync(
-    SearchRequest req) {
+    SearchRequest req, uint64_t* request_id) {
   req.request_id = NextId();
-  auto promise = std::make_shared<std::promise<StatusOr<SearchResponse>>>();
-  std::future<StatusOr<SearchResponse>> future = promise->get_future();
-  Dispatch(req.request_id,
-           [promise](StatusOr<std::string> payload) {
-             CompleteTyped<SearchResponse>(promise.get(), DecodeSearchResponse,
-                                           std::move(payload));
-           },
-           EncodeSearchRequest(req));
-  return future;
+  if (request_id != nullptr) *request_id = req.request_id;
+  return Send(req.request_id, EncodeSearchRequest(req), DecodeSearchResponse);
+}
+
+std::chrono::milliseconds SearchWait(std::chrono::milliseconds call_timeout,
+                                     uint64_t deadline_us) {
+  if (call_timeout.count() == 0 || deadline_us == 0) return call_timeout;
+  return call_timeout + std::chrono::milliseconds(deadline_us / 1000 + 1);
 }
 
 StatusOr<SearchResponse> FtsClient::Search(std::string_view query,
                                            uint32_t top_k, WireCursorMode mode,
                                            uint64_t deadline_us) {
   SearchRequest req;
-  req.request_id = NextId();
   req.query = std::string(query);
   req.top_k = top_k;
   req.mode = mode;
   req.deadline_us = deadline_us;
-  // A server-side deadline extends the client-side wait so the server's
-  // own kDeadlineExceeded answer can make it back.
-  std::chrono::milliseconds wait = options_.call_timeout;
-  if (wait.count() > 0 && deadline_us > 0) {
-    wait += std::chrono::milliseconds(deadline_us / 1000 + 1);
+  return Call(std::move(req), EncodeSearchRequest, DecodeSearchResponse,
+              SearchWait(options_.call_timeout, deadline_us));
+}
+
+template <typename Req, typename Resp>
+StatusOr<Resp> FtsClient::Call(Req req, std::string (*encode)(const Req&),
+                               Status (*decode)(std::string_view, Resp*),
+                               std::chrono::milliseconds timeout) {
+  req.request_id = NextId();
+  std::future<StatusOr<Resp>> reply = Send(req.request_id, encode(req), decode);
+  if (timeout.count() > 0 &&
+      reply.wait_for(timeout) != std::future_status::ready) {
+    Abandon(req.request_id);
+    return Status::DeadlineExceeded("net: call timed out after " +
+                                    std::to_string(timeout.count()) + "ms");
   }
-  FTS_ASSIGN_OR_RETURN(
-      std::string payload,
-      RoundTrip(req.request_id, EncodeSearchRequest(req), wait));
-  SearchResponse resp;
-  FTS_RETURN_IF_ERROR(DecodeSearchResponse(payload, &resp));
-  return resp;
+  return reply.get();
 }
 
 StatusOr<PingResponse> FtsClient::Ping() {
-  PingRequest req;
-  req.request_id = NextId();
-  FTS_ASSIGN_OR_RETURN(std::string payload,
-                       RoundTrip(req.request_id, EncodePingRequest(req),
-                                 options_.call_timeout));
-  PingResponse resp;
-  FTS_RETURN_IF_ERROR(DecodePingResponse(payload, &resp));
-  return resp;
+  return Call(PingRequest{}, EncodePingRequest, DecodePingResponse,
+              options_.call_timeout);
 }
 
 StatusOr<StatsResponse> FtsClient::Stats() {
-  StatsRequest req;
-  req.request_id = NextId();
-  FTS_ASSIGN_OR_RETURN(std::string payload,
-                       RoundTrip(req.request_id, EncodeStatsRequest(req),
-                                 options_.call_timeout));
-  StatsResponse resp;
-  FTS_RETURN_IF_ERROR(DecodeStatsResponse(payload, &resp));
-  return resp;
+  return Call(StatsRequest{}, EncodeStatsRequest, DecodeStatsResponse,
+              options_.call_timeout);
 }
 
 StatusOr<SetGlobalStatsResponse> FtsClient::SetGlobalStats(
     uint64_t global_live_nodes,
     std::vector<std::pair<std::string, uint32_t>> df_by_text) {
   SetGlobalStatsRequest req;
-  req.request_id = NextId();
   req.global_live_nodes = global_live_nodes;
   req.df_by_text = std::move(df_by_text);
-  FTS_ASSIGN_OR_RETURN(
-      std::string payload,
-      RoundTrip(req.request_id, EncodeSetGlobalStatsRequest(req),
-                options_.call_timeout));
-  SetGlobalStatsResponse resp;
-  FTS_RETURN_IF_ERROR(DecodeSetGlobalStatsResponse(payload, &resp));
-  return resp;
+  return Call(std::move(req), EncodeSetGlobalStatsRequest,
+              DecodeSetGlobalStatsResponse, options_.call_timeout);
 }
 
 StatusOr<MetricsResponse> FtsClient::Metrics() {
-  MetricsRequest req;
-  req.request_id = NextId();
-  FTS_ASSIGN_OR_RETURN(std::string payload,
-                       RoundTrip(req.request_id, EncodeMetricsRequest(req),
-                                 options_.call_timeout));
-  MetricsResponse resp;
-  FTS_RETURN_IF_ERROR(DecodeMetricsResponse(payload, &resp));
-  return resp;
+  return Call(MetricsRequest{}, EncodeMetricsRequest, DecodeMetricsResponse,
+              options_.call_timeout);
 }
 
 }  // namespace net

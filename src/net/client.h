@@ -40,6 +40,12 @@
 namespace fts {
 namespace net {
 
+/// How long to wait for a search reply: `call_timeout` (zero = forever),
+/// extended by a server-side deadline of `deadline_us` so the server's own
+/// kDeadlineExceeded answer can make it back.
+std::chrono::milliseconds SearchWait(std::chrono::milliseconds call_timeout,
+                                     uint64_t deadline_us);
+
 class FtsClient {
  public:
   struct Options {
@@ -60,8 +66,13 @@ class FtsClient {
 
   /// Pipelined search: returns immediately; the future resolves when the
   /// response frame arrives (or the connection dies). `req.request_id` is
-  /// assigned by the client.
-  std::future<StatusOr<SearchResponse>> SearchAsync(SearchRequest req);
+  /// assigned by the client and, when `request_id` is given, stored there.
+  std::future<StatusOr<SearchResponse>> SearchAsync(
+      SearchRequest req, uint64_t* request_id = nullptr);
+
+  /// Gives up on the call with `request_id`: its slot is dropped and a
+  /// late response is discarded. Its future is broken; do not wait on it.
+  void Abandon(uint64_t request_id);
 
   /// Synchronous search. `deadline_us` > 0 additionally asks the server
   /// to abandon evaluation after that many microseconds (the reply is
@@ -81,8 +92,6 @@ class FtsClient {
   /// reconnects. Idempotent.
   void Disconnect();
 
-  bool connected() const { return connected_.load(); }
-
  private:
   using Handler = std::function<void(StatusOr<std::string>)>;
 
@@ -92,10 +101,18 @@ class FtsClient {
   /// Registers `handler` for `id` and writes `frame`; on any failure the
   /// handler is completed with the error instead (never lost).
   void Dispatch(uint64_t id, Handler handler, const std::string& frame);
-  /// Registers a raw pending slot, sends, and waits up to `timeout`
-  /// (zero = forever) for the response payload.
-  StatusOr<std::string> RoundTrip(uint64_t id, const std::string& frame,
-                                  std::chrono::milliseconds timeout);
+  /// Dispatch with a handler that decodes the reply into the future.
+  template <typename Resp>
+  std::future<StatusOr<Resp>> Send(uint64_t id, const std::string& frame,
+                                   Status (*decode)(std::string_view, Resp*));
+  /// Send, then wait up to `timeout` (zero = forever); on expiry the slot
+  /// is abandoned and the call fails with DeadlineExceeded.
+  template <typename Req, typename Resp>
+  StatusOr<Resp> Call(Req req, std::string (*encode)(const Req&),
+                      Status (*decode)(std::string_view, Resp*),
+                      std::chrono::milliseconds timeout);
+  /// Removes and returns the pending slot of `id` (null if there is none).
+  Handler Take(uint64_t id);
   void ReaderLoop();
   void FailAllPending(const Status& error);
   uint64_t NextId() { return next_id_.fetch_add(1) + 1; }

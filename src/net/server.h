@@ -1,26 +1,12 @@
 // FtsServer: the network front of one index shard (docs/serving.md).
 //
-// The server wraps a SearchService behind the length-prefixed binary
-// protocol of net/wire.h. One acceptor thread polls the listening socket
-// (with a bounded tick, so Stop() is deterministic); each connection gets
-// a reader thread and a writer thread. The reader decodes frames and
-// submits searches to the service — pipelined requests therefore fan out
-// across the whole worker pool — while the writer drains a FIFO of
-// pending responses, waiting each search future in arrival order, so
-// responses always come back in request order on one connection (clients
-// additionally match on request_id). Control messages (ping, stats,
-// metrics) are answered inline from the reader.
-//
-// Malformed input fails closed: an oversized declared frame length or an
-// undecodable payload poisons the stream (no resynchronization is
-// possible), so the server drops the connection; well-formed requests
-// that fail evaluation are answered with their Status and the connection
-// lives on.
-//
-// The same port also speaks just enough HTTP for operations: a connection
-// whose first bytes are "GET " or "HEAD" is served one plain-text
-// response — /metrics (counter dump) or /healthz ("ok") — and closed, so
-// curl and a scrape agent need no special client.
+// The server wraps a SearchService behind the binary protocol of
+// net/wire.h on the shared ConnectionLoop (net/connection_loop.h). A
+// connection's reader submits each search to the service — pipelined
+// requests fan out across the whole worker pool — and its writer waits the
+// futures in request order. Admission control runs on the reader, before a
+// search takes a queue slot. Control messages are answered with ready
+// frames.
 //
 // Sharding: a scatter-gather router (net/shard_router.h) calls Stats to
 // collect this shard's local document frequencies, then SetGlobalStats to
@@ -34,23 +20,18 @@
 #define FTS_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/status.h"
 #include "exec/admission.h"
 #include "exec/search_service.h"
 #include "index/index_snapshot.h"
-#include "net/socket.h"
+#include "net/connection_loop.h"
 #include "net/wire.h"
 
 namespace fts {
@@ -96,7 +77,6 @@ class FtsServer {
   /// Serves `index` (shared ownership; also the segment a SetGlobalStats
   /// rebuild re-wraps). The server is idle until Start().
   FtsServer(std::shared_ptr<const InvertedIndex> index, Options options);
-  ~FtsServer();
 
   FtsServer(const FtsServer&) = delete;
   FtsServer& operator=(const FtsServer&) = delete;
@@ -106,11 +86,11 @@ class FtsServer {
   Status Start();
 
   /// Stops intake, wakes every connection, joins all threads, drains the
-  /// service. Idempotent; also run by the destructor.
+  /// service. Idempotent; destruction does the same, in member order.
   void Stop();
 
   /// The bound port (valid after a successful Start()).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return loop_.port(); }
 
   const SearchService& service() const { return *service_; }
 
@@ -119,43 +99,11 @@ class FtsServer {
   std::string MetricsText() const;
 
  private:
-  /// One response slot in a connection's FIFO: either an already-encoded
-  /// frame (control messages, admission rejections) or a search future the
-  /// writer must wait on and encode.
-  struct Outgoing {
-    std::string ready;
-    uint64_t request_id = 0;
-    std::optional<std::future<StatusOr<RoutedResult>>> pending;
-  };
-
-  struct Connection {
-    Socket sock;
-    std::thread reader;
-    std::thread writer;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Outgoing> out;
-    bool reader_done = false;
-    /// Both threads finished; the acceptor may reap this connection.
-    std::atomic<bool> finished{false};
-  };
-
-  void AcceptLoop();
-  void ReaderLoop(Connection* conn);
-  void WriterLoop(Connection* conn);
-  /// Joins and erases finished connections (acceptor thread only).
-  void ReapConnections(bool all);
-
-  /// Decodes and dispatches one binary frame; false poisons the stream
-  /// (undecodable frame) and makes the reader drop the connection.
-  bool HandleFrame(Connection* conn, const std::string& payload);
-  void HandleSearch(Connection* conn, const SearchRequest& req);
-  /// Serves one HTTP request (first 4 bytes already read) and returns;
-  /// the connection closes afterwards.
-  void HandleHttp(Connection* conn, const char prefix[4]);
-
-  /// Enqueues a response slot for `conn`'s writer.
-  void Push(Connection* conn, Outgoing out);
+  /// Decodes and dispatches one binary frame; nullopt poisons the stream
+  /// (undecodable frame) and makes the loop drop the connection.
+  std::optional<ConnectionLoop::Reply> HandleFrame(MessageType type,
+                                                   const std::string& payload);
+  ConnectionLoop::Reply HandleSearch(const SearchRequest& req);
 
   Options options_;
   std::shared_ptr<const InvertedIndex> index_;
@@ -163,18 +111,12 @@ class FtsServer {
   std::unique_ptr<SearchService> service_;
   std::unique_ptr<AdmissionController> admission_;
 
-  Socket listener_;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{true};
-  std::thread acceptor_;
-  std::mutex conns_mu_;
-  std::list<std::unique_ptr<Connection>> conns_;
-
   mutable std::mutex stats_mu_;
-  uint64_t accepted_connections_ = 0;
   uint64_t shed_queries_ = 0;
-  uint64_t protocol_errors_ = 0;
   std::atomic<uint64_t> generation_{0};
+  /// Last member, so it stops first: its threads call into everything
+  /// above, and its writers wait on the service.
+  ConnectionLoop loop_;
 };
 
 }  // namespace net

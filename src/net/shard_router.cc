@@ -1,7 +1,6 @@
 #include "net/shard_router.h"
 
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 
 namespace fts {
@@ -75,29 +74,55 @@ Status ShardRouter::ExchangeGlobalStats() {
   return Status::OK();
 }
 
-StatusOr<SearchResponse> ShardRouter::Search(std::string_view query,
-                                             uint32_t top_k,
-                                             WireCursorMode mode,
-                                             uint64_t deadline_us) {
-  if (clients_.empty()) return Status::Unavailable("router not connected");
-  // Scatter: the same request to every shard, pipelined — responses are
-  // matched by id, so the fan-out runs concurrently over N connections.
-  std::vector<std::future<StatusOr<SearchResponse>>> futures;
-  futures.reserve(clients_.size());
-  for (std::unique_ptr<FtsClient>& client : clients_) {
+ShardRouter::PendingSearch ShardRouter::Scatter(std::string_view query,
+                                               uint32_t top_k,
+                                               WireCursorMode mode,
+                                               uint64_t deadline_us) {
+  PendingSearch pending;
+  pending.top_k = top_k;
+  const std::chrono::milliseconds wait =
+      SearchWait(options_.call_timeout, deadline_us);
+  if (wait.count() > 0) pending.give_up = std::chrono::steady_clock::now() + wait;
+  // The same request to every shard, pipelined — responses are matched by
+  // id, so the fan-out runs concurrently over N connections.
+  pending.request_ids.resize(clients_.size());
+  for (size_t i = 0; i < clients_.size(); ++i) {
     SearchRequest req;
     req.query = std::string(query);
     req.top_k = top_k;
     req.mode = mode;
     req.deadline_us = deadline_us;
-    futures.push_back(client->SearchAsync(std::move(req)));
+    pending.replies.push_back(
+        clients_[i]->SearchAsync(std::move(req), &pending.request_ids[i]));
   }
-  // Gather, draining every future even after a failure (abandoning one
-  // would leak an in-flight slot for the connection's lifetime).
-  std::vector<SearchResponse> parts(clients_.size());
+  return pending;
+}
+
+StatusOr<SearchResponse> ShardRouter::Search(std::string_view query,
+                                             uint32_t top_k,
+                                             WireCursorMode mode,
+                                             uint64_t deadline_us) {
+  return Gather(Scatter(query, top_k, mode, deadline_us));
+}
+
+StatusOr<SearchResponse> ShardRouter::Gather(PendingSearch pending) {
+  if (pending.replies.empty()) return Status::Unavailable("router not connected");
+  const uint32_t top_k = pending.top_k;
+  // Wait for every shard, even after a failure, and abandon a shard's slot
+  // when it does not answer in time (leaving it would leak an in-flight
+  // slot for the connection's lifetime).
+  std::vector<SearchResponse> parts(pending.replies.size());
   Status failure;
-  for (size_t i = 0; i < futures.size(); ++i) {
-    StatusOr<SearchResponse> part = futures[i].get();
+  for (size_t i = 0; i < pending.replies.size(); ++i) {
+    std::future<StatusOr<SearchResponse>>& reply = pending.replies[i];
+    StatusOr<SearchResponse> part = Status::DeadlineExceeded(
+        "net: no reply within the shard call timeout");
+    if (!pending.give_up.has_value() ||
+        reply.wait_until(*pending.give_up) == std::future_status::ready) {
+      part = reply.get();
+    } else {
+      clients_[i]->Abandon(pending.request_ids[i]);
+    }
     const Status s = part.ok() ? part->status : part.status();
     if (!s.ok()) {
       if (failure.ok()) {
@@ -124,17 +149,16 @@ StatusOr<SearchResponse> ShardRouter::Search(std::string_view query,
   SearchResponse out;
   out.language_class = parts[0].language_class;
   out.engine = parts[0].engine;
-  bool scored = false;
+  bool scored = false, unscored = false;
   for (const SearchResponse& p : parts) {
     out.counters.MergeFrom(p.counters);
-    if (!p.scores.empty()) scored = true;
+    scored |= !p.scores.empty();
+    unscored |= !p.nodes.empty() && p.scores.empty();
   }
-  for (const SearchResponse& p : parts) {
-    if (!p.nodes.empty() && p.scores.empty() && scored) {
-      return Status::Internal(
-          "inconsistent shard configuration: mixed scored and unscored "
-          "responses");
-    }
+  if (scored && unscored) {
+    return Status::Internal(
+        "inconsistent shard configuration: mixed scored and unscored "
+        "responses");
   }
 
   std::vector<ShardHealth> bases = health();
@@ -209,10 +233,7 @@ std::string ShardRouter::MetricsText() const {
   std::string out = "# fts router over " + std::to_string(clients_.size()) +
                     " shard(s)\n";
   const auto line = [&out](std::string_view key, uint64_t value) {
-    out += key;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
+    AppendMetric(&out, key, value);
   };
   line("fts_up", 1);
   line("fts_router_shards", clients_.size());
@@ -237,192 +258,74 @@ std::string ShardRouter::MetricsText() const {
 // --- RouterServer --------------------------------------------------------
 
 RouterServer::RouterServer(ShardRouter* router, Options options)
-    : options_(std::move(options)), router_(router) {}
-
-RouterServer::~RouterServer() { Stop(); }
+    : options_(std::move(options)),
+      router_(router),
+      loop_({[this](MessageType type, const std::string& payload) {
+               return HandleFrame(type, payload);
+             },
+             [this] { return MetricsText(); },
+             [this] {
+               // Live probe: the health endpoint tells the truth about the
+               // shards right now, not at the last query.
+               for (const ShardHealth& h : router_->Probe()) {
+                 if (!h.alive) {
+                   return Status::Unavailable(
+                       "shard down: " + h.address.host + ":" +
+                       std::to_string(h.address.port));
+                 }
+               }
+               return Status::OK();
+             }}) {}
 
 Status RouterServer::Start() {
-  FTS_ASSIGN_OR_RETURN(
-      Socket listener,
-      ListenTcp(options_.port, &port_, options_.loopback_only));
-  listener_ = std::move(listener);
-  stop_.store(false);
-  acceptor_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
+  return loop_.Start(options_.port, options_.loopback_only,
+                     options_.max_frame_bytes);
 }
 
-void RouterServer::Stop() {
-  stop_.store(true);
-  if (acceptor_.joinable()) {
-    listener_.Shutdown();
-    acceptor_.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (std::unique_ptr<Connection>& c : conns_) c->sock.Shutdown();
-  }
-  ReapConnections(/*all=*/true);
-  listener_.Close();
+std::string RouterServer::MetricsText() const {
+  std::string out = router_->MetricsText();
+  loop_.AppendMetrics(&out);
+  return out;
 }
 
-void RouterServer::AcceptLoop() {
-  while (!stop_.load()) {
-    StatusOr<Socket> accepted = AcceptWithTimeout(listener_, kNoTimeout);
-    ReapConnections(/*all=*/false);
-    if (!accepted.ok()) continue;  // poll tick or transient failure
-    auto conn = std::make_unique<Connection>();
-    conn->sock = std::move(accepted).value();
-    Connection* c = conn.get();
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      conns_.push_back(std::move(conn));
-    }
-    c->thread = std::thread([this, c] { ServeConnection(c); });
-  }
-}
-
-void RouterServer::ReapConnections(bool all) {
-  std::list<std::unique_ptr<Connection>> dead;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if (all || (*it)->finished.load()) {
-        dead.push_back(std::move(*it));
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (std::unique_ptr<Connection>& c : dead) {
-    if (c->thread.joinable()) c->thread.join();
-  }
-}
-
-void RouterServer::ServeConnection(Connection* conn) {
-  char head[4];
-  if (ReadFull(conn->sock, head, sizeof(head)).ok()) {
-    if (std::memcmp(head, "GET ", 4) == 0 ||
-        std::memcmp(head, "HEAD", 4) == 0) {
-      ServeHttp(conn, head);
-    } else {
-      uint32_t first_len = 0;
-      for (int i = 0; i < 4; ++i) {
-        first_len |= static_cast<uint32_t>(static_cast<uint8_t>(head[i]))
-                     << (8 * i);
-      }
-      bool first = true;
-      std::string payload;
-      while (true) {
-        if (first) {
-          first = false;
-          if (first_len > options_.max_frame_bytes) break;
-          payload.assign(first_len, '\0');
-          if (first_len > 0 &&
-              !ReadFull(conn->sock, payload.data(), first_len).ok()) {
-            break;
-          }
-        } else if (!ReadFrame(conn->sock, &payload, options_.max_frame_bytes)
-                        .ok()) {
-          break;
-        }
-        uint8_t type = 0;
-        uint64_t request_id = 0;
-        if (!PeekPrologue(payload, &type, &request_id).ok()) break;
-        std::string frame;
-        switch (static_cast<MessageType>(type)) {
-          case MessageType::kSearchRequest: {
-            SearchRequest req;
-            if (!DecodeSearchRequest(payload, &req).ok()) break;
-            StatusOr<SearchResponse> routed = router_->Search(
-                req.query, req.top_k, req.mode, req.deadline_us);
+std::optional<ConnectionLoop::Reply> RouterServer::HandleFrame(
+    MessageType type, const std::string& payload) {
+  switch (type) {
+    case MessageType::kSearchRequest: {
+      SearchRequest req;
+      if (!DecodeSearchRequest(payload, &req).ok()) return std::nullopt;
+      // Scatter here on the reader; the writer gathers in slot order, so
+      // the next request's fan-out overlaps this one's.
+      auto pending = std::make_shared<ShardRouter::PendingSearch>(
+          router_->Scatter(req.query, req.top_k, req.mode, req.deadline_us));
+      return ConnectionLoop::Reply(
+          [this, pending, id = req.request_id] {
+            StatusOr<SearchResponse> routed =
+                router_->Gather(std::move(*pending));
             SearchResponse resp;
             if (routed.ok()) {
               resp = std::move(routed).value();
             } else {
               resp.status = routed.status();
             }
-            resp.request_id = req.request_id;
-            frame = EncodeSearchResponse(resp);
-            break;
-          }
-          case MessageType::kPingRequest: {
-            PingRequest req;
-            if (!DecodePingRequest(payload, &req).ok()) break;
-            PingResponse resp;
-            resp.request_id = req.request_id;
-            resp.server_name = options_.name;
-            resp.num_nodes = router_->total_nodes();
-            frame = EncodePingResponse(resp);
-            break;
-          }
-          case MessageType::kMetricsRequest: {
-            MetricsRequest req;
-            if (!DecodeMetricsRequest(payload, &req).ok()) break;
-            MetricsResponse resp;
-            resp.request_id = req.request_id;
-            resp.text = router_->MetricsText();
-            frame = EncodeMetricsResponse(resp);
-            break;
-          }
-          default:
-            // Shard-administration messages (stats exchange) and unknown
-            // types are not served here.
-            break;
-        }
-        if (frame.empty()) break;  // protocol error or unservable type
-        if (!WriteAll(conn->sock, frame).ok()) break;
-      }
+            resp.request_id = id;
+            return EncodeSearchResponse(resp);
+          });
     }
-  }
-  conn->sock.Shutdown();
-  conn->finished.store(true);
-}
-
-void RouterServer::ServeHttp(Connection* conn, const char prefix[4]) {
-  std::string line(prefix, 4);
-  while (line.size() < 4096 && line.back() != '\n') {
-    char ch;
-    if (!ReadFull(conn->sock, &ch, 1, std::chrono::milliseconds(2000)).ok()) {
-      return;
+    case MessageType::kPingRequest: {
+      PingRequest req;
+      if (!DecodePingRequest(payload, &req).ok()) return std::nullopt;
+      PingResponse resp;
+      resp.request_id = req.request_id;
+      resp.server_name = options_.name;
+      resp.num_nodes = router_->total_nodes();
+      return ConnectionLoop::Reply(EncodePingResponse(resp));
     }
-    line.push_back(ch);
+    default:
+      // Shard-administration messages (stats exchange) and unknown types
+      // are not served here.
+      return std::nullopt;
   }
-  const size_t path_begin = line.find(' ');
-  const size_t path_end =
-      path_begin == std::string::npos ? std::string::npos
-                                      : line.find(' ', path_begin + 1);
-  std::string path = path_end == std::string::npos
-                         ? std::string()
-                         : line.substr(path_begin + 1,
-                                       path_end - path_begin - 1);
-  std::string body;
-  const char* status = "200 OK";
-  if (path == "/metrics") {
-    body = router_->MetricsText();
-  } else if (path == "/healthz" || path == "/") {
-    // Live probe: the health endpoint tells the truth about the shards
-    // right now, not at the last query.
-    body = "ok\n";
-    for (const ShardHealth& h : router_->Probe()) {
-      if (!h.alive) {
-        status = "503 Service Unavailable";
-        body = "shard down: " + h.address.host + ":" +
-               std::to_string(h.address.port) + "\n";
-        break;
-      }
-    }
-  } else {
-    status = "404 Not Found";
-    body = "not found\n";
-  }
-  std::string resp = std::string("HTTP/1.0 ") + status +
-                     "\r\nContent-Type: text/plain; charset=utf-8"
-                     "\r\nContent-Length: " +
-                     std::to_string(body.size()) +
-                     "\r\nConnection: close\r\n\r\n";
-  if (std::memcmp(prefix, "HEAD", 4) != 0) resp += body;
-  (void)WriteAll(conn->sock, resp);
 }
 
 }  // namespace net

@@ -2,55 +2,38 @@
 // (docs/serving.md).
 //
 // The corpus is split into contiguous doc-id ranges, one per shard server
-// (Corpus::Slice + fts_build_index --shards). The router connects to every
-// shard, reads each shard's node count via ping, and assigns bases by
-// prefix sum — shard i's local node n is global node base_i + n — exactly
-// the id scheme IndexSnapshot uses for segments, with shards playing the
-// role of segments across processes.
+// (Corpus::Slice + fts_build_index --shards). The router pings every shard
+// and assigns bases by prefix sum of their node counts — shard i's local
+// node n is global node base_i + n — the id scheme IndexSnapshot uses for
+// segments, with shards as segments across processes.
 //
-// Exactness: a routed query answers bit-identically to a single-index run
-// over the unsplit corpus.
-//   - Unscored (and full scored) results: each shard returns locally
-//     ascending ids; bases are disjoint and increasing in shard order, so
-//     concatenation in shard order IS the globally ascending result —
-//     the same argument Searcher::SearchParsed makes for segments.
-//   - Scored top-k: the global top-k under the total order (score desc,
-//     id asc) is a subset of the union of per-shard top-k's — a result
-//     outside some shard's local top-k is beaten by k results in that
-//     shard alone. Sorting the union by the same total order and truncating
-//     to k therefore reproduces the single-index TopKAccumulator output
-//     exactly; rebasing by a per-shard constant preserves the id
-//     tie-break order.
-//   - Scores themselves: after ExchangeGlobalStats() pushes the summed
-//     df table and live-node count to every shard, each shard recomputes
-//     its norms under corpus-global idf (IndexSnapshot::CreateSharded)
-//     with the same arithmetic a single-index build runs — so every
-//     individual score matches bit for bit.
-//   - Counters: field-wise EvalCounters::MergeFrom of the shard counters,
-//     matching the per-segment merge of a single multi-segment run.
+// Exactness: after ExchangeGlobalStats(), a routed query answers
+// bit-identically to a single-index run over the unsplit corpus — nodes,
+// score bits and merged counters. Full results concatenate in shard order;
+// scored top-k re-ranks the union of per-shard top-k's under the same
+// (score desc, id asc) order. docs/serving.md has the argument.
 //
-// RouterServer wraps a ShardRouter behind the same wire protocol and
-// HTTP /metrics + /healthz endpoints an FtsServer exposes, so a client
-// cannot tell a router from a single big server (shard-administration
-// messages excepted); /healthz degrades to 503 when any shard is down.
+// RouterServer serves a ShardRouter on the same ConnectionLoop, wire
+// protocol and HTTP endpoints as FtsServer, so a client cannot tell a
+// router from a single big server (shard-administration messages
+// excepted); /healthz degrades to 503 when any shard is down.
 
 #ifndef FTS_NET_SHARD_ROUTER_H_
 #define FTS_NET_SHARD_ROUTER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <list>
+#include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/status.h"
 #include "net/client.h"
-#include "net/socket.h"
+#include "net/connection_loop.h"
 #include "net/wire.h"
 
 namespace fts {
@@ -93,9 +76,30 @@ class ShardRouter {
   /// corpus-wise for unscored serving.
   Status ExchangeGlobalStats();
 
-  /// Scatter-gather evaluation; see the file comment for the exactness
-  /// argument. All shards must answer — any shard failure fails the query
-  /// (a partial answer would silently violate exactness).
+  /// A routed search in flight: one pending reply per shard.
+  struct PendingSearch {
+    uint32_t top_k = 0;
+    /// When Gather stops waiting: call_timeout (plus the request's own
+    /// deadline) after Scatter; none when call_timeout is zero.
+    std::optional<std::chrono::steady_clock::time_point> give_up;
+    std::vector<uint64_t> request_ids;
+    std::vector<std::future<StatusOr<SearchResponse>>> replies;
+  };
+
+  /// Sends the request to every shard, pipelined on each shard's
+  /// connection, and returns without waiting.
+  PendingSearch Scatter(std::string_view query, uint32_t top_k = 0,
+                        WireCursorMode mode = WireCursorMode::kDefault,
+                        uint64_t deadline_us = 0);
+
+  /// Waits for every shard's reply and merges them; see the file comment
+  /// for the exactness argument. All shards must answer — any shard
+  /// failure fails the query (a partial answer would silently violate
+  /// exactness). A shard that has not answered by `give_up` fails it with
+  /// DeadlineExceeded.
+  StatusOr<SearchResponse> Gather(PendingSearch pending);
+
+  /// Gather(Scatter(...)), for in-process callers.
   StatusOr<SearchResponse> Search(std::string_view query, uint32_t top_k = 0,
                                   WireCursorMode mode = WireCursorMode::kDefault,
                                   uint64_t deadline_us = 0);
@@ -127,11 +131,11 @@ class ShardRouter {
   uint64_t queries_failed_ = 0;
 };
 
-/// Serves a ShardRouter behind the wire protocol. Each connection is
-/// handled by one thread evaluating requests in order (the fan-out inside
-/// ShardRouter::Search already parallelizes across shards; clients wanting
-/// concurrent routed queries open multiple connections). Speaks the same
-/// HTTP /metrics and /healthz dialect as FtsServer; shard-administration
+/// Serves a ShardRouter behind the wire protocol on a ConnectionLoop. A
+/// connection's reader scatters each search and its writer gathers and
+/// merges the replies in request order, so routed queries pipeline on one
+/// connection the way they do on a shard server. Speaks the same HTTP
+/// /metrics and /healthz dialect as FtsServer; shard-administration
 /// messages (stats exchange) are not served and drop the connection.
 class RouterServer {
  public:
@@ -144,35 +148,25 @@ class RouterServer {
 
   /// `router` must be Connect()ed and must outlive the server.
   RouterServer(ShardRouter* router, Options options);
-  ~RouterServer();
 
   RouterServer(const RouterServer&) = delete;
   RouterServer& operator=(const RouterServer&) = delete;
 
   Status Start();
-  void Stop();
-  uint16_t port() const { return port_; }
+  void Stop() { loop_.Stop(); }
+  uint16_t port() const { return loop_.port(); }
+
+  /// The router's metrics plus this server's connection tallies: the
+  /// body of /metrics and of the binary Metrics message.
+  std::string MetricsText() const;
 
  private:
-  struct Connection {
-    Socket sock;
-    std::thread thread;
-    std::atomic<bool> finished{false};
-  };
-
-  void AcceptLoop();
-  void ServeConnection(Connection* conn);
-  void ServeHttp(Connection* conn, const char prefix[4]);
-  void ReapConnections(bool all);
+  std::optional<ConnectionLoop::Reply> HandleFrame(MessageType type,
+                                                   const std::string& payload);
 
   Options options_;
   ShardRouter* router_;
-  Socket listener_;
-  uint16_t port_ = 0;
-  std::atomic<bool> stop_{true};
-  std::thread acceptor_;
-  std::mutex conns_mu_;
-  std::list<std::unique_ptr<Connection>> conns_;
+  ConnectionLoop loop_;
 };
 
 }  // namespace net

@@ -217,10 +217,18 @@ Status WriteAll(const Socket& sock, std::string_view data) {
 
 Status ReadFrame(const Socket& sock, std::string* payload,
                  uint32_t max_frame_bytes, std::chrono::milliseconds timeout) {
-  uint8_t header[kFrameHeaderBytes];
+  char header[kFrameHeaderBytes];
   FTS_RETURN_IF_ERROR(ReadFull(sock, header, sizeof(header), timeout));
+  return ReadFramePayload(sock, header, payload, max_frame_bytes, timeout);
+}
+
+Status ReadFramePayload(const Socket& sock, const char (&header)[4],
+                        std::string* payload, uint32_t max_frame_bytes,
+                        std::chrono::milliseconds timeout) {
   uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= static_cast<uint32_t>(header[i]) << (8 * i);
+  for (int i = 0; i < 4; ++i) {
+    len |= static_cast<uint32_t>(static_cast<uint8_t>(header[i])) << (8 * i);
+  }
   if (len > max_frame_bytes) {
     // The declared length exceeds the bound, so the stream can never be
     // resynchronized — the caller must fail closed and drop the

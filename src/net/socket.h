@@ -88,6 +88,13 @@ Status ReadFrame(const Socket& sock, std::string* payload,
                  uint32_t max_frame_bytes,
                  std::chrono::milliseconds timeout = kNoTimeout);
 
+/// The second half of ReadFrame, for a caller that has already read the
+/// four length bytes in `header` (e.g. to tell a binary frame from an HTTP
+/// request line). Same bounds and errors as ReadFrame.
+Status ReadFramePayload(const Socket& sock, const char (&header)[4],
+                        std::string* payload, uint32_t max_frame_bytes,
+                        std::chrono::milliseconds timeout = kNoTimeout);
+
 }  // namespace net
 }  // namespace fts
 

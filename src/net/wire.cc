@@ -37,16 +37,23 @@ Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("wire: malformed frame: ") + what);
 }
 
-/// Consumes and validates the prologue; fails on version or type mismatch.
-Status ReadPrologue(WireReader& r, MessageType expected, uint64_t* request_id) {
-  uint8_t version = 0, type = 0;
-  if (!r.GetU8(&version) || !r.GetU8(&type) || !r.GetU64(request_id)) {
+/// Consumes the prologue; fails on truncation or an unsupported version.
+Status GetPrologue(WireReader& r, uint8_t* type, uint64_t* request_id) {
+  uint8_t version = 0;
+  if (!r.GetU8(&version) || !r.GetU8(type) || !r.GetU64(request_id)) {
     return Malformed("truncated prologue");
   }
   if (version != kProtocolVersion) {
     return Status::InvalidArgument("wire: unsupported protocol version " +
                                    std::to_string(version));
   }
+  return Status::OK();
+}
+
+/// GetPrologue, also failing on a type other than `expected`.
+Status ReadPrologue(WireReader& r, MessageType expected, uint64_t* request_id) {
+  uint8_t type = 0;
+  FTS_RETURN_IF_ERROR(GetPrologue(r, &type, request_id));
   if (type != static_cast<uint8_t>(expected)) {
     return Malformed("unexpected message type");
   }
@@ -58,6 +65,20 @@ Status ReadPrologue(WireReader& r, MessageType expected, uint64_t* request_id) {
 Status ExpectEnd(const WireReader& r) {
   if (!r.AtEnd()) return Malformed("trailing bytes after message body");
   return Status::OK();
+}
+
+/// A message with an empty body: the prologue alone.
+std::string EncodeEmpty(MessageType type, uint64_t request_id) {
+  std::string p;
+  PutPrologue(&p, type, request_id);
+  return Frame(std::move(p));
+}
+
+Status DecodeEmpty(std::string_view payload, MessageType type,
+                   uint64_t* request_id) {
+  WireReader r(payload);
+  FTS_RETURN_IF_ERROR(ReadPrologue(r, type, request_id));
+  return ExpectEnd(r);
 }
 
 void PutStatus(std::string* out, const Status& s) {
@@ -276,16 +297,11 @@ Status DecodeSearchResponse(std::string_view payload, SearchResponse* out) {
 }
 
 std::string EncodePingRequest(const PingRequest& req) {
-  std::string p;
-  PutPrologue(&p, MessageType::kPingRequest, req.request_id);
-  return Frame(std::move(p));
+  return EncodeEmpty(MessageType::kPingRequest, req.request_id);
 }
 
 Status DecodePingRequest(std::string_view payload, PingRequest* out) {
-  WireReader r(payload);
-  FTS_RETURN_IF_ERROR(
-      ReadPrologue(r, MessageType::kPingRequest, &out->request_id));
-  return ExpectEnd(r);
+  return DecodeEmpty(payload, MessageType::kPingRequest, &out->request_id);
 }
 
 std::string EncodePingResponse(const PingResponse& resp) {
@@ -309,16 +325,11 @@ Status DecodePingResponse(std::string_view payload, PingResponse* out) {
 }
 
 std::string EncodeStatsRequest(const StatsRequest& req) {
-  std::string p;
-  PutPrologue(&p, MessageType::kStatsRequest, req.request_id);
-  return Frame(std::move(p));
+  return EncodeEmpty(MessageType::kStatsRequest, req.request_id);
 }
 
 Status DecodeStatsRequest(std::string_view payload, StatsRequest* out) {
-  WireReader r(payload);
-  FTS_RETURN_IF_ERROR(
-      ReadPrologue(r, MessageType::kStatsRequest, &out->request_id));
-  return ExpectEnd(r);
+  return DecodeEmpty(payload, MessageType::kStatsRequest, &out->request_id);
 }
 
 std::string EncodeStatsResponse(const StatsResponse& resp) {
@@ -377,16 +388,11 @@ Status DecodeSetGlobalStatsResponse(std::string_view payload,
 }
 
 std::string EncodeMetricsRequest(const MetricsRequest& req) {
-  std::string p;
-  PutPrologue(&p, MessageType::kMetricsRequest, req.request_id);
-  return Frame(std::move(p));
+  return EncodeEmpty(MessageType::kMetricsRequest, req.request_id);
 }
 
 Status DecodeMetricsRequest(std::string_view payload, MetricsRequest* out) {
-  WireReader r(payload);
-  FTS_RETURN_IF_ERROR(
-      ReadPrologue(r, MessageType::kMetricsRequest, &out->request_id));
-  return ExpectEnd(r);
+  return DecodeEmpty(payload, MessageType::kMetricsRequest, &out->request_id);
 }
 
 std::string EncodeMetricsResponse(const MetricsResponse& resp) {
@@ -407,15 +413,7 @@ Status DecodeMetricsResponse(std::string_view payload, MetricsResponse* out) {
 Status PeekPrologue(std::string_view payload, uint8_t* type,
                     uint64_t* request_id) {
   WireReader r(payload);
-  uint8_t version = 0;
-  if (!r.GetU8(&version) || !r.GetU8(type) || !r.GetU64(request_id)) {
-    return Malformed("truncated prologue");
-  }
-  if (version != kProtocolVersion) {
-    return Status::InvalidArgument("wire: unsupported protocol version " +
-                                   std::to_string(version));
-  }
-  return Status::OK();
+  return GetPrologue(r, type, request_id);
 }
 
 std::optional<CursorMode> ToCursorMode(WireCursorMode mode) {

@@ -4,7 +4,9 @@
 // calls, and the fail-closed connection contract — malformed frames,
 // oversized declared lengths, disconnect with requests in flight, and
 // admission-control shedding. Plus the HTTP /metrics and /healthz dialect
-// served on the same port.
+// served on the same port. The connection-level cases
+// (NetLoopbackFrontTest) run against both fronts, FtsServer and
+// RouterServer.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "index/index_builder.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/shard_router.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "text/corpus.h"
@@ -193,45 +196,6 @@ TEST(NetLoopbackTest, PipelinedAsyncCallsAllComplete) {
   }
 }
 
-TEST(NetLoopbackTest, MalformedFrameDropsConnection) {
-  Loopback lb;
-  // Prime the connection so the failure is observable as a transition.
-  ASSERT_TRUE(lb.client->Ping().ok());
-
-  auto sock = ConnectTcp("127.0.0.1", lb.server.port(),
-                         std::chrono::milliseconds(2000));
-  ASSERT_TRUE(sock.ok());
-  // A well-framed payload that is not a valid prologue (bad version byte).
-  std::string frame;
-  PutU32(&frame, 12);
-  frame.append(12, '\xee');
-  ASSERT_TRUE(WriteAll(*sock, frame).ok());
-  std::string payload;
-  const Status s =
-      ReadFrame(*sock, &payload, kMaxFrameBytes, std::chrono::milliseconds(2000));
-  EXPECT_FALSE(s.ok());  // server closed without answering
-
-  // The server as a whole is unaffected.
-  auto after = lb.client->Ping();
-  ASSERT_TRUE(after.ok());
-}
-
-TEST(NetLoopbackTest, OversizedDeclaredLengthDropsConnection) {
-  FtsServer::Options options;
-  options.max_frame_bytes = 4096;
-  Loopback lb(options);
-  auto sock = ConnectTcp("127.0.0.1", lb.server.port(),
-                         std::chrono::milliseconds(2000));
-  ASSERT_TRUE(sock.ok());
-  std::string frame;
-  PutU32(&frame, 1u << 20);  // declared length far over the 4 KiB bound
-  ASSERT_TRUE(WriteAll(*sock, frame).ok());
-  std::string payload;
-  const Status s =
-      ReadFrame(*sock, &payload, kMaxFrameBytes, std::chrono::milliseconds(2000));
-  EXPECT_FALSE(s.ok());  // dropped without reading the (never-sent) body
-}
-
 TEST(NetLoopbackTest, DisconnectFailsInFlightCalls) {
   Loopback lb;
   // Park requests the single worker won't finish instantly, then sever the
@@ -360,23 +324,6 @@ std::string HttpGet(uint16_t port, const std::string& target) {
   return response;
 }
 
-TEST(NetLoopbackTest, HttpMetricsAndHealthOnSamePort) {
-  Loopback lb;
-  ASSERT_TRUE(lb.client->Search("'apple'").ok());
-
-  const std::string health = HttpGet(lb.server.port(), "/healthz");
-  EXPECT_NE(health.find("200 OK"), std::string::npos);
-  EXPECT_NE(health.find("ok"), std::string::npos);
-
-  const std::string metrics = HttpGet(lb.server.port(), "/metrics");
-  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
-  EXPECT_NE(metrics.find("fts_up 1"), std::string::npos);
-  EXPECT_NE(metrics.find("fts_total_nodes 5"), std::string::npos);
-
-  const std::string missing = HttpGet(lb.server.port(), "/nope");
-  EXPECT_NE(missing.find("404"), std::string::npos);
-}
-
 TEST(NetLoopbackTest, PerRequestCursorModeOverride) {
   // kSequential vs the adaptive default must agree on results; the request
   // override just selects the access pattern.
@@ -388,6 +335,127 @@ TEST(NetLoopbackTest, PerRequestCursorModeOverride) {
   ASSERT_TRUE(dflt.ok() && dflt->status.ok());
   EXPECT_EQ(seq->nodes, dflt->nodes);
 }
+
+/// Which front a client talks to: a shard server, or a RouterServer over
+/// one such shard. Both run on the same ConnectionLoop, so the
+/// connection-level contract below holds for each.
+enum class FrontKind { kShard, kRouter };
+
+/// A started front of `kind` on an ephemeral loopback port, plus a client.
+struct Front {
+  explicit Front(FrontKind kind, uint32_t max_frame_bytes = kMaxFrameBytes)
+      : shard(SmallIndex(), ShardOptions(max_frame_bytes)) {
+    Status s = shard.Start();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    if (kind == FrontKind::kRouter) {
+      ShardRouter::Options ropts;
+      ropts.shards.push_back({"127.0.0.1", shard.port()});
+      router = std::make_unique<ShardRouter>(ropts);
+      s = router->Connect();
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      RouterServer::Options sopts;
+      sopts.max_frame_bytes = max_frame_bytes;
+      router_server = std::make_unique<RouterServer>(router.get(), sopts);
+      s = router_server->Start();
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+    FtsClient::Options copts;
+    copts.port = port();
+    client = std::make_unique<FtsClient>(copts);
+  }
+
+  static FtsServer::Options ShardOptions(uint32_t max_frame_bytes) {
+    FtsServer::Options options;
+    options.max_frame_bytes = max_frame_bytes;
+    return options;
+  }
+
+  uint16_t port() const {
+    return router_server ? router_server->port() : shard.port();
+  }
+
+  FtsServer shard;
+  std::unique_ptr<ShardRouter> router;
+  std::unique_ptr<RouterServer> router_server;
+  std::unique_ptr<FtsClient> client;
+};
+
+class NetLoopbackFrontTest : public ::testing::TestWithParam<FrontKind> {};
+
+TEST_P(NetLoopbackFrontTest, MalformedFrameDropsConnection) {
+  Front lb(GetParam());
+  // Prime the connection so the failure is observable as a transition.
+  ASSERT_TRUE(lb.client->Ping().ok());
+
+  auto sock = ConnectTcp("127.0.0.1", lb.port(),
+                         std::chrono::milliseconds(2000));
+  ASSERT_TRUE(sock.ok());
+  // A well-framed payload that is not a valid prologue (bad version byte).
+  std::string frame;
+  PutU32(&frame, 12);
+  frame.append(12, '\xee');
+  ASSERT_TRUE(WriteAll(*sock, frame).ok());
+  std::string payload;
+  const Status s =
+      ReadFrame(*sock, &payload, kMaxFrameBytes, std::chrono::milliseconds(2000));
+  EXPECT_FALSE(s.ok());  // server closed without answering
+
+  // The server as a whole is unaffected, and counted the poisoned stream.
+  auto after = lb.client->Ping();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(MetricValue(HttpGet(lb.port(), "/metrics"), "fts_protocol_errors"), 1);
+}
+
+TEST_P(NetLoopbackFrontTest, OversizedDeclaredLengthDropsConnection) {
+  Front lb(GetParam(), /*max_frame_bytes=*/4096);
+  auto sock = ConnectTcp("127.0.0.1", lb.port(),
+                         std::chrono::milliseconds(2000));
+  ASSERT_TRUE(sock.ok());
+  std::string frame;
+  PutU32(&frame, 1u << 20);  // declared length far over the 4 KiB bound
+  ASSERT_TRUE(WriteAll(*sock, frame).ok());
+  std::string payload;
+  const Status s =
+      ReadFrame(*sock, &payload, kMaxFrameBytes, std::chrono::milliseconds(2000));
+  EXPECT_FALSE(s.ok());  // dropped without reading the (never-sent) body
+  EXPECT_EQ(MetricValue(HttpGet(lb.port(), "/metrics"), "fts_protocol_errors"), 1);
+}
+
+TEST_P(NetLoopbackFrontTest, HttpMetricsAndHealthOnSamePort) {
+  Front lb(GetParam());
+  ASSERT_TRUE(lb.client->Search("'apple'").ok());
+
+  const std::string health = HttpGet(lb.port(), "/healthz");
+  EXPECT_NE(health.find("200 OK"), std::string::npos);
+  EXPECT_NE(health.find("ok"), std::string::npos);
+
+  const std::string metrics = HttpGet(lb.port(), "/metrics");
+  EXPECT_NE(metrics.find("200 OK"), std::string::npos);
+  EXPECT_NE(metrics.find("fts_up 1"), std::string::npos);
+  EXPECT_EQ(MetricValue(metrics, GetParam() == FrontKind::kShard
+                                     ? "fts_total_nodes"
+                                     : "fts_router_total_nodes"),
+            5);
+  EXPECT_GE(MetricValue(metrics, "fts_connections_accepted"), 2);
+
+  const std::string missing = HttpGet(lb.port(), "/nope");
+  EXPECT_NE(missing.find("404"), std::string::npos);
+
+  if (GetParam() == FrontKind::kRouter) {
+    // The router's health probes its shards live: one down is a 503.
+    lb.shard.Stop();
+    const std::string degraded = HttpGet(lb.port(), "/healthz");
+    EXPECT_NE(degraded.find("503"), std::string::npos);
+    EXPECT_NE(degraded.find("shard down"), std::string::npos);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fronts, NetLoopbackFrontTest,
+                         ::testing::Values(FrontKind::kShard, FrontKind::kRouter),
+                         [](const ::testing::TestParamInfo<FrontKind>& info) {
+                           return info.param == FrontKind::kShard ? "Shard"
+                                                                  : "Router";
+                         });
 
 }  // namespace
 }  // namespace net

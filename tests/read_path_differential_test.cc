@@ -57,16 +57,20 @@
 //     ConcurrentPathsMatchTheAnchors.
 //   net_scatter_gather: a 3-shard ShardRouter over loopback FtsServers with
 //     the stats exchange -> ShardedClusterMatchesTheAnchors; RouterServer,
-//     shard death, unscored top-k as a prefix -> ReadPathClusterTest.
+//     shard death, unscored top-k as a prefix -> ReadPathClusterTest, which
+//     also pins a pipelined router connection and the shard call timeout.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <initializer_list>
 #include <iterator>
 #include <map>
@@ -94,6 +98,8 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "net/shard_router.h"
+#include "net/socket.h"
+#include "net/wire.h"
 #include "scoring/topk.h"
 #include "testing/random_workload.h"
 #include "testing/raw_posting_oracle.h"
@@ -820,6 +826,155 @@ TEST(ReadPathClusterTest, RouterServerServesIdenticalResults) {
         << text;
   }
   server.Stop();
+}
+
+TEST(ReadPathClusterTest, RouterConnectionPipelines) {
+  // 32 searches in flight on one client connection to a RouterServer: its
+  // reader scatters each on arrival while its writer gathers the earlier
+  // ones. Every reply carries its request's id and matches the in-process
+  // router.
+  const World& w = GetWorld(1);
+  Cluster cluster;
+  cluster.Init(w.surviving, ScoringKind::kTfIdf, /*exchange_stats=*/true);
+  if (HasFatalFailure()) return;
+  net::RouterServer server(cluster.router.get(), net::RouterServer::Options());
+  ASSERT_OK(server.Start());
+  net::FtsClient::Options copts;
+  copts.port = server.port();
+  net::FtsClient client(copts);
+  struct Call {
+    std::string text;
+    uint32_t top_k = 0;
+    uint64_t id = 0;
+    std::future<StatusOr<net::SearchResponse>> reply;
+  };
+  std::vector<Call> calls(32);
+  for (size_t i = 0; i < calls.size(); ++i) {
+    Call& c = calls[i];
+    c.text = w.queries[(i * 7) % w.queries.size()].expr->ToString();
+    c.top_k = i % 2 == 0 ? 0 : kTopK;
+    net::SearchRequest req;
+    req.query = c.text;
+    req.top_k = c.top_k;
+    c.reply = client.SearchAsync(std::move(req), &c.id);
+  }
+  for (Call& c : calls) {
+    auto got = c.reply.get();
+    ASSERT_OK(got.status()) << c.text;
+    ASSERT_OK(got->status) << c.text;
+    EXPECT_EQ(got->request_id, c.id) << c.text;
+    auto direct = cluster.router->Search(c.text, c.top_k);
+    ASSERT_OK(direct.status()) << c.text;
+    EXPECT_EQ(Divergence(w, w.shapes[0], FromResponse(*got), FromResponse(*direct)), "")
+        << c.text << " top_k=" << c.top_k;
+  }
+}
+
+/// A shard built from the socket primitives alone. It answers Ping, and
+/// holds every Search until `release_at` of them are waiting, then answers
+/// them all with empty results; with `release_at` 0 it never answers one.
+class FakeShard {
+ public:
+  explicit FakeShard(size_t release_at) : release_at_(release_at) {
+    listener_ = Must(net::ListenTcp(0, &port_, /*loopback_only=*/true));
+    thread_ = std::thread([this] { Serve(); });
+  }
+  /// Returns once the router that connected here has disconnected.
+  ~FakeShard() {
+    stop_.store(true);
+    thread_.join();
+  }
+
+  uint16_t port() const { return port_; }
+
+ private:
+  void Serve() {
+    net::Socket conn;
+    while (!conn.valid() && !stop_.load()) {
+      StatusOr<net::Socket> accepted =
+          net::AcceptWithTimeout(listener_, net::kNoTimeout);
+      if (accepted.ok()) conn = std::move(accepted).value();
+    }
+    std::vector<uint64_t> held;
+    std::string payload;
+    while (conn.valid() &&
+           net::ReadFrame(conn, &payload, net::kMaxFrameBytes).ok()) {
+      uint8_t type = 0;
+      uint64_t id = 0;
+      if (!net::PeekPrologue(payload, &type, &id).ok()) return;
+      if (static_cast<net::MessageType>(type) == net::MessageType::kPingRequest) {
+        net::PingResponse ping;
+        ping.request_id = id;
+        ping.server_name = "fake";
+        ping.num_nodes = 3;
+        (void)net::WriteAll(conn, net::EncodePingResponse(ping));
+      } else if (static_cast<net::MessageType>(type) ==
+                 net::MessageType::kSearchRequest) {
+        held.push_back(id);
+        if (held.size() != release_at_) continue;
+        for (const uint64_t held_id : held) {
+          net::SearchResponse resp;
+          resp.request_id = held_id;
+          (void)net::WriteAll(conn, net::EncodeSearchResponse(resp));
+        }
+        held.clear();
+      }
+    }
+  }
+
+  const size_t release_at_;
+  net::Socket listener_;
+  uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+TEST(ReadPathClusterTest, StalledShardFailsTheQueryAtTheCallTimeout) {
+  // A shard that never answers must not hang a routed query: the gather
+  // gives up at call_timeout, names the shard, and counts the failure.
+  FakeShard stalled(/*release_at=*/0);
+  net::ShardRouter::Options ropts;
+  ropts.shards.push_back({"127.0.0.1", stalled.port()});
+  ropts.call_timeout = std::chrono::milliseconds(200);
+  net::ShardRouter router(ropts);
+  ASSERT_OK(router.Connect());
+  auto routed = router.Search("'a'");
+  ASSERT_FALSE(routed.ok());
+  EXPECT_EQ(routed.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(routed.status().message().find("shard 0"), std::string::npos)
+      << routed.status().ToString();
+  EXPECT_NE(router.MetricsText().find("fts_router_queries_failed 1"),
+            std::string::npos);
+  // Only the query's slot was dropped: the shard connection still serves.
+  EXPECT_TRUE(router.Probe()[0].alive);
+}
+
+TEST(ReadPathClusterTest, RouterConnectionOverlapsQueries) {
+  // The shard answers nothing until it holds two searches, so the first
+  // reply can only come back if the router sent the second query before
+  // the first was answered.
+  FakeShard shard(/*release_at=*/2);
+  net::ShardRouter::Options ropts;
+  ropts.shards.push_back({"127.0.0.1", shard.port()});
+  net::ShardRouter router(ropts);
+  ASSERT_OK(router.Connect());
+  net::RouterServer server(&router, net::RouterServer::Options());
+  ASSERT_OK(server.Start());
+  net::FtsClient::Options copts;
+  copts.port = server.port();
+  net::FtsClient client(copts);
+  std::future<StatusOr<net::SearchResponse>> replies[2];
+  for (auto& reply : replies) {
+    net::SearchRequest req;
+    req.query = "'a'";
+    reply = client.SearchAsync(std::move(req));
+  }
+  for (auto& reply : replies) {
+    auto got = reply.get();
+    ASSERT_OK(got.status());
+    ASSERT_OK(got->status);
+    EXPECT_TRUE(got->nodes.empty());
+  }
 }
 
 TEST(ReadPathClusterTest, QueryFailsWhenAShardDies) {

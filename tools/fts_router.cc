@@ -4,15 +4,14 @@
 // scores are bit-identical to a single-index run, then serves the same
 // wire protocol (and HTTP /metrics, /healthz) a single fts_server speaks.
 
-#include <csignal>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "net/shard_router.h"
+#include "tool_util.h"
 
 namespace {
 
@@ -38,36 +37,13 @@ fts::net::ShardAddress ParseShard(const char* value) {
   }
   fts::net::ShardAddress addr;
   addr.host.assign(value, colon - value);
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(colon + 1, &end, 10);
-  if (*end != '\0' || port == 0 || port > 65535) {
+  const std::optional<uint16_t> port = fts_tools::ParsePort(colon + 1);
+  if (!port.has_value() || *port == 0) {
     std::fprintf(stderr, "fts_router: bad --shard port: %s\n", value);
     std::exit(2);
   }
-  addr.port = static_cast<uint16_t>(port);
+  addr.port = *port;
   return addr;
-}
-
-sigset_t ShutdownSignals() {
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGINT);
-  sigaddset(&set, SIGTERM);
-  return set;
-}
-
-/// Masks SIGINT/SIGTERM; must run before any router/server thread spawns
-/// so sigwait below is the only consumer (see fts_server.cc).
-void MaskShutdownSignals() {
-  const sigset_t set = ShutdownSignals();
-  pthread_sigmask(SIG_BLOCK, &set, nullptr);
-}
-
-void WaitForShutdownSignal() {
-  const sigset_t set = ShutdownSignals();
-  int sig = 0;
-  sigwait(&set, &sig);
-  std::printf("fts_router: caught %s, shutting down\n", strsignal(sig));
 }
 
 }  // namespace
@@ -87,7 +63,7 @@ int main(int argc, char** argv) {
     if (arg == "--shard") {
       router_options.shards.push_back(ParseShard(next()));
     } else if (arg == "--port") {
-      server_options.port = static_cast<uint16_t>(std::strtoul(next(), nullptr, 10));
+      server_options.port = fts_tools::PortFlagOrDie("fts_router", next());
     } else if (arg == "--name") {
       server_options.name = next();
     } else if (arg == "--listen-all") {
@@ -100,7 +76,7 @@ int main(int argc, char** argv) {
   }
   if (router_options.shards.empty()) Usage();
 
-  MaskShutdownSignals();
+  fts_tools::MaskShutdownSignals();
   fts::net::ShardRouter router(router_options);
   fts::Status s = router.Connect();
   if (!s.ok()) {
@@ -137,7 +113,7 @@ int main(int argc, char** argv) {
               server.port());
   std::fflush(stdout);
 
-  WaitForShutdownSignal();
+  fts_tools::WaitForShutdownSignal("fts_router");
   server.Stop();
   return 0;
 }

@@ -2,16 +2,15 @@
 // HTTP /metrics and /healthz endpoints (docs/serving.md). One process per
 // shard; put a fts_router in front for a document-partitioned deployment.
 
-#include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "index/index_io.h"
 #include "net/server.h"
+#include "tool_util.h"
 
 namespace {
 
@@ -43,31 +42,6 @@ uint64_t ParseU64(const char* flag, const char* value) {
   return v;
 }
 
-sigset_t ShutdownSignals() {
-  sigset_t set;
-  sigemptyset(&set);
-  sigaddset(&set, SIGINT);
-  sigaddset(&set, SIGTERM);
-  return set;
-}
-
-/// Masks SIGINT/SIGTERM in the calling (main) thread. Must run before any
-/// server thread is spawned so every thread inherits the mask and sigwait
-/// below is the only consumer — otherwise a process-directed signal can
-/// land on a worker thread and kill the process without a clean Stop().
-void MaskShutdownSignals() {
-  const sigset_t set = ShutdownSignals();
-  pthread_sigmask(SIG_BLOCK, &set, nullptr);
-}
-
-/// Blocks until SIGINT or SIGTERM arrives (consumed synchronously).
-void WaitForShutdownSignal() {
-  const sigset_t set = ShutdownSignals();
-  int sig = 0;
-  sigwait(&set, &sig);
-  std::printf("fts_server: caught %s, shutting down\n", strsignal(sig));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -85,7 +59,7 @@ int main(int argc, char** argv) {
     if (arg == "--index") {
       index_path = next();
     } else if (arg == "--port") {
-      options.port = static_cast<uint16_t>(ParseU64("--port", next()));
+      options.port = fts_tools::PortFlagOrDie("fts_server", next());
     } else if (arg == "--name") {
       options.name = next();
     } else if (arg == "--scoring") {
@@ -134,7 +108,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  MaskShutdownSignals();
+  fts_tools::MaskShutdownSignals();
   fts::net::FtsServer server(index, options);
   s = server.Start();
   if (!s.ok()) {
@@ -146,7 +120,7 @@ int main(int argc, char** argv) {
               server.service().num_workers());
   std::fflush(stdout);
 
-  WaitForShutdownSignal();
+  fts_tools::WaitForShutdownSignal("fts_server");
   server.Stop();
   return 0;
 }
