@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
 
+#include "eval/planner.h"
 #include "index/block_posting_list.h"
 #include "index/decoded_block_cache.h"
 #include "testing/raw_posting_oracle.h"
 #include "lang/classify.h"
-#include "scoring/probabilistic.h"
-#include "scoring/tfidf.h"
 
 namespace fts {
 
@@ -75,20 +73,22 @@ class BoolEvaluator {
           const bool ltok = e->left()->kind() == LangExpr::Kind::kToken;
           const bool rtok = e->right()->kind() == LangExpr::Kind::kToken;
           if (ltok && rtok) {
-            if (UseSeek(TokenDf(e->left()->token()),
-                        TokenDf(e->right()->token()))) {
+            if (PlanAndSeek(mode_, TokenDf(e->left()->token()),
+                            TokenDf(e->right()->token()))) {
               return ZigZagTokens(e->left()->token(), e->right()->token());
             }
           } else if (rtok) {
             FTS_ASSIGN_OR_RETURN(NodeSet l, Eval(e->left()));
-            if (UseSeek(l.nodes.size(), TokenDf(e->right()->token()))) {
+            if (PlanAndSeek(mode_, l.nodes.size(),
+                            TokenDf(e->right()->token()))) {
               return IntersectSetToken(l, e->right()->token(), /*set_on_left=*/true);
             }
             FTS_ASSIGN_OR_RETURN(NodeSet r, Eval(e->right()));
             return Intersect(l, r);
           } else if (ltok) {
             FTS_ASSIGN_OR_RETURN(NodeSet r, Eval(e->right()));
-            if (UseSeek(r.nodes.size(), TokenDf(e->left()->token()))) {
+            if (PlanAndSeek(mode_, r.nodes.size(),
+                            TokenDf(e->left()->token()))) {
               return IntersectSetToken(r, e->left()->token(), /*set_on_left=*/false);
             }
             FTS_ASSIGN_OR_RETURN(NodeSet l, Eval(e->left()));
@@ -117,15 +117,6 @@ class BoolEvaluator {
 
   uint64_t TokenDf(const std::string& token) const {
     return index_->df(index_->LookupToken(token));
-  }
-
-  /// Per-operator access-mode decision for an AND whose sides would read
-  /// `a` and `b` entries: kSeek forces seeking, kAdaptive asks the planner.
-  bool UseSeek(uint64_t a, uint64_t b) const {
-    if (mode_ == CursorMode::kSeek) return true;
-    assert(mode_ == CursorMode::kAdaptive);
-    const uint64_t dfs[2] = {a, b};
-    return PlanFromDfs(dfs) == CursorMode::kSeek;
   }
 
   template <typename CursorT>
@@ -478,15 +469,14 @@ StatusOr<QueryResult> BoolEngine::Evaluate(const LangExprPtr& query,
       segment_ != nullptr ? segment_->scoring : nullptr;
   const TombstoneSet* tombstones =
       segment_ != nullptr ? segment_->tombstones : nullptr;
-  std::unique_ptr<AlgebraScoreModel> model;
-  if (scoring_ == ScoringKind::kTfIdf) {
-    std::vector<std::string> tokens;
-    CollectSurfaceTokens(normalized, &tokens);
-    model = std::make_unique<TfIdfScoreModel>(index_, std::move(tokens),
-                                              nullptr, stats);
-  } else if (scoring_ == ScoringKind::kProbabilistic) {
-    model = std::make_unique<ProbabilisticScoreModel>(index_, stats);
-  }
+  const std::unique_ptr<AlgebraScoreModel> model = MakeScoreModel(
+      scoring_, index_,
+      [&] {
+        std::vector<std::string> tokens;
+        CollectSurfaceTokens(normalized, &tokens);
+        return tokens;
+      },
+      stats);
 
   QueryResult result;
   // The context's L1 attaches when some list is read twice and the working

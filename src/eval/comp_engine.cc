@@ -1,14 +1,14 @@
 #include "eval/comp_engine.h"
 
 #include <memory>
+#include <set>
+#include <string>
 
 #include "algebra/fta.h"
 #include "calculus/analysis.h"
 #include "compile/ftc_to_fta.h"
 #include "index/decoded_block_cache.h"
 #include "lang/translate.h"
-#include "scoring/probabilistic.h"
-#include "scoring/tfidf.h"
 
 namespace fts {
 
@@ -19,17 +19,13 @@ StatusOr<QueryResult> CompEngine::Evaluate(const LangExprPtr& query,
   FTS_ASSIGN_OR_RETURN(CalcQuery calc, TranslateToCalculus(query));
   FTS_ASSIGN_OR_RETURN(FtaExprPtr plan, CompileQuery(calc));
 
-  const SegmentScoringStats* stats =
-      segment_ != nullptr ? segment_->scoring : nullptr;
-  std::unique_ptr<AlgebraScoreModel> model;
-  if (scoring_ == ScoringKind::kTfIdf) {
-    auto token_set = CollectTokens(calc.expr);
-    std::vector<std::string> tokens(token_set.begin(), token_set.end());
-    model = std::make_unique<TfIdfScoreModel>(index_, std::move(tokens), nullptr,
-                                              stats);
-  } else if (scoring_ == ScoringKind::kProbabilistic) {
-    model = std::make_unique<ProbabilisticScoreModel>(index_, stats);
-  }
+  const std::unique_ptr<AlgebraScoreModel> model = MakeScoreModel(
+      scoring_, index_,
+      [&] {
+        const std::set<std::string> tokens = CollectTokens(calc.expr);
+        return std::vector<std::string>(tokens.begin(), tokens.end());
+      },
+      segment_ != nullptr ? segment_->scoring : nullptr);
 
   QueryResult result;
   // The context's L1 attaches when some list is scanned twice and the

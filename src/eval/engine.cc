@@ -2,15 +2,6 @@
 
 namespace fts {
 
-const char* ScoringKindToString(ScoringKind kind) {
-  switch (kind) {
-    case ScoringKind::kNone: return "none";
-    case ScoringKind::kTfIdf: return "tfidf";
-    case ScoringKind::kProbabilistic: return "probabilistic";
-  }
-  return "?";
-}
-
 const char* CursorModeToString(CursorMode mode) {
   switch (mode) {
     case CursorMode::kSequential: return "sequential";
@@ -27,32 +18,6 @@ const char* PairRoutingToString(PairRouting routing) {
     case PairRouting::kOff: return "off";
   }
   return "?";
-}
-
-CursorMode PlanFromDfs(std::span<const uint64_t> dfs,
-                       const AdaptivePlannerOptions& opts) {
-  if (dfs.size() < 2) return CursorMode::kSequential;
-  uint64_t min_df = dfs[0];
-  uint64_t sum = 0;
-  for (uint64_t df : dfs) {
-    sum += df;
-    if (df < min_df) min_df = df;
-  }
-  // An empty (df 0) list — an OOV token, an empty intermediate set — is
-  // the most selective driver possible: 0 * threshold <= others always
-  // holds, so the zig-zag runs and terminates before decoding anything
-  // from the other side.
-  const double others = static_cast<double>(sum - min_df);
-  return static_cast<double>(min_df) * opts.selectivity_threshold <= others
-             ? CursorMode::kSeek
-             : CursorMode::kSequential;
-}
-
-bool PlanBlockMax(size_t top_k, uint64_t estimated_candidates,
-                  const AdaptivePlannerOptions& opts) {
-  if (top_k == 0) return false;
-  return static_cast<double>(top_k) * opts.selectivity_threshold <=
-         static_cast<double>(estimated_candidates);
 }
 
 }  // namespace fts

@@ -6,7 +6,6 @@
 #ifndef FTS_EVAL_ENGINE_H_
 #define FTS_EVAL_ENGINE_H_
 
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -16,6 +15,7 @@
 #include "index/index_snapshot.h"
 #include "index/inverted_index.h"
 #include "lang/ast.h"
+#include "scoring/score_model.h"
 
 namespace fts {
 
@@ -32,16 +32,6 @@ struct SegmentRuntime {
   const SegmentScoringStats* scoring = nullptr;
 };
 
-/// Which Section 3 scoring method an engine applies (kNone disables
-/// scoring entirely).
-enum class ScoringKind {
-  kNone,
-  kTfIdf,
-  kProbabilistic,
-};
-
-const char* ScoringKindToString(ScoringKind kind);
-
 /// How engines traverse inverted lists.
 enum class CursorMode {
   /// Strictly sequential nextEntry()/getPositions(), the paper's Section
@@ -53,9 +43,10 @@ enum class CursorMode {
   kSeek,
   /// Per-query planner: engines read df statistics from the block-list
   /// headers and choose kSequential or kSeek per operator/pipeline via
-  /// PlanFromDfs. Results are identical to both fixed modes; only the
-  /// access pattern is chosen adaptively. The forced modes above bypass
-  /// the planner entirely (paper-faithful access counts need kSequential).
+  /// the cost model in eval/planner.h. Results are identical to both fixed
+  /// modes; only the access pattern is chosen adaptively. The forced modes
+  /// above bypass the planner entirely (paper-faithful access counts need
+  /// kSequential).
   kAdaptive,
 };
 
@@ -79,39 +70,6 @@ enum class PairRouting {
 };
 
 const char* PairRoutingToString(PairRouting routing);
-
-/// Tunables of the adaptive access-mode planner.
-struct AdaptivePlannerOptions {
-  /// A driver (smallest-df) list must be at least this many times smaller
-  /// than the combined other lists before seeking pays: seeks decode whole
-  /// landing blocks (kDefaultBlockSize entries a hop), so the driver must
-  /// be selective enough that hops actually skip blocks. Ties (driver *
-  /// threshold == sum of others) choose kSeek.
-  double selectivity_threshold = 16.0;
-};
-
-/// The access-mode heuristic: given the per-list sizes an operator would
-/// read (document frequencies for token lists, intermediate cardinalities
-/// for already-evaluated inputs), picks kSeek when the smallest list is
-/// selective enough to drive skips (min * threshold <= sum of the rest)
-/// and kSequential otherwise. An empty (df 0) list is the most selective
-/// driver of all — the zig-zag terminates immediately — so it always
-/// plans kSeek against non-empty peers. Fewer than two lists plan
-/// kSequential: there is nothing to zig-zag against.
-CursorMode PlanFromDfs(std::span<const uint64_t> dfs,
-                       const AdaptivePlannerOptions& opts = {});
-
-/// The block-max analogue of PlanFromDfs: should a top-`top_k` evaluation
-/// use block-max skipping rather than full evaluation? Skipping pays when
-/// the requested k is small relative to the candidate set the query could
-/// touch (`estimated_candidates`, computed from df statistics: leaf = df,
-/// AND = min of children, OR = sum) — the heap threshold then rises early
-/// and most candidate blocks fall under it. The same selectivity threshold
-/// governs both planners: k * threshold <= candidates chooses block-max
-/// (ties choose block-max, mirroring PlanFromDfs). top_k == 0 (no ranking
-/// requested) always chooses full evaluation.
-bool PlanBlockMax(size_t top_k, uint64_t estimated_candidates,
-                  const AdaptivePlannerOptions& opts = {});
 
 /// Result of one query evaluation.
 struct QueryResult {

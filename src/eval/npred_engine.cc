@@ -4,15 +4,16 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <set>
+#include <string>
 
 #include "calculus/analysis.h"
 #include "compile/ftc_to_fta.h"
-#include "eval/pair_plan.h"
+#include "eval/planner.h"
 #include "eval/pos_cursor.h"
+#include "eval/ppred_engine.h"
 #include "index/decoded_block_cache.h"
 #include "lang/translate.h"
-#include "scoring/probabilistic.h"
-#include "scoring/tfidf.h"
 
 namespace fts {
 
@@ -197,19 +198,13 @@ StatusOr<QueryResult> NpredEngine::Evaluate(const LangExprPtr& query,
         "negative predicates under negation require COMP evaluation");
   }
 
-  const SegmentScoringStats* stats =
-      segment_ != nullptr ? segment_->scoring : nullptr;
-  const TombstoneSet* tombstones =
-      segment_ != nullptr ? segment_->tombstones : nullptr;
-  std::unique_ptr<AlgebraScoreModel> model;
-  if (scoring_ == ScoringKind::kTfIdf) {
-    auto token_set = CollectTokens(calc.expr);
-    model = std::make_unique<TfIdfScoreModel>(
-        index_, std::vector<std::string>(token_set.begin(), token_set.end()),
-        nullptr, stats);
-  } else if (scoring_ == ScoringKind::kProbabilistic) {
-    model = std::make_unique<ProbabilisticScoreModel>(index_, stats);
-  }
+  const std::unique_ptr<AlgebraScoreModel> model = MakeScoreModel(
+      scoring_, index_,
+      [&] {
+        const std::set<std::string> tokens = CollectTokens(calc.expr);
+        return std::vector<std::string>(tokens.begin(), tokens.end());
+      },
+      segment_ != nullptr ? segment_->scoring : nullptr);
 
   // The variables whose orderings the threads enumerate.
   std::vector<VarId> neg_vars;
@@ -226,54 +221,23 @@ StatusOr<QueryResult> NpredEngine::Evaluate(const LangExprPtr& query,
                                " variables is impractical");
   }
 
-  const PositionPredicate* le = PredicateRegistry::Default().Find("le");
-  QueryResult result;
-
-  Status decode_status;  // set by leaf scans on first-touch decode failure
-
   if (neg_vars.empty()) {
-    // No negative predicates: degenerate to a single PPRED-style pass; the
-    // context's L1 only pays here if the plan itself scans a list twice
-    // (or an L2 is attached).
+    // No negative predicates: degenerate to PPRED's single pass (pair-index
+    // hook included), counted as one ordering.
     FTS_ASSIGN_OR_RETURN(FtaExprPtr plan, CompileQuery(calc));
-    // Same multi-index hook as PpredEngine: the degenerate single pass may
-    // answer a phrase/NEAR shape from one pair list.
-    if (raw_oracle_ == nullptr) {
-      QueryResult routed;
-      FTS_ASSIGN_OR_RETURN(bool handled,
-                           TryEvaluatePairPlan(plan, *index_, model.get(),
-                                               cursor_mode_, pair_routing_,
-                                               segment_, ectx, &routed));
-      if (handled) {
-        routed.counters.orderings_run = 1;
-        ectx.counters().MergeFrom(routed.counters);
-        return routed;
-      }
-    }
-    DecodedBlockCache* cache =
-        ectx.WantCache(ShouldUseDecodedBlockCache(plan, *index_))
-            ? &ectx.l1_cache()
-            : nullptr;
-    PipelineContext ctx{index_,      model.get(),
-                        &result.counters,
-                        PlanPipelineCursorMode(cursor_mode_, plan, *index_),
-                        raw_oracle_, cache,
-                        &decode_status,
-                        &ectx.deadline(),
-                        tombstones};
-    FTS_ASSIGN_OR_RETURN(std::unique_ptr<PosCursor> cursor, BuildPipeline(plan, ctx));
-    DrainPipeline(cursor.get(), scoring_ != ScoringKind::kNone, &result.nodes,
-                  &result.scores, ctx);
-    FTS_RETURN_IF_ERROR(decode_status);
-    result.counters.orderings_run = 1;
-    ectx.counters().MergeFrom(result.counters);
-    return result;
+    return EvaluateSinglePass(plan, index_, model.get(), cursor_mode_,
+                              pair_routing_, segment_, raw_oracle_,
+                              /*orderings_run=*/1, ectx);
   }
 
   // One evaluation thread per ordering permutation; results are unioned.
   // All orderings share the context's L1 cache: each permutation re-scans
   // the same token lists, so every thread after the first finds its hot
   // blocks already decoded.
+  const PositionPredicate* le = PredicateRegistry::Default().Find("le");
+  const TombstoneSet* tombstones =
+      segment_ != nullptr ? segment_->tombstones : nullptr;
+  QueryResult result;
   std::map<NodeId, double> merged;
   std::vector<size_t> perm(thread_vars.size());
   std::iota(perm.begin(), perm.end(), 0);
@@ -306,21 +270,20 @@ StatusOr<QueryResult> NpredEngine::Evaluate(const LangExprPtr& query,
     // through EvalCounters::MergeFrom like every other multi-pass consumer
     // instead of sharing one struct across passes.
     EvalCounters ordering_counters;
-    PipelineContext ctx{index_,      model.get(),
-                        &ordering_counters,
-                        PlanPipelineCursorMode(cursor_mode_, plan, *index_, {},
-                                               observed),
-                        raw_oracle_, cache,
-                        &decode_status,
-                        &ectx.deadline(),
-                        tombstones};
-    FTS_ASSIGN_OR_RETURN(std::unique_ptr<PosCursor> cursor, BuildPipeline(plan, ctx));
     std::vector<NodeId> nodes;
     std::vector<double> scores;
-    DrainPipeline(cursor.get(), scoring_ != ScoringKind::kNone, &nodes, &scores,
-                  ctx);
+    FTS_RETURN_IF_ERROR(RunPipeline(
+        plan,
+        {.index = index_,
+         .model = model.get(),
+         .counters = &ordering_counters,
+         .mode = PlanPipelineCursorMode(cursor_mode_, plan, *index_, observed),
+         .raw_oracle = raw_oracle_,
+         .cache = cache,
+         .deadline = &ectx.deadline(),
+         .tombstones = tombstones},
+        &nodes, &scores));
     result.counters.MergeFrom(ordering_counters);
-    FTS_RETURN_IF_ERROR(decode_status);
     observed = std::min(observed, static_cast<uint64_t>(nodes.size()));
     for (size_t i = 0; i < nodes.size(); ++i) {
       merged.emplace(nodes[i], scoring_ != ScoringKind::kNone ? scores[i] : 0.0);

@@ -1,13 +1,44 @@
 #include "eval/pair_plan.h"
 
-#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <vector>
 
+#include "eval/planner.h"
 #include "index/block_posting_list.h"
 #include "index/decoded_block_cache.h"
+#include "index/pair_index.h"
 
 namespace fts {
 
+namespace {
+
+/// A pair-routable plan shape. `token_a` supplies the predicate's first
+/// position argument and `token_b` the second (after composing the
+/// Project column maps down to the join's leaf columns).
+struct PairPlanMatch {
+  std::string token_a;
+  std::string token_b;
+  const PositionPredicate* pred = nullptr;
+  std::vector<int64_t> consts;
+};
+
+/// A resolved route to the pair index.
+struct PairRoute {
+  PairIndex::Lookup lookup;
+  TokenId id_a = kInvalidToken;
+  TokenId id_b = kInvalidToken;
+  /// The canonical key exists in no list: the operator provably matches
+  /// nothing, and evaluation emits an empty result without any reads.
+  bool empty = false;
+};
+
+/// Structural matcher: true when `plan` is exactly the phrase/NEAR shape
+/// described in the header, with a binary distance/odistance predicate
+/// over two *distinct* token leaves. Projects above the select are ignored
+/// (they change neither the node set nor node-level scores); Projects
+/// below it are composed to map the select's columns onto the join
+/// columns.
 bool MatchPairablePlan(const FtaExprPtr& plan, PairPlanMatch* out) {
   // Projects above the select only narrow position columns; the node set
   // and node-level scores flow through them unchanged.
@@ -55,24 +86,16 @@ bool MatchPairablePlan(const FtaExprPtr& plan, PairPlanMatch* out) {
   return true;
 }
 
-namespace {
-
-/// Global df when the snapshot exchanged one for `key`, else `local`.
-double GlobalDf(const SegmentScoringStats* stats, const std::string& key,
-                double local) {
-  if (stats == nullptr || stats->df_by_text == nullptr) return local;
-  auto it = stats->df_by_text->find(key);
-  return it == stats->df_by_text->end() ? local
-                                        : static_cast<double>(it->second);
-}
-
-}  // namespace
-
+/// Routing decision for a matched shape. Returns false when the operator
+/// should run on the position pipeline: routing kOff, no pair index, query
+/// distance beyond the built window, kAuto outside CursorMode::kAdaptive,
+/// an OOV token (the pipeline terminates instantly on an empty driver),
+/// neither token frequent, or kAuto losing the cost comparison
+/// (PlanPairList, eval/planner.h). An eligible pair whose key is absent
+/// routes as provably empty.
 bool PlanPairRoute(const PairPlanMatch& match, const InvertedIndex& index,
                    const SegmentScoringStats* stats, CursorMode mode,
-                   PairRouting routing, const AdaptivePlannerOptions& opts,
-                   PairRoute* out) {
-  (void)opts;
+                   PairRouting routing, PairRoute* out) {
   if (routing == PairRouting::kOff) return false;
   const PairIndex* pair = index.pair_index();
   if (pair == nullptr) return false;
@@ -99,56 +122,34 @@ bool PlanPairRoute(const PairPlanMatch& match, const InvertedIndex& index,
   // possible plan, under any routing policy.
   if (out->empty || routing == PairRouting::kForce) return true;
 
-  // kAuto cost comparison, in decoded-triple units from the block-list
-  // headers. The pair plan walks df_pair entries, each with one packed tf
-  // header plus its records; the pipeline decodes the driver's entries and
-  // both sides' position lists. Per-entry averages come from the local
-  // headers, dfs from the snapshot-global exchange when present.
-  const double pair_local =
-      static_cast<double>(lookup.list->num_entries());
-  const double recs_per_entry =
-      static_cast<double>(lookup.list->total_positions()) / pair_local;
-  const std::string& first_text =
-      index.token_text(lookup.swapped ? id_b : id_a);
-  const std::string& second_text =
-      index.token_text(lookup.swapped ? id_a : id_b);
-  const double df_pair = GlobalDf(
-      stats, PairIndex::StatsKey(first_text, second_text), pair_local);
-  const double pair_cost = df_pair * recs_per_entry;
-
-  const BlockPostingList* la = index.block_list(id_a);
-  const BlockPostingList* lb = index.block_list(id_b);
-  if (la == nullptr || lb == nullptr || la->empty() || lb->empty())
-    return false;  // empty driver: pipeline terminates instantly
-  const double dfa_local = static_cast<double>(la->num_entries());
-  const double dfb_local = static_cast<double>(lb->num_entries());
-  const double df_a = GlobalDf(stats, match.token_a, dfa_local);
-  const double df_b = GlobalDf(stats, match.token_b, dfb_local);
-  const double pos_per_a =
-      static_cast<double>(la->total_positions()) / dfa_local;
-  const double pos_per_b =
-      static_cast<double>(lb->total_positions()) / dfb_local;
-  const double pipeline_cost =
-      std::min(df_a, df_b) * (1.0 + pos_per_a + pos_per_b);
-  return pair_cost <= pipeline_cost;
+  return PlanPairList(index, lookup, id_a, id_b, stats);
 }
 
+/// Evaluates a routed operator: walks the pair list through a
+/// BlockListCursor (inheriting block caches, tombstone filtering, and
+/// first-touch validation), appends matching nodes (ascending) and — when
+/// `model` is non-null — pipeline-identical scores. Charges pair_seeks
+/// once, pair_entries_decoded per entry, and predicate_evals per record
+/// tried. Fails closed with Corruption on malformed records and checks
+/// the context's deadline periodically.
 Status EvaluatePairPlan(const PairPlanMatch& match, const PairRoute& route,
                         const InvertedIndex& index,
-                        const AlgebraScoreModel* model, EvalCounters* counters,
-                        DecodedBlockCache* cache, const Deadline* deadline,
-                        const TombstoneSet* tombstones,
-                        std::vector<NodeId>* nodes,
-                        std::vector<double>* scores) {
+                        const AlgebraScoreModel* model,
+                        const TombstoneSet* tombstones, ExecContext& ectx,
+                        QueryResult* result) {
+  EvalCounters* counters = &result->counters;
   ++counters->pair_seeks;
   if (route.empty) return Status::OK();
 
   const uint32_t window = index.pair_index()->max_distance() + 1;
+  DecodedBlockCache* cache =
+      ectx.WantCache(/*repeated_scans=*/false) ? &ectx.l1_cache() : nullptr;
+  const Deadline* deadline = &ectx.deadline();
   BlockListCursor cur(route.lookup.list, counters, cache, tombstones);
   PositionInfo args[2];
   size_t since_check = 0;
   for (NodeId n = cur.NextEntry(); n != kInvalidNode; n = cur.NextEntry()) {
-    if (deadline != nullptr && ++since_check == 4096) {
+    if (++since_check == 4096) {
       since_check = 0;
       FTS_RETURN_IF_ERROR(deadline->Check());
     }
@@ -200,7 +201,7 @@ Status EvaluatePairPlan(const PairPlanMatch& match, const PairRoute& route,
       if (!route.lookup.swapped) break;
     }
     if (!found) continue;
-    nodes->push_back(n);
+    result->nodes.push_back(n);
     if (model != nullptr) {
       const uint32_t tf_a = route.lookup.swapped ? tf_second : tf_first;
       const uint32_t tf_b = route.lookup.swapped ? tf_first : tf_second;
@@ -209,12 +210,14 @@ Status EvaluatePairPlan(const PairPlanMatch& match, const PairRoute& route,
                            model->EntryScore(index, route.id_b, n, tf_b), 1);
       args[0] = {wa, 0, 0};
       args[1] = {wb, 0, 0};
-      scores->push_back(
+      result->scores.push_back(
           model->SelectScore(joined, *match.pred, args, match.consts));
     }
   }
   return cur.status();
 }
+
+}  // namespace
 
 StatusOr<bool> TryEvaluatePairPlan(const FtaExprPtr& plan,
                                    const InvertedIndex& index,
@@ -225,18 +228,14 @@ StatusOr<bool> TryEvaluatePairPlan(const FtaExprPtr& plan,
   PairPlanMatch match;
   if (!MatchPairablePlan(plan, &match)) return false;
   PairRoute route;
-  const SegmentScoringStats* stats =
-      segment != nullptr ? segment->scoring : nullptr;
-  if (!PlanPairRoute(match, index, stats, mode, routing, {}, &route)) {
+  if (!PlanPairRoute(match, index,
+                     segment != nullptr ? segment->scoring : nullptr, mode,
+                     routing, &route)) {
     return false;
   }
-  DecodedBlockCache* cache =
-      ectx.WantCache(/*repeated_scans=*/false) ? &ectx.l1_cache() : nullptr;
-  const TombstoneSet* tombstones =
-      segment != nullptr ? segment->tombstones : nullptr;
   FTS_RETURN_IF_ERROR(EvaluatePairPlan(
-      match, route, index, model, &result->counters, cache, &ectx.deadline(),
-      tombstones, &result->nodes, &result->scores));
+      match, route, index, model,
+      segment != nullptr ? segment->tombstones : nullptr, ectx, result));
   return true;
 }
 

@@ -7,8 +7,8 @@
 // operator from one list whose length is the *result* cardinality: the
 // classic frequent-term worst case — both driver lists huge, nearly every
 // decoded position discarded — collapses to a single skip-seekable read.
-// This is the planner's first choice between indexes, extending the
-// PlanFromDfs seek-vs-sequential decision one level up.
+// This is the planner's first choice between indexes; its cost rule is
+// PlanPairList in eval/planner.h, beside the seek-vs-sequential one.
 //
 // Exactness: the routed evaluation reproduces the position pipeline bit
 // for bit (nodes and scores).
@@ -31,74 +31,17 @@
 #ifndef FTS_EVAL_PAIR_PLAN_H_
 #define FTS_EVAL_PAIR_PLAN_H_
 
-#include <string>
-#include <vector>
-
 #include "algebra/fta.h"
 #include "eval/engine.h"
-#include "index/pair_index.h"
 
 namespace fts {
 
-/// A pair-routable plan shape. `token_a` supplies the predicate's first
-/// position argument and `token_b` the second (after composing the
-/// Project column maps down to the join's leaf columns).
-struct PairPlanMatch {
-  std::string token_a;
-  std::string token_b;
-  const PositionPredicate* pred = nullptr;
-  std::vector<int64_t> consts;
-};
-
-/// Structural matcher: true when `plan` is exactly the phrase/NEAR shape
-/// described above, with a binary distance/odistance predicate over two
-/// *distinct* token leaves. Projects above the select are ignored (they
-/// change neither the node set nor node-level scores); Projects below it
-/// are composed to map the select's columns onto the join columns.
-bool MatchPairablePlan(const FtaExprPtr& plan, PairPlanMatch* out);
-
-/// A resolved route to the pair index.
-struct PairRoute {
-  PairIndex::Lookup lookup;
-  TokenId id_a = kInvalidToken;
-  TokenId id_b = kInvalidToken;
-  /// The canonical key exists in no list: the operator provably matches
-  /// nothing, and evaluation emits an empty result without any reads.
-  bool empty = false;
-};
-
-/// Routing decision for a matched shape. Returns false when the operator
-/// should run on the position pipeline: no pair index, query distance
-/// beyond the built window, neither token frequent, an OOV token (the
-/// pipeline terminates instantly on an empty driver), routing kOff, or
-/// kAuto outside CursorMode::kAdaptive / losing the cost comparison.
-/// Costing uses block-header dfs — global (snapshot/shard-summed) dfs
-/// from `stats` when present, each pair df travelling under its
-/// PairIndex::StatsKey — against the pair list's own header shape.
-bool PlanPairRoute(const PairPlanMatch& match, const InvertedIndex& index,
-                   const SegmentScoringStats* stats, CursorMode mode,
-                   PairRouting routing, const AdaptivePlannerOptions& opts,
-                   PairRoute* out);
-
-/// Evaluates a routed operator: walks the pair list through a
-/// BlockListCursor (inheriting block caches, tombstone filtering, and
-/// first-touch validation), appends matching nodes (ascending) and — when
-/// `model` is non-null — pipeline-identical scores. Charges pair_seeks
-/// once, pair_entries_decoded per entry, and predicate_evals per record
-/// tried. Fails closed with Corruption on malformed records and checks
-/// `deadline` periodically.
-Status EvaluatePairPlan(const PairPlanMatch& match, const PairRoute& route,
-                        const InvertedIndex& index,
-                        const AlgebraScoreModel* model, EvalCounters* counters,
-                        DecodedBlockCache* cache, const Deadline* deadline,
-                        const TombstoneSet* tombstones,
-                        std::vector<NodeId>* nodes,
-                        std::vector<double>* scores);
-
-/// The one-stop hook the PPRED/NPRED engines call after compiling a plan:
-/// match + route + evaluate. Returns true when the query was answered via
-/// the pair index (`result` filled, counters charged), false to fall
-/// through to the position pipeline, or an error status from evaluation.
+/// The one-stop hook the PPRED/NPRED single pass calls after compiling a
+/// plan: match the shape, route (eligibility here, then the cost rule
+/// PlanPairList in eval/planner.h) and evaluate. Returns true when the
+/// query was answered via the pair index (`result` filled, counters
+/// charged), false to fall through to the position pipeline, or an error
+/// status from evaluation.
 /// Never fires for differential raw-oracle runs (callers must not invoke
 /// it then) — the oracle exercises the pipeline by definition.
 StatusOr<bool> TryEvaluatePairPlan(const FtaExprPtr& plan,

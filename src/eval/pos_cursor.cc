@@ -9,81 +9,6 @@
 
 namespace fts {
 
-namespace {
-
-// Structural cardinality estimate of one plan subtree, bottom-up from the
-// list-header document frequencies: joins and intersections keep at most
-// their smaller input, unions at most the sum, selections and projections
-// at most their child, antijoins and differences at most their left side.
-// Upper bounds, not exact counts — but they compose, so a nested operator
-// is sized by its inputs' estimates instead of its raw leaf dfs.
-uint64_t EstimatePlanCardinality(const FtaExprPtr& plan,
-                                 const InvertedIndex& index) {
-  if (!plan) return 0;
-  switch (plan->kind()) {
-    case FtaExpr::Kind::kToken:
-      return index.df(index.LookupToken(plan->token()));
-    case FtaExpr::Kind::kSearchContext:
-    case FtaExpr::Kind::kHasPos:
-      return index.num_nodes();
-    case FtaExpr::Kind::kJoin:
-    case FtaExpr::Kind::kIntersect:
-      return std::min(EstimatePlanCardinality(plan->left(), index),
-                      EstimatePlanCardinality(plan->right(), index));
-    case FtaExpr::Kind::kUnion:
-      return EstimatePlanCardinality(plan->left(), index) +
-             EstimatePlanCardinality(plan->right(), index);
-    case FtaExpr::Kind::kSelect:
-    case FtaExpr::Kind::kProject:
-      return EstimatePlanCardinality(plan->child(), index);
-    case FtaExpr::Kind::kAntiJoin:
-    case FtaExpr::Kind::kDifference:
-      return EstimatePlanCardinality(plan->left(), index);
-  }
-  return 0;
-}
-
-// Collects the estimated size of each stream the pipeline zig-zags against
-// the others: the operands of the join-like operators, seen through the
-// size-preserving select/project wrappers. A join-free plan contributes a
-// single stream, which PlanFromDfs answers with kSequential — there is
-// nothing to skip against.
-void CollectStreamEstimates(const FtaExprPtr& plan, const InvertedIndex& index,
-                            std::vector<uint64_t>* sizes) {
-  if (!plan) return;
-  switch (plan->kind()) {
-    case FtaExpr::Kind::kJoin:
-    case FtaExpr::Kind::kIntersect:
-    case FtaExpr::Kind::kAntiJoin:
-    case FtaExpr::Kind::kDifference:
-      CollectStreamEstimates(plan->left(), index, sizes);
-      CollectStreamEstimates(plan->right(), index, sizes);
-      return;
-    case FtaExpr::Kind::kSelect:
-    case FtaExpr::Kind::kProject:
-      CollectStreamEstimates(plan->child(), index, sizes);
-      return;
-    default:
-      sizes->push_back(EstimatePlanCardinality(plan, index));
-      return;
-  }
-}
-
-}  // namespace
-
-CursorMode PlanPipelineCursorMode(CursorMode requested, const FtaExprPtr& plan,
-                                  const InvertedIndex& index,
-                                  const AdaptivePlannerOptions& opts,
-                                  uint64_t observed_cardinality) {
-  if (requested != CursorMode::kAdaptive) return requested;
-  std::vector<uint64_t> sizes;
-  CollectStreamEstimates(plan, index, &sizes);
-  if (observed_cardinality != kNoObservedCardinality) {
-    sizes.push_back(observed_cardinality);
-  }
-  return PlanFromDfs(sizes, opts);
-}
-
 NodeId PosCursor::SeekNode(NodeId target) {
   NodeId n = node();
   if (n != kInvalidNode && n >= target) return n;
@@ -604,9 +529,12 @@ StatusOr<std::unique_ptr<PosCursor>> BuildPipeline(const FtaExprPtr& plan,
   return Status::Internal("unreachable plan kind");
 }
 
-void DrainPipeline(PosCursor* cursor, bool want_scores,
-                   std::vector<NodeId>* nodes, std::vector<double>* scores,
-                   const PipelineContext& ctx) {
+Status RunPipeline(const FtaExprPtr& plan, PipelineContext ctx,
+                   std::vector<NodeId>* nodes, std::vector<double>* scores) {
+  Status status;
+  ctx.status = &status;
+  FTS_ASSIGN_OR_RETURN(std::unique_ptr<PosCursor> cursor,
+                       BuildPipeline(plan, ctx));
   // Deadline granularity: one clock read per kCheckEvery result nodes (an
   // unset deadline short-circuits to a single branch), so the drain's
   // tight loop stays tight and overruns are bounded.
@@ -614,16 +542,16 @@ void DrainPipeline(PosCursor* cursor, bool want_scores,
   size_t until_check = kCheckEvery;
   while (true) {
     const NodeId n = cursor->AdvanceNode();
-    if (n == kInvalidNode) return;
+    if (n == kInvalidNode) return status;
     nodes->push_back(n);
-    if (want_scores) scores->push_back(cursor->node_score());
+    if (ctx.model != nullptr) scores->push_back(cursor->node_score());
     if (--until_check == 0) {
       until_check = kCheckEvery;
       if (ctx.deadline != nullptr && ctx.deadline->Expired()) {
-        if (ctx.status != nullptr && ctx.status->ok()) {
-          *ctx.status = Status::DeadlineExceeded("query deadline expired (pipeline)");
+        if (status.ok()) {
+          status = Status::DeadlineExceeded("query deadline expired (pipeline)");
         }
-        return;
+        return status;
       }
     }
   }

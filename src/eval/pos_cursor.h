@@ -79,9 +79,10 @@ class PosCursor {
 /// leaf cursors for raw ListCursors over the oracle table, leaving every
 /// operator above them untouched. `mode` must be a resolved mode
 /// (kSequential or kSeek) — engines run kAdaptive through
-/// PlanPipelineCursorMode before building. `cache`, when set, is shared by
-/// every leaf scan of the pipeline (and across the per-ordering pipelines
-/// of one NPRED query), so re-scanned hot blocks decode once.
+/// PlanPipelineCursorMode (eval/planner.h) before building. `cache`, when
+/// set, is shared by every leaf scan of the pipeline (and across the
+/// per-ordering pipelines of one NPRED query), so re-scanned hot blocks
+/// decode once.
 struct PipelineContext {
   const InvertedIndex* index = nullptr;
   const AlgebraScoreModel* model = nullptr;  // nullable
@@ -92,10 +93,10 @@ struct PipelineContext {
   /// Sticky decode-error slot (first error wins). Leaf scans copy their
   /// list cursor's status here when a lazily validated block fails its
   /// first-touch decode: the scan exhausts (failing closed, so the
-  /// pipeline terminates normally) and the engine checks this slot after
+  /// pipeline terminates normally) and RunPipeline checks this slot after
   /// draining, turning a silently truncated result into an error.
   Status* status = nullptr;  // nullable
-  /// Optional wall-clock bound from the query's ExecContext. DrainPipeline
+  /// Optional wall-clock bound from the query's ExecContext. RunPipeline
   /// checks it every few thousand result nodes and stops early, reporting
   /// DeadlineExceeded through `status` — the same channel as lazily
   /// detected corruption, so engines already propagate it.
@@ -106,42 +107,19 @@ struct PipelineContext {
   const TombstoneSet* tombstones = nullptr;  // nullable
 };
 
-/// Sentinel for PlanPipelineCursorMode's `observed_cardinality`: no
-/// measured intermediate size is available, plan from static estimates.
-inline constexpr uint64_t kNoObservedCardinality = ~0ull;
-
-/// Resolves `requested` for one pipelined plan: forced modes pass through;
-/// kAdaptive estimates the size of each stream the pipeline will zig-zag
-/// (structural bottom-up from the list headers: token → df, join and
-/// intersect → min of the inputs, union → sum, select/project → the
-/// child, antijoin/difference → the left side) and applies PlanFromDfs to
-/// those estimates. Nested operators thus plan from their inputs'
-/// combined cardinalities instead of raw leaf dfs — a union of two dense
-/// tokens no longer masquerades as two independent driver candidates.
-/// `observed_cardinality`, when not kNoObservedCardinality, is a real
-/// measured intermediate size — e.g. the smallest result among the NPRED
-/// orderings already evaluated for this query — added as one more driver
-/// candidate, so later pipelines of the same query plan from observed
-/// cardinalities rather than static statistics alone. Either way the
-/// chosen mode only changes the access pattern, never the result.
-CursorMode PlanPipelineCursorMode(
-    CursorMode requested, const FtaExprPtr& plan, const InvertedIndex& index,
-    const AdaptivePlannerOptions& opts = {},
-    uint64_t observed_cardinality = kNoObservedCardinality);
-
 /// Builds a pipelined cursor tree for `plan`. Returns Unsupported when the
 /// plan contains operators outside the streaming subset (see file header).
 StatusOr<std::unique_ptr<PosCursor>> BuildPipeline(const FtaExprPtr& plan,
                                                    const PipelineContext& ctx);
 
-/// Runs a zero-or-more-column pipeline to completion, collecting each
-/// matching node (and its score when `want_scores`). `ctx` supplies the
-/// deadline (checked periodically; expiry stops the drain and reports
-/// through ctx.status) — pass the same context the pipeline was built
-/// with.
-void DrainPipeline(PosCursor* cursor, bool want_scores,
-                   std::vector<NodeId>* nodes, std::vector<double>* scores,
-                   const PipelineContext& ctx = {});
+/// Builds the pipeline for `plan` and runs it to completion, appending
+/// each matching node (and, when `ctx.model` is set, its score). Returns
+/// Unsupported as BuildPipeline does, DeadlineExceeded when ctx's deadline
+/// expires mid-drain (checked every few thousand result nodes), or the
+/// first lazily detected decode error; `ctx.status` is ignored (the run
+/// supplies its own slot).
+Status RunPipeline(const FtaExprPtr& plan, PipelineContext ctx,
+                   std::vector<NodeId>* nodes, std::vector<double>* scores);
 
 }  // namespace fts
 

@@ -2,15 +2,16 @@
 
 #include <functional>
 #include <memory>
+#include <set>
+#include <string>
 
 #include "calculus/analysis.h"
 #include "compile/ftc_to_fta.h"
 #include "eval/pair_plan.h"
+#include "eval/planner.h"
 #include "eval/pos_cursor.h"
 #include "index/decoded_block_cache.h"
 #include "lang/translate.h"
-#include "scoring/probabilistic.h"
-#include "scoring/tfidf.h"
 
 namespace fts {
 
@@ -35,52 +36,52 @@ StatusOr<QueryResult> PpredEngine::Evaluate(const LangExprPtr& query,
   };
   FTS_RETURN_IF_ERROR(check(plan));
 
-  const SegmentScoringStats* stats =
-      segment_ != nullptr ? segment_->scoring : nullptr;
-  std::unique_ptr<AlgebraScoreModel> model;
-  if (scoring_ == ScoringKind::kTfIdf) {
-    auto token_set = CollectTokens(calc.expr);
-    model = std::make_unique<TfIdfScoreModel>(
-        index_, std::vector<std::string>(token_set.begin(), token_set.end()),
-        nullptr, stats);
-  } else if (scoring_ == ScoringKind::kProbabilistic) {
-    model = std::make_unique<ProbabilisticScoreModel>(index_, stats);
-  }
+  const std::unique_ptr<AlgebraScoreModel> model = MakeScoreModel(
+      scoring_, index_,
+      [&] {
+        const std::set<std::string> tokens = CollectTokens(calc.expr);
+        return std::vector<std::string>(tokens.begin(), tokens.end());
+      },
+      segment_ != nullptr ? segment_->scoring : nullptr);
+  return EvaluateSinglePass(plan, index_, model.get(), mode_, pair_routing_,
+                            segment_, raw_oracle_, /*orderings_run=*/0, ectx);
+}
 
-  // Multi-index planning: a phrase/NEAR-shaped plan may be answerable from
-  // one auxiliary pair list instead of the position pipeline. Never under
-  // the raw oracle, whose whole point is exercising the pipeline.
-  if (raw_oracle_ == nullptr) {
-    QueryResult routed;
-    FTS_ASSIGN_OR_RETURN(
-        bool handled,
-        TryEvaluatePairPlan(plan, *index_, model.get(), mode_, pair_routing_,
-                            segment_, ectx, &routed));
-    if (handled) {
-      ectx.counters().MergeFrom(routed.counters);
-      return routed;
-    }
-  }
-
+StatusOr<QueryResult> EvaluateSinglePass(
+    const FtaExprPtr& plan, const InvertedIndex* index,
+    const AlgebraScoreModel* model, CursorMode mode, PairRouting routing,
+    const SegmentRuntime* segment, const RawPostingOracle* raw_oracle,
+    uint64_t orderings_run, ExecContext& ectx) {
   QueryResult result;
-  // The context's L1 attaches when a list is scanned twice and the working
-  // set fits, or whenever an L2 is present (see BoolEngine::Evaluate).
-  DecodedBlockCache* cache =
-      ectx.WantCache(ShouldUseDecodedBlockCache(plan, *index_))
-          ? &ectx.l1_cache()
-          : nullptr;
-  Status decode_status;  // set by leaf scans on first-touch decode failure
-  PipelineContext ctx{index_,      model.get(),
-                      &result.counters,
-                      PlanPipelineCursorMode(mode_, plan, *index_),
-                      raw_oracle_, cache,
-                      &decode_status,
-                      &ectx.deadline(),
-                      segment_ != nullptr ? segment_->tombstones : nullptr};
-  FTS_ASSIGN_OR_RETURN(std::unique_ptr<PosCursor> cursor, BuildPipeline(plan, ctx));
-  DrainPipeline(cursor.get(), scoring_ != ScoringKind::kNone, &result.nodes,
-                &result.scores, ctx);
-  FTS_RETURN_IF_ERROR(decode_status);
+  // Multi-index planning: a phrase/NEAR-shaped plan may be answerable from
+  // one auxiliary pair list instead of the position pipeline.
+  bool routed = false;
+  if (raw_oracle == nullptr) {
+    FTS_ASSIGN_OR_RETURN(routed,
+                         TryEvaluatePairPlan(plan, *index, model, mode, routing,
+                                             segment, ectx, &result));
+  }
+  if (!routed) {
+    // The context's L1 attaches when a list is scanned twice and the
+    // working set fits, or whenever an L2 is present (see
+    // BoolEngine::Evaluate).
+    DecodedBlockCache* cache =
+        ectx.WantCache(ShouldUseDecodedBlockCache(plan, *index))
+            ? &ectx.l1_cache()
+            : nullptr;
+    FTS_RETURN_IF_ERROR(RunPipeline(
+        plan,
+        {.index = index,
+         .model = model,
+         .counters = &result.counters,
+         .mode = PlanPipelineCursorMode(mode, plan, *index),
+         .raw_oracle = raw_oracle,
+         .cache = cache,
+         .deadline = &ectx.deadline(),
+         .tombstones = segment != nullptr ? segment->tombstones : nullptr},
+        &result.nodes, &result.scores));
+  }
+  result.counters.orderings_run = orderings_run;
   ectx.counters().MergeFrom(result.counters);
   return result;
 }

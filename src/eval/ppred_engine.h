@@ -7,9 +7,23 @@
 #ifndef FTS_EVAL_PPRED_ENGINE_H_
 #define FTS_EVAL_PPRED_ENGINE_H_
 
+#include "algebra/fta.h"
 #include "eval/engine.h"
 
 namespace fts {
+
+/// The single pipelined pass over a compiled PPRED-class `plan`, shared by
+/// PpredEngine and NPRED's no-negative-predicate path: tries the pair-index
+/// route (never under a raw oracle, which exercises the pipeline by
+/// definition), attaches the context's L1 when the plan rescans a list,
+/// builds the pipeline in the planned cursor mode and drains it (scored
+/// when `model` is non-null), fails on a lazily detected decode error,
+/// stamps `orderings_run` on the counters and merges them into `ectx`.
+StatusOr<QueryResult> EvaluateSinglePass(
+    const FtaExprPtr& plan, const InvertedIndex* index,
+    const AlgebraScoreModel* model, CursorMode mode, PairRouting routing,
+    const SegmentRuntime* segment, const RawPostingOracle* raw_oracle,
+    uint64_t orderings_run, ExecContext& ectx);
 
 /// Single-scan pipelined evaluator for the PPRED class. Returns Unsupported
 /// for queries whose plans need IL_ANY or general predicates. In seek mode

@@ -6,36 +6,10 @@
 #include <vector>
 
 #include "eval/block_max.h"
-#include "scoring/probabilistic.h"
-#include "scoring/tfidf.h"
+#include "eval/planner.h"
 #include "scoring/topk.h"
 
 namespace fts {
-
-namespace {
-
-/// df-based candidate estimate for the block-max planner: leaf = document
-/// frequency, AND = min of children (the join cannot exceed its smallest
-/// input), OR = saturating sum. Anything else (unreachable behind
-/// BlockMaxSupports) estimates the whole segment.
-uint64_t EstimateCandidates(const LangExprPtr& e, const InvertedIndex& index) {
-  switch (e->kind()) {
-    case LangExpr::Kind::kToken:
-      return index.df(index.LookupToken(e->token()));
-    case LangExpr::Kind::kAnd:
-      return std::min(EstimateCandidates(e->left(), index),
-                      EstimateCandidates(e->right(), index));
-    case LangExpr::Kind::kOr: {
-      const uint64_t l = EstimateCandidates(e->left(), index);
-      const uint64_t r = EstimateCandidates(e->right(), index);
-      return l > UINT64_MAX - r ? UINT64_MAX : l + r;
-    }
-    default:
-      return index.num_nodes();
-  }
-}
-
-}  // namespace
 
 Searcher::Searcher(std::shared_ptr<const IndexSnapshot> snapshot,
                    SearcherOptions options)
@@ -158,17 +132,14 @@ StatusOr<RoutedResult> Searcher::SearchTopK(const LangExprPtr& query,
       // same query tokens, same snapshot-global stats — so block-max
       // scores (and the bounds derived from them) are bit-identical and
       // comparable across segments.
-      const SegmentScoringStats* stats = se.runtime.scoring;
-      std::unique_ptr<AlgebraScoreModel> model;
-      if (options_.scoring == ScoringKind::kTfIdf) {
-        std::vector<std::string> tokens;
-        CollectSurfaceTokens(normalized, &tokens);
-        model = std::make_unique<TfIdfScoreModel>(
-            snapshot_->segment(i).index, std::move(tokens), nullptr, stats);
-      } else {
-        model = std::make_unique<ProbabilisticScoreModel>(
-            snapshot_->segment(i).index, stats);
-      }
+      const std::unique_ptr<AlgebraScoreModel> model = MakeScoreModel(
+          options_.scoring, &index,
+          [&] {
+            std::vector<std::string> tokens;
+            CollectSurfaceTokens(normalized, &tokens);
+            return tokens;
+          },
+          se.runtime.scoring);
       EvalCounters seg_counters;
       FTS_RETURN_IF_ERROR(EvaluateBlockMaxTopK(index, normalized, *model,
                                                &se.runtime, ctx, base, acc,

@@ -41,7 +41,7 @@ struct RoutedResult {
 struct SearcherOptions {
   ScoringKind scoring = ScoringKind::kNone;
   /// kAdaptive plans seek vs sequential per query from the lists' df
-  /// statistics (PlanFromDfs); kSequential reproduces the paper's access
+  /// statistics (eval/planner.h); kSequential reproduces the paper's access
   /// counts exactly; kSeek forces skip-seeking everywhere.
   CursorMode mode = CursorMode::kAdaptive;
   /// Phrase/NEAR routing to the pair index when segments carry one

@@ -1,90 +1,9 @@
 #include "exec/admission.h"
 
-#include <algorithm>
-#include <vector>
-
-#include "eval/engine.h"
+#include "eval/planner.h"
 #include "lang/parser.h"
 
 namespace fts {
-
-namespace {
-
-/// Snapshot-wide document frequency of a surface token: the sum of its
-/// per-segment dfs (an upper bound under tombstones, which is the safe
-/// direction for a cost estimate).
-uint64_t SnapshotDf(const IndexSnapshot& snapshot, const std::string& token) {
-  uint64_t df = 0;
-  for (const SegmentView& seg : snapshot.segments()) {
-    df += seg.index->df(seg.index->LookupToken(token));
-  }
-  return df;
-}
-
-/// Collects the df of every token-list leaf the evaluation would open
-/// (token literals, HAS targets, dist() operands). ANY and negation
-/// subtrees contribute the whole id space — a complement enumerates it.
-void CollectLeafDfs(const LangExprPtr& e, const IndexSnapshot& snapshot,
-                    std::vector<uint64_t>* dfs) {
-  switch (e->kind()) {
-    case LangExpr::Kind::kToken:
-      dfs->push_back(SnapshotDf(snapshot, e->token()));
-      return;
-    case LangExpr::Kind::kVarHasToken:
-      dfs->push_back(SnapshotDf(snapshot, e->token()));
-      return;
-    case LangExpr::Kind::kAny:
-    case LangExpr::Kind::kVarHasAny:
-      dfs->push_back(snapshot.total_nodes());
-      return;
-    case LangExpr::Kind::kDist:
-      dfs->push_back(e->dist_tok1().empty()
-                         ? snapshot.total_nodes()
-                         : SnapshotDf(snapshot, e->dist_tok1()));
-      dfs->push_back(e->dist_tok2().empty()
-                         ? snapshot.total_nodes()
-                         : SnapshotDf(snapshot, e->dist_tok2()));
-      return;
-    case LangExpr::Kind::kNot:
-      // A complement reads its operand *and* enumerates the id space.
-      dfs->push_back(snapshot.total_nodes());
-      CollectLeafDfs(e->child(), snapshot, dfs);
-      return;
-    case LangExpr::Kind::kPred:
-      return;  // predicates filter positions already produced by leaves
-    default:
-      break;
-  }
-  if (e->left() != nullptr) CollectLeafDfs(e->left(), snapshot, dfs);
-  if (e->right() != nullptr) CollectLeafDfs(e->right(), snapshot, dfs);
-}
-
-/// Work multiplier of the evaluation class over the same leaf lists: a
-/// BOOL merge touches each list once; PPRED adds per-position predicate
-/// work; NPRED re-scans once per ordering; COMP materializes intermediate
-/// position sets. Coarse by design — admission needs order-of-magnitude
-/// separation, not a simulator.
-uint64_t ClassMultiplier(LanguageClass cls) {
-  switch (cls) {
-    case LanguageClass::kBoolNoNeg:
-    case LanguageClass::kBool:
-      return 1;
-    case LanguageClass::kPpred:
-      return 2;
-    case LanguageClass::kNpred:
-      return 4;
-    case LanguageClass::kComp:
-      return 8;
-  }
-  return 8;
-}
-
-uint64_t SaturatingMul(uint64_t a, uint64_t b) {
-  if (a != 0 && b > UINT64_MAX / a) return UINT64_MAX;
-  return a * b;
-}
-
-}  // namespace
 
 StatusOr<AdmissionDecision> AdmissionController::Assess(
     std::string_view query, const IndexSnapshot& snapshot, size_t queue_depth,
@@ -95,23 +14,7 @@ StatusOr<AdmissionDecision> AdmissionController::Assess(
 
   AdmissionDecision decision;
   decision.language_class = ClassifyQuery(normalized);
-
-  std::vector<uint64_t> dfs;
-  CollectLeafDfs(normalized, snapshot, &dfs);
-  uint64_t entries = 0;
-  if (dfs.empty()) {
-    entries = 0;  // no lists opened (e.g. a pure-predicate degenerate tree)
-  } else if (PlanFromDfs(dfs) == CursorMode::kSeek) {
-    // A seek-driven join decodes only the blocks the most selective list
-    // lands in, so the driver's df bounds the work.
-    entries = *std::min_element(dfs.begin(), dfs.end());
-  } else {
-    for (const uint64_t df : dfs) {
-      entries = entries > UINT64_MAX - df ? UINT64_MAX : entries + df;
-    }
-  }
-  decision.cost =
-      SaturatingMul(entries, ClassMultiplier(decision.language_class));
+  decision.cost = PriceQuery(normalized, decision.language_class, snapshot);
 
   if (!options_.enabled || options_.max_cost == 0 || queue_capacity == 0) {
     return decision;

@@ -10,13 +10,10 @@
 // exactly the ones worth serving — and nothing is shed while the queue is
 // shallow, so an idle server accepts arbitrarily expensive queries.
 //
-// The cost model reuses the planner's machinery: leaf document frequencies
-// summed across the snapshot's segments feed PlanFromDfs — when it plans a
-// seek-driven join, the cost is the driver's df (blocks actually landed
-// in), otherwise the sum of the lists a sequential pass must scan — and
-// the estimate is then scaled by the query's LanguageClass (NPRED re-scans
-// per ordering, COMP materializes; both cost multiples of a BOOL merge
-// over the same lists).
+// The price is the planner's (PriceQuery, eval/planner.h): leaf document
+// frequencies summed across the snapshot's segments, bounded by the
+// driver's df when the seek rule would drive a join, scaled by the query's
+// LanguageClass. This controller owns only the pressure rule.
 
 #ifndef FTS_EXEC_ADMISSION_H_
 #define FTS_EXEC_ADMISSION_H_

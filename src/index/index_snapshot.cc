@@ -7,13 +7,16 @@ namespace fts {
 
 namespace {
 
-/// Pass 2 of the stats computation: per-segment global df projections and
-/// global-idf norms, from an already-aggregated global df table. Factored
-/// out of ComputeStats because a shard server re-runs exactly this pass
-/// when a scatter-gather router pushes the cross-shard global table to it
-/// (IndexSnapshot::CreateSharded) — the arithmetic below is the whole
-/// bit-identical-scoring contract, so single-process and sharded snapshots
-/// must share it verbatim.
+/// Pass 2 of the stats computation (pass 1 is AddLiveDfByText):
+/// per-segment global df projections and global-idf norms, from an
+/// already-aggregated global df table. Norms come from the
+/// ComputeNodeNorms pass IndexBuilder runs, with global live df /
+/// live_nodes substituted for the per-segment statistics, so every score
+/// over the snapshot is bit-identical to a single-shot build of the
+/// surviving documents. A shard server re-runs exactly this pass when a
+/// scatter-gather router pushes the cross-shard global table to it
+/// (IndexSnapshot::CreateSharded), so single-process and sharded
+/// snapshots share it verbatim.
 Status ComputeSegmentStats(
     const std::vector<SegmentView>& segments, uint64_t live_nodes,
     const std::unordered_map<std::string, uint32_t>* df_by_text,
@@ -38,79 +41,48 @@ Status ComputeSegmentStats(
   return Status::OK();
 }
 
-/// Computes the global scoring stats over `segments` (header-only decode;
-/// position bytes are never touched). Norms come from the ComputeNodeNorms
-/// pass IndexBuilder runs, with global live df / live_nodes substituted for
-/// the per-segment statistics, so every score over the snapshot is
-/// bit-identical to a single-shot build of the surviving documents.
-Status ComputeStats(const std::vector<SegmentView>& segments,
-                    uint64_t live_nodes,
-                    std::unordered_map<std::string, uint32_t>* df_by_text,
-                    std::vector<SegmentScoringStats>* stats) {
-  const size_t num_segments = segments.size();
+}  // namespace
+
+Status AddLiveDfByText(const InvertedIndex& index, const TombstoneSet* tombstones,
+                       std::unordered_map<std::string, uint32_t>* df_by_text) {
   std::vector<BlockPostingList::EntryRef> entries;
-
-  // Pass 1: live df per (segment, local token), accumulated into the
-  // global by-text table. Without tombstones the list header already *is*
-  // the live df.
-  std::vector<std::vector<uint32_t>> live_df(num_segments);
-  for (size_t s = 0; s < num_segments; ++s) {
-    const InvertedIndex& idx = *segments[s].index;
-    const TombstoneSet* dead = segments[s].tombstones;
-    const TokenId vocab = static_cast<TokenId>(idx.vocabulary_size());
-    live_df[s].assign(vocab, 0);
-    for (TokenId t = 0; t < vocab; ++t) {
-      const BlockPostingList* list = idx.block_list(t);
-      if (list == nullptr || list->empty()) continue;
-      if (dead == nullptr) {
-        live_df[s][t] = static_cast<uint32_t>(list->num_entries());
-        continue;
-      }
-      uint32_t df = 0;
-      for (size_t b = 0; b < list->num_blocks(); ++b) {
-        FTS_RETURN_IF_ERROR(list->DecodeBlockEntries(b, &entries));
-        for (const BlockPostingList::EntryRef& e : entries) {
-          if (!dead->Contains(e.header.node)) ++df;
-        }
-      }
-      live_df[s][t] = df;
-    }
-    for (TokenId t = 0; t < vocab; ++t) {
-      if (live_df[s][t] != 0) (*df_by_text)[idx.token_text(t)] += live_df[s][t];
-    }
-
-    // Pair-list dfs ride the same by-text exchange under their
-    // collision-proof StatsKey ('\x1f' separator — unreachable by
-    // tokenizer output). Scoring never resolves these keys (pass 2 and
-    // the models look up real token texts only); the multi-index planner
-    // reads them as snapshot-global pair dfs.
-    if (const PairIndex* pair = idx.pair_index()) {
-      for (size_t k = 0; k < pair->num_keys(); ++k) {
-        const BlockPostingList& list = pair->list(k);
-        uint32_t df = 0;
-        if (dead == nullptr) {
-          df = static_cast<uint32_t>(list.num_entries());
-        } else {
-          for (size_t b = 0; b < list.num_blocks(); ++b) {
-            FTS_RETURN_IF_ERROR(list.DecodeBlockEntries(b, &entries));
-            for (const BlockPostingList::EntryRef& e : entries) {
-              if (!dead->Contains(e.header.node)) ++df;
-            }
-          }
-        }
-        if (df == 0) continue;
-        const PairTermKey& key = pair->key(k);
-        (*df_by_text)[PairIndex::StatsKey(idx.token_text(key.first),
-                                          idx.token_text(key.second))] += df;
+  // Live entries of one list. Without tombstones the list header already
+  // *is* the live df.
+  auto live_df = [&](const BlockPostingList& list) -> StatusOr<uint32_t> {
+    if (tombstones == nullptr) return static_cast<uint32_t>(list.num_entries());
+    uint32_t df = 0;
+    for (size_t b = 0; b < list.num_blocks(); ++b) {
+      FTS_RETURN_IF_ERROR(list.DecodeBlockEntries(b, &entries));
+      for (const BlockPostingList::EntryRef& e : entries) {
+        if (!tombstones->Contains(e.header.node)) ++df;
       }
     }
+    return df;
+  };
+  const TokenId vocab = static_cast<TokenId>(index.vocabulary_size());
+  for (TokenId t = 0; t < vocab; ++t) {
+    const BlockPostingList* list = index.block_list(t);
+    if (list == nullptr || list->empty()) continue;
+    FTS_ASSIGN_OR_RETURN(const uint32_t df, live_df(*list));
+    if (df != 0) (*df_by_text)[index.token_text(t)] += df;
   }
 
-  // Pass 2: per-segment global df projections and global-idf norms.
-  return ComputeSegmentStats(segments, live_nodes, df_by_text, stats);
+  // Pair-list dfs ride the same by-text exchange under their
+  // collision-proof StatsKey ('\x1f' separator — unreachable by tokenizer
+  // output). Scoring never resolves these keys (pass 2 and the models look
+  // up real token texts only); the multi-index planner reads them as
+  // snapshot-global pair dfs.
+  if (const PairIndex* pair = index.pair_index()) {
+    for (size_t k = 0; k < pair->num_keys(); ++k) {
+      FTS_ASSIGN_OR_RETURN(const uint32_t df, live_df(pair->list(k)));
+      if (df == 0) continue;
+      const PairTermKey& key = pair->key(k);
+      (*df_by_text)[PairIndex::StatsKey(index.token_text(key.first),
+                                        index.token_text(key.second))] += df;
+    }
+  }
+  return Status::OK();
 }
-
-}  // namespace
 
 StatusOr<std::shared_ptr<const IndexSnapshot>> IndexSnapshot::Create(
     std::vector<std::shared_ptr<const InvertedIndex>> segments,
@@ -146,8 +118,12 @@ StatusOr<std::shared_ptr<const IndexSnapshot>> IndexSnapshot::Create(
   snap->total_nodes_ = base;
 
   if (snap->segments_.size() > 1 || any_deletes) {
-    FTS_RETURN_IF_ERROR(ComputeStats(snap->segments_, snap->live_nodes_,
-                                     &snap->df_by_text_, &snap->stats_));
+    for (const SegmentView& seg : snap->segments_) {
+      FTS_RETURN_IF_ERROR(
+          AddLiveDfByText(*seg.index, seg.tombstones, &snap->df_by_text_));
+    }
+    FTS_RETURN_IF_ERROR(ComputeSegmentStats(
+        snap->segments_, snap->live_nodes_, &snap->df_by_text_, &snap->stats_));
     for (size_t i = 0; i < snap->segments_.size(); ++i) {
       snap->segments_[i].scoring = &snap->stats_[i];
     }

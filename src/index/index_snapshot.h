@@ -76,6 +76,15 @@ struct SegmentView {
   const SegmentScoringStats* scoring = nullptr;
 };
 
+/// Pass 1 of the snapshot's stats computation, also a shard's answer to a
+/// router's stats request: adds the live document frequency of every token
+/// of `index` to `df_by_text` under its text, and of every pair list under
+/// its PairIndex::StatsKey. Zero dfs add nothing. Reads list headers only
+/// unless `tombstones` (nullable) forces an entry decode, which can fail
+/// with Corruption on a lazily validated block.
+Status AddLiveDfByText(const InvertedIndex& index, const TombstoneSet* tombstones,
+                       std::unordered_map<std::string, uint32_t>* df_by_text);
+
 /// An immutable, refcounted generation: hold it via shared_ptr for the
 /// duration of a query and every segment it references stays alive.
 class IndexSnapshot {

@@ -1,7 +1,6 @@
 #include "net/server.h"
 
 #include "common/metrics.h"
-#include "index/pair_index.h"
 #include "index/shared_block_cache.h"
 
 namespace fts {
@@ -69,27 +68,11 @@ std::optional<ConnectionLoop::Reply> FtsServer::HandleFrame(
       StatsResponse resp;
       resp.request_id = req.request_id;
       resp.num_nodes = snap->total_nodes();
-      // Local df by token text: the router's input for the global
-      // aggregate. Every snapshot this server publishes has one segment,
-      // index_.
+      // Local df by token text and pair key: the router sums them into
+      // the global table. Every snapshot this server publishes has one
+      // segment, index_, without tombstones.
       std::unordered_map<std::string, uint32_t> df;
-      const InvertedIndex& idx = *index_;
-      const TokenId vocab = static_cast<TokenId>(idx.vocabulary_size());
-      for (TokenId t = 0; t < vocab; ++t) {
-        const uint32_t d = idx.df(t);
-        if (d != 0) df[idx.token_text(t)] += d;
-      }
-      // Pair-list dfs travel in the same exchange under their
-      // collision-proof StatsKey; the router sums them like token dfs
-      // and each shard's multi-index planner reads the global values.
-      if (const PairIndex* pair = idx.pair_index()) {
-        for (size_t k = 0; k < pair->num_keys(); ++k) {
-          const PairTermKey& key = pair->key(k);
-          df[PairIndex::StatsKey(idx.token_text(key.first),
-                                 idx.token_text(key.second))] +=
-              static_cast<uint32_t>(pair->list(k).num_entries());
-        }
-      }
+      if (!AddLiveDfByText(*index_, nullptr, &df).ok()) return std::nullopt;
       resp.df_by_text.assign(df.begin(), df.end());
       return ConnectionLoop::Reply(EncodeStatsResponse(resp));
     }

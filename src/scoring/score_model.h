@@ -15,15 +15,31 @@
 #define FTS_SCORING_SCORE_MODEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <span>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "index/inverted_index.h"
 #include "predicates/predicate.h"
 #include "text/document.h"
 
 namespace fts {
+
+struct SegmentScoringStats;  // index/index_snapshot.h
+
+/// Which Section 3 scoring method an engine applies (kNone disables
+/// scoring entirely).
+enum class ScoringKind {
+  kNone,
+  kTfIdf,
+  kProbabilistic,
+};
+
+const char* ScoringKindToString(ScoringKind kind);
 
 /// Per-operator score transformations (paper Section 3). All methods are
 /// const and thread-safe; models are constructed per query (they may embed
@@ -101,6 +117,17 @@ class AlgebraScoreModel {
   /// Negation transformation (Section 3: score := 1 - score).
   virtual double NegateScore(double s) const { return 1.0 - s; }
 };
+
+/// Builds the per-query model for `kind` over `index`: TfIdfScoreModel
+/// over the query's search tokens (duplicates collapse), which `tokens`
+/// is called to collect — only for kTfIdf, so unscored queries pay
+/// nothing — ProbabilisticScoreModel, or null for kNone. `stats` carries
+/// the snapshot-global statistics when `index` is one segment of a
+/// snapshot (nullable).
+std::unique_ptr<AlgebraScoreModel> MakeScoreModel(
+    ScoringKind kind, const InvertedIndex* index,
+    const std::function<std::vector<std::string>()>& tokens,
+    const SegmentScoringStats* stats);
 
 }  // namespace fts
 

@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "eval/planner.h"
 #include "eval/searcher.h"
+#include "exec/admission.h"
 #include "index/index_builder.h"
 #include "text/corpus.h"
+#include "workload/corpus_gen.h"
 
 namespace fts {
 namespace {
@@ -112,8 +117,9 @@ TEST_F(RouterFixture, CountersReportEngineWork) {
 }
 
 // ---------------------------------------------------------------------------
-// The adaptive access-mode planner (PlanFromDfs): the heuristic the Searcher's
-// default CursorMode::kAdaptive engines consult per query/operator.
+// The adaptive access-mode planner (PlanFromDfs, eval/planner.h): the rule
+// the Searcher's default CursorMode::kAdaptive engines consult per
+// query/operator.
 // ---------------------------------------------------------------------------
 
 TEST(PlannerHeuristicTest, SelectiveDriverPlansSeek) {
@@ -129,23 +135,19 @@ TEST(PlannerHeuristicTest, BalancedListsPlanSequential) {
 }
 
 TEST(PlannerHeuristicTest, JustBelowAndAboveTheThreshold) {
-  AdaptivePlannerOptions opts;
-  opts.selectivity_threshold = 16.0;
   {
     const uint64_t dfs[] = {10, 161};  // 160 <= 161: seek
-    EXPECT_EQ(PlanFromDfs(dfs, opts), CursorMode::kSeek);
+    EXPECT_EQ(PlanFromDfs(dfs), CursorMode::kSeek);
   }
   {
     const uint64_t dfs[] = {10, 159};  // 160 > 159: sequential
-    EXPECT_EQ(PlanFromDfs(dfs, opts), CursorMode::kSequential);
+    EXPECT_EQ(PlanFromDfs(dfs), CursorMode::kSequential);
   }
 }
 
 TEST(PlannerHeuristicTest, TieChoosesSeek) {
-  AdaptivePlannerOptions opts;
-  opts.selectivity_threshold = 16.0;
-  const uint64_t dfs[] = {10, 160};  // exactly min * threshold == others
-  EXPECT_EQ(PlanFromDfs(dfs, opts), CursorMode::kSeek);
+  const uint64_t dfs[] = {10, 160};  // exactly min * 16 == others
+  EXPECT_EQ(PlanFromDfs(dfs), CursorMode::kSeek);
 }
 
 TEST(PlannerHeuristicTest, SingleListPlansSequential) {
@@ -179,16 +181,6 @@ TEST_F(RouterFixture, OovConjunctionUnderAdaptiveScansAlmostNothing) {
   ASSERT_TRUE(s.ok());
   EXPECT_TRUE(s->nodes.empty());
   EXPECT_EQ(s->counters.entries_scanned, index.df(index.LookupToken("beta")));
-}
-
-TEST(PlannerHeuristicTest, ThresholdIsTunable) {
-  AdaptivePlannerOptions loose;
-  loose.selectivity_threshold = 1.0;
-  AdaptivePlannerOptions strict;
-  strict.selectivity_threshold = 1000.0;
-  const uint64_t dfs[] = {100, 500};
-  EXPECT_EQ(PlanFromDfs(dfs, loose), CursorMode::kSeek);
-  EXPECT_EQ(PlanFromDfs(dfs, strict), CursorMode::kSequential);
 }
 
 // Forced modes bypass the planner: on a workload where the planner would
@@ -271,6 +263,246 @@ TEST_F(PlannerBypassFixture, SearcherDefaultIsAdaptive) {
   ASSERT_TRUE(p.ok());
   EXPECT_EQ(p->result.counters.skip_checks, 0u);
   EXPECT_EQ(p->result.nodes, r->result.nodes);
+}
+
+// ---------------------------------------------------------------------------
+// Planner boundary cases: each cost comparison at its tie and one step
+// either side, and the early-outs that bypass it.
+// ---------------------------------------------------------------------------
+
+TEST(PlannerBoundaryTest, BlockMaxAtTheThreshold) {
+  // No ranking requested: always full evaluation.
+  EXPECT_FALSE(PlanBlockMax(0, 1000));
+  EXPECT_FALSE(PlanBlockMax(0, 0));
+  // k * 16 == candidates: the tie chooses block-max.
+  EXPECT_TRUE(PlanBlockMax(10, 160));
+  EXPECT_TRUE(PlanBlockMax(1, 16));
+  // One candidate fewer: full evaluation.
+  EXPECT_FALSE(PlanBlockMax(10, 159));
+  EXPECT_FALSE(PlanBlockMax(1, 15));
+}
+
+/// Pair-indexed corpus of `n` copies of `doc` plus one "gamma" document.
+/// With frequent_terms = 2, alpha and beta are the frequent terms; gamma
+/// never co-occurs with either, so (alpha, gamma) is an eligible pair with
+/// no list.
+InvertedIndex PairCorpus(const std::string& doc, int n) {
+  Corpus corpus;
+  for (int i = 0; i < n; ++i) corpus.AddDocument(doc);
+  corpus.AddDocument("gamma");
+  return IndexBuilder::Build(corpus,
+                             {.pairs = {.frequent_terms = 2, .max_distance = 5}});
+}
+
+/// Runs `query` on a PPRED engine and returns its counters.
+EvalCounters PpredCounters(const InvertedIndex& index, std::string_view query,
+                           CursorMode mode, PairRouting routing,
+                           std::vector<NodeId>* nodes = nullptr) {
+  PpredEngine engine(&index, ScoringKind::kNone, mode);
+  engine.set_pair_routing(routing);
+  auto r = engine.Evaluate(*ParseQuery(query, SurfaceLanguage::kComp));
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  if (!r.ok()) return {};
+  if (nodes != nullptr) *nodes = r->nodes;
+  return r->counters;
+}
+
+TEST(PlannerBoundaryTest, PairCostTieRoutesToThePairList) {
+  // Each "alpha alpha beta beta" entry costs the pair plan 1 tf header + 4
+  // records = 5 and the pipeline 1 + 2 + 2 positions = 5: an exact tie.
+  const InvertedIndex index = PairCorpus("alpha alpha beta beta", 40);
+  std::vector<NodeId> routed, pipeline;
+  EXPECT_EQ(PpredCounters(index, "dist('alpha', 'beta', 5)",
+                          CursorMode::kAdaptive, PairRouting::kAuto, &routed)
+                .pair_seeks,
+            1u);
+  EXPECT_EQ(PpredCounters(index, "dist('alpha', 'beta', 5)",
+                          CursorMode::kAdaptive, PairRouting::kOff, &pipeline)
+                .pair_seeks,
+            0u);
+  EXPECT_EQ(routed, pipeline);
+  EXPECT_EQ(routed.size(), 40u);
+}
+
+TEST(PlannerBoundaryTest, PairCostLossStaysOnThePipeline) {
+  // 1 + 9 records = 10 per entry against 1 + 3 + 3 = 7: the pipeline wins
+  // under kAuto; kForce routes regardless.
+  const InvertedIndex index = PairCorpus("alpha alpha alpha beta beta beta", 40);
+  EXPECT_EQ(PpredCounters(index, "dist('alpha', 'beta', 5)",
+                          CursorMode::kAdaptive, PairRouting::kAuto)
+                .pair_seeks,
+            0u);
+  EXPECT_EQ(PpredCounters(index, "dist('alpha', 'beta', 5)",
+                          CursorMode::kAdaptive, PairRouting::kForce)
+                .pair_seeks,
+            1u);
+}
+
+TEST(PlannerBoundaryTest, AutoRoutingOnlyUnderAdaptive) {
+  const InvertedIndex index = PairCorpus("alpha alpha beta beta", 40);
+  for (CursorMode mode : {CursorMode::kSeek, CursorMode::kSequential}) {
+    EXPECT_EQ(PpredCounters(index, "dist('alpha', 'beta', 5)", mode,
+                            PairRouting::kAuto)
+                  .pair_seeks,
+              0u)
+        << CursorModeToString(mode);
+    // Even a provably empty pair stays on the pipeline.
+    EXPECT_EQ(PpredCounters(index, "dist('alpha', 'gamma', 5)", mode,
+                            PairRouting::kAuto)
+                  .pair_seeks,
+              0u)
+        << CursorModeToString(mode);
+  }
+}
+
+TEST(PlannerBoundaryTest, OutOfVocabularySideStaysOnThePipeline) {
+  const InvertedIndex index = PairCorpus("alpha alpha beta beta", 40);
+  for (PairRouting routing : {PairRouting::kAuto, PairRouting::kForce}) {
+    std::vector<NodeId> nodes;
+    const EvalCounters c =
+        PpredCounters(index, "dist('alpha', 'zzz', 5)", CursorMode::kAdaptive,
+                      routing, &nodes);
+    EXPECT_EQ(c.pair_seeks, 0u) << PairRoutingToString(routing);
+    EXPECT_TRUE(nodes.empty());
+  }
+}
+
+TEST(PlannerBoundaryTest, AbsentKeyRoutesAsProvablyEmpty) {
+  const InvertedIndex index = PairCorpus("alpha alpha beta beta", 40);
+  std::vector<NodeId> nodes;
+  const EvalCounters c =
+      PpredCounters(index, "dist('alpha', 'gamma', 5)", CursorMode::kAdaptive,
+                    PairRouting::kAuto, &nodes);
+  EXPECT_EQ(c.pair_seeks, 1u);
+  EXPECT_EQ(c.pair_entries_decoded, 0u);
+  EXPECT_EQ(c.entries_scanned, 0u);
+  EXPECT_EQ(c.blocks_decoded, 0u);
+  EXPECT_TRUE(nodes.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Per-query decision table: on one seeded, pair-indexed corpus, the
+// kAdaptive counters that reveal each planner decision (seek vs
+// sequential: skip_checks; pair list vs pipeline: pair_seeks; block-max vs
+// full: blocks_skipped_by_score and the decode counts) and the admission
+// price. Every decision takes both outcomes somewhere in the table.
+// ---------------------------------------------------------------------------
+
+struct DecisionRow {
+  const char* query;
+  ScoringKind scoring;
+  size_t top_k;
+  uint64_t skip_checks;
+  uint64_t pair_seeks;
+  uint64_t blocks_skipped_by_score;
+  uint64_t blocks_decoded;
+  uint64_t entries_scanned;
+  uint64_t admission_cost;
+};
+
+constexpr ScoringKind kNoScore = ScoringKind::kNone;
+constexpr ScoringKind kTfIdf = ScoringKind::kTfIdf;
+constexpr ScoringKind kProb = ScoringKind::kProbabilistic;
+
+// clang-format off
+const DecisionRow kDecisionTable[] = {
+  // Columns: query, scoring, top_k, then the expected skip_checks,
+  // pair_seeks, blocks_skipped_by_score, blocks_decoded, entries_scanned
+  // and admission cost.
+  // BOOL AND: rare ∧ dense seeks, dense ∧ dense merges, an OOV side seeks
+  // and stops at once; AND over an evaluated set and AND NOT.
+  {"'w300' AND 'topic0'", kNoScore, 0, 72, 0, 0, 6, 70, 28},
+  {"'topic0' AND 'topic1'", kNoScore, 0, 0, 0, 0, 10, 1215, 1215},
+  {"'w0' AND 'w1'", kNoScore, 0, 0, 0, 0, 24, 2918, 2918},
+  {"'zzz' AND 'topic0'", kNoScore, 0, 0, 0, 0, 1, 1, 0},
+  {"('w300' OR 'w301') AND 'topic0'", kNoScore, 0, 0, 0, 0, 7, 666, 28},
+  {"'topic0' AND NOT 'w300'", kNoScore, 0, 0, 0, 0, 6, 633, 28},
+  // PPRED phrase / NEAR: routed to the pair list; not routed on cost,
+  // beyond the built window, or with an OOV side; rare ∧ dense seeks.
+  {"dist('w0', 'w1', 0)", kNoScore, 0, 0, 1, 0, 11, 1356, 5836},
+  {"dist('w0', 'w2', 3)", kTfIdf, 0, 0, 1, 0, 10, 1204, 5602},
+  {"dist('topic0', 'topic1', 2)", kNoScore, 0, 0, 0, 0, 10, 1215, 2430},
+  {"dist('w0', 'w1', 7)", kNoScore, 0, 0, 0, 0, 24, 2918, 5836},
+  {"dist('w0', 'zzz', 1)", kNoScore, 0, 0, 0, 0, 1, 1, 0},
+  {"dist('w300', 'topic0', 3)", kNoScore, 0, 72, 0, 0, 6, 70, 56},
+  // NPRED: the second ordering seeks on the first one's observed
+  // cardinality (static dfs alone would merge topic0 ∧ topic1).
+  {"SOME p SOME q (p HAS 'w300' AND q HAS 'topic0' AND not_distance(p, q, 2))", kNoScore, 0, 144, 0, 0, 6, 140, 112},
+  {"SOME p SOME q (p HAS 'topic0' AND q HAS 'topic1' AND not_ordered(p, q))", kProb, 0, 1053, 0, 0, 10, 2177, 4860},
+  // Ranked top-k: block-max when k * 16 <= candidates (k = 1, 10), full
+  // evaluation at k = 1000; TF-IDF bounds skip nothing here.
+  {"'topic0' OR 'topic1'", kTfIdf, 1, 2224, 0, 0, 10, 973, 1215},
+  {"'topic0' OR 'topic1'", kTfIdf, 10, 2299, 0, 0, 10, 998, 1215},
+  {"'topic0' OR 'topic1'", kTfIdf, 1000, 0, 0, 0, 10, 1215, 1215},
+  {"'topic0' OR 'w5'", kProb, 1, 1370, 0, 5, 9, 516, 1643},
+  {"'topic0' OR 'w5'", kProb, 10, 3518, 0, 0, 14, 1311, 1643},
+  {"'topic0' OR 'w5'", kProb, 1000, 0, 0, 0, 14, 1643, 1643},
+  {"'w300' AND 'topic0'", kProb, 10, 72, 0, 0, 6, 70, 28},
+};
+// clang-format on
+
+TEST(PlannerDecisionTableTest, CountersAndAdmissionCostPerQuery) {
+  CorpusGenOptions gen;
+  gen.seed = 7;
+  gen.num_nodes = 1500;
+  gen.min_doc_len = 20;
+  gen.max_doc_len = 80;
+  gen.vocabulary = 400;
+  gen.num_topic_tokens = 2;
+  gen.topic_doc_fraction = 0.4;
+  gen.topic_occurrences = 3;
+  const InvertedIndex index = IndexBuilder::Build(
+      GenerateCorpus(gen), {.pairs = {.frequent_terms = 6, .max_distance = 5}});
+  const auto snapshot = IndexSnapshot::ForIndex(&index);
+  const AdmissionController admission({});
+
+  std::string actual_table;
+  bool all_match = true;
+  for (const DecisionRow& row : kDecisionTable) {
+    const Searcher searcher(snapshot, {row.scoring, CursorMode::kAdaptive,
+                                       PairRouting::kAuto});
+    ExecContext ctx;
+    ctx.set_top_k(row.top_k);
+    auto r = searcher.Search(row.query, ctx);
+    ASSERT_TRUE(r.ok()) << row.query << ": " << r.status().ToString();
+    auto priced = admission.Assess(row.query, *snapshot, 0, 0);
+    ASSERT_TRUE(priced.ok()) << row.query;
+    const EvalCounters& c = r->result.counters;
+    const DecisionRow got{row.query,
+                          row.scoring,
+                          row.top_k,
+                          c.skip_checks,
+                          c.pair_seeks,
+                          c.blocks_skipped_by_score,
+                          c.blocks_decoded,
+                          c.entries_scanned,
+                          priced->cost};
+    const bool match = got.skip_checks == row.skip_checks &&
+                       got.pair_seeks == row.pair_seeks &&
+                       got.blocks_skipped_by_score ==
+                           row.blocks_skipped_by_score &&
+                       got.blocks_decoded == row.blocks_decoded &&
+                       got.entries_scanned == row.entries_scanned &&
+                       got.admission_cost == row.admission_cost;
+    EXPECT_TRUE(match) << row.query << " (" << ScoringKindToString(row.scoring)
+                       << ", k=" << row.top_k << ")";
+    all_match = all_match && match;
+    char line[512];
+    std::snprintf(line, sizeof line,
+                  "  {\"%s\", %s, %zu, %llu, %llu, %llu, %llu, %llu, %llu},\n",
+                  row.query,
+                  row.scoring == kNoScore  ? "kNoScore"
+                  : row.scoring == kTfIdf ? "kTfIdf"
+                                          : "kProb",
+                  row.top_k, static_cast<unsigned long long>(got.skip_checks),
+                  static_cast<unsigned long long>(got.pair_seeks),
+                  static_cast<unsigned long long>(got.blocks_skipped_by_score),
+                  static_cast<unsigned long long>(got.blocks_decoded),
+                  static_cast<unsigned long long>(got.entries_scanned),
+                  static_cast<unsigned long long>(got.admission_cost));
+    actual_table += line;
+  }
+  EXPECT_TRUE(all_match) << "actual table:\n" << actual_table;
 }
 
 }  // namespace
