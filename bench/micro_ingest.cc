@@ -1,6 +1,7 @@
 // Live-ingestion benchmarks for the segment architecture: sustained
 // ingest throughput through IngestService (Add + auto-seal + generation
-// publish, background merger compacting underneath) and query latency —
+// publish, background merger compacting underneath), one compaction
+// (MergeSegments) on its own, and query latency —
 // mean and tail — while a writer churns generations at full speed. The
 // p99 counter is the acceptance number for the snapshot handoff design:
 // queries acquire a generation with one shared_ptr copy, so ingest,
@@ -19,6 +20,9 @@
 #include "eval/searcher.h"
 #include "exec/exec_context.h"
 #include "exec/ingest_service.h"
+#include "index/segment.h"
+#include "index/segment_merger.h"
+#include "index/tombstone_set.h"
 
 #include <benchmark/benchmark.h>
 
@@ -87,6 +91,45 @@ void BM_IngestThroughput(benchmark::State& state) {
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_IngestThroughput)->Arg(64)->Arg(512)->ArgName("seal");
+
+/// One background compaction: MergeSegments over state.range(0) sealed
+/// segments of 128 documents each, with every fourth document tombstoned.
+/// The merge copies live entries' position bytes verbatim, so its cost is
+/// entry headers plus bytes copied, not a rebuild of the survivors.
+void BM_MergeSegments(benchmark::State& state) {
+  const std::vector<std::string>& docs = SharedDocs();
+  constexpr size_t kDocsPerSegment = 128;
+  std::vector<std::shared_ptr<const fts::InvertedIndex>> segments;
+  std::vector<fts::TombstoneSet> tombstones;
+  std::vector<fts::SegmentView> views;
+  fts::NodeId base = 0;
+  for (int64_t s = 0; s < state.range(0); ++s) {
+    fts::SegmentBuffer buffer;
+    for (size_t i = 0; i < kDocsPerSegment; ++i) {
+      buffer.Add(docs[s * kDocsPerSegment + i]);
+    }
+    segments.push_back(buffer.Seal());
+    tombstones.emplace_back(kDocsPerSegment);
+    for (fts::NodeId n = 0; n < kDocsPerSegment; n += 4) {
+      tombstones.back().MarkDeleted(n);
+    }
+  }
+  for (size_t s = 0; s < segments.size(); ++s) {
+    views.push_back({segments[s].get(), base, &tombstones[s]});
+    base += static_cast<fts::NodeId>(segments[s]->num_nodes());
+  }
+  for (auto _ : state) {
+    auto merged = fts::MergeSegments(views);
+    if (!merged.ok()) {
+      state.SkipWithError(merged.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(merged->num_nodes());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0) * kDocsPerSegment);
+}
+BENCHMARK(BM_MergeSegments)->Arg(4)->ArgName("segments");
 
 /// Query latency under a full-speed writer: one thread Adds (with deletes
 /// keeping the live corpus stationary and the merger compacting) while the

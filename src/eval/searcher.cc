@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,9 +15,28 @@ namespace fts {
 Searcher::Searcher(std::shared_ptr<const IndexSnapshot> snapshot,
                    SearcherOptions options)
     : snapshot_(std::move(snapshot)), options_(options) {
-  segments_.reserve(snapshot_->num_segments());
-  for (const SegmentView& seg : snapshot_->segments()) {
-    segments_.push_back(std::make_unique<SegmentEngines>(seg, options_));
+  const std::vector<SegmentView>& segs = snapshot_->segments();
+  const bool needs_stats =
+      options_.scoring != ScoringKind::kNone ||
+      std::any_of(segs.begin(), segs.end(), [](const SegmentView& seg) {
+        return seg.index->pair_index() != nullptr;
+      });
+  std::span<const SegmentScoringStats> stats;
+  if (needs_stats) {
+    StatusOr<std::span<const SegmentScoringStats>> computed =
+        snapshot_->ScoringStats();
+    if (computed.ok()) {
+      stats = *computed;
+    } else {
+      stats_status_ = computed.status();
+    }
+  } else {
+    snapshot_->NoteUnscoredReader();
+  }
+  segments_.reserve(segs.size());
+  for (size_t i = 0; i < segs.size(); ++i) {
+    segments_.push_back(std::make_unique<SegmentEngines>(
+        segs[i], stats.empty() ? nullptr : &stats[i], options_));
   }
 }
 
@@ -64,6 +84,7 @@ StatusOr<RoutedResult> Searcher::Search(std::string_view query,
 StatusOr<RoutedResult> Searcher::SearchParsed(const LangExprPtr& query,
                                               ExecContext& ctx) const {
   if (!query) return Status::InvalidArgument("null query");
+  FTS_RETURN_IF_ERROR(stats_status_);
   RoutedResult out;
   out.language_class = ClassifyQuery(query);
   if (segments_.empty()) {

@@ -63,7 +63,12 @@ struct SearcherOptions {
 /// serving engine.
 ///
 /// The Searcher shares ownership of the snapshot: a query in flight keeps
-/// its generation alive even after a writer publishes a newer one.
+/// its generation alive even after a writer publishes a newer one. It asks
+/// the snapshot for its scoring stats (IndexSnapshot::ScoringStats) only
+/// when it scores, or when a segment has pair lists, whose planner reads
+/// global pair dfs; if they fail (a corrupt lazily validated segment),
+/// every query fails with that status. Otherwise it notes an unscored
+/// reader on the snapshot (IndexSnapshot::stats_demand).
 ///
 /// Thread safety: immutable after construction; evaluate from many threads
 /// concurrently with one ExecContext per thread. Per-query state lives in
@@ -95,8 +100,9 @@ class Searcher {
   /// One segment's engines plus the runtime they point at. Heap-allocated
   /// so the runtime's address is stable for the engines' lifetime.
   struct SegmentEngines {
-    SegmentEngines(const SegmentView& seg, const SearcherOptions& opts)
-        : runtime{seg.tombstones, seg.scoring},
+    SegmentEngines(const SegmentView& seg, const SegmentScoringStats* scoring,
+                   const SearcherOptions& opts)
+        : runtime{seg.tombstones, scoring},
           bool_engine(seg.index, opts.scoring, opts.mode, &runtime),
           ppred_engine(seg.index, opts.scoring, opts.mode, &runtime),
           npred_engine(seg.index, opts.scoring,
@@ -131,6 +137,9 @@ class Searcher {
 
   std::shared_ptr<const IndexSnapshot> snapshot_;
   SearcherOptions options_;
+  /// Why the snapshot's scoring stats could not be computed; every query
+  /// fails with it.
+  Status stats_status_;
   std::vector<std::unique_ptr<SegmentEngines>> segments_;
 };
 

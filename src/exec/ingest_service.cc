@@ -129,6 +129,18 @@ Status IngestService::PublishLocked() {
   FTS_ASSIGN_OR_RETURN(std::shared_ptr<const IndexSnapshot> next,
                        IndexSnapshot::Create(segments_, tombstones_,
                                              generation_ + 1));
+  // Stats are lazy so that unscored ingest never pays for them. But while
+  // queries score, a generation without stats would make the first of them
+  // run the whole stats pass and the rest wait for it, so the writer
+  // computes them before publishing. The readers of the generation being
+  // replaced say which traffic runs; one nobody read (the writer outran
+  // them) says nothing, and the last signal stands.
+  switch (snapshot_->stats_demand()) {
+    case IndexSnapshot::StatsDemand::kScored: scored_readers_ = true; break;
+    case IndexSnapshot::StatsDemand::kUnscored: scored_readers_ = false; break;
+    case IndexSnapshot::StatsDemand::kUnread: break;
+  }
+  if (scored_readers_) next->PrecomputeScoringStats();
   ++generation_;
   published_total_ = next->total_nodes();
   {

@@ -50,7 +50,7 @@ class IngestService : public SnapshotSource {
     std::string spill_dir;
     /// IndexBuilder knobs applied to every seal and compaction. With
     /// build.pairs.frequent_terms > 0 each sealed segment carries its own
-    /// pair lists and Compact() rebuilds them over the merged corpus.
+    /// pair lists and Compact() rebuilds them over the merged segment.
     IndexBuildOptions build;
   };
 
@@ -100,9 +100,10 @@ class IngestService : public SnapshotSource {
   /// write_mu_.
   Status CompactLocked();
   /// Publishes the current segment/tombstone state as a new generation;
-  /// caller holds write_mu_. The snapshot build (stats over the new
-  /// segment list) runs before the leaf lock: snapshot_mu_ is only held
-  /// for the pointer swap.
+  /// caller holds write_mu_. The scoring stats of the new generation are
+  /// computed here only while readers score (scored_readers_); otherwise
+  /// they wait for the first query that needs them. snapshot_mu_ is only
+  /// held for the pointer swap.
   Status PublishLocked();
   void MergerLoop();
 
@@ -116,6 +117,8 @@ class IngestService : public SnapshotSource {
   uint64_t generation_ = 0;
   uint64_t seals_ = 0;  // names spilled segment files
   uint64_t published_total_ = 0;  // id space of the published generation
+  /// Whether the last generation that had readers had a scored one.
+  bool scored_readers_ = false;
   Status merger_status_;
   bool stop_ = false;
 
@@ -123,7 +126,9 @@ class IngestService : public SnapshotSource {
   std::thread merger_;
 
   /// Leaf lock guarding only the published pointer (held for shared_ptr
-  /// copies and swaps, nothing else).
+  /// copies and swaps, nothing else). Only PublishLocked writes the
+  /// pointer, under write_mu_ too, so a write_mu_ holder may read it
+  /// without this lock.
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const IndexSnapshot> snapshot_;
 };

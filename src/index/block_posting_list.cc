@@ -28,6 +28,17 @@ void PutFixed64Le(std::string* out, uint64_t v) {
   }
 }
 
+/// PutVarint32's encoding, written at `out` (room for 5 bytes); returns
+/// the byte after it.
+uint8_t* EncodeVarint32(uint8_t* out, uint32_t v) {
+  while (v >= 0x80) {
+    *out++ = static_cast<uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(v);
+  return out;
+}
+
 uint64_t LoadFixed64Le(const uint8_t* p) {
   uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
@@ -81,17 +92,39 @@ PostingList BlockPostingList::Materialize() const {
 }
 
 void BlockPostingList::Append(NodeId node, std::span<const PositionInfo> positions) {
+  // Offset/sentence/paragraph deltas, restarting from zero per entry, so an
+  // entry's bytes never depend on its node id or its neighbours.
+  const size_t begin = pending_bytes_.size();
+  pending_bytes_.resize(begin + positions.size() * 3 * 5);  // 5 = max varint32
+  uint8_t* out = pending_bytes_.data() + begin;
+  uint32_t prev_off = 0, prev_sent = 0, prev_para = 0;
+  for (const PositionInfo& p : positions) {
+    out = EncodeVarint32(out, p.offset - prev_off);
+    out = EncodeVarint32(out, p.sentence - prev_sent);
+    out = EncodeVarint32(out, p.paragraph - prev_para);
+    prev_off = p.offset;
+    prev_sent = p.sentence;
+    prev_para = p.paragraph;
+  }
+  pending_bytes_.resize(out - pending_bytes_.data());
+  AppendPending(node, static_cast<uint32_t>(positions.size()), begin);
+}
+
+void BlockPostingList::AppendEncoded(NodeId node, uint32_t pos_count,
+                                     std::string_view pos_bytes) {
+  const size_t begin = pending_bytes_.size();
+  pending_bytes_.insert(pending_bytes_.end(), pos_bytes.begin(), pos_bytes.end());
+  AppendPending(node, pos_count, begin);
+}
+
+void BlockPostingList::AppendPending(NodeId node, uint32_t pos_count,
+                                     size_t byte_begin) {
   assert(pending_.empty() || pending_.back().node < node);
   assert(skips_.empty() || !pending_.empty() || skips_.back().max_node < node);
-  PendingEntry e;
-  e.node = node;
-  e.pos_begin = static_cast<uint32_t>(pending_positions_.size());
-  e.pos_count = static_cast<uint32_t>(positions.size());
-  pending_positions_.insert(pending_positions_.end(), positions.begin(),
-                            positions.end());
-  pending_.push_back(e);
+  pending_.push_back({node, pos_count, static_cast<uint32_t>(byte_begin),
+                      static_cast<uint32_t>(pending_bytes_.size() - byte_begin)});
   ++num_entries_;
-  total_positions_ += positions.size();
+  total_positions_ += pos_count;
   if (pending_.size() >= block_size_) FlushPending();
 }
 
@@ -114,41 +147,27 @@ void BlockPostingList::FlushPending() {
   if (dense_enabled_ && pending_.size() >= kMinDenseEntries &&
       span <= static_cast<uint64_t>(kDenseSpanFactor) * pending_.size()) {
     FlushPendingBitset(&skip);
-    skips_.push_back(skip);
-    pending_.clear();
-    pending_positions_.clear();
-    return;
-  }
-
-  // First node of the block is absolute so blocks decode independently;
-  // subsequent ids are strictly positive deltas. Each entry's positions
-  // (offset/sentence/paragraph deltas) sit behind a byte-length so
-  // header-only decoding can hop over them.
-  NodeId prev_node = 0;
-  bool first = true;
-  std::string pos_bytes;
-  for (const PendingEntry& e : pending_) {
-    PutVarint32(&owned_, first ? e.node : e.node - prev_node);
-    first = false;
-    prev_node = e.node;
-    PutVarint32(&owned_, e.pos_count);
-    pos_bytes.clear();
-    uint32_t prev_off = 0, prev_sent = 0, prev_para = 0;
-    for (uint32_t j = 0; j < e.pos_count; ++j) {
-      const PositionInfo& p = pending_positions_[e.pos_begin + j];
-      PutVarint32(&pos_bytes, p.offset - prev_off);
-      PutVarint32(&pos_bytes, p.sentence - prev_sent);
-      PutVarint32(&pos_bytes, p.paragraph - prev_para);
-      prev_off = p.offset;
-      prev_sent = p.sentence;
-      prev_para = p.paragraph;
+  } else {
+    // First node of the block is absolute so blocks decode independently;
+    // subsequent ids are strictly positive deltas. Each entry's position
+    // bytes sit behind their byte length so header-only decoding can hop
+    // over them.
+    NodeId prev_node = 0;
+    bool first = true;
+    for (const PendingEntry& e : pending_) {
+      PutVarint32(&owned_, first ? e.node : e.node - prev_node);
+      first = false;
+      prev_node = e.node;
+      PutVarint32(&owned_, e.pos_count);
+      PutVarint32(&owned_, e.pos_byte_len);
+      owned_.append(reinterpret_cast<const char*>(pending_bytes_.data()) +
+                        e.pos_byte_begin,
+                    e.pos_byte_len);
     }
-    PutVarint32(&owned_, static_cast<uint32_t>(pos_bytes.size()));
-    owned_.append(pos_bytes);
   }
   skips_.push_back(skip);
   pending_.clear();
-  pending_positions_.clear();
+  pending_bytes_.clear();
 }
 
 void BlockPostingList::FlushPendingBitset(SkipEntry* skip) {
@@ -175,24 +194,10 @@ void BlockPostingList::FlushPendingBitset(SkipEntry* skip) {
   }
   for (uint32_t w = 0; w < nwords; ++w) PutFixed64Le(&owned_, words[w]);
   for (const PendingEntry& e : pending_) PutVarint32(&owned_, e.pos_count);
-  std::string pos_bytes;
-  std::string entry_bytes;
-  for (const PendingEntry& e : pending_) {
-    entry_bytes.clear();
-    uint32_t prev_off = 0, prev_sent = 0, prev_para = 0;
-    for (uint32_t j = 0; j < e.pos_count; ++j) {
-      const PositionInfo& p = pending_positions_[e.pos_begin + j];
-      PutVarint32(&entry_bytes, p.offset - prev_off);
-      PutVarint32(&entry_bytes, p.sentence - prev_sent);
-      PutVarint32(&entry_bytes, p.paragraph - prev_para);
-      prev_off = p.offset;
-      prev_sent = p.sentence;
-      prev_para = p.paragraph;
-    }
-    PutVarint32(&owned_, static_cast<uint32_t>(entry_bytes.size()));
-    pos_bytes.append(entry_bytes);
-  }
-  owned_.append(pos_bytes);
+  for (const PendingEntry& e : pending_) PutVarint32(&owned_, e.pos_byte_len);
+  // The pending entries' bytes are already back to back in entry order.
+  owned_.append(reinterpret_cast<const char*>(pending_bytes_.data()),
+                pending_bytes_.size());
 }
 
 size_t BlockPostingList::byte_size() const {

@@ -111,9 +111,20 @@ class BlockPostingList {
   /// Decompresses back to the raw random-access form.
   PostingList Materialize() const;
 
-  /// Appends one entry; node ids must be strictly increasing. Call Finish()
+  /// Appends one entry; node ids must be strictly increasing. Its positions
+  /// are encoded into the pending block's bytes at once. Call Finish()
   /// after the last Append to flush the tail block.
   void Append(NodeId node, std::span<const PositionInfo> positions);
+
+  /// Appends one entry whose `pos_count` positions are already encoded:
+  /// `pos_bytes` is an entry's position bytes exactly as another list holds
+  /// them (EntryRef::pos_byte_begin/pos_byte_len). Position bytes are
+  /// per-entry deltas, independent of the node id, so an entry moves
+  /// between lists — under a new id — as a byte copy; the result is what
+  /// Append would have produced from the decoded positions. The bytes must
+  /// come from a trusted list (built, or fully validated).
+  void AppendEncoded(NodeId node, uint32_t pos_count,
+                     std::string_view pos_bytes);
 
   /// Flushes the partially filled tail block, if any, and releases the
   /// builder buffers (the list is typically immutable afterwards; further
@@ -121,7 +132,7 @@ class BlockPostingList {
   void Finish() {
     FlushPending();
     std::vector<PendingEntry>().swap(pending_);
-    std::vector<PositionInfo>().swap(pending_positions_);
+    std::vector<uint8_t>().swap(pending_bytes_);
   }
 
   size_t num_entries() const { return num_entries_; }
@@ -155,7 +166,7 @@ class BlockPostingList {
            block_checksums_.capacity() * sizeof(uint32_t) +
            (block_verified_ != nullptr ? skips_.size() : 0) +
            pending_.capacity() * sizeof(PendingEntry) +
-           pending_positions_.capacity() * sizeof(PositionInfo);
+           pending_bytes_.capacity();
   }
 
   /// One decoded entry header plus the location of its (still compressed)
@@ -236,6 +247,9 @@ class BlockPostingList {
   uint64_t uid() const { return uid_; }
 
  private:
+  /// Records a pending entry whose position bytes were just appended to
+  /// pending_bytes_ from `byte_begin` on.
+  void AppendPending(NodeId node, uint32_t pos_count, size_t byte_begin);
   void FlushPending();
   void FlushPendingBitset(SkipEntry* skip);
   Status DecodeBitsetBlock(size_t block, const SkipEntry& skip,
@@ -264,14 +278,16 @@ class BlockPostingList {
   /// the memo without UB.
   mutable std::unique_ptr<std::atomic<uint8_t>[]> block_verified_;
 
-  // Entries accumulated for the block currently being built.
+  // Entries accumulated for the block currently being built; each one's
+  // encoded position bytes are pending_bytes_[pos_byte_begin, +pos_byte_len).
   struct PendingEntry {
     NodeId node;
-    uint32_t pos_begin;
     uint32_t pos_count;
+    uint32_t pos_byte_begin;
+    uint32_t pos_byte_len;
   };
   std::vector<PendingEntry> pending_;
-  std::vector<PositionInfo> pending_positions_;
+  std::vector<uint8_t> pending_bytes_;
 };
 
 struct DecodedBlock;      // index/decoded_block_cache.h

@@ -8,8 +8,9 @@
 // groups each document's occurrences by token with one sort of packed
 // (token, index-in-document) keys, and appends every group straight to its
 // token's list, encoded into the block-compressed resident form; only the
-// per-node unique-token count outlives a document. The norm pass then reads
-// the finished list headers through ComputeNodeNorms
+// per-node unique-token count outlives a document. The statistics and norm
+// pass then reads the finished list headers (InvertedIndex::FinishLists,
+// which a segment merge ends with too) through ComputeNodeNorms
 // (index/inverted_index.h), the same pass snapshots run with global
 // statistics. The raw uncompressed twin of a list exists only as the
 // differential-test oracle (testing/raw_posting_oracle.h). The saved bytes

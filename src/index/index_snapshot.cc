@@ -1,5 +1,7 @@
 #include "index/index_snapshot.h"
 
+#include <algorithm>
+
 #include "index/block_posting_list.h"
 #include "index/pair_index.h"
 
@@ -99,7 +101,6 @@ StatusOr<std::shared_ptr<const IndexSnapshot>> IndexSnapshot::Create(
   }
   snap->owned_tombstones_ = std::move(tombstones);
 
-  bool any_deletes = false;
   NodeId base = 0;
   for (size_t i = 0; i < snap->owned_.size(); ++i) {
     const InvertedIndex* idx = snap->owned_[i].get();
@@ -113,22 +114,43 @@ StatusOr<std::shared_ptr<const IndexSnapshot>> IndexSnapshot::Create(
     base += static_cast<NodeId>(idx->num_nodes());
     snap->live_nodes_ +=
         idx->num_nodes() - (dead != nullptr ? dead->deleted_count() : 0);
-    if (dead != nullptr) any_deletes = true;
   }
   snap->total_nodes_ = base;
-
-  if (snap->segments_.size() > 1 || any_deletes) {
-    for (const SegmentView& seg : snap->segments_) {
-      FTS_RETURN_IF_ERROR(
-          AddLiveDfByText(*seg.index, seg.tombstones, &snap->df_by_text_));
-    }
-    FTS_RETURN_IF_ERROR(ComputeSegmentStats(
-        snap->segments_, snap->live_nodes_, &snap->df_by_text_, &snap->stats_));
-    for (size_t i = 0; i < snap->segments_.size(); ++i) {
-      snap->segments_[i].scoring = &snap->stats_[i];
-    }
-  }
   return std::shared_ptr<const IndexSnapshot>(std::move(snap));
+}
+
+StatusOr<std::span<const SegmentScoringStats>> IndexSnapshot::ScoringStats() const {
+  if (stats_demand() != StatsDemand::kScored) {
+    stats_demand_.store(StatsDemand::kScored, std::memory_order_relaxed);
+  }
+  PrecomputeScoringStats();
+  FTS_RETURN_IF_ERROR(stats_status_);
+  return std::span<const SegmentScoringStats>(stats_);
+}
+
+void IndexSnapshot::NoteUnscoredReader() const {
+  // Load first: once marked, readers share the line without writing it.
+  StatsDemand unread = StatsDemand::kUnread;
+  if (stats_demand() == unread) {
+    stats_demand_.compare_exchange_strong(unread, StatsDemand::kUnscored,
+                                          std::memory_order_relaxed);
+  }
+}
+
+void IndexSnapshot::PrecomputeScoringStats() const {
+  std::call_once(stats_once_, [this] {
+    const bool any_deletes =
+        std::any_of(segments_.begin(), segments_.end(),
+                    [](const SegmentView& seg) { return seg.tombstones != nullptr; });
+    if (segments_.size() <= 1 && !any_deletes) return;
+    for (const SegmentView& seg : segments_) {
+      stats_status_ = AddLiveDfByText(*seg.index, seg.tombstones, &df_by_text_);
+      if (!stats_status_.ok()) return;
+    }
+    stats_status_ =
+        ComputeSegmentStats(segments_, live_nodes_, &df_by_text_, &stats_);
+  });
+  stats_computed_.store(true, std::memory_order_release);
 }
 
 StatusOr<std::shared_ptr<const IndexSnapshot>> IndexSnapshot::CreateSharded(
@@ -147,13 +169,17 @@ StatusOr<std::shared_ptr<const IndexSnapshot>> IndexSnapshot::CreateSharded(
   snap->total_nodes_ = idx->num_nodes();
   snap->live_nodes_ = idx->num_nodes();
   snap->df_by_text_ = std::move(df_by_text);
-  // Rerun only pass 2 of the stats computation: the caller already
-  // aggregated the cross-shard df table, and this shard's norms under the
-  // global idf come out bit-identical to a single-index build of the full
-  // corpus because the pass is shared verbatim with Create().
-  FTS_RETURN_IF_ERROR(ComputeSegmentStats(snap->segments_, global_live_nodes,
-                                          &snap->df_by_text_, &snap->stats_));
-  snap->segments_[0].scoring = &snap->stats_[0];
+  // Rerun only pass 2 of the stats computation, eagerly: the caller
+  // already aggregated the cross-shard df table, and this shard's norms
+  // under the global idf come out bit-identical to a single-index build of
+  // the full corpus because the pass is shared verbatim with
+  // ScoringStats(), whose once-flag this run consumes.
+  std::call_once(snap->stats_once_, [&] {
+    snap->stats_status_ = ComputeSegmentStats(
+        snap->segments_, global_live_nodes, &snap->df_by_text_, &snap->stats_);
+  });
+  snap->stats_computed_.store(true, std::memory_order_release);
+  FTS_RETURN_IF_ERROR(snap->stats_status_);
   return std::shared_ptr<const IndexSnapshot>(std::move(snap));
 }
 

@@ -13,20 +13,29 @@
 //
 // Scoring stays bit-identical to a single-shot build of the surviving
 // documents: TF-IDF idf and node norms depend on corpus-global document
-// frequencies, so Create() precomputes SnapshotScoringStats — global live
-// df per token and per-segment node norms recomputed under global idf by
-// the ComputeNodeNorms pass IndexBuilder itself runs
+// frequencies, so a snapshot carries SegmentScoringStats — global live df
+// per token and per-segment node norms recomputed under global idf by the
+// ComputeNodeNorms pass IndexBuilder itself runs
 // (index/inverted_index.h) — and the score models read them instead of the
-// per-segment statistics.
-// The single-segment, no-tombstone case (ForIndex, and every pre-segment
-// caller) skips the stats entirely and evaluates exactly as before.
+// per-segment statistics. Creating a generation does not pay for them:
+// they are computed once per generation, under std::call_once, either by
+// the first Searcher that needs them (a scored query, or a segment with
+// pair lists, whose planner reads global pair dfs) or, before publishing,
+// by a writer whose readers need them (stats_demand(),
+// PrecomputeScoringStats), so that scored traffic does not wait on the
+// pass. Unscored generations never compute them. The single-segment,
+// no-tombstone case (ForIndex, and every pre-segment caller) has no stats
+// and evaluates exactly as before.
 
 #ifndef FTS_INDEX_INDEX_SNAPSHOT_H_
 #define FTS_INDEX_INDEX_SNAPSHOT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -37,9 +46,10 @@
 
 namespace fts {
 
-/// Corpus-global scoring inputs for one segment of a snapshot, precomputed
-/// at snapshot creation. Null on the single-segment fast path (the score
-/// models then read the segment's own statistics, which *are* global).
+/// Corpus-global scoring inputs for one segment of a snapshot, computed on
+/// first use (IndexSnapshot::ScoringStats). Absent on the single-segment
+/// fast path (the score models then read the segment's own statistics,
+/// which *are* global).
 struct SegmentScoringStats {
   /// Live (non-tombstoned) nodes across the whole snapshot — the scoring
   /// db_size that replaces InvertedIndex::num_nodes().
@@ -72,8 +82,6 @@ struct SegmentView {
   NodeId base = 0;
   /// Delete bitmap over local node ids; null when nothing is deleted.
   const TombstoneSet* tombstones = nullptr;
-  /// Global scoring inputs; null on the single-segment fast path.
-  const SegmentScoringStats* scoring = nullptr;
 };
 
 /// Pass 1 of the snapshot's stats computation, also a shard's answer to a
@@ -91,10 +99,8 @@ class IndexSnapshot {
  public:
   /// Builds a snapshot over `segments` (shared ownership) with optional
   /// per-segment `tombstones` (the vector may be shorter than `segments`;
-  /// missing or null entries mean no deletes). Computes the global scoring
-  /// stats unless the snapshot degenerates to one segment without deletes.
-  /// Fails with Corruption if a lazily validated segment's payload is
-  /// malformed (stats computation decodes every entry header once).
+  /// missing or null entries mean no deletes). Reads no list: the scoring
+  /// stats wait for ScoringStats(). Fails only on a null segment.
   static StatusOr<std::shared_ptr<const IndexSnapshot>> Create(
       std::vector<std::shared_ptr<const InvertedIndex>> segments,
       std::vector<std::shared_ptr<const TombstoneSet>> tombstones = {},
@@ -119,6 +125,40 @@ class IndexSnapshot {
   /// tombstones: evaluation is bit-for-bit the pre-segment read path.
   static std::shared_ptr<const IndexSnapshot> ForIndex(const InvertedIndex* index);
 
+  /// The global scoring inputs, one per segment, computed on the first
+  /// call (any thread; later calls return the same result): pass 1 adds up
+  /// live dfs by text (AddLiveDfByText), pass 2 recomputes each segment's
+  /// norms under global idf. Empty when the snapshot degenerates to one
+  /// segment without deletes. Fails with Corruption — on this and every
+  /// later call — if a lazily validated segment's payload is malformed
+  /// (pass 1 decodes the entry headers of tombstoned segments, pass 2
+  /// those of every list).
+  /// Also records the demand (StatsDemand::kScored).
+  StatusOr<std::span<const SegmentScoringStats>> ScoringStats() const;
+
+  /// What this generation's readers have asked of it — the writer's signal
+  /// for whether to precompute the next generation's stats
+  /// (IngestService::PublishLocked).
+  enum class StatsDemand : uint8_t {
+    kUnread,    // no Searcher yet
+    kUnscored,  // Searchers, none of which needed the stats
+    kScored,    // a Searcher called ScoringStats()
+  };
+  StatsDemand stats_demand() const {
+    return stats_demand_.load(std::memory_order_relaxed);
+  }
+  /// Records a Searcher that does not need the stats (kUnread ->
+  /// kUnscored; a kScored generation stays kScored).
+  void NoteUnscoredReader() const;
+
+  /// Runs ScoringStats()'s computation now, if it has not run, without
+  /// counting as a reader's demand. A failure is kept for the readers.
+  void PrecomputeScoringStats() const;
+  /// Whether the stats computation has run (successfully or not).
+  bool scoring_stats_computed() const {
+    return stats_computed_.load(std::memory_order_acquire);
+  }
+
   size_t num_segments() const { return segments_.size(); }
   const SegmentView& segment(size_t i) const { return segments_[i]; }
   const std::vector<SegmentView>& segments() const { return segments_; }
@@ -135,8 +175,13 @@ class IndexSnapshot {
   std::vector<SegmentView> segments_;
   std::vector<std::shared_ptr<const InvertedIndex>> owned_;
   std::vector<std::shared_ptr<const TombstoneSet>> owned_tombstones_;
-  std::vector<SegmentScoringStats> stats_;  // parallel to segments_ when present
-  std::unordered_map<std::string, uint32_t> df_by_text_;
+  /// Written once, inside stats_once_ (CreateSharded runs it eagerly).
+  mutable std::once_flag stats_once_;
+  mutable std::atomic<StatsDemand> stats_demand_{StatsDemand::kUnread};
+  mutable std::atomic<bool> stats_computed_{false};
+  mutable Status stats_status_;
+  mutable std::vector<SegmentScoringStats> stats_;  // parallel to segments_
+  mutable std::unordered_map<std::string, uint32_t> df_by_text_;
   uint64_t generation_ = 0;
   uint64_t total_nodes_ = 0;
   uint64_t live_nodes_ = 0;

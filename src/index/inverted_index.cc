@@ -212,6 +212,51 @@ Status InvertedIndex::ValidateBlocks() const {
   return Status::OK();
 }
 
+Status InvertedIndex::FinishLists() {
+  // Corpus shape statistics (paper Section 5.1.2 parameters). A block's
+  // max_tf is its largest entry, so the maxima come from skip headers.
+  const auto max_tf = [](const BlockPostingList& l) {
+    uint32_t m = 0;
+    for (const BlockPostingList::SkipEntry& s : l.skips()) m = std::max(m, s.max_tf);
+    return m;
+  };
+  const size_t num_nodes = unique_tokens_.size();
+  IndexStats& s = stats_;
+  s.cnodes = num_nodes;
+  s.total_positions = block_any_list_->total_positions();
+  s.pos_per_cnode = max_tf(*block_any_list_);
+  uint64_t total_entries = 0;
+  uint64_t nonempty_lists = 0;
+  std::vector<uint32_t> df(block_lists_.size(), 0);
+  for (TokenId t = 0; t < block_lists_.size(); ++t) {
+    const BlockPostingList& l = block_lists_[t];
+    if (l.empty()) continue;
+    df[t] = static_cast<uint32_t>(l.num_entries());
+    ++nonempty_lists;
+    total_entries += l.num_entries();
+    s.entries_per_token = std::max(s.entries_per_token, df[t]);
+    s.pos_per_entry = std::max(s.pos_per_entry, max_tf(l));
+  }
+  s.avg_pos_per_cnode =
+      num_nodes == 0 ? 0 : static_cast<double>(s.total_positions) / num_nodes;
+  s.avg_entries_per_token =
+      nonempty_lists == 0 ? 0 : static_cast<double>(total_entries) / nonempty_lists;
+  s.avg_pos_per_entry =
+      total_entries == 0 ? 0 : static_cast<double>(s.total_positions) / total_entries;
+
+  // TF-IDF norms from the finished list headers, through the same pass
+  // snapshots run with global statistics.
+  return ComputeNodeNorms(*this, df, num_nodes, nullptr, &node_norms_,
+                          &min_uniq_norm_);
+}
+
+void InvertedIndex::BuildPairIndex(std::span<const TokenizedDocument> docs,
+                                   const PairIndexOptions& opts) {
+  if (opts.frequent_terms == 0) return;
+  pair_index_ = std::make_unique<PairIndex>(PairIndex::Build(docs, *this, opts));
+  if (pair_index_->num_keys() == 0) pair_index_.reset();
+}
+
 void InvertedIndex::RecomputeMinUniqNorm() {
   // The same product every TF-IDF LeafScore divides by — computed with the
   // identical expression so the minimum is an exact lower bound on any

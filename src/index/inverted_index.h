@@ -159,6 +159,7 @@ struct IndexStats {
 class BlockPostingList;  // index/block_posting_list.h
 class IndexSource;       // index/index_source.h
 class PairIndex;         // index/pair_index.h
+struct PairIndexOptions;  // index/pair_index.h
 
 /// Where a loaded index's posting payload bytes live (see
 /// index/index_source.h and docs/index_format.md for the full matrix).
@@ -255,6 +256,18 @@ class InvertedIndex {
  private:
   friend class IndexBuilder;
   friend struct IndexIoAccess;  // index_io.cc loaders
+  friend struct SegmentMergerAccess;  // segment_merger.cc
+
+  /// The last pass of every build and merge, once the lists hold their
+  /// entries and unique_tokens_ has one slot per node: derives IndexStats
+  /// from the list headers and runs ComputeNodeNorms under the index's own
+  /// dfs. Fails only if a list fails to decode.
+  Status FinishLists();
+
+  /// Builds the pair lists over `docs` (this index's token ids, one per
+  /// node) when opts.frequent_terms > 0; keeps none when nothing pairs.
+  void BuildPairIndex(std::span<const TokenizedDocument> docs,
+                      const PairIndexOptions& opts);
 
   /// Fully validates every resident block list by streaming a decode of all
   /// entry headers and position payloads (transient, O(block) memory):

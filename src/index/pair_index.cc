@@ -8,7 +8,8 @@
 
 namespace fts {
 
-PairIndex PairIndex::Build(const Corpus& corpus, const InvertedIndex& index,
+PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
+                           const InvertedIndex& index,
                            const PairIndexOptions& opts) {
   PairIndex out;
   out.max_distance_ = opts.max_distance;
@@ -19,13 +20,14 @@ PairIndex PairIndex::Build(const Corpus& corpus, const InvertedIndex& index,
   // orientation — a function of the logical corpus alone, independent of
   // dictionary interning order.
   std::vector<TokenId> cands;
-  for (TokenId t = 0; t < corpus.vocabulary_size(); ++t) {
+  const size_t vocab = index.vocabulary_size();
+  for (TokenId t = 0; t < vocab; ++t) {
     if (index.df(t) > 0) cands.push_back(t);
   }
   std::sort(cands.begin(), cands.end(), [&](TokenId a, TokenId b) {
     const uint32_t dfa = index.df(a), dfb = index.df(b);
     if (dfa != dfb) return dfa > dfb;
-    return corpus.token_text(a) < corpus.token_text(b);
+    return index.token_text(a) < index.token_text(b);
   });
   if (cands.size() > opts.frequent_terms) cands.resize(opts.frequent_terms);
   out.frequent_ = std::move(cands);
@@ -33,13 +35,12 @@ PairIndex PairIndex::Build(const Corpus& corpus, const InvertedIndex& index,
   // The inner loop ranks through a dense TokenId -> rank table; rank_, the
   // hash map queries use, is built with the other lookups at the end.
   constexpr uint32_t kUnranked = static_cast<uint32_t>(-1);
-  const size_t vocab = corpus.vocabulary_size();
   std::vector<uint32_t> rank(vocab, kUnranked);
   for (size_t r = 0; r < out.frequent_.size(); ++r) {
     rank[out.frequent_[r]] = static_cast<uint32_t>(r);
   }
 
-  // One pass over the corpus. Co-occurrences are found by the windowed
+  // One pass over the documents. Co-occurrences are found by the windowed
   // double loop (offsets are strictly increasing within a document, so the
   // inner loop is bounded by the window's token span). A document's records
   // collect in one flat vector, sorted by (key, offset, signed delta), and
@@ -58,8 +59,8 @@ PairIndex PairIndex::Build(const Corpus& corpus, const InvertedIndex& index,
   std::vector<Record> recs;
   std::vector<uint32_t> tf(vocab, 0);
   std::vector<PositionInfo> entry;
-  for (NodeId n = 0; n < corpus.num_nodes(); ++n) {
-    const TokenizedDocument& doc = corpus.doc(n);
+  for (NodeId n = 0; n < docs.size(); ++n) {
+    const TokenizedDocument& doc = docs[n];
     recs.clear();
     for (const TokenId t : doc.tokens) ++tf[t];
     for (size_t i = 0; i < doc.size(); ++i) {

@@ -36,6 +36,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -43,7 +44,6 @@
 
 #include "common/status.h"
 #include "index/block_posting_list.h"
-#include "text/corpus.h"
 #include "text/document.h"
 
 namespace fts {
@@ -77,12 +77,13 @@ class PairIndex {
  public:
   static constexpr size_t kNotFrequent = static_cast<size_t>(-1);
 
-  /// Builds the pair lists for `corpus`. `index` supplies the df ranking
-  /// (block-list headers) and must already hold the finished token lists.
-  /// Returns an empty PairIndex (num_keys() == 0) when opts.frequent_terms
-  /// is 0 or nothing co-occurs.
-  static PairIndex Build(const Corpus& corpus, const InvertedIndex& index,
-                         const PairIndexOptions& opts);
+  /// Builds the pair lists over `docs`, one token-id stream per node of
+  /// `index`, in `index`'s token ids. `index` supplies the spellings and
+  /// the df ranking (block-list headers) and must already hold the
+  /// finished token lists. Returns an empty PairIndex (num_keys() == 0)
+  /// when opts.frequent_terms is 0 or nothing co-occurs.
+  static PairIndex Build(std::span<const TokenizedDocument> docs,
+                         const InvertedIndex& index, const PairIndexOptions& opts);
 
   uint32_t max_distance() const { return max_distance_; }
   size_t num_frequent() const { return frequent_.size(); }

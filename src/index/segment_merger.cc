@@ -1,75 +1,214 @@
 #include "index/segment_merger.h"
 
 #include <algorithm>
-#include <string>
+#include <functional>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 
 #include "index/block_posting_list.h"
-#include "index/index_builder.h"
-#include "text/corpus.h"
+#include "index/pair_index.h"
+#include "index/tombstone_set.h"
 
 namespace fts {
 
 namespace {
 
-/// One reconstructed token occurrence within a node.
-struct Occurrence {
-  PositionInfo position;
-  TokenId token = kInvalidToken;  // id in the *source* segment's dictionary
+/// One token of the merged dictionary: where its first live occurrence
+/// lands in the merged index, its spelling (borrowed from a source), and
+/// its source lists as (segment, local token id), in segment order.
+struct MergedToken {
+  NodeId node;
+  uint32_t offset;
+  std::string_view text;
+  std::vector<std::pair<size_t, TokenId>> sources;
 };
 
-}  // namespace
+/// Appends the live entries of `list` to `out` under their merged ids
+/// (`remap`, kInvalidNode for a deleted node), position bytes verbatim.
+Status AppendLive(const BlockPostingList& list, const std::vector<NodeId>& remap,
+                  std::vector<BlockPostingList::EntryRef>* entries,
+                  BlockPostingList* out) {
+  const std::string_view data = list.data();
+  for (size_t b = 0; b < list.num_blocks(); ++b) {
+    FTS_RETURN_IF_ERROR(list.DecodeBlockEntries(b, entries));
+    for (const BlockPostingList::EntryRef& e : *entries) {
+      const NodeId node = remap[e.header.node];
+      if (node == kInvalidNode) continue;
+      out->AppendEncoded(node, e.header.pos_count,
+                         data.substr(e.pos_byte_begin, e.pos_byte_len));
+    }
+  }
+  return Status::OK();
+}
 
-StatusOr<InvertedIndex> MergeSegments(const std::vector<SegmentView>& segments,
-                                      const IndexBuildOptions& options) {
-  Corpus merged;
+/// The first live entry of `list` as (merged node, first offset); node is
+/// kInvalidNode when every entry is deleted.
+StatusOr<std::pair<NodeId, uint32_t>> FirstLive(
+    const BlockPostingList& list, const std::vector<NodeId>& remap,
+    std::vector<BlockPostingList::EntryRef>* entries,
+    std::vector<PositionInfo>* positions) {
+  for (size_t b = 0; b < list.num_blocks(); ++b) {
+    FTS_RETURN_IF_ERROR(list.DecodeBlockEntries(b, entries));
+    for (const BlockPostingList::EntryRef& e : *entries) {
+      const NodeId node = remap[e.header.node];
+      if (node == kInvalidNode) continue;
+      FTS_RETURN_IF_ERROR(list.DecodePositions(e, positions));
+      return std::pair{node, positions->empty() ? 0 : (*positions)[0].offset};
+    }
+  }
+  return std::pair{kInvalidNode, uint32_t{0}};
+}
+
+/// Every node's token-id stream, read back from a finished index: IL_ANY
+/// gives each node's positions in order, and each token list names the
+/// token at its positions. The lists must tile IL_ANY exactly — every
+/// position named by one token — or the streams would carry ids the pair
+/// builder indexes tables with; checked blocks do not promise that, so a
+/// crafted input that breaks it fails with Corruption.
+StatusOr<std::vector<TokenizedDocument>> TokenStreams(const InvertedIndex& index) {
+  std::vector<TokenizedDocument> docs(index.num_nodes());
   std::vector<PostingEntry> entries;
   std::vector<PositionInfo> positions;
-  for (const SegmentView& seg : segments) {
-    const InvertedIndex& idx = *seg.index;
-    const TombstoneSet* dead = seg.tombstones;
-
-    // Invert the inversion: gather every (position, token) pair per node
-    // from the token lists, then re-emit each live node's stream in
-    // position order.
-    std::vector<std::vector<Occurrence>> occ(idx.num_nodes());
-    const TokenId vocab = static_cast<TokenId>(idx.vocabulary_size());
-    for (TokenId t = 0; t < vocab; ++t) {
-      const BlockPostingList* list = idx.block_list(t);
-      if (list == nullptr || list->empty()) continue;
-      for (size_t b = 0; b < list->num_blocks(); ++b) {
-        FTS_RETURN_IF_ERROR(list->DecodeBlock(b, &entries, &positions));
-        for (const PostingEntry& e : entries) {
-          if (dead != nullptr && dead->Contains(e.node)) continue;
-          for (uint32_t p = 0; p < e.pos_count; ++p) {
-            occ[e.node].push_back({positions[e.pos_begin + p], t});
+  const BlockPostingList& any = index.block_any_list();
+  for (size_t b = 0; b < any.num_blocks(); ++b) {
+    FTS_RETURN_IF_ERROR(any.DecodeBlock(b, &entries, &positions));
+    for (const PostingEntry& e : entries) {
+      TokenizedDocument& doc = docs[e.node];
+      const auto first = positions.begin() + e.pos_begin;
+      doc.positions.assign(first, first + e.pos_count);
+      doc.tokens.assign(e.pos_count, kInvalidToken);
+      if (std::adjacent_find(doc.positions.begin(), doc.positions.end(),
+                             std::greater_equal<>()) != doc.positions.end()) {
+        return Status::Corruption("IL_ANY offsets not strictly increasing");
+      }
+    }
+  }
+  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
+    const BlockPostingList& list = *index.block_list(t);
+    for (size_t b = 0; b < list.num_blocks(); ++b) {
+      FTS_RETURN_IF_ERROR(list.DecodeBlock(b, &entries, &positions));
+      for (const PostingEntry& e : entries) {
+        TokenizedDocument& doc = docs[e.node];
+        for (uint32_t i = 0; i < e.pos_count; ++i) {
+          const PositionInfo& p = positions[e.pos_begin + i];
+          const auto at =
+              std::lower_bound(doc.positions.begin(), doc.positions.end(), p);
+          if (at == doc.positions.end() || at->offset != p.offset) {
+            return Status::Corruption("token position missing from IL_ANY");
           }
+          TokenId& slot = doc.tokens[at - doc.positions.begin()];
+          if (slot != kInvalidToken) {
+            return Status::Corruption("IL_ANY position claimed by two tokens");
+          }
+          slot = t;
         }
       }
     }
-
-    std::vector<std::string> tokens;
-    std::vector<PositionInfo> node_positions;
-    for (NodeId n = 0; n < idx.num_nodes(); ++n) {
-      if (dead != nullptr && dead->Contains(n)) continue;
-      std::vector<Occurrence>& node_occ = occ[n];
-      std::sort(node_occ.begin(), node_occ.end(),
-                [](const Occurrence& a, const Occurrence& b) {
-                  return a.position.offset < b.position.offset;
-                });
-      tokens.clear();
-      node_positions.clear();
-      tokens.reserve(node_occ.size());
-      node_positions.reserve(node_occ.size());
-      for (const Occurrence& o : node_occ) {
-        tokens.push_back(idx.token_text(o.token));
-        node_positions.push_back(o.position);
-      }
-      FTS_RETURN_IF_ERROR(
-          merged.AddTokensWithPositions(tokens, node_positions).status());
+  }
+  for (const TokenizedDocument& doc : docs) {
+    if (std::find(doc.tokens.begin(), doc.tokens.end(), kInvalidToken) !=
+        doc.tokens.end()) {
+      return Status::Corruption("IL_ANY position without a token");
     }
   }
-  return IndexBuilder::Build(merged, options);
+  return docs;
+}
+
+}  // namespace
+
+/// The merge body: InvertedIndex's private tables are written directly, as
+/// IndexBuilder writes them.
+struct SegmentMergerAccess {
+  static StatusOr<InvertedIndex> Merge(const std::vector<SegmentView>& segments,
+                                       const IndexBuildOptions& options) {
+    // Lazily validated bytes are checked in full before any is copied
+    // into the merged lists, which are trusted (never re-validated).
+    for (const SegmentView& seg : segments) {
+      if (seg.index->lazy_validation()) {
+        FTS_RETURN_IF_ERROR(seg.index->ValidateBlocks());
+      }
+    }
+
+    // Dense renumbering of the live nodes, in segment order.
+    std::vector<std::vector<NodeId>> remap(segments.size());
+    NodeId next = 0;
+    for (size_t s = 0; s < segments.size(); ++s) {
+      const TombstoneSet* dead = segments[s].tombstones;
+      remap[s].resize(segments[s].index->num_nodes());
+      for (NodeId n = 0; n < remap[s].size(); ++n) {
+        remap[s][n] = dead != nullptr && dead->Contains(n) ? kInvalidNode : next++;
+      }
+    }
+
+    // The merged dictionary: one token per spelling with a live occurrence,
+    // keyed by the first one. A spelling's first live occurrence is in the
+    // first segment that has one, so later segments only add sources.
+    std::vector<MergedToken> tokens;
+    std::unordered_map<std::string_view, size_t> token_of;
+    std::vector<BlockPostingList::EntryRef> entries;
+    std::vector<PositionInfo> positions;
+    for (size_t s = 0; s < segments.size(); ++s) {
+      const InvertedIndex& idx = *segments[s].index;
+      for (TokenId t = 0; t < idx.vocabulary_size(); ++t) {
+        const BlockPostingList& list = *idx.block_list(t);
+        if (list.empty()) continue;
+        const std::string_view text = idx.token_text(t);
+        auto it = token_of.find(text);
+        if (it == token_of.end()) {
+          FTS_ASSIGN_OR_RETURN(const auto first,
+                               FirstLive(list, remap[s], &entries, &positions));
+          if (first.first == kInvalidNode) continue;
+          it = token_of.emplace(text, tokens.size()).first;
+          tokens.push_back({first.first, first.second, text, {}});
+        }
+        tokens[it->second].sources.emplace_back(s, t);
+      }
+    }
+    std::sort(tokens.begin(), tokens.end(),
+              [](const MergedToken& a, const MergedToken& b) {
+                return std::pair{a.node, a.offset} < std::pair{b.node, b.offset};
+              });
+
+    InvertedIndex index;
+    index.token_texts_.reserve(tokens.size());
+    index.token_ids_.reserve(tokens.size());
+    index.block_lists_.resize(tokens.size());
+    for (TokenId id = 0; id < tokens.size(); ++id) {
+      index.token_texts_.emplace_back(tokens[id].text);
+      index.token_ids_.emplace(tokens[id].text, id);
+      BlockPostingList& out = index.block_lists_[id];
+      for (const auto& [s, local] : tokens[id].sources) {
+        FTS_RETURN_IF_ERROR(AppendLive(*segments[s].index->block_list(local),
+                                       remap[s], &entries, &out));
+      }
+      out.Finish();
+    }
+    for (size_t s = 0; s < segments.size(); ++s) {
+      const InvertedIndex& idx = *segments[s].index;
+      FTS_RETURN_IF_ERROR(AppendLive(idx.block_any_list(), remap[s], &entries,
+                                     index.block_any_list_.get()));
+      for (NodeId n = 0; n < remap[s].size(); ++n) {
+        if (remap[s][n] != kInvalidNode) {
+          index.unique_tokens_.push_back(idx.unique_tokens(n));
+        }
+      }
+    }
+    index.block_any_list_->Finish();
+    FTS_RETURN_IF_ERROR(index.FinishLists());
+
+    if (options.pairs.frequent_terms > 0) {
+      FTS_ASSIGN_OR_RETURN(const std::vector<TokenizedDocument> docs,
+                           TokenStreams(index));
+      index.BuildPairIndex(docs, options.pairs);
+    }
+    return index;
+  }
+};
+
+StatusOr<InvertedIndex> MergeSegments(const std::vector<SegmentView>& segments,
+                                      const IndexBuildOptions& options) {
+  return SegmentMergerAccess::Merge(segments, options);
 }
 
 }  // namespace fts

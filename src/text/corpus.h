@@ -7,6 +7,7 @@
 #ifndef FTS_TEXT_CORPUS_H_
 #define FTS_TEXT_CORPUS_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -50,6 +51,9 @@ class Corpus {
 
   /// The tokenized content of node `id`; id must be < num_nodes().
   const TokenizedDocument& doc(NodeId id) const { return docs_[id]; }
+
+  /// Every node's tokenized content, by node id.
+  std::span<const TokenizedDocument> docs() const { return docs_; }
 
   /// A new corpus holding nodes [begin, end) with a fresh dictionary
   /// (token ids are re-interned in first-sight order; spellings and

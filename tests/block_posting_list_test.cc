@@ -93,6 +93,50 @@ TEST(BlockPostingListTest, HeaderOnlyDecodeMatchesFullDecode) {
   }
 }
 
+TEST(BlockPostingListTest, AppendEncodedMatchesAppend) {
+  // Entries copied by their position bytes under new ids encode exactly as
+  // Append encodes the decoded positions under those ids, in sparse and
+  // in dense (bitset) blocks: position bytes never depend on node ids.
+  for (const uint32_t stride : {1u, 2u, 9u}) {
+    const PostingList raw = MakeRawList(300, stride, 4);
+    const BlockPostingList source = BlockPostingList::FromPostingList(raw);
+    BlockPostingList copied, appended;
+    std::vector<BlockPostingList::EntryRef> refs;
+    std::vector<PositionInfo> positions;
+    for (size_t b = 0; b < source.num_blocks(); ++b) {
+      ASSERT_TRUE(source.DecodeBlockEntries(b, &refs).ok());
+      for (const BlockPostingList::EntryRef& e : refs) {
+        const NodeId node = e.header.node + 5;
+        copied.AppendEncoded(node, e.header.pos_count,
+                             source.data().substr(e.pos_byte_begin, e.pos_byte_len));
+        ASSERT_TRUE(source.DecodePositions(e, &positions).ok());
+        appended.Append(node, positions);
+      }
+    }
+    copied.Finish();
+    appended.Finish();
+    EXPECT_EQ(copied.has_bitset_blocks(),
+              BlockPostingList::DenseBlocksEnabledByDefault() && stride < 4)
+        << stride;
+    EXPECT_EQ(copied.data(), appended.data()) << stride;
+    EXPECT_EQ(copied.num_entries(), appended.num_entries());
+    EXPECT_EQ(copied.total_positions(), appended.total_positions());
+    ASSERT_EQ(copied.num_blocks(), appended.num_blocks());
+    for (size_t b = 0; b < copied.num_blocks(); ++b) {
+      EXPECT_EQ(copied.skip(b).max_node, appended.skip(b).max_node);
+      EXPECT_EQ(copied.skip(b).max_tf, appended.skip(b).max_tf);
+      EXPECT_EQ(copied.skip(b).encoding, appended.skip(b).encoding);
+    }
+  }
+}
+
+TEST(BlockPostingListTest, ListObjectStaysSmall) {
+  // An index holds one BlockPostingList per token and per pair key
+  // (hundreds of thousands on a large index); 8 more bytes each is
+  // measurable resident memory.
+  EXPECT_LE(sizeof(BlockPostingList), 184u);
+}
+
 TEST(BlockListCursorTest, SequentialScanMatchesRawCursor) {
   PostingList raw = MakeRawList(500, 4, 3);
   BlockPostingList block = BlockPostingList::FromPostingList(raw, 64);

@@ -21,6 +21,8 @@
 #include "index/block_posting_list.h"
 #include "index/index_builder.h"
 #include "index/index_io.h"
+#include "index/index_snapshot.h"
+#include "index/segment_merger.h"
 #include "lang/parser.h"
 #include "lang/translate.h"
 #include "workload/corpus_gen.h"
@@ -574,6 +576,204 @@ TEST_P(MmapPayloadFuzz, RandomMultiByteDamageNeverFaultsLazyQueries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MmapPayloadFuzz, ::testing::Values(4, 5));
+
+// ---------------------------------------------------------------------------
+// Lazily validated segments beyond one query. MergeSegments copies
+// position bytes verbatim into trusted in-memory lists, so a lazy input is
+// validated in full before any byte is copied: every damaged payload fails
+// the merge with Corruption, and damage no checksum sees (resealed) either
+// fails it or leaves a merged index whose every block decodes. A snapshot
+// computes its scoring stats on the first scored query, decoding every
+// token list's entry headers: damage there fails that query (and every
+// later one) with Corruption, never a crash.
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<const InvertedIndex> OtherSegment() {
+  CorpusGenOptions opts;
+  opts.seed = 12;
+  opts.num_nodes = 30;
+  opts.min_doc_len = 5;
+  opts.max_doc_len = 40;
+  opts.vocabulary = 120;
+  return std::make_shared<InvertedIndex>(IndexBuilder::Build(GenerateCorpus(opts)));
+}
+
+/// Whether decoding every token list's entry headers fails: the damage
+/// sits where the snapshot's stats pass reads.
+bool TokenListHeadersFail(const InvertedIndex& index) {
+  std::vector<BlockPostingList::EntryRef> entries;
+  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
+    const BlockPostingList& list = *index.block_list(t);
+    for (size_t b = 0; b < list.num_blocks(); ++b) {
+      if (!list.DecodeBlockEntries(b, &entries).ok()) return true;
+    }
+  }
+  return false;
+}
+
+TEST(LazySegmentCorruption, PayloadFlipsFailMergesAndScoredQueries) {
+  const std::string blob = SaveSmallIndex();
+  const std::shared_ptr<const InvertedIndex> other = OtherSegment();
+  const std::string path = ::testing::TempDir() + "/fts_lazy_segment_flip.idx";
+  size_t payload_flips = 0, failed_queries = 0;
+  for (size_t pos = 0; pos < blob.size(); pos += SweepStride()) {
+    std::string mutated = blob;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (pos % 8)));
+    WriteFile(path, mutated);
+    auto mapped = std::make_shared<InvertedIndex>();
+    if (!LoadMapped(path, mapped.get()).ok()) continue;  // caught at load
+    ++payload_flips;
+    const NodeId base = static_cast<NodeId>(other->num_nodes());
+    const auto merged =
+        MergeSegments({{other.get(), 0, nullptr}, {mapped.get(), base, nullptr}});
+    ASSERT_FALSE(merged.ok()) << "byte " << pos << " flip merged";
+    EXPECT_EQ(merged.status().code(), StatusCode::kCorruption) << "byte " << pos;
+
+    // Fresh mappings: nothing verified yet.
+    InvertedIndex probe;
+    ASSERT_TRUE(LoadMapped(path, &probe).ok());
+    const bool headers_fail = TokenListHeadersFail(probe);
+    auto fresh = std::make_shared<InvertedIndex>();
+    ASSERT_TRUE(LoadMapped(path, fresh.get()).ok());
+    auto snapshot = IndexSnapshot::Create({other, fresh});
+    ASSERT_TRUE(snapshot.ok()) << "creating a snapshot reads no list";
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      ExecContext ctx;
+      const auto r =
+          Searcher(*snapshot, {ScoringKind::kTfIdf}).Search("'w0' OR 'w1'", ctx);
+      if (headers_fail) {
+        ASSERT_FALSE(r.ok()) << "byte " << pos << " flip scored";
+        failed_queries += attempt == 0;
+      }
+      if (!r.ok()) {
+        EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << "byte " << pos;
+      }
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(payload_flips, 0u);
+  EXPECT_GT(failed_queries, 0u);
+}
+
+/// Merge options that rebuild pair lists, which reads the merged index's
+/// token streams back (IL_ANY plus every token list).
+IndexBuildOptions MergeWithPairs() {
+  IndexBuildOptions options;
+  options.pairs.frequent_terms = 8;
+  options.pairs.max_distance = 2;
+  return options;
+}
+
+/// Random resealed damage to a mapped segment, merged with `options`:
+/// every merge either fails with Corruption or yields lists that decode.
+void ResealedDamageSweep(const IndexBuildOptions& options, const std::string& path) {
+  const std::string blob = SaveSmallIndex();
+  Rng rng(17);
+  size_t rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string mutated = blob;
+    const size_t pos = 8 + rng.Uniform(mutated.size() - 16);
+    mutated[pos] = static_cast<char>(rng.Uniform(256));
+    if (!ResealV6(&mutated)) continue;
+    WriteFile(path, mutated);
+    InvertedIndex mapped;
+    if (!LoadMapped(path, &mapped).ok()) continue;
+    const auto merged = MergeSegments({{&mapped, 0, nullptr}}, options);
+    if (!merged.ok()) {
+      EXPECT_EQ(merged.status().code(), StatusCode::kCorruption)
+          << merged.status().ToString();
+      ++rejected;
+      continue;
+    }
+    const Status touch = TouchEveryBlock(*merged);
+    EXPECT_TRUE(touch.ok()) << "byte " << pos << ": " << touch.ToString();
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(LazySegmentCorruption, ResealedDamageNeverReachesAMergedList) {
+  ResealedDamageSweep({}, ::testing::TempDir() + "/fts_lazy_segment_resealed.idx");
+}
+
+TEST(LazySegmentCorruption, ResealedDamageNeverReachesAMergedPairList) {
+  ResealedDamageSweep(MergeWithPairs(),
+                      ::testing::TempDir() + "/fts_lazy_segment_resealed_pairs.idx");
+}
+
+/// Whether some node's IL_ANY holds a position that no token list names,
+/// while every token position is in IL_ANY: block checks cannot see that
+/// the lists stopped tiling IL_ANY.
+bool AnyPositionWithoutToken(const InvertedIndex& index) {
+  std::vector<PostingEntry> entries;
+  std::vector<PositionInfo> positions;
+  std::vector<std::vector<uint32_t>> any(index.num_nodes()), named(index.num_nodes());
+  auto collect = [&](const BlockPostingList& list,
+                     std::vector<std::vector<uint32_t>>* out) {
+    for (size_t b = 0; b < list.num_blocks(); ++b) {
+      if (!list.DecodeBlock(b, &entries, &positions).ok()) return false;
+      for (const PostingEntry& e : entries) {
+        for (uint32_t i = 0; i < e.pos_count; ++i) {
+          (*out)[e.node].push_back(positions[e.pos_begin + i].offset);
+        }
+      }
+    }
+    return true;
+  };
+  if (!collect(index.block_any_list(), &any)) return false;
+  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
+    if (!collect(*index.block_list(t), &named)) return false;
+  }
+  bool uncovered = false;
+  for (NodeId n = 0; n < index.num_nodes(); ++n) {
+    std::sort(named[n].begin(), named[n].end());
+    named[n].erase(std::unique(named[n].begin(), named[n].end()), named[n].end());
+    for (uint32_t offset : named[n]) {
+      if (std::find(any[n].begin(), any[n].end(), offset) == any[n].end()) return false;
+    }
+    uncovered |= named[n].size() < any[n].size();
+  }
+  return uncovered;
+}
+
+TEST(LazySegmentCorruption, IlAnyPositionWithoutATokenFailsAPairMerge) {
+  // Crafted, not random: small edits that survive every block check but
+  // leave an IL_ANY position no token names (e.g. one token's offset
+  // moved onto another's). Rebuilding pair lists must reject them.
+  Corpus corpus;
+  corpus.AddTokens({"a", "b", "c"});
+  corpus.AddTokens({"b", "c", "a", "d"});
+  corpus.AddTokens({"c", "a"});
+  std::string blob;
+  SaveIndexToString(IndexBuilder::Build(corpus), &blob);
+  const std::string path = ::testing::TempDir() + "/fts_lazy_segment_il_any.idx";
+  size_t crafted = 0;
+  for (size_t pos = 8; pos + 8 < blob.size(); ++pos) {
+    for (int delta : {-1, 1}) {
+      std::string mutated = blob;
+      mutated[pos] = static_cast<char>(mutated[pos] + delta);
+      if (!ResealV6(&mutated)) continue;
+      InvertedIndex eager;
+      if (!LoadIndexFromString(mutated, &eager).ok()) continue;
+      if (!AnyPositionWithoutToken(eager)) continue;
+      ++crafted;
+      const auto from_eager = MergeSegments({{&eager, 0, nullptr}}, MergeWithPairs());
+      ASSERT_FALSE(from_eager.ok()) << "byte " << pos << " merged";
+      EXPECT_EQ(from_eager.status().code(), StatusCode::kCorruption);
+      WriteFile(path, mutated);
+      InvertedIndex mapped;
+      ASSERT_TRUE(LoadMapped(path, &mapped).ok());
+      const auto from_mapped = MergeSegments({{&mapped, 0, nullptr}}, MergeWithPairs());
+      ASSERT_FALSE(from_mapped.ok()) << "byte " << pos << " merged";
+      EXPECT_EQ(from_mapped.status().code(), StatusCode::kCorruption);
+      // Without pair lists the merge never reads the token streams; it
+      // copies what the checks accepted.
+      EXPECT_TRUE(MergeSegments({{&mapped, 0, nullptr}}).ok());
+    }
+  }
+  std::remove(path.c_str());
+  EXPECT_GT(crafted, 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Dense-corpus sweep. The small corpora above carry mostly sparse varint

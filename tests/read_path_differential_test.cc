@@ -232,6 +232,8 @@ struct World {
   /// The single-shot build of the survivors, its mmap twin, and the
   /// MergeSegments output of the three segments.
   std::shared_ptr<const InvertedIndex> reference, reference_mmap, merged;
+  /// The same build and merge without pair lists (IngestService's default).
+  std::shared_ptr<const InvertedIndex> reference_plain, merged_plain;
   std::vector<Query> queries;
   std::vector<Shape> shapes;
   std::vector<std::vector<NodeId>> naive;  // per query
@@ -333,7 +335,7 @@ std::unique_ptr<World> MakeWorld(uint64_t seed) {
       if (!dead) dead = std::make_shared<TombstoneSet>(seg->num_nodes());
       dead->MarkDeleted(local);
     }
-    views.push_back({seg.get(), base, dead.get(), nullptr});
+    views.push_back({seg.get(), base, dead.get()});
     base += static_cast<NodeId>(seg->num_nodes());
     mapped.push_back(LoadMmapTwin(*seg, tag + "_" + std::to_string(s)));
     heap.push_back(std::move(seg));
@@ -342,6 +344,8 @@ std::unique_ptr<World> MakeWorld(uint64_t seed) {
   w->reference =
       std::make_shared<InvertedIndex>(IndexBuilder::Build(w->surviving, PairBuild()));
   w->merged = std::make_shared<InvertedIndex>(Must(MergeSegments(views, PairBuild())));
+  w->reference_plain = std::make_shared<InvertedIndex>(IndexBuilder::Build(w->surviving));
+  w->merged_plain = std::make_shared<InvertedIndex>(Must(MergeSegments(views)));
   w->reference_mmap = LoadMmapTwin(*w->reference, tag);
   w->shapes = {
       {"single/heap", IndexSnapshot::ForIndex(w->reference.get()), false},
@@ -437,6 +441,89 @@ std::string ClassEngine(LanguageClass cls) {
   return "COMP";
 }
 
+/// Pins MergeSegments over one segment per entry of `texts`, with the
+/// local ids in `dead` tombstoned, to the single-shot build of the
+/// surviving documents: the saved files must be equal byte for byte.
+/// Returns the merged index.
+InvertedIndex ExpectMergePinned(const std::vector<std::vector<std::string>>& texts,
+                                const std::vector<std::vector<NodeId>>& dead,
+                                const std::string& tag) {
+  std::vector<std::shared_ptr<const InvertedIndex>> segments;
+  std::vector<std::shared_ptr<TombstoneSet>> tombstones;
+  std::vector<SegmentView> views;
+  Corpus survivors;
+  NodeId base = 0;
+  for (size_t s = 0; s < texts.size(); ++s) {
+    Corpus part;
+    for (const std::string& text : texts[s]) part.AddDocument(text);
+    segments.push_back(std::make_shared<InvertedIndex>(IndexBuilder::Build(part)));
+    tombstones.push_back(std::make_shared<TombstoneSet>(part.num_nodes()));
+    for (const NodeId n : dead[s]) tombstones.back()->MarkDeleted(n);
+    for (NodeId n = 0; n < part.num_nodes(); ++n) {
+      if (!tombstones.back()->Contains(n)) survivors.AddDocument(texts[s][n]);
+    }
+    views.push_back({segments.back().get(), base, tombstones.back().get()});
+    base += static_cast<NodeId>(part.num_nodes());
+  }
+  InvertedIndex merged = Must(MergeSegments(views));
+  EXPECT_TRUE(SavedBytes(merged, "edge_merged_" + tag) ==
+              SavedBytes(IndexBuilder::Build(survivors), "edge_reference_" + tag))
+      << tag << ": MergeSegments output differs from the single-shot build";
+  return merged;
+}
+
+TEST(MergePins, EdgeCasesMatchTheSingleShotBuild) {
+  // "zeta" first occurs in a deleted document: the merged dictionary must
+  // order it by its first live occurrence, after "alpha" and "beta".
+  ExpectMergePinned({{"zeta gamma", "alpha beta zeta"}, {"gamma alpha"}}, {{0}, {}},
+                    "dead_first_occurrence");
+  // A fully deleted segment between two live ones, whose tokens occur
+  // nowhere else, and one whose tokens do.
+  ExpectMergePinned({{"alpha beta"}, {"only here", "alpha"}, {"beta gamma"}},
+                    {{}, {0, 1}, {}}, "deleted_segment");
+  ExpectMergePinned({{"alpha"}, {"beta"}}, {{0}, {0}}, "everything_deleted");
+  // Empty live documents keep their ids and appear in no list.
+  ExpectMergePinned({{"", "alpha beta"}, {"", ""}, {"beta"}}, {{}, {1}, {}},
+                    "empty_documents");
+}
+
+TEST(MergePins, DenseBlocksSpanningSegmentBoundaries) {
+  // "common" occurs in every document, so its merged blocks are bitset
+  // blocks whose id ranges cross the boundaries of the 48-document
+  // segments; "rare" stays sparse. Every fifth document is deleted.
+  std::vector<std::vector<std::string>> texts(4);
+  std::vector<std::vector<NodeId>> dead(4);
+  for (size_t s = 0; s < texts.size(); ++s) {
+    for (NodeId n = 0; n < 48; ++n) {
+      const size_t global = s * 48 + n;
+      texts[s].push_back("common w" + std::to_string(global % 7) +
+                         (global % 11 == 0 ? " rare" : "") + " common");
+      if (global % 5 == 3) dead[s].push_back(n);
+    }
+  }
+  const InvertedIndex merged = ExpectMergePinned(texts, dead, "dense_blocks");
+  const BlockPostingList* common = merged.block_list_for_text("common");
+  ASSERT_NE(common, nullptr);
+  ASSERT_GE(common->num_blocks(), 1u);
+  EXPECT_EQ(common->skip(0).encoding, BlockPostingList::kEncodingBitset);
+  EXPECT_GT(common->skip(0).max_node, 48u);  // the first block spans segments
+}
+
+TEST(MergePins, TokenSpellingsAreKept) {
+  // Corpus::AddAnalyzedDocument interns spellings verbatim; a merge must
+  // not re-normalize them ("Apple" stays "Apple", not "apple").
+  Corpus part;
+  part.AddAnalyzedDocument({{"Apple", {0, 0, 0}}, {"pie", {1, 0, 0}}});
+  const InvertedIndex segment = IndexBuilder::Build(part);
+  const InvertedIndex merged = Must(MergeSegments({{&segment, 0, nullptr}}));
+  ASSERT_EQ(merged.vocabulary_size(), 2u);
+  EXPECT_EQ(merged.token_text(0), "Apple");
+  EXPECT_EQ(merged.LookupToken("Apple"), TokenId{0});
+  EXPECT_EQ(merged.LookupToken("apple"), kInvalidToken);
+  EXPECT_TRUE(SavedBytes(merged, "spelling_merged") ==
+              SavedBytes(segment, "spelling_segment"));
+}
+
 class ReadPathDifferential : public ::testing::TestWithParam<uint64_t> {};
 
 // The serving paths add threads and sockets, not new arithmetic: they run
@@ -515,13 +602,17 @@ TEST_P(ReadPathDifferential, OneIndexPathsMatchTheAnchors) {
 
 TEST_P(ReadPathDifferential, SegmentedPathsMatchTheAnchors) {
   const World& w = GetWorld(GetParam());
-  // MergeSegments rebuilds the survivors: its file is the single-shot
-  // build's byte for byte, so the one-segment cells cover it.
+  // MergeSegments yields the survivors' index: its file is the
+  // single-shot build's byte for byte, with pair lists and without, so the
+  // one-segment cells cover it.
   const std::string tag = std::to_string(GetParam());
   const std::string merged = SavedBytes(*w.merged, "merged_" + tag);
   EXPECT_FALSE(merged.empty());
   EXPECT_TRUE(merged == SavedBytes(*w.reference, "reference_" + tag))
       << "MergeSegments output differs from the single-shot build";
+  EXPECT_TRUE(SavedBytes(*w.merged_plain, "merged_plain_" + tag) ==
+              SavedBytes(*w.reference_plain, "reference_plain_" + tag))
+      << "pair-less MergeSegments output differs from the single-shot build";
   uint64_t unused = 0;
   for (const Shape& shape : w.shapes) {
     if (shape.segmented) ExpectCellsMatch(w, shape, {PairRouting::kAuto}, &unused);
