@@ -203,8 +203,9 @@ BENCHMARK(BM_SelectiveAnd)
 // sides' blocks are bitset-encoded. In seek mode the zig-zag
 // short-circuits to word-level bitset intersection (the bitset_ands
 // counter proves it); sequential mode and varint-only builds
-// (FTS_DISABLE_BITSET_BLOCKS=1) walk the same query entry-at-a-time, which
-// is the comparison that prices the hybrid encoding.
+// (BlockPostingList::SetDenseBlocksEnabledByDefault(false)) walk the same
+// query entry-at-a-time, which is the comparison that prices the hybrid
+// encoding.
 void BM_DenseAnd(benchmark::State& state) {
   const InvertedIndex& index = SharedIndex(6000, 6);
   const char* kinds[] = {"BOOL", "BOOL_SEEK"};

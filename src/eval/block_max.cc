@@ -304,10 +304,9 @@ class BlockMaxEvaluator {
 Status EvaluateBlockMaxTopK(const InvertedIndex& index,
                             const LangExprPtr& normalized,
                             const AlgebraScoreModel& model,
-                            const SegmentRuntime* runtime, ExecContext& ctx,
+                            const SegmentRuntime& runtime, ExecContext& ctx,
                             NodeId base, TopKAccumulator& acc,
                             EvalCounters* query_counters) {
-  const TombstoneSet* tombstones = runtime ? runtime->tombstones : nullptr;
   // Same cache-attachment decision the BOOL engine makes for this query:
   // attach only when some list is read twice and the working set fits (or
   // an L2 is present). Supported trees have no ANY leaves.
@@ -319,7 +318,8 @@ Status EvaluateBlockMaxTopK(const InvertedIndex& index,
           ? &ctx.l1_cache()
           : nullptr;
   EvalCounters counters;
-  BlockMaxEvaluator evaluator(index, model, &counters, cache, tombstones);
+  BlockMaxEvaluator evaluator(index, model, &counters, cache,
+                              runtime.tombstones);
   const Status st = evaluator.Run(normalized, ctx, base, acc);
   ctx.counters().MergeFrom(counters);
   if (query_counters != nullptr) query_counters->MergeFrom(counters);

@@ -50,8 +50,8 @@ bool BlockMaxSupports(const LangExprPtr& normalized);
 /// `model` must be the exact score model a full BOOL evaluation of this
 /// query would use (same stats, same query tokens) — scores are computed
 /// with it, and its EntryScoreUpperBound supplies the block bounds.
-/// `runtime` provides segment tombstones (scoring stats are already baked
-/// into `model`); may be null. Counters (decode work plus
+/// `runtime` provides segment tombstones (its scoring record is already
+/// baked into `model`). Counters (decode work plus
 /// blocks_skipped_by_score) are merged into `ctx.counters()` and, when
 /// `query_counters` is non-null, into it as well. Returns
 /// DeadlineExceeded when ctx's deadline expires mid-loop and propagates
@@ -59,7 +59,7 @@ bool BlockMaxSupports(const LangExprPtr& normalized);
 Status EvaluateBlockMaxTopK(const InvertedIndex& index,
                             const LangExprPtr& normalized,
                             const AlgebraScoreModel& model,
-                            const SegmentRuntime* runtime, ExecContext& ctx,
+                            const SegmentRuntime& runtime, ExecContext& ctx,
                             NodeId base, TopKAccumulator& acc,
                             EvalCounters* query_counters = nullptr);
 

@@ -465,10 +465,7 @@ StatusOr<QueryResult> BoolEngine::Evaluate(const LangExprPtr& query,
   FTS_RETURN_IF_ERROR(ctx.deadline().Check());
   LangExprPtr normalized = NormalizeSurface(query);
 
-  const SegmentScoringStats* stats =
-      segment_ != nullptr ? segment_->scoring : nullptr;
-  const TombstoneSet* tombstones =
-      segment_ != nullptr ? segment_->tombstones : nullptr;
+  const TombstoneSet* tombstones = segment_.tombstones;
   const std::unique_ptr<AlgebraScoreModel> model = MakeScoreModel(
       scoring_, index_,
       [&] {
@@ -476,7 +473,7 @@ StatusOr<QueryResult> BoolEngine::Evaluate(const LangExprPtr& query,
         CollectSurfaceTokens(normalized, &tokens);
         return tokens;
       },
-      stats);
+      segment_.scoring);
 
   QueryResult result;
   // The context's L1 attaches when some list is read twice and the working

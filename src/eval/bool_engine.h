@@ -21,12 +21,15 @@ namespace fts {
 class BoolEngine : public Engine {
  public:
   /// `index` must outlive the engine; `segment` (nullable) carries the
-  /// tombstones and global scoring stats when `index` is one segment of a
+  /// tombstones and scoring record when `index` is one segment of a
   /// snapshot (see SegmentRuntime).
   BoolEngine(const InvertedIndex* index, ScoringKind scoring,
              CursorMode mode = CursorMode::kSequential,
              const SegmentRuntime* segment = nullptr)
-      : index_(index), scoring_(scoring), mode_(mode), segment_(segment) {}
+      : index_(index),
+        scoring_(scoring),
+        mode_(mode),
+        segment_(SegmentRuntime::Of(*index, segment)) {}
 
   std::string_view name() const override { return "BOOL"; }
 
@@ -47,7 +50,7 @@ class BoolEngine : public Engine {
   const InvertedIndex* index_;
   ScoringKind scoring_;
   CursorMode mode_;
-  const SegmentRuntime* segment_;
+  SegmentRuntime segment_;
   const RawPostingOracle* raw_oracle_ = nullptr;
 };
 

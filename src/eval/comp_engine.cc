@@ -25,7 +25,7 @@ StatusOr<QueryResult> CompEngine::Evaluate(const LangExprPtr& query,
         const std::set<std::string> tokens = CollectTokens(calc.expr);
         return std::vector<std::string>(tokens.begin(), tokens.end());
       },
-      segment_ != nullptr ? segment_->scoring : nullptr);
+      segment_.scoring);
 
   QueryResult result;
   // The context's L1 attaches when some list is scanned twice and the
@@ -37,8 +37,7 @@ StatusOr<QueryResult> CompEngine::Evaluate(const LangExprPtr& query,
   FTS_ASSIGN_OR_RETURN(
       FtRelation rel,
       EvaluateFta(plan, *index_, model.get(), &result.counters, raw_oracle_,
-                  cache_ptr, &ctx.deadline(),
-                  segment_ != nullptr ? segment_->tombstones : nullptr));
+                  cache_ptr, &ctx.deadline(), segment_.tombstones));
   result.nodes.reserve(rel.size());
   for (size_t i = 0; i < rel.size(); ++i) {
     result.nodes.push_back(rel.tuple(i).node);

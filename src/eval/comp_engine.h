@@ -15,11 +15,13 @@ namespace fts {
 class CompEngine : public Engine {
  public:
   /// `index` must outlive the engine; `segment` (nullable) carries the
-  /// tombstones and global scoring stats when `index` is one segment of a
+  /// tombstones and scoring record when `index` is one segment of a
   /// snapshot (see SegmentRuntime).
   CompEngine(const InvertedIndex* index, ScoringKind scoring,
              const SegmentRuntime* segment = nullptr)
-      : index_(index), scoring_(scoring), segment_(segment) {}
+      : index_(index),
+        scoring_(scoring),
+        segment_(SegmentRuntime::Of(*index, segment)) {}
 
   std::string_view name() const override { return "COMP"; }
 
@@ -36,7 +38,7 @@ class CompEngine : public Engine {
  private:
   const InvertedIndex* index_;
   ScoringKind scoring_;
-  const SegmentRuntime* segment_;
+  SegmentRuntime segment_;
   const RawPostingOracle* raw_oracle_ = nullptr;
 };
 

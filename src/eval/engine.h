@@ -19,17 +19,22 @@
 
 namespace fts {
 
-/// Per-segment evaluation inputs an engine needs when its index is one
-/// segment of an IndexSnapshot rather than a standalone corpus: the
-/// segment's tombstones (filtered at cursor level — engines never see a
-/// deleted node) and the snapshot-global scoring stats (null on the
-/// single-segment fast path, where the segment's own statistics are
-/// already global). Engines default to a null runtime, which is exactly
-/// the pre-snapshot behavior. The runtime must outlive the engine — in
-/// practice both live in a Searcher, which holds the snapshot.
+/// Per-segment evaluation inputs: the segment's tombstones (filtered at
+/// cursor level — engines never see a deleted node; null when nothing is
+/// deleted) and the scoring record every score model and planner rule
+/// reads (index/inverted_index.h). The Searcher builds one per segment of
+/// its snapshot; an engine built without a runtime runs over its index
+/// alone, with no tombstones and index.scoring_stats().
 struct SegmentRuntime {
   const TombstoneSet* tombstones = nullptr;
-  const SegmentScoringStats* scoring = nullptr;
+  SegmentScoringStats scoring;
+
+  /// `*segment` when given, else the standalone runtime of `index`.
+  static SegmentRuntime Of(const InvertedIndex& index,
+                           const SegmentRuntime* segment) {
+    return segment != nullptr ? *segment
+                              : SegmentRuntime{nullptr, index.scoring_stats()};
+  }
 };
 
 /// How engines traverse inverted lists.

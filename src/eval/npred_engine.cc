@@ -204,7 +204,7 @@ StatusOr<QueryResult> NpredEngine::Evaluate(const LangExprPtr& query,
         const std::set<std::string> tokens = CollectTokens(calc.expr);
         return std::vector<std::string>(tokens.begin(), tokens.end());
       },
-      segment_ != nullptr ? segment_->scoring : nullptr);
+      segment_.scoring);
 
   // The variables whose orderings the threads enumerate.
   std::vector<VarId> neg_vars;
@@ -235,8 +235,7 @@ StatusOr<QueryResult> NpredEngine::Evaluate(const LangExprPtr& query,
   // the same token lists, so every thread after the first finds its hot
   // blocks already decoded.
   const PositionPredicate* le = PredicateRegistry::Default().Find("le");
-  const TombstoneSet* tombstones =
-      segment_ != nullptr ? segment_->tombstones : nullptr;
+  const TombstoneSet* tombstones = segment_.tombstones;
   QueryResult result;
   std::map<NodeId, double> merged;
   std::vector<size_t> perm(thread_vars.size());

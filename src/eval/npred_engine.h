@@ -31,7 +31,7 @@ enum class NpredOrderingMode {
 class NpredEngine : public Engine {
  public:
   /// `index` must outlive the engine; `segment` (nullable) carries the
-  /// tombstones and global scoring stats when `index` is one segment of a
+  /// tombstones and scoring record when `index` is one segment of a
   /// snapshot (see SegmentRuntime).
   NpredEngine(const InvertedIndex* index, ScoringKind scoring,
               NpredOrderingMode mode = NpredOrderingMode::kNecessaryPartialOrders,
@@ -41,7 +41,7 @@ class NpredEngine : public Engine {
         scoring_(scoring),
         mode_(mode),
         cursor_mode_(cursor_mode),
-        segment_(segment) {}
+        segment_(SegmentRuntime::Of(*index, segment)) {}
 
   std::string_view name() const override { return "NPRED"; }
 
@@ -71,7 +71,7 @@ class NpredEngine : public Engine {
   ScoringKind scoring_;
   NpredOrderingMode mode_;
   CursorMode cursor_mode_;
-  const SegmentRuntime* segment_;
+  SegmentRuntime segment_;
   PairRouting pair_routing_ = PairRouting::kAuto;
   const RawPostingOracle* raw_oracle_ = nullptr;
 };

@@ -94,7 +94,7 @@ bool MatchPairablePlan(const FtaExprPtr& plan, PairPlanMatch* out) {
 /// (PlanPairList, eval/planner.h). An eligible pair whose key is absent
 /// routes as provably empty.
 bool PlanPairRoute(const PairPlanMatch& match, const InvertedIndex& index,
-                   const SegmentScoringStats* stats, CursorMode mode,
+                   const SegmentScoringStats& stats, CursorMode mode,
                    PairRouting routing, PairRoute* out) {
   if (routing == PairRouting::kOff) return false;
   const PairIndex* pair = index.pair_index();
@@ -223,19 +223,16 @@ StatusOr<bool> TryEvaluatePairPlan(const FtaExprPtr& plan,
                                    const InvertedIndex& index,
                                    const AlgebraScoreModel* model,
                                    CursorMode mode, PairRouting routing,
-                                   const SegmentRuntime* segment,
+                                   const SegmentRuntime& segment,
                                    ExecContext& ectx, QueryResult* result) {
   PairPlanMatch match;
   if (!MatchPairablePlan(plan, &match)) return false;
   PairRoute route;
-  if (!PlanPairRoute(match, index,
-                     segment != nullptr ? segment->scoring : nullptr, mode,
-                     routing, &route)) {
+  if (!PlanPairRoute(match, index, segment.scoring, mode, routing, &route)) {
     return false;
   }
-  FTS_RETURN_IF_ERROR(EvaluatePairPlan(
-      match, route, index, model,
-      segment != nullptr ? segment->tombstones : nullptr, ectx, result));
+  FTS_RETURN_IF_ERROR(EvaluatePairPlan(match, route, index, model,
+                                       segment.tombstones, ectx, result));
   return true;
 }
 

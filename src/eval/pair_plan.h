@@ -48,7 +48,7 @@ StatusOr<bool> TryEvaluatePairPlan(const FtaExprPtr& plan,
                                    const InvertedIndex& index,
                                    const AlgebraScoreModel* model,
                                    CursorMode mode, PairRouting routing,
-                                   const SegmentRuntime* segment,
+                                   const SegmentRuntime& segment,
                                    ExecContext& ectx, QueryResult* result);
 
 }  // namespace fts

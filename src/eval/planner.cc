@@ -77,12 +77,12 @@ void CollectStreamEstimates(const FtaExprPtr& plan, const InvertedIndex& index,
 }
 
 /// Global df when the snapshot exchanged one for `key`, else `local`.
-double GlobalDf(const SegmentScoringStats* stats, const std::string& key,
+double GlobalDf(const SegmentScoringStats& stats, const std::string& key,
                 double local) {
-  if (stats == nullptr || stats->df_by_text == nullptr) return local;
-  auto it = stats->df_by_text->find(key);
-  return it == stats->df_by_text->end() ? local
-                                        : static_cast<double>(it->second);
+  if (stats.df_by_text == nullptr) return local;
+  auto it = stats.df_by_text->find(key);
+  return it == stats.df_by_text->end() ? local
+                                       : static_cast<double>(it->second);
 }
 
 /// Snapshot-wide document frequency of a surface token: the sum of its
@@ -224,7 +224,7 @@ uint64_t EstimateCandidates(const LangExprPtr& normalized,
 
 bool PlanPairList(const InvertedIndex& index, const PairIndex::Lookup& lookup,
                   TokenId id_a, TokenId id_b,
-                  const SegmentScoringStats* stats) {
+                  const SegmentScoringStats& stats) {
   const double pair_local = static_cast<double>(lookup.list->num_entries());
   const double recs_per_entry =
       static_cast<double>(lookup.list->total_positions()) / pair_local;

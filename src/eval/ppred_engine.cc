@@ -42,7 +42,7 @@ StatusOr<QueryResult> PpredEngine::Evaluate(const LangExprPtr& query,
         const std::set<std::string> tokens = CollectTokens(calc.expr);
         return std::vector<std::string>(tokens.begin(), tokens.end());
       },
-      segment_ != nullptr ? segment_->scoring : nullptr);
+      segment_.scoring);
   return EvaluateSinglePass(plan, index_, model.get(), mode_, pair_routing_,
                             segment_, raw_oracle_, /*orderings_run=*/0, ectx);
 }
@@ -50,7 +50,7 @@ StatusOr<QueryResult> PpredEngine::Evaluate(const LangExprPtr& query,
 StatusOr<QueryResult> EvaluateSinglePass(
     const FtaExprPtr& plan, const InvertedIndex* index,
     const AlgebraScoreModel* model, CursorMode mode, PairRouting routing,
-    const SegmentRuntime* segment, const RawPostingOracle* raw_oracle,
+    const SegmentRuntime& segment, const RawPostingOracle* raw_oracle,
     uint64_t orderings_run, ExecContext& ectx) {
   QueryResult result;
   // Multi-index planning: a phrase/NEAR-shaped plan may be answerable from
@@ -78,7 +78,7 @@ StatusOr<QueryResult> EvaluateSinglePass(
          .raw_oracle = raw_oracle,
          .cache = cache,
          .deadline = &ectx.deadline(),
-         .tombstones = segment != nullptr ? segment->tombstones : nullptr},
+         .tombstones = segment.tombstones},
         &result.nodes, &result.scores));
   }
   result.counters.orderings_run = orderings_run;

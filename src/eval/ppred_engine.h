@@ -22,7 +22,7 @@ namespace fts {
 StatusOr<QueryResult> EvaluateSinglePass(
     const FtaExprPtr& plan, const InvertedIndex* index,
     const AlgebraScoreModel* model, CursorMode mode, PairRouting routing,
-    const SegmentRuntime* segment, const RawPostingOracle* raw_oracle,
+    const SegmentRuntime& segment, const RawPostingOracle* raw_oracle,
     uint64_t orderings_run, ExecContext& ectx);
 
 /// Single-scan pipelined evaluator for the PPRED class. Returns Unsupported
@@ -32,12 +32,15 @@ StatusOr<QueryResult> EvaluateSinglePass(
 class PpredEngine : public Engine {
  public:
   /// `index` must outlive the engine; `segment` (nullable) carries the
-  /// tombstones and global scoring stats when `index` is one segment of a
+  /// tombstones and scoring record when `index` is one segment of a
   /// snapshot (see SegmentRuntime).
   PpredEngine(const InvertedIndex* index, ScoringKind scoring,
               CursorMode mode = CursorMode::kSequential,
               const SegmentRuntime* segment = nullptr)
-      : index_(index), scoring_(scoring), mode_(mode), segment_(segment) {}
+      : index_(index),
+        scoring_(scoring),
+        mode_(mode),
+        segment_(SegmentRuntime::Of(*index, segment)) {}
 
   std::string_view name() const override { return "PPRED"; }
 
@@ -65,7 +68,7 @@ class PpredEngine : public Engine {
   const InvertedIndex* index_;
   ScoringKind scoring_;
   CursorMode mode_;
-  const SegmentRuntime* segment_;
+  SegmentRuntime segment_;
   PairRouting pair_routing_ = PairRouting::kAuto;
   const RawPostingOracle* raw_oracle_ = nullptr;
 };

@@ -36,7 +36,9 @@ Searcher::Searcher(std::shared_ptr<const IndexSnapshot> snapshot,
   segments_.reserve(segs.size());
   for (size_t i = 0; i < segs.size(); ++i) {
     segments_.push_back(std::make_unique<SegmentEngines>(
-        segs[i], stats.empty() ? nullptr : &stats[i], options_));
+        segs[i],
+        i < stats.size() ? stats[i] : segs[i].index->scoring_stats(),
+        options_));
   }
 }
 
@@ -150,7 +152,7 @@ StatusOr<RoutedResult> Searcher::SearchTopK(const LangExprPtr& query,
 
     if (use_block_max) {
       // The exact model a full BOOL evaluation of this segment would use:
-      // same query tokens, same snapshot-global stats — so block-max
+      // same query tokens, same scoring record — so block-max
       // scores (and the bounds derived from them) are bit-identical and
       // comparable across segments.
       const std::unique_ptr<AlgebraScoreModel> model = MakeScoreModel(
@@ -163,7 +165,7 @@ StatusOr<RoutedResult> Searcher::SearchTopK(const LangExprPtr& query,
           se.runtime.scoring);
       EvalCounters seg_counters;
       FTS_RETURN_IF_ERROR(EvaluateBlockMaxTopK(index, normalized, *model,
-                                               &se.runtime, ctx, base, acc,
+                                               se.runtime, ctx, base, acc,
                                                &seg_counters));
       out.result.counters.MergeFrom(seg_counters);
       // Block-max trees are BOOL-class by construction.

@@ -54,7 +54,7 @@ struct SearcherOptions {
 /// The query is classified once (classification is query-only) and then
 /// evaluated segment by segment: every segment gets its own engine bank
 /// wired to a SegmentRuntime, so cursors filter that segment's tombstones
-/// and score models read the snapshot-global statistics. Per-segment
+/// and score models read that segment's scoring record. Per-segment
 /// results — each ascending in local node ids — are rebased by the
 /// segment's global base and concatenated; since bases are disjoint and
 /// increasing in segment order, the concatenation is globally ascending
@@ -68,7 +68,8 @@ struct SearcherOptions {
 /// when it scores, or when a segment has pair lists, whose planner reads
 /// global pair dfs; if they fail (a corrupt lazily validated segment),
 /// every query fails with that status. Otherwise it notes an unscored
-/// reader on the snapshot (IndexSnapshot::stats_demand).
+/// reader on the snapshot (IndexSnapshot::stats_demand) and wires each
+/// segment's own record, which nothing then reads.
 ///
 /// Thread safety: immutable after construction; evaluate from many threads
 /// concurrently with one ExecContext per thread. Per-query state lives in
@@ -97,10 +98,9 @@ class Searcher {
   const IndexSnapshot& snapshot() const { return *snapshot_; }
 
  private:
-  /// One segment's engines plus the runtime they point at. Heap-allocated
-  /// so the runtime's address is stable for the engines' lifetime.
+  /// One segment's runtime and engines.
   struct SegmentEngines {
-    SegmentEngines(const SegmentView& seg, const SegmentScoringStats* scoring,
+    SegmentEngines(const SegmentView& seg, const SegmentScoringStats& scoring,
                    const SearcherOptions& opts)
         : runtime{seg.tombstones, scoring},
           bool_engine(seg.index, opts.scoring, opts.mode, &runtime),

@@ -11,8 +11,9 @@
 //                     context (engines additionally report the per-query
 //                     delta in QueryResult::counters)
 //   - L1 block cache  the per-query DecodedBlockCache, created once per
-//                     context and attached to cursors per the cache policy
-//                     instead of being re-constructed inside each engine
+//                     context and attached to cursors when WantCache says
+//                     it pays, instead of being re-constructed inside each
+//                     engine
 //   - L2 handle       an optional cross-query SharedBlockCache the L1
 //                     falls through to (ExecOptions::shared_cache; one
 //                     cache may serve every context of a service)
@@ -74,21 +75,6 @@ class Deadline {
 
 /// Knobs an ExecContext is created with.
 struct ExecOptions {
-  /// How engines attach the per-query L1 cache to their cursors.
-  enum class L1Policy {
-    /// Attach when it pays: some list is read twice and the working set
-    /// fits (DecodedBlockCache::ShouldAttach), or an L2 is present (the L1
-    /// is then the fast path in front of the shard locks).
-    kAuto,
-    /// Never attach; cursors decode into their private arenas. Forced
-    /// sequential runs that must reproduce the paper's exact decode counts
-    /// use this.
-    kOff,
-  };
-
-  L1Policy l1_policy = L1Policy::kAuto;
-  /// L1 capacity in blocks.
-  size_t l1_capacity = DecodedBlockCache::kDefaultCapacity;
   /// Cross-query L2 the context's L1 falls through to (nullable; must
   /// outlive the context).
   SharedBlockCache* shared_cache = nullptr;
@@ -108,7 +94,8 @@ class ExecContext {
  public:
   ExecContext() : ExecContext(ExecOptions()) {}
   explicit ExecContext(ExecOptions options)
-      : options_(options), l1_(options.l1_capacity, options.shared_cache) {}
+      : options_(options),
+        l1_(DecodedBlockCache::kDefaultCapacity, options.shared_cache) {}
 
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
@@ -120,10 +107,9 @@ class ExecContext {
   const EvalCounters& counters() const { return counters_; }
 
   /// The per-query (L1) decoded-block cache. Engines attach it to cursors
-  /// per the L1 policy; callers normally never touch it directly.
+  /// when WantCache() says so; callers normally never touch it directly.
   DecodedBlockCache& l1_cache() { return l1_; }
 
-  ExecOptions::L1Policy l1_policy() const { return options_.l1_policy; }
   SharedBlockCache* shared_cache() const { return options_.shared_cache; }
 
   const Deadline& deadline() const { return options_.deadline; }
@@ -139,7 +125,6 @@ class ExecContext {
   /// still want the cross-query reuse, and the L1 in front of it dedupes
   /// shard-lock traffic within the query.
   bool WantCache(bool repeated_scans) const {
-    if (options_.l1_policy == ExecOptions::L1Policy::kOff) return false;
     return repeated_scans || options_.shared_cache != nullptr;
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <cstdlib>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -48,10 +47,7 @@ uint64_t LoadFixed64Le(const uint8_t* p) {
 }
 
 std::atomic<bool>& DenseBlocksDefaultFlag() {
-  static std::atomic<bool> flag = [] {
-    const char* disable = std::getenv("FTS_DISABLE_BITSET_BLOCKS");
-    return disable == nullptr || disable[0] != '1';
-  }();
+  static std::atomic<bool> flag{true};
   return flag;
 }
 

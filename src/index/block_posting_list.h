@@ -85,11 +85,10 @@ class BlockPostingList {
     uint8_t encoding = kEncodingVarint;
   };
 
-  /// Process-wide default for whether the builder may emit bitset blocks.
-  /// Initialized once from the environment (FTS_DISABLE_BITSET_BLOCKS=1
-  /// pins everything to varint — the differential axis that proves the
-  /// hybrid format changes no result). Returns the previous value so tests
-  /// can restore it.
+  /// Process-wide default for whether the builder may emit bitset blocks
+  /// (on unless set off; off pins everything to varint — the differential
+  /// axis that proves the hybrid format changes no result). Returns the
+  /// previous value so tests can restore it.
   static bool SetDenseBlocksEnabledByDefault(bool enabled);
   static bool DenseBlocksEnabledByDefault();
 

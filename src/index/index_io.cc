@@ -313,8 +313,10 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     return Status::OK();
   };
   index.block_lists_.resize(vocab);
+  index.df_.resize(vocab);
   for (uint64_t t = 0; t < vocab; ++t) {
     FTS_RETURN_IF_ERROR(adopt(&index.block_lists_[t]));
+    index.df_[t] = static_cast<uint32_t>(index.block_lists_[t].num_entries());
   }
   FTS_RETURN_IF_ERROR(adopt(index.block_any_list_.get()));
 
@@ -404,9 +406,9 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     // scratch) so query-time cursors never touch malformed bytes.
     FTS_RETURN_IF_ERROR(index.ValidateBlocks());
   }
-  // The per-node scalars are now final: refresh the derived minimum the
-  // score models use for impact upper bounds.
-  index.RecomputeMinUniqNorm();
+  // The stored norms are final: derive the minimum the score models use
+  // for impact upper bounds, as ComputeNodeNorms does at build time.
+  index.min_uniq_norm_ = MinUniqNorm(index, index.node_norms_, nullptr);
   *out = std::move(index);
   return Status::OK();
 }

@@ -1,7 +1,5 @@
 #include "index/index_snapshot.h"
 
-#include <algorithm>
-
 #include "index/block_posting_list.h"
 #include "index/pair_index.h"
 
@@ -22,23 +20,28 @@ namespace {
 Status ComputeSegmentStats(
     const std::vector<SegmentView>& segments, uint64_t live_nodes,
     const std::unordered_map<std::string, uint32_t>* df_by_text,
+    std::vector<std::vector<uint32_t>>* global_df,
+    std::vector<std::vector<double>>* norms,
     std::vector<SegmentScoringStats>* stats) {
   const size_t num_segments = segments.size();
+  // Sized up front: the records view into the inner vectors.
+  global_df->resize(num_segments);
+  norms->resize(num_segments);
   stats->resize(num_segments);
   for (size_t s = 0; s < num_segments; ++s) {
     const InvertedIndex& idx = *segments[s].index;
-    const TombstoneSet* dead = segments[s].tombstones;
-    const TokenId vocab = static_cast<TokenId>(idx.vocabulary_size());
+    std::vector<uint32_t>& df = (*global_df)[s];
+    df.assign(idx.vocabulary_size(), 0);
+    for (TokenId t = 0; t < df.size(); ++t) {
+      const auto it = df_by_text->find(idx.token_text(t));
+      if (it != df_by_text->end()) df[t] = it->second;
+    }
     SegmentScoringStats& st = (*stats)[s];
     st.live_nodes = live_nodes;
+    st.global_df = df;
     st.df_by_text = df_by_text;
-    st.global_df.assign(vocab, 0);
-    for (TokenId t = 0; t < vocab; ++t) {
-      const auto it = df_by_text->find(idx.token_text(t));
-      st.global_df[t] = it == df_by_text->end() ? 0 : it->second;
-    }
-    FTS_RETURN_IF_ERROR(ComputeNodeNorms(idx, st.global_df, live_nodes, dead,
-                                         &st.norms, &st.min_uniq_norm));
+    FTS_RETURN_IF_ERROR(
+        ComputeNodeNorms(idx, segments[s].tombstones, &(*norms)[s], &st));
   }
   return Status::OK();
 }
@@ -94,8 +97,8 @@ StatusOr<std::shared_ptr<const IndexSnapshot>> IndexSnapshot::Create(
   snap->generation_ = generation;
   snap->owned_ = std::move(segments);
   tombstones.resize(snap->owned_.size());
-  // All-empty tombstone sets are "no deletes": cursors and the fast path
-  // both key off null.
+  // All-empty tombstone sets are "no deletes": cursors and the choice of
+  // the index's own scoring record both key off null.
   for (std::shared_ptr<const TombstoneSet>& t : tombstones) {
     if (t != nullptr && t->empty()) t = nullptr;
   }
@@ -139,16 +142,16 @@ void IndexSnapshot::NoteUnscoredReader() const {
 
 void IndexSnapshot::PrecomputeScoringStats() const {
   std::call_once(stats_once_, [this] {
-    const bool any_deletes =
-        std::any_of(segments_.begin(), segments_.end(),
-                    [](const SegmentView& seg) { return seg.tombstones != nullptr; });
-    if (segments_.size() <= 1 && !any_deletes) return;
+    if (segments_.size() == 1 && segments_[0].tombstones == nullptr) {
+      stats_.push_back(segments_[0].index->scoring_stats());
+      return;
+    }
     for (const SegmentView& seg : segments_) {
       stats_status_ = AddLiveDfByText(*seg.index, seg.tombstones, &df_by_text_);
       if (!stats_status_.ok()) return;
     }
-    stats_status_ =
-        ComputeSegmentStats(segments_, live_nodes_, &df_by_text_, &stats_);
+    stats_status_ = ComputeSegmentStats(segments_, live_nodes_, &df_by_text_,
+                                        &global_df_, &norms_, &stats_);
   });
   stats_computed_.store(true, std::memory_order_release);
 }
@@ -176,7 +179,8 @@ StatusOr<std::shared_ptr<const IndexSnapshot>> IndexSnapshot::CreateSharded(
   // ScoringStats(), whose once-flag this run consumes.
   std::call_once(snap->stats_once_, [&] {
     snap->stats_status_ = ComputeSegmentStats(
-        snap->segments_, global_live_nodes, &snap->df_by_text_, &snap->stats_);
+        snap->segments_, global_live_nodes, &snap->df_by_text_,
+        &snap->global_df_, &snap->norms_, &snap->stats_);
   });
   snap->stats_computed_.store(true, std::memory_order_release);
   FTS_RETURN_IF_ERROR(snap->stats_status_);

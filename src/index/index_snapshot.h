@@ -13,19 +13,19 @@
 //
 // Scoring stays bit-identical to a single-shot build of the surviving
 // documents: TF-IDF idf and node norms depend on corpus-global document
-// frequencies, so a snapshot carries SegmentScoringStats — global live df
-// per token and per-segment node norms recomputed under global idf by the
-// ComputeNodeNorms pass IndexBuilder itself runs
-// (index/inverted_index.h) — and the score models read them instead of the
-// per-segment statistics. Creating a generation does not pay for them:
-// they are computed once per generation, under std::call_once, either by
-// the first Searcher that needs them (a scored query, or a segment with
-// pair lists, whose planner reads global pair dfs) or, before publishing,
-// by a writer whose readers need them (stats_demand(),
-// PrecomputeScoringStats), so that scored traffic does not wait on the
-// pass. Unscored generations never compute them. The single-segment,
-// no-tombstone case (ForIndex, and every pre-segment caller) has no stats
-// and evaluates exactly as before.
+// frequencies, so every segment is scored from one SegmentScoringStats
+// record (index/inverted_index.h). A one-segment snapshot without
+// tombstones (ForIndex included) uses its index's own record, which *is*
+// global. Every other snapshot owns snapshot-global records — global live
+// df per token and per-segment node norms recomputed under global idf by
+// the ComputeNodeNorms pass IndexBuilder itself runs. Creating a
+// generation does not pay for them: they are computed once per
+// generation, under std::call_once, either by the first Searcher that
+// needs them (a scored query, or a segment with pair lists, whose planner
+// reads global pair dfs) or, before publishing, by a writer whose readers
+// need them (stats_demand(), PrecomputeScoringStats), so that scored
+// traffic does not wait on the pass. Unscored generations never compute
+// them.
 
 #ifndef FTS_INDEX_INDEX_SNAPSHOT_H_
 #define FTS_INDEX_INDEX_SNAPSHOT_H_
@@ -45,34 +45,6 @@
 #include "index/tombstone_set.h"
 
 namespace fts {
-
-/// Corpus-global scoring inputs for one segment of a snapshot, computed on
-/// first use (IndexSnapshot::ScoringStats). Absent on the single-segment
-/// fast path (the score models then read the segment's own statistics,
-/// which *are* global).
-struct SegmentScoringStats {
-  /// Live (non-tombstoned) nodes across the whole snapshot — the scoring
-  /// db_size that replaces InvertedIndex::num_nodes().
-  uint64_t live_nodes = 0;
-  /// Global live document frequency by this segment's local TokenId.
-  std::vector<uint32_t> global_df;
-  /// Node norms by local NodeId, recomputed with global idf by
-  /// ComputeNodeNorms (bit-identical to what IndexBuilder would compute for
-  /// the merged surviving corpus).
-  std::vector<double> norms;
-  /// Global live df by token text, for query tokens that are
-  /// out-of-vocabulary in this segment but live elsewhere (they still
-  /// contribute idf to the query norm). Owned by the snapshot.
-  const std::unordered_map<std::string, uint32_t>* df_by_text = nullptr;
-  /// Minimum over this segment's *live* nodes of max(1, unique_tokens(n))
-  /// * norms[n] — the smallest denominator a TF-IDF LeafScore over this
-  /// segment can see under the global stats. Block-max top-k divides by it
-  /// to bound per-block impact; tombstoned nodes are excluded (their norms
-  /// are placeholders and they are never scored), which can only raise the
-  /// minimum and tighten — never unsound-en — the bound. +infinity when
-  /// the segment has no live node.
-  double min_uniq_norm = std::numeric_limits<double>::infinity();
-};
 
 /// One segment as seen by the read path.
 struct SegmentView {
@@ -108,7 +80,7 @@ class IndexSnapshot {
 
   /// One shard of a document-partitioned corpus, scored with corpus-global
   /// statistics supplied by a scatter-gather router (docs/serving.md): the
-  /// snapshot holds `segment` alone, but its norms and idf are recomputed
+  /// snapshot holds `segment` alone, but its scoring record is recomputed
   /// under `global_live_nodes` and the cross-shard `df_by_text` table —
   /// the same pass-2 arithmetic Create() runs — so this shard's scores are
   /// bit-identical to the corresponding rows of a single-index build of
@@ -121,19 +93,19 @@ class IndexSnapshot {
 
   /// Borrowed single-segment snapshot over an externally owned index —
   /// how one InvertedIndex is served (Searcher(ForIndex(&index), ...)).
-  /// `index` must outlive the snapshot. No stats, no
-  /// tombstones: evaluation is bit-for-bit the pre-segment read path.
+  /// `index` must outlive the snapshot. No tombstones; its scoring record
+  /// is the index's own.
   static std::shared_ptr<const IndexSnapshot> ForIndex(const InvertedIndex* index);
 
-  /// The global scoring inputs, one per segment, computed on the first
-  /// call (any thread; later calls return the same result): pass 1 adds up
-  /// live dfs by text (AddLiveDfByText), pass 2 recomputes each segment's
-  /// norms under global idf. Empty when the snapshot degenerates to one
-  /// segment without deletes. Fails with Corruption — on this and every
-  /// later call — if a lazily validated segment's payload is malformed
-  /// (pass 1 decodes the entry headers of tombstoned segments, pass 2
-  /// those of every list).
-  /// Also records the demand (StatsDemand::kScored).
+  /// The scoring records, one per segment, computed on the first call
+  /// (any thread; later calls return the same result). One segment without
+  /// deletes takes its index's own record, in O(1). Otherwise pass 1 adds
+  /// up live dfs by text (AddLiveDfByText) and pass 2 recomputes each
+  /// segment's dfs and norms under global idf. Fails with Corruption — on
+  /// this and every later call — if a lazily validated segment's payload
+  /// is malformed (pass 1 decodes the entry headers of tombstoned
+  /// segments, pass 2 those of every list). Also records the demand
+  /// (StatsDemand::kScored).
   StatusOr<std::span<const SegmentScoringStats>> ScoringStats() const;
 
   /// What this generation's readers have asked of it — the writer's signal
@@ -181,7 +153,11 @@ class IndexSnapshot {
   mutable std::atomic<bool> stats_computed_{false};
   mutable Status stats_status_;
   mutable std::vector<SegmentScoringStats> stats_;  // parallel to segments_
+  /// Storage the snapshot-global records view (empty when the one record
+  /// is an index's own).
   mutable std::unordered_map<std::string, uint32_t> df_by_text_;
+  mutable std::vector<std::vector<uint32_t>> global_df_;
+  mutable std::vector<std::vector<double>> norms_;
   uint64_t generation_ = 0;
   uint64_t total_nodes_ = 0;
   uint64_t live_nodes_ = 0;

@@ -130,11 +130,6 @@ const BlockPostingList& InvertedIndex::block_any_list() const {
   return *block_any_list_;
 }
 
-uint32_t InvertedIndex::df(TokenId token) const {
-  const BlockPostingList* l = block_list(token);
-  return l ? static_cast<uint32_t>(l->num_entries()) : 0;
-}
-
 IndexStorage InvertedIndex::storage() const {
   if (source_ == nullptr) return IndexStorage::kOwned;
   return source_->is_mapped() ? IndexStorage::kMapped : IndexStorage::kHeapBuffer;
@@ -161,6 +156,7 @@ size_t InvertedIndex::MemoryUsage() const {
     bytes += sizeof(std::pair<const std::string, TokenId>) + text.capacity() +
              2 * sizeof(void*);
   }
+  bytes += df_.capacity() * sizeof(uint32_t);
   bytes += unique_tokens_.capacity() * sizeof(uint32_t);
   bytes += node_norms_.capacity() * sizeof(double);
   if (pair_index_ != nullptr) bytes += pair_index_->MemoryUsage();
@@ -227,14 +223,14 @@ Status InvertedIndex::FinishLists() {
   s.pos_per_cnode = max_tf(*block_any_list_);
   uint64_t total_entries = 0;
   uint64_t nonempty_lists = 0;
-  std::vector<uint32_t> df(block_lists_.size(), 0);
+  df_.assign(block_lists_.size(), 0);
   for (TokenId t = 0; t < block_lists_.size(); ++t) {
     const BlockPostingList& l = block_lists_[t];
     if (l.empty()) continue;
-    df[t] = static_cast<uint32_t>(l.num_entries());
+    df_[t] = static_cast<uint32_t>(l.num_entries());
     ++nonempty_lists;
     total_entries += l.num_entries();
-    s.entries_per_token = std::max(s.entries_per_token, df[t]);
+    s.entries_per_token = std::max(s.entries_per_token, df_[t]);
     s.pos_per_entry = std::max(s.pos_per_entry, max_tf(l));
   }
   s.avg_pos_per_cnode =
@@ -246,8 +242,10 @@ Status InvertedIndex::FinishLists() {
 
   // TF-IDF norms from the finished list headers, through the same pass
   // snapshots run with global statistics.
-  return ComputeNodeNorms(*this, df, num_nodes, nullptr, &node_norms_,
-                          &min_uniq_norm_);
+  SegmentScoringStats own = scoring_stats();
+  FTS_RETURN_IF_ERROR(ComputeNodeNorms(*this, nullptr, &node_norms_, &own));
+  min_uniq_norm_ = own.min_uniq_norm;
+  return Status::OK();
 }
 
 void InvertedIndex::BuildPairIndex(std::span<const TokenizedDocument> docs,
@@ -257,22 +255,9 @@ void InvertedIndex::BuildPairIndex(std::span<const TokenizedDocument> docs,
   if (pair_index_->num_keys() == 0) pair_index_.reset();
 }
 
-void InvertedIndex::RecomputeMinUniqNorm() {
-  // The same product every TF-IDF LeafScore divides by — computed with the
-  // identical expression so the minimum is an exact lower bound on any
-  // denominator, making the derived impact upper bounds sound under IEEE
-  // rounding (correctly rounded ops are monotone).
-  double min_un = std::numeric_limits<double>::infinity();
-  for (NodeId n = 0; n < node_norms_.size(); ++n) {
-    const double un = std::max<uint32_t>(1, unique_tokens_[n]) * node_norms_[n];
-    min_un = std::min(min_un, un);
-  }
-  min_uniq_norm_ = min_un;
-}
-
-Status ComputeNodeNorms(const InvertedIndex& index, std::span<const uint32_t> df,
-                        uint64_t num_docs, const TombstoneSet* dead,
-                        std::vector<double>* norms, double* min_uniq_norm) {
+Status ComputeNodeNorms(const InvertedIndex& index, const TombstoneSet* dead,
+                        std::vector<double>* norms,
+                        SegmentScoringStats* stats) {
   std::vector<TokenId> by_text(index.vocabulary_size());
   std::iota(by_text.begin(), by_text.end(), TokenId{0});
   std::sort(by_text.begin(), by_text.end(), [&index](TokenId a, TokenId b) {
@@ -281,11 +266,11 @@ Status ComputeNodeNorms(const InvertedIndex& index, std::span<const uint32_t> df
   std::vector<double> sum_sq(index.num_nodes(), 0.0);
   std::vector<BlockPostingList::EntryRef> entries;
   for (const TokenId t : by_text) {
-    if (df[t] == 0) continue;  // absent, or every occurrence tombstoned
+    const uint32_t df = stats->global_df[t];
+    if (df == 0) continue;  // absent, or every occurrence tombstoned
     const BlockPostingList* list = index.block_list(t);
     if (list == nullptr || list->empty()) continue;
-    const double idf =
-        std::log(1.0 + static_cast<double>(num_docs) / static_cast<double>(df[t]));
+    const double idf = stats->Idf(df);
     for (size_t b = 0; b < list->num_blocks(); ++b) {
       FTS_RETURN_IF_ERROR(list->DecodeBlockEntries(b, &entries));
       for (const BlockPostingList::EntryRef& e : entries) {
@@ -298,14 +283,24 @@ Status ComputeNodeNorms(const InvertedIndex& index, std::span<const uint32_t> df
     }
   }
   norms->assign(index.num_nodes(), 1.0);
-  *min_uniq_norm = std::numeric_limits<double>::infinity();
   for (NodeId n = 0; n < index.num_nodes(); ++n) {
     if (dead != nullptr && dead->Contains(n)) continue;  // never scored
-    (*norms)[n] = sum_sq[n] > 0 ? std::sqrt(sum_sq[n]) : 1.0;
-    const double un = std::max<uint32_t>(1, index.unique_tokens(n)) * (*norms)[n];
-    *min_uniq_norm = std::min(*min_uniq_norm, un);
+    if (sum_sq[n] > 0) (*norms)[n] = std::sqrt(sum_sq[n]);
   }
+  stats->norms = *norms;
+  stats->min_uniq_norm = MinUniqNorm(index, *norms, dead);
   return Status::OK();
+}
+
+double MinUniqNorm(const InvertedIndex& index, std::span<const double> norms,
+                   const TombstoneSet* dead) {
+  double min_un = std::numeric_limits<double>::infinity();
+  for (NodeId n = 0; n < norms.size(); ++n) {
+    if (dead != nullptr && dead->Contains(n)) continue;
+    const double un = std::max<uint32_t>(1, index.unique_tokens(n)) * norms[n];
+    min_un = std::min(min_un, un);
+  }
+  return min_un;
 }
 
 TokenId InvertedIndex::LookupToken(std::string_view token) const {

@@ -22,6 +22,8 @@
 #ifndef FTS_INDEX_INVERTED_INDEX_H_
 #define FTS_INDEX_INVERTED_INDEX_H_
 
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
@@ -156,6 +158,46 @@ struct IndexStats {
   std::string ToString() const;
 };
 
+/// The scoring statistics of one segment (paper Section 3: document
+/// frequency, database size and TF-IDF node norms) — the only record the
+/// score models (scoring/) and the planner (eval/planner.h) read. A cheap
+/// view: the spans borrow from whoever owns the storage. Every index owns
+/// its own record (InvertedIndex::scoring_stats()); a multi-segment,
+/// tombstoned or sharded IndexSnapshot owns the snapshot-global records of
+/// its segments (index/index_snapshot.h), with global live df and
+/// node norms recomputed under global idf, so scores over any snapshot
+/// are bit-identical to a single-shot build of the surviving documents.
+struct SegmentScoringStats {
+  /// Live (non-tombstoned) nodes across the corpus the segment is scored
+  /// in — the scoring db_size.
+  uint64_t live_nodes = 0;
+  /// Live document frequency by this segment's local TokenId.
+  std::span<const uint32_t> global_df;
+  /// ||n||_2 by local NodeId under these dfs (ComputeNodeNorms).
+  std::span<const double> norms;
+  /// Minimum over this segment's *live* nodes of max(1, unique_tokens(n))
+  /// * norms[n] (MinUniqNorm) — the smallest denominator a TF-IDF
+  /// LeafScore over this segment can see. Block-max top-k divides by it to
+  /// bound per-block impact; tombstoned nodes are excluded (their norms
+  /// are placeholders and they are never scored), which can only raise
+  /// the minimum and tighten — never unsound-en — the bound. +infinity
+  /// when the segment has no live node.
+  double min_uniq_norm = std::numeric_limits<double>::infinity();
+  /// Live df by token text, for tokens out of this segment's vocabulary
+  /// but live elsewhere (they still contribute idf to a query norm), and
+  /// pair-list dfs under PairIndex::StatsKey. Null in an index's own
+  /// record, where no other segment exists.
+  const std::unordered_map<std::string, uint32_t>* df_by_text = nullptr;
+
+  /// The one idf of paper Section 3.1: ln(1 + live_nodes / df), 0 for a
+  /// token with no live occurrence.
+  double Idf(uint32_t df) const {
+    return df == 0 ? 0.0
+                   : std::log(1.0 + static_cast<double>(live_nodes) /
+                                        static_cast<double>(df));
+  }
+};
+
 class BlockPostingList;  // index/block_posting_list.h
 class IndexSource;       // index/index_source.h
 class PairIndex;         // index/pair_index.h
@@ -212,9 +254,12 @@ class InvertedIndex {
   size_t num_nodes() const { return stats_.cnodes; }
   const IndexStats& stats() const { return stats_; }
 
-  /// Document frequency of `token`: number of nodes containing it. Served
-  /// from the block-list header — no block payload is decoded.
-  uint32_t df(TokenId token) const;
+  /// Document frequency of `token`: number of nodes containing it (0 out
+  /// of range). Read from the df table the list headers filled — no block
+  /// payload is decoded.
+  uint32_t df(TokenId token) const {
+    return token < df_.size() ? df_[token] : 0;
+  }
 
   /// Number of distinct tokens in node `n` (TF-IDF normalization input).
   uint32_t unique_tokens(NodeId n) const { return unique_tokens_[n]; }
@@ -222,11 +267,15 @@ class InvertedIndex {
   /// L2 norm of node `n`'s TF-IDF vector (||n||_2 in paper Section 3.1).
   double node_norm(NodeId n) const { return node_norms_[n]; }
 
-  /// Minimum over all nodes of max(1, unique_tokens(n)) * node_norm(n) —
-  /// the smallest denominator any TF-IDF LeafScore can see. Score models
-  /// divide by it to turn a block's max_tf into a sound per-block impact
-  /// upper bound. +infinity for an empty index (no node, no bound needed).
-  double min_uniq_norm() const { return min_uniq_norm_; }
+  /// This index's own scoring record, in O(1): every node is live and the
+  /// dfs are its own, so these *are* the global statistics whenever the
+  /// index is scored alone. Views into the index; valid while it lives.
+  SegmentScoringStats scoring_stats() const {
+    return {.live_nodes = num_nodes(),
+            .global_df = df_,
+            .norms = node_norms_,
+            .min_uniq_norm = min_uniq_norm_};
+  }
 
   /// Resident heap footprint of the index in bytes: compressed posting
   /// payloads (owned or in the heap source buffer) + skip tables +
@@ -260,8 +309,8 @@ class InvertedIndex {
 
   /// The last pass of every build and merge, once the lists hold their
   /// entries and unique_tokens_ has one slot per node: derives IndexStats
-  /// from the list headers and runs ComputeNodeNorms under the index's own
-  /// dfs. Fails only if a list fails to decode.
+  /// and the df table from the list headers and runs ComputeNodeNorms
+  /// under the index's own dfs. Fails only if a list fails to decode.
   Status FinishLists();
 
   /// Builds the pair lists over `docs` (this index's token ids, one per
@@ -276,15 +325,12 @@ class InvertedIndex {
   /// malformed payload, so cursors never see invalid bytes at query time.
   Status ValidateBlocks() const;
 
-  /// Refreshes min_uniq_norm_ from the per-node scalar tables; called by
-  /// the loaders after parsing the scalar section.
-  void RecomputeMinUniqNorm();
-
   std::vector<BlockPostingList> block_lists_;          // indexed by TokenId
   std::unique_ptr<BlockPostingList> block_any_list_;   // compressed IL_ANY
   std::unique_ptr<PairIndex> pair_index_;              // nullable
   std::vector<std::string> token_texts_;    // TokenId -> spelling
   std::unordered_map<std::string, TokenId> token_ids_;
+  std::vector<uint32_t> df_;                // TokenId -> df (list headers)
   std::vector<uint32_t> unique_tokens_;     // NodeId -> distinct token count
   std::vector<double> node_norms_;          // NodeId -> ||n||_2
   double min_uniq_norm_ = std::numeric_limits<double>::infinity();
@@ -295,24 +341,30 @@ class InvertedIndex {
   bool lazy_validation_ = false;
 };
 
-class TombstoneSet;  // index/tombstone_set.h
-
-/// The TF-IDF norm pass shared by IndexBuilder (local statistics) and
+/// The TF-IDF norm pass shared by IndexBuilder (an index's own record) and
 /// IndexSnapshot (snapshot-global ones): ||n||_2 = sqrt(sum_t (tf(n,t) *
-/// idf(t))^2) with the paper's tf = occurs/unique_tokens and idf = ln(1 +
-/// num_docs/df[t]), df indexed by `index`'s token ids. Reads list headers
-/// only (no position bytes). The sum runs in *sorted token text* order — a
-/// canonical order independent of dictionary interning — so every node
-/// adds the same terms in the same order wherever the same logical corpus
-/// is indexed; that is what keeps multi-segment and sharded scores
-/// bit-identical to a single-shot build. Tokens with df 0 and nodes in
-/// `dead` (nullable) contribute nothing; dead and empty nodes get the
-/// neutral norm 1.0. `*min_uniq_norm` receives the minimum over live nodes
-/// of max(1, unique_tokens(n)) * norm — the expression TF-IDF LeafScore
-/// divides by (+infinity when no node is live).
-Status ComputeNodeNorms(const InvertedIndex& index, std::span<const uint32_t> df,
-                        uint64_t num_docs, const TombstoneSet* dead,
-                        std::vector<double>* norms, double* min_uniq_norm);
+/// idf(t))^2) with the paper's tf = occurs/unique_tokens and idf =
+/// stats->Idf(stats->global_df[t]). Reads list headers only (no position
+/// bytes). The sum runs in *sorted token text* order — a canonical order
+/// independent of dictionary interning — so every node adds the same
+/// terms in the same order wherever the same logical corpus is indexed;
+/// that is what keeps multi-segment and sharded scores bit-identical to a
+/// single-shot build. Tokens with df 0 and nodes in `dead` (nullable)
+/// contribute nothing; dead and empty nodes get the neutral norm 1.0.
+/// Fills `*norms`, points stats->norms at it and sets
+/// stats->min_uniq_norm (MinUniqNorm).
+Status ComputeNodeNorms(const InvertedIndex& index, const TombstoneSet* dead,
+                        std::vector<double>* norms,
+                        SegmentScoringStats* stats);
+
+/// Minimum over the nodes of `index` not in `dead` (nullable) of max(1,
+/// unique_tokens(n)) * norms[n] — the expression TF-IDF LeafScore divides
+/// by, computed identically so the minimum is an exact lower bound on any
+/// denominator and the derived impact bounds are sound under IEEE
+/// rounding. +infinity when no node is live. ComputeNodeNorms ends with
+/// it; the loaders run it over the stored norms.
+double MinUniqNorm(const InvertedIndex& index, std::span<const double> norms,
+                   const TombstoneSet* dead);
 
 }  // namespace fts
 

@@ -8,8 +8,9 @@ namespace net {
 
 namespace {
 
-/// Single segment, no tombstones: Create skips the stats pass entirely and
-/// cannot fail, so the .value() below is safe.
+/// Single segment, no tombstones: Create fails only on a null segment, so
+/// the .value() below is safe, and the segment scores from the index's
+/// own record.
 std::shared_ptr<const IndexSnapshot> InitialSnapshot(
     std::shared_ptr<const InvertedIndex> index) {
   return IndexSnapshot::Create({std::move(index)}).value();

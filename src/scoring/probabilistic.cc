@@ -4,25 +4,15 @@
 
 namespace fts {
 
-ProbabilisticScoreModel::ProbabilisticScoreModel(const InvertedIndex* index,
-                                                 const SegmentScoringStats* stats)
-    : index_(index), stats_(stats) {
-  const double db_size =
-      stats != nullptr ? static_cast<double>(stats->live_nodes)
-                       : static_cast<double>(index->num_nodes());
-  norm_ = std::log(1.0 + db_size);
+ProbabilisticScoreModel::ProbabilisticScoreModel(SegmentScoringStats stats)
+    : stats_(stats) {
+  norm_ = std::log(1.0 + static_cast<double>(stats_.live_nodes));
   if (norm_ <= 0) norm_ = 1.0;
 }
 
-double ProbabilisticScoreModel::LeafScore(const InvertedIndex& index, TokenId token,
+double ProbabilisticScoreModel::LeafScore(const InvertedIndex&, TokenId token,
                                           NodeId) const {
-  const uint32_t df = stats_ != nullptr ? stats_->global_df[token] : index.df(token);
-  if (df == 0) return 0.0;
-  const double db_size = stats_ != nullptr
-                             ? static_cast<double>(stats_->live_nodes)
-                             : static_cast<double>(index.num_nodes());
-  const double idf = std::log(1.0 + db_size / df);
-  return idf / norm_;
+  return stats_.Idf(stats_.global_df[token]) / norm_;
 }
 
 double ProbabilisticScoreModel::EntryScore(const InvertedIndex& index, TokenId token,

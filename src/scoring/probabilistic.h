@@ -18,19 +18,18 @@
 #ifndef FTS_SCORING_PROBABILISTIC_H_
 #define FTS_SCORING_PROBABILISTIC_H_
 
-#include "index/index_snapshot.h"
+#include "index/inverted_index.h"
 #include "scoring/score_model.h"
 
 namespace fts {
 
-/// Probabilistic score model; corpus-wide (not query-specific). Pass the
-/// segment's SegmentScoringStats when scoring one segment of a
-/// multi-segment (or tombstoned) snapshot: df and db_size then come from
-/// the snapshot-global precomputation (index/index_snapshot.h).
+/// Probabilistic score model; corpus-wide (not query-specific). df and
+/// db_size come from `stats`, the scoring record of the segment it scores:
+/// an index's own (InvertedIndex::scoring_stats()) or the snapshot-global
+/// record of one segment of a snapshot (index/index_snapshot.h).
 class ProbabilisticScoreModel : public AlgebraScoreModel {
  public:
-  explicit ProbabilisticScoreModel(const InvertedIndex* index,
-                                   const SegmentScoringStats* stats = nullptr);
+  explicit ProbabilisticScoreModel(SegmentScoringStats stats);
 
   std::string_view name() const override { return "probabilistic"; }
 
@@ -65,9 +64,8 @@ class ProbabilisticScoreModel : public AlgebraScoreModel {
   double IntersectScore(double s1, double s2) const override { return s1 * s2; }
 
  private:
-  const InvertedIndex* index_;
-  const SegmentScoringStats* stats_;  // nullable (single-segment)
-  double norm_;                       // ln(1 + db_size)
+  SegmentScoringStats stats_;
+  double norm_;  // ln(1 + db_size)
 };
 
 }  // namespace fts

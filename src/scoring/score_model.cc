@@ -17,14 +17,14 @@ const char* ScoringKindToString(ScoringKind kind) {
 std::unique_ptr<AlgebraScoreModel> MakeScoreModel(
     ScoringKind kind, const InvertedIndex* index,
     const std::function<std::vector<std::string>()>& tokens,
-    const SegmentScoringStats* stats) {
+    const SegmentScoringStats& stats) {
   switch (kind) {
     case ScoringKind::kNone:
       return nullptr;
     case ScoringKind::kTfIdf:
-      return std::make_unique<TfIdfScoreModel>(index, tokens(), nullptr, stats);
+      return std::make_unique<TfIdfScoreModel>(index, stats, tokens());
     case ScoringKind::kProbabilistic:
-      return std::make_unique<ProbabilisticScoreModel>(index, stats);
+      return std::make_unique<ProbabilisticScoreModel>(stats);
   }
   return nullptr;
 }

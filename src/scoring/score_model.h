@@ -29,8 +29,6 @@
 
 namespace fts {
 
-struct SegmentScoringStats;  // index/index_snapshot.h
-
 /// Which Section 3 scoring method an engine applies (kNone disables
 /// scoring entirely).
 enum class ScoringKind {
@@ -118,16 +116,15 @@ class AlgebraScoreModel {
   virtual double NegateScore(double s) const { return 1.0 - s; }
 };
 
-/// Builds the per-query model for `kind` over `index`: TfIdfScoreModel
-/// over the query's search tokens (duplicates collapse), which `tokens`
-/// is called to collect — only for kTfIdf, so unscored queries pay
-/// nothing — ProbabilisticScoreModel, or null for kNone. `stats` carries
-/// the snapshot-global statistics when `index` is one segment of a
-/// snapshot (nullable).
+/// Builds the per-query model for `kind` over `index`, scored from
+/// `stats` (the segment's scoring record): TfIdfScoreModel over the
+/// query's search tokens (duplicates collapse), which `tokens` is called
+/// to collect — only for kTfIdf, so unscored queries pay nothing —
+/// ProbabilisticScoreModel, or null for kNone.
 std::unique_ptr<AlgebraScoreModel> MakeScoreModel(
     ScoringKind kind, const InvertedIndex* index,
     const std::function<std::vector<std::string>()>& tokens,
-    const SegmentScoringStats* stats);
+    const SegmentScoringStats& stats);
 
 }  // namespace fts
 

@@ -9,9 +9,14 @@ namespace fts {
 
 namespace {
 
-/// Global live df of `token` under snapshot stats (0 when the token has no
-/// live occurrence anywhere in the snapshot).
-uint32_t GlobalDfByText(const SegmentScoringStats& stats, const std::string& token) {
+/// The one df-by-text rule: an in-vocabulary token reads global_df of its
+/// id; any other token reads df_by_text — live elsewhere in the snapshot,
+/// it still contributes its idf to the query norm — or 0 when that is null
+/// or has no entry.
+uint32_t LiveDf(const SegmentScoringStats& stats, TokenId id,
+                const std::string& token) {
+  if (id != kInvalidToken) return stats.global_df[id];
+  if (stats.df_by_text == nullptr) return 0;
   const auto it = stats.df_by_text->find(token);
   return it == stats.df_by_text->end() ? 0 : it->second;
 }
@@ -19,10 +24,10 @@ uint32_t GlobalDfByText(const SegmentScoringStats& stats, const std::string& tok
 }  // namespace
 
 TfIdfScoreModel::TfIdfScoreModel(const InvertedIndex* index,
+                                 SegmentScoringStats stats,
                                  std::vector<std::string> query_tokens,
-                                 EvalCounters* counters,
-                                 const SegmentScoringStats* stats)
-    : index_(index), counters_(counters), stats_(stats) {
+                                 EvalCounters* counters)
+    : index_(index), stats_(stats), counters_(counters) {
   std::sort(query_tokens.begin(), query_tokens.end());
   query_tokens.erase(std::unique(query_tokens.begin(), query_tokens.end()),
                      query_tokens.end());
@@ -30,17 +35,7 @@ TfIdfScoreModel::TfIdfScoreModel(const InvertedIndex* index,
   double sum_sq = 0;
   for (const std::string& t : query_tokens_) {
     const TokenId id = index_->LookupToken(t);
-    double idf = 0;
-    if (stats_ != nullptr) {
-      // Snapshot-global df: a token out-of-vocabulary in *this* segment but
-      // live elsewhere still contributes its idf to the query norm.
-      const uint32_t df = GlobalDfByText(*stats_, t);
-      if (df > 0) {
-        idf = std::log(1.0 + static_cast<double>(stats_->live_nodes) / df);
-      }
-    } else if (id != kInvalidToken && index_->df(id) > 0) {
-      idf = std::log(1.0 + static_cast<double>(index_->num_nodes()) / index_->df(id));
-    }
+    const double idf = stats_.Idf(LiveDf(stats_, id, t));
     idf_[t] = idf;
     if (id != kInvalidToken) idf_by_id_[id] = idf;
     sum_sq += idf * idf;
@@ -48,50 +43,28 @@ TfIdfScoreModel::TfIdfScoreModel(const InvertedIndex* index,
   query_norm_ = sum_sq > 0 ? std::sqrt(sum_sq) : 1.0;
 }
 
-double TfIdfScoreModel::LeafScore(const InvertedIndex& index, TokenId token,
-                                  NodeId node) const {
-  auto it = idf_by_id_.find(token);
-  double idf;
-  if (it != idf_by_id_.end()) {
-    idf = it->second;
-  } else if (stats_ != nullptr) {
-    const uint32_t df = stats_->global_df[token];
-    idf = df == 0 ? 0.0
-                  : std::log(1.0 + static_cast<double>(stats_->live_nodes) / df);
-  } else {
-    // Token scanned by the plan but absent from the query-token list (e.g.
-    // synthetic plans in tests): fall back to its corpus idf.
-    const uint32_t df = index.df(token);
-    idf = df == 0 ? 0.0
-                  : std::log(1.0 + static_cast<double>(index.num_nodes()) / df);
-  }
-  const double uniq = std::max<uint32_t>(1, index.unique_tokens(node));
-  const double norm =
-      stats_ != nullptr ? stats_->norms[node] : index.node_norm(node);
-  return idf * idf / (uniq * norm * query_norm_);
+double TfIdfScoreModel::TokenIdf(TokenId token) const {
+  // A token scanned by the plan but absent from the query-token list (e.g.
+  // synthetic plans in tests) scores with its corpus idf.
+  const auto it = idf_by_id_.find(token);
+  return it != idf_by_id_.end() ? it->second
+                                : stats_.Idf(stats_.global_df[token]);
 }
 
-double TfIdfScoreModel::EntryScoreUpperBound(const InvertedIndex& index,
+double TfIdfScoreModel::LeafScore(const InvertedIndex& index, TokenId token,
+                                  NodeId node) const {
+  const double idf = TokenIdf(token);
+  const double uniq = std::max<uint32_t>(1, index.unique_tokens(node));
+  return idf * idf / (uniq * stats_.norms[node] * query_norm_);
+}
+
+double TfIdfScoreModel::EntryScoreUpperBound(const InvertedIndex&,
                                              TokenId token,
                                              uint32_t max_tf) const {
-  // Resolve idf exactly as LeafScore does, so the bound and the score use
-  // the same value.
-  auto it = idf_by_id_.find(token);
-  double idf;
-  if (it != idf_by_id_.end()) {
-    idf = it->second;
-  } else if (stats_ != nullptr) {
-    const uint32_t df = stats_->global_df[token];
-    idf = df == 0 ? 0.0
-                  : std::log(1.0 + static_cast<double>(stats_->live_nodes) / df);
-  } else {
-    const uint32_t df = index.df(token);
-    idf = df == 0 ? 0.0
-                  : std::log(1.0 + static_cast<double>(index.num_nodes()) / df);
-  }
+  // The idf LeafScore uses, so the bound and the score agree.
+  const double idf = TokenIdf(token);
   if (idf == 0.0) return 0.0;  // the token scores 0 everywhere
-  const double min_un =
-      stats_ != nullptr ? stats_->min_uniq_norm : index.min_uniq_norm();
+  const double min_un = stats_.min_uniq_norm;
   if (!(min_un > 0) || std::isinf(min_un)) {
     return std::numeric_limits<double>::infinity();  // cannot bound
   }
@@ -101,14 +74,7 @@ double TfIdfScoreModel::EntryScoreUpperBound(const InvertedIndex& index,
 double TfIdfScoreModel::Idf(const std::string& token) const {
   auto it = idf_.find(token);
   if (it != idf_.end()) return it->second;
-  if (stats_ != nullptr) {
-    const uint32_t df = GlobalDfByText(*stats_, token);
-    if (df == 0) return 0.0;
-    return std::log(1.0 + static_cast<double>(stats_->live_nodes) / df);
-  }
-  const TokenId id = index_->LookupToken(token);
-  if (id == kInvalidToken || index_->df(id) == 0) return 0.0;
-  return std::log(1.0 + static_cast<double>(index_->num_nodes()) / index_->df(id));
+  return stats_.Idf(LiveDf(stats_, index_->LookupToken(token), token));
 }
 
 double TfIdfScoreModel::DirectNodeScore(NodeId node) const {
@@ -130,9 +96,7 @@ double TfIdfScoreModel::DirectNodeScore(NodeId node) const {
     const double tf = occurs / uniq;
     score += idf /*w(t)*/ * tf * idf;
   }
-  const double norm =
-      stats_ != nullptr ? stats_->norms[node] : index_->node_norm(node);
-  return score / (norm * query_norm_);
+  return score / (stats_.norms[node] * query_norm_);
 }
 
 }  // namespace fts

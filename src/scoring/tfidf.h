@@ -19,7 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "index/index_snapshot.h"
+#include "index/inverted_index.h"
 #include "scoring/score_model.h"
 
 namespace fts {
@@ -27,22 +27,21 @@ namespace fts {
 /// Query-specific TF-IDF score model. Construct once per query with the
 /// query's search tokens (duplicates are collapsed).
 ///
-/// All df/idf inputs are read from the block-list headers of `index` — no
-/// posting payload is decoded by Idf()/LeafScore(), and DirectNodeScore()
-/// seeks entry headers only (never position bytes). `counters` (nullable)
-/// is charged for any cursor work the model performs, which lets tests pin
-/// those guarantees.
-///
-/// When `index` is one segment of a multi-segment (or tombstoned)
-/// snapshot, pass that segment's SegmentScoringStats: df, db_size and node
-/// norms are then read from the snapshot-global precomputation instead of
-/// the segment's own headers, keeping every score bit-identical to a
-/// single-shot build of the surviving documents (index/index_snapshot.h).
+/// Every statistic — df, db_size, node norms and min_uniq_norm — comes from
+/// `stats`, the scoring record of the segment `index` is scored as: the
+/// index's own (index.scoring_stats()) when it is scored alone, or the
+/// snapshot-global record of its segment (index/index_snapshot.h), which
+/// keeps every score bit-identical to a single-shot build of the surviving
+/// documents. A query token out of `index`'s vocabulary reads its df from
+/// stats.df_by_text (0 when that is null). No posting payload is decoded
+/// by Idf()/LeafScore(), and DirectNodeScore() seeks entry headers only
+/// (never position bytes). `counters` (nullable) is charged for any cursor
+/// work the model performs, which lets tests pin those guarantees.
 class TfIdfScoreModel : public AlgebraScoreModel {
  public:
-  TfIdfScoreModel(const InvertedIndex* index, std::vector<std::string> query_tokens,
-                  EvalCounters* counters = nullptr,
-                  const SegmentScoringStats* stats = nullptr);
+  TfIdfScoreModel(const InvertedIndex* index, SegmentScoringStats stats,
+                  std::vector<std::string> query_tokens,
+                  EvalCounters* counters = nullptr);
 
   std::string_view name() const override { return "tfidf"; }
 
@@ -90,9 +89,12 @@ class TfIdfScoreModel : public AlgebraScoreModel {
   double query_norm() const { return query_norm_; }
 
  private:
+  /// The query token's idf when `token` is one, else the record's.
+  double TokenIdf(TokenId token) const;
+
   const InvertedIndex* index_;
+  SegmentScoringStats stats_;
   EvalCounters* counters_;                      // nullable
-  const SegmentScoringStats* stats_;            // nullable (single-segment)
   std::vector<std::string> query_tokens_;       // distinct
   std::unordered_map<std::string, double> idf_;  // per distinct query token
   std::unordered_map<TokenId, double> idf_by_id_;

@@ -664,8 +664,8 @@ TEST(DenseBlockTest, CurrentDenseBlockExposesTheBitsetView) {
 
 TEST(DenseBlockTest, VarintOnlyBuildPreservesContent) {
   // Build the same list twice, the second time with bitset blocks disabled
-  // (the FTS_DISABLE_BITSET_BLOCKS differential axis): the content, block
-  // boundaries and block maxima match; only the representation differs.
+  // (the varint-only differential axis): the content, block boundaries and
+  // block maxima match; only the representation differs.
   const PostingList raw = MakeRawList(300, 1, 3);
   const BlockPostingList dense = BlockPostingList::FromPostingList(raw, 128);
   ASSERT_TRUE(dense.has_bitset_blocks());

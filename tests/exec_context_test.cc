@@ -94,30 +94,6 @@ TEST(ExecContextTest, CountersAccumulateAcrossQueries) {
   EXPECT_EQ(ctx.counters().entries_scanned, 0u);
 }
 
-TEST(ExecContextTest, L1PolicyOffDisablesCaching) {
-  InvertedIndex index = TestIndex();
-  BoolEngine engine(&index, ScoringKind::kNone, CursorMode::kSequential);
-  // 'a' appears twice, so the auto policy would attach the L1.
-  const LangExprPtr q = Parse("('a' AND 'b') OR ('a' AND 'c')");
-
-  ExecContext auto_ctx;
-  auto with_cache = engine.Evaluate(q, auto_ctx);
-  ASSERT_TRUE(with_cache.ok());
-  EXPECT_GT(with_cache->counters.cache_hits + with_cache->counters.cache_misses,
-            0u);
-
-  ExecOptions off_options;
-  off_options.l1_policy = ExecOptions::L1Policy::kOff;
-  ExecContext off_ctx(off_options);
-  auto without_cache = engine.Evaluate(q, off_ctx);
-  ASSERT_TRUE(without_cache.ok());
-  EXPECT_EQ(without_cache->counters.cache_hits, 0u);
-  EXPECT_EQ(without_cache->counters.cache_misses, 0u);
-  // Identical results either way; the cache is purely an access-path
-  // optimization.
-  EXPECT_EQ(without_cache->nodes, with_cache->nodes);
-}
-
 TEST(ExecContextTest, SharedCacheAttachesForSingleScanQueries) {
   InvertedIndex index = TestIndex();
   BoolEngine engine(&index, ScoringKind::kNone, CursorMode::kSequential);

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
 
+#include "eval/searcher.h"
 #include "index/block_posting_list.h"
 #include "index/index_builder.h"
+#include "index/index_snapshot.h"
 #include "workload/corpus_gen.h"
 
 namespace fts {
@@ -229,7 +232,8 @@ TEST(IndexIoTest, RoundTripsExactBlockMaxima) {
   SaveIndexToString(index, &data);
   InvertedIndex loaded;
   ASSERT_TRUE(LoadIndexFromString(data, &loaded).ok());
-  EXPECT_EQ(loaded.min_uniq_norm(), index.min_uniq_norm());
+  EXPECT_EQ(loaded.scoring_stats().min_uniq_norm,
+            index.scoring_stats().min_uniq_norm);
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
     const BlockPostingList* a = index.block_list(t);
     const BlockPostingList* b = loaded.block_list(t);
@@ -259,6 +263,121 @@ TEST(IndexIoTest, MmapLoadStaysLazyAndKeepsBlockMaxima) {
     }
   }
   ExpectIndexEq(index, mapped);
+  std::remove(path.c_str());
+}
+
+// Bit equality, so two records that merely compare equal (0.0 vs -0.0) or
+// are both NaN cannot pass for each other.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+void ExpectOwnRecord(const InvertedIndex& index,
+                     const SegmentScoringStats& own) {
+  EXPECT_EQ(own.live_nodes, index.num_nodes());
+  EXPECT_EQ(own.df_by_text, nullptr);
+  ASSERT_EQ(own.global_df.size(), index.vocabulary_size());
+  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
+    EXPECT_EQ(own.global_df[t], index.block_list(t)->num_entries()) << t;
+    EXPECT_EQ(own.global_df[t], index.df(t)) << t;
+  }
+  ASSERT_EQ(own.norms.size(), index.num_nodes());
+}
+
+void ExpectSameNorms(const SegmentScoringStats& a,
+                     const SegmentScoringStats& b) {
+  ASSERT_EQ(a.norms.size(), b.norms.size());
+  for (size_t n = 0; n < a.norms.size(); ++n) {
+    EXPECT_TRUE(SameBits(a.norms[n], b.norms[n])) << n;
+  }
+  EXPECT_TRUE(SameBits(a.min_uniq_norm, b.min_uniq_norm));
+}
+
+TEST(IndexIoTest, OwnScoringRecordMatchesAcrossBuildLoadsAndShardOfOne) {
+  InvertedIndex built = BuildTestIndex();
+  std::string data;
+  SaveIndexToString(built, &data);
+  auto eager = std::make_shared<InvertedIndex>();
+  ASSERT_TRUE(LoadIndexFromString(data, eager.get()).ok());
+  const std::string path = ::testing::TempDir() + "/fts_own_record.idx";
+  ASSERT_TRUE(SaveIndexToFile(built, path).ok());
+  InvertedIndex mapped;
+  ASSERT_TRUE(LoadIndexFromFile(path, &mapped,
+                                {.mode = LoadOptions::Mode::kMmap})
+                  .ok());
+
+  // Build, eager load and mmap load carry one and the same record.
+  const SegmentScoringStats own = built.scoring_stats();
+  ExpectOwnRecord(built, own);
+  ExpectOwnRecord(*eager, eager->scoring_stats());
+  ExpectOwnRecord(mapped, mapped.scoring_stats());
+  ExpectSameNorms(own, eager->scoring_stats());
+  ExpectSameNorms(own, mapped.scoring_stats());
+
+  // ForIndex takes the index's own record as its one segment's.
+  const std::shared_ptr<const IndexSnapshot> single =
+      IndexSnapshot::ForIndex(&built);
+  StatusOr<std::span<const SegmentScoringStats>> single_stats =
+      single->ScoringStats();
+  ASSERT_TRUE(single_stats.ok());
+  ASSERT_EQ(single_stats->size(), 1u);
+  EXPECT_EQ((*single_stats)[0].global_df.data(), own.global_df.data());
+  EXPECT_EQ((*single_stats)[0].norms.data(), own.norms.data());
+
+  // A shard of one, handed its own df table, recomputes the same record
+  // through the snapshot-global pass.
+  std::unordered_map<std::string, uint32_t> df_by_text;
+  ASSERT_TRUE(AddLiveDfByText(*eager, nullptr, &df_by_text).ok());
+  StatusOr<std::shared_ptr<const IndexSnapshot>> shard =
+      IndexSnapshot::CreateSharded(eager, eager->num_nodes(),
+                                   std::move(df_by_text));
+  ASSERT_TRUE(shard.ok());
+  StatusOr<std::span<const SegmentScoringStats>> shard_stats =
+      (*shard)->ScoringStats();
+  ASSERT_TRUE(shard_stats.ok());
+  ASSERT_EQ(shard_stats->size(), 1u);
+  const SegmentScoringStats& recomputed = (*shard_stats)[0];
+  EXPECT_EQ(recomputed.live_nodes, own.live_nodes);
+  ASSERT_EQ(recomputed.global_df.size(), own.global_df.size());
+  for (TokenId t = 0; t < own.global_df.size(); ++t) {
+    EXPECT_EQ(recomputed.global_df[t], own.global_df[t]) << t;
+  }
+  ExpectSameNorms(own, recomputed);
+
+  // So scored search over the index and over the shard of one agree on
+  // node ids and score bits.
+  const char* const kQueries[] = {
+      "'topic0'",
+      "'topic0' AND 'topic1'",
+      "'topic1' OR 'w3' OR 'doesnotexist'",
+      "'topic0' AND NOT 'topic2'",
+      "SOME p SOME q (p HAS 'topic0' AND q HAS 'topic1' AND distance(p, q, 3))",
+  };
+  for (const ScoringKind scoring :
+       {ScoringKind::kTfIdf, ScoringKind::kProbabilistic}) {
+    const Searcher over_index(single, {.scoring = scoring});
+    const Searcher over_shard(*shard, {.scoring = scoring});
+    for (const size_t top_k : {size_t{0}, size_t{10}}) {
+      for (const char* query : kQueries) {
+        SCOPED_TRACE(std::string(ScoringKindToString(scoring)) + " top_k=" +
+                     std::to_string(top_k) + " " + query);
+        ExecContext a_ctx;
+        ExecContext b_ctx;
+        a_ctx.set_top_k(top_k);
+        b_ctx.set_top_k(top_k);
+        StatusOr<RoutedResult> a = over_index.Search(query, a_ctx);
+        StatusOr<RoutedResult> b = over_shard.Search(query, b_ctx);
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        ASSERT_TRUE(b.ok()) << b.status().ToString();
+        EXPECT_FALSE(a->result.nodes.empty());
+        EXPECT_EQ(a->result.nodes, b->result.nodes);
+        ASSERT_EQ(a->result.scores.size(), b->result.scores.size());
+        for (size_t i = 0; i < a->result.scores.size(); ++i) {
+          EXPECT_TRUE(SameBits(a->result.scores[i], b->result.scores[i])) << i;
+        }
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

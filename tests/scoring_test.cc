@@ -41,7 +41,7 @@ struct ScoringFixture : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 TEST_F(ScoringFixture, Theorem2SingleToken) {
-  TfIdfScoreModel model(&index, {"topic0"});
+  TfIdfScoreModel model(&index, index.scoring_stats(), {"topic0"});
   auto plan = FtaExpr::Project(FtaExpr::Token("topic0"), {});
   ASSERT_TRUE(plan.ok());
   auto rel = EvaluateFta(*plan, index, &model, nullptr);
@@ -53,7 +53,7 @@ TEST_F(ScoringFixture, Theorem2SingleToken) {
 }
 
 TEST_F(ScoringFixture, Theorem2Conjunction) {
-  TfIdfScoreModel model(&index, {"topic0", "topic1"});
+  TfIdfScoreModel model(&index, index.scoring_stats(), {"topic0", "topic1"});
   auto join = FtaExpr::Join(FtaExpr::Token("topic0"), FtaExpr::Token("topic1"));
   auto plan = FtaExpr::Project(join, {});
   ASSERT_TRUE(plan.ok());
@@ -67,7 +67,8 @@ TEST_F(ScoringFixture, Theorem2Conjunction) {
 }
 
 TEST_F(ScoringFixture, Theorem2ThreeWayConjunction) {
-  TfIdfScoreModel model(&index, {"topic0", "topic1", "topic2"});
+  TfIdfScoreModel model(&index, index.scoring_stats(),
+                        {"topic0", "topic1", "topic2"});
   auto join = FtaExpr::Join(FtaExpr::Join(FtaExpr::Token("topic0"),
                                           FtaExpr::Token("topic1")),
                             FtaExpr::Token("topic2"));
@@ -82,7 +83,7 @@ TEST_F(ScoringFixture, Theorem2ThreeWayConjunction) {
 }
 
 TEST_F(ScoringFixture, Theorem2Disjunction) {
-  TfIdfScoreModel model(&index, {"topic0", "topic1"});
+  TfIdfScoreModel model(&index, index.scoring_stats(), {"topic0", "topic1"});
   auto l = FtaExpr::Project(FtaExpr::Token("topic0"), {});
   auto r = FtaExpr::Project(FtaExpr::Token("topic1"), {});
   ASSERT_TRUE(l.ok());
@@ -100,7 +101,7 @@ TEST_F(ScoringFixture, Theorem2Disjunction) {
 TEST_F(ScoringFixture, JoinConservesTotalScore) {
   // The "first law of thermodynamics" remark in Section 3.1: the join
   // neither creates nor destroys score mass.
-  TfIdfScoreModel model(&index, {"topic0", "topic1"});
+  TfIdfScoreModel model(&index, index.scoring_stats(), {"topic0", "topic1"});
   auto t0 = *OpScanToken(index, "topic0", &model, nullptr);
   auto t1 = *OpScanToken(index, "topic1", &model, nullptr);
   auto joined = OpJoin(t0, t1, &model, nullptr);
@@ -138,7 +139,7 @@ TEST_F(ScoringFixture, PipelinedEnginesMatchCompTfIdfOnConjunctions) {
 }
 
 TEST_F(ScoringFixture, IdfDecreasesWithDocumentFrequency) {
-  TfIdfScoreModel model(&index, {"topic0"});
+  TfIdfScoreModel model(&index, index.scoring_stats(), {"topic0"});
   // Background token w0 is the most frequent Zipf rank; topics are planted
   // in ~60% of documents. Compare a rare background token to w0.
   const double idf_common = model.Idf("w0");
@@ -158,7 +159,7 @@ TEST_F(ScoringFixture, IdfDecreasesWithDocumentFrequency) {
 }
 
 TEST_F(ScoringFixture, OovQueryTokenScoresZero) {
-  TfIdfScoreModel model(&index, {"doesnotexist"});
+  TfIdfScoreModel model(&index, index.scoring_stats(), {"doesnotexist"});
   EXPECT_EQ(model.Idf("doesnotexist"), 0.0);
   EXPECT_EQ(model.DirectNodeScore(0), 0.0);
 }
@@ -168,7 +169,7 @@ TEST_F(ScoringFixture, OovQueryTokenScoresZero) {
 // ---------------------------------------------------------------------------
 
 TEST_F(ScoringFixture, ProbabilisticLeafScoresAreProbabilities) {
-  ProbabilisticScoreModel model(&index);
+  ProbabilisticScoreModel model(index.scoring_stats());
   for (const char* tok : {"topic0", "w0", "w5"}) {
     const TokenId id = index.LookupToken(tok);
     if (id == kInvalidToken) continue;
@@ -179,7 +180,7 @@ TEST_F(ScoringFixture, ProbabilisticLeafScoresAreProbabilities) {
 }
 
 TEST_F(ScoringFixture, ProbabilisticOperatorsStayInUnitInterval) {
-  ProbabilisticScoreModel model(&index);
+  ProbabilisticScoreModel model(index.scoring_stats());
   const double a = 0.7, b = 0.4;
   EXPECT_NEAR(model.JoinScore(a, 3, b, 5), a * b, 1e-12);
   EXPECT_NEAR(model.UnionBoth(a, b), 1 - (1 - a) * (1 - b), 1e-12);
@@ -190,7 +191,7 @@ TEST_F(ScoringFixture, ProbabilisticOperatorsStayInUnitInterval) {
 }
 
 TEST_F(ScoringFixture, ProbabilisticSelectAttenuatesByDistance) {
-  ProbabilisticScoreModel model(&index);
+  ProbabilisticScoreModel model(index.scoring_stats());
   const auto* dist = PredicateRegistry::Default().Find("distance");
   std::vector<PositionInfo> near{{10, 0, 0}, {11, 0, 0}};
   std::vector<PositionInfo> far{{10, 0, 0}, {18, 0, 0}};
@@ -200,7 +201,7 @@ TEST_F(ScoringFixture, ProbabilisticSelectAttenuatesByDistance) {
 }
 
 TEST_F(ScoringFixture, ProbabilisticEntryScoreIsNoisyOr) {
-  ProbabilisticScoreModel model(&index);
+  ProbabilisticScoreModel model(index.scoring_stats());
   const TokenId t0 = index.LookupToken("topic0");
   ASSERT_NE(t0, kInvalidToken);
   const double p = model.LeafScore(index, t0, 0);
@@ -208,7 +209,7 @@ TEST_F(ScoringFixture, ProbabilisticEntryScoreIsNoisyOr) {
 }
 
 TEST_F(ScoringFixture, TfIdfEntryScoreIsLinear) {
-  TfIdfScoreModel model(&index, {"topic0"});
+  TfIdfScoreModel model(&index, index.scoring_stats(), {"topic0"});
   const TokenId t0 = index.LookupToken("topic0");
   ASSERT_NE(t0, kInvalidToken);
   const double p = model.LeafScore(index, t0, 0);
@@ -225,7 +226,7 @@ TEST_F(ScoringFixture, TfIdfEntryScoreIsLinear) {
 TEST_F(ScoringFixture, DfLookupsDecodeNoBlocks) {
   std::vector<std::string> tokens = {"topic0", "topic1", "w0", "w5", "zzz-oov"};
   EvalCounters counters;
-  TfIdfScoreModel model(&index, tokens, &counters);
+  TfIdfScoreModel model(&index, index.scoring_stats(), tokens, &counters);
   // Model construction computes idf (hence df) for every query token.
   EXPECT_EQ(counters.blocks_decoded, 0u);
   EXPECT_EQ(counters.entries_decoded, 0u);
@@ -250,7 +251,7 @@ TEST_F(ScoringFixture, DfLookupsDecodeNoBlocks) {
   EXPECT_EQ(counters.cache_misses, 0u);
 
   // Probabilistic scoring reads df the same way (no cursor at all).
-  ProbabilisticScoreModel prob(&index);
+  ProbabilisticScoreModel prob(index.scoring_stats());
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
     (void)prob.LeafScore(index, t, 0);
   }
@@ -260,7 +261,8 @@ TEST_F(ScoringFixture, DfLookupsDecodeNoBlocks) {
 
 TEST_F(ScoringFixture, DirectNodeScoreNeverDecodesPositions) {
   EvalCounters counters;
-  TfIdfScoreModel model(&index, {"topic0", "topic1", "w3"}, &counters);
+  TfIdfScoreModel model(&index, index.scoring_stats(),
+                        {"topic0", "topic1", "w3"}, &counters);
   double total = 0;
   for (NodeId n = 0; n < index.num_nodes(); ++n) {
     total += model.DirectNodeScore(n);
