@@ -94,8 +94,7 @@ bool MatchPairablePlan(const FtaExprPtr& plan, PairPlanMatch* out) {
 /// (PlanPairList, eval/planner.h). An eligible pair whose key is absent
 /// routes as provably empty.
 bool PlanPairRoute(const PairPlanMatch& match, const InvertedIndex& index,
-                   const SegmentScoringStats& stats, CursorMode mode,
-                   PairRouting routing, PairRoute* out) {
+                   CursorMode mode, PairRouting routing, PairRoute* out) {
   if (routing == PairRouting::kOff) return false;
   const PairIndex* pair = index.pair_index();
   if (pair == nullptr) return false;
@@ -122,7 +121,7 @@ bool PlanPairRoute(const PairPlanMatch& match, const InvertedIndex& index,
   // possible plan, under any routing policy.
   if (out->empty || routing == PairRouting::kForce) return true;
 
-  return PlanPairList(index, lookup, id_a, id_b, stats);
+  return PlanPairList(index, lookup, id_a, id_b);
 }
 
 /// Evaluates a routed operator: walks the pair list through a
@@ -223,16 +222,16 @@ StatusOr<bool> TryEvaluatePairPlan(const FtaExprPtr& plan,
                                    const InvertedIndex& index,
                                    const AlgebraScoreModel* model,
                                    CursorMode mode, PairRouting routing,
-                                   const SegmentRuntime& segment,
+                                   const TombstoneSet* tombstones,
                                    ExecContext& ectx, QueryResult* result) {
   PairPlanMatch match;
   if (!MatchPairablePlan(plan, &match)) return false;
   PairRoute route;
-  if (!PlanPairRoute(match, index, segment.scoring, mode, routing, &route)) {
+  if (!PlanPairRoute(match, index, mode, routing, &route)) {
     return false;
   }
-  FTS_RETURN_IF_ERROR(EvaluatePairPlan(match, route, index, model,
-                                       segment.tombstones, ectx, result));
+  FTS_RETURN_IF_ERROR(
+      EvaluatePairPlan(match, route, index, model, tombstones, ectx, result));
   return true;
 }
 

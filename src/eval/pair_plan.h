@@ -48,7 +48,7 @@ StatusOr<bool> TryEvaluatePairPlan(const FtaExprPtr& plan,
                                    const InvertedIndex& index,
                                    const AlgebraScoreModel* model,
                                    CursorMode mode, PairRouting routing,
-                                   const SegmentRuntime& segment,
+                                   const TombstoneSet* tombstones,
                                    ExecContext& ectx, QueryResult* result);
 
 }  // namespace fts

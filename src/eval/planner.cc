@@ -76,15 +76,6 @@ void CollectStreamEstimates(const FtaExprPtr& plan, const InvertedIndex& index,
   }
 }
 
-/// Global df when the snapshot exchanged one for `key`, else `local`.
-double GlobalDf(const SegmentScoringStats& stats, const std::string& key,
-                double local) {
-  if (stats.df_by_text == nullptr) return local;
-  auto it = stats.df_by_text->find(key);
-  return it == stats.df_by_text->end() ? local
-                                       : static_cast<double>(it->second);
-}
-
 /// Snapshot-wide document frequency of a surface token: the sum of its
 /// per-segment dfs (an upper bound under tombstones, which is the safe
 /// direction for a cost estimate).
@@ -223,31 +214,20 @@ uint64_t EstimateCandidates(const LangExprPtr& normalized,
 }
 
 bool PlanPairList(const InvertedIndex& index, const PairIndex::Lookup& lookup,
-                  TokenId id_a, TokenId id_b,
-                  const SegmentScoringStats& stats) {
-  const double pair_local = static_cast<double>(lookup.list->num_entries());
+                  TokenId id_a, TokenId id_b) {
+  const double df_pair = static_cast<double>(lookup.list->num_entries());
   const double recs_per_entry =
-      static_cast<double>(lookup.list->total_positions()) / pair_local;
-  const std::string& first_text =
-      index.token_text(lookup.swapped ? id_b : id_a);
-  const std::string& second_text =
-      index.token_text(lookup.swapped ? id_a : id_b);
-  const double df_pair = GlobalDf(
-      stats, PairIndex::StatsKey(first_text, second_text), pair_local);
+      static_cast<double>(lookup.list->total_positions()) / df_pair;
   const double pair_cost = df_pair * recs_per_entry;
 
   const BlockPostingList* la = index.block_list(id_a);
   const BlockPostingList* lb = index.block_list(id_b);
   if (la == nullptr || lb == nullptr || la->empty() || lb->empty())
     return false;  // empty driver: pipeline terminates instantly
-  const double dfa_local = static_cast<double>(la->num_entries());
-  const double dfb_local = static_cast<double>(lb->num_entries());
-  const double df_a = GlobalDf(stats, index.token_text(id_a), dfa_local);
-  const double df_b = GlobalDf(stats, index.token_text(id_b), dfb_local);
-  const double pos_per_a =
-      static_cast<double>(la->total_positions()) / dfa_local;
-  const double pos_per_b =
-      static_cast<double>(lb->total_positions()) / dfb_local;
+  const double df_a = static_cast<double>(la->num_entries());
+  const double df_b = static_cast<double>(lb->num_entries());
+  const double pos_per_a = static_cast<double>(la->total_positions()) / df_a;
+  const double pos_per_b = static_cast<double>(lb->total_positions()) / df_b;
   const double pipeline_cost =
       std::min(df_a, df_b) * (1.0 + pos_per_a + pos_per_b);
   return pair_cost <= pipeline_cost;

@@ -68,15 +68,13 @@ uint64_t EstimateCandidates(const LangExprPtr& normalized,
 
 /// kAuto's comparison for an eligible pair with a list, in decoded-triple
 /// units: df_pair * records_per_entry against min(df_a, df_b) * (1 +
-/// pos_per_a + pos_per_b). Per-entry averages come from the local
-/// headers, dfs from the segment's scoring record `stats`: its
-/// df_by_text (the snapshot-global exchange, pair dfs under
-/// PairIndex::StatsKey) where that has the key, else the local header.
-/// True (ties too) routes to the pair list; an empty side keeps the
-/// pipeline, which stops at once.
+/// pos_per_a + pos_per_b). Like every rule here it reads only the
+/// segment's own list headers (the pair list, a's and b's): cost is counted
+/// in accesses to the lists this segment reads, so snapshot-global dfs,
+/// which only scoring needs, never enter it. True (ties too) routes to the
+/// pair list; an empty side keeps the pipeline, which stops at once.
 bool PlanPairList(const InvertedIndex& index, const PairIndex::Lookup& lookup,
-                  TokenId id_a, TokenId id_b,
-                  const SegmentScoringStats& stats);
+                  TokenId id_a, TokenId id_b);
 
 // --- Admission price -------------------------------------------------------
 

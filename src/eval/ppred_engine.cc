@@ -59,7 +59,7 @@ StatusOr<QueryResult> EvaluateSinglePass(
   if (raw_oracle == nullptr) {
     FTS_ASSIGN_OR_RETURN(routed,
                          TryEvaluatePairPlan(plan, *index, model, mode, routing,
-                                             segment, ectx, &result));
+                                             segment.tombstones, ectx, &result));
   }
   if (!routed) {
     // The context's L1 attaches when a list is scanned twice and the

@@ -1,6 +1,5 @@
 #include "eval/searcher.h"
 
-#include <algorithm>
 #include <memory>
 #include <span>
 #include <utility>
@@ -16,13 +15,8 @@ Searcher::Searcher(std::shared_ptr<const IndexSnapshot> snapshot,
                    SearcherOptions options)
     : snapshot_(std::move(snapshot)), options_(options) {
   const std::vector<SegmentView>& segs = snapshot_->segments();
-  const bool needs_stats =
-      options_.scoring != ScoringKind::kNone ||
-      std::any_of(segs.begin(), segs.end(), [](const SegmentView& seg) {
-        return seg.index->pair_index() != nullptr;
-      });
   std::span<const SegmentScoringStats> stats;
-  if (needs_stats) {
+  if (options_.scoring != ScoringKind::kNone) {
     StatusOr<std::span<const SegmentScoringStats>> computed =
         snapshot_->ScoringStats();
     if (computed.ok()) {

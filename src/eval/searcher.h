@@ -64,9 +64,9 @@ struct SearcherOptions {
 ///
 /// The Searcher shares ownership of the snapshot: a query in flight keeps
 /// its generation alive even after a writer publishes a newer one. It asks
-/// the snapshot for its scoring stats (IndexSnapshot::ScoringStats) only
-/// when it scores, or when a segment has pair lists, whose planner reads
-/// global pair dfs; if they fail (a corrupt lazily validated segment),
+/// the snapshot for its scoring stats (IndexSnapshot::ScoringStats) if and
+/// only if it scores — the planner reads each segment's own list headers,
+/// never the stats; if they fail (a corrupt lazily validated segment),
 /// every query fails with that status. Otherwise it notes an unscored
 /// reader on the snapshot (IndexSnapshot::stats_demand) and wires each
 /// segment's own record, which nothing then reads.

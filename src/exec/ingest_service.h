@@ -102,7 +102,7 @@ class IngestService : public SnapshotSource {
   /// Publishes the current segment/tombstone state as a new generation;
   /// caller holds write_mu_. The scoring stats of the new generation are
   /// computed here only while readers score (scored_readers_); otherwise
-  /// they wait for the first query that needs them. snapshot_mu_ is only
+  /// they wait for the first scored query. snapshot_mu_ is only
   /// held for the pointer swap.
   Status PublishLocked();
   void MergerLoop();

@@ -1,7 +1,6 @@
 #include "index/index_snapshot.h"
 
 #include "index/block_posting_list.h"
-#include "index/pair_index.h"
 
 namespace fts {
 
@@ -51,40 +50,22 @@ Status ComputeSegmentStats(
 Status AddLiveDfByText(const InvertedIndex& index, const TombstoneSet* tombstones,
                        std::unordered_map<std::string, uint32_t>* df_by_text) {
   std::vector<BlockPostingList::EntryRef> entries;
-  // Live entries of one list. Without tombstones the list header already
-  // *is* the live df.
-  auto live_df = [&](const BlockPostingList& list) -> StatusOr<uint32_t> {
-    if (tombstones == nullptr) return static_cast<uint32_t>(list.num_entries());
-    uint32_t df = 0;
-    for (size_t b = 0; b < list.num_blocks(); ++b) {
-      FTS_RETURN_IF_ERROR(list.DecodeBlockEntries(b, &entries));
-      for (const BlockPostingList::EntryRef& e : entries) {
-        if (!tombstones->Contains(e.header.node)) ++df;
-      }
-    }
-    return df;
-  };
   const TokenId vocab = static_cast<TokenId>(index.vocabulary_size());
   for (TokenId t = 0; t < vocab; ++t) {
     const BlockPostingList* list = index.block_list(t);
     if (list == nullptr || list->empty()) continue;
-    FTS_ASSIGN_OR_RETURN(const uint32_t df, live_df(*list));
-    if (df != 0) (*df_by_text)[index.token_text(t)] += df;
-  }
-
-  // Pair-list dfs ride the same by-text exchange under their
-  // collision-proof StatsKey ('\x1f' separator — unreachable by tokenizer
-  // output). Scoring never resolves these keys (pass 2 and the models look
-  // up real token texts only); the multi-index planner reads them as
-  // snapshot-global pair dfs.
-  if (const PairIndex* pair = index.pair_index()) {
-    for (size_t k = 0; k < pair->num_keys(); ++k) {
-      FTS_ASSIGN_OR_RETURN(const uint32_t df, live_df(pair->list(k)));
-      if (df == 0) continue;
-      const PairTermKey& key = pair->key(k);
-      (*df_by_text)[PairIndex::StatsKey(index.token_text(key.first),
-                                        index.token_text(key.second))] += df;
+    // Without tombstones the list header already *is* the live df.
+    uint32_t df = static_cast<uint32_t>(list->num_entries());
+    if (tombstones != nullptr) {
+      df = 0;
+      for (size_t b = 0; b < list->num_blocks(); ++b) {
+        FTS_RETURN_IF_ERROR(list->DecodeBlockEntries(b, &entries));
+        for (const BlockPostingList::EntryRef& e : entries) {
+          if (!tombstones->Contains(e.header.node)) ++df;
+        }
+      }
     }
+    if (df != 0) (*df_by_text)[index.token_text(t)] += df;
   }
   return Status::OK();
 }

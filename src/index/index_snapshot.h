@@ -20,12 +20,11 @@
 // df per token and per-segment node norms recomputed under global idf by
 // the ComputeNodeNorms pass IndexBuilder itself runs. Creating a
 // generation does not pay for them: they are computed once per
-// generation, under std::call_once, either by the first Searcher that
-// needs them (a scored query, or a segment with pair lists, whose planner
-// reads global pair dfs) or, before publishing, by a writer whose readers
-// need them (stats_demand(), PrecomputeScoringStats), so that scored
-// traffic does not wait on the pass. Unscored generations never compute
-// them.
+// generation, under std::call_once, either by the first scored Searcher
+// or, before publishing, by a writer whose readers score (stats_demand(),
+// PrecomputeScoringStats), so that scored traffic does not wait on the
+// pass. Only scoring reads them — the planner prices each segment from its
+// own list headers — so unscored generations never compute them.
 
 #ifndef FTS_INDEX_INDEX_SNAPSHOT_H_
 #define FTS_INDEX_INDEX_SNAPSHOT_H_
@@ -58,10 +57,11 @@ struct SegmentView {
 
 /// Pass 1 of the snapshot's stats computation, also a shard's answer to a
 /// router's stats request: adds the live document frequency of every token
-/// of `index` to `df_by_text` under its text, and of every pair list under
-/// its PairIndex::StatsKey. Zero dfs add nothing. Reads list headers only
-/// unless `tombstones` (nullable) forces an entry decode, which can fail
-/// with Corruption on a lazily validated block.
+/// of `index` to `df_by_text` under its text. Token dfs only — pair lists
+/// are planner input, which reads each segment's own headers. Zero dfs add
+/// nothing. Reads list headers only unless `tombstones` (nullable) forces
+/// an entry decode, which can fail with Corruption on a lazily validated
+/// block.
 Status AddLiveDfByText(const InvertedIndex& index, const TombstoneSet* tombstones,
                        std::unordered_map<std::string, uint32_t>* df_by_text);
 

@@ -184,9 +184,9 @@ struct SegmentScoringStats {
   /// when the segment has no live node.
   double min_uniq_norm = std::numeric_limits<double>::infinity();
   /// Live df by token text, for tokens out of this segment's vocabulary
-  /// but live elsewhere (they still contribute idf to a query norm), and
-  /// pair-list dfs under PairIndex::StatsKey. Null in an index's own
-  /// record, where no other segment exists.
+  /// but live elsewhere (they still contribute idf to a query norm). Token
+  /// texts only; scoring is its one reader. Null in an index's own record,
+  /// where no other segment exists.
   const std::unordered_map<std::string, uint32_t>* df_by_text = nullptr;
 
   /// The one idf of paper Section 3.1: ln(1 + live_nodes / df), 0 for a

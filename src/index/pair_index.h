@@ -37,8 +37,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -123,20 +121,6 @@ class PairIndex {
   }
   static int32_t UnZigZag(uint32_t v) {
     return static_cast<int32_t>((v >> 1) ^ (~(v & 1) + 1));
-  }
-
-  /// Key under which this pair's df travels in the cross-shard df_by_text
-  /// exchange (docs/serving.md). The separator byte cannot appear in
-  /// tokenizer output, so pair keys can never collide with real tokens —
-  /// and scoring only ever looks up real token texts, so the extra map
-  /// entries are inert there.
-  static std::string StatsKey(std::string_view first, std::string_view second) {
-    std::string out;
-    out.reserve(first.size() + second.size() + 1);
-    out.append(first);
-    out.push_back('\x1f');
-    out.append(second);
-    return out;
   }
 
   /// Resident heap footprint (same accounting rules as

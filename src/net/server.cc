@@ -69,7 +69,7 @@ std::optional<ConnectionLoop::Reply> FtsServer::HandleFrame(
       StatsResponse resp;
       resp.request_id = req.request_id;
       resp.num_nodes = snap->total_nodes();
-      // Local df by token text and pair key: the router sums them into
+      // Local df by token text: the router sums them into
       // the global table. Every snapshot this server publishes has one
       // segment, index_, without tombstones.
       std::unordered_map<std::string, uint32_t> df;

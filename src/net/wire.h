@@ -132,7 +132,8 @@ struct StatsRequest {
 struct StatsResponse {
   uint64_t request_id = 0;
   uint64_t num_nodes = 0;
-  /// (token text, local document frequency) for every dictionary token.
+  /// (token text, live document frequency) for every token with a live
+  /// occurrence: token dfs only, no pair-list keys.
   std::vector<std::pair<std::string, uint32_t>> df_by_text;
 };
 

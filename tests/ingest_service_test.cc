@@ -113,60 +113,72 @@ TEST(IngestServiceTest, AddRefreshDeleteCompactLifecycle) {
 // asks a generation for them, the writer computes every later
 // generation's before publishing it, including generations no reader
 // acquired, so no scored query meets a generation without stats; an
-// unscored reader turns generations lazy again.
+// unscored reader turns generations lazy again. Pair lists change none of
+// this: the planner prices them from each segment's own headers.
 TEST(IngestServiceTest, WriterComputesStatsWhileReadersScore) {
   using Demand = IndexSnapshot::StatsDemand;
-  IngestService::Options options;
-  options.merge_factor = 100;  // keep the background merger out of this
-  IngestService service(options);
-  const char* docs[] = {"a b", "b c", "c d", "a d", "c e", "d e"};
-  for (const char* doc : docs) {
-    ASSERT_TRUE(service.Add(doc).ok());
+  for (const size_t pair_terms : {size_t{0}, size_t{2}}) {
+    SCOPED_TRACE("pairs.frequent_terms = " + std::to_string(pair_terms));
+    IngestService::Options options;
+    options.merge_factor = 100;  // keep the background merger out of this
+    options.build.pairs = {.frequent_terms = pair_terms, .max_distance = 2};
+    IngestService service(options);
+    const char* docs[] = {"a b", "b c", "c d", "a d", "c e", "d e"};
+    for (const char* doc : docs) {
+      ASSERT_TRUE(service.Add(doc).ok());
+      ASSERT_TRUE(service.Refresh().ok());
+    }
+    ASSERT_TRUE(service.Delete(0).ok());
+    EXPECT_EQ(service.snapshot()->segment(0).index->pair_index() != nullptr,
+              pair_terms > 0);
+    auto computed = [&] {
+      return service.snapshot()->scoring_stats_computed();
+    };
+    auto demand = [&] { return service.snapshot()->stats_demand(); };
+
+    // Unscored traffic, phrase-shaped too: no generation computes stats,
+    // on either side.
+    EXPECT_EQ(demand(), Demand::kUnread);
+    EXPECT_EQ(QueryNodes(service, "'a'"), (Nodes{3}));
+    EXPECT_EQ(QueryNodes(service, "dist('d', 'e', 1)"), (Nodes{5}));
+    EXPECT_FALSE(computed());
+    EXPECT_EQ(demand(), Demand::kUnscored);
+    ASSERT_TRUE(service.Delete(1).ok());
+    EXPECT_FALSE(computed());
+
+    // The first scored query of the generation computes them itself.
+    auto scored = [&] {
+      Searcher searcher(service.snapshot(), {ScoringKind::kTfIdf});
+      ExecContext ctx;
+      auto r = searcher.Search("'c'", ctx);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    };
+    scored();
+    EXPECT_TRUE(computed());
+    EXPECT_EQ(demand(), Demand::kScored);
+    EXPECT_EQ(QueryNodes(service, "'a'"), (Nodes{3}));
+    EXPECT_EQ(demand(), Demand::kScored);  // an unscored reader does not undo it
+
+    // Its successors are published with stats, by seal and by delete
+    // alike, and the writer's precompute is not a reader's demand.
+    // Generations no reader acquired keep the last signal.
+    ASSERT_TRUE(service.Add("c f").ok());
     ASSERT_TRUE(service.Refresh().ok());
+    EXPECT_TRUE(computed());
+    EXPECT_EQ(demand(), Demand::kUnread);
+    ASSERT_TRUE(service.Delete(2).ok());
+    EXPECT_TRUE(computed());
+    ASSERT_TRUE(service.Delete(3).ok());
+    EXPECT_TRUE(computed());
+
+    // Only unscored readers on that generation: the next one is lazy
+    // again, and stays lazy through unread generations.
+    EXPECT_EQ(QueryNodes(service, "'e'"), (Nodes{4, 5}));
+    ASSERT_TRUE(service.Delete(4).ok());
+    EXPECT_FALSE(computed());
+    ASSERT_TRUE(service.Delete(5).ok());
+    EXPECT_FALSE(computed());
   }
-  ASSERT_TRUE(service.Delete(0).ok());
-  auto computed = [&] { return service.snapshot()->scoring_stats_computed(); };
-  auto demand = [&] { return service.snapshot()->stats_demand(); };
-
-  // Unscored traffic: no generation computes stats, on either side.
-  EXPECT_EQ(demand(), Demand::kUnread);
-  EXPECT_EQ(QueryNodes(service, "'a'"), (Nodes{3}));
-  EXPECT_EQ(demand(), Demand::kUnscored);
-  ASSERT_TRUE(service.Delete(1).ok());
-  EXPECT_FALSE(computed());
-
-  // The first scored query of the generation computes them itself.
-  auto scored = [&] {
-    Searcher searcher(service.snapshot(), {ScoringKind::kTfIdf});
-    ExecContext ctx;
-    auto r = searcher.Search("'c'", ctx);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-  };
-  scored();
-  EXPECT_TRUE(computed());
-  EXPECT_EQ(demand(), Demand::kScored);
-  EXPECT_EQ(QueryNodes(service, "'a'"), (Nodes{3}));
-  EXPECT_EQ(demand(), Demand::kScored);  // an unscored reader does not undo it
-
-  // Its successors are published with stats, by seal and by delete alike,
-  // and the writer's precompute is not a reader's demand. Generations no
-  // reader acquired keep the last signal.
-  ASSERT_TRUE(service.Add("c f").ok());
-  ASSERT_TRUE(service.Refresh().ok());
-  EXPECT_TRUE(computed());
-  EXPECT_EQ(demand(), Demand::kUnread);
-  ASSERT_TRUE(service.Delete(2).ok());
-  EXPECT_TRUE(computed());
-  ASSERT_TRUE(service.Delete(3).ok());
-  EXPECT_TRUE(computed());
-
-  // Only unscored readers on that generation: the next one is lazy again,
-  // and stays lazy through unread generations.
-  EXPECT_EQ(QueryNodes(service, "'e'"), (Nodes{4, 5}));
-  ASSERT_TRUE(service.Delete(4).ok());
-  EXPECT_FALSE(computed());
-  ASSERT_TRUE(service.Delete(5).ok());
-  EXPECT_FALSE(computed());
 }
 
 TEST(IngestServiceTest, SpilledSegmentsAreOrdinaryIndexFiles) {

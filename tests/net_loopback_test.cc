@@ -31,14 +31,14 @@ namespace fts {
 namespace net {
 namespace {
 
-std::shared_ptr<const InvertedIndex> SmallIndex() {
+std::shared_ptr<const InvertedIndex> SmallIndex(IndexBuildOptions build = {}) {
   Corpus corpus;
   corpus.AddDocument("apple banana cherry. apple date apple.\n\n banana fig.");
   corpus.AddDocument("banana cherry date. elderberry fig grape.");
   corpus.AddDocument("apple cherry elderberry. apple banana grape.");
   corpus.AddDocument("date fig. grape apple. cherry banana date.");
   corpus.AddDocument("elderberry. apple date cherry fig banana grape.");
-  return std::make_shared<InvertedIndex>(IndexBuilder::Build(corpus));
+  return std::make_shared<InvertedIndex>(IndexBuilder::Build(corpus, build));
 }
 
 uint64_t Bits(double d) {
@@ -252,6 +252,29 @@ TEST(NetLoopbackTest, BinaryMetricsAndPing) {
   ASSERT_TRUE(metrics.ok());
   EXPECT_NE(metrics->text.find("fts_up 1"), std::string::npos);
   EXPECT_NE(metrics->text.find("fts_queries_completed 1"), std::string::npos);
+}
+
+// The stats exchange carries scoring input only: one live df per token,
+// and no pair-list keys even when the shard has pair lists.
+TEST(NetLoopbackTest, StatsCarryOneDfPerLiveToken) {
+  const auto index =
+      SmallIndex({.pairs = {.frequent_terms = 3, .max_distance = 2}});
+  ASSERT_NE(index->pair_index(), nullptr);
+  ASSERT_GT(index->pair_index()->num_keys(), 0u);
+  Loopback lb({}, index);
+  auto stats = lb.client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->num_nodes, 5u);
+
+  size_t live_tokens = 0;
+  for (TokenId t = 0; t < index->vocabulary_size(); ++t) {
+    if (index->df(t) != 0) ++live_tokens;
+  }
+  EXPECT_EQ(stats->df_by_text.size(), live_tokens);
+  for (const auto& [text, df] : stats->df_by_text) {
+    EXPECT_EQ(text.find('\x1f'), std::string::npos) << text;
+    EXPECT_EQ(df, index->df(index->LookupToken(text))) << text;
+  }
 }
 
 /// Value of the exactly named metric in a /metrics text block, or -1.

@@ -297,14 +297,6 @@ TEST(PairIndexTest, MemoryUsageCountsPairLists) {
   EXPECT_GT(paired.pair_index()->MemoryUsage(), 0u);
 }
 
-TEST(PairIndexTest, StatsKeySeparatorCannotCollideWithTokens) {
-  EXPECT_EQ(PairIndex::StatsKey("apple", "banana"),
-            std::string("apple\x1f") + "banana");
-  // Tokenizer output never contains the separator byte, so a pair key can
-  // never equal (or prefix-collide with) a real token's df entry.
-  EXPECT_NE(PairIndex::StatsKey("a", "b"), "ab");
-}
-
 TEST(PairIndexTest, SealAndMergeCarryBuildOptions) {
   IndexBuildOptions options = PairOptions(2, 3);
 

@@ -4,11 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "eval/planner.h"
 #include "eval/searcher.h"
 #include "exec/admission.h"
 #include "index/index_builder.h"
+#include "index/tombstone_set.h"
 #include "text/corpus.h"
 #include "workload/corpus_gen.h"
 
@@ -378,6 +383,82 @@ TEST(PlannerBoundaryTest, AbsentKeyRoutesAsProvablyEmpty) {
   EXPECT_EQ(c.entries_scanned, 0u);
   EXPECT_EQ(c.blocks_decoded, 0u);
   EXPECT_TRUE(nodes.empty());
+}
+
+/// A pair-indexed segment (frequent terms alpha and beta) of `n` copies of
+/// each `docs` entry, in order.
+std::shared_ptr<const InvertedIndex> PairSegment(
+    const std::vector<std::pair<std::string, int>>& docs) {
+  Corpus corpus;
+  for (const auto& [doc, n] : docs) {
+    for (int i = 0; i < n; ++i) corpus.AddDocument(doc);
+  }
+  return std::make_shared<const InvertedIndex>(IndexBuilder::Build(
+      corpus, {.pairs = {.frequent_terms = 2, .max_distance = 5}}));
+}
+
+/// pair_seeks of one kAuto evaluation of `query` over `snapshot`.
+uint64_t AutoPairSeeks(std::shared_ptr<const IndexSnapshot> snapshot,
+                       ScoringKind scoring, std::string_view query) {
+  const Searcher searcher(std::move(snapshot),
+                          {scoring, CursorMode::kAdaptive, PairRouting::kAuto});
+  auto r = SearchOnce(searcher, query);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return r.ok() ? r->result.counters.pair_seeks : 0;
+}
+
+TEST(PlannerBoundaryTest, PairCostReadsOnlyTheSegmentsOwnLists) {
+  // Segment 0 routes on its own lists: 40 entries * (1 + 4) records = 200
+  // against min(80, 80) * (1 + 1.5 + 1.5) = 320. Its far-apart copies add
+  // token dfs but no pair df, so the snapshot-wide pair/token df ratio is
+  // higher than its own; priced with snapshot dfs (217 * 5 = 1085 against
+  // 257 * 4 = 1028) it would keep the pipeline. Segments 1 and 2 route
+  // either way, under tombstones.
+  const std::vector<std::shared_ptr<const InvertedIndex>> segments = {
+      PairSegment({{"alpha alpha beta beta", 40},
+                   {"alpha x x x x x x x beta", 40}}),
+      PairSegment({{"alpha alpha beta beta", 200}}),
+      PairSegment({{"alpha beta", 30}}),
+  };
+  auto dead1 = std::make_shared<TombstoneSet>(segments[1]->num_nodes());
+  for (NodeId n = 0; n < 50; ++n) dead1->MarkDeleted(n);
+  auto dead2 = std::make_shared<TombstoneSet>(segments[2]->num_nodes());
+  for (NodeId n = 0; n < 3; ++n) dead2->MarkDeleted(n);
+  auto snapshot = IndexSnapshot::Create(segments, {nullptr, dead1, dead2});
+  ASSERT_TRUE(snapshot.ok());
+
+  // The cross-shard table a router would push: every segment's live dfs.
+  std::unordered_map<std::string, uint32_t> df_by_text;
+  for (const SegmentView& seg : (*snapshot)->segments()) {
+    ASSERT_TRUE(AddLiveDfByText(*seg.index, seg.tombstones, &df_by_text).ok());
+  }
+
+  for (const char* query : {"dist('alpha', 'beta', 5)",
+                            "SOME p SOME q (p HAS 'alpha' AND q HAS 'beta' "
+                            "AND odistance(p, q, 0))"}) {
+    SCOPED_TRACE(query);
+    std::vector<uint64_t> own;
+    for (const auto& segment : segments) {
+      own.push_back(AutoPairSeeks(IndexSnapshot::ForIndex(segment.get()),
+                                  ScoringKind::kNone, query));
+    }
+    EXPECT_EQ(own, (std::vector<uint64_t>{1, 1, 1}));
+    for (const ScoringKind scoring : {ScoringKind::kNone, ScoringKind::kTfIdf}) {
+      SCOPED_TRACE(ScoringKindToString(scoring));
+      // Each segment contributes at most one pair seek, so the snapshot's
+      // total equals the sum of the segments' own decisions only if every
+      // segment decides as it does alone.
+      EXPECT_EQ(AutoPairSeeks(*snapshot, scoring, query),
+                own[0] + own[1] + own[2]);
+      for (size_t i = 0; i < segments.size(); ++i) {
+        auto shard = IndexSnapshot::CreateSharded(
+            segments[i], (*snapshot)->live_nodes(), df_by_text);
+        ASSERT_TRUE(shard.ok());
+        EXPECT_EQ(AutoPairSeeks(*shard, scoring, query), own[i])
+            << "shard " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "index/index_builder.h"
 #include "index/index_io.h"
 #include "text/corpus.h"
+#include "tool_util.h"
 #include "workload/corpus_gen.h"
 
 namespace {
@@ -40,16 +41,6 @@ void Usage() {
                "  --pair-distance K  largest NEAR/k the pair lists answer\n"
                "                     (default 5)\n");
   std::exit(2);
-}
-
-uint64_t ParseU64(const char* flag, const char* value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "fts_build_index: bad value for %s: %s\n", flag, value);
-    std::exit(2);
-  }
-  return v;
 }
 
 }  // namespace
@@ -75,17 +66,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--gen") {
       gen = true;
     } else if (arg == "--shards") {
-      shards = static_cast<uint32_t>(ParseU64("--shards", next()));
+      fts_tools::NumberFlagOrDie("fts_build_index", "--shards", next(),
+                                 &shards);
     } else if (arg == "--nodes") {
-      gen_options.num_nodes = static_cast<uint32_t>(ParseU64("--nodes", next()));
+      fts_tools::NumberFlagOrDie("fts_build_index", "--nodes", next(),
+                                 &gen_options.num_nodes);
     } else if (arg == "--seed") {
-      gen_options.seed = ParseU64("--seed", next());
+      fts_tools::NumberFlagOrDie("fts_build_index", "--seed", next(),
+                                 &gen_options.seed);
     } else if (arg == "--pair-terms") {
-      build_options.pairs.frequent_terms =
-          static_cast<size_t>(ParseU64("--pair-terms", next()));
+      fts_tools::NumberFlagOrDie("fts_build_index", "--pair-terms", next(),
+                                 &build_options.pairs.frequent_terms);
     } else if (arg == "--pair-distance") {
-      build_options.pairs.max_distance =
-          static_cast<uint32_t>(ParseU64("--pair-distance", next()));
+      fts_tools::NumberFlagOrDie("fts_build_index", "--pair-distance", next(),
+                                 &build_options.pairs.max_distance);
     } else {
       Usage();
     }

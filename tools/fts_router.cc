@@ -37,7 +37,8 @@ fts::net::ShardAddress ParseShard(const char* value) {
   }
   fts::net::ShardAddress addr;
   addr.host.assign(value, colon - value);
-  const std::optional<uint16_t> port = fts_tools::ParsePort(colon + 1);
+  const std::optional<uint16_t> port =
+      fts_tools::ParseNumber<uint16_t>(colon + 1);
   if (!port.has_value() || *port == 0) {
     std::fprintf(stderr, "fts_router: bad --shard port: %s\n", value);
     std::exit(2);
@@ -63,7 +64,8 @@ int main(int argc, char** argv) {
     if (arg == "--shard") {
       router_options.shards.push_back(ParseShard(next()));
     } else if (arg == "--port") {
-      server_options.port = fts_tools::PortFlagOrDie("fts_router", next());
+      fts_tools::NumberFlagOrDie("fts_router", "--port", next(),
+                                 &server_options.port);
     } else if (arg == "--name") {
       server_options.name = next();
     } else if (arg == "--listen-all") {

@@ -28,18 +28,9 @@ void Usage() {
       "  --listen-all            bind 0.0.0.0 instead of loopback\n"
       "  --mmap                  mmap the index instead of eager load\n"
       "  --admission-max-cost N  shed queries costlier than N under pressure\n"
-      "  --admission-pressure F  queue fraction that arms shedding (default 0.5)\n");
+      "  --admission-pressure F  queue fraction in [0, 1] that arms shedding\n"
+      "                          (default 0.5)\n");
   std::exit(2);
-}
-
-uint64_t ParseU64(const char* flag, const char* value) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "fts_server: bad value for %s: %s\n", flag, value);
-    std::exit(2);
-  }
-  return v;
 }
 
 }  // namespace
@@ -59,7 +50,7 @@ int main(int argc, char** argv) {
     if (arg == "--index") {
       index_path = next();
     } else if (arg == "--port") {
-      options.port = fts_tools::PortFlagOrDie("fts_server", next());
+      fts_tools::NumberFlagOrDie("fts_server", "--port", next(), &options.port);
     } else if (arg == "--name") {
       options.name = next();
     } else if (arg == "--scoring") {
@@ -85,16 +76,20 @@ int main(int argc, char** argv) {
         Usage();
       }
     } else if (arg == "--workers") {
-      options.service.num_workers = ParseU64("--workers", next());
+      fts_tools::NumberFlagOrDie("fts_server", "--workers", next(),
+                                 &options.service.num_workers);
     } else if (arg == "--listen-all") {
       options.loopback_only = false;
     } else if (arg == "--mmap") {
       load.mode = fts::LoadOptions::Mode::kMmap;
     } else if (arg == "--admission-max-cost") {
       options.admission.enabled = true;
-      options.admission.max_cost = ParseU64("--admission-max-cost", next());
+      fts_tools::NumberFlagOrDie("fts_server", "--admission-max-cost", next(),
+                                 &options.admission.max_cost);
     } else if (arg == "--admission-pressure") {
-      options.admission.pressure_fraction = std::atof(next());
+      fts_tools::NumberFlagOrDie("fts_server", "--admission-pressure", next(),
+                                 &options.admission.pressure_fraction, 0.0,
+                                 1.0);
     } else {
       Usage();
     }

@@ -1,5 +1,6 @@
-// Helpers shared by the serving binaries (fts_server, fts_router): the
-// checked port parser and the SIGINT/SIGTERM shutdown wait.
+// Helpers shared by the command-line tools (fts_server, fts_router,
+// fts_build_index): the checked numeric flag parser and the SIGINT/SIGTERM
+// shutdown wait.
 
 #ifndef FTS_TOOLS_TOOL_UTIL_H_
 #define FTS_TOOLS_TOOL_UTIL_H_
@@ -12,28 +13,43 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string_view>
 
 namespace fts_tools {
 
-/// The TCP port `text` names: decimal digits only, at most 65535.
-inline std::optional<uint16_t> ParsePort(std::string_view text) {
-  uint16_t port = 0;
+/// `text` in full as a T — decimal digits for an integer T, a decimal
+/// number for a floating-point one — within [lo, hi], which default to all
+/// of T. A value T cannot hold (a sign on an unsigned T, too many digits)
+/// or trailing text is nullopt, never a wrapped or truncated value.
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text,
+                             T lo = std::numeric_limits<T>::lowest(),
+                             T hi = std::numeric_limits<T>::max()) {
+  T value{};
   const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, port);
-  if (error != std::errc() || stop != end) return std::nullopt;
-  return port;
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  // Written so that a NaN fails the range check.
+  if (error != std::errc() || stop != end || !(value >= lo && value <= hi)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
-/// ParsePort for a --port flag; a bad value exits with status 2.
-inline uint16_t PortFlagOrDie(const char* tool, const char* value) {
-  const std::optional<uint16_t> port = ParsePort(value);
-  if (!port.has_value()) {
-    std::fprintf(stderr, "%s: bad --port (want 0-65535): %s\n", tool, value);
+/// ParseNumber for the value of a numeric flag, stored in `*out` and
+/// ranged to its type unless [lo, hi] narrows it; a bad value exits with
+/// status 2.
+template <typename T>
+void NumberFlagOrDie(const char* tool, const char* flag, const char* value,
+                     T* out, T lo = std::numeric_limits<T>::lowest(),
+                     T hi = std::numeric_limits<T>::max()) {
+  const std::optional<T> parsed = ParseNumber<T>(value, lo, hi);
+  if (!parsed.has_value()) {
+    std::fprintf(stderr, "%s: bad %s: %s\n", tool, flag, value);
     std::exit(2);
   }
-  return *port;
+  *out = *parsed;
 }
 
 inline sigset_t ShutdownSignals() {
