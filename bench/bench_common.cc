@@ -1,6 +1,7 @@
 #include "bench_common.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <string_view>
@@ -43,6 +44,25 @@ const InvertedIndex& SharedIndex(uint32_t cnodes, uint32_t occurrences) {
     it = cache->emplace(key, std::move(index)).first;
   }
   return *it->second;
+}
+
+RawPostings DecodeRaw(const BlockPostingList* list) {
+  RawPostings raw;
+  std::vector<PostingEntry> entries;
+  std::vector<PositionInfo> positions;
+  for (size_t b = 0; list != nullptr && b < list->num_blocks(); ++b) {
+    const Status s = list->DecodeBlock(b, &entries, &positions);
+    if (!s.ok()) {
+      std::fprintf(stderr, "DecodeBlock(%zu): %s\n", b, s.ToString().c_str());
+      std::abort();
+    }
+    for (PostingEntry e : entries) {
+      e.pos_begin += static_cast<uint32_t>(raw.positions.size());
+      raw.entries.push_back(e);
+    }
+    raw.positions.insert(raw.positions.end(), positions.begin(), positions.end());
+  }
+  return raw;
 }
 
 std::unique_ptr<Engine> MakeEngine(const std::string& kind, const InvertedIndex* index,

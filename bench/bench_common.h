@@ -10,9 +10,11 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "eval/engine.h"
 #include "eval/npred_engine.h"
+#include "index/block_posting_list.h"
 #include "index/inverted_index.h"
 #include "workload/corpus_gen.h"
 #include "workload/query_gen.h"
@@ -28,6 +30,24 @@ CorpusGenOptions BenchCorpusOptions(uint32_t cnodes, uint32_t occurrences);
 /// Lazily built, cached index for the given shape (benchmarks in one binary
 /// share corpora across series).
 const InvertedIndex& SharedIndex(uint32_t cnodes, uint32_t occurrences);
+
+/// One inverted list decoded into plain arrays (BlockPostingList::
+/// DecodeBlock output): the raw random-access form the raw-vs-block series
+/// price. An index never holds one.
+struct RawPostings {
+  std::vector<PostingEntry> entries;  // pos_begin indexes `positions`
+  std::vector<PositionInfo> positions;
+
+  /// Heap and object bytes this form would keep resident.
+  size_t bytes() const {
+    return sizeof(RawPostings) + entries.size() * sizeof(PostingEntry) +
+           positions.size() * sizeof(PositionInfo);
+  }
+};
+
+/// Decodes every block of `list` (empty when `list` is null); aborts on a
+/// block that fails to decode.
+RawPostings DecodeRaw(const BlockPostingList* list);
 
 /// Engine factory: kind is "BOOL", "PPRED", "NPRED", "NPRED_TOTAL" (all
 /// toks_Q! orderings) or "COMP". A "_SEEK" suffix (e.g. "BOOL_SEEK")

@@ -29,6 +29,7 @@ using fts::QueryGenOptions;
 using fts::QueryPolarity;
 using fts::Tokenizer;
 using fts::benchutil::BenchCorpusOptions;
+using fts::benchutil::DecodeRaw;
 using fts::benchutil::MakeEngine;
 using fts::benchutil::RunQuery;
 using fts::benchutil::SharedIndex;
@@ -125,18 +126,9 @@ void BM_IndexResidentBytes(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(index.MemoryUsage());
   }
-  size_t raw_mirror = 0;
+  size_t raw_mirror = DecodeRaw(&index.block_any_list()).bytes();
   for (fts::TokenId t = 0; t < index.vocabulary_size(); ++t) {
-    const fts::PostingList raw = index.block_list(t)->Materialize();
-    raw_mirror += raw.num_entries() * sizeof(fts::PostingEntry) +
-                  raw.total_positions() * sizeof(fts::PositionInfo) +
-                  sizeof(fts::PostingList);
-  }
-  {
-    const fts::PostingList raw = index.block_any_list().Materialize();
-    raw_mirror += raw.num_entries() * sizeof(fts::PostingEntry) +
-                  raw.total_positions() * sizeof(fts::PositionInfo) +
-                  sizeof(fts::PostingList);
+    raw_mirror += DecodeRaw(index.block_list(t)).bytes();
   }
   const double resident = static_cast<double>(index.MemoryUsage());
   state.counters["resident_index_bytes"] = resident;

@@ -59,8 +59,8 @@ const InvertedIndex& PairedIndex() {
     // in CI take so few iterations that first-touch page faults over the
     // freshly built lists would otherwise dominate their averages.
     for (const PairRouting routing : {PairRouting::kOff, PairRouting::kForce}) {
-      PpredEngine engine(built, ScoringKind::kNone, CursorMode::kAdaptive);
-      engine.set_pair_routing(routing);
+      PpredEngine engine(built, ScoringKind::kNone, CursorMode::kAdaptive,
+                         routing);
       for (const char* query : {kPhrase, kNear}) {
         auto parsed = fts::ParseQuery(query, fts::SurfaceLanguage::kComp);
         if (parsed.ok()) (void)engine.Evaluate(*parsed);
@@ -74,8 +74,7 @@ const InvertedIndex& PairedIndex() {
 void RunWithRouting(benchmark::State& state, const char* query,
                     PairRouting routing, ScoringKind scoring) {
   const InvertedIndex& index = PairedIndex();
-  PpredEngine engine(&index, scoring, CursorMode::kAdaptive);
-  engine.set_pair_routing(routing);
+  PpredEngine engine(&index, scoring, CursorMode::kAdaptive, routing);
   fts::benchutil::RunQuery(state, engine, query);
 }
 
@@ -135,11 +134,9 @@ void RunMixed(benchmark::State& state, bool oracle) {
   std::vector<std::unique_ptr<PpredEngine>> engines;
   std::vector<fts::LangExprPtr> parsed;
   for (size_t i = 0; i < 4; ++i) {
-    auto engine = std::make_unique<PpredEngine>(&index, ScoringKind::kNone,
-                                                CursorMode::kAdaptive);
-    engine->set_pair_routing(oracle ? kMixedOracleRouting[i]
-                                    : PairRouting::kAuto);
-    engines.push_back(std::move(engine));
+    engines.push_back(std::make_unique<PpredEngine>(
+        &index, ScoringKind::kNone, CursorMode::kAdaptive,
+        oracle ? kMixedOracleRouting[i] : PairRouting::kAuto));
     auto query = fts::ParseQuery(kMixed[i], fts::SurfaceLanguage::kComp);
     if (!query.ok()) {
       state.SkipWithError(query.status().ToString().c_str());

@@ -4,6 +4,7 @@
 // skip headers and decode a single block, while raw sequential access walks
 // the whole prefix.
 
+#include <algorithm>
 #include <string>
 
 #include "bench_common.h"
@@ -19,18 +20,17 @@ using fts::BlockPostingList;
 using fts::DecodedBlockCache;
 using fts::EvalCounters;
 using fts::InvertedIndex;
-using fts::ListCursor;
 using fts::NodeId;
-using fts::PostingList;
+using fts::PostingEntry;
 using fts::Rng;
+using fts::benchutil::RawPostings;
 using fts::benchutil::SharedIndex;
 
-// Raw decoded twin of the hot list, materialized per call: the raw form is
-// no longer resident in the index, so the raw-vs-block series price it as
-// an explicit oracle copy.
-PostingList TopicList(const InvertedIndex& index) {
-  const BlockPostingList* list = index.block_list_for_text("topic0");
-  return list ? list->Materialize() : PostingList();
+// Raw decoded form of the hot list, decoded per call: the raw form is not
+// resident in the index, so the raw-vs-block series price it as an
+// explicit copy.
+RawPostings TopicList(const InvertedIndex& index) {
+  return fts::benchutil::DecodeRaw(index.block_list_for_text("topic0"));
 }
 
 const BlockPostingList& TopicBlockList(const InvertedIndex& index) {
@@ -43,7 +43,7 @@ const BlockPostingList& TopicBlockList(const InvertedIndex& index) {
 // one hot list's raw in-memory size vs its block-compressed twin.
 void BM_SerializedBytes(benchmark::State& state) {
   const InvertedIndex& index = SharedIndex(6000, static_cast<uint32_t>(state.range(0)));
-  const PostingList& raw = TopicList(index);
+  const RawPostings raw = TopicList(index);
   const BlockPostingList& block = TopicBlockList(index);
   std::string blob;
   for (auto _ : state) {
@@ -51,23 +51,21 @@ void BM_SerializedBytes(benchmark::State& state) {
     benchmark::DoNotOptimize(blob.data());
   }
   state.counters["list_raw_bytes"] = static_cast<double>(
-      raw.num_entries() * sizeof(fts::PostingEntry) +
-      raw.total_positions() * sizeof(fts::PositionInfo));
+      raw.entries.size() * sizeof(PostingEntry) +
+      raw.positions.size() * sizeof(fts::PositionInfo));
   state.counters["list_block_bytes"] = static_cast<double>(block.byte_size());
   state.counters["index_bytes"] = static_cast<double>(blob.size());
 }
 BENCHMARK(BM_SerializedBytes)->Arg(6)->Unit(benchmark::kMillisecond);
 
-// Full sequential decode of the hot list, raw cursor.
+// Full sequential walk of the hot list's raw entry array.
 void BM_DecodeRawSequential(benchmark::State& state) {
   const InvertedIndex& index = SharedIndex(6000, static_cast<uint32_t>(state.range(0)));
-  const PostingList& raw = TopicList(index);
+  const RawPostings raw = TopicList(index);
   uint64_t entries = 0;
   for (auto _ : state) {
-    ListCursor cursor(&raw);
-    while (cursor.NextEntry() != fts::kInvalidNode) {
-      auto span = cursor.GetPositions();
-      benchmark::DoNotOptimize(span.data());
+    for (const PostingEntry& e : raw.entries) {
+      benchmark::DoNotOptimize(raw.positions.data() + e.pos_begin);
       ++entries;
     }
   }
@@ -92,15 +90,17 @@ void BM_DecodeBlockSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeBlockSequential)->Arg(6)->Arg(12);
 
-// One seek to a random node, fresh cursor each time: raw binary search.
+// One seek to a random node: binary search over the raw entry array.
 void BM_SeekRaw(benchmark::State& state) {
   const InvertedIndex& index = SharedIndex(6000, 6);
-  const PostingList& raw = TopicList(index);
+  const RawPostings raw = TopicList(index);
   Rng rng(7);
   const NodeId max_node = static_cast<NodeId>(index.num_nodes());
   for (auto _ : state) {
-    ListCursor cursor(&raw);
-    benchmark::DoNotOptimize(cursor.SeekEntry(rng.Uniform(max_node)));
+    const NodeId target = static_cast<NodeId>(rng.Uniform(max_node));
+    benchmark::DoNotOptimize(std::lower_bound(
+        raw.entries.begin(), raw.entries.end(), target,
+        [](const PostingEntry& e, NodeId t) { return e.node < t; }));
   }
 }
 BENCHMARK(BM_SeekRaw);

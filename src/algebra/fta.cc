@@ -208,7 +208,6 @@ bool PlanFitsDecodedBlockCache(const FtaExprPtr& plan, const InvertedIndex& inde
 StatusOr<FtRelation> EvaluateFta(const FtaExprPtr& expr, const InvertedIndex& index,
                                  const AlgebraScoreModel* model,
                                  EvalCounters* counters,
-                                 const RawPostingOracle* raw_oracle,
                                  DecodedBlockCache* cache,
                                  const Deadline* deadline,
                                  const TombstoneSet* tombstones) {
@@ -222,66 +221,65 @@ StatusOr<FtRelation> EvaluateFta(const FtaExprPtr& expr, const InvertedIndex& in
     case FtaExpr::Kind::kSearchContext:
       return OpScanSearchContext(index, model, counters, tombstones);
     case FtaExpr::Kind::kHasPos:
-      return OpScanHasPos(index, model, counters, raw_oracle, cache,
-                          tombstones);
+      return OpScanHasPos(index, model, counters, cache, tombstones);
     case FtaExpr::Kind::kToken:
-      return OpScanToken(index, expr->token(), model, counters, raw_oracle,
-                         cache, tombstones);
+      return OpScanToken(index, expr->token(), model, counters, cache,
+                         tombstones);
     case FtaExpr::Kind::kProject: {
       FTS_ASSIGN_OR_RETURN(FtRelation in,
                            EvaluateFta(expr->child(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       return OpProject(in, expr->project_cols(), model, counters);
     }
     case FtaExpr::Kind::kJoin: {
       FTS_ASSIGN_OR_RETURN(FtRelation l,
                            EvaluateFta(expr->left(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       FTS_ASSIGN_OR_RETURN(FtRelation r,
                            EvaluateFta(expr->right(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       return OpJoin(l, r, model, counters);
     }
     case FtaExpr::Kind::kSelect: {
       FTS_ASSIGN_OR_RETURN(FtRelation in,
                            EvaluateFta(expr->child(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       return OpSelect(in, expr->pred(), model, counters);
     }
     case FtaExpr::Kind::kAntiJoin: {
       FTS_ASSIGN_OR_RETURN(FtRelation l,
                            EvaluateFta(expr->left(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       FTS_ASSIGN_OR_RETURN(FtRelation r,
                            EvaluateFta(expr->right(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       return OpAntiJoin(l, r, model, counters);
     }
     case FtaExpr::Kind::kUnion: {
       FTS_ASSIGN_OR_RETURN(FtRelation l,
                            EvaluateFta(expr->left(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       FTS_ASSIGN_OR_RETURN(FtRelation r,
                            EvaluateFta(expr->right(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       return OpUnion(l, r, model, counters);
     }
     case FtaExpr::Kind::kIntersect: {
       FTS_ASSIGN_OR_RETURN(FtRelation l,
                            EvaluateFta(expr->left(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       FTS_ASSIGN_OR_RETURN(FtRelation r,
                            EvaluateFta(expr->right(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       return OpIntersect(l, r, model, counters);
     }
     case FtaExpr::Kind::kDifference: {
       FTS_ASSIGN_OR_RETURN(FtRelation l,
                            EvaluateFta(expr->left(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       FTS_ASSIGN_OR_RETURN(FtRelation r,
                            EvaluateFta(expr->right(), index, model, counters,
-                                       raw_oracle, cache, deadline, tombstones));
+                                       cache, deadline, tombstones));
       return OpDifference(l, r, model, counters);
     }
   }

@@ -101,21 +101,18 @@ bool PlanFitsDecodedBlockCache(const FtaExprPtr& plan, const InvertedIndex& inde
 
 /// Bottom-up materialized evaluation (the COMP strategy, Section 5.4).
 /// `model` (nullable) supplies the Section 3 score transformations;
-/// `counters` (nullable) accumulates list and tuple traffic. `raw_oracle`
-/// (nullable, differential tests only) makes the leaf scans read the raw
-/// oracle lists instead of the block-resident ones. `cache` (nullable) is
-/// shared by every leaf scan of the evaluation, so a token occurring more
-/// than once in the plan bulk-decodes its blocks once. `deadline`
-/// (nullable) is checked once per operator application: materialized
-/// evaluation is the one strategy whose intermediates can explode (the
-/// per-node cartesian products), so an expired query stops at the next
-/// operator instead of materializing another relation. `tombstones`
+/// `counters` (nullable) accumulates list and tuple traffic. `cache`
+/// (nullable) is shared by every leaf scan of the evaluation, so a token
+/// occurring more than once in the plan bulk-decodes its blocks once.
+/// `deadline` (nullable) is checked once per operator application:
+/// materialized evaluation is the one strategy whose intermediates can
+/// explode (the per-node cartesian products), so an expired query stops at
+/// the next operator instead of materializing another relation. `tombstones`
 /// (nullable) filters deleted nodes out of every leaf scan — including the
 /// SearchContext universe — when `index` is one segment of a snapshot.
 StatusOr<FtRelation> EvaluateFta(const FtaExprPtr& expr, const InvertedIndex& index,
                                  const AlgebraScoreModel* model,
                                  EvalCounters* counters,
-                                 const RawPostingOracle* raw_oracle = nullptr,
                                  DecodedBlockCache* cache = nullptr,
                                  const Deadline* deadline = nullptr,
                                  const TombstoneSet* tombstones = nullptr);

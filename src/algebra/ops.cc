@@ -5,7 +5,6 @@
 #include "index/block_posting_list.h"
 #include "index/decoded_block_cache.h"
 #include "index/tombstone_set.h"
-#include "testing/raw_posting_oracle.h"
 
 namespace fts {
 
@@ -41,13 +40,16 @@ std::vector<NodeGroup> GroupByNode(const FtRelation& r) {
   return groups;
 }
 
-// Materializes R_token from an inverted-list cursor: one tuple per
-// occurrence, each carrying the entry's static leaf score. Shared by the
-// block-resident scans and the raw-oracle scans of differential tests.
-template <typename CursorT>
-StatusOr<FtRelation> ScanTokenOccurrences(CursorT cursor, const InvertedIndex& index,
-                                          TokenId tok, const AlgebraScoreModel* model,
-                                          EvalCounters* counters) {
+}  // namespace
+
+StatusOr<FtRelation> OpScanToken(const InvertedIndex& index, std::string_view token,
+                                 const AlgebraScoreModel* model,
+                                 EvalCounters* counters, DecodedBlockCache* cache,
+                                 const TombstoneSet* tombstones) {
+  const TokenId tok = index.LookupToken(token);
+  if (tok == kInvalidToken) return FtRelation(1);  // OOV token: empty relation
+  // One tuple per occurrence, each carrying the entry's static leaf score.
+  BlockListCursor cursor(index.block_list(tok), counters, cache, tombstones);
   FtRelation out(1);
   while (cursor.NextEntry() != kInvalidNode) {
     const NodeId node = cursor.current_node();
@@ -68,10 +70,11 @@ StatusOr<FtRelation> ScanTokenOccurrences(CursorT cursor, const InvertedIndex& i
   return out;  // already sorted by construction
 }
 
-// Materializes HasPos (IL_ANY) from a cursor.
-template <typename CursorT>
-StatusOr<FtRelation> ScanAnyOccurrences(CursorT cursor, const AlgebraScoreModel* model,
-                                        EvalCounters* counters) {
+StatusOr<FtRelation> OpScanHasPos(const InvertedIndex& index,
+                                  const AlgebraScoreModel* model,
+                                  EvalCounters* counters, DecodedBlockCache* cache,
+                                  const TombstoneSet* tombstones) {
+  BlockListCursor cursor(&index.block_any_list(), counters, cache, tombstones);
   FtRelation out(1);
   const double s = model ? model->AnyLeafScore() : 0.0;
   while (cursor.NextEntry() != kInvalidNode) {
@@ -90,42 +93,6 @@ StatusOr<FtRelation> ScanAnyOccurrences(CursorT cursor, const AlgebraScoreModel*
   }
   FTS_RETURN_IF_ERROR(cursor.status());
   return out;
-}
-
-}  // namespace
-
-StatusOr<FtRelation> OpScanToken(const InvertedIndex& index, std::string_view token,
-                                 const AlgebraScoreModel* model,
-                                 EvalCounters* counters,
-                                 const RawPostingOracle* raw_oracle,
-                                 DecodedBlockCache* cache,
-                                 const TombstoneSet* tombstones) {
-  const TokenId tok = index.LookupToken(token);
-  if (tok == kInvalidToken) return FtRelation(1);  // OOV token: empty relation
-  if (raw_oracle != nullptr) {
-    return ScanTokenOccurrences(
-        ListCursor(raw_oracle->list(tok), counters, tombstones), index, tok,
-        model, counters);
-  }
-  return ScanTokenOccurrences(
-      BlockListCursor(index.block_list(tok), counters, cache, tombstones),
-      index, tok, model, counters);
-}
-
-StatusOr<FtRelation> OpScanHasPos(const InvertedIndex& index,
-                                  const AlgebraScoreModel* model,
-                                  EvalCounters* counters,
-                                  const RawPostingOracle* raw_oracle,
-                                  DecodedBlockCache* cache,
-                                  const TombstoneSet* tombstones) {
-  if (raw_oracle != nullptr) {
-    return ScanAnyOccurrences(
-        ListCursor(&raw_oracle->any_list, counters, tombstones), model,
-        counters);
-  }
-  return ScanAnyOccurrences(
-      BlockListCursor(&index.block_any_list(), counters, cache, tombstones),
-      model, counters);
 }
 
 FtRelation OpScanSearchContext(const InvertedIndex& index,

@@ -32,9 +32,7 @@ struct AlgebraPredicateCall {
 };
 
 /// R_token: one tuple per occurrence of `token` (text form) in the corpus,
-/// scanned from the block-resident list. When `raw_oracle` is set
-/// (differential tests only) the scan reads the raw oracle list instead;
-/// the produced relation is identical either way. `cache` (nullable) serves
+/// scanned from the block-resident list. `cache` (nullable) serves
 /// repeated block decodes within one query evaluation. `tombstones`
 /// (nullable) filters deleted nodes out of the scan when `index` is one
 /// segment of a snapshot. Returns Corruption when a lazily validated block
@@ -43,7 +41,6 @@ struct AlgebraPredicateCall {
 StatusOr<FtRelation> OpScanToken(const InvertedIndex& index, std::string_view token,
                                  const AlgebraScoreModel* model,
                                  EvalCounters* counters,
-                                 const RawPostingOracle* raw_oracle = nullptr,
                                  DecodedBlockCache* cache = nullptr,
                                  const TombstoneSet* tombstones = nullptr);
 
@@ -52,7 +49,6 @@ StatusOr<FtRelation> OpScanToken(const InvertedIndex& index, std::string_view to
 StatusOr<FtRelation> OpScanHasPos(const InvertedIndex& index,
                                   const AlgebraScoreModel* model,
                                   EvalCounters* counters,
-                                  const RawPostingOracle* raw_oracle = nullptr,
                                   DecodedBlockCache* cache = nullptr,
                                   const TombstoneSet* tombstones = nullptr);
 

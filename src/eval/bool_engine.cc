@@ -6,7 +6,6 @@
 #include "eval/planner.h"
 #include "index/block_posting_list.h"
 #include "index/decoded_block_cache.h"
-#include "testing/raw_posting_oracle.h"
 #include "lang/classify.h"
 
 namespace fts {
@@ -22,14 +21,12 @@ struct NodeSet {
 class BoolEvaluator {
  public:
   BoolEvaluator(const InvertedIndex* index, const AlgebraScoreModel* model,
-                EvalCounters* counters, CursorMode mode,
-                const RawPostingOracle* raw_oracle, DecodedBlockCache* cache,
+                EvalCounters* counters, CursorMode mode, DecodedBlockCache* cache,
                 const Deadline* deadline, const TombstoneSet* tombstones)
       : index_(index),
         model_(model),
         counters_(counters),
         mode_(mode),
-        raw_oracle_(raw_oracle),
         cache_(cache),
         deadline_(deadline),
         tombstones_(tombstones) {}
@@ -119,8 +116,13 @@ class BoolEvaluator {
     return index_->df(index_->LookupToken(token));
   }
 
-  template <typename CursorT>
-  StatusOr<NodeSet> ScanToken(CursorT cursor, TokenId id) {
+  BlockListCursor Cursor(const BlockPostingList* list) {
+    return BlockListCursor(list, counters_, cache_, tombstones_);
+  }
+
+  StatusOr<NodeSet> EvalToken(const std::string& token) {
+    const TokenId id = index_->LookupToken(token);
+    BlockListCursor cursor = Cursor(index_->block_list(id));
     NodeSet out;
     while (cursor.NextEntry() != kInvalidNode) {
       const NodeId n = cursor.current_node();
@@ -134,51 +136,16 @@ class BoolEvaluator {
     return out;
   }
 
-  /// Both cursor modes scan the block-resident list; the raw oracle (tests
-  /// only) substitutes a ListCursor through the identical merge code.
-  StatusOr<NodeSet> EvalToken(const std::string& token) {
-    const TokenId id = index_->LookupToken(token);
-    if (raw_oracle_ != nullptr) {
-      return ScanToken(ListCursor(raw_oracle_->list(id), counters_, tombstones_), id);
-    }
-    return ScanToken(
-        BlockListCursor(index_->block_list(id), counters_, cache_, tombstones_),
-        id);
-  }
-
   StatusOr<NodeSet> EvalAny() {
+    BlockListCursor cursor = Cursor(&index_->block_any_list());
     NodeSet out;
     const double s = model_ ? model_->AnyLeafScore() : 0.0;
-    const auto collect = [&](auto cursor) -> Status {
-      while (cursor.NextEntry() != kInvalidNode) {
-        out.nodes.push_back(cursor.current_node());
-        out.scores.push_back(s);
-      }
-      return cursor.status();
-    };
-    if (raw_oracle_ != nullptr) {
-      FTS_RETURN_IF_ERROR(collect(ListCursor(&raw_oracle_->any_list, counters_, tombstones_)));
-    } else {
-      FTS_RETURN_IF_ERROR(
-          collect(BlockListCursor(&index_->block_any_list(), counters_, cache_,
-                                  tombstones_)));
+    while (cursor.NextEntry() != kInvalidNode) {
+      out.nodes.push_back(cursor.current_node());
+      out.scores.push_back(s);
     }
+    FTS_RETURN_IF_ERROR(cursor.status());
     return out;
-  }
-
-  /// AND of two token lists by two-sided zig-zag seek.
-  StatusOr<NodeSet> ZigZagTokens(const std::string& ltok, const std::string& rtok) {
-    const TokenId lid = index_->LookupToken(ltok);
-    const TokenId rid = index_->LookupToken(rtok);
-    if (raw_oracle_ != nullptr) {
-      return ZigZag(ListCursor(raw_oracle_->list(lid), counters_, tombstones_),
-                    ListCursor(raw_oracle_->list(rid), counters_, tombstones_),
-                    lid, rid);
-    }
-    return ZigZag(
-        BlockListCursor(index_->block_list(lid), counters_, cache_, tombstones_),
-        BlockListCursor(index_->block_list(rid), counters_, cache_, tombstones_),
-        lid, rid);
   }
 
   /// Word-level intersection of two bitset-encoded blocks: when both
@@ -281,17 +248,19 @@ class BoolEvaluator {
     return true;
   }
 
-  template <typename CursorT>
-  StatusOr<NodeSet> ZigZag(CursorT lc, CursorT rc, TokenId lid, TokenId rid) {
+  /// AND of two token lists by two-sided zig-zag seek.
+  StatusOr<NodeSet> ZigZagTokens(const std::string& ltok, const std::string& rtok) {
+    const TokenId lid = index_->LookupToken(ltok);
+    const TokenId rid = index_->LookupToken(rtok);
+    BlockListCursor lc = Cursor(index_->block_list(lid));
+    BlockListCursor rc = Cursor(index_->block_list(rid));
     NodeSet out;
     NodeId a = lc.NextEntry();
     NodeId b = rc.NextEntry();
     while (a != kInvalidNode && b != kInvalidNode) {
-      if constexpr (std::is_same_v<CursorT, BlockListCursor>) {
-        // Two dense blocks intersect at word level and re-enter the loop
-        // past them; any other shape falls through to entry zig-zag.
-        if (TryDenseBlockAnd(lc, rc, lid, rid, &a, &b, &out)) continue;
-      }
+      // Two dense blocks intersect at word level and re-enter the loop
+      // past them; any other shape falls through to entry zig-zag.
+      if (TryDenseBlockAnd(lc, rc, lid, rid, &a, &b, &out)) continue;
       if (a < b) {
         a = lc.SeekEntry(b);
       } else if (b < a) {
@@ -318,20 +287,7 @@ class BoolEvaluator {
   StatusOr<NodeSet> IntersectSetToken(const NodeSet& set, const std::string& tok,
                                       bool set_on_left) {
     const TokenId id = index_->LookupToken(tok);
-    if (raw_oracle_ != nullptr) {
-      return IntersectSetCursor(
-          set, ListCursor(raw_oracle_->list(id), counters_, tombstones_), id,
-          set_on_left);
-    }
-    return IntersectSetCursor(
-        set,
-        BlockListCursor(index_->block_list(id), counters_, cache_, tombstones_),
-        id, set_on_left);
-  }
-
-  template <typename CursorT>
-  StatusOr<NodeSet> IntersectSetCursor(const NodeSet& set, CursorT c, TokenId id,
-                                       bool set_on_left) {
+    BlockListCursor c = Cursor(index_->block_list(id));
     NodeSet out;
     for (size_t i = 0; i < set.nodes.size(); ++i) {
       const NodeId n = c.SeekEntry(set.nodes[i]);
@@ -426,7 +382,6 @@ class BoolEvaluator {
   const AlgebraScoreModel* model_;
   EvalCounters* counters_;
   CursorMode mode_;
-  const RawPostingOracle* raw_oracle_;
   DecodedBlockCache* cache_;
   const Deadline* deadline_;
   const TombstoneSet* tombstones_;  // nullable; cursors filter deleted nodes
@@ -483,8 +438,8 @@ StatusOr<QueryResult> BoolEngine::Evaluate(const LangExprPtr& query,
   DecodedBlockCache* cache =
       ctx.WantCache(ShouldUseBoolCache(normalized, *index_)) ? &ctx.l1_cache()
                                                              : nullptr;
-  BoolEvaluator eval(index_, model.get(), &result.counters, mode_, raw_oracle_,
-                     cache, &ctx.deadline(), tombstones);
+  BoolEvaluator eval(index_, model.get(), &result.counters, mode_, cache,
+                     &ctx.deadline(), tombstones);
   FTS_ASSIGN_OR_RETURN(NodeSet set, eval.Eval(normalized));
   result.nodes = std::move(set.nodes);
   if (scoring_ != ScoringKind::kNone) result.scores = std::move(set.scores);

@@ -39,19 +39,11 @@ class BoolEngine : public Engine {
 
   CursorMode mode() const { return mode_; }
 
-  /// Differential-test seam: evaluate over `oracle`'s raw lists (same
-  /// merge/score code, raw cursors) instead of the block-resident ones.
-  /// `oracle` must outlive the engine; pass nullptr to detach.
-  void set_raw_oracle_for_test(const RawPostingOracle* oracle) {
-    raw_oracle_ = oracle;
-  }
-
  private:
   const InvertedIndex* index_;
   ScoringKind scoring_;
   CursorMode mode_;
   SegmentRuntime segment_;
-  const RawPostingOracle* raw_oracle_ = nullptr;
 };
 
 }  // namespace fts

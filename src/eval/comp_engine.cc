@@ -36,8 +36,8 @@ StatusOr<QueryResult> CompEngine::Evaluate(const LangExprPtr& query,
                                                                : nullptr;
   FTS_ASSIGN_OR_RETURN(
       FtRelation rel,
-      EvaluateFta(plan, *index_, model.get(), &result.counters, raw_oracle_,
-                  cache_ptr, &ctx.deadline(), segment_.tombstones));
+      EvaluateFta(plan, *index_, model.get(), &result.counters, cache_ptr,
+                  &ctx.deadline(), segment_.tombstones));
   result.nodes.reserve(rel.size());
   for (size_t i = 0; i < rel.size(); ++i) {
     result.nodes.push_back(rel.tuple(i).node);

@@ -29,17 +29,10 @@ class CompEngine : public Engine {
   StatusOr<QueryResult> Evaluate(const LangExprPtr& query,
                                  ExecContext& ctx) const override;
 
-  /// Differential-test seam: evaluate the identical algebra plan with leaf
-  /// scans over `oracle`'s raw lists instead of the block-resident ones.
-  void set_raw_oracle_for_test(const RawPostingOracle* oracle) {
-    raw_oracle_ = oracle;
-  }
-
  private:
   const InvertedIndex* index_;
   ScoringKind scoring_;
   SegmentRuntime segment_;
-  const RawPostingOracle* raw_oracle_ = nullptr;
 };
 
 }  // namespace fts

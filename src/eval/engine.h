@@ -88,9 +88,9 @@ struct QueryResult {
 
 /// A query evaluation strategy over one InvertedIndex.
 ///
-/// Thread safety: engines are immutable after construction (the raw-oracle
-/// test seam aside) and the index they read is immutable after load, so one
-/// engine instance may evaluate queries from many threads concurrently.
+/// Thread safety: engines are immutable after construction and the index
+/// they read is immutable after load, so one engine instance may evaluate
+/// queries from many threads concurrently.
 /// All mutable per-query state lives in the caller's ExecContext, which is
 /// single-threaded — one context per thread.
 class Engine {

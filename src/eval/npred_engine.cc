@@ -226,8 +226,8 @@ StatusOr<QueryResult> NpredEngine::Evaluate(const LangExprPtr& query,
     // hook included), counted as one ordering.
     FTS_ASSIGN_OR_RETURN(FtaExprPtr plan, CompileQuery(calc));
     return EvaluateSinglePass(plan, index_, model.get(), cursor_mode_,
-                              pair_routing_, segment_, raw_oracle_,
-                              /*orderings_run=*/1, ectx);
+                              pair_routing_, segment_, /*orderings_run=*/1,
+                              ectx);
   }
 
   // One evaluation thread per ordering permutation; results are unioned.
@@ -277,7 +277,6 @@ StatusOr<QueryResult> NpredEngine::Evaluate(const LangExprPtr& query,
          .model = model.get(),
          .counters = &ordering_counters,
          .mode = PlanPipelineCursorMode(cursor_mode_, plan, *index_, observed),
-         .raw_oracle = raw_oracle_,
          .cache = cache,
          .deadline = &ectx.deadline(),
          .tombstones = tombstones},

@@ -30,17 +30,23 @@ enum class NpredOrderingMode {
 /// Per-ordering pipelined evaluator for the NPRED class.
 class NpredEngine : public Engine {
  public:
-  /// `index` must outlive the engine; `segment` (nullable) carries the
-  /// tombstones and scoring record when `index` is one segment of a
+  /// `index` must outlive the engine; `routing` says whether
+  /// phrase/NEAR-shaped plans may route to the pair index on the
+  /// no-negative-predicates single-pass path (src/eval/pair_plan.h) — the
+  /// ordering-enumeration path never routes, its plans carry `le`
+  /// selections outside the pairable shape; `segment` (nullable) carries
+  /// the tombstones and scoring record when `index` is one segment of a
   /// snapshot (see SegmentRuntime).
   NpredEngine(const InvertedIndex* index, ScoringKind scoring,
               NpredOrderingMode mode = NpredOrderingMode::kNecessaryPartialOrders,
               CursorMode cursor_mode = CursorMode::kSequential,
+              PairRouting routing = PairRouting::kAuto,
               const SegmentRuntime* segment = nullptr)
       : index_(index),
         scoring_(scoring),
         mode_(mode),
         cursor_mode_(cursor_mode),
+        pair_routing_(routing),
         segment_(SegmentRuntime::Of(*index, segment)) {}
 
   std::string_view name() const override { return "NPRED"; }
@@ -50,30 +56,15 @@ class NpredEngine : public Engine {
                                  ExecContext& ctx) const override;
 
   CursorMode cursor_mode() const { return cursor_mode_; }
-
-  /// Whether phrase/NEAR-shaped plans may route to the pair index on the
-  /// no-negative-predicates single-pass path (src/eval/pair_plan.h). Set
-  /// once at construction time; the Searcher threads it from
-  /// SearcherOptions. The ordering-enumeration path never routes — its
-  /// plans carry `le` selections outside the pairable shape.
-  void set_pair_routing(PairRouting routing) { pair_routing_ = routing; }
   PairRouting pair_routing() const { return pair_routing_; }
-
-  /// Differential-test seam: run the identical per-ordering pipelines over
-  /// `oracle`'s raw lists instead of the block-resident ones. While
-  /// attached, pair routing never fires.
-  void set_raw_oracle_for_test(const RawPostingOracle* oracle) {
-    raw_oracle_ = oracle;
-  }
 
  private:
   const InvertedIndex* index_;
   ScoringKind scoring_;
   NpredOrderingMode mode_;
   CursorMode cursor_mode_;
+  PairRouting pair_routing_;
   SegmentRuntime segment_;
-  PairRouting pair_routing_ = PairRouting::kAuto;
-  const RawPostingOracle* raw_oracle_ = nullptr;
 };
 
 }  // namespace fts

@@ -42,8 +42,6 @@ namespace fts {
 /// query was answered via the pair index (`result` filled, counters
 /// charged), false to fall through to the position pipeline, or an error
 /// status from evaluation.
-/// Never fires for differential raw-oracle runs (callers must not invoke
-/// it then) — the oracle exercises the pipeline by definition.
 StatusOr<bool> TryEvaluatePairPlan(const FtaExprPtr& plan,
                                    const InvertedIndex& index,
                                    const AlgebraScoreModel* model,

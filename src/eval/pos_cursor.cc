@@ -5,7 +5,6 @@
 
 #include "index/block_posting_list.h"
 #include "index/decoded_block_cache.h"
-#include "testing/raw_posting_oracle.h"
 
 namespace fts {
 
@@ -30,15 +29,16 @@ void CountOp(const PipelineContext& ctx) {
 // block-resident representation in both modes. Sequential mode steps the
 // decoded blocks entry by entry, charging exactly the paper's sequential
 // access counts; seek mode additionally serves SeekNode via the skip
-// table, decoding only landing blocks. A raw-oracle ListCursor slots into
-// the same template for differential tests.
+// table, decoding only landing blocks.
 // ---------------------------------------------------------------------------
 
-template <typename CursorT>
 class ScanCursor : public PosCursor {
  public:
-  ScanCursor(CursorT cursor, TokenId token, const PipelineContext& ctx)
-      : ctx_(ctx), cursor_(std::move(cursor)), token_(token) {}
+  ScanCursor(TokenId token, const PipelineContext& ctx)
+      : ctx_(ctx),
+        cursor_(ctx.index->block_list(token), ctx.counters, ctx.cache,
+                ctx.tombstones),
+        token_(token) {}
 
   size_t num_cols() const override { return 1; }
   NodeId node() const override { return node_; }
@@ -118,7 +118,7 @@ class ScanCursor : public PosCursor {
   }
 
   PipelineContext ctx_;
-  mutable CursorT cursor_;
+  mutable BlockListCursor cursor_;
   TokenId token_;
   mutable std::span<const PositionInfo> positions_;
   mutable bool have_positions_ = false;
@@ -473,18 +473,10 @@ StatusOr<std::unique_ptr<PosCursor>> BuildPipeline(const FtaExprPtr& plan,
   if (!plan) return Status::InvalidArgument("null plan");
   switch (plan->kind()) {
     case FtaExpr::Kind::kToken: {
-      const TokenId id = ctx.index->LookupToken(plan->token());
-      if (ctx.raw_oracle != nullptr) {
-        return std::unique_ptr<PosCursor>(new ScanCursor<ListCursor>(
-            ListCursor(ctx.raw_oracle->list(id), ctx.counters, ctx.tombstones),
-            id, ctx));
-      }
       // Both cursor modes read the block-resident list; kSequential simply
       // never calls SeekEntry (ScanCursor::SeekNode steps instead).
-      return std::unique_ptr<PosCursor>(new ScanCursor<BlockListCursor>(
-          BlockListCursor(ctx.index->block_list(id), ctx.counters, ctx.cache,
-                          ctx.tombstones),
-          id, ctx));
+      return std::unique_ptr<PosCursor>(
+          new ScanCursor(ctx.index->LookupToken(plan->token()), ctx));
     }
     case FtaExpr::Kind::kJoin: {
       FTS_ASSIGN_OR_RETURN(auto l, BuildPipeline(plan->left(), ctx));

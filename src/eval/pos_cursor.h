@@ -74,11 +74,9 @@ class PosCursor {
   virtual double node_score() const = 0;
 };
 
-/// Shared construction context for a pipeline. Scans always read the
-/// block-resident lists; `raw_oracle` (differential tests only) swaps the
-/// leaf cursors for raw ListCursors over the oracle table, leaving every
-/// operator above them untouched. `mode` must be a resolved mode
-/// (kSequential or kSeek) — engines run kAdaptive through
+/// Shared construction context for a pipeline. Scans read the
+/// block-resident lists through BlockListCursor. `mode` must be a resolved
+/// mode (kSequential or kSeek) — engines run kAdaptive through
 /// PlanPipelineCursorMode (eval/planner.h) before building. `cache`, when
 /// set, is shared by every leaf scan of the pipeline (and across the
 /// per-ordering pipelines of one NPRED query), so re-scanned hot blocks
@@ -88,8 +86,7 @@ struct PipelineContext {
   const AlgebraScoreModel* model = nullptr;  // nullable
   EvalCounters* counters = nullptr;          // nullable
   CursorMode mode = CursorMode::kSequential;
-  const RawPostingOracle* raw_oracle = nullptr;  // differential tests only
-  DecodedBlockCache* cache = nullptr;            // nullable, per-query
+  DecodedBlockCache* cache = nullptr;        // nullable, per-query
   /// Sticky decode-error slot (first error wins). Leaf scans copy their
   /// list cursor's status here when a lazily validated block fails its
   /// first-touch decode: the scan exhausts (failing closed, so the

@@ -44,23 +44,19 @@ StatusOr<QueryResult> PpredEngine::Evaluate(const LangExprPtr& query,
       },
       segment_.scoring);
   return EvaluateSinglePass(plan, index_, model.get(), mode_, pair_routing_,
-                            segment_, raw_oracle_, /*orderings_run=*/0, ectx);
+                            segment_, /*orderings_run=*/0, ectx);
 }
 
 StatusOr<QueryResult> EvaluateSinglePass(
     const FtaExprPtr& plan, const InvertedIndex* index,
     const AlgebraScoreModel* model, CursorMode mode, PairRouting routing,
-    const SegmentRuntime& segment, const RawPostingOracle* raw_oracle,
-    uint64_t orderings_run, ExecContext& ectx) {
+    const SegmentRuntime& segment, uint64_t orderings_run, ExecContext& ectx) {
   QueryResult result;
   // Multi-index planning: a phrase/NEAR-shaped plan may be answerable from
   // one auxiliary pair list instead of the position pipeline.
-  bool routed = false;
-  if (raw_oracle == nullptr) {
-    FTS_ASSIGN_OR_RETURN(routed,
-                         TryEvaluatePairPlan(plan, *index, model, mode, routing,
-                                             segment.tombstones, ectx, &result));
-  }
+  FTS_ASSIGN_OR_RETURN(const bool routed,
+                       TryEvaluatePairPlan(plan, *index, model, mode, routing,
+                                           segment.tombstones, ectx, &result));
   if (!routed) {
     // The context's L1 attaches when a list is scanned twice and the
     // working set fits, or whenever an L2 is present (see
@@ -75,7 +71,6 @@ StatusOr<QueryResult> EvaluateSinglePass(
          .model = model,
          .counters = &result.counters,
          .mode = PlanPipelineCursorMode(mode, plan, *index),
-         .raw_oracle = raw_oracle,
          .cache = cache,
          .deadline = &ectx.deadline(),
          .tombstones = segment.tombstones},

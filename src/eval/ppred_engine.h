@@ -14,16 +14,14 @@ namespace fts {
 
 /// The single pipelined pass over a compiled PPRED-class `plan`, shared by
 /// PpredEngine and NPRED's no-negative-predicate path: tries the pair-index
-/// route (never under a raw oracle, which exercises the pipeline by
-/// definition), attaches the context's L1 when the plan rescans a list,
+/// route, attaches the context's L1 when the plan rescans a list,
 /// builds the pipeline in the planned cursor mode and drains it (scored
 /// when `model` is non-null), fails on a lazily detected decode error,
 /// stamps `orderings_run` on the counters and merges them into `ectx`.
 StatusOr<QueryResult> EvaluateSinglePass(
     const FtaExprPtr& plan, const InvertedIndex* index,
     const AlgebraScoreModel* model, CursorMode mode, PairRouting routing,
-    const SegmentRuntime& segment, const RawPostingOracle* raw_oracle,
-    uint64_t orderings_run, ExecContext& ectx);
+    const SegmentRuntime& segment, uint64_t orderings_run, ExecContext& ectx);
 
 /// Single-scan pipelined evaluator for the PPRED class. Returns Unsupported
 /// for queries whose plans need IL_ANY or general predicates. In seek mode
@@ -31,15 +29,19 @@ StatusOr<QueryResult> EvaluateSinglePass(
 /// SeekEntry instead of stepping entry by entry.
 class PpredEngine : public Engine {
  public:
-  /// `index` must outlive the engine; `segment` (nullable) carries the
-  /// tombstones and scoring record when `index` is one segment of a
-  /// snapshot (see SegmentRuntime).
+  /// `index` must outlive the engine; `routing` says whether
+  /// phrase/NEAR-shaped plans may route to the pair index
+  /// (src/eval/pair_plan.h); `segment` (nullable) carries the tombstones
+  /// and scoring record when `index` is one segment of a snapshot (see
+  /// SegmentRuntime).
   PpredEngine(const InvertedIndex* index, ScoringKind scoring,
               CursorMode mode = CursorMode::kSequential,
+              PairRouting routing = PairRouting::kAuto,
               const SegmentRuntime* segment = nullptr)
       : index_(index),
         scoring_(scoring),
         mode_(mode),
+        pair_routing_(routing),
         segment_(SegmentRuntime::Of(*index, segment)) {}
 
   std::string_view name() const override { return "PPRED"; }
@@ -49,28 +51,14 @@ class PpredEngine : public Engine {
                                  ExecContext& ctx) const override;
 
   CursorMode mode() const { return mode_; }
-
-  /// Whether phrase/NEAR-shaped plans may route to the pair index
-  /// (src/eval/pair_plan.h). Set once at construction time, like the
-  /// constructor arguments; the Searcher threads it from SearcherOptions.
-  void set_pair_routing(PairRouting routing) { pair_routing_ = routing; }
   PairRouting pair_routing() const { return pair_routing_; }
-
-  /// Differential-test seam: run the identical pipeline over `oracle`'s raw
-  /// lists instead of the block-resident ones. Pass nullptr to detach.
-  /// While attached, pair routing never fires — the oracle exercises the
-  /// position pipeline by definition.
-  void set_raw_oracle_for_test(const RawPostingOracle* oracle) {
-    raw_oracle_ = oracle;
-  }
 
  private:
   const InvertedIndex* index_;
   ScoringKind scoring_;
   CursorMode mode_;
+  PairRouting pair_routing_;
   SegmentRuntime segment_;
-  PairRouting pair_routing_ = PairRouting::kAuto;
-  const RawPostingOracle* raw_oracle_ = nullptr;
 };
 
 }  // namespace fts

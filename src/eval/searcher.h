@@ -104,14 +104,12 @@ class Searcher {
                    const SearcherOptions& opts)
         : runtime{seg.tombstones, scoring},
           bool_engine(seg.index, opts.scoring, opts.mode, &runtime),
-          ppred_engine(seg.index, opts.scoring, opts.mode, &runtime),
+          ppred_engine(seg.index, opts.scoring, opts.mode, opts.pair_routing,
+                       &runtime),
           npred_engine(seg.index, opts.scoring,
                        NpredOrderingMode::kNecessaryPartialOrders, opts.mode,
-                       &runtime),
-          comp_engine(seg.index, opts.scoring, &runtime) {
-      ppred_engine.set_pair_routing(opts.pair_routing);
-      npred_engine.set_pair_routing(opts.pair_routing);
-    }
+                       opts.pair_routing, &runtime),
+          comp_engine(seg.index, opts.scoring, &runtime) {}
 
     SegmentRuntime runtime;
     BoolEngine bool_engine;

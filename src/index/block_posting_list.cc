@@ -61,32 +61,6 @@ bool BlockPostingList::SetDenseBlocksEnabledByDefault(bool enabled) {
   return DenseBlocksDefaultFlag().exchange(enabled, std::memory_order_relaxed);
 }
 
-BlockPostingList BlockPostingList::FromPostingList(const PostingList& raw,
-                                                   uint32_t block_size) {
-  BlockPostingList out(block_size);
-  for (size_t i = 0; i < raw.num_entries(); ++i) {
-    const PostingEntry& e = raw.entry(i);
-    out.Append(e.node, raw.positions(e));
-  }
-  out.Finish();
-  return out;
-}
-
-PostingList BlockPostingList::Materialize() const {
-  PostingList out;
-  std::vector<PostingEntry> entries;
-  std::vector<PositionInfo> positions;
-  for (size_t b = 0; b < num_blocks(); ++b) {
-    Status s = DecodeBlock(b, &entries, &positions);
-    assert(s.ok());
-    (void)s;
-    for (const PostingEntry& e : entries) {
-      out.Append(e.node, {positions.data() + e.pos_begin, e.pos_count});
-    }
-  }
-  return out;
-}
-
 void BlockPostingList::Append(NodeId node, std::span<const PositionInfo> positions) {
   // Offset/sentence/paragraph deltas, restarting from zero per entry, so an
   // entry's bytes never depend on its node id or its neighbours.

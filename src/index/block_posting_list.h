@@ -1,8 +1,8 @@
 // Block-compressed, skip-seekable posting storage (the v6 index layout).
 //
-// A BlockPostingList stores the same logical (cn, PosList) sequence as a
-// PostingList, but packed into fixed-size blocks (kDefaultBlockSize entries)
-// of varint-coded deltas: node ids are delta-coded within a block (first id
+// A BlockPostingList stores one inverted list's (cn, PosList) sequence
+// packed into fixed-size blocks (kDefaultBlockSize entries) of
+// varint-coded deltas: node ids are delta-coded within a block (first id
 // absolute, so every block decodes independently), and positions are coded
 // as offset/sentence/paragraph deltas behind a per-entry byte-length, so
 // entry headers decode without touching position bytes.
@@ -12,7 +12,7 @@
 // — O(log #blocks) probes plus one block decode, instead of a linear scan
 // of the whole list.
 //
-// BlockListCursor exposes the sequential API of ListCursor (NextEntry /
+// BlockListCursor exposes the paper's sequential list API (NextEntry /
 // GetPositions) plus SeekEntry(target). Entry headers (node id, position
 // count) are bulk-decoded a block at a time — one tight loop over the
 // pointer varint primitives (common/varint.h) into a reusable arena or a
@@ -46,8 +46,9 @@
 
 namespace fts {
 
-/// Compressed counterpart of PostingList. Immutable once built (append-only
-/// while building; appends must use strictly increasing node ids).
+/// One inverted list (the FTA relation R_token, or IL_ANY). Immutable once
+/// built (append-only while building; appends must use strictly increasing
+/// node ids).
 class BlockPostingList {
  public:
   static constexpr uint32_t kDefaultBlockSize = 128;
@@ -102,13 +103,6 @@ class BlockPostingList {
 
   explicit BlockPostingList(uint32_t block_size = kDefaultBlockSize)
       : block_size_(block_size == 0 ? kDefaultBlockSize : block_size) {}
-
-  /// Compresses an existing raw list.
-  static BlockPostingList FromPostingList(const PostingList& raw,
-                                          uint32_t block_size = kDefaultBlockSize);
-
-  /// Decompresses back to the raw random-access form.
-  PostingList Materialize() const;
 
   /// Appends one entry; node ids must be strictly increasing. Its positions
   /// are encoded into the pending block's bytes at once. Call Finish()
@@ -293,8 +287,8 @@ struct DecodedBlock;      // index/decoded_block_cache.h
 class DecodedBlockCache;  // index/decoded_block_cache.h
 class TombstoneSet;       // index/tombstone_set.h
 
-/// Cursor over a BlockPostingList: the sequential ListCursor API plus
-/// skip-based seeking. Entry headers are bulk-decoded one block at a time
+/// Cursor over a BlockPostingList: the paper's sequential list API
+/// (Section 5.1.2) plus skip-based seeking. Entry headers are bulk-decoded one block at a time
 /// — one tight pointer-varint loop per block — into either a reusable
 /// cursor-owned arena or, when a DecodedBlockCache is attached, a cached
 /// block shared by every cursor of the query. PosLists decode lazily per

@@ -12,9 +12,8 @@
 // pass then reads the finished list headers (InvertedIndex::FinishLists,
 // which a segment merge ends with too) through ComputeNodeNorms
 // (index/inverted_index.h), the same pass snapshots run with global
-// statistics. The raw uncompressed twin of a list exists only as the
-// differential-test oracle (testing/raw_posting_oracle.h). The saved bytes
-// are pinned by tests/index_builder_golden_test.cc.
+// statistics. No uncompressed form of a list is ever built. The saved
+// bytes are pinned by tests/index_builder_golden_test.cc.
 
 #ifndef FTS_INDEX_INDEX_BUILDER_H_
 #define FTS_INDEX_INDEX_BUILDER_H_

@@ -1,7 +1,6 @@
 #include "index/inverted_index.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 
@@ -17,93 +16,6 @@ InvertedIndex::InvertedIndex()
 InvertedIndex::~InvertedIndex() = default;
 InvertedIndex::InvertedIndex(InvertedIndex&&) noexcept = default;
 InvertedIndex& InvertedIndex::operator=(InvertedIndex&&) noexcept = default;
-
-void PostingList::Append(NodeId node, std::span<const PositionInfo> positions) {
-  assert(entries_.empty() || entries_.back().node < node);
-  PostingEntry e;
-  e.node = node;
-  e.pos_begin = static_cast<uint32_t>(positions_.size());
-  e.pos_count = static_cast<uint32_t>(positions.size());
-  positions_.insert(positions_.end(), positions.begin(), positions.end());
-  entries_.push_back(e);
-}
-
-NodeId ListCursor::SeekEntry(NodeId target) {
-  // A filtered cursor never rests on a tombstoned entry, so the
-  // backward-seek early return inside SeekEntryUnfiltered stays sound.
-  NodeId n = SeekEntryUnfiltered(target);
-  while (tombstones_ != nullptr && n != kInvalidNode && tombstones_->Contains(n)) {
-    n = NextEntryUnfiltered();
-  }
-  return n;
-}
-
-NodeId ListCursor::NextEntry() {
-  NodeId n = NextEntryUnfiltered();
-  while (tombstones_ != nullptr && n != kInvalidNode && tombstones_->Contains(n)) {
-    n = NextEntryUnfiltered();
-  }
-  return n;
-}
-
-NodeId ListCursor::SeekEntryUnfiltered(NodeId target) {
-  if (exhausted_) return kInvalidNode;
-  if (started_ && node_ != kInvalidNode && node_ >= target) {
-    return node_;  // backward (or in-place) seeks do not move the cursor
-  }
-  if (list_ == nullptr || list_->num_entries() == 0) {
-    started_ = true;
-    exhausted_ = true;
-    node_ = kInvalidNode;
-    return kInvalidNode;
-  }
-  // Binary search over the remaining entries for the first node >= target.
-  size_t lo = started_ ? idx_ + 1 : 0;
-  size_t hi = list_->num_entries();
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (counters_ != nullptr) ++counters_->skip_checks;
-    if (list_->entry(mid).node < target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  started_ = true;
-  if (lo >= list_->num_entries()) {
-    exhausted_ = true;
-    node_ = kInvalidNode;
-    return kInvalidNode;
-  }
-  idx_ = lo;
-  if (counters_ != nullptr) ++counters_->entries_scanned;
-  node_ = list_->entry(idx_).node;
-  return node_;
-}
-
-NodeId ListCursor::NextEntryUnfiltered() {
-  if (exhausted_) return kInvalidNode;
-  if (started_) {
-    ++idx_;
-  } else {
-    started_ = true;
-  }
-  if (list_ == nullptr || idx_ >= list_->num_entries()) {
-    exhausted_ = true;
-    node_ = kInvalidNode;
-    return kInvalidNode;
-  }
-  if (counters_ != nullptr) ++counters_->entries_scanned;
-  node_ = list_->entry(idx_).node;
-  return node_;
-}
-
-std::span<const PositionInfo> ListCursor::GetPositions() {
-  assert(started_ && !exhausted_ && list_ != nullptr);
-  // Positions are charged to EvalCounters by the consumer as they are
-  // actually read (the pipelined engines may skip most of an entry).
-  return list_->positions(list_->entry(idx_));
-}
 
 std::string IndexStats::ToString() const {
   return "cnodes=" + std::to_string(cnodes) +

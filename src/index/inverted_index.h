@@ -7,14 +7,11 @@
 // two operations the paper's cost model allows: nextEntry() and
 // getPositions(), both O(1) amortized.
 //
-// The only *resident* list representation is the block-compressed,
-// skip-seekable BlockPostingList (index/block_posting_list.h): every engine
-// — the BOOL merges, the pipelined PPRED/NPRED cursors, materialized COMP
-// scans, and the scoring models — reads through BlockListCursor, with df
-// and entry counts served from block headers and positions decoded lazily.
-// The raw random-access PostingList below survives only as a build/load
-// transient and as the oracle representation for differential tests
-// (RawPostingOracle); an InvertedIndex never holds one.
+// The one list representation is the block-compressed, skip-seekable
+// BlockPostingList (index/block_posting_list.h): every engine — the BOOL
+// merges, the pipelined PPRED/NPRED cursors, materialized COMP scans, and
+// the scoring models — reads through BlockListCursor, with df and entry
+// counts served from block headers and positions decoded lazily.
 //
 // The index is self-contained (owns its dictionary and statistics) so it can
 // be serialized and queried without the originating Corpus.
@@ -40,107 +37,14 @@ namespace fts {
 
 class TombstoneSet;  // index/tombstone_set.h
 
-/// One (cn, PosList) pair of an inverted list. Positions live in the owning
-/// PostingList's shared arena; the entry stores the [pos_begin, pos_begin +
-/// pos_count) slice.
+/// One (cn, PosList) pair of an inverted list as BlockPostingList::
+/// DecodeBlock returns it: the entry's positions are the [pos_begin,
+/// pos_begin + pos_count) slice of the block's decoded position array.
 struct PostingEntry {
   NodeId node = kInvalidNode;
   uint32_t pos_begin = 0;
   uint32_t pos_count = 0;
 };
-
-/// An inverted list in raw random-access form: entries sorted by node id,
-/// positions sorted by offset within each entry. Corresponds to the FTA
-/// relation R_token (and IL_ANY for the ANY list). This form is never
-/// resident in an InvertedIndex — it exists as a build/serialization
-/// transient and as the differential-test oracle representation.
-class PostingList {
- public:
-  size_t num_entries() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  const PostingEntry& entry(size_t i) const { return entries_[i]; }
-
-  /// The PosList of `e`. Valid as long as this list is alive.
-  std::span<const PositionInfo> positions(const PostingEntry& e) const {
-    return {positions_.data() + e.pos_begin, e.pos_count};
-  }
-
-  /// Total positions across all entries.
-  size_t total_positions() const { return positions_.size(); }
-
-  /// Appends an entry; nodes must be appended in strictly increasing order
-  /// with offsets strictly increasing inside the entry (checked by builder).
-  void Append(NodeId node, std::span<const PositionInfo> positions);
-
- private:
-  std::vector<PostingEntry> entries_;
-  std::vector<PositionInfo> positions_;
-};
-
-/// Sequential cursor over a raw PostingList (paper Section 5.1.2). All
-/// accesses are counted into `counters` (if provided) so engines report the
-/// exact number of sequential list operations performed. Production engines
-/// read BlockListCursor instead; this cursor drives the raw-oracle side of
-/// differential tests through the very same engine code.
-class ListCursor {
- public:
-  /// `list` may be null (empty token): the cursor is immediately exhausted.
-  /// `tombstones`, when non-null, filters deleted entries: the cursor skips
-  /// tombstoned node ids and never rests on one, mirroring
-  /// BlockListCursor's filtering so both sides of a differential run see
-  /// identical live streams.
-  explicit ListCursor(const PostingList* list, EvalCounters* counters = nullptr,
-                      const TombstoneSet* tombstones = nullptr)
-      : list_(list), counters_(counters), tombstones_(tombstones) {}
-
-  /// Advances to the next entry and returns its node id, or kInvalidNode
-  /// when the list is exhausted. The first call lands on the first entry.
-  NodeId NextEntry();
-
-  /// Positions the cursor on the first entry with node id >= `target` and
-  /// returns that id (kInvalidNode if none remains). Starts the cursor if
-  /// needed; backward seeks do not move it. This is outside the paper's
-  /// sequential cost model: the binary-search probes are charged to
-  /// EvalCounters::skip_checks and only the landing entry to
-  /// entries_scanned (see BlockListCursor for the compressed analogue).
-  NodeId SeekEntry(NodeId target);
-
-  /// PosList of the current entry; NextEntry() must have returned a node.
-  std::span<const PositionInfo> GetPositions();
-
-  /// Position count of the current entry without reading the PosList.
-  uint32_t pos_count() const { return list_->entry(idx_).pos_count; }
-
-  /// Node id of the current entry (kInvalidNode before first NextEntry()
-  /// or after exhaustion).
-  NodeId current_node() const { return node_; }
-
-  bool exhausted() const { return exhausted_; }
-
-  /// Raw lists are in-memory and never fail to decode; provided so the
-  /// engines' templated merge code can check cursor status uniformly with
-  /// BlockListCursor (whose first-touch decodes can surface Corruption).
-  const Status& status() const {
-    static const Status kOk;
-    return kOk;
-  }
-
- private:
-  NodeId NextEntryUnfiltered();
-  NodeId SeekEntryUnfiltered(NodeId target);
-
-  const PostingList* list_;
-  EvalCounters* counters_;
-  const TombstoneSet* tombstones_ = nullptr;
-  size_t idx_ = 0;
-  bool started_ = false;
-  bool exhausted_ = false;
-  NodeId node_ = kInvalidNode;
-};
-
-/// Raw-representation oracle table for differential tests — defined in
-/// testing/raw_posting_oracle.h; engines hold only a pointer to one.
-struct RawPostingOracle;
 
 /// Corpus shape parameters from the paper's complexity model (Section 5.1.2
 /// and Section 6.2). Max values are the conservative parameters used in the
@@ -224,8 +128,7 @@ enum class IndexStorage {
 /// through BlockListCursor — kSequential is plain NextEntry() iteration
 /// over the decoded blocks, kSeek additionally uses the skip tables — and
 /// document frequencies come from the block headers without decoding any
-/// payload. There is no decoded mirror: raw PostingLists exist only as
-/// build/load transients and as the differential-test oracle.
+/// payload. There is no decoded mirror.
 class InvertedIndex {
  public:
   InvertedIndex();

@@ -4,8 +4,8 @@
 // A TombstoneSet marks local node ids of one immutable segment as deleted.
 // Deletes never rewrite a sealed segment: the writer publishes a new
 // generation whose snapshot carries an updated TombstoneSet, and cursors
-// filter tombstoned entries at iteration time (BlockListCursor/ListCursor
-// skip them before the engines ever see the node). A set is mutable only
+// filter tombstoned entries at iteration time (BlockListCursor skips them
+// before the engines ever see the node). A set is mutable only
 // while the writer assembles the next generation; once referenced by a
 // published IndexSnapshot it is immutable and may be read from any number
 // of query threads concurrently.

@@ -7,9 +7,10 @@
 #include "common/varint_simd.h"
 #include "index/decoded_block_cache.h"
 #include "index/index_builder.h"
-#include "testing/random_workload.h"
-#include "testing/raw_posting_oracle.h"
 #include "workload/corpus_gen.h"
+
+#include "random_workload.h"
+#include "raw_postings.h"
 
 namespace fts {
 namespace {
@@ -44,25 +45,25 @@ void ExpectListsEqual(const PostingList& a, const PostingList& b) {
 
 TEST(BlockPostingListTest, RoundTripsThroughMaterialize) {
   PostingList raw = MakeRawList(1000, 3, 5);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 128);
+  BlockPostingList block = FromPostingList(raw, 128);
   EXPECT_EQ(block.num_entries(), raw.num_entries());
   EXPECT_EQ(block.total_positions(), raw.total_positions());
   EXPECT_EQ(block.num_blocks(), (1000 + 127) / 128);
-  ExpectListsEqual(raw, block.Materialize());
+  ExpectListsEqual(raw, Materialize(block));
 }
 
 TEST(BlockPostingListTest, PartialTailBlockIsFlushed) {
   PostingList raw = MakeRawList(130, 2, 1);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 128);
+  BlockPostingList block = FromPostingList(raw, 128);
   ASSERT_EQ(block.num_blocks(), 2u);
   EXPECT_EQ(block.skip(0).entry_count, 128u);
   EXPECT_EQ(block.skip(1).entry_count, 2u);
-  ExpectListsEqual(raw, block.Materialize());
+  ExpectListsEqual(raw, Materialize(block));
 }
 
 TEST(BlockPostingListTest, SkipHeadersCoverBlocks) {
   PostingList raw = MakeRawList(300, 2, 1);  // nodes 1, 3, 5, ...
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 100);
+  BlockPostingList block = FromPostingList(raw, 100);
   ASSERT_EQ(block.num_blocks(), 3u);
   EXPECT_EQ(block.skip(0).max_node, raw.entry(99).node);
   EXPECT_EQ(block.skip(1).max_node, raw.entry(199).node);
@@ -73,7 +74,7 @@ TEST(BlockPostingListTest, SkipHeadersCoverBlocks) {
 
 TEST(BlockPostingListTest, HeaderOnlyDecodeMatchesFullDecode) {
   PostingList raw = MakeRawList(250, 5, 4);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 64);
+  BlockPostingList block = FromPostingList(raw, 64);
   std::vector<BlockPostingList::EntryRef> refs;
   std::vector<PostingEntry> entries;
   std::vector<PositionInfo> positions, entry_positions;
@@ -99,7 +100,7 @@ TEST(BlockPostingListTest, AppendEncodedMatchesAppend) {
   // in dense (bitset) blocks: position bytes never depend on node ids.
   for (const uint32_t stride : {1u, 2u, 9u}) {
     const PostingList raw = MakeRawList(300, stride, 4);
-    const BlockPostingList source = BlockPostingList::FromPostingList(raw);
+    const BlockPostingList source = FromPostingList(raw);
     BlockPostingList copied, appended;
     std::vector<BlockPostingList::EntryRef> refs;
     std::vector<PositionInfo> positions;
@@ -139,7 +140,7 @@ TEST(BlockPostingListTest, ListObjectStaysSmall) {
 
 TEST(BlockListCursorTest, SequentialScanMatchesRawCursor) {
   PostingList raw = MakeRawList(500, 4, 3);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 64);
+  BlockPostingList block = FromPostingList(raw, 64);
   ListCursor rc(&raw);
   BlockListCursor bc(&block);
   while (true) {
@@ -158,7 +159,7 @@ TEST(BlockListCursorTest, SequentialScanMatchesRawCursor) {
 
 TEST(BlockListCursorTest, SeekToFirstNode) {
   PostingList raw = MakeRawList(300, 2, 1);  // nodes 1, 3, ..., 599
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 50);
+  BlockPostingList block = FromPostingList(raw, 50);
   BlockListCursor cursor(&block);
   EXPECT_EQ(cursor.SeekEntry(0), 1u);
   EXPECT_EQ(cursor.current_node(), 1u);
@@ -166,7 +167,7 @@ TEST(BlockListCursorTest, SeekToFirstNode) {
 
 TEST(BlockListCursorTest, SeekToLastNode) {
   PostingList raw = MakeRawList(300, 2, 1);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 50);
+  BlockPostingList block = FromPostingList(raw, 50);
   BlockListCursor cursor(&block);
   EXPECT_EQ(cursor.SeekEntry(599), 599u);
   EXPECT_EQ(cursor.NextEntry(), kInvalidNode);
@@ -174,14 +175,14 @@ TEST(BlockListCursorTest, SeekToLastNode) {
 
 TEST(BlockListCursorTest, SeekToAbsentNodeLandsOnSuccessor) {
   PostingList raw = MakeRawList(300, 2, 1);  // odd nodes only
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 50);
+  BlockPostingList block = FromPostingList(raw, 50);
   BlockListCursor cursor(&block);
   EXPECT_EQ(cursor.SeekEntry(100), 101u);  // 100 absent -> first node >= 100
 }
 
 TEST(BlockListCursorTest, SeekPastEndExhausts) {
   PostingList raw = MakeRawList(300, 2, 1);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 50);
+  BlockPostingList block = FromPostingList(raw, 50);
   BlockListCursor cursor(&block);
   EXPECT_EQ(cursor.SeekEntry(600), kInvalidNode);
   EXPECT_TRUE(cursor.exhausted());
@@ -190,7 +191,7 @@ TEST(BlockListCursorTest, SeekPastEndExhausts) {
 
 TEST(BlockListCursorTest, BackwardSeekIsRejected) {
   PostingList raw = MakeRawList(300, 2, 1);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 50);
+  BlockPostingList block = FromPostingList(raw, 50);
   BlockListCursor cursor(&block);
   ASSERT_EQ(cursor.SeekEntry(401), 401u);
   EXPECT_EQ(cursor.SeekEntry(7), 401u);  // backward: cursor does not move
@@ -210,7 +211,7 @@ TEST(BlockListCursorTest, EmptyAndNullListsExhaustImmediately) {
 
 TEST(BlockListCursorTest, SeekWithinCurrentBlockAdvances) {
   PostingList raw = MakeRawList(100, 2, 1);  // one block of 128 capacity
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 128);
+  BlockPostingList block = FromPostingList(raw, 128);
   ASSERT_EQ(block.num_blocks(), 1u);
   EvalCounters counters;
   BlockListCursor cursor(&block, &counters);
@@ -224,7 +225,7 @@ TEST(BlockListCursorTest, SeekDecodesSubLinearEntryCount) {
   // 10k entries in 79 blocks of 128: one cold seek must decode exactly one
   // block (plus O(log blocks) skip probes), not the whole list.
   PostingList raw = MakeRawList(10000, 3, 2);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 128);
+  BlockPostingList block = FromPostingList(raw, 128);
   EvalCounters counters;
   BlockListCursor cursor(&block, &counters);
   const NodeId target = raw.entry(7000).node;
@@ -237,7 +238,7 @@ TEST(BlockListCursorTest, SeekDecodesSubLinearEntryCount) {
 
 TEST(BlockListCursorTest, InterleavedSeekAndNextMatchRawReference) {
   PostingList raw = MakeRawList(2000, 3, 2);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 128);
+  BlockPostingList block = FromPostingList(raw, 128);
   Rng rng(99);
   ListCursor rc(&raw);
   BlockListCursor bc(&block);
@@ -266,7 +267,7 @@ TEST(BlockListCursorTest, WorksOnIndexBuiltLists) {
   ASSERT_NE(block, nullptr);
   ASSERT_NE(raw, nullptr);
   EXPECT_EQ(block->num_entries(), raw->num_entries());
-  ExpectListsEqual(*raw, block->Materialize());
+  ExpectListsEqual(*raw, Materialize(*block));
   EXPECT_EQ(index.block_any_list().num_entries(), oracle.any_list.num_entries());
 }
 
@@ -292,7 +293,7 @@ TEST(BlockPostingListTest, CompressedFootprintIsSmallerThanRawStructs) {
 
 TEST(DecodedBlockCacheTest, SecondScanHitsEveryBlock) {
   PostingList raw = MakeRawList(1000, 3, 2);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 128);
+  BlockPostingList block = FromPostingList(raw, 128);
   DecodedBlockCache cache;
   EvalCounters counters;
   for (int scan = 0; scan < 2; ++scan) {
@@ -311,7 +312,7 @@ TEST(DecodedBlockCacheTest, SecondScanHitsEveryBlock) {
 
 TEST(DecodedBlockCacheTest, CachedScanStreamsIdenticalToUncached) {
   PostingList raw = MakeRawList(700, 2, 3);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 64);
+  BlockPostingList block = FromPostingList(raw, 64);
   DecodedBlockCache cache;  // holds the whole list: the cached path is live
   for (int scan = 0; scan < 2; ++scan) {
     BlockListCursor cached(&block, nullptr, &cache);
@@ -334,8 +335,8 @@ TEST(DecodedBlockCacheTest, EvictedBlockStaysValidForItsCursor) {
   // A's decoded view must survive eviction (shared_ptr keepalive).
   PostingList raw1 = MakeRawList(100, 2, 1);
   PostingList raw2 = MakeRawList(100, 3, 1);
-  BlockPostingList block1 = BlockPostingList::FromPostingList(raw1, 128);
-  BlockPostingList block2 = BlockPostingList::FromPostingList(raw2, 128);
+  BlockPostingList block1 = FromPostingList(raw1, 128);
+  BlockPostingList block2 = FromPostingList(raw2, 128);
   ASSERT_EQ(block1.num_blocks(), 1u);
   DecodedBlockCache cache(/*capacity=*/1);
   BlockListCursor a(&block1, nullptr, &cache);
@@ -357,7 +358,7 @@ TEST(DecodedBlockCacheTest, ListsLongerThanCapacityBypassTheCache) {
   // would evict every block before its re-read; cursors must skip the
   // cache (no misses, no insertions) and decode into their own arena.
   PostingList raw = MakeRawList(1000, 2, 1);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 128);
+  BlockPostingList block = FromPostingList(raw, 128);
   ASSERT_GT(block.num_blocks(), 4u);
   DecodedBlockCache cache(/*capacity=*/4);
   EvalCounters counters;
@@ -397,7 +398,7 @@ TEST(DecodedBlockCacheTest, ShouldAttachRequiresRepeatsAndAFittingWorkingSet) {
 
 TEST(DecodedBlockCacheTest, SeekingThroughCacheMatchesDirectSeeks) {
   PostingList raw = MakeRawList(900, 5, 1);
-  BlockPostingList block = BlockPostingList::FromPostingList(raw, 128);
+  BlockPostingList block = FromPostingList(raw, 128);
   DecodedBlockCache cache;
   Rng rng(12);
   for (int trial = 0; trial < 20; ++trial) {
@@ -432,7 +433,7 @@ struct LazyListParts {
 
 LazyListParts MakeLazyParts(uint32_t entries, uint32_t block_size) {
   const PostingList raw = MakeRawList(entries, 3, 4);
-  const BlockPostingList built = BlockPostingList::FromPostingList(raw, block_size);
+  const BlockPostingList built = FromPostingList(raw, block_size);
   LazyListParts parts;
   parts.payload = std::string(built.data());
   parts.skips = built.skips();
@@ -576,24 +577,24 @@ TEST(DenseBlockTest, ClassificationBySpanAndSize) {
   // the span budget (8 * entries > kDenseSpanFactor * entries) and stays
   // varint; lists below kMinDenseEntries never flip representation.
   const BlockPostingList dense =
-      BlockPostingList::FromPostingList(MakeRawList(256, 1, 2), 128);
+      FromPostingList(MakeRawList(256, 1, 2), 128);
   EXPECT_TRUE(dense.has_bitset_blocks());
   for (size_t b = 0; b < dense.num_blocks(); ++b) {
     EXPECT_EQ(dense.skip(b).encoding, BlockPostingList::kEncodingBitset) << b;
   }
   const BlockPostingList sparse =
-      BlockPostingList::FromPostingList(MakeRawList(256, 8, 2), 128);
+      FromPostingList(MakeRawList(256, 8, 2), 128);
   EXPECT_FALSE(sparse.has_bitset_blocks());
   const BlockPostingList tiny =
-      BlockPostingList::FromPostingList(MakeRawList(8, 1, 1), 128);
+      FromPostingList(MakeRawList(8, 1, 1), 128);
   EXPECT_FALSE(tiny.has_bitset_blocks());
 }
 
 TEST(DenseBlockTest, BitsetBlocksRoundTripEntriesAndPositions) {
   const PostingList raw = MakeRawList(300, 1, 5);
-  const BlockPostingList block = BlockPostingList::FromPostingList(raw, 128);
+  const BlockPostingList block = FromPostingList(raw, 128);
   ASSERT_TRUE(block.has_bitset_blocks());
-  ExpectListsEqual(raw, block.Materialize());
+  ExpectListsEqual(raw, Materialize(block));
   // Streaming cursor agrees with the raw reference, positions included.
   BlockListCursor cursor(&block);
   ListCursor reference(&raw);
@@ -625,7 +626,7 @@ TEST(DenseBlockTest, SeeksAcrossHybridDenseAndSparseBlocks) {
     const PositionInfo pos{i, 0, 0};
     raw.Append(1000 + 100 * i, std::span<const PositionInfo>(&pos, 1));
   }
-  const BlockPostingList block = BlockPostingList::FromPostingList(raw, 128);
+  const BlockPostingList block = FromPostingList(raw, 128);
   ASSERT_TRUE(block.has_bitset_blocks());
   bool has_varint_block = false;
   for (size_t b = 0; b < block.num_blocks(); ++b) {
@@ -643,7 +644,7 @@ TEST(DenseBlockTest, SeeksAcrossHybridDenseAndSparseBlocks) {
 
 TEST(DenseBlockTest, CurrentDenseBlockExposesTheBitsetView) {
   const BlockPostingList dense =
-      BlockPostingList::FromPostingList(MakeRawList(256, 1, 2), 128);
+      FromPostingList(MakeRawList(256, 1, 2), 128);
   BlockListCursor cursor(&dense);
   BlockListCursor::DenseBlockView view;
   EXPECT_FALSE(cursor.CurrentDenseBlock(&view));  // not started yet
@@ -656,7 +657,7 @@ TEST(DenseBlockTest, CurrentDenseBlockExposesTheBitsetView) {
   for (size_t i = 0; i < 16; ++i) EXPECT_EQ(view.words[i], 0xFF) << i;
 
   const BlockPostingList sparse =
-      BlockPostingList::FromPostingList(MakeRawList(256, 8, 2), 128);
+      FromPostingList(MakeRawList(256, 8, 2), 128);
   BlockListCursor scursor(&sparse);
   ASSERT_NE(scursor.NextEntry(), kInvalidNode);
   EXPECT_FALSE(scursor.CurrentDenseBlock(&view));
@@ -667,13 +668,13 @@ TEST(DenseBlockTest, VarintOnlyBuildPreservesContent) {
   // (the varint-only differential axis): the content, block boundaries and
   // block maxima match; only the representation differs.
   const PostingList raw = MakeRawList(300, 1, 3);
-  const BlockPostingList dense = BlockPostingList::FromPostingList(raw, 128);
+  const BlockPostingList dense = FromPostingList(raw, 128);
   ASSERT_TRUE(dense.has_bitset_blocks());
   const bool prev = BlockPostingList::SetDenseBlocksEnabledByDefault(false);
-  const BlockPostingList varint = BlockPostingList::FromPostingList(raw, 128);
+  const BlockPostingList varint = FromPostingList(raw, 128);
   BlockPostingList::SetDenseBlocksEnabledByDefault(prev);
   EXPECT_FALSE(varint.has_bitset_blocks());
-  ExpectListsEqual(raw, varint.Materialize());
+  ExpectListsEqual(raw, Materialize(varint));
   EXPECT_EQ(varint.num_entries(), dense.num_entries());
   EXPECT_EQ(varint.num_blocks(), dense.num_blocks());
   for (size_t b = 0; b < dense.num_blocks(); ++b) {
@@ -706,7 +707,7 @@ TEST(DenseBlockTest, SimdDecodeCountersChargeWhenActive) {
   // arm is active, bulk-decoding a dense list must charge
   // simd_groups_decoded (bitset count/len streams + position triples).
   const BlockPostingList dense =
-      BlockPostingList::FromPostingList(MakeRawList(256, 1, 6), 128);
+      FromPostingList(MakeRawList(256, 1, 6), 128);
   ASSERT_TRUE(dense.has_bitset_blocks());
   EvalCounters counters;
   BlockListCursor cursor(&dense, &counters);

@@ -27,6 +27,8 @@
 #include "lang/translate.h"
 #include "workload/corpus_gen.h"
 
+#include "raw_postings.h"
+
 namespace fts {
 namespace {
 
@@ -1086,7 +1088,7 @@ TEST(CraftedFileTest, AssembledFileLoads) {
   }
   InvertedIndex loaded;
   ASSERT_TRUE(LoadIndexFromString(blob, &loaded).ok());
-  EXPECT_EQ(loaded.block_list_for_text("a")->Materialize().num_entries(), 3u);
+  EXPECT_EQ(Materialize(*loaded.block_list_for_text("a")).num_entries(), 3u);
 }
 
 TEST(CraftedFileTest, WrappedSkipDirectoryDeltasAreRejected) {

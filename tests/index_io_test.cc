@@ -14,6 +14,8 @@
 #include "index/index_snapshot.h"
 #include "workload/corpus_gen.h"
 
+#include "raw_postings.h"
+
 namespace fts {
 namespace {
 
@@ -38,8 +40,8 @@ void ExpectIndexEq(const InvertedIndex& a, const InvertedIndex& b) {
   }
   for (TokenId t = 0; t < a.vocabulary_size(); ++t) {
     ASSERT_EQ(a.token_text(t), b.token_text(t));
-    const PostingList la = a.block_list(t)->Materialize();
-    const PostingList lb = b.block_list(t)->Materialize();
+    const PostingList la = Materialize(*a.block_list(t));
+    const PostingList lb = Materialize(*b.block_list(t));
     ASSERT_EQ(la.num_entries(), lb.num_entries()) << a.token_text(t);
     for (size_t i = 0; i < la.num_entries(); ++i) {
       EXPECT_EQ(la.entry(i).node, lb.entry(i).node);

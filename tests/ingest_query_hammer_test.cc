@@ -28,7 +28,8 @@
 #include "exec/ingest_service.h"
 #include "exec/search_service.h"
 #include "index/index_snapshot.h"
-#include "testing/random_workload.h"
+
+#include "random_workload.h"
 
 namespace fts {
 namespace {

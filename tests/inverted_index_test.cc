@@ -4,8 +4,9 @@
 
 #include "index/block_posting_list.h"
 #include "index/index_builder.h"
-#include "testing/raw_posting_oracle.h"
 #include "text/corpus.h"
+
+#include "raw_postings.h"
 
 namespace fts {
 namespace {
@@ -23,7 +24,7 @@ TEST(InvertedIndexTest, ListsContainPerNodeEntries) {
   InvertedIndex index = IndexBuilder::Build(corpus);
   const BlockPostingList* block = index.block_list_for_text("usability");
   ASSERT_NE(block, nullptr);
-  const PostingList list = block->Materialize();
+  const PostingList list = Materialize(*block);
   ASSERT_EQ(list.num_entries(), 1u);
   EXPECT_EQ(list.entry(0).node, 0u);
   EXPECT_EQ(list.entry(0).pos_count, 2u);
@@ -37,7 +38,7 @@ TEST(InvertedIndexTest, EntriesSortedByNode) {
   InvertedIndex index = IndexBuilder::Build(corpus);
   const BlockPostingList* block = index.block_list_for_text("software");
   ASSERT_NE(block, nullptr);
-  const PostingList list = block->Materialize();
+  const PostingList list = Materialize(*block);
   ASSERT_EQ(list.num_entries(), 2u);
   EXPECT_LT(list.entry(0).node, list.entry(1).node);
 }
@@ -83,12 +84,11 @@ TEST(InvertedIndexTest, NodeNormsArePositive) {
   for (NodeId n = 0; n < 3; ++n) EXPECT_GT(index.node_norm(n), 0.0);
 }
 
-TEST(ListCursorTest, SequentialScanVisitsEveryEntryOnce) {
+TEST(BlockListCursorTest, SequentialScanVisitsEveryEntryOnce) {
   Corpus corpus = SmallCorpus();
-  RawPostingOracle oracle = BuildRawPostingOracle(corpus);
   InvertedIndex index = IndexBuilder::Build(corpus);
   EvalCounters counters;
-  ListCursor cursor(oracle.list(index.LookupToken("software")), &counters);
+  BlockListCursor cursor(index.block_list_for_text("software"), &counters);
   EXPECT_EQ(cursor.current_node(), kInvalidNode);
   EXPECT_EQ(cursor.NextEntry(), 0u);
   EXPECT_EQ(cursor.GetPositions().size(), 1u);
@@ -100,19 +100,18 @@ TEST(ListCursorTest, SequentialScanVisitsEveryEntryOnce) {
   EXPECT_EQ(counters.entries_scanned, 2u);
 }
 
-TEST(ListCursorTest, NullListIsImmediatelyExhausted) {
-  ListCursor cursor(nullptr);
+TEST(BlockListCursorTest, NullListIsImmediatelyExhausted) {
+  BlockListCursor cursor(nullptr);
   EXPECT_EQ(cursor.NextEntry(), kInvalidNode);
   EXPECT_TRUE(cursor.exhausted());
 }
 
-TEST(ListCursorTest, SeekEntryLandsOnFirstNodeAtOrAfterTarget) {
+TEST(BlockListCursorTest, SeekEntryLandsOnFirstNodeAtOrAfterTarget) {
   Corpus corpus = SmallCorpus();
-  RawPostingOracle oracle = BuildRawPostingOracle(corpus);
   InvertedIndex index = IndexBuilder::Build(corpus);
   EvalCounters counters;
   // "software" is in nodes 0 and 1.
-  ListCursor cursor(oracle.list(index.LookupToken("software")), &counters);
+  BlockListCursor cursor(index.block_list_for_text("software"), &counters);
   EXPECT_EQ(cursor.SeekEntry(0), 0u);   // seek starts the cursor
   EXPECT_EQ(cursor.SeekEntry(1), 1u);   // forward to the last entry
   EXPECT_EQ(cursor.GetPositions().size(), 1u);
@@ -123,23 +122,22 @@ TEST(ListCursorTest, SeekEntryLandsOnFirstNodeAtOrAfterTarget) {
   EXPECT_GT(counters.skip_checks, 0u);
 }
 
-TEST(ListCursorTest, SeekEntryOnAbsentNodeSkipsToSuccessor) {
+TEST(BlockListCursorTest, SeekEntryOnAbsentNodeSkipsToSuccessor) {
   Corpus corpus;
   corpus.AddDocument("alpha");      // node 0
   corpus.AddDocument("beta");       // node 1
   corpus.AddDocument("alpha too");  // node 2
-  RawPostingOracle oracle = BuildRawPostingOracle(corpus);
   InvertedIndex index = IndexBuilder::Build(corpus);
-  ListCursor cursor(oracle.list(index.LookupToken("alpha")));
+  BlockListCursor cursor(index.block_list_for_text("alpha"));
   EXPECT_EQ(cursor.SeekEntry(1), 2u);  // node 1 lacks "alpha"
 }
 
-TEST(ListCursorTest, SeekEntryOnNullAndEmptyLists) {
-  ListCursor null_cursor(nullptr);
+TEST(BlockListCursorTest, SeekEntryOnNullAndEmptyLists) {
+  BlockListCursor null_cursor(nullptr);
   EXPECT_EQ(null_cursor.SeekEntry(0), kInvalidNode);
   EXPECT_TRUE(null_cursor.exhausted());
-  PostingList empty;
-  ListCursor empty_cursor(&empty);
+  BlockPostingList empty;
+  BlockListCursor empty_cursor(&empty);
   EXPECT_EQ(empty_cursor.SeekEntry(0), kInvalidNode);
   EXPECT_TRUE(empty_cursor.exhausted());
 }

@@ -1,23 +1,37 @@
-#include "testing/random_workload.h"
+// Seeded random corpora and queries for differential and concurrency
+// tests.
+//
+// The read-path differential harness and the cursor-level stream tests
+// exercise the same workload shape: small dense corpora over a tiny
+// vocabulary (so predicates have plenty of witnesses) and random queries
+// drawn from each language class. Header-only: every tests/*.cc file
+// builds its own test binary.
 
+#ifndef FTS_TESTS_RANDOM_WORKLOAD_H_
+#define FTS_TESTS_RANDOM_WORKLOAD_H_
+
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "lang/ast.h"
+#include "text/corpus.h"
+
 namespace fts {
 
-namespace {
+inline constexpr const char* kWorkloadVocab[] = {"a", "b", "c", "d", "e", "f"};
 
-const char* kVocab[] = {"a", "b", "c", "d", "e", "f"};
-constexpr size_t kVocabSize = 6;
-
-}  // namespace
-
-std::string RandomWorkloadToken(Rng* rng) {
-  return std::string(kVocab[rng->Uniform(kVocabSize)]);
+/// A random token from the fixed 6-word test vocabulary ("a".."f"; small
+/// so lists are dense and collisions between query atoms are common).
+inline std::string RandomWorkloadToken(Rng* rng) {
+  return std::string(kWorkloadVocab[rng->Uniform(std::size(kWorkloadVocab))]);
 }
 
-Corpus RandomWorkloadCorpus(Rng* rng, int docs, int max_sentences) {
+/// Random corpus with sentence/paragraph structure so structural
+/// predicates and multi-block lists are exercised.
+inline Corpus RandomWorkloadCorpus(Rng* rng, int docs, int max_sentences) {
   Corpus corpus;
   for (int d = 0; d < docs; ++d) {
     std::string text;
@@ -32,7 +46,8 @@ Corpus RandomWorkloadCorpus(Rng* rng, int docs, int max_sentences) {
   return corpus;
 }
 
-LangExprPtr RandomBoolQuery(Rng* rng, int depth) {
+/// Random BOOL query (tokens, ANY, NOT/AND/OR) of the given depth.
+inline LangExprPtr RandomBoolQuery(Rng* rng, int depth) {
   if (depth <= 0 || rng->Bernoulli(0.4)) {
     if (rng->Bernoulli(0.15)) return LangExpr::Any();
     return LangExpr::Token(RandomWorkloadToken(rng));
@@ -49,7 +64,10 @@ LangExprPtr RandomBoolQuery(Rng* rng, int depth) {
   }
 }
 
-LangExprPtr RandomPipelinedQuery(Rng* rng, bool allow_negative) {
+/// Random pipelined query: SOME-quantified token bindings plus predicates,
+/// optionally negative ones (the NPRED shape), an AND NOT conjunct, or an
+/// OR atom.
+inline LangExprPtr RandomPipelinedQuery(Rng* rng, bool allow_negative) {
   const int ntok = 2 + static_cast<int>(rng->Uniform(2));
   std::vector<std::string> vars;
   LangExprPtr body;
@@ -111,3 +129,5 @@ LangExprPtr RandomPipelinedQuery(Rng* rng, bool allow_negative) {
 }
 
 }  // namespace fts
+
+#endif  // FTS_TESTS_RANDOM_WORKLOAD_H_

@@ -1,7 +1,7 @@
 // The read-path differential harness: every engine of the paper's
 // BOOL ⊂ PPRED ⊂ NPRED ⊂ COMP hierarchy (Sections 3-5), reached through
 // every way the system serves a query, must return exactly what the
-// calculus says. Per seed, one random corpus (testing/random_workload.h) is
+// calculus says. Per seed, one random corpus (tests/random_workload.h) is
 // split into three segments with random tombstoned deletes, and every index
 // is built with a pair index (docs/pair_index.md). Two anchors pin all of
 // it:
@@ -33,15 +33,17 @@
 // Where each behaviour of the suites this harness replaced is checked now:
 //
 //   engines_differential: engines vs the oracle, seek vs sequential score
-//     bits -> OneIndexPathsMatchTheAnchors, RawOracleEnginesMatchTheAnchors;
-//     NPRED all-total-orders mode, NPRED on PPRED queries ->
-//     RawOracleEnginesMatchTheAnchors; samepara/samesentence and negations
-//     -> StructuralQuery in the query mix; SeekEfficiencyTest ->
+//     bits -> OneIndexPathsMatchTheAnchors, ClassEnginesMatchTheAnchors;
+//     NPRED all-total-orders mode, NPRED on PPRED queries, COMP on every
+//     query -> ClassEnginesMatchTheAnchors; samepara/samesentence and
+//     negations -> StructuralQuery in the query mix; SeekEfficiencyTest ->
 //     bool_engine_test.cc.
-//   block_resident_differential: engines over block lists vs the raw
-//     PostingList oracle -> RawOracleEnginesMatchTheAnchors; heap vs lazily
-//     validated mmap twin -> OneIndexPathsMatchTheAnchors; cursor
-//     stream/seek vs raw lists -> block_posting_list_test.cc.
+//   block_resident_differential: each class's engine over the block lists,
+//     built directly under every cursor mode, no shape declined ->
+//     ClassEnginesMatchTheAnchors; heap vs lazily validated mmap twin ->
+//     OneIndexPathsMatchTheAnchors; block lists and cursor stream/seek vs
+//     raw reference lists (tests/raw_postings.h) ->
+//     block_posting_list_test.cc, inverted_index_test.cc.
 //   multi_segment_differential: three segments with tombstones vs the
 //     single-shot build, tombstoned ids never surfacing, ranked top-10 ==
 //     TopK over the full result, the MergeSegments output ->
@@ -101,9 +103,9 @@
 #include "net/socket.h"
 #include "net/wire.h"
 #include "scoring/topk.h"
-#include "testing/random_workload.h"
-#include "testing/raw_posting_oracle.h"
 #include "text/corpus.h"
+
+#include "random_workload.h"
 
 namespace fts {
 namespace {
@@ -629,42 +631,33 @@ TEST_P(ReadPathDifferential, PairRoutingMatchesTheAnchors) {
   }
 }
 
-TEST_P(ReadPathDifferential, RawOracleEnginesMatchTheAnchors) {
-  // The same engine code over the raw PostingList twin of every list
-  // (set_raw_oracle_for_test): the block representation must be invisible.
+TEST_P(ReadPathDifferential, ClassEnginesMatchTheAnchors) {
+  // Each class's engine, constructed directly under every cursor mode with
+  // pair routing off, over the block lists of the survivors' build. Also
+  // the engines the Searcher never picks for these queries: NPRED on
+  // PPRED-class queries, all-total-orders NPRED, and COMP on every query.
   const World& w = GetWorld(GetParam());
   const InvertedIndex& index = *w.reference;
-  const RawPostingOracle oracle = BuildRawPostingOracle(w.surviving);
-  ASSERT_EQ(oracle.lists.size(), index.vocabulary_size());
   for (size_t s = 0; s < 3; ++s) {
     const ScoringKind scoring = kAllScoring[s];
-    // COMP scores every class with its own algebra arithmetic, so its raw
-    // twin is pinned to the block-resident COMP run; nodes to the anchor.
-    CompEngine comp(&index, scoring);
-    CompEngine raw_comp(&index, scoring);
-    raw_comp.set_raw_oracle_for_test(&oracle);
+    // COMP scores every class with its own algebra arithmetic, so only its
+    // node sets are pinned to the anchor.
+    const CompEngine comp(&index, scoring);
     for (size_t q = 0; q < w.queries.size(); ++q) {
       const LangExprPtr& expr = w.queries[q].expr;
-      auto block = comp.Evaluate(expr);
-      auto raw = raw_comp.Evaluate(expr);
-      ASSERT_TRUE(block.ok() && raw.ok()) << expr->ToString();
-      EXPECT_EQ(raw->nodes, w.anchor[s][q].result.nodes) << "COMP: " << expr->ToString();
-      EXPECT_EQ(Bits(raw->scores), Bits(block->scores))
-          << "COMP " << ScoringKindToString(scoring) << ": " << expr->ToString();
+      auto got = comp.Evaluate(expr);
+      ASSERT_TRUE(got.ok()) << "COMP: " << expr->ToString() << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(got->nodes, w.anchor[s][q].result.nodes) << "COMP: " << expr->ToString();
     }
     for (CursorMode mode : kAllModes) {
-      BoolEngine bool_engine(&index, scoring, mode);
-      PpredEngine ppred(&index, scoring, mode);
-      NpredEngine npred(&index, scoring, NpredOrderingMode::kNecessaryPartialOrders,
-                        mode);
-      NpredEngine total(&index, scoring, NpredOrderingMode::kAllTotalOrders, mode);
-      bool_engine.set_raw_oracle_for_test(&oracle);
-      ppred.set_raw_oracle_for_test(&oracle);
-      ppred.set_pair_routing(PairRouting::kOff);
-      for (NpredEngine* e : {&npred, &total}) {
-        e->set_raw_oracle_for_test(&oracle);
-        e->set_pair_routing(PairRouting::kOff);
-      }
+      const BoolEngine bool_engine(&index, scoring, mode);
+      const PpredEngine ppred(&index, scoring, mode, PairRouting::kOff);
+      const NpredEngine npred(&index, scoring,
+                              NpredOrderingMode::kNecessaryPartialOrders, mode,
+                              PairRouting::kOff);
+      const NpredEngine total(&index, scoring, NpredOrderingMode::kAllTotalOrders,
+                              mode, PairRouting::kOff);
       for (size_t q = 0; q < w.queries.size(); ++q) {
         const LangExprPtr& expr = w.queries[q].expr;
         std::vector<const Engine*> engines;
@@ -869,12 +862,10 @@ TEST_P(ReadPathDifferential, NpredSinglePassHookMatchesPipeline) {
     for (ScoringKind scoring : kAllScoring) {
       NpredEngine forced(w.reference.get(), scoring,
                          NpredOrderingMode::kNecessaryPartialOrders,
-                         CursorMode::kAdaptive);
-      forced.set_pair_routing(PairRouting::kForce);
+                         CursorMode::kAdaptive, PairRouting::kForce);
       NpredEngine pipeline(w.reference.get(), scoring,
                            NpredOrderingMode::kNecessaryPartialOrders,
-                           CursorMode::kAdaptive);
-      pipeline.set_pair_routing(PairRouting::kOff);
+                           CursorMode::kAdaptive, PairRouting::kOff);
       auto got = forced.Evaluate(q.expr);
       auto want = pipeline.Evaluate(q.expr);
       ASSERT_TRUE(got.ok()) << q.expr->ToString() << ": " << got.status().ToString();

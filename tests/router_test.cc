@@ -303,8 +303,7 @@ InvertedIndex PairCorpus(const std::string& doc, int n) {
 EvalCounters PpredCounters(const InvertedIndex& index, std::string_view query,
                            CursorMode mode, PairRouting routing,
                            std::vector<NodeId>* nodes = nullptr) {
-  PpredEngine engine(&index, ScoringKind::kNone, mode);
-  engine.set_pair_routing(routing);
+  PpredEngine engine(&index, ScoringKind::kNone, mode, routing);
   auto r = engine.Evaluate(*ParseQuery(query, SurfaceLanguage::kComp));
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   if (!r.ok()) return {};
