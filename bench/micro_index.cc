@@ -139,6 +139,37 @@ void BM_IndexResidentBytes(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexResidentBytes);
 
+// The same accounting for one ranked-serving shard: 3,000 paper-shaped
+// nodes with pair lists for the 16 most frequent terms up to NEAR/2,
+// saved and loaded eagerly as fts_server loads it. Pair lists are most of
+// its lists and almost all of them one block long, so the resident cost
+// beyond the file's bytes is per-list bookkeeping.
+void BM_IndexResidentBytesPairs(benchmark::State& state) {
+  fts::IndexBuildOptions options;
+  options.pairs.frequent_terms = 16;
+  options.pairs.max_distance = 2;
+  std::string file;
+  fts::SaveIndexToString(
+      IndexBuilder::Build(GenerateCorpus(BenchCorpusOptions(3000, 6)), options),
+      &file);
+  InvertedIndex index;
+  if (!fts::LoadIndexFromString(file, &index).ok()) {
+    state.SkipWithError("load failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(index.MemoryUsage());
+  }
+  const double resident = static_cast<double>(index.MemoryUsage());
+  const double lists = static_cast<double>(index.num_lists());
+  state.counters["resident_index_bytes"] = resident;
+  state.counters["file_bytes"] = static_cast<double>(file.size());
+  state.counters["lists"] = lists;
+  state.counters["resident_bytes_per_list"] =
+      (resident - static_cast<double>(file.size())) / lists;
+}
+BENCHMARK(BM_IndexResidentBytesPairs)->Name("BM_IndexResidentBytes/pairs");
+
 // ---------------------------------------------------------------------------
 // Adaptive planner vs the two fixed cursor modes, over fig5-8-shaped
 // workloads (paper defaults: 3 topic tokens, 2 predicates, 6000 nodes) plus

@@ -12,6 +12,7 @@
 #include "common/varint.h"
 #include "common/varint_simd.h"
 #include "index/decoded_block_cache.h"
+#include "index/index_source.h"
 #include "index/shared_block_cache.h"
 #include "index/tombstone_set.h"
 
@@ -61,7 +62,7 @@ bool BlockPostingList::SetDenseBlocksEnabledByDefault(bool enabled) {
   return DenseBlocksDefaultFlag().exchange(enabled, std::memory_order_relaxed);
 }
 
-void BlockPostingList::Append(NodeId node, std::span<const PositionInfo> positions) {
+void BlockListWriter::Append(NodeId node, std::span<const PositionInfo> positions) {
   // Offset/sentence/paragraph deltas, restarting from zero per entry, so an
   // entry's bytes never depend on its node id or its neighbours.
   const size_t begin = pending_bytes_.size();
@@ -80,15 +81,15 @@ void BlockPostingList::Append(NodeId node, std::span<const PositionInfo> positio
   AppendPending(node, static_cast<uint32_t>(positions.size()), begin);
 }
 
-void BlockPostingList::AppendEncoded(NodeId node, uint32_t pos_count,
-                                     std::string_view pos_bytes) {
+void BlockListWriter::AppendEncoded(NodeId node, uint32_t pos_count,
+                                    std::string_view pos_bytes) {
   const size_t begin = pending_bytes_.size();
   pending_bytes_.insert(pending_bytes_.end(), pos_bytes.begin(), pos_bytes.end());
   AppendPending(node, pos_count, begin);
 }
 
-void BlockPostingList::AppendPending(NodeId node, uint32_t pos_count,
-                                     size_t byte_begin) {
+void BlockListWriter::AppendPending(NodeId node, uint32_t pos_count,
+                                    size_t byte_begin) {
   assert(pending_.empty() || pending_.back().node < node);
   assert(skips_.empty() || !pending_.empty() || skips_.back().max_node < node);
   pending_.push_back({node, pos_count, static_cast<uint32_t>(byte_begin),
@@ -98,11 +99,11 @@ void BlockPostingList::AppendPending(NodeId node, uint32_t pos_count,
   if (pending_.size() >= block_size_) FlushPending();
 }
 
-void BlockPostingList::FlushPending() {
+void BlockListWriter::FlushPending() {
   if (pending_.empty()) return;
-  SkipEntry skip;
+  BlockPostingList::SkipEntry skip;
   skip.max_node = pending_.back().node;
-  skip.byte_offset = static_cast<uint32_t>(owned_.size());
+  skip.byte_offset = static_cast<uint32_t>(payload_.size());
   skip.entry_count = static_cast<uint32_t>(pending_.size());
   for (const PendingEntry& e : pending_) {
     skip.max_tf = std::max(skip.max_tf, e.pos_count);
@@ -114,8 +115,8 @@ void BlockPostingList::FlushPending() {
   // block with word ANDs instead of entry-at-a-time seeks.
   const uint64_t span =
       static_cast<uint64_t>(skip.max_node) - pending_.front().node + 1;
-  if (dense_enabled_ && pending_.size() >= kMinDenseEntries &&
-      span <= static_cast<uint64_t>(kDenseSpanFactor) * pending_.size()) {
+  if (dense_enabled_ && pending_.size() >= BlockPostingList::kMinDenseEntries &&
+      span <= uint64_t{BlockPostingList::kDenseSpanFactor} * pending_.size()) {
     FlushPendingBitset(&skip);
   } else {
     // First node of the block is absolute so blocks decode independently;
@@ -125,14 +126,14 @@ void BlockPostingList::FlushPending() {
     NodeId prev_node = 0;
     bool first = true;
     for (const PendingEntry& e : pending_) {
-      PutVarint32(&owned_, first ? e.node : e.node - prev_node);
+      PutVarint32(&payload_, first ? e.node : e.node - prev_node);
       first = false;
       prev_node = e.node;
-      PutVarint32(&owned_, e.pos_count);
-      PutVarint32(&owned_, e.pos_byte_len);
-      owned_.append(reinterpret_cast<const char*>(pending_bytes_.data()) +
-                        e.pos_byte_begin,
-                    e.pos_byte_len);
+      PutVarint32(&payload_, e.pos_count);
+      PutVarint32(&payload_, e.pos_byte_len);
+      payload_.append(reinterpret_cast<const char*>(pending_bytes_.data()) +
+                          e.pos_byte_begin,
+                      e.pos_byte_len);
     }
   }
   skips_.push_back(skip);
@@ -140,7 +141,13 @@ void BlockPostingList::FlushPending() {
   pending_bytes_.clear();
 }
 
-void BlockPostingList::FlushPendingBitset(SkipEntry* skip) {
+void BlockListWriter::Finish() {
+  FlushPending();
+  std::vector<PendingEntry>().swap(pending_);
+  std::vector<uint8_t>().swap(pending_bytes_);
+}
+
+void BlockListWriter::FlushPendingBitset(BlockPostingList::SkipEntry* skip) {
   // Bitset block layout:
   //   base varint        absolute first node id (bit 0 is always set)
   //   nwords varint      number of 64-bit bitset words
@@ -151,23 +158,23 @@ void BlockPostingList::FlushPendingBitset(SkipEntry* skip) {
   // The count and length streams are contiguous — unlike the interleaved
   // sparse layout — so DecodeBlockEntries runs them through the dispatched
   // (SIMD-capable) group decoder in bulk.
-  skip->encoding = kEncodingBitset;
+  skip->encoding = BlockPostingList::kEncodingBitset;
   const NodeId base = pending_.front().node;
   const uint64_t span = static_cast<uint64_t>(skip->max_node) - base + 1;
   const uint32_t nwords = static_cast<uint32_t>((span + 63) / 64);
-  PutVarint32(&owned_, base);
-  PutVarint32(&owned_, nwords);
+  PutVarint32(&payload_, base);
+  PutVarint32(&payload_, nwords);
   std::vector<uint64_t> words(nwords, 0);
   for (const PendingEntry& e : pending_) {
     const uint64_t bit = e.node - base;
     words[bit >> 6] |= uint64_t{1} << (bit & 63);
   }
-  for (uint32_t w = 0; w < nwords; ++w) PutFixed64Le(&owned_, words[w]);
-  for (const PendingEntry& e : pending_) PutVarint32(&owned_, e.pos_count);
-  for (const PendingEntry& e : pending_) PutVarint32(&owned_, e.pos_byte_len);
+  for (uint32_t w = 0; w < nwords; ++w) PutFixed64Le(&payload_, words[w]);
+  for (const PendingEntry& e : pending_) PutVarint32(&payload_, e.pos_count);
+  for (const PendingEntry& e : pending_) PutVarint32(&payload_, e.pos_byte_len);
   // The pending entries' bytes are already back to back in entry order.
-  owned_.append(reinterpret_cast<const char*>(pending_bytes_.data()),
-                pending_bytes_.size());
+  payload_.append(reinterpret_cast<const char*>(pending_bytes_.data()),
+                  pending_bytes_.size());
 }
 
 size_t BlockPostingList::byte_size() const {
@@ -223,11 +230,10 @@ Status BlockPostingList::DecodeBlockEntries(size_t block,
   // Corruption rather than as structurally plausible garbage. Memoized:
   // once this decode succeeds end to end the block is marked verified and
   // later decodes skip the hash.
-  const bool first_touch = block_verified_ != nullptr &&
-      block_verified_[block].load(std::memory_order_acquire) == 0;
-  if (first_touch && !block_checksums_.empty()) {
+  const bool first_touch = !BlockVerified(block);
+  if (first_touch) {
     if (Fnv1a32(payload.substr(skip.byte_offset, end - skip.byte_offset)) !=
-        block_checksums_[block]) {
+        Checksums()[block]) {
       return Status::Corruption("block payload checksum mismatch at first touch");
     }
   }
@@ -235,7 +241,7 @@ Status BlockPostingList::DecodeBlockEntries(size_t block,
     FTS_RETURN_IF_ERROR(
         DecodeBitsetBlock(block, skip, payload, end, entries, counters));
     if (first_touch) {
-      block_verified_[block].store(1, std::memory_order_release);
+      VerifiedFlags()[block].store(1, std::memory_order_release);
     }
     return Status::OK();
   }
@@ -290,7 +296,7 @@ Status BlockPostingList::DecodeBlockEntries(size_t block,
     return Status::Corruption("posting block max_node mismatch");
   }
   if (first_touch) {
-    block_verified_[block].store(1, std::memory_order_release);
+    VerifiedFlags()[block].store(1, std::memory_order_release);
   }
   return Status::OK();
 }
@@ -588,33 +594,102 @@ Status BlockPostingList::DecodeBlock(size_t block,
   return Status::OK();
 }
 
-BlockPostingList BlockPostingList::FromParts(uint32_t block_size,
-                                             uint64_t num_entries,
-                                             uint64_t total_positions,
-                                             std::vector<SkipEntry> skips,
-                                             std::string_view data,
-                                             std::vector<uint32_t> checksums) {
-  BlockPostingList out(block_size);
-  out.num_entries_ = num_entries;
-  out.total_positions_ = total_positions;
-  out.skips_ = std::move(skips);
-  // An empty slice must still present a non-null view so data() does not
-  // fall back to owned_ (harmless today, but keep the invariant tight).
-  out.view_ = data.data() != nullptr ? data : std::string_view("", 0);
-  out.block_checksums_ = std::move(checksums);
-  if (!out.skips_.empty()) {
-    out.block_verified_ =
-        std::make_unique<std::atomic<uint8_t>[]>(out.skips_.size());
-    for (size_t b = 0; b < out.skips_.size(); ++b) {
-      out.block_verified_[b].store(0, std::memory_order_relaxed);
-    }
+PostingStore PostingStore::FromWriters(std::vector<BlockListWriter> writers) {
+  size_t blocks = 0, bytes = 0;
+  for (BlockListWriter& w : writers) {
+    w.Finish();
+    blocks += w.skips_.size();
+    bytes += w.payload_.size();
   }
-  return out;
+  PostingStore store;
+  store.Reserve(writers.size(), blocks, bytes);
+  for (BlockListWriter& w : writers) store.Add(std::move(w));
+  store.Seal();
+  return store;
 }
 
-uint64_t BlockPostingList::NextUid() {
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
+void PostingStore::Reserve(size_t lists, size_t blocks, size_t payload_bytes) {
+  extents_.reserve(extents_.size() + lists);
+  skips_.reserve(skips_.size() + blocks);
+  payload_.reserve(payload_.size() + payload_bytes);
+}
+
+void PostingStore::Add(BlockListWriter&& writer) {
+  assert(checksums_.empty());  // writer and checked lists never mix
+  writer.Finish();
+  extents_.push_back({.num_entries = writer.num_entries_,
+                      .total_positions = writer.total_positions_,
+                      .payload_begin = payload_.size(),
+                      .payload_size = writer.payload_.size(),
+                      .num_blocks = static_cast<uint32_t>(writer.skips_.size()),
+                      .block_size = writer.block_size_});
+  payload_.insert(payload_.end(), writer.payload_.begin(),
+                  writer.payload_.end());
+  skips_.insert(skips_.end(), writer.skips_.begin(), writer.skips_.end());
+  writer = BlockListWriter(writer.block_size_);
+}
+
+void PostingStore::AddChecked(uint32_t block_size, uint64_t num_entries,
+                              uint64_t total_positions,
+                              std::span<const BlockPostingList::SkipEntry> skips,
+                              std::span<const uint32_t> checksums,
+                              size_t payload_begin, size_t payload_size) {
+  assert(payload_.empty() && checksums.size() == skips.size() &&
+         skips.size() <= UINT32_MAX);
+  extents_.push_back({.num_entries = num_entries,
+                      .total_positions = total_positions,
+                      .payload_begin = payload_begin,
+                      .payload_size = payload_size,
+                      .num_blocks = static_cast<uint32_t>(skips.size()),
+                      .block_size = block_size});
+  skips_.insert(skips_.end(), skips.begin(), skips.end());
+  checksums_.insert(checksums_.end(), checksums.begin(), checksums.end());
+}
+
+void PostingStore::Seal(std::shared_ptr<const IndexSource> source) {
+  assert(lists_.empty());
+  // Regrown arrays give their slack back before any list points into them.
+  skips_.shrink_to_fit();
+  checksums_.shrink_to_fit();
+  source_ = std::move(source);
+  const std::string_view bytes =
+      source_ != nullptr ? source_->view()
+                         : std::string_view(payload_.data(), payload_.size());
+  const bool checked = !checksums_.empty();
+  if (checked) {
+    verified_ = std::make_unique<std::atomic<uint8_t>[]>(skips_.size());
+    for (size_t b = 0; b < skips_.size(); ++b) {
+      verified_[b].store(0, std::memory_order_relaxed);
+    }
+  }
+  static std::atomic<uint64_t> next_uid{1};
+  uint64_t uid = next_uid.fetch_add(extents_.size(), std::memory_order_relaxed);
+  lists_.resize(extents_.size());
+  size_t first_block = 0;
+  for (size_t i = 0; i < extents_.size(); ++i) {
+    const Extent& e = extents_[i];
+    BlockPostingList& l = lists_[i];
+    l.data_ = bytes.substr(e.payload_begin, e.payload_size);
+    l.skips_ = std::span<const BlockPostingList::SkipEntry>(skips_).subspan(
+        first_block, e.num_blocks);
+    if (checked) {
+      l.checksums_ = checksums_.data() + first_block;
+      l.verified_ = verified_.get() + first_block;
+    }
+    first_block += e.num_blocks;
+    l.num_entries_ = e.num_entries;
+    l.total_positions_ = e.total_positions;
+    l.uid_ = uid++;
+    l.block_size_ = e.block_size;
+  }
+  std::vector<Extent>().swap(extents_);
+}
+
+size_t PostingStore::MemoryUsage() const {
+  return lists_.capacity() * sizeof(BlockPostingList) +
+         skips_.capacity() * sizeof(BlockPostingList::SkipEntry) +
+         checksums_.capacity() * sizeof(uint32_t) +
+         (verified_ != nullptr ? skips_.size() : 0) + payload_.capacity();
 }
 
 BlockListCursor& BlockListCursor::operator=(BlockListCursor&& o) noexcept {

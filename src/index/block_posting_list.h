@@ -23,12 +23,16 @@
 // are charged to EvalCounters so benchmarks can separate the paper's
 // sequential-access model from the skip machinery.
 //
-// Payload bytes are either owned (built lists) or a string_view slice of
-// the index's shared IndexSource (loaded lists — heap buffer or mmap'd
-// file region). Loaded lists carry per-block checksums and validate each
-// block — checksum plus structure — on its first decode, memoized per
-// block; a first-touch failure is reported through the cursor's sticky
-// status() and the cursor fails closed.
+// A list is an immutable fixed-size record with no heap member of its own:
+// it views its slice of the stores of the index that owns it
+// (PostingStore) — one flat skip directory, one checksum table and one
+// first-touch flag array for all of the index's lists, plus one payload
+// byte store (the index's own buffer when built, the loaded file's bytes
+// otherwise). BlockListWriter holds the append-time state and seals each
+// finished list into a store. Loaded lists carry per-block checksums and
+// validate each block — checksum plus structure — on its first decode,
+// memoized per block; a first-touch failure is reported through the
+// cursor's sticky status() and the cursor fails closed.
 
 #ifndef FTS_INDEX_BLOCK_POSTING_LIST_H_
 #define FTS_INDEX_BLOCK_POSTING_LIST_H_
@@ -42,18 +46,30 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "index/inverted_index.h"
+#include "text/document.h"
 
 namespace fts {
 
-/// One inverted list (the FTA relation R_token, or IL_ANY). Immutable once
-/// built (append-only while building; appends must use strictly increasing
-/// node ids).
+class IndexSource;  // index/index_source.h
+
+/// One (cn, PosList) pair of an inverted list as BlockPostingList::
+/// DecodeBlock returns it: the entry's positions are the [pos_begin,
+/// pos_begin + pos_count) slice of the block's decoded position array.
+struct PostingEntry {
+  NodeId node = kInvalidNode;
+  uint32_t pos_begin = 0;
+  uint32_t pos_count = 0;
+};
+
+
+/// One inverted list (the FTA relation R_token, or IL_ANY): a view into
+/// the PostingStore that holds it, valid while that store lives. Copying
+/// a list copies the view.
 class BlockPostingList {
  public:
   static constexpr uint32_t kDefaultBlockSize = 128;
 
-  /// Per-block payload encodings (the hybrid format). The builder
+  /// Per-block payload encodings (the hybrid format). The writer
   /// classifies each sealed block: sparse blocks keep the varint-delta
   /// layout; blocks whose id span is within kDenseSpanFactor of their
   /// entry count become fixed-width bitset blocks — a base id plus
@@ -86,12 +102,15 @@ class BlockPostingList {
     uint8_t encoding = kEncodingVarint;
   };
 
-  /// Process-wide default for whether the builder may emit bitset blocks
+  /// Process-wide default for whether writers may emit bitset blocks
   /// (on unless set off; off pins everything to varint — the differential
   /// axis that proves the hybrid format changes no result). Returns the
   /// previous value so tests can restore it.
   static bool SetDenseBlocksEnabledByDefault(bool enabled);
   static bool DenseBlocksEnabledByDefault();
+
+  /// An empty list: no blocks, no store.
+  BlockPostingList() = default;
 
   /// True when any block of this list is bitset-encoded.
   bool has_bitset_blocks() const {
@@ -101,66 +120,22 @@ class BlockPostingList {
     return false;
   }
 
-  explicit BlockPostingList(uint32_t block_size = kDefaultBlockSize)
-      : block_size_(block_size == 0 ? kDefaultBlockSize : block_size) {}
-
-  /// Appends one entry; node ids must be strictly increasing. Its positions
-  /// are encoded into the pending block's bytes at once. Call Finish()
-  /// after the last Append to flush the tail block.
-  void Append(NodeId node, std::span<const PositionInfo> positions);
-
-  /// Appends one entry whose `pos_count` positions are already encoded:
-  /// `pos_bytes` is an entry's position bytes exactly as another list holds
-  /// them (EntryRef::pos_byte_begin/pos_byte_len). Position bytes are
-  /// per-entry deltas, independent of the node id, so an entry moves
-  /// between lists — under a new id — as a byte copy; the result is what
-  /// Append would have produced from the decoded positions. The bytes must
-  /// come from a trusted list (built, or fully validated).
-  void AppendEncoded(NodeId node, uint32_t pos_count,
-                     std::string_view pos_bytes);
-
-  /// Flushes the partially filled tail block, if any, and releases the
-  /// builder buffers (the list is typically immutable afterwards; further
-  /// Appends still work, reallocating as needed). Idempotent.
-  void Finish() {
-    FlushPending();
-    std::vector<PendingEntry>().swap(pending_);
-    std::vector<uint8_t>().swap(pending_bytes_);
-  }
-
   size_t num_entries() const { return num_entries_; }
   bool empty() const { return num_entries_ == 0; }
   size_t total_positions() const { return total_positions_; }
   uint32_t block_size() const { return block_size_; }
   size_t num_blocks() const { return skips_.size(); }
   const SkipEntry& skip(size_t block) const { return skips_[block]; }
-  const std::vector<SkipEntry>& skips() const { return skips_; }
+  std::span<const SkipEntry> skips() const { return skips_; }
 
-  /// Compressed payload (concatenated block bytes). Built lists own their
-  /// bytes; loaded lists borrow a slice of the index's IndexSource (heap
-  /// buffer or mmap'd file region), which the owning InvertedIndex keeps
-  /// alive.
-  std::string_view data() const {
-    return view_.data() != nullptr ? view_ : std::string_view(owned_);
-  }
+  /// Compressed payload (concatenated block bytes): this list's slice of
+  /// its store's payload bytes.
+  std::string_view data() const { return data_; }
 
   /// Compressed footprint: payload plus the varint-coded max_node,
   /// byte_offset and entry_count of each skip entry (the on-disk directory
   /// adds a checksum, max_tf and encoding tag per block).
   size_t byte_size() const;
-
-  /// Resident heap footprint of this list in bytes (owned payload + skip
-  /// table + validation bookkeeping capacities). This is what the list
-  /// costs while the index is loaded — the memory-accounting input of
-  /// InvertedIndex::MemoryUsage(). Payload bytes borrowed from an
-  /// IndexSource are charged to the source, not to the list.
-  size_t resident_bytes() const {
-    return owned_.capacity() + skips_.capacity() * sizeof(SkipEntry) +
-           block_checksums_.capacity() * sizeof(uint32_t) +
-           (block_verified_ != nullptr ? skips_.size() : 0) +
-           pending_.capacity() * sizeof(PendingEntry) +
-           pending_bytes_.capacity();
-  }
 
   /// One decoded entry header plus the location of its (still compressed)
   /// position bytes within data().
@@ -211,65 +186,95 @@ class BlockPostingList {
                                   std::vector<uint32_t>* offsets,
                                   EvalCounters* counters = nullptr) const;
 
-  /// Reassembles a list whose payload is a borrowed slice of an
-  /// IndexSource (the load path). `checksums` is the per-block FNV-1a32
-  /// payload checksum table; each block's checksum and structure are
-  /// verified on its first decode (memoized — see DecodeBlockEntries).
-  /// Eager loads trigger every first decode up front via
-  /// InvertedIndex::ValidateBlocks; lazy loads leave them to queries.
-  static BlockPostingList FromParts(uint32_t block_size, uint64_t num_entries,
-                                    uint64_t total_positions,
-                                    std::vector<SkipEntry> skips,
-                                    std::string_view data,
-                                    std::vector<uint32_t> checksums);
-
   /// True when block `block` has already passed (or never needs) first-touch
   /// validation. Cursors use the transition to charge
   /// EvalCounters::first_touch_validations.
   bool BlockVerified(size_t block) const {
-    return block_verified_ == nullptr ||
-           block_verified_[block].load(std::memory_order_acquire) != 0;
+    return verified_ == nullptr ||
+           VerifiedFlags()[block].load(std::memory_order_acquire) != 0;
   }
 
-  /// Process-unique id of this list, stable across moves (the moved-to list
-  /// keeps the id; a moved-from list is dead). Decoded-block caches key on
-  /// (uid, block) instead of the object address so that once a segment
-  /// generation retires and its heap is reused, a new list at the same
-  /// address can never be served another list's cached blocks. Uids are
-  /// never reused within a process.
+  /// Process-unique id of this list, assigned when its store is sealed
+  /// (copies of the record share it, as they share its bytes; the empty
+  /// list has 0 and no blocks). Decoded-block caches key on (uid, block)
+  /// instead of the record address so that once a segment generation
+  /// retires and its heap is reused, a new list at the same address can
+  /// never be served another list's cached blocks. Uids are never reused
+  /// within a process.
   uint64_t uid() const { return uid_; }
 
  private:
-  /// Records a pending entry whose position bytes were just appended to
-  /// pending_bytes_ from `byte_begin` on.
-  void AppendPending(NodeId node, uint32_t pos_count, size_t byte_begin);
-  void FlushPending();
-  void FlushPendingBitset(SkipEntry* skip);
+  friend class PostingStore;
+
   Status DecodeBitsetBlock(size_t block, const SkipEntry& skip,
                            std::string_view payload, size_t end,
                            std::vector<EntryRef>* entries,
                            EvalCounters* counters) const;
-  static uint64_t NextUid();
 
-  uint32_t block_size_;
-  /// Whether FlushPending may classify blocks as dense (bitset-encoded).
-  bool dense_enabled_ = DenseBlocksEnabledByDefault();
-  uint64_t uid_ = NextUid();
-  size_t num_entries_ = 0;
-  size_t total_positions_ = 0;
-  /// Built lists own their payload here; loaded lists leave it empty and
-  /// set view_ instead.
-  std::string owned_;
-  /// Borrowed payload slice into the owning index's IndexSource.
-  std::string_view view_;
-  std::vector<SkipEntry> skips_;
-  /// Per-block payload checksums (FNV-1a32); empty for built lists.
-  std::vector<uint32_t> block_checksums_;
-  /// First-touch validation memo, one flag per block; null for built lists,
-  /// whose blocks are trusted. Atomic so
-  /// concurrent read-only queries over a shared index may race benignly on
-  /// the memo without UB.
-  mutable std::unique_ptr<std::atomic<uint8_t>[]> block_verified_;
+  /// The list's slices of its store's checksum and flag arrays (one slot
+  /// per block): spans, so a bounds-checked build catches a list reading
+  /// its neighbour's slots.
+  std::span<const uint32_t> Checksums() const {
+    return {checksums_, skips_.size()};
+  }
+  std::span<std::atomic<uint8_t>> VerifiedFlags() const {
+    return {verified_, skips_.size()};
+  }
+
+  /// This list's slice of the store's payload bytes.
+  std::string_view data_;
+  /// This list's slice of the store's flat skip directory.
+  std::span<const SkipEntry> skips_;
+  /// First of num_blocks() per-block payload checksums (FNV-1a32) in the
+  /// store's table; null for lists sealed from a writer.
+  const uint32_t* checksums_ = nullptr;
+  /// First of num_blocks() first-touch validation flags in the store's
+  /// array; null for lists sealed from a writer, whose blocks are trusted.
+  /// Atomic so concurrent read-only queries over a shared index may race
+  /// benignly on the memo without UB.
+  std::atomic<uint8_t>* verified_ = nullptr;
+  uint64_t num_entries_ = 0;
+  uint64_t total_positions_ = 0;
+  uint64_t uid_ = 0;
+  uint32_t block_size_ = kDefaultBlockSize;
+};
+
+// An index holds one record per token and per pair key (hundreds of
+// thousands on a large index): every byte here is resident per list.
+static_assert(sizeof(BlockPostingList) <= 80,
+              "BlockPostingList is a fixed-size view record");
+
+/// Builds one list: entries are appended in strictly increasing node order
+/// and packed into blocks as each block fills. PostingStore::Add seals the
+/// finished list into a store and frees the writer's buffers; the list is
+/// read through the store from then on.
+class BlockListWriter {
+ public:
+  explicit BlockListWriter(
+      uint32_t block_size = BlockPostingList::kDefaultBlockSize)
+      : block_size_(block_size == 0 ? BlockPostingList::kDefaultBlockSize
+                                    : block_size) {}
+
+  /// Appends one entry; node ids must be strictly increasing. Its positions
+  /// are encoded into the pending block's bytes at once.
+  void Append(NodeId node, std::span<const PositionInfo> positions);
+
+  /// Appends one entry whose `pos_count` positions are already encoded:
+  /// `pos_bytes` is an entry's position bytes exactly as another list holds
+  /// them (EntryRef::pos_byte_begin/pos_byte_len). Position bytes are
+  /// per-entry deltas, independent of the node id, so an entry moves
+  /// between lists — under a new id — as a byte copy; the result is what
+  /// Append would have produced from the decoded positions. The bytes must
+  /// come from a trusted list (built, or fully validated).
+  void AppendEncoded(NodeId node, uint32_t pos_count,
+                     std::string_view pos_bytes);
+
+  /// Flushes the partially filled tail block, if any, and releases the
+  /// pending-block buffers. Idempotent; PostingStore::Add calls it.
+  void Finish();
+
+ private:
+  friend class PostingStore;
 
   // Entries accumulated for the block currently being built; each one's
   // encoded position bytes are pending_bytes_[pos_byte_begin, +pos_byte_len).
@@ -279,8 +284,101 @@ class BlockPostingList {
     uint32_t pos_byte_begin;
     uint32_t pos_byte_len;
   };
+
+  /// Records a pending entry whose position bytes were just appended to
+  /// pending_bytes_ from `byte_begin` on.
+  void AppendPending(NodeId node, uint32_t pos_count, size_t byte_begin);
+  void FlushPending();
+  void FlushPendingBitset(BlockPostingList::SkipEntry* skip);
+
+  uint32_t block_size_;
+  /// Whether FlushPending may classify blocks as dense (bitset-encoded).
+  bool dense_enabled_ = BlockPostingList::DenseBlocksEnabledByDefault();
+  uint64_t num_entries_ = 0;
+  uint64_t total_positions_ = 0;
+  std::string payload_;  // sealed blocks' bytes
+  std::vector<BlockPostingList::SkipEntry> skips_;
   std::vector<PendingEntry> pending_;
   std::vector<uint8_t> pending_bytes_;
+};
+
+/// The stores every list of one index (or of one pair index) views into:
+/// one flat skip directory, one checksum table and one first-touch flag
+/// array for all of its lists, plus the payload bytes — the store's own
+/// buffer when its lists come from writers, an IndexSource (heap buffer or
+/// mmap'd file) when they are loaded. Lists are added in order, then
+/// Seal() binds each record to its slices; from then on the store is
+/// immutable. Moving a sealed store keeps every list valid: the arrays
+/// move their heap buffers and the source is shared.
+class PostingStore {
+ public:
+  PostingStore() = default;
+  PostingStore(PostingStore&&) noexcept = default;
+  PostingStore& operator=(PostingStore&&) noexcept = default;
+
+  /// A sealed store of `writers`' lists, in order. It is sized up front,
+  /// so each payload byte is copied once, and each writer's buffers go as
+  /// its bytes land: a build never holds its payload twice.
+  static PostingStore FromWriters(std::vector<BlockListWriter> writers);
+
+  /// Sizes the arrays for `lists` more lists holding `blocks` blocks and
+  /// `payload_bytes` writer payload bytes in all, so adding them never
+  /// regrows the store.
+  void Reserve(size_t lists, size_t blocks, size_t payload_bytes);
+
+  /// Appends `writer`'s list (finishing it first) and frees the writer's
+  /// buffers as its bytes land in the store, so a build never holds its
+  /// payload twice.
+  void Add(BlockListWriter&& writer);
+
+  /// Appends a list read from a file: blocks `skips` (fewer than 2^32),
+  /// with per-block payload checksums `checksums`, over the
+  /// [payload_begin, payload_begin + payload_size) slice of the source
+  /// Seal is given. Its blocks are validated on first decode. Allocates
+  /// nothing per list beyond the arrays' amortized growth.
+  void AddChecked(uint32_t block_size, uint64_t num_entries,
+                  uint64_t total_positions,
+                  std::span<const BlockPostingList::SkipEntry> skips,
+                  std::span<const uint32_t> checksums, size_t payload_begin,
+                  size_t payload_size);
+
+  /// Binds every added list; call once, after the last Add/AddChecked.
+  /// `source` holds the bytes checked lists view; null when every list came
+  /// from a writer (the store's own buffer is then their payload).
+  void Seal(std::shared_ptr<const IndexSource> source = nullptr);
+
+  size_t size() const { return lists_.size(); }
+  const BlockPostingList& list(size_t i) const { return lists_[i]; }
+  std::span<const BlockPostingList> lists() const { return lists_; }
+
+  /// Resident heap bytes: the list records, the three per-block arrays and
+  /// the store's own payload buffer. A source's bytes are not counted —
+  /// the index that loaded it charges a heap source once.
+  size_t MemoryUsage() const;
+
+ private:
+  /// Where one added list lives in the arrays and the payload (offsets:
+  /// the arrays may still grow until Seal).
+  struct Extent {
+    uint64_t num_entries;
+    uint64_t total_positions;
+    size_t payload_begin;
+    size_t payload_size;
+    uint32_t num_blocks;  // the list's blocks follow the previous list's
+    uint32_t block_size;
+  };
+
+  std::vector<BlockPostingList> lists_;
+  std::vector<Extent> extents_;  // added, not yet sealed
+  std::vector<BlockPostingList::SkipEntry> skips_;
+  std::vector<uint32_t> checksums_;  // checked lists only, one per block
+  /// One flag per block of checked lists; null when every list came from
+  /// a writer.
+  std::unique_ptr<std::atomic<uint8_t>[]> verified_;
+  /// Writer-added lists' payload bytes (a vector: moving it keeps the
+  /// buffer the lists view).
+  std::vector<char> payload_;
+  std::shared_ptr<const IndexSource> source_;
 };
 
 struct DecodedBlock;      // index/decoded_block_cache.h

@@ -42,6 +42,7 @@
 
 #include "common/metrics.h"
 #include "index/block_posting_list.h"
+#include "index/inverted_index.h"
 
 namespace fts {
 

@@ -22,7 +22,8 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
     index.token_texts_.push_back(corpus.token_text(t));
     index.token_ids_.emplace(corpus.token_text(t), t);
   }
-  index.block_lists_.resize(vocab);
+  // One writer per token, then IL_ANY's — the order of the index's lists.
+  std::vector<BlockListWriter> writers(vocab + 1);
   index.unique_tokens_.assign(num_nodes, 0);
 
   // Group-and-append: each document's occurrences are grouped by token
@@ -47,13 +48,12 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
       for (; g < keys.size() && keys[g] >> 32 == tok; ++g) {
         group.push_back(doc.positions[static_cast<uint32_t>(keys[g])]);
       }
-      index.block_lists_[tok].Append(n, group);
+      writers[tok].Append(n, group);
     }
     index.unique_tokens_[n] = uniq;
-    if (!doc.positions.empty()) index.block_any_list_->Append(n, doc.positions);
+    if (!doc.positions.empty()) writers[vocab].Append(n, doc.positions);
   }
-  for (BlockPostingList& l : index.block_lists_) l.Finish();
-  index.block_any_list_->Finish();
+  index.lists_ = PostingStore::FromWriters(std::move(writers));
   // Corpus shape statistics and TF-IDF norms from the finished lists —
   // the pass a segment merge runs too. Freshly built lists always decode.
   [[maybe_unused]] const Status finished = index.FinishLists();

@@ -7,8 +7,10 @@
 // Two passes. The group-and-append pass walks the documents in node order,
 // groups each document's occurrences by token with one sort of packed
 // (token, index-in-document) keys, and appends every group straight to its
-// token's list, encoded into the block-compressed resident form; only the
-// per-node unique-token count outlives a document. The statistics and norm
+// token's list writer (BlockListWriter), encoded into the block-compressed
+// form; only the per-node unique-token count outlives a document. Each
+// finished list is then sealed into the index's stores (PostingStore),
+// which free the writer's buffers as its bytes land. The statistics and norm
 // pass then reads the finished list headers (InvertedIndex::FinishLists,
 // which a segment merge ends with too) through ComputeNodeNorms
 // (index/inverted_index.h), the same pass snapshots run with global

@@ -98,7 +98,8 @@ void PutBlockPostingList(std::string* out, const BlockPostingList& list,
 }
 
 /// Parsed directory of one serialized block list; the payload is left in
-/// place (only its range is recorded).
+/// place (only its range is recorded). Reused across lists, so parsing
+/// allocates nothing per list once the vectors have grown.
 struct BlockListDirectory {
   uint64_t num_entries = 0;
   uint64_t total_positions = 0;
@@ -124,9 +125,11 @@ Status GetBlockListDirectory(std::string_view data, size_t* offset,
     return Status::Corruption("zero block size in nonempty block list");
   }
   // Each skip entry takes at least 6 bytes (six varints).
-  if (num_blocks > (data.size() - *offset) / 6) {
+  if (num_blocks > (data.size() - *offset) / 6 || num_blocks > UINT32_MAX) {
     return Status::Corruption("skip table larger than remaining input");
   }
+  dir->skips.clear();
+  dir->checksums.clear();
   dir->skips.reserve(num_blocks);
   dir->checksums.reserve(num_blocks);
   NodeId prev_max = 0;
@@ -296,29 +299,31 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     offset += len;
   }
 
-  const auto adopt = [&](BlockPostingList* list) -> Status {
-    BlockListDirectory dir;
+  // Each list's directory lands in the store of the index (or of its pair
+  // index) that will hold it; the stores bind the lists once every
+  // directory is read.
+  BlockListDirectory dir;
+  const auto adopt = [&](PostingStore* store) -> Status {
     FTS_RETURN_IF_ERROR(GetBlockListDirectory(data, &offset, s.cnodes, &dir));
     // Fold the header/directory bytes since the last payload into the
     // trailer hash, then hop over this list's payload untouched.
     header_hash = Fnv1aAccumulate(
         header_hash, data.substr(hash_mark, dir.payload_begin - hash_mark));
     hash_mark = dir.payload_begin + dir.payload_size;
-    *list = BlockPostingList::FromParts(
-        dir.block_size == 0 ? BlockPostingList::kDefaultBlockSize
-                            : dir.block_size,
-        dir.num_entries, dir.total_positions, std::move(dir.skips),
-        data.substr(dir.payload_begin, dir.payload_size),
-        std::move(dir.checksums));
+    store->AddChecked(dir.block_size == 0 ? BlockPostingList::kDefaultBlockSize
+                                          : dir.block_size,
+                      dir.num_entries, dir.total_positions, dir.skips,
+                      dir.checksums, dir.payload_begin, dir.payload_size);
     return Status::OK();
   };
-  index.block_lists_.resize(vocab);
   index.df_.resize(vocab);
+  index.lists_.Reserve(vocab + 1, 0, 0);
   for (uint64_t t = 0; t < vocab; ++t) {
-    FTS_RETURN_IF_ERROR(adopt(&index.block_lists_[t]));
-    index.df_[t] = static_cast<uint32_t>(index.block_lists_[t].num_entries());
+    FTS_RETURN_IF_ERROR(adopt(&index.lists_));
+    index.df_[t] = static_cast<uint32_t>(dir.num_entries);
   }
-  FTS_RETURN_IF_ERROR(adopt(index.block_any_list_.get()));
+  FTS_RETURN_IF_ERROR(adopt(&index.lists_));
+  index.lists_.Seal(source);
 
   // Pair-index section: frequent-term table (rank order), then the sorted
   // canonical key table with each key's list inline. Every structural
@@ -343,7 +348,7 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     }
     pair->frequent_.push_back(tok);
   }
-  pair->RebuildLookups();
+  pair->RebuildRanks();
   if (pair->rank_.size() != pair->frequent_.size()) {
     return Status::Corruption("duplicate pair frequent token");
   }
@@ -356,7 +361,7 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     return Status::Corruption("pair keys without frequent table");
   }
   pair->keys_.reserve(num_keys);
-  pair->lists_.resize(num_keys);
+  pair->lists_.Reserve(num_keys, 0, 0);
   TokenId prev_first = 0;
   TokenId prev_second = 0;
   for (uint64_t i = 0; i < num_keys; ++i) {
@@ -380,9 +385,9 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     prev_first = first;
     prev_second = second;
     pair->keys_.push_back({first, second});
-    FTS_RETURN_IF_ERROR(adopt(&pair->lists_[i]));
+    FTS_RETURN_IF_ERROR(adopt(&pair->lists_));
   }
-  pair->RebuildLookups();
+  pair->lists_.Seal(source);
   if (!pair->keys_.empty()) index.pair_index_ = std::move(pair);
 
   if (offset != body_end) {
@@ -501,12 +506,9 @@ Status LoadIndexFromFile(const std::string& path, InvertedIndex* out,
     }
     return Status::OK();
   }
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return Status::IOError("cannot open for read: " + path);
-  std::string data((std::istreambuf_iterator<char>(f)), std::istreambuf_iterator<char>());
-  if (!f.good() && !f.eof()) return Status::IOError("read failed: " + path);
-  return IndexIoAccess::Load(IndexSource::FromString(std::move(data)),
-                             /*prefer_lazy=*/false, out);
+  FTS_ASSIGN_OR_RETURN(std::shared_ptr<IndexSource> source,
+                       IndexSource::ReadFile(path));
+  return IndexIoAccess::Load(std::move(source), /*prefer_lazy=*/false, out);
 }
 
 StatusOr<std::shared_ptr<const IndexSnapshot>> LoadSnapshotFromFile(

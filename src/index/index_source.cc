@@ -11,9 +11,45 @@
 #include <cstring>
 #endif
 
+#if !FTS_HAVE_MMAP
+#include <fstream>
+#endif
+
 namespace fts {
 
 #if FTS_HAVE_MMAP
+
+StatusOr<std::shared_ptr<IndexSource>> IndexSource::ReadFile(
+    const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return Status::IOError("cannot open for read: " + path + ": " +
+                           std::strerror(errno));
+  }
+  struct stat st = {};
+  if (::fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::IOError("cannot stat: " + path + ": " + std::strerror(err));
+  }
+  std::string data(static_cast<size_t>(st.st_size), '\0');
+  size_t done = 0;
+  while (done < data.size()) {
+    const ssize_t n = ::read(fd, data.data() + done, data.size() - done);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      // Read errno before close() can overwrite it.
+      const std::string why = n < 0 ? std::strerror(errno)
+                                    : "ended after " + std::to_string(done) + " of " +
+                                          std::to_string(data.size()) + " bytes";
+      ::close(fd);
+      return Status::IOError("read failed: " + path + ": " + why);
+    }
+    done += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  return FromString(std::move(data));
+}
 
 StatusOr<std::shared_ptr<IndexSource>> IndexSource::MapFile(
     const std::string& path) {
@@ -96,6 +132,19 @@ Status IndexSource::Prefault() const {
 }
 
 #else  // !FTS_HAVE_MMAP
+
+StatusOr<std::shared_ptr<IndexSource>> IndexSource::ReadFile(
+    const std::string& path) {
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
+  if (!f) return Status::IOError("cannot open for read: " + path);
+  const std::streamoff size = f.tellg();
+  if (size < 0) return Status::IOError("cannot size: " + path);
+  std::string data(static_cast<size_t>(size), '\0');
+  f.seekg(0);
+  f.read(data.data(), size);
+  if (f.gcount() != size) return Status::IOError("short read: " + path);
+  return FromString(std::move(data));
+}
 
 StatusOr<std::shared_ptr<IndexSource>> IndexSource::MapFile(
     const std::string& path) {

@@ -51,6 +51,12 @@ class IndexSource {
     return std::shared_ptr<IndexSource>(new IndexSource(std::move(data)));
   }
 
+  /// Reads `path` into a heap buffer of exactly the file's size (one
+  /// allocation, no regrowth). IOError when the file cannot be opened or
+  /// stat'ed, or when a read fails or ends short — never a truncated
+  /// buffer the parser would later reject as Corruption.
+  static StatusOr<std::shared_ptr<IndexSource>> ReadFile(const std::string& path);
+
   /// Memory-maps `path` read-only. Returns IOError when the file cannot be
   /// opened or mapped (distinct from Corruption: nothing was parsed yet),
   /// and Unsupported on platforms without mmap.
@@ -72,6 +78,9 @@ class IndexSource {
   /// True when the bytes are a file mapping (page-cache resident) rather
   /// than a heap buffer.
   bool is_mapped() const { return mapped_ != nullptr; }
+
+  /// Heap bytes the source holds: its buffer's capacity (0 when mapped).
+  size_t resident_bytes() const { return is_mapped() ? 0 : owned_.capacity(); }
 
   /// Advises the kernel about the upcoming access pattern over the
   /// mapping. No-op (OK) for heap sources; IOError only if madvise itself

@@ -11,8 +11,7 @@
 
 namespace fts {
 
-InvertedIndex::InvertedIndex()
-    : block_any_list_(std::make_unique<BlockPostingList>()) {}
+InvertedIndex::InvertedIndex() = default;
 InvertedIndex::~InvertedIndex() = default;
 InvertedIndex::InvertedIndex(InvertedIndex&&) noexcept = default;
 InvertedIndex& InvertedIndex::operator=(InvertedIndex&&) noexcept = default;
@@ -29,7 +28,7 @@ std::string IndexStats::ToString() const {
 }
 
 const BlockPostingList* InvertedIndex::block_list(TokenId token) const {
-  return token < block_lists_.size() ? &block_lists_[token] : nullptr;
+  return token < vocabulary_size() ? &lists_.list(token) : nullptr;
 }
 
 const BlockPostingList* InvertedIndex::block_list_for_text(
@@ -39,7 +38,9 @@ const BlockPostingList* InvertedIndex::block_list_for_text(
 }
 
 const BlockPostingList& InvertedIndex::block_any_list() const {
-  return *block_any_list_;
+  static const BlockPostingList kEmpty;
+  return lists_.size() > vocabulary_size() ? lists_.list(vocabulary_size())
+                                           : kEmpty;
 }
 
 IndexStorage InvertedIndex::storage() const {
@@ -55,17 +56,20 @@ size_t InvertedIndex::MemoryUsage() const {
   size_t bytes = sizeof(InvertedIndex);
   // A heap source buffer is resident in full (the lists view into it); an
   // mmap'd source is page-cache backed and excluded (see MappedBytes()).
-  if (source_ != nullptr && !source_->is_mapped()) bytes += source_->size();
-  bytes += block_lists_.capacity() * sizeof(BlockPostingList);
-  for (const BlockPostingList& l : block_lists_) bytes += l.resident_bytes();
-  bytes += sizeof(BlockPostingList) + block_any_list_->resident_bytes();
+  if (source_ != nullptr) bytes += source_->resident_bytes();
+  bytes += lists_.MemoryUsage();
+  // A short string lives inside its object; a longer one holds a heap
+  // buffer of capacity + 1 bytes.
+  const auto heap_bytes = [](const std::string& t) {
+    return t.capacity() > std::string().capacity() ? t.capacity() + 1 : 0;
+  };
   bytes += token_texts_.capacity() * sizeof(std::string);
-  for (const std::string& t : token_texts_) bytes += t.capacity();
+  for (const std::string& t : token_texts_) bytes += heap_bytes(t);
   // Hash-map accounting is approximate: buckets plus one heap node per
   // entry (key string + id + chain pointers).
   bytes += token_ids_.bucket_count() * sizeof(void*);
   for (const auto& [text, id] : token_ids_) {
-    bytes += sizeof(std::pair<const std::string, TokenId>) + text.capacity() +
+    bytes += sizeof(std::pair<const std::string, TokenId>) + heap_bytes(text) +
              2 * sizeof(void*);
   }
   bytes += df_.capacity() * sizeof(uint32_t);
@@ -73,6 +77,10 @@ size_t InvertedIndex::MemoryUsage() const {
   bytes += node_norms_.capacity() * sizeof(double);
   if (pair_index_ != nullptr) bytes += pair_index_->MemoryUsage();
   return bytes;
+}
+
+size_t InvertedIndex::num_lists() const {
+  return lists_.size() + (pair_index_ != nullptr ? pair_index_->num_keys() : 0);
 }
 
 Status InvertedIndex::ValidateBlocks() const {
@@ -110,10 +118,9 @@ Status InvertedIndex::ValidateBlocks() const {
     }
     return Status::OK();
   };
-  for (const BlockPostingList& l : block_lists_) {
+  for (const BlockPostingList& l : lists_.lists()) {
     FTS_RETURN_IF_ERROR(validate(l));
   }
-  FTS_RETURN_IF_ERROR(validate(*block_any_list_));
   if (pair_index_ != nullptr) {
     FTS_RETURN_IF_ERROR(pair_index_->Validate(cnodes));
   }
@@ -131,13 +138,13 @@ Status InvertedIndex::FinishLists() {
   const size_t num_nodes = unique_tokens_.size();
   IndexStats& s = stats_;
   s.cnodes = num_nodes;
-  s.total_positions = block_any_list_->total_positions();
-  s.pos_per_cnode = max_tf(*block_any_list_);
+  s.total_positions = block_any_list().total_positions();
+  s.pos_per_cnode = max_tf(block_any_list());
   uint64_t total_entries = 0;
   uint64_t nonempty_lists = 0;
-  df_.assign(block_lists_.size(), 0);
-  for (TokenId t = 0; t < block_lists_.size(); ++t) {
-    const BlockPostingList& l = block_lists_[t];
+  df_.assign(vocabulary_size(), 0);
+  for (TokenId t = 0; t < vocabulary_size(); ++t) {
+    const BlockPostingList& l = lists_.list(t);
     if (l.empty()) continue;
     df_[t] = static_cast<uint32_t>(l.num_entries());
     ++nonempty_lists;

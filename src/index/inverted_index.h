@@ -31,20 +31,12 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
+#include "index/block_posting_list.h"
 #include "text/document.h"
 
 namespace fts {
 
 class TombstoneSet;  // index/tombstone_set.h
-
-/// One (cn, PosList) pair of an inverted list as BlockPostingList::
-/// DecodeBlock returns it: the entry's positions are the [pos_begin,
-/// pos_begin + pos_count) slice of the block's decoded position array.
-struct PostingEntry {
-  NodeId node = kInvalidNode;
-  uint32_t pos_begin = 0;
-  uint32_t pos_count = 0;
-};
 
 /// Corpus shape parameters from the paper's complexity model (Section 5.1.2
 /// and Section 6.2). Max values are the conservative parameters used in the
@@ -102,7 +94,6 @@ struct SegmentScoringStats {
   }
 };
 
-class BlockPostingList;  // index/block_posting_list.h
 class IndexSource;       // index/index_source.h
 class PairIndex;         // index/pair_index.h
 struct PairIndexOptions;  // index/pair_index.h
@@ -110,7 +101,7 @@ struct PairIndexOptions;  // index/pair_index.h
 /// Where a loaded index's posting payload bytes live (see
 /// index/index_source.h and docs/index_format.md for the full matrix).
 enum class IndexStorage {
-  /// Lists own their bytes (built in memory).
+  /// Built in memory: lists view the index's own payload store.
   kOwned,
   /// Lists view into one shared heap buffer (LoadIndexFromString, eager
   /// LoadIndexFromFile).
@@ -181,12 +172,15 @@ class InvertedIndex {
   }
 
   /// Resident heap footprint of the index in bytes: compressed posting
-  /// payloads (owned or in the heap source buffer) + skip tables +
-  /// dictionary + per-node scalars. Counted from container capacities, so
-  /// it reflects what the process actually holds. Mmap'd payload bytes are
-  /// NOT included — they are page-cache backed and reclaimable; see
-  /// MappedBytes().
+  /// payloads (the built payload store or the heap source buffer) + list
+  /// records and per-block arrays + dictionary + per-node scalars. Counted
+  /// from container capacities, so it reflects what the process actually
+  /// holds. Mmap'd payload bytes are NOT included — they are page-cache
+  /// backed and reclaimable; see MappedBytes().
   size_t MemoryUsage() const;
+
+  /// Lists resident in the index: token lists, IL_ANY and pair lists.
+  size_t num_lists() const;
 
   /// Where the posting payload bytes live.
   IndexStorage storage() const;
@@ -228,9 +222,9 @@ class InvertedIndex {
   /// malformed payload, so cursors never see invalid bytes at query time.
   Status ValidateBlocks() const;
 
-  std::vector<BlockPostingList> block_lists_;          // indexed by TokenId
-  std::unique_ptr<BlockPostingList> block_any_list_;   // compressed IL_ANY
-  std::unique_ptr<PairIndex> pair_index_;              // nullable
+  /// The token lists by TokenId, then IL_ANY (lists_.list(vocab)).
+  PostingStore lists_;
+  std::unique_ptr<PairIndex> pair_index_;   // nullable
   std::vector<std::string> token_texts_;    // TokenId -> spelling
   std::unordered_map<std::string, TokenId> token_ids_;
   std::vector<uint32_t> df_;                // TokenId -> df (list headers)
@@ -238,8 +232,9 @@ class InvertedIndex {
   std::vector<double> node_norms_;          // NodeId -> ||n||_2
   double min_uniq_norm_ = std::numeric_limits<double>::infinity();
   IndexStats stats_;
-  /// Byte storage the lists' data() views borrow from (null when every
-  /// list owns its bytes). Shared so moves/loans never dangle.
+  /// The loaded bytes the lists' data() views borrow from (null for a
+  /// built index, whose lists view lists_'s own buffer). Shared so
+  /// moves/loans never dangle.
   std::shared_ptr<IndexSource> source_;
   bool lazy_validation_ = false;
 };

@@ -53,7 +53,7 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
     int32_t delta;
   };
   const uint32_t window = opts.max_distance + 1;
-  std::vector<BlockPostingList> building;
+  std::vector<BlockListWriter> building;
   std::vector<uint64_t> building_keys;
   std::unordered_map<uint64_t, uint32_t> slot_of;
   std::vector<Record> recs;
@@ -107,15 +107,16 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
   std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
     return building_keys[x] < building_keys[y];
   });
+  std::vector<BlockListWriter> sorted;
+  sorted.reserve(order.size());
   out.keys_.reserve(order.size());
-  out.lists_.reserve(order.size());
   for (const uint32_t slot : order) {
-    building[slot].Finish();
     out.keys_.push_back({static_cast<TokenId>(building_keys[slot] >> 32),
                          static_cast<TokenId>(building_keys[slot])});
-    out.lists_.push_back(std::move(building[slot]));
+    sorted.push_back(std::move(building[slot]));
   }
-  out.RebuildLookups();
+  out.lists_ = PostingStore::FromWriters(std::move(sorted));
+  out.RebuildRanks();
   return out;
 }
 
@@ -126,40 +127,36 @@ PairIndex::Lookup PairIndex::Find(TokenId a, TokenId b) const {
   if (ra == kNotFrequent && rb == kNotFrequent) return out;
   out.eligible = true;
   out.swapped = !(ra < rb);
-  const auto it =
-      slots_.find(out.swapped ? PackKey(b, a) : PackKey(a, b));
-  if (it != slots_.end()) out.list = &lists_[it->second];
+  const uint64_t key = out.swapped ? PackKey(b, a) : PackKey(a, b);
+  const auto it = std::lower_bound(
+      keys_.begin(), keys_.end(), key,
+      [](const PairTermKey& k, uint64_t v) { return PackKey(k.first, k.second) < v; });
+  if (it != keys_.end() && PackKey(it->first, it->second) == key) {
+    out.list = &lists_.list(static_cast<size_t>(it - keys_.begin()));
+  }
   return out;
 }
 
-void PairIndex::RebuildLookups() {
+void PairIndex::RebuildRanks() {
   rank_.clear();
   rank_.reserve(frequent_.size());
   for (size_t r = 0; r < frequent_.size(); ++r) rank_.emplace(frequent_[r], r);
-  slots_.clear();
-  slots_.reserve(keys_.size());
-  for (size_t i = 0; i < keys_.size(); ++i) {
-    slots_.emplace(PackKey(keys_[i].first, keys_[i].second), i);
-  }
 }
 
 size_t PairIndex::MemoryUsage() const {
   size_t bytes = sizeof(PairIndex);
   bytes += frequent_.capacity() * sizeof(TokenId);
   bytes += keys_.capacity() * sizeof(PairTermKey);
-  bytes += lists_.capacity() * sizeof(BlockPostingList);
-  for (const BlockPostingList& l : lists_) bytes += l.resident_bytes();
+  bytes += lists_.MemoryUsage();
   bytes += rank_.bucket_count() * sizeof(void*) +
            rank_.size() * (sizeof(std::pair<TokenId, size_t>) + 2 * sizeof(void*));
-  bytes += slots_.bucket_count() * sizeof(void*) +
-           slots_.size() * (sizeof(std::pair<uint64_t, size_t>) + 2 * sizeof(void*));
   return bytes;
 }
 
 Status PairIndex::Validate(uint64_t cnodes) const {
   std::vector<PostingEntry> entries;
   std::vector<PositionInfo> positions;
-  for (const BlockPostingList& l : lists_) {
+  for (const BlockPostingList& l : lists_.lists()) {
     uint64_t total_entries = 0;
     uint64_t total_positions = 0;
     bool have_prev = false;

@@ -88,7 +88,7 @@ class PairIndex {
   const std::vector<TokenId>& frequent_terms() const { return frequent_; }
   size_t num_keys() const { return keys_.size(); }
   const PairTermKey& key(size_t i) const { return keys_[i]; }
-  const BlockPostingList& list(size_t i) const { return lists_[i]; }
+  const BlockPostingList& list(size_t i) const { return lists_.list(i); }
 
   /// Rank of `token` among the frequent terms (0 = most frequent), or
   /// kNotFrequent. Ranking is (df desc, token text asc) — deterministic
@@ -139,16 +139,17 @@ class PairIndex {
   uint32_t max_distance_ = 0;
   std::vector<TokenId> frequent_;               // rank order
   std::unordered_map<TokenId, size_t> rank_;    // token -> rank
-  std::vector<PairTermKey> keys_;               // sorted (first, second)
-  std::vector<BlockPostingList> lists_;         // parallel to keys_
-  std::unordered_map<uint64_t, size_t> slots_;  // packed key -> index
+  /// Sorted by (first, second): Find binary-searches it, so a key costs
+  /// its 8 bytes plus its list record.
+  std::vector<PairTermKey> keys_;
+  PostingStore lists_;  // parallel to keys_
 
   static uint64_t PackKey(TokenId first, TokenId second) {
     return (static_cast<uint64_t>(first) << 32) | second;
   }
 
-  /// Rebuilds rank_ and slots_ from frequent_/keys_ (loader path).
-  void RebuildLookups();
+  /// Rebuilds rank_ from frequent_ (loader path).
+  void RebuildRanks();
 };
 
 }  // namespace fts

@@ -28,7 +28,7 @@ struct MergedToken {
 /// (`remap`, kInvalidNode for a deleted node), position bytes verbatim.
 Status AppendLive(const BlockPostingList& list, const std::vector<NodeId>& remap,
                   std::vector<BlockPostingList::EntryRef>* entries,
-                  BlockPostingList* out) {
+                  BlockListWriter* out) {
   const std::string_view data = list.data();
   for (size_t b = 0; b < list.num_blocks(); ++b) {
     FTS_RETURN_IF_ERROR(list.DecodeBlockEntries(b, entries));
@@ -170,31 +170,43 @@ struct SegmentMergerAccess {
                 return std::pair{a.node, a.offset} < std::pair{b.node, b.offset};
               });
 
+    // Each merged list is sealed into the index's stores as soon as it is
+    // written, so only one list's own buffer exists at a time. The stores
+    // are sized from the source lists, whose bytes the merged lists copy
+    // less the deleted entries', so they rarely regrow.
     InvertedIndex index;
     index.token_texts_.reserve(tokens.size());
     index.token_ids_.reserve(tokens.size());
-    index.block_lists_.resize(tokens.size());
+    size_t blocks = 0, bytes = 0;
+    for (const SegmentView& seg : segments) {
+      for (const BlockPostingList& l : seg.index->lists_.lists()) {
+        blocks += l.num_blocks();
+        bytes += l.data().size();
+      }
+    }
+    index.lists_.Reserve(tokens.size() + 1, blocks, bytes);
     for (TokenId id = 0; id < tokens.size(); ++id) {
       index.token_texts_.emplace_back(tokens[id].text);
       index.token_ids_.emplace(tokens[id].text, id);
-      BlockPostingList& out = index.block_lists_[id];
+      BlockListWriter out;
       for (const auto& [s, local] : tokens[id].sources) {
         FTS_RETURN_IF_ERROR(AppendLive(*segments[s].index->block_list(local),
                                        remap[s], &entries, &out));
       }
-      out.Finish();
+      index.lists_.Add(std::move(out));
     }
+    BlockListWriter any;
     for (size_t s = 0; s < segments.size(); ++s) {
       const InvertedIndex& idx = *segments[s].index;
-      FTS_RETURN_IF_ERROR(AppendLive(idx.block_any_list(), remap[s], &entries,
-                                     index.block_any_list_.get()));
+      FTS_RETURN_IF_ERROR(AppendLive(idx.block_any_list(), remap[s], &entries, &any));
       for (NodeId n = 0; n < remap[s].size(); ++n) {
         if (remap[s][n] != kInvalidNode) {
           index.unique_tokens_.push_back(idx.unique_tokens(n));
         }
       }
     }
-    index.block_any_list_->Finish();
+    index.lists_.Add(std::move(any));
+    index.lists_.Seal();
     FTS_RETURN_IF_ERROR(index.FinishLists());
 
     if (options.pairs.frequent_terms > 0) {

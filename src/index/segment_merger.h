@@ -7,7 +7,7 @@
 // surviving documents would use. Each merged list then walks its source
 // lists in segment order, decoding entry headers only, and appends every
 // live entry under its new id with its position bytes copied verbatim
-// (BlockPostingList::AppendEncoded): position bytes are per-entry deltas
+// (BlockListWriter::AppendEncoded): position bytes are per-entry deltas
 // and do not depend on node ids. IL_ANY merges the same way; unique-token
 // counts are copied, and the statistics and norms come from the pass
 // IndexBuilder ends with. Token spellings are kept as they are. The merged

@@ -170,6 +170,13 @@ std::string FtsServer::MetricsText() const {
   line("fts_generation", snap->generation());
   line("fts_total_nodes", snap->total_nodes());
   line("fts_live_nodes", snap->live_nodes());
+  uint64_t resident_bytes = 0, lists = 0;
+  for (const SegmentView& seg : snap->segments()) {
+    resident_bytes += seg.index->MemoryUsage();
+    lists += seg.index->num_lists();
+  }
+  line("fts_index_resident_bytes", resident_bytes);
+  line("fts_index_lists", lists);
   line("fts_workers", service_->num_workers());
   line("fts_queue_depth", service_->queue_depth());
   line("fts_queue_capacity", service_->queue_capacity());

@@ -7,6 +7,7 @@
 #include "common/varint_simd.h"
 #include "index/decoded_block_cache.h"
 #include "index/index_builder.h"
+#include "index/index_source.h"
 #include "workload/corpus_gen.h"
 
 #include "random_workload.h"
@@ -45,7 +46,7 @@ void ExpectListsEqual(const PostingList& a, const PostingList& b) {
 
 TEST(BlockPostingListTest, RoundTripsThroughMaterialize) {
   PostingList raw = MakeRawList(1000, 3, 5);
-  BlockPostingList block = FromPostingList(raw, 128);
+  OwnedBlockList block = FromPostingList(raw, 128);
   EXPECT_EQ(block.num_entries(), raw.num_entries());
   EXPECT_EQ(block.total_positions(), raw.total_positions());
   EXPECT_EQ(block.num_blocks(), (1000 + 127) / 128);
@@ -54,7 +55,7 @@ TEST(BlockPostingListTest, RoundTripsThroughMaterialize) {
 
 TEST(BlockPostingListTest, PartialTailBlockIsFlushed) {
   PostingList raw = MakeRawList(130, 2, 1);
-  BlockPostingList block = FromPostingList(raw, 128);
+  OwnedBlockList block = FromPostingList(raw, 128);
   ASSERT_EQ(block.num_blocks(), 2u);
   EXPECT_EQ(block.skip(0).entry_count, 128u);
   EXPECT_EQ(block.skip(1).entry_count, 2u);
@@ -63,7 +64,7 @@ TEST(BlockPostingListTest, PartialTailBlockIsFlushed) {
 
 TEST(BlockPostingListTest, SkipHeadersCoverBlocks) {
   PostingList raw = MakeRawList(300, 2, 1);  // nodes 1, 3, 5, ...
-  BlockPostingList block = FromPostingList(raw, 100);
+  OwnedBlockList block = FromPostingList(raw, 100);
   ASSERT_EQ(block.num_blocks(), 3u);
   EXPECT_EQ(block.skip(0).max_node, raw.entry(99).node);
   EXPECT_EQ(block.skip(1).max_node, raw.entry(199).node);
@@ -74,7 +75,7 @@ TEST(BlockPostingListTest, SkipHeadersCoverBlocks) {
 
 TEST(BlockPostingListTest, HeaderOnlyDecodeMatchesFullDecode) {
   PostingList raw = MakeRawList(250, 5, 4);
-  BlockPostingList block = FromPostingList(raw, 64);
+  OwnedBlockList block = FromPostingList(raw, 64);
   std::vector<BlockPostingList::EntryRef> refs;
   std::vector<PostingEntry> entries;
   std::vector<PositionInfo> positions, entry_positions;
@@ -100,22 +101,23 @@ TEST(BlockPostingListTest, AppendEncodedMatchesAppend) {
   // in dense (bitset) blocks: position bytes never depend on node ids.
   for (const uint32_t stride : {1u, 2u, 9u}) {
     const PostingList raw = MakeRawList(300, stride, 4);
-    const BlockPostingList source = FromPostingList(raw);
-    BlockPostingList copied, appended;
+    const OwnedBlockList source = FromPostingList(raw);
+    BlockListWriter copied_writer, appended_writer;
     std::vector<BlockPostingList::EntryRef> refs;
     std::vector<PositionInfo> positions;
     for (size_t b = 0; b < source.num_blocks(); ++b) {
       ASSERT_TRUE(source.DecodeBlockEntries(b, &refs).ok());
       for (const BlockPostingList::EntryRef& e : refs) {
         const NodeId node = e.header.node + 5;
-        copied.AppendEncoded(node, e.header.pos_count,
-                             source.data().substr(e.pos_byte_begin, e.pos_byte_len));
+        copied_writer.AppendEncoded(
+            node, e.header.pos_count,
+            source.data().substr(e.pos_byte_begin, e.pos_byte_len));
         ASSERT_TRUE(source.DecodePositions(e, &positions).ok());
-        appended.Append(node, positions);
+        appended_writer.Append(node, positions);
       }
     }
-    copied.Finish();
-    appended.Finish();
+    const OwnedBlockList copied(std::move(copied_writer));
+    const OwnedBlockList appended(std::move(appended_writer));
     EXPECT_EQ(copied.has_bitset_blocks(),
               BlockPostingList::DenseBlocksEnabledByDefault() && stride < 4)
         << stride;
@@ -135,12 +137,12 @@ TEST(BlockPostingListTest, ListObjectStaysSmall) {
   // An index holds one BlockPostingList per token and per pair key
   // (hundreds of thousands on a large index); 8 more bytes each is
   // measurable resident memory.
-  EXPECT_LE(sizeof(BlockPostingList), 184u);
+  EXPECT_LE(sizeof(BlockPostingList), 80u);
 }
 
 TEST(BlockListCursorTest, SequentialScanMatchesRawCursor) {
   PostingList raw = MakeRawList(500, 4, 3);
-  BlockPostingList block = FromPostingList(raw, 64);
+  OwnedBlockList block = FromPostingList(raw, 64);
   ListCursor rc(&raw);
   BlockListCursor bc(&block);
   while (true) {
@@ -159,7 +161,7 @@ TEST(BlockListCursorTest, SequentialScanMatchesRawCursor) {
 
 TEST(BlockListCursorTest, SeekToFirstNode) {
   PostingList raw = MakeRawList(300, 2, 1);  // nodes 1, 3, ..., 599
-  BlockPostingList block = FromPostingList(raw, 50);
+  OwnedBlockList block = FromPostingList(raw, 50);
   BlockListCursor cursor(&block);
   EXPECT_EQ(cursor.SeekEntry(0), 1u);
   EXPECT_EQ(cursor.current_node(), 1u);
@@ -167,7 +169,7 @@ TEST(BlockListCursorTest, SeekToFirstNode) {
 
 TEST(BlockListCursorTest, SeekToLastNode) {
   PostingList raw = MakeRawList(300, 2, 1);
-  BlockPostingList block = FromPostingList(raw, 50);
+  OwnedBlockList block = FromPostingList(raw, 50);
   BlockListCursor cursor(&block);
   EXPECT_EQ(cursor.SeekEntry(599), 599u);
   EXPECT_EQ(cursor.NextEntry(), kInvalidNode);
@@ -175,14 +177,14 @@ TEST(BlockListCursorTest, SeekToLastNode) {
 
 TEST(BlockListCursorTest, SeekToAbsentNodeLandsOnSuccessor) {
   PostingList raw = MakeRawList(300, 2, 1);  // odd nodes only
-  BlockPostingList block = FromPostingList(raw, 50);
+  OwnedBlockList block = FromPostingList(raw, 50);
   BlockListCursor cursor(&block);
   EXPECT_EQ(cursor.SeekEntry(100), 101u);  // 100 absent -> first node >= 100
 }
 
 TEST(BlockListCursorTest, SeekPastEndExhausts) {
   PostingList raw = MakeRawList(300, 2, 1);
-  BlockPostingList block = FromPostingList(raw, 50);
+  OwnedBlockList block = FromPostingList(raw, 50);
   BlockListCursor cursor(&block);
   EXPECT_EQ(cursor.SeekEntry(600), kInvalidNode);
   EXPECT_TRUE(cursor.exhausted());
@@ -191,7 +193,7 @@ TEST(BlockListCursorTest, SeekPastEndExhausts) {
 
 TEST(BlockListCursorTest, BackwardSeekIsRejected) {
   PostingList raw = MakeRawList(300, 2, 1);
-  BlockPostingList block = FromPostingList(raw, 50);
+  OwnedBlockList block = FromPostingList(raw, 50);
   BlockListCursor cursor(&block);
   ASSERT_EQ(cursor.SeekEntry(401), 401u);
   EXPECT_EQ(cursor.SeekEntry(7), 401u);  // backward: cursor does not move
@@ -211,7 +213,7 @@ TEST(BlockListCursorTest, EmptyAndNullListsExhaustImmediately) {
 
 TEST(BlockListCursorTest, SeekWithinCurrentBlockAdvances) {
   PostingList raw = MakeRawList(100, 2, 1);  // one block of 128 capacity
-  BlockPostingList block = FromPostingList(raw, 128);
+  OwnedBlockList block = FromPostingList(raw, 128);
   ASSERT_EQ(block.num_blocks(), 1u);
   EvalCounters counters;
   BlockListCursor cursor(&block, &counters);
@@ -225,7 +227,7 @@ TEST(BlockListCursorTest, SeekDecodesSubLinearEntryCount) {
   // 10k entries in 79 blocks of 128: one cold seek must decode exactly one
   // block (plus O(log blocks) skip probes), not the whole list.
   PostingList raw = MakeRawList(10000, 3, 2);
-  BlockPostingList block = FromPostingList(raw, 128);
+  OwnedBlockList block = FromPostingList(raw, 128);
   EvalCounters counters;
   BlockListCursor cursor(&block, &counters);
   const NodeId target = raw.entry(7000).node;
@@ -238,7 +240,7 @@ TEST(BlockListCursorTest, SeekDecodesSubLinearEntryCount) {
 
 TEST(BlockListCursorTest, InterleavedSeekAndNextMatchRawReference) {
   PostingList raw = MakeRawList(2000, 3, 2);
-  BlockPostingList block = FromPostingList(raw, 128);
+  OwnedBlockList block = FromPostingList(raw, 128);
   Rng rng(99);
   ListCursor rc(&raw);
   BlockListCursor bc(&block);
@@ -293,7 +295,7 @@ TEST(BlockPostingListTest, CompressedFootprintIsSmallerThanRawStructs) {
 
 TEST(DecodedBlockCacheTest, SecondScanHitsEveryBlock) {
   PostingList raw = MakeRawList(1000, 3, 2);
-  BlockPostingList block = FromPostingList(raw, 128);
+  OwnedBlockList block = FromPostingList(raw, 128);
   DecodedBlockCache cache;
   EvalCounters counters;
   for (int scan = 0; scan < 2; ++scan) {
@@ -312,7 +314,7 @@ TEST(DecodedBlockCacheTest, SecondScanHitsEveryBlock) {
 
 TEST(DecodedBlockCacheTest, CachedScanStreamsIdenticalToUncached) {
   PostingList raw = MakeRawList(700, 2, 3);
-  BlockPostingList block = FromPostingList(raw, 64);
+  OwnedBlockList block = FromPostingList(raw, 64);
   DecodedBlockCache cache;  // holds the whole list: the cached path is live
   for (int scan = 0; scan < 2; ++scan) {
     BlockListCursor cached(&block, nullptr, &cache);
@@ -335,8 +337,8 @@ TEST(DecodedBlockCacheTest, EvictedBlockStaysValidForItsCursor) {
   // A's decoded view must survive eviction (shared_ptr keepalive).
   PostingList raw1 = MakeRawList(100, 2, 1);
   PostingList raw2 = MakeRawList(100, 3, 1);
-  BlockPostingList block1 = FromPostingList(raw1, 128);
-  BlockPostingList block2 = FromPostingList(raw2, 128);
+  OwnedBlockList block1 = FromPostingList(raw1, 128);
+  OwnedBlockList block2 = FromPostingList(raw2, 128);
   ASSERT_EQ(block1.num_blocks(), 1u);
   DecodedBlockCache cache(/*capacity=*/1);
   BlockListCursor a(&block1, nullptr, &cache);
@@ -358,7 +360,7 @@ TEST(DecodedBlockCacheTest, ListsLongerThanCapacityBypassTheCache) {
   // would evict every block before its re-read; cursors must skip the
   // cache (no misses, no insertions) and decode into their own arena.
   PostingList raw = MakeRawList(1000, 2, 1);
-  BlockPostingList block = FromPostingList(raw, 128);
+  OwnedBlockList block = FromPostingList(raw, 128);
   ASSERT_GT(block.num_blocks(), 4u);
   DecodedBlockCache cache(/*capacity=*/4);
   EvalCounters counters;
@@ -398,7 +400,7 @@ TEST(DecodedBlockCacheTest, ShouldAttachRequiresRepeatsAndAFittingWorkingSet) {
 
 TEST(DecodedBlockCacheTest, SeekingThroughCacheMatchesDirectSeeks) {
   PostingList raw = MakeRawList(900, 5, 1);
-  BlockPostingList block = FromPostingList(raw, 128);
+  OwnedBlockList block = FromPostingList(raw, 128);
   DecodedBlockCache cache;
   Rng rng(12);
   for (int trial = 0; trial < 20; ++trial) {
@@ -423,7 +425,7 @@ TEST(DecodedBlockCacheTest, SeekingThroughCacheMatchesDirectSeeks) {
 // ---------------------------------------------------------------------------
 
 struct LazyListParts {
-  std::string payload;  // the cursor views into this; keep it alive
+  std::string payload;
   std::vector<BlockPostingList::SkipEntry> skips;
   std::vector<uint32_t> checksums;
   size_t num_entries = 0;
@@ -433,10 +435,10 @@ struct LazyListParts {
 
 LazyListParts MakeLazyParts(uint32_t entries, uint32_t block_size) {
   const PostingList raw = MakeRawList(entries, 3, 4);
-  const BlockPostingList built = FromPostingList(raw, block_size);
+  const OwnedBlockList built = FromPostingList(raw, block_size);
   LazyListParts parts;
   parts.payload = std::string(built.data());
-  parts.skips = built.skips();
+  parts.skips.assign(built.skips().begin(), built.skips().end());
   parts.num_entries = built.num_entries();
   parts.total_positions = built.total_positions();
   parts.block_size = built.block_size();
@@ -450,17 +452,19 @@ LazyListParts MakeLazyParts(uint32_t entries, uint32_t block_size) {
   return parts;
 }
 
-BlockPostingList AssembleLazy(const LazyListParts& parts) {
-  return BlockPostingList::FromParts(parts.block_size, parts.num_entries,
-                                     parts.total_positions, parts.skips,
-                                     std::string_view(parts.payload),
-                                     parts.checksums);
+/// A checked list over a copy of `parts.payload`, as a loader adopts one.
+OwnedBlockList AssembleLazy(const LazyListParts& parts) {
+  PostingStore store;
+  store.AddChecked(parts.block_size, parts.num_entries, parts.total_positions,
+                   parts.skips, parts.checksums, 0, parts.payload.size());
+  store.Seal(IndexSource::FromString(parts.payload));
+  return OwnedBlockList(std::move(store));
 }
 
 TEST(FirstTouchValidationTest, CleanLazyListStreamsIdenticalToBuilt) {
   const PostingList raw = MakeRawList(500, 3, 4);
   const LazyListParts parts = MakeLazyParts(500, 128);
-  const BlockPostingList lazy = AssembleLazy(parts);
+  const OwnedBlockList lazy = AssembleLazy(parts);
   ASSERT_EQ(lazy.num_blocks(), 4u);
   for (size_t b = 0; b < lazy.num_blocks(); ++b) {
     EXPECT_FALSE(lazy.BlockVerified(b)) << b;  // untouched so far
@@ -496,7 +500,7 @@ TEST(FirstTouchValidationTest, PayloadFlipSurfacesCorruptionAtFirstDecode) {
   const size_t victim_begin = parts.skips[2].byte_offset;
   parts.payload[victim_begin + 1] =
       static_cast<char>(parts.payload[victim_begin + 1] ^ 0x10);
-  const BlockPostingList lazy = AssembleLazy(parts);
+  const OwnedBlockList lazy = AssembleLazy(parts);
   BlockListCursor cursor(&lazy);
   size_t streamed = 0;
   while (cursor.NextEntry() != kInvalidNode) ++streamed;
@@ -514,7 +518,7 @@ TEST(FirstTouchValidationTest, SeekIntoDamagedBlockFailsClosed) {
   LazyListParts parts = MakeLazyParts(500, 128);
   const size_t victim_begin = parts.skips[3].byte_offset;
   parts.payload[victim_begin] = static_cast<char>(parts.payload[victim_begin] ^ 0x01);
-  const BlockPostingList lazy = AssembleLazy(parts);
+  const OwnedBlockList lazy = AssembleLazy(parts);
   BlockListCursor cursor(&lazy);
   // Seeking straight into the damaged landing block must not fabricate a
   // node: the cursor exhausts with Corruption without touching blocks 0-2.
@@ -528,7 +532,7 @@ TEST(FirstTouchValidationTest, CachedDecodeReportsCorruptionOnce) {
   // like direct decodes.
   LazyListParts parts = MakeLazyParts(300, 128);
   parts.payload[parts.skips[1].byte_offset] ^= 0x40;
-  const BlockPostingList lazy = AssembleLazy(parts);
+  const OwnedBlockList lazy = AssembleLazy(parts);
   DecodedBlockCache cache;
   EvalCounters counters;
   BlockListCursor cursor(&lazy, &counters, &cache);
@@ -561,7 +565,7 @@ TEST(FirstTouchValidationTest, CrossBlockMonotonicityCheckedLazily) {
                                             : parts.payload.size();
   parts.checksums[1] =
       Fnv1a32(std::string_view(parts.payload).substr(victim, end - victim));
-  const BlockPostingList lazy = AssembleLazy(parts);
+  const OwnedBlockList lazy = AssembleLazy(parts);
   std::vector<BlockPostingList::EntryRef> entries;
   const Status s = lazy.DecodeBlockEntries(1, &entries);
   ASSERT_FALSE(s.ok());
@@ -576,23 +580,23 @@ TEST(DenseBlockTest, ClassificationBySpanAndSize) {
   // Consecutive ids (span == entries) classify dense; a stride of 8 blows
   // the span budget (8 * entries > kDenseSpanFactor * entries) and stays
   // varint; lists below kMinDenseEntries never flip representation.
-  const BlockPostingList dense =
+  const OwnedBlockList dense =
       FromPostingList(MakeRawList(256, 1, 2), 128);
   EXPECT_TRUE(dense.has_bitset_blocks());
   for (size_t b = 0; b < dense.num_blocks(); ++b) {
     EXPECT_EQ(dense.skip(b).encoding, BlockPostingList::kEncodingBitset) << b;
   }
-  const BlockPostingList sparse =
+  const OwnedBlockList sparse =
       FromPostingList(MakeRawList(256, 8, 2), 128);
   EXPECT_FALSE(sparse.has_bitset_blocks());
-  const BlockPostingList tiny =
+  const OwnedBlockList tiny =
       FromPostingList(MakeRawList(8, 1, 1), 128);
   EXPECT_FALSE(tiny.has_bitset_blocks());
 }
 
 TEST(DenseBlockTest, BitsetBlocksRoundTripEntriesAndPositions) {
   const PostingList raw = MakeRawList(300, 1, 5);
-  const BlockPostingList block = FromPostingList(raw, 128);
+  const OwnedBlockList block = FromPostingList(raw, 128);
   ASSERT_TRUE(block.has_bitset_blocks());
   ExpectListsEqual(raw, Materialize(block));
   // Streaming cursor agrees with the raw reference, positions included.
@@ -626,7 +630,7 @@ TEST(DenseBlockTest, SeeksAcrossHybridDenseAndSparseBlocks) {
     const PositionInfo pos{i, 0, 0};
     raw.Append(1000 + 100 * i, std::span<const PositionInfo>(&pos, 1));
   }
-  const BlockPostingList block = FromPostingList(raw, 128);
+  const OwnedBlockList block = FromPostingList(raw, 128);
   ASSERT_TRUE(block.has_bitset_blocks());
   bool has_varint_block = false;
   for (size_t b = 0; b < block.num_blocks(); ++b) {
@@ -643,7 +647,7 @@ TEST(DenseBlockTest, SeeksAcrossHybridDenseAndSparseBlocks) {
 }
 
 TEST(DenseBlockTest, CurrentDenseBlockExposesTheBitsetView) {
-  const BlockPostingList dense =
+  const OwnedBlockList dense =
       FromPostingList(MakeRawList(256, 1, 2), 128);
   BlockListCursor cursor(&dense);
   BlockListCursor::DenseBlockView view;
@@ -656,7 +660,7 @@ TEST(DenseBlockTest, CurrentDenseBlockExposesTheBitsetView) {
   ASSERT_EQ(view.nwords, 2u);
   for (size_t i = 0; i < 16; ++i) EXPECT_EQ(view.words[i], 0xFF) << i;
 
-  const BlockPostingList sparse =
+  const OwnedBlockList sparse =
       FromPostingList(MakeRawList(256, 8, 2), 128);
   BlockListCursor scursor(&sparse);
   ASSERT_NE(scursor.NextEntry(), kInvalidNode);
@@ -668,10 +672,10 @@ TEST(DenseBlockTest, VarintOnlyBuildPreservesContent) {
   // (the varint-only differential axis): the content, block boundaries and
   // block maxima match; only the representation differs.
   const PostingList raw = MakeRawList(300, 1, 3);
-  const BlockPostingList dense = FromPostingList(raw, 128);
+  const OwnedBlockList dense = FromPostingList(raw, 128);
   ASSERT_TRUE(dense.has_bitset_blocks());
   const bool prev = BlockPostingList::SetDenseBlocksEnabledByDefault(false);
-  const BlockPostingList varint = FromPostingList(raw, 128);
+  const OwnedBlockList varint = FromPostingList(raw, 128);
   BlockPostingList::SetDenseBlocksEnabledByDefault(prev);
   EXPECT_FALSE(varint.has_bitset_blocks());
   ExpectListsEqual(raw, Materialize(varint));
@@ -695,7 +699,7 @@ TEST(DenseBlockTest, BitsetWordFlipRejectsEvenWithResealedChecksum) {
   parts.payload[2 + 3] = static_cast<char>(parts.payload[2 + 3] ^ 0x08);
   const size_t end = parts.skips[1].byte_offset;
   parts.checksums[0] = Fnv1a32(std::string_view(parts.payload).substr(0, end));
-  const BlockPostingList lazy = AssembleLazy(parts);
+  const OwnedBlockList lazy = AssembleLazy(parts);
   std::vector<BlockPostingList::EntryRef> entries;
   const Status s = lazy.DecodeBlockEntries(0, &entries);
   ASSERT_FALSE(s.ok());
@@ -706,7 +710,7 @@ TEST(DenseBlockTest, SimdDecodeCountersChargeWhenActive) {
   // The dispatched decoder reports which arm it resolved to; when a SIMD
   // arm is active, bulk-decoding a dense list must charge
   // simd_groups_decoded (bitset count/len streams + position triples).
-  const BlockPostingList dense =
+  const OwnedBlockList dense =
       FromPostingList(MakeRawList(256, 1, 6), 128);
   ASSERT_TRUE(dense.has_bitset_blocks());
   EvalCounters counters;

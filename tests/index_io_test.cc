@@ -1,6 +1,11 @@
 #include "index/index_io.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <cstdio>
 #include <cstring>
@@ -12,6 +17,8 @@
 #include "index/block_posting_list.h"
 #include "index/index_builder.h"
 #include "index/index_snapshot.h"
+#include "index/index_source.h"
+#include "index/pair_index.h"
 #include "workload/corpus_gen.h"
 
 #include "raw_postings.h"
@@ -485,6 +492,111 @@ TEST(IndexIoTest, StorageModeMatrix) {
   ExpectIndexEq(eager, mapped);  // decodes every block: first-touch passes
   ExpectIndexEq(built, mapped);
   std::remove(path.c_str());
+}
+
+TEST(IndexIoTest, EagerReadHoldsExactlyTheFile) {
+  // The eager path reads into one buffer of exactly the file's size, and
+  // that buffer is what the loaded index is charged for its payload.
+  const std::string path = ::testing::TempDir() + "/fts_sized_read.idx";
+  ASSERT_TRUE(SaveIndexToFile(BuildTestIndex(), path).ok());
+  const size_t file_bytes = std::filesystem::file_size(path);
+  StatusOr<std::shared_ptr<IndexSource>> source = IndexSource::ReadFile(path);
+  ASSERT_TRUE(source.ok()) << source.status().ToString();
+  EXPECT_EQ((*source)->size(), file_bytes);
+  EXPECT_EQ((*source)->resident_bytes(), file_bytes);
+  EXPECT_FALSE((*source)->is_mapped());
+  std::remove(path.c_str());
+}
+
+TEST(IndexIoTest, EagerReadFailureIsIOError) {
+  // A directory opens and stats like a file, but reading it fails: that
+  // is an IOError, never a truncated buffer parsed into Corruption.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fts_unreadable.idx";
+  std::filesystem::create_directories(dir);
+  struct stat st = {};
+  if (::stat(dir.c_str(), &st) != 0 || st.st_size == 0) {
+    std::filesystem::remove(dir);
+    GTEST_SKIP() << "directories report size 0 here: no read is attempted";
+  }
+  EXPECT_EQ(IndexSource::ReadFile(dir.string()).status().code(),
+            StatusCode::kIOError);
+  InvertedIndex loaded;
+  EXPECT_EQ(LoadIndexFromFile(dir.string(), &loaded).code(),
+            StatusCode::kIOError);
+  std::filesystem::remove(dir);
+}
+
+/// Heap bytes the process holds (arena chunks in use plus mmap'd chunks).
+size_t HeapInUse() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+TEST(IndexIoTest, EagerLoadPaysAFixedRecordPerListAndBlock) {
+  // A pair-indexed index of more than 10k lists, almost all of them one
+  // block long. Loaded eagerly, each list costs one fixed-size record and
+  // each block one slot in each of the index's three per-block arrays;
+  // loading allocates nothing per list.
+  CorpusGenOptions gen;
+  gen.seed = 7;
+  gen.num_nodes = 300;
+  gen.vocabulary = 20000;
+  IndexBuildOptions build;
+  build.pairs.frequent_terms = 16;
+  build.pairs.max_distance = 2;
+  const std::string path = ::testing::TempDir() + "/fts_per_list_cost.idx";
+  const InvertedIndex built = IndexBuilder::Build(GenerateCorpus(gen), build);
+  ASSERT_TRUE(SaveIndexToFile(built, path).ok());
+  const size_t file_bytes = std::filesystem::file_size(path);
+
+  InvertedIndex loaded;
+  const size_t heap_before = HeapInUse();
+  ASSERT_TRUE(LoadIndexFromFile(path, &loaded).ok());
+  const size_t heap_after = HeapInUse();
+  std::remove(path.c_str());
+  ASSERT_NE(loaded.pair_index(), nullptr);
+
+  size_t blocks = loaded.block_any_list().num_blocks();
+  size_t dictionary = 0;
+  for (TokenId t = 0; t < loaded.vocabulary_size(); ++t) {
+    blocks += loaded.block_list(t)->num_blocks();
+    // Spelling in the token table and in the lookup map's node (heap
+    // bytes when too long to sit inline), the node's id and chain and
+    // hash words, a bucket, and the df slot.
+    const size_t text = loaded.token_text(t).size() + 1;
+    dictionary += 2 * sizeof(std::string) + 2 * text + 4 * sizeof(void*) +
+                  sizeof(uint32_t);
+  }
+  const PairIndex& pairs = *loaded.pair_index();
+  for (size_t i = 0; i < pairs.num_keys(); ++i) blocks += pairs.list(i).num_blocks();
+  const size_t lists = loaded.num_lists();
+  ASSERT_EQ(lists, loaded.vocabulary_size() + 1 + pairs.num_keys());
+  ASSERT_GE(lists, 10000u);
+  const size_t per_node =
+      loaded.num_nodes() * (sizeof(uint32_t) + sizeof(double));
+  // The index objects and the frequent-term tables.
+  constexpr size_t kFixed = 4096;
+  const size_t usage = loaded.MemoryUsage();
+  ASSERT_GE(usage, file_bytes);
+  EXPECT_LE(usage - file_bytes,
+            96 * lists + 32 * blocks + dictionary + per_node + kFixed)
+      << "lists=" << lists << " blocks=" << blocks;
+
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+  // The accounting is what the process holds: glibc's heap grew across
+  // the load by MemoryUsage() give or take 10%.
+  const double growth = static_cast<double>(heap_after - heap_before);
+  EXPECT_NEAR(growth, static_cast<double>(usage), 0.1 * static_cast<double>(usage));
+#else
+  (void)heap_before;
+  (void)heap_after;
+#endif
 }
 
 TEST(IndexIoTest, PrefaultWarmupLoadsIdentically) {

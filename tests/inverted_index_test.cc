@@ -172,10 +172,12 @@ TEST(InvertedIndexTest, MemoryUsageCountsResidentBytes) {
   InvertedIndex index = IndexBuilder::Build(corpus);
   size_t block_bytes = 0;
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
-    block_bytes += index.block_list(t)->resident_bytes();
+    block_bytes += sizeof(BlockPostingList) + index.block_list(t)->data().size();
   }
-  block_bytes += index.block_any_list().resident_bytes();
-  // The resident footprint covers at least every compressed payload byte.
+  block_bytes +=
+      sizeof(BlockPostingList) + index.block_any_list().data().size();
+  // The resident footprint covers at least every list record and
+  // compressed payload byte.
   EXPECT_GE(index.MemoryUsage(), block_bytes);
   EXPECT_GT(block_bytes, 0u);
 }

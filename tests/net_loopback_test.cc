@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <future>
 #include <memory>
@@ -19,6 +20,7 @@
 
 #include "exec/search_service.h"
 #include "index/index_builder.h"
+#include "index/index_io.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "net/shard_router.h"
@@ -345,6 +347,32 @@ std::string HttpGet(uint16_t port, const std::string& target) {
     response.push_back(buf[0]);
   }
   return response;
+}
+
+TEST(NetLoopbackTest, MetricsExposeIndexMemoryGauges) {
+  // fts_index_resident_bytes and fts_index_lists describe the served
+  // snapshot's segments: they equal MemoryUsage() and the list count of
+  // the same file loaded in process.
+  IndexBuildOptions build;
+  build.pairs.frequent_terms = 3;
+  build.pairs.max_distance = 1;
+  const std::string path = ::testing::TempDir() + "/fts_memory_gauges.idx";
+  ASSERT_TRUE(SaveIndexToFile(*SmallIndex(build), path).ok());
+  auto served = std::make_shared<InvertedIndex>();
+  ASSERT_TRUE(LoadIndexFromFile(path, served.get()).ok());
+  InvertedIndex reference;
+  ASSERT_TRUE(LoadIndexFromFile(path, &reference).ok());
+  ASSERT_NE(reference.pair_index(), nullptr);
+  std::remove(path.c_str());
+
+  Loopback lb({}, served);
+  auto metrics = lb.client->Metrics();
+  ASSERT_TRUE(metrics.ok());
+  EXPECT_EQ(MetricValue(metrics->text, "fts_index_resident_bytes"),
+            static_cast<int64_t>(reference.MemoryUsage()));
+  EXPECT_EQ(MetricValue(metrics->text, "fts_index_lists"),
+            static_cast<int64_t>(reference.vocabulary_size() + 1 +
+                                 reference.pair_index()->num_keys()));
 }
 
 TEST(NetLoopbackTest, PerRequestCursorModeOverride) {

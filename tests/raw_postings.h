@@ -5,8 +5,10 @@
 // arrays; ListCursor walks it with the paper's sequential API plus a
 // linear SeekEntry, written to be obviously correct rather than fast.
 // BuildRawPostingOracle derives every list of a corpus straight from its
-// tokenized documents, without the index builder. Header-only: every
-// tests/*.cc file builds its own test binary.
+// tokenized documents, without the index builder. FromPostingList
+// compresses one into a standalone OwnedBlockList (a block list plus the
+// one-list store it views). Header-only: every tests/*.cc file builds its
+// own test binary.
 
 #ifndef FTS_TESTS_RAW_POSTINGS_H_
 #define FTS_TESTS_RAW_POSTINGS_H_
@@ -129,15 +131,35 @@ inline RawPostingOracle BuildRawPostingOracle(const Corpus& corpus) {
   return oracle;
 }
 
+/// A standalone block list together with the one-list store it views
+/// (lists otherwise live in an index's stores). Use it by value or by
+/// `auto`: copying it into a plain BlockPostingList keeps a view that
+/// dangles once this object goes.
+class OwnedBlockList : public BlockPostingList {
+ public:
+  /// Seals `writer`'s list.
+  explicit OwnedBlockList(BlockListWriter writer) {
+    store_.Add(std::move(writer));
+    store_.Seal();
+    BlockPostingList::operator=(store_.list(0));
+  }
+  /// Adopts a sealed store holding exactly one list.
+  explicit OwnedBlockList(PostingStore sealed) : store_(std::move(sealed)) {
+    BlockPostingList::operator=(store_.list(0));
+  }
+
+ private:
+  PostingStore store_;
+};
+
 /// Compresses `raw` into a block list of `block_size`-entry blocks.
-inline BlockPostingList FromPostingList(
+inline OwnedBlockList FromPostingList(
     const PostingList& raw, uint32_t block_size = BlockPostingList::kDefaultBlockSize) {
-  BlockPostingList out(block_size);
+  BlockListWriter out(block_size);
   for (size_t i = 0; i < raw.num_entries(); ++i) {
     out.Append(raw.entry(i).node, raw.positions(raw.entry(i)));
   }
-  out.Finish();
-  return out;
+  return OwnedBlockList(std::move(out));
 }
 
 /// Decodes every block of `list` into raw form. A block that fails to

@@ -15,24 +15,24 @@
 #include "common/rng.h"
 #include "index/block_posting_list.h"
 #include "index/decoded_block_cache.h"
+#include "raw_postings.h"
 
 namespace fts {
 namespace {
 
 /// A list of `entries` entries in blocks of `block_size`, one position per
 /// entry, node ids 0,2,4,...
-BlockPostingList MakeList(uint32_t block_size, uint32_t entries) {
-  BlockPostingList list(block_size);
+OwnedBlockList MakeList(uint32_t block_size, uint32_t entries) {
+  BlockListWriter list(block_size);
   for (uint32_t i = 0; i < entries; ++i) {
     PositionInfo p{i + 1, i / 7, i / 19};
     list.Append(static_cast<NodeId>(2 * i), {&p, 1});
   }
-  list.Finish();
-  return list;
+  return OwnedBlockList(std::move(list));
 }
 
 TEST(SharedBlockCacheTest, MissDecodesThenHits) {
-  BlockPostingList list = MakeList(8, 64);  // 8 blocks
+  OwnedBlockList list = MakeList(8, 64);  // 8 blocks
   SharedBlockCache cache;
   EvalCounters counters;
 
@@ -56,7 +56,7 @@ TEST(SharedBlockCacheTest, MissDecodesThenHits) {
 }
 
 TEST(SharedBlockCacheTest, EvictionNeverInvalidatesReaders) {
-  BlockPostingList list = MakeList(4, 512);  // 128 blocks
+  OwnedBlockList list = MakeList(4, 512);  // 128 blocks
   SharedBlockCache::Options options;
   options.capacity_blocks = 8;
   options.shards = 1;  // single shard: strict LRU, deterministic eviction
@@ -76,7 +76,7 @@ TEST(SharedBlockCacheTest, EvictionNeverInvalidatesReaders) {
 }
 
 TEST(SharedBlockCacheTest, ResidentBytesTrackInsertAndEviction) {
-  BlockPostingList list = MakeList(4, 64);  // 16 blocks
+  OwnedBlockList list = MakeList(4, 64);  // 16 blocks
   SharedBlockCache::Options options;
   options.capacity_blocks = 4;
   options.shards = 1;  // single shard: strict LRU, deterministic eviction
@@ -127,7 +127,7 @@ TEST(SharedBlockCacheTest, ResidentBytesTrackInsertAndEviction) {
 }
 
 TEST(SharedBlockCacheTest, L1MissFallsThroughToL2) {
-  BlockPostingList list = MakeList(8, 64);
+  OwnedBlockList list = MakeList(8, 64);
   SharedBlockCache l2;
   EvalCounters first;
   DecodedBlockCache l1_a(DecodedBlockCache::kDefaultCapacity, &l2);
@@ -158,7 +158,7 @@ TEST(SharedBlockCacheTest, L1MissFallsThroughToL2) {
 TEST(SharedBlockCacheTest, CursorUsesL2ForListsTooBigForL1) {
   // 64 blocks > L1 capacity 16, so the cursor bypasses L1 — but must still
   // read through the attached L2.
-  BlockPostingList list = MakeList(4, 256);
+  OwnedBlockList list = MakeList(4, 256);
   ASSERT_EQ(list.num_blocks(), 64u);
   SharedBlockCache l2;
   DecodedBlockCache l1(/*capacity=*/16, &l2);
@@ -184,7 +184,7 @@ TEST(SharedBlockCacheTest, ConcurrentHammerUnderEvictionChurn) {
   // the working set: every lookup races decodes, inserts, and evictions.
   // Under TSan this is the L2's data-race proof; everywhere it pins that
   // whatever a thread gets back is the correct decoded block.
-  std::vector<BlockPostingList> lists;
+  std::vector<OwnedBlockList> lists;
   for (int l = 0; l < 4; ++l) lists.push_back(MakeList(4, 240));
   SharedBlockCache::Options options;
   options.capacity_blocks = 16;
