@@ -68,11 +68,11 @@ BENCHMARK(BM_IndexBuild)
     ->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-// A pair-indexed build in the shape of one ranked-serving shard: 3,000
-// paper-shaped nodes with pair lists for the 16 most frequent terms up to
-// NEAR/2. The pair lists dominate this build (docs/pair_index.md).
-void BM_IndexBuildPairs(benchmark::State& state) {
-  Corpus corpus = GenerateCorpus(BenchCorpusOptions(3000, 6));
+// Pair-indexed builds: `nodes` paper-shaped nodes with pair lists for the
+// 16 most frequent terms up to NEAR/2. The pair lists dominate these
+// builds (docs/pair_index.md).
+void PairIndexedBuild(benchmark::State& state, uint32_t nodes) {
+  Corpus corpus = GenerateCorpus(BenchCorpusOptions(nodes, 6));
   fts::IndexBuildOptions options;
   options.pairs.frequent_terms = 16;
   options.pairs.max_distance = 2;
@@ -85,7 +85,17 @@ void BM_IndexBuildPairs(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(corpus.num_nodes());
   state.counters["pair_keys"] = static_cast<double>(pair_keys);
 }
+
+// In the shape of one ranked-serving shard: 3,000 nodes.
+void BM_IndexBuildPairs(benchmark::State& state) { PairIndexedBuild(state, 3000); }
 BENCHMARK(BM_IndexBuildPairs)->Unit(benchmark::kMillisecond);
+
+// Small enough that one build stays under scripts/bench_check.py's 20 ms
+// cap on both decode arms, so the pair builder is gated.
+void BM_IndexBuildPairsSmall(benchmark::State& state) {
+  PairIndexedBuild(state, static_cast<uint32_t>(state.range(0)));
+}
+BENCHMARK(BM_IndexBuildPairsSmall)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void BM_ListCursorScan(benchmark::State& state) {
   // Sequential scan of the hot list through the resident block cursor —

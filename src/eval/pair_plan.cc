@@ -140,7 +140,7 @@ Status EvaluatePairPlan(const PairPlanMatch& match, const PairRoute& route,
   ++counters->pair_seeks;
   if (route.empty) return Status::OK();
 
-  const uint32_t window = index.pair_index()->max_distance() + 1;
+  const int64_t window = int64_t{index.pair_index()->max_distance()} + 1;
   DecodedBlockCache* cache =
       ectx.WantCache(/*repeated_scans=*/false) ? &ectx.l1_cache() : nullptr;
   const Deadline* deadline = &ectx.deadline();
@@ -170,8 +170,7 @@ Status EvaluatePairPlan(const PairPlanMatch& match, const PairRoute& route,
     for (size_t k = 1; k < ps.size(); ++k) {
       const int64_t off_first = ps[k].offset;
       const int32_t delta = PairIndex::UnZigZag(ps[k].sentence);
-      if (delta == 0 || delta > static_cast<int32_t>(window) ||
-          delta < -static_cast<int32_t>(window)) {
+      if (delta == 0 || delta > window || delta < -window) {
         return Status::Corruption("pair-list record delta out of window");
       }
       const int64_t off_second = off_first + delta;

@@ -62,22 +62,26 @@ bool BlockPostingList::SetDenseBlocksEnabledByDefault(bool enabled) {
   return DenseBlocksDefaultFlag().exchange(enabled, std::memory_order_relaxed);
 }
 
-void BlockListWriter::Append(NodeId node, std::span<const PositionInfo> positions) {
-  // Offset/sentence/paragraph deltas, restarting from zero per entry, so an
-  // entry's bytes never depend on its node id or its neighbours.
-  const size_t begin = pending_bytes_.size();
-  pending_bytes_.resize(begin + positions.size() * 3 * 5);  // 5 = max varint32
-  uint8_t* out = pending_bytes_.data() + begin;
+void BlockListWriter::EncodePositions(std::span<const PositionInfo> positions,
+                                      std::vector<uint8_t>* out) {
+  const size_t begin = out->size();
+  out->resize(begin + positions.size() * 3 * 5);  // 5 = max varint32
+  uint8_t* p = out->data() + begin;
   uint32_t prev_off = 0, prev_sent = 0, prev_para = 0;
-  for (const PositionInfo& p : positions) {
-    out = EncodeVarint32(out, p.offset - prev_off);
-    out = EncodeVarint32(out, p.sentence - prev_sent);
-    out = EncodeVarint32(out, p.paragraph - prev_para);
-    prev_off = p.offset;
-    prev_sent = p.sentence;
-    prev_para = p.paragraph;
+  for (const PositionInfo& pos : positions) {
+    p = EncodeVarint32(p, pos.offset - prev_off);
+    p = EncodeVarint32(p, pos.sentence - prev_sent);
+    p = EncodeVarint32(p, pos.paragraph - prev_para);
+    prev_off = pos.offset;
+    prev_sent = pos.sentence;
+    prev_para = pos.paragraph;
   }
-  pending_bytes_.resize(out - pending_bytes_.data());
+  out->resize(p - out->data());
+}
+
+void BlockListWriter::Append(NodeId node, std::span<const PositionInfo> positions) {
+  const size_t begin = pending_bytes_.size();
+  EncodePositions(positions, &pending_bytes_);
   AppendPending(node, static_cast<uint32_t>(positions.size()), begin);
 }
 
@@ -603,7 +607,10 @@ PostingStore PostingStore::FromWriters(std::vector<BlockListWriter> writers) {
   }
   PostingStore store;
   store.Reserve(writers.size(), blocks, bytes);
-  for (BlockListWriter& w : writers) store.Add(std::move(w));
+  for (BlockListWriter& w : writers) {
+    store.Add(std::move(w));
+    w = BlockListWriter();  // its buffers go as its bytes land
+  }
   store.Seal();
   return store;
 }
@@ -616,7 +623,7 @@ void PostingStore::Reserve(size_t lists, size_t blocks, size_t payload_bytes) {
 
 void PostingStore::Add(BlockListWriter&& writer) {
   assert(checksums_.empty());  // writer and checked lists never mix
-  writer.Finish();
+  writer.FlushPending();
   extents_.push_back({.num_entries = writer.num_entries_,
                       .total_positions = writer.total_positions_,
                       .payload_begin = payload_.size(),
@@ -626,7 +633,10 @@ void PostingStore::Add(BlockListWriter&& writer) {
   payload_.insert(payload_.end(), writer.payload_.begin(),
                   writer.payload_.end());
   skips_.insert(skips_.end(), writer.skips_.begin(), writer.skips_.end());
-  writer = BlockListWriter(writer.block_size_);
+  writer.num_entries_ = 0;
+  writer.total_positions_ = 0;
+  writer.payload_.clear();
+  writer.skips_.clear();
 }
 
 void PostingStore::AddChecked(uint32_t block_size, uint64_t num_entries,

@@ -246,8 +246,8 @@ static_assert(sizeof(BlockPostingList) <= 80,
 
 /// Builds one list: entries are appended in strictly increasing node order
 /// and packed into blocks as each block fills. PostingStore::Add seals the
-/// finished list into a store and frees the writer's buffers; the list is
-/// read through the store from then on.
+/// finished list into a store and empties the writer for the next list;
+/// the list is read through the store from then on.
 class BlockListWriter {
  public:
   explicit BlockListWriter(
@@ -258,6 +258,13 @@ class BlockListWriter {
   /// Appends one entry; node ids must be strictly increasing. Its positions
   /// are encoded into the pending block's bytes at once.
   void Append(NodeId node, std::span<const PositionInfo> positions);
+
+  /// Appends the bytes Append stores for `positions` to `out`: offset,
+  /// sentence and paragraph varint deltas restarting from zero, so they
+  /// never depend on the entry's node id or its neighbours. AppendEncoded
+  /// takes them as they are.
+  static void EncodePositions(std::span<const PositionInfo> positions,
+                              std::vector<uint8_t>* out);
 
   /// Appends one entry whose `pos_count` positions are already encoded:
   /// `pos_bytes` is an entry's position bytes exactly as another list holds
@@ -270,7 +277,7 @@ class BlockListWriter {
                      std::string_view pos_bytes);
 
   /// Flushes the partially filled tail block, if any, and releases the
-  /// pending-block buffers. Idempotent; PostingStore::Add calls it.
+  /// pending-block buffers. Idempotent; PostingStore::FromWriters calls it.
   void Finish();
 
  private:
@@ -326,10 +333,15 @@ class PostingStore {
   /// regrows the store.
   void Reserve(size_t lists, size_t blocks, size_t payload_bytes);
 
-  /// Appends `writer`'s list (finishing it first) and frees the writer's
-  /// buffers as its bytes land in the store, so a build never holds its
-  /// payload twice.
+  /// Appends `writer`'s list (flushing its tail block first) and empties
+  /// the writer. Its buffers keep their capacity, so one writer reused for
+  /// list after list allocates once; a writer that is not reused frees
+  /// them when it goes.
   void Add(BlockListWriter&& writer);
+
+  /// Gives back the payload buffer's growth slack, for a caller that
+  /// could not size the payload up front (Reserve). Call before Seal.
+  void ShrinkPayload() { payload_.shrink_to_fit(); }
 
   /// Appends a list read from a file: blocks `skips` (fewer than 2^32),
   /// with per-block payload checksums `checksums`, over the

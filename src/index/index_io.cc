@@ -1,5 +1,6 @@
 #include "index/index_io.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -348,8 +349,11 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     }
     pair->frequent_.push_back(tok);
   }
-  pair->RebuildRanks();
-  if (pair->rank_.size() != pair->frequent_.size()) {
+  pair->rank_ = PairIndex::SortedRanks(pair->frequent_);
+  if (std::adjacent_find(pair->rank_.begin(), pair->rank_.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.first == b.first;
+                         }) != pair->rank_.end()) {
     return Status::Corruption("duplicate pair frequent token");
   }
   uint64_t num_keys;

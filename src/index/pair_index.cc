@@ -12,7 +12,7 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
                            const InvertedIndex& index,
                            const PairIndexOptions& opts) {
   PairIndex out;
-  out.max_distance_ = opts.max_distance;
+  out.max_distance_ = std::min(opts.max_distance, kMaxDistance);
   if (opts.frequent_terms == 0) return out;
 
   // Frequent-term selection: top-f by (df desc, text asc). The text
@@ -33,30 +33,38 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
   out.frequent_ = std::move(cands);
 
   // The inner loop ranks through a dense TokenId -> rank table; rank_, the
-  // hash map queries use, is built with the other lookups at the end.
+  // token-sorted table queries binary-search, is kept with the index.
   constexpr uint32_t kUnranked = static_cast<uint32_t>(-1);
   std::vector<uint32_t> rank(vocab, kUnranked);
   for (size_t r = 0; r < out.frequent_.size(); ++r) {
     rank[out.frequent_[r]] = static_cast<uint32_t>(r);
   }
+  out.rank_ = SortedRanks(out.frequent_);
 
-  // One pass over the documents. Co-occurrences are found by the windowed
-  // double loop (offsets are strictly increasing within a document, so the
-  // inner loop is bounded by the window's token span). A document's records
-  // collect in one flat vector, sorted by (key, offset, signed delta), and
-  // each key's run flushes to its building list in node order — exactly
-  // the append order BlockPostingList requires. Building lists are
-  // addressed through a key -> slot map and sorted by key once at the end.
+  // Collect: one pass over the documents. Co-occurrences are found by the
+  // windowed double loop (offsets are strictly increasing within a
+  // document, so the inner loop is bounded by the window's token span). A
+  // document's records collect in one flat vector, sorted by (key, offset,
+  // signed delta); each key's run is one list entry — the packed tf header,
+  // then one triple per record — whose position bytes are encoded once
+  // into a flat arena, behind one Group naming its key, node and bytes.
   struct Record {
     uint64_t key;
     uint32_t offset;
     int32_t delta;
   };
-  const uint32_t window = opts.max_distance + 1;
-  std::vector<BlockListWriter> building;
-  std::vector<uint64_t> building_keys;
-  std::unordered_map<uint64_t, uint32_t> slot_of;
+  struct Group {
+    uint64_t key;
+    NodeId node;
+    uint32_t pos_count;
+    uint32_t byte_begin;  // from the node's first arena byte
+    uint32_t byte_len;
+  };
+  const int64_t window = int64_t{out.max_distance_} + 1;
   std::vector<Record> recs;
+  std::vector<Group> groups;
+  std::vector<uint8_t> arena;
+  std::vector<size_t> node_begin(docs.size());  // node's first arena byte
   std::vector<uint32_t> tf(vocab, 0);
   std::vector<PositionInfo> entry;
   for (NodeId n = 0; n < docs.size(); ++n) {
@@ -66,7 +74,8 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
     for (size_t i = 0; i < doc.size(); ++i) {
       const uint32_t off_i = doc.positions[i].offset;
       for (size_t j = i + 1;
-           j < doc.size() && doc.positions[j].offset - off_i <= window; ++j) {
+           j < doc.size() && int64_t{doc.positions[j].offset} - off_i <= window;
+           ++j) {
         const TokenId a = doc.tokens[i], b = doc.tokens[j];
         if (a == b) continue;
         const uint32_t ra = rank[a], rb = rank[b];
@@ -83,6 +92,7 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
     std::sort(recs.begin(), recs.end(), [](const Record& x, const Record& y) {
       return std::tie(x.key, x.offset, x.delta) < std::tie(y.key, y.offset, y.delta);
     });
+    node_begin[n] = arena.size();
     for (size_t g = 0; g < recs.size();) {
       const uint64_t key = recs[g].key;
       entry.clear();
@@ -91,33 +101,84 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
       for (; g < recs.size() && recs[g].key == key; ++g) {
         entry.push_back({recs[g].offset, ZigZag(recs[g].delta), 0});
       }
-      const auto [it, fresh] =
-          slot_of.try_emplace(key, static_cast<uint32_t>(building.size()));
-      if (fresh) {
-        building.emplace_back();
-        building_keys.push_back(key);
-      }
-      building[it->second].Append(n, entry);
+      const size_t begin = arena.size();
+      BlockListWriter::EncodePositions(entry, &arena);
+      groups.push_back({key, n, static_cast<uint32_t>(entry.size()),
+                        static_cast<uint32_t>(begin - node_begin[n]),
+                        static_cast<uint32_t>(arena.size() - begin)});
     }
     for (const TokenId t : doc.tokens) tf[t] = 0;
   }
 
-  std::vector<uint32_t> order(building.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
-    return building_keys[x] < building_keys[y];
-  });
-  std::vector<BlockListWriter> sorted;
-  sorted.reserve(order.size());
-  out.keys_.reserve(order.size());
-  for (const uint32_t slot : order) {
-    out.keys_.push_back({static_cast<TokenId>(building_keys[slot] >> 32),
-                         static_cast<TokenId>(building_keys[slot])});
-    sorted.push_back(std::move(building[slot]));
+  // Sort: two stable counting passes over token ids, by second and then by
+  // first, order the groups by key. Stability keeps each key's groups in
+  // node order, the append order BlockListWriter requires, and the lists
+  // come out in key order, so the key table is sorted as built.
+  {
+    std::vector<Group> sorted(groups.size());
+    std::vector<size_t> start(vocab + 1);
+    for (const int shift : {0, 32}) {
+      std::fill(start.begin(), start.end(), 0);
+      for (const Group& g : groups) {
+        ++start[static_cast<TokenId>(g.key >> shift) + 1];
+      }
+      std::partial_sum(start.begin(), start.end(), start.begin());
+      for (const Group& g : groups) {
+        sorted[start[static_cast<TokenId>(g.key >> shift)]++] = g;
+      }
+      groups.swap(sorted);
+    }
   }
-  out.lists_ = PostingStore::FromWriters(std::move(sorted));
-  out.RebuildRanks();
+
+  // Write: every key's run goes through one writer into the store, so one
+  // list's buffers exist at a time, and are reused for the next.
+  size_t num_keys = 0, num_blocks = 0;
+  for (size_t g = 0, run = 0; g < groups.size(); ++g) {
+    run = g > 0 && groups[g].key == groups[g - 1].key ? run + 1 : 0;
+    num_keys += run == 0;
+    num_blocks += run % BlockPostingList::kDefaultBlockSize == 0;
+  }
+  out.keys_.reserve(num_keys);
+  out.lists_.Reserve(num_keys, num_blocks, 0);
+  const char* bytes = reinterpret_cast<const char*>(arena.data());
+  BlockListWriter writer;
+  for (size_t g = 0; g < groups.size();) {
+    const uint64_t key = groups[g].key;
+    for (; g < groups.size() && groups[g].key == key; ++g) {
+      const Group& e = groups[g];
+      writer.AppendEncoded(
+          e.node, e.pos_count,
+          {bytes + node_begin[e.node] + e.byte_begin, e.byte_len});
+    }
+    out.lists_.Add(std::move(writer));
+    out.keys_.push_back(
+        {static_cast<TokenId>(key >> 32), static_cast<TokenId>(key)});
+  }
+  // The payload's size was unknown up front; its growth slack goes back
+  // once the build's scratch has, so trimming does not raise the peak.
+  std::vector<Group>().swap(groups);
+  std::vector<uint8_t>().swap(arena);
+  out.lists_.ShrinkPayload();
+  out.lists_.Seal();
   return out;
+}
+
+std::vector<std::pair<TokenId, uint32_t>> PairIndex::SortedRanks(
+    std::span<const TokenId> frequent) {
+  std::vector<std::pair<TokenId, uint32_t>> ranks;
+  ranks.reserve(frequent.size());
+  for (size_t r = 0; r < frequent.size(); ++r) {
+    ranks.emplace_back(frequent[r], static_cast<uint32_t>(r));
+  }
+  std::sort(ranks.begin(), ranks.end());
+  return ranks;
+}
+
+size_t PairIndex::rank(TokenId token) const {
+  const auto it = std::lower_bound(
+      rank_.begin(), rank_.end(), token,
+      [](const std::pair<TokenId, uint32_t>& r, TokenId t) { return r.first < t; });
+  return it != rank_.end() && it->first == token ? it->second : kNotFrequent;
 }
 
 PairIndex::Lookup PairIndex::Find(TokenId a, TokenId b) const {
@@ -137,23 +198,17 @@ PairIndex::Lookup PairIndex::Find(TokenId a, TokenId b) const {
   return out;
 }
 
-void PairIndex::RebuildRanks() {
-  rank_.clear();
-  rank_.reserve(frequent_.size());
-  for (size_t r = 0; r < frequent_.size(); ++r) rank_.emplace(frequent_[r], r);
-}
-
 size_t PairIndex::MemoryUsage() const {
   size_t bytes = sizeof(PairIndex);
   bytes += frequent_.capacity() * sizeof(TokenId);
   bytes += keys_.capacity() * sizeof(PairTermKey);
+  bytes += rank_.capacity() * sizeof(rank_[0]);
   bytes += lists_.MemoryUsage();
-  bytes += rank_.bucket_count() * sizeof(void*) +
-           rank_.size() * (sizeof(std::pair<TokenId, size_t>) + 2 * sizeof(void*));
   return bytes;
 }
 
 Status PairIndex::Validate(uint64_t cnodes) const {
+  const int64_t window = int64_t{max_distance_} + 1;
   std::vector<PostingEntry> entries;
   std::vector<PositionInfo> positions;
   for (const BlockPostingList& l : lists_.lists()) {
@@ -185,8 +240,7 @@ Status PairIndex::Validate(uint64_t cnodes) const {
         for (uint32_t k = 1; k < e.pos_count; ++k) {
           const int64_t delta =
               UnZigZag(positions[e.pos_begin + k].sentence);
-          if (delta == 0 || delta > static_cast<int64_t>(max_distance_) + 1 ||
-              delta < -(static_cast<int64_t>(max_distance_) + 1)) {
+          if (delta == 0 || delta > window || delta < -window) {
             return Status::Corruption("pair-list record delta out of window");
           }
         }

@@ -37,7 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -56,7 +56,8 @@ struct PairIndexOptions {
   /// Largest NEAR/k distance the pair lists answer; records are stored for
   /// |offset delta| <= max_distance + 1, matching the distance predicate's
   /// `|off1 - off0| <= k + 1` convention, so max_distance = 0 is exactly a
-  /// phrase (adjacent-pair) index.
+  /// phrase (adjacent-pair) index. Values above PairIndex::kMaxDistance
+  /// build as kMaxDistance; larger query distances run on the pipeline.
   uint32_t max_distance = 5;
 };
 
@@ -74,6 +75,9 @@ struct PairTermKey {
 class PairIndex {
  public:
   static constexpr size_t kNotFrequent = static_cast<size_t>(-1);
+  /// Largest max_distance a pair index holds: a record's offset delta is a
+  /// zig-zag int32, so the window, max_distance + 1, stays within INT32_MAX.
+  static constexpr uint32_t kMaxDistance = INT32_MAX - 1;
 
   /// Builds the pair lists over `docs`, one token-id stream per node of
   /// `index`, in `index`'s token ids. `index` supplies the spellings and
@@ -94,10 +98,7 @@ class PairIndex {
   /// kNotFrequent. Ranking is (df desc, token text asc) — deterministic
   /// for a given logical corpus, so every rebuild of the same documents
   /// canonicalizes keys identically.
-  size_t rank(TokenId token) const {
-    auto it = rank_.find(token);
-    return it == rank_.end() ? kNotFrequent : it->second;
-  }
+  size_t rank(TokenId token) const;
 
   struct Lookup {
     /// False when neither side is frequent (or a == b): the pair index
@@ -137,8 +138,10 @@ class PairIndex {
   friend struct IndexIoAccess;  // index_io.cc (de)serializers
 
   uint32_t max_distance_ = 0;
-  std::vector<TokenId> frequent_;               // rank order
-  std::unordered_map<TokenId, size_t> rank_;    // token -> rank
+  std::vector<TokenId> frequent_;  // rank order
+  /// (token, rank) of every frequent term, sorted by token: rank()
+  /// binary-searches it (the loader calls it for every key).
+  std::vector<std::pair<TokenId, uint32_t>> rank_;
   /// Sorted by (first, second): Find binary-searches it, so a key costs
   /// its 8 bytes plus its list record.
   std::vector<PairTermKey> keys_;
@@ -148,8 +151,10 @@ class PairIndex {
     return (static_cast<uint64_t>(first) << 32) | second;
   }
 
-  /// Rebuilds rank_ from frequent_ (loader path).
-  void RebuildRanks();
+  /// rank_'s table for `frequent` (rank order). A token listed twice
+  /// yields two adjacent entries, which the loader rejects.
+  static std::vector<std::pair<TokenId, uint32_t>> SortedRanks(
+      std::span<const TokenId> frequent);
 };
 
 }  // namespace fts

@@ -1091,6 +1091,30 @@ TEST(CraftedFileTest, AssembledFileLoads) {
   EXPECT_EQ(Materialize(*loaded.block_list_for_text("a")).num_entries(), 3u);
 }
 
+TEST(CraftedFileTest, DuplicateFrequentTermIsRejected) {
+  // The assembled file's empty pair section, replaced by max_distance 1
+  // and a frequent table naming token 0 once (control) or twice.
+  const std::string base = AssembleV6(32, {5, 9, 31});
+  const size_t section = base.size() - 8 - 3;
+  for (const bool duplicate : {false, true}) {
+    std::string blob = base;
+    std::string pairs = duplicate ? std::string("\x01\x02\x00\x00\x00", 5)
+                                  : std::string("\x01\x01\x00\x00", 4);
+    blob.replace(section, 3, pairs);
+    ASSERT_TRUE(ResealV6(&blob));
+    for (const Status& s : LoadBothModes(blob)) {
+      if (!duplicate) {
+        EXPECT_TRUE(s.ok()) << s.ToString();
+        continue;
+      }
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+      EXPECT_NE(s.message().find("duplicate pair frequent token"),
+                std::string::npos)
+          << s.ToString();
+    }
+  }
+}
+
 TEST(CraftedFileTest, WrappedSkipDirectoryDeltasAreRejected) {
   // Block 0 claims max_node 0xFFFFFFF0 and block 1's delta (0x20) wraps
   // the sum past 2^32 back to 0x10, below cnodes. Only the last block's

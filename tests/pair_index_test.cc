@@ -2,22 +2,27 @@
 // ordering, Find's swap semantics, record-stream invariants (packed tf
 // header, window-bounded signed deltas, lexicographic record order), the
 // on-disk section (heap and mmap round-trips, classic sections
-// bit-identical with pairs on or off), and the
-// segment plumbing — Seal and MergeSegments carrying IndexBuildOptions so
-// compaction rebuilds pair lists over the merged corpus.
+// bit-identical with pairs on or off), the builder against a brute-force
+// enumeration of a generated corpus, routed evaluation at the top of the
+// distance range, and the segment plumbing — Seal and MergeSegments
+// carrying IndexBuildOptions so compaction rebuilds pair lists over the
+// merged corpus.
 
 #include "index/pair_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "eval/ppred_engine.h"
 #include "index/block_posting_list.h"
 #include "index/index_builder.h"
 #include "index/index_io.h"
@@ -25,7 +30,9 @@
 #include "index/segment.h"
 #include "index/segment_merger.h"
 #include "index/tombstone_set.h"
+#include "lang/parser.h"
 #include "text/corpus.h"
+#include "workload/corpus_gen.h"
 
 namespace fts {
 namespace {
@@ -137,6 +144,8 @@ struct PairRow {
   NodeId node;
   uint32_t tf_first, tf_second;
   std::vector<std::pair<uint32_t, int32_t>> records;  // (off_first, delta)
+
+  friend bool operator==(const PairRow&, const PairRow&) = default;
 };
 
 std::vector<PairRow> DecodePairList(const BlockPostingList& list) {
@@ -207,6 +216,130 @@ TEST(PairIndexTest, RecordsAreCompleteWindowBoundedAndSorted) {
   }
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(row.records, expected);
+}
+
+TEST(PairIndexTest, ListsEqualABruteForceEnumerationOfEveryDocument) {
+  CorpusGenOptions gen;
+  gen.num_nodes = 600;
+  const Corpus corpus = GenerateCorpus(gen);
+  constexpr uint32_t kMaxDistance = 2;
+  const InvertedIndex index =
+      IndexBuilder::Build(corpus, PairOptions(4, kMaxDistance));
+  const PairIndex* pairs = index.pair_index();
+  ASSERT_NE(pairs, nullptr);
+
+  // Every in-window co-occurrence of two distinct tokens, one of them
+  // frequent, keyed the way Find canonicalizes: the better-ranked token
+  // first, its offset and the signed delta to the other as the record.
+  using Key = std::pair<TokenId, TokenId>;
+  std::map<Key, std::vector<PairRow>> expected;
+  for (NodeId n = 0; n < corpus.num_nodes(); ++n) {
+    const TokenizedDocument& doc = corpus.doc(n);
+    std::map<TokenId, uint32_t> tf;
+    for (const TokenId t : doc.tokens) ++tf[t];
+    std::map<Key, std::vector<std::pair<uint32_t, int32_t>>> records;
+    for (size_t i = 0; i < doc.size(); ++i) {
+      for (size_t j = i + 1; j < doc.size(); ++j) {
+        const uint32_t off_i = doc.positions[i].offset;
+        const uint32_t off_j = doc.positions[j].offset;
+        ASSERT_LT(off_i, off_j);  // offsets increase within a document
+        const int32_t gap = static_cast<int32_t>(off_j - off_i);
+        if (gap > static_cast<int32_t>(kMaxDistance) + 1) break;
+        const TokenId a = doc.tokens[i], b = doc.tokens[j];
+        const size_t ra = pairs->rank(a), rb = pairs->rank(b);
+        if (a == b || (ra == PairIndex::kNotFrequent &&
+                       rb == PairIndex::kNotFrequent)) {
+          continue;
+        }
+        if (ra < rb) {
+          records[{a, b}].emplace_back(off_i, gap);
+        } else {
+          records[{b, a}].emplace_back(off_j, -gap);
+        }
+      }
+    }
+    for (auto& [key, recs] : records) {
+      std::sort(recs.begin(), recs.end());
+      expected[key].push_back({n, tf[key.first], tf[key.second], recs});
+    }
+  }
+
+  // The stored keys are exactly the co-occurring eligible pairs, and each
+  // list holds exactly its pair's rows.
+  ASSERT_EQ(pairs->num_keys(), expected.size());
+  size_t multi_block_lists = 0, bitset_blocks = 0;
+  for (size_t i = 0; i < pairs->num_keys(); ++i) {
+    const PairTermKey& key = pairs->key(i);
+    const auto it = expected.find({key.first, key.second});
+    ASSERT_NE(it, expected.end()) << key.first << "," << key.second;
+    EXPECT_EQ(DecodePairList(pairs->list(i)), it->second)
+        << key.first << "," << key.second;
+    const BlockPostingList& list = pairs->list(i);
+    if (list.num_blocks() > 1) ++multi_block_lists;
+    for (const BlockPostingList::SkipEntry& skip : list.skips()) {
+      if (skip.encoding == BlockPostingList::kEncodingBitset) ++bitset_blocks;
+    }
+  }
+  for (const auto& [key, rows] : expected) {
+    const PairIndex::Lookup lk = pairs->Find(key.first, key.second);
+    EXPECT_TRUE(lk.eligible && !lk.swapped && lk.list != nullptr)
+        << key.first << "," << key.second;
+  }
+  // The corpus reaches the writer's multi-block and bitset paths.
+  EXPECT_GT(multi_block_lists, 0u);
+  EXPECT_GT(bitset_blocks, 0u);
+}
+
+TEST(PairIndexTest, WindowsAtTheTopOfTheDistanceRangeRouteLikeThePipeline) {
+  Corpus corpus;
+  corpus.AddDocument("apple banana cherry");
+  corpus.AddDocument("banana x x x x apple");
+  corpus.AddDocument("cherry date apple");
+  // Offset gaps at the int32 edge of a record's delta, and past it.
+  constexpr uint32_t kInt32Max = std::numeric_limits<int32_t>::max();
+  ASSERT_TRUE(corpus
+                  .AddTokensWithPositions({"apple", "banana"},
+                                          {{0, 0, 0}, {kInt32Max, 0, 0}})
+                  .ok());
+  ASSERT_TRUE(corpus
+                  .AddTokensWithPositions({"banana", "apple"},
+                                          {{0, 0, 0}, {kInt32Max + 6u, 0, 0}})
+                  .ok());
+  for (const uint32_t max_distance :
+       {kInt32Max, std::numeric_limits<uint32_t>::max()}) {
+    const InvertedIndex index =
+        IndexBuilder::Build(corpus, PairOptions(2, max_distance));
+    const PairIndex* pairs = index.pair_index();
+    ASSERT_NE(pairs, nullptr) << max_distance;
+    ASSERT_EQ(pairs->max_distance(), PairIndex::kMaxDistance);
+    EXPECT_TRUE(pairs->Validate(index.num_nodes()).ok());
+    for (const uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{5},
+                             uint64_t{PairIndex::kMaxDistance},
+                             uint64_t{max_distance}}) {
+      const std::string query =
+          "SOME p SOME q (p HAS 'apple' AND q HAS 'banana' AND distance(p, q, " +
+          std::to_string(k) + "))";
+      const auto run = [&](PairRouting routing) {
+        PpredEngine engine(&index, ScoringKind::kNone, CursorMode::kAdaptive,
+                           routing);
+        return engine.Evaluate(*ParseQuery(query, SurfaceLanguage::kComp));
+      };
+      const auto pipeline = run(PairRouting::kOff);
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+      for (const PairRouting routing : {PairRouting::kAuto, PairRouting::kForce}) {
+        const auto routed = run(routing);
+        ASSERT_TRUE(routed.ok())
+            << max_distance << " k=" << k << ": " << routed.status().ToString();
+        EXPECT_EQ(routed->nodes, pipeline->nodes) << max_distance << " k=" << k;
+        if (routing == PairRouting::kForce) {
+          // Distances the pair lists answer route; larger ones cannot.
+          EXPECT_EQ(routed->counters.pair_seeks,
+                    k <= PairIndex::kMaxDistance ? 1u : 0u)
+              << max_distance << " k=" << k;
+        }
+      }
+    }
+  }
 }
 
 TEST(PairIndexTest, ValidatePassesOnBuiltIndex) {
