@@ -163,46 +163,29 @@ std::string FtaExpr::ToString() const {
   return "?";
 }
 
-void ForEachScanLeaf(const FtaExprPtr& plan,
-                     const std::function<void(const FtaExpr&)>& fn) {
+namespace {
+
+void CollectPlanLeafReads(const FtaExprPtr& plan, LeafReads* reads) {
   if (!plan) return;
-  if (plan->kind() == FtaExpr::Kind::kToken ||
-      plan->kind() == FtaExpr::Kind::kHasPos) {
-    fn(*plan);
+  if (plan->kind() == FtaExpr::Kind::kToken) {
+    reads->tokens.push_back(plan->token());
+    return;
+  }
+  if (plan->kind() == FtaExpr::Kind::kHasPos) {
+    ++reads->any_scans;
     return;
   }
   // child() aliases left(), so left+right covers unary nodes too.
-  ForEachScanLeaf(plan->left(), fn);
-  ForEachScanLeaf(plan->right(), fn);
-}
-
-namespace {
-
-void CollectScanLeaves(const FtaExprPtr& plan, std::vector<std::string>* tokens,
-                       int* haspos_scans) {
-  ForEachScanLeaf(plan, [&](const FtaExpr& leaf) {
-    if (leaf.kind() == FtaExpr::Kind::kToken) {
-      tokens->push_back(leaf.token());
-    } else {
-      ++*haspos_scans;
-    }
-  });
+  CollectPlanLeafReads(plan->left(), reads);
+  CollectPlanLeafReads(plan->right(), reads);
 }
 
 }  // namespace
 
-bool ShouldUseDecodedBlockCache(const FtaExprPtr& plan, const InvertedIndex& index) {
-  std::vector<std::string> tokens;
-  int haspos_scans = 0;
-  CollectScanLeaves(plan, &tokens, &haspos_scans);
-  return DecodedBlockCache::ShouldAttach(index, std::move(tokens), haspos_scans);
-}
-
-bool PlanFitsDecodedBlockCache(const FtaExprPtr& plan, const InvertedIndex& index) {
-  std::vector<std::string> tokens;
-  int haspos_scans = 0;
-  CollectScanLeaves(plan, &tokens, &haspos_scans);
-  return DecodedBlockCache::FitsWorkingSet(index, tokens, haspos_scans);
+LeafReads PlanLeafReads(const FtaExprPtr& plan) {
+  LeafReads reads;
+  CollectPlanLeafReads(plan, &reads);
+  return reads;
 }
 
 StatusOr<FtRelation> EvaluateFta(const FtaExprPtr& expr, const InvertedIndex& index,

@@ -7,7 +7,6 @@
 #ifndef FTS_ALGEBRA_FTA_H_
 #define FTS_ALGEBRA_FTA_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,26 +77,9 @@ class FtaExpr {
   FtaExprPtr left_, right_;
 };
 
-/// Invokes `fn` on every scan leaf of `plan` (kToken and kHasPos nodes),
-/// left to right. The single leaf walker shared by the cache-attachment
-/// heuristic below and the pipelined planner's df collection, so the two
-/// can never diverge on what counts as a leaf.
-void ForEachScanLeaf(const FtaExprPtr& plan,
-                     const std::function<void(const FtaExpr&)>& fn);
-
-/// True when attaching a per-query DecodedBlockCache pays for one pass of
-/// `plan`: some leaf list is scanned twice (a token appearing twice, or
-/// HasPos/IL_ANY more than once) and the distinct lists' combined block
-/// count fits the cache (DecodedBlockCache::ShouldAttach — the shared
-/// decision every engine routes through). Single-scan plans and plans
-/// whose working set would thrash the LRU skip the cache.
-bool ShouldUseDecodedBlockCache(const FtaExprPtr& plan, const InvertedIndex& index);
-
-/// The FitsWorkingSet half of the decision alone: `plan`'s distinct leaf
-/// lists fit the default cache capacity. Used by NPRED's ordering loop,
-/// where re-scanning is guaranteed by the loop itself rather than by a
-/// repeated leaf.
-bool PlanFitsDecodedBlockCache(const FtaExprPtr& plan, const InvertedIndex& index);
+/// The list reads of `plan`'s scan leaves (kToken and kHasPos nodes), for
+/// the per-query cache decision (ExecContext::BlockCacheFor).
+LeafReads PlanLeafReads(const FtaExprPtr& plan);
 
 /// Bottom-up materialized evaluation (the COMP strategy, Section 5.4).
 /// `model` (nullable) supplies the Section 3 score transformations;

@@ -307,16 +307,10 @@ Status EvaluateBlockMaxTopK(const InvertedIndex& index,
                             const SegmentRuntime& runtime, ExecContext& ctx,
                             NodeId base, TopKAccumulator& acc,
                             EvalCounters* query_counters) {
-  // Same cache-attachment decision the BOOL engine makes for this query:
-  // attach only when some list is read twice and the working set fits (or
-  // an L2 is present). Supported trees have no ANY leaves.
-  std::vector<std::string> tokens;
-  CollectSurfaceTokens(normalized, &tokens);
-  DecodedBlockCache* cache =
-      ctx.WantCache(
-          DecodedBlockCache::ShouldAttach(index, std::move(tokens), 0))
-          ? &ctx.l1_cache()
-          : nullptr;
+  // Supported trees have no ANY leaves.
+  LeafReads reads;
+  CollectSurfaceTokens(normalized, &reads.tokens);
+  DecodedBlockCache* cache = ctx.BlockCacheFor(index, std::move(reads));
   EvalCounters counters;
   BlockMaxEvaluator evaluator(index, model, &counters, cache,
                               runtime.tombstones);

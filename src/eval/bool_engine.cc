@@ -388,28 +388,20 @@ class BoolEvaluator {
 };
 
 /// Collects the query's leaf list reads (token spellings plus ANY scans)
-/// for the shared cache-attachment decision (DecodedBlockCache::ShouldAttach).
-void CollectBoolLeaves(const LangExprPtr& e, std::vector<std::string>* tokens,
-                       int* any_scans) {
+/// for the per-query cache decision (ExecContext::BlockCacheFor).
+void CollectBoolLeaves(const LangExprPtr& e, LeafReads* reads) {
   if (!e) return;
   if (e->kind() == LangExpr::Kind::kToken) {
-    tokens->push_back(e->token());
+    reads->tokens.push_back(e->token());
     return;
   }
   if (e->kind() == LangExpr::Kind::kAny) {
-    ++*any_scans;
+    ++reads->any_scans;
     return;
   }
   // child() aliases left(), so left+right covers unary nodes too.
-  CollectBoolLeaves(e->left(), tokens, any_scans);
-  CollectBoolLeaves(e->right(), tokens, any_scans);
-}
-
-bool ShouldUseBoolCache(const LangExprPtr& e, const InvertedIndex& index) {
-  std::vector<std::string> tokens;
-  int any_scans = 0;
-  CollectBoolLeaves(e, &tokens, &any_scans);
-  return DecodedBlockCache::ShouldAttach(index, std::move(tokens), any_scans);
+  CollectBoolLeaves(e->left(), reads);
+  CollectBoolLeaves(e->right(), reads);
 }
 
 }  // namespace
@@ -431,13 +423,9 @@ StatusOr<QueryResult> BoolEngine::Evaluate(const LangExprPtr& query,
       segment_.scoring);
 
   QueryResult result;
-  // The context's L1 attaches when some list is read twice and the working
-  // set fits (single-scan queries skip the per-block bookkeeping), or
-  // whenever a cross-query L2 is present — cursors then reach shared
-  // blocks through it.
-  DecodedBlockCache* cache =
-      ctx.WantCache(ShouldUseBoolCache(normalized, *index_)) ? &ctx.l1_cache()
-                                                             : nullptr;
+  LeafReads reads;
+  CollectBoolLeaves(normalized, &reads);
+  DecodedBlockCache* cache = ctx.BlockCacheFor(*index_, std::move(reads));
   BoolEvaluator eval(index_, model.get(), &result.counters, mode_, cache,
                      &ctx.deadline(), tombstones);
   FTS_ASSIGN_OR_RETURN(NodeSet set, eval.Eval(normalized));

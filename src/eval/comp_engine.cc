@@ -28,12 +28,7 @@ StatusOr<QueryResult> CompEngine::Evaluate(const LangExprPtr& query,
       segment_.scoring);
 
   QueryResult result;
-  // The context's L1 attaches when some list is scanned twice and the
-  // working set fits, or whenever an L2 is present; single-scan plans
-  // without an L2 skip the per-block bookkeeping entirely.
-  DecodedBlockCache* cache_ptr =
-      ctx.WantCache(ShouldUseDecodedBlockCache(plan, *index_)) ? &ctx.l1_cache()
-                                                               : nullptr;
+  DecodedBlockCache* cache_ptr = ctx.BlockCacheFor(*index_, PlanLeafReads(plan));
   FTS_ASSIGN_OR_RETURN(
       FtRelation rel,
       EvaluateFta(plan, *index_, model.get(), &result.counters, cache_ptr,

@@ -261,10 +261,9 @@ StatusOr<QueryResult> NpredEngine::Evaluate(const LangExprPtr& query,
     FTS_ASSIGN_OR_RETURN(FtaExprPtr plan, CompileQuery(threaded));
     // Rescanning is guaranteed by the ordering loop itself, so the cache
     // attaches whenever the plan's working set fits it.
-    DecodedBlockCache* cache =
-        ectx.WantCache(PlanFitsDecodedBlockCache(plan, *index_))
-            ? &ectx.l1_cache()
-            : nullptr;
+    LeafReads reads = PlanLeafReads(plan);
+    reads.rerun = true;
+    DecodedBlockCache* cache = ectx.BlockCacheFor(*index_, std::move(reads));
     // Per-ordering counters, merged below: the ordering loop aggregates
     // through EvalCounters::MergeFrom like every other multi-pass consumer
     // instead of sharing one struct across passes.

@@ -141,8 +141,8 @@ Status EvaluatePairPlan(const PairPlanMatch& match, const PairRoute& route,
   if (route.empty) return Status::OK();
 
   const int64_t window = int64_t{index.pair_index()->max_distance()} + 1;
-  DecodedBlockCache* cache =
-      ectx.WantCache(/*repeated_scans=*/false) ? &ectx.l1_cache() : nullptr;
+  // One list read once: the L1 attaches only in front of an L2.
+  DecodedBlockCache* cache = ectx.BlockCacheFor(index, {});
   const Deadline* deadline = &ectx.deadline();
   BlockListCursor cur(route.lookup.list, counters, cache, tombstones);
   PositionInfo args[2];

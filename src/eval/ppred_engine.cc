@@ -58,13 +58,7 @@ StatusOr<QueryResult> EvaluateSinglePass(
                        TryEvaluatePairPlan(plan, *index, model, mode, routing,
                                            segment.tombstones, ectx, &result));
   if (!routed) {
-    // The context's L1 attaches when a list is scanned twice and the
-    // working set fits, or whenever an L2 is present (see
-    // BoolEngine::Evaluate).
-    DecodedBlockCache* cache =
-        ectx.WantCache(ShouldUseDecodedBlockCache(plan, *index))
-            ? &ectx.l1_cache()
-            : nullptr;
+    DecodedBlockCache* cache = ectx.BlockCacheFor(*index, PlanLeafReads(plan));
     FTS_RETURN_IF_ERROR(RunPipeline(
         plan,
         {.index = index,

@@ -16,7 +16,7 @@ StatusOr<AdmissionDecision> AdmissionController::Assess(
   decision.language_class = ClassifyQuery(normalized);
   decision.cost = PriceQuery(normalized, decision.language_class, snapshot);
 
-  if (!options_.enabled || options_.max_cost == 0 || queue_capacity == 0) {
+  if (options_.max_cost == 0 || queue_capacity == 0) {
     return decision;
   }
   const double pressure =

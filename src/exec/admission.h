@@ -28,15 +28,13 @@
 namespace fts {
 
 struct AdmissionOptions {
-  /// Master switch; disabled means Assess always admits (cost still
-  /// reported, for metrics).
-  bool enabled = false;
   /// Queue pressure threshold as a fraction of the SearchService queue
   /// capacity: shedding engages only when depth/capacity >= this.
   double pressure_fraction = 0.5;
-  /// Cost ceiling applied under pressure; 0 = shed nothing on cost (the
-  /// controller then never rejects). The unit is "posting entries
-  /// touched", comparable across queries on one snapshot.
+  /// Cost ceiling applied under pressure; 0 = shed nothing (Assess always
+  /// admits, cost still reported, and FtsServer does not call it). The
+  /// unit is "posting entries touched", comparable across queries on one
+  /// snapshot.
   uint64_t max_cost = 0;
 };
 

@@ -11,9 +11,9 @@
 //                     context (engines additionally report the per-query
 //                     delta in QueryResult::counters)
 //   - L1 block cache  the per-query DecodedBlockCache, created once per
-//                     context and attached to cursors when WantCache says
-//                     it pays, instead of being re-constructed inside each
-//                     engine
+//                     context and attached to cursors when BlockCacheFor
+//                     says it pays, instead of being re-constructed inside
+//                     each engine
 //   - L2 handle       an optional cross-query SharedBlockCache the L1
 //                     falls through to (ExecOptions::shared_cache; one
 //                     cache may serve every context of a service)
@@ -32,6 +32,7 @@
 #define FTS_EXEC_EXEC_CONTEXT_H_
 
 #include <chrono>
+#include <utility>
 
 #include "common/metrics.h"
 #include "common/status.h"
@@ -106,10 +107,6 @@ class ExecContext {
   EvalCounters& counters() { return counters_; }
   const EvalCounters& counters() const { return counters_; }
 
-  /// The per-query (L1) decoded-block cache. Engines attach it to cursors
-  /// when WantCache() says so; callers normally never touch it directly.
-  DecodedBlockCache& l1_cache() { return l1_; }
-
   SharedBlockCache* shared_cache() const { return options_.shared_cache; }
 
   const Deadline& deadline() const { return options_.deadline; }
@@ -119,13 +116,11 @@ class ExecContext {
   size_t top_k() const { return options_.top_k; }
   void set_top_k(size_t k) { options_.top_k = k; }
 
-  /// True when engines should attach the L1 cache for a plan where
-  /// `repeated_scans` says some list is read twice (and fits). With an L2
-  /// attached the answer is yes even without repeats: single-scan queries
-  /// still want the cross-query reuse, and the L1 in front of it dedupes
-  /// shard-lock traffic within the query.
-  bool WantCache(bool repeated_scans) const {
-    return repeated_scans || options_.shared_cache != nullptr;
+  /// The per-query (L1) block cache for an evaluation pass over `index`
+  /// whose leaf scans read `reads`, or null when it does not pay
+  /// (DecodedBlockCache::PaysFor). Every engine's one cache decision.
+  DecodedBlockCache* BlockCacheFor(const InvertedIndex& index, LeafReads reads) {
+    return l1_.PaysFor(index, std::move(reads)) ? &l1_ : nullptr;
   }
 
   /// Resets per-query state for reuse: zeroes the counters, empties the

@@ -13,7 +13,6 @@
 #include "common/varint_simd.h"
 #include "index/decoded_block_cache.h"
 #include "index/index_source.h"
-#include "index/shared_block_cache.h"
 #include "index/tombstone_set.h"
 
 namespace fts {
@@ -244,63 +243,68 @@ Status BlockPostingList::DecodeBlockEntries(size_t block,
   if (skip.encoding == kEncodingBitset) {
     FTS_RETURN_IF_ERROR(
         DecodeBitsetBlock(block, skip, payload, end, entries, counters));
-    if (first_touch) {
-      VerifiedFlags()[block].store(1, std::memory_order_release);
+  } else {
+    entries->clear();
+    entries->reserve(skip.entry_count);
+    // Bulk path: one tight loop over the block's bytes through the pointer
+    // varint decoders (one inline branch per header value in the common
+    // one-byte case), hopping over position payloads via their byte length.
+    const uint8_t* const base =
+        reinterpret_cast<const uint8_t*>(payload.data());
+    const uint8_t* p = base + skip.byte_offset;
+    const uint8_t* const lim = base + end;
+    NodeId prev_node = 0;
+    for (uint32_t i = 0; i < skip.entry_count; ++i) {
+      uint32_t node_delta, count, pos_len;
+      if ((p = GetVarint32Ptr(p, lim, &node_delta)) == nullptr ||
+          (p = GetVarint32Ptr(p, lim, &count)) == nullptr ||
+          (p = GetVarint32Ptr(p, lim, &pos_len)) == nullptr) {
+        return Status::Corruption("malformed posting block header");
+      }
+      const NodeId node = (i == 0) ? node_delta : prev_node + node_delta;
+      if (i > 0 && (node_delta == 0 || node < prev_node)) {
+        return Status::Corruption("non-increasing node ids in posting block");
+      }
+      if (i == 0 && block > 0 && node <= skips_[block - 1].max_node) {
+        // Cross-block monotonicity, checked per block against the previous
+        // skip header so lazily validated blocks need no neighbor decode.
+        return Status::Corruption("non-increasing node ids across blocks");
+      }
+      prev_node = node;
+      if (count > skip.max_tf) {
+        // A crafted file must not be able to understate a block's max_tf:
+        // an entry whose position count exceeds the recorded block maximum
+        // would make the block-max impact bound an under-estimate and let
+        // top-k evaluation skip a true top result.
+        return Status::Corruption("entry position count exceeds block max_tf");
+      }
+      if (pos_len > static_cast<size_t>(lim - p)) {
+        return Status::Corruption("position bytes overrun posting block");
+      }
+      EntryRef e;
+      e.header.node = node;
+      e.header.pos_count = count;
+      e.pos_byte_begin = static_cast<uint32_t>(p - base);
+      e.pos_byte_len = pos_len;
+      p += pos_len;
+      entries->push_back(e);
     }
-    return Status::OK();
-  }
-  entries->clear();
-  entries->reserve(skip.entry_count);
-  // Bulk path: one tight loop over the block's bytes through the pointer
-  // varint decoders (one inline branch per header value in the common
-  // one-byte case), hopping over position payloads via their byte length.
-  const uint8_t* const base = reinterpret_cast<const uint8_t*>(payload.data());
-  const uint8_t* p = base + skip.byte_offset;
-  const uint8_t* const lim = base + end;
-  NodeId prev_node = 0;
-  for (uint32_t i = 0; i < skip.entry_count; ++i) {
-    uint32_t node_delta, count, pos_len;
-    if ((p = GetVarint32Ptr(p, lim, &node_delta)) == nullptr ||
-        (p = GetVarint32Ptr(p, lim, &count)) == nullptr ||
-        (p = GetVarint32Ptr(p, lim, &pos_len)) == nullptr) {
-      return Status::Corruption("malformed posting block header");
+    if (p != lim) {
+      return Status::Corruption("posting block length mismatch");
     }
-    const NodeId node = (i == 0) ? node_delta : prev_node + node_delta;
-    if (i > 0 && (node_delta == 0 || node < prev_node)) {
-      return Status::Corruption("non-increasing node ids in posting block");
+    if (prev_node != skip.max_node) {
+      return Status::Corruption("posting block max_node mismatch");
     }
-    if (i == 0 && block > 0 && node <= skips_[block - 1].max_node) {
-      // Cross-block monotonicity, checked per block against the previous
-      // skip header so lazily validated blocks need no neighbor decode.
-      return Status::Corruption("non-increasing node ids across blocks");
-    }
-    prev_node = node;
-    if (count > skip.max_tf) {
-      // A crafted file must not be able to understate a block's max_tf:
-      // an entry whose position count exceeds the recorded block maximum
-      // would make the block-max impact bound an under-estimate and let
-      // top-k evaluation skip a true top result.
-      return Status::Corruption("entry position count exceeds block max_tf");
-    }
-    if (pos_len > static_cast<size_t>(lim - p)) {
-      return Status::Corruption("position bytes overrun posting block");
-    }
-    EntryRef e;
-    e.header.node = node;
-    e.header.pos_count = count;
-    e.pos_byte_begin = static_cast<uint32_t>(p - base);
-    e.pos_byte_len = pos_len;
-    p += pos_len;
-    entries->push_back(e);
-  }
-  if (p != lim) {
-    return Status::Corruption("posting block length mismatch");
-  }
-  if (prev_node != skip.max_node) {
-    return Status::Corruption("posting block max_node mismatch");
   }
   if (first_touch) {
     VerifiedFlags()[block].store(1, std::memory_order_release);
+  }
+  // The one place a bulk block decode is charged: the cursor arena and
+  // both cache levels all decode through here.
+  if (counters != nullptr && !entries->empty()) {
+    ++counters->blocks_decoded;
+    ++counters->blocks_bulk_decoded;
+    counters->entries_decoded += entries->size();
   }
   return Status::OK();
 }
@@ -734,47 +738,25 @@ BlockListCursor& BlockListCursor::operator=(BlockListCursor&& o) noexcept {
 
 bool BlockListCursor::LoadBlock(size_t block) {
   const bool was_verified = list_->BlockVerified(block);
-  // Lists with more blocks than the per-query cache can hold would cycle
-  // its LRU on every sequential pass — all misses, plus allocation and
-  // bookkeeping on each — so they bypass L1. When a cross-query L2 is
-  // attached they still read through it (that is where cold mmap traffic
-  // amortizes decode + first-touch validation across queries) unless they
-  // would cycle the L2 too; only then does the cursor fall back to its
-  // private arena.
-  SharedBlockCache* shared = cache_ != nullptr ? cache_->shared() : nullptr;
-  if (cache_ != nullptr && list_->num_blocks() <= cache_->capacity()) {
-    Status s;
+  // The attached L1 decides per list whether a cache level holds it
+  // (DecodedBlockCache::Serves); a list that would cycle every level
+  // decodes into the cursor's private arena.
+  const std::vector<BlockPostingList::EntryRef>* loaded = nullptr;
+  Status s;
+  if (cache_ != nullptr && cache_->Serves(*list_)) {
     cached_ = cache_->GetOrDecode(*list_, block, counters_, &s);
-    if (cached_ == nullptr) {
-      // Under first-touch validation a decode failure is lazily detected
-      // corruption: record it and fail closed by exhausting.
-      if (!s.ok() && status_.ok()) status_ = std::move(s);
-      return false;
-    }
-    entries_ = &cached_->entries;
-  } else if (shared != nullptr &&
-             list_->num_blocks() <= shared->capacity_blocks()) {
-    Status s;
-    cached_ = shared->GetOrDecode(*list_, block, counters_, &s);
-    if (cached_ == nullptr) {
-      if (!s.ok() && status_.ok()) status_ = std::move(s);
-      return false;
-    }
-    entries_ = &cached_->entries;
+    if (cached_ != nullptr) loaded = &cached_->entries;
   } else {
-    Status s = list_->DecodeBlockEntries(block, &arena_, counters_);
-    if (!s.ok()) {
-      if (status_.ok()) status_ = std::move(s);
-      return false;
-    }
-    if (arena_.empty()) return false;
-    if (counters_ != nullptr) {
-      ++counters_->blocks_decoded;
-      ++counters_->blocks_bulk_decoded;
-      counters_->entries_decoded += arena_.size();
-    }
-    entries_ = &arena_;
+    s = list_->DecodeBlockEntries(block, &arena_, counters_);
+    if (s.ok() && !arena_.empty()) loaded = &arena_;
   }
+  if (loaded == nullptr) {
+    // Under first-touch validation a decode failure is lazily detected
+    // corruption: record it and fail closed by exhausting.
+    if (!s.ok() && status_.ok()) status_ = std::move(s);
+    return false;
+  }
+  entries_ = loaded;
   if (counters_ != nullptr && !was_verified && list_->BlockVerified(block)) {
     ++counters_->first_touch_validations;
   }

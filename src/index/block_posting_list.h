@@ -155,10 +155,11 @@ class BlockPostingList {
   /// counts), skipping position bytes entirely. Under first-touch
   /// validation this additionally verifies the block's payload checksum
   /// and structural invariants on its first decode and memoizes success
-  /// per block, so the bulk-decode hot path and the DecodedBlockCache pay
-  /// the checksum once per block per index lifetime. `counters`, when
+  /// per block, so the bulk-decode hot path and the block caches pay the
+  /// checksum once per block per index lifetime. `counters`, when
   /// non-null, is charged simd_groups_decoded for each bulk group decode
-  /// the dispatched SIMD arm performed.
+  /// the dispatched SIMD arm performed and, for a non-empty block,
+  /// blocks_decoded, blocks_bulk_decoded and entries_decoded.
   Status DecodeBlockEntries(size_t block, std::vector<EntryRef>* entries,
                             EvalCounters* counters = nullptr) const;
 

@@ -1,7 +1,5 @@
 #include "index/shared_block_cache.h"
 
-#include "index/block_posting_list.h"
-
 namespace fts {
 
 namespace {
@@ -18,97 +16,49 @@ SharedBlockCache::SharedBlockCache(Options options) {
   const size_t shards = RoundUpPow2(options.shards == 0 ? 1 : options.shards);
   capacity_blocks_ =
       options.capacity_blocks < shards ? shards : options.capacity_blocks;
-  per_shard_capacity_ = capacity_blocks_ / shards;
   shard_mask_ = shards - 1;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
+    shards_.push_back(std::make_unique<Shard>(capacity_blocks_ / shards));
   }
 }
 
 std::shared_ptr<const DecodedBlock> SharedBlockCache::GetOrDecode(
     const BlockPostingList& list, size_t block, EvalCounters* counters,
     Status* status) {
-  const Key key{list.uid(), block};
+  const BlockLru::Key key{list.uid(), block};
   Shard& shard = ShardFor(key);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+    if (auto hit = shard.table.Find(key)) {
       if (counters != nullptr) ++counters->shared_cache_hits;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->block;
+      return hit;
     }
   }
 
   // Miss: decode outside the lock so a slow (cold, first-touch validated)
   // decode never serializes the shard. Two threads racing here both decode;
-  // the insert below resolves the race in favor of whichever published
-  // first.
-  misses_.fetch_add(1, std::memory_order_relaxed);
+  // the insert resolves the race in favor of whichever published first.
   if (counters != nullptr) ++counters->shared_cache_misses;
-  auto decoded = std::make_shared<DecodedBlock>();
-  Status s = list.DecodeBlockEntries(block, &decoded->entries, counters);
-  if (!s.ok()) {
-    if (status != nullptr && status->ok()) *status = std::move(s);
-    return nullptr;
-  }
-  if (decoded->entries.empty()) return nullptr;
-  if (counters != nullptr) {
-    ++counters->blocks_decoded;
-    ++counters->blocks_bulk_decoded;
-    counters->entries_decoded += decoded->entries.size();
-  }
-
+  auto decoded = DecodedBlock::Decode(list, block, counters, status);
+  if (decoded == nullptr) return nullptr;
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
-    // Lost the decode race: adopt the published block (identical contents,
-    // the index is immutable) and drop ours.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return it->second->block;
-  }
-  if (shard.map.size() >= per_shard_capacity_ && !shard.lru.empty()) {
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    shard.bytes -= BlockBytes(*shard.lru.back().block);
-    shard.map.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-  }
-  shard.bytes += BlockBytes(*decoded);
-  shard.lru.push_front(Slot{key, decoded});
-  shard.map.emplace(key, shard.lru.begin());
-  return decoded;
-}
-
-size_t SharedBlockCache::BlockBytes(const DecodedBlock& block) {
-  return sizeof(DecodedBlock) +
-         block.entries.capacity() * sizeof(BlockPostingList::EntryRef);
+  return shard.table.Insert(key, std::move(decoded));
 }
 
 SharedBlockCache::Stats SharedBlockCache::stats() const {
   Stats out;
-  out.hits = hits_.load(std::memory_order_relaxed);
-  out.misses = misses_.load(std::memory_order_relaxed);
-  out.evictions = evictions_.load(std::memory_order_relaxed);
   out.shards.resize(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     std::lock_guard<std::mutex> lock(shards_[i]->mu);
-    out.shards[i].keys = shards_[i]->map.size();
-    out.shards[i].bytes = shards_[i]->bytes;
+    const BlockLru& table = shards_[i]->table;
+    out.evictions += table.evictions();
+    out.shards[i].keys = table.size();
+    out.shards[i].bytes = table.bytes();
     out.resident_blocks += out.shards[i].keys;
     out.resident_bytes += out.shards[i].bytes;
   }
   return out;
-}
-
-size_t SharedBlockCache::size() const {
-  size_t n = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    n += shard->map.size();
-  }
-  return n;
 }
 
 }  // namespace fts

@@ -12,14 +12,16 @@
 // and publishes the decoded form; every later query on any thread gets it
 // for a hash lookup.
 //
-// Concurrency model: the cache is sharded by key hash, one mutex per
-// shard, so concurrent queries contend only when they hash to the same
+// Concurrency model: the cache is sharded by key hash, each shard one
+// BlockLru (index/decoded_block_cache.h, the L1's table too) under its own
+// mutex, so concurrent queries contend only when they hash to the same
 // shard. Blocks are handed out as shared_ptr<const DecodedBlock>, so an
 // eviction never invalidates a reader — a cursor holding the pointer keeps
 // the block alive until it moves on. Decodes run *outside* the shard lock
 // (two threads racing on the same cold block may both decode it; the
 // duplicate work is benign, the loser adopts the winner's entry), so the
-// lock is only ever held for map/LRU bookkeeping.
+// lock is only ever held for map/LRU bookkeeping. Hits and misses are
+// charged to the caller's EvalCounters only; the cache keeps no tally.
 //
 // Lifetime contract: keys are (list uid, block index). Uids are
 // process-unique and never reused, so one cache may safely outlive any
@@ -33,13 +35,9 @@
 #ifndef FTS_INDEX_SHARED_BLOCK_CACHE_H_
 #define FTS_INDEX_SHARED_BLOCK_CACHE_H_
 
-#include <atomic>
 #include <cstddef>
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -62,18 +60,15 @@ class SharedBlockCache {
     size_t shards = 16;
   };
 
-  /// Aggregate statistics, readable concurrently with serving traffic.
+  /// Aggregate gauges, readable concurrently with serving traffic.
   struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
     uint64_t evictions = 0;
     size_t resident_blocks = 0;
-    /// Decoded bytes resident across all shards — EntryRef storage counted
-    /// by vector capacity, the same accounting rule as
-    /// InvertedIndex::MemoryUsage. Eviction-driven, so it tracks what the
-    /// cache holds *now*, not a high-water mark. Readers holding evicted
-    /// blocks via shared_ptr are not counted (their memory is charged to
-    /// the query keeping them alive).
+    /// Decoded bytes resident across all shards (BlockLru::BlockBytes
+    /// summed). Eviction-driven, so it tracks what the cache holds *now*,
+    /// not a high-water mark. Readers holding evicted blocks via
+    /// shared_ptr are not counted (their memory is charged to the query
+    /// keeping them alive).
     size_t resident_bytes = 0;
     /// Per-shard occupancy, index = shard number. Shard imbalance here
     /// (one shard pinned at capacity while others sit empty) is the
@@ -95,80 +90,33 @@ class SharedBlockCache {
   /// Returns `block` of `list` decoded, from the owning shard if cached
   /// (charging EvalCounters::shared_cache_hits) or by bulk-decoding outside
   /// the shard lock and publishing it (shared_cache_misses plus the decode
-  /// counters). Returns nullptr for an empty or malformed block — a
-  /// malformed block (lazily detected corruption) additionally reports its
-  /// decode error through `status` when given, exactly like
-  /// DecodedBlockCache::GetOrDecode. Safe to call from any thread.
+  /// counters). Returns nullptr for an empty or malformed block, exactly
+  /// like DecodedBlock::Decode. Safe to call from any thread.
   std::shared_ptr<const DecodedBlock> GetOrDecode(const BlockPostingList& list,
                                                   size_t block,
                                                   EvalCounters* counters,
                                                   Status* status = nullptr);
 
-  /// Point-in-time aggregate across shards. Counters are relaxed atomics:
-  /// the snapshot is consistent enough for monitoring, not a linearizable
-  /// cut.
+  /// Point-in-time aggregate across shards, each read under its lock: the
+  /// snapshot is consistent enough for monitoring, not a linearizable cut.
   Stats stats() const;
 
-  /// Total blocks currently resident across all shards.
-  size_t size() const;
-
   size_t capacity_blocks() const { return capacity_blocks_; }
-  size_t num_shards() const { return shards_.size(); }
-
-  /// Accounting size of one cached block (EntryRef storage by capacity
-  /// plus the block struct itself) — the unit the resident-bytes gauges
-  /// count in, exposed so monitoring tests can pin the arithmetic.
-  static size_t BlockBytes(const DecodedBlock& block);
 
  private:
-  using Key = std::pair<uint64_t, size_t>;  // (list uid, block index)
-
-  /// Splitmix-style 64-bit mix of the list uid and block index (same
-  /// shape as DecodedBlockCache's hash). Kept 64-bit so shard selection
-  /// can use the top bits even where size_t is 32 bits.
-  static uint64_t MixKey(const Key& k) {
-    uint64_t h = k.first ^
-                 (static_cast<uint64_t>(k.second) * 0x9E3779B97F4A7C15ull);
-    h ^= h >> 33;
-    h *= 0xFF51AFD7ED558CCDull;
-    h ^= h >> 33;
-    return h;
-  }
-
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return static_cast<size_t>(MixKey(k));
-    }
-  };
-
-  struct Slot {
-    Key key;
-    std::shared_ptr<const DecodedBlock> block;
-  };
-
   struct Shard {
+    explicit Shard(size_t capacity) : table(capacity) {}
     std::mutex mu;
-    std::list<Slot> lru;  // front = most recently used
-    std::unordered_map<Key, std::list<Slot>::iterator, KeyHash> map;
-    /// Decoded bytes of the blocks in `lru`, maintained under `mu` on
-    /// insert and evict.
-    size_t bytes = 0;
+    BlockLru table;
   };
 
-  Shard& ShardFor(const Key& key) {
-    // The map hash consumes the low bits; shard selection uses the high
-    // ones (of the full 64-bit mix) so the two partitions stay
-    // independent.
-    return *shards_[(MixKey(key) >> 48) & shard_mask_];
+  Shard& ShardFor(const BlockLru::Key& key) {
+    return *shards_[(BlockLru::Hash(key) >> 48) & shard_mask_];
   }
 
   size_t capacity_blocks_;
-  size_t per_shard_capacity_;
   size_t shard_mask_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> evictions_{0};
 };
 
 }  // namespace fts

@@ -106,7 +106,7 @@ std::optional<ConnectionLoop::Reply> FtsServer::HandleFrame(
 ConnectionLoop::Reply FtsServer::HandleSearch(const SearchRequest& req) {
   SearchResponse resp;
   resp.request_id = req.request_id;
-  if (options_.admission.enabled) {
+  if (options_.admission.max_cost > 0) {
     // Cost the query before it touches the queue; under pressure the
     // expensive ones are answered Unavailable right here.
     const std::shared_ptr<const IndexSnapshot> snap = source_.snapshot();
@@ -196,8 +196,6 @@ std::string FtsServer::MetricsText() const {
 #undef FTS_COUNTER_LINE
   if (const SharedBlockCache* l2 = service_->shared_cache()) {
     const SharedBlockCache::Stats s = l2->stats();
-    line("fts_l2_cache_hits", s.hits);
-    line("fts_l2_cache_misses", s.misses);
     line("fts_l2_cache_evictions", s.evictions);
     line("fts_l2_cache_resident_blocks", s.resident_blocks);
     line("fts_l2_cache_resident_bytes", s.resident_bytes);

@@ -8,6 +8,7 @@
 #include "index/decoded_block_cache.h"
 #include "index/index_builder.h"
 #include "index/index_source.h"
+#include "index/shared_block_cache.h"
 #include "workload/corpus_gen.h"
 
 #include "random_workload.h"
@@ -341,14 +342,15 @@ TEST(DecodedBlockCacheTest, EvictedBlockStaysValidForItsCursor) {
   OwnedBlockList block2 = FromPostingList(raw2, 128);
   ASSERT_EQ(block1.num_blocks(), 1u);
   DecodedBlockCache cache(/*capacity=*/1);
-  BlockListCursor a(&block1, nullptr, &cache);
+  EvalCounters counters;
+  BlockListCursor a(&block1, &counters, &cache);
   ASSERT_NE(a.NextEntry(), kInvalidNode);
   const NodeId first = a.current_node();
-  BlockListCursor b(&block2, nullptr, &cache);
+  BlockListCursor b(&block2, &counters, &cache);
   while (b.NextEntry() != kInvalidNode) {
   }
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);  // block1's block was evicted by block2's
+  EXPECT_EQ(counters.cache_misses, 2u);  // block1's block was evicted by block2's
   EXPECT_EQ(a.current_node(), first);
   size_t remaining = 1;
   while (a.NextEntry() != kInvalidNode) ++remaining;
@@ -376,7 +378,7 @@ TEST(DecodedBlockCacheTest, ListsLongerThanCapacityBypassTheCache) {
   EXPECT_EQ(counters.blocks_decoded, 2 * block.num_blocks());
 }
 
-TEST(DecodedBlockCacheTest, ShouldAttachRequiresRepeatsAndAFittingWorkingSet) {
+TEST(DecodedBlockCacheTest, AttachRequiresRepeatsAndAFittingWorkingSet) {
   CorpusGenOptions opts;
   opts.num_nodes = 300;
   opts.num_topic_tokens = 2;
@@ -384,27 +386,33 @@ TEST(DecodedBlockCacheTest, ShouldAttachRequiresRepeatsAndAFittingWorkingSet) {
   InvertedIndex index = IndexBuilder::Build(GenerateCorpus(opts));
   const std::string t0 = TopicToken(0);
   const std::string t1 = TopicToken(1);
+  const DecodedBlockCache cache;
   // Distinct tokens: no possible hit, never attach.
-  EXPECT_FALSE(DecodedBlockCache::ShouldAttach(index, {t0, t1}, 0));
+  EXPECT_FALSE(cache.PaysFor(index, {.tokens = {t0, t1}}));
   // Repeated token with the default capacity: attach.
-  EXPECT_TRUE(DecodedBlockCache::ShouldAttach(index, {t0, t0}, 0));
+  EXPECT_TRUE(cache.PaysFor(index, {.tokens = {t0, t0}}));
   // Repeated ANY scans count as a repeated list too.
-  EXPECT_TRUE(DecodedBlockCache::ShouldAttach(index, {}, 2));
-  // Repeated token whose working set exceeds a tiny capacity: the LRU
+  EXPECT_TRUE(cache.PaysFor(index, {.tokens = {}, .any_scans = 2}));
+  // A rerun pass rereads every list: attach when they fit.
+  EXPECT_TRUE(cache.PaysFor(index, {.tokens = {t0, t1}, .rerun = true}));
+  // Repeated token whose working set exceeds a one-block cache: the LRU
   // would thrash on every rescan, so the decision is to stay uncached.
-  EXPECT_FALSE(
-      DecodedBlockCache::ShouldAttach(index, {t0, t0}, 0, /*capacity=*/0));
-  const std::vector<std::string> both{t0, t1};
-  EXPECT_TRUE(DecodedBlockCache::FitsWorkingSet(index, both, 0));
+  const DecodedBlockCache tiny(/*capacity=*/1);
+  EXPECT_FALSE(tiny.PaysFor(index, {.tokens = {t0, t1, t0}}));
+  // With an L2 behind it the L1 always attaches.
+  SharedBlockCache l2;
+  const DecodedBlockCache fronted(DecodedBlockCache::kDefaultCapacity, &l2);
+  EXPECT_TRUE(fronted.PaysFor(index, {.tokens = {t0}}));
 }
 
 TEST(DecodedBlockCacheTest, SeekingThroughCacheMatchesDirectSeeks) {
   PostingList raw = MakeRawList(900, 5, 1);
   OwnedBlockList block = FromPostingList(raw, 128);
   DecodedBlockCache cache;
+  EvalCounters counters;
   Rng rng(12);
   for (int trial = 0; trial < 20; ++trial) {
-    BlockListCursor cached(&block, nullptr, &cache);
+    BlockListCursor cached(&block, &counters, &cache);
     BlockListCursor plain(&block);
     NodeId target = 0;
     while (true) {
@@ -414,7 +422,7 @@ TEST(DecodedBlockCacheTest, SeekingThroughCacheMatchesDirectSeeks) {
       if (expected == kInvalidNode) break;
     }
   }
-  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(counters.cache_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -225,7 +225,6 @@ TEST(NetLoopbackTest, DisconnectFailsInFlightCalls) {
 
 TEST(NetLoopbackTest, AdmissionControlShedsUnderPressure) {
   FtsServer::Options options;
-  options.admission.enabled = true;
   options.admission.max_cost = 1;
   options.admission.pressure_fraction = 0.0;  // always under pressure
   Loopback lb(options);

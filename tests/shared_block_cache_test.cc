@@ -1,7 +1,7 @@
 // SharedBlockCache (cross-query L2) unit and concurrency tests: hit/miss
 // accounting, eviction keepalive via shared_ptr handout, the two-level
-// L1→L2 fallthrough, the cursor's L2 path for L1-bypassed lists, and a
-// multi-threaded hammer over a deliberately tiny cache (eviction churn
+// L1→L2 fallthrough, the cursor's four routes through the two levels, and
+// a multi-threaded hammer over a deliberately tiny cache (eviction churn
 // while readers hold blocks).
 
 #include "index/shared_block_cache.h"
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -49,10 +50,8 @@ TEST(SharedBlockCacheTest, MissDecodesThenHits) {
   EXPECT_EQ(counters.shared_cache_hits, 1u);
   EXPECT_EQ(counters.blocks_decoded, 1u);  // hit decodes nothing
 
-  const SharedBlockCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.resident_blocks, 1u);
+  EXPECT_EQ(counters.shared_cache_misses, 1u);
+  EXPECT_EQ(cache.stats().resident_blocks, 1u);
 }
 
 TEST(SharedBlockCacheTest, EvictionNeverInvalidatesReaders) {
@@ -68,7 +67,7 @@ TEST(SharedBlockCacheTest, EvictionNeverInvalidatesReaders) {
   for (size_t b = 1; b < list.num_blocks(); ++b) {
     ASSERT_NE(cache.GetOrDecode(list, b, nullptr), nullptr);
   }
-  EXPECT_LE(cache.size(), 8u);
+  EXPECT_LE(cache.stats().resident_blocks, 8u);
   EXPECT_GT(cache.stats().evictions, 0u);
   // The held block was evicted long ago; the shared_ptr keeps it valid.
   EXPECT_EQ(held->entries.size(), 4u);
@@ -97,7 +96,7 @@ TEST(SharedBlockCacheTest, ResidentBytesTrackInsertAndEviction) {
   for (size_t b = 0; b < 3; ++b) {
     auto block = cache.GetOrDecode(list, b, nullptr);
     ASSERT_NE(block, nullptr);
-    expected_bytes += SharedBlockCache::BlockBytes(*block);
+    expected_bytes += BlockLru::BlockBytes(*block);
     held.push_back(std::move(block));
   }
   stats = cache.stats();
@@ -120,7 +119,7 @@ TEST(SharedBlockCacheTest, ResidentBytesTrackInsertAndEviction) {
   for (size_t b = list.num_blocks() - 4; b < list.num_blocks(); ++b) {
     auto block = cache.GetOrDecode(list, b, nullptr);  // LRU tail: all hits
     ASSERT_NE(block, nullptr);
-    resident_sum += SharedBlockCache::BlockBytes(*block);
+    resident_sum += BlockLru::BlockBytes(*block);
   }
   EXPECT_EQ(cache.stats().resident_bytes, resident_sum);
   EXPECT_EQ(cache.stats().shards[0].bytes, resident_sum);
@@ -155,28 +154,73 @@ TEST(SharedBlockCacheTest, L1MissFallsThroughToL2) {
   EXPECT_EQ(third.shared_cache_hits, 0u);
 }
 
-TEST(SharedBlockCacheTest, CursorUsesL2ForListsTooBigForL1) {
-  // 64 blocks > L1 capacity 16, so the cursor bypasses L1 — but must still
-  // read through the attached L2.
-  OwnedBlockList list = MakeList(4, 256);
-  ASSERT_EQ(list.num_blocks(), 64u);
-  SharedBlockCache l2;
-  DecodedBlockCache l1(/*capacity=*/16, &l2);
+/// The cache traffic of one full cursor pass over a list.
+struct PassCounts {
+  uint64_t cache_hits;
+  uint64_t cache_misses;
+  uint64_t shared_cache_hits;
+  uint64_t shared_cache_misses;
+  uint64_t blocks_decoded;
+};
 
-  EvalCounters cold;
-  BlockListCursor cursor(&list, &cold, &l1);
+PassCounts ScanOnce(const BlockPostingList& list, DecodedBlockCache* l1) {
+  EvalCounters c;
+  BlockListCursor cursor(&list, &c, l1);
   while (cursor.NextEntry() != kInvalidNode) {
   }
-  EXPECT_EQ(cold.cache_misses, 0u);  // L1 never consulted
-  EXPECT_EQ(cold.shared_cache_misses, 64u);
-  EXPECT_EQ(cold.blocks_decoded, 64u);
+  return {c.cache_hits, c.cache_misses, c.shared_cache_hits,
+          c.shared_cache_misses, c.blocks_decoded};
+}
 
-  EvalCounters warm;
-  BlockListCursor rescan(&list, &warm, &l1);
-  while (rescan.NextEntry() != kInvalidNode) {
+void ExpectPass(const PassCounts& got, const PassCounts& want,
+                const std::string& what) {
+  EXPECT_EQ(got.cache_hits, want.cache_hits) << what;
+  EXPECT_EQ(got.cache_misses, want.cache_misses) << what;
+  EXPECT_EQ(got.shared_cache_hits, want.shared_cache_hits) << what;
+  EXPECT_EQ(got.shared_cache_misses, want.shared_cache_misses) << what;
+  EXPECT_EQ(got.blocks_decoded, want.blocks_decoded) << what;
+}
+
+TEST(SharedBlockCacheTest, CursorRoutesEachListToOneLevel) {
+  // The cursor's four routes for a list, by its block count against the
+  // two capacities (L1 = 16 blocks here, L2 = 4096 or 32): a list that
+  // fits the L1 reads through it (and, on an L1 miss, through the L2 when
+  // one is attached); a list too big for the L1 reads through the L2
+  // alone; a list too big for both decodes into the cursor's own arena.
+  // "warm" rescans with the same L1; "next" is a later query — a fresh L1
+  // in front of the same L2.
+  struct Route {
+    const char* name;
+    uint32_t entries;          // 4 entries a block
+    size_t l2_capacity;        // 0 = no L2 attached
+    PassCounts cold, warm, next;
+  };
+  const Route routes[] = {
+      {"L1 only", 32, 0,
+       {0, 8, 0, 0, 8}, {8, 0, 0, 0, 0}, {0, 8, 0, 0, 8}},
+      {"L1 miss to L2", 32, 4096,
+       {0, 8, 0, 8, 8}, {8, 0, 0, 0, 0}, {0, 8, 8, 0, 0}},
+      {"L2 only", 256, 4096,
+       {0, 0, 0, 64, 64}, {0, 0, 64, 0, 0}, {0, 0, 64, 0, 0}},
+      {"arena", 256, 32,
+       {0, 0, 0, 0, 64}, {0, 0, 0, 0, 64}, {0, 0, 0, 0, 64}},
+  };
+  for (const Route& route : routes) {
+    OwnedBlockList list = MakeList(4, route.entries);
+    std::unique_ptr<SharedBlockCache> l2;
+    if (route.l2_capacity != 0) {
+      SharedBlockCache::Options options;
+      options.capacity_blocks = route.l2_capacity;
+      options.shards = 1;
+      l2 = std::make_unique<SharedBlockCache>(options);
+    }
+    DecodedBlockCache l1(/*capacity=*/16, l2.get());
+    ExpectPass(ScanOnce(list, &l1), route.cold, std::string(route.name) + " cold");
+    ExpectPass(ScanOnce(list, &l1), route.warm, std::string(route.name) + " warm");
+    DecodedBlockCache next_l1(/*capacity=*/16, l2.get());
+    ExpectPass(ScanOnce(list, &next_l1), route.next,
+               std::string(route.name) + " next");
   }
-  EXPECT_EQ(warm.shared_cache_hits, 64u);
-  EXPECT_EQ(warm.blocks_decoded, 0u);
 }
 
 TEST(SharedBlockCacheTest, ConcurrentHammerUnderEvictionChurn) {
@@ -192,6 +236,7 @@ TEST(SharedBlockCacheTest, ConcurrentHammerUnderEvictionChurn) {
   SharedBlockCache cache(options);
 
   std::vector<std::thread> threads;
+  std::vector<EvalCounters> counters(8);
   std::atomic<int> wrong{0};
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
@@ -199,7 +244,7 @@ TEST(SharedBlockCacheTest, ConcurrentHammerUnderEvictionChurn) {
       for (int i = 0; i < 500; ++i) {
         const BlockPostingList& list = lists[rng.Uniform(lists.size())];
         const size_t block = rng.Uniform(list.num_blocks());
-        auto decoded = cache.GetOrDecode(list, block, nullptr);
+        auto decoded = cache.GetOrDecode(list, block, &counters[t]);
         if (decoded == nullptr || decoded->entries.size() != 4 ||
             decoded->entries[0].header.node !=
                 static_cast<NodeId>(2 * (4 * block))) {
@@ -210,9 +255,10 @@ TEST(SharedBlockCacheTest, ConcurrentHammerUnderEvictionChurn) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(wrong.load(), 0);
-  const SharedBlockCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses, 8u * 500u);
-  EXPECT_LE(cache.size(), 16u);
+  EvalCounters total;
+  for (const EvalCounters& c : counters) total.MergeFrom(c);
+  EXPECT_EQ(total.shared_cache_hits + total.shared_cache_misses, 8u * 500u);
+  EXPECT_LE(cache.stats().resident_blocks, 16u);
 }
 
 }  // namespace

@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--mmap") {
       load.mode = fts::LoadOptions::Mode::kMmap;
     } else if (arg == "--admission-max-cost") {
-      options.admission.enabled = true;
       fts_tools::NumberFlagOrDie("fts_server", "--admission-max-cost", next(),
                                  &options.admission.max_cost);
     } else if (arg == "--admission-pressure") {
