@@ -285,19 +285,14 @@ BENCHMARK(BM_IndexLoadMmap)->Arg(1500)->Arg(6000)->Unit(benchmark::kMillisecond)
 // Cold start to first answer: load the index file and answer one selective
 // AND. Eager mode pays a full-file read + validation before the first
 // query can run; mmap mode pays the O(header) load plus first-touch
-// validation of only the blocks the query actually lands in; mmap+prefault
-// additionally walks every page at load time (MADV_WILLNEED + touch), the
-// warm-up a service opts into so first queries never fault. With the page
-// cache already warm (as here, right after writing the file) the prefault
-// delta is the soft-fault cost alone; on a truly cold cache it is the
-// file's IO moved out of query latency. Args: mode (0 eager, 1 mmap,
-// 2 mmap+prefault).
+// validation of only the blocks the query actually lands in. The page
+// cache is warm here (the file was just written). Args: mode (0 eager,
+// 1 mmap).
 void BM_ColdFirstQuery(benchmark::State& state) {
   const auto& [path, bytes] = SharedIndexFile(6000);
   fts::LoadOptions options;
   options.mode = state.range(0) == 0 ? fts::LoadOptions::Mode::kEager
                                      : fts::LoadOptions::Mode::kMmap;
-  options.prefault = state.range(0) == 2;
   auto parsed = fts::ParseQuery("w6000 and topic0", fts::SurfaceLanguage::kComp);
   if (!parsed.ok()) {
     state.SkipWithError("bad query");
@@ -323,7 +318,7 @@ void BM_ColdFirstQuery(benchmark::State& state) {
   state.counters["first_touch_blocks"] =
       static_cast<double>(first_touch) / static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_ColdFirstQuery)->DenseRange(0, 2)->ArgName("mode")
+BENCHMARK(BM_ColdFirstQuery)->DenseRange(0, 1)->ArgName("mode")
     ->Unit(benchmark::kMillisecond);
 
 void BM_IndexSerialize(benchmark::State& state) {

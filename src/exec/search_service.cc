@@ -173,14 +173,12 @@ void SearchService::WorkerLoop() {
     }
     queue_not_full_.notify_one();
 
-    // Per-request knobs override the service defaults; set unconditionally
-    // because the context is reused across queries — a stale deadline or
-    // top_k from a previous query must never leak into the next one.
-    const std::chrono::nanoseconds timeout = task.options.timeout.count() > 0
-                                                 ? task.options.timeout
-                                                 : options_.default_timeout;
-    ctx.set_deadline(timeout.count() > 0 ? Deadline::After(timeout)
-                                         : Deadline());
+    // Per-request knobs, set unconditionally because the context is reused
+    // across queries — a stale deadline or top_k from a previous query must
+    // never leak into the next one.
+    ctx.set_deadline(task.options.timeout.count() > 0
+                         ? Deadline::After(task.options.timeout)
+                         : Deadline());
     ctx.set_top_k(task.options.top_k);
     // Acquire the current generation for exactly this query: the snapshot
     // (and every segment it references) stays alive until the Searcher is

@@ -76,8 +76,6 @@ class SearchService {
     /// Cross-query L2 cache budget in blocks; 0 disables the L2 (per-query
     /// L1 caching only — the pre-service behavior per query).
     size_t shared_cache_blocks = 4096;
-    /// Per-query deadline applied by workers at dequeue; zero = unbounded.
-    std::chrono::nanoseconds default_timeout{0};
   };
 
   /// Serves whatever generation `source` currently publishes: each query
@@ -113,7 +111,8 @@ class SearchService {
     size_t top_k = 0;
     /// Cursor access mode for this query; nullopt = Options::mode.
     std::optional<CursorMode> mode;
-    /// Deadline for this query; zero = Options::default_timeout.
+    /// Deadline for this query, applied by the worker at dequeue; zero =
+    /// unbounded.
     std::chrono::nanoseconds timeout{0};
   };
 

@@ -498,16 +498,9 @@ Status LoadIndexFromFile(const std::string& path, InvertedIndex* out,
     (void)source->Advise(AccessHint::kSequential);
     FTS_RETURN_IF_ERROR(
         IndexIoAccess::Load(source, /*prefer_lazy=*/true, out));
-    if (options.prefault) {
-      // Warm-up: pay the whole file's fault-in now, not on first queries.
-      // Best-effort like the other hints — the index is already loaded and
-      // valid, so a failed madvise must not turn a good load into an error.
-      (void)source->Prefault();
-    } else {
-      // Serving reads hop between blocks via the skip tables; linear
-      // readahead would drag in pages queries never touch.
-      (void)source->Advise(AccessHint::kRandom);
-    }
+    // Serving reads hop between blocks via the skip tables; linear
+    // readahead would drag in pages queries never touch.
+    (void)source->Advise(AccessHint::kRandom);
     return Status::OK();
   }
   FTS_ASSIGN_OR_RETURN(std::shared_ptr<IndexSource> source,

@@ -46,14 +46,6 @@ struct LoadOptions {
     kMmap,
   };
   Mode mode = Mode::kEager;
-  /// Opt-in warm-up for kMmap: after a successful load, fault every page
-  /// of the mapping into the page cache (MADV_WILLNEED + a synchronous
-  /// touch of each page) so cold-start IO is paid once at load time
-  /// instead of by the first queries to land in each block. Trades load
-  /// latency (and resident page-cache footprint) for first-query latency —
-  /// see BM_ColdFirstQuery's prefault mode. Ignored for kEager, which
-  /// reads the whole file anyway.
-  bool prefault = false;
 };
 
 /// Serializes `index` into `out` (replacing its contents).

@@ -91,43 +91,12 @@ IndexSource::~IndexSource() {
 
 Status IndexSource::Advise(AccessHint hint) const {
   if (mapped_ == nullptr || mapped_size_ == 0) return Status::OK();
-  int advice = MADV_NORMAL;
-  switch (hint) {
-    case AccessHint::kNormal:
-      advice = MADV_NORMAL;
-      break;
-    case AccessHint::kSequential:
-      advice = MADV_SEQUENTIAL;
-      break;
-    case AccessHint::kRandom:
-      advice = MADV_RANDOM;
-      break;
-    case AccessHint::kWillNeed:
-      advice = MADV_WILLNEED;
-      break;
-  }
+  const int advice =
+      hint == AccessHint::kSequential ? MADV_SEQUENTIAL : MADV_RANDOM;
   if (::madvise(const_cast<char*>(mapped_), mapped_size_, advice) != 0) {
     return Status::IOError(std::string("madvise failed: ") +
                            std::strerror(errno));
   }
-  return Status::OK();
-}
-
-Status IndexSource::Prefault() const {
-  if (mapped_ == nullptr || mapped_size_ == 0) return Status::OK();
-  // Kick off asynchronous readahead for the whole region, then touch one
-  // byte per page so every page is synchronously resident on return. The
-  // reads are through volatile so the loop cannot be optimized away; the
-  // page size query never fails on platforms that got this far.
-  FTS_RETURN_IF_ERROR(Advise(AccessHint::kWillNeed));
-  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-  const volatile char* p = mapped_;
-  unsigned char sink = 0;
-  for (size_t off = 0; off < mapped_size_; off += page) {
-    sink ^= static_cast<unsigned char>(p[off]);
-  }
-  sink ^= static_cast<unsigned char>(p[mapped_size_ - 1]);
-  (void)sink;
   return Status::OK();
 }
 
@@ -158,8 +127,6 @@ Status IndexSource::Advise(AccessHint hint) const {
   (void)hint;
   return Status::OK();
 }
-
-Status IndexSource::Prefault() const { return Status::OK(); }
 
 #endif  // FTS_HAVE_MMAP
 

@@ -31,17 +31,12 @@ namespace fts {
 /// heap sources and platforms without madvise — hints are best-effort by
 /// definition).
 enum class AccessHint {
-  /// Default kernel readahead.
-  kNormal,
   /// Aggressive readahead: the caller will stream the region front to
   /// back (load-time header parse, eager validation over a mapping).
   kSequential,
   /// Readahead is more likely to hurt than help: block-seek query traffic
   /// touches scattered pages.
   kRandom,
-  /// Start paging the whole region in asynchronously (cheap warm-up; see
-  /// Prefault for the synchronous guarantee).
-  kWillNeed,
 };
 
 class IndexSource {
@@ -87,12 +82,6 @@ class IndexSource {
   /// rejects the call. Lazy loads advise kSequential for the header parse
   /// and kRandom for the block-seek serving phase that follows.
   Status Advise(AccessHint hint) const;
-
-  /// Synchronously faults every page of the mapping into the page cache
-  /// (reads one byte per page after a kWillNeed hint), so a service can
-  /// pay cold-start IO at load time instead of on first queries. No-op for
-  /// heap sources. Opt in via LoadOptions::prefault.
-  Status Prefault() const;
 
  private:
   explicit IndexSource(std::string data) : owned_(std::move(data)) {}

@@ -46,7 +46,6 @@ class TombstoneSet {
 
   size_t num_nodes() const { return num_nodes_; }
   size_t deleted_count() const { return deleted_count_; }
-  size_t live_count() const { return num_nodes_ - deleted_count_; }
   bool empty() const { return deleted_count_ == 0; }
 
  private:

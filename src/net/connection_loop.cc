@@ -1,5 +1,6 @@
 #include "net/connection_loop.h"
 
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -192,13 +193,17 @@ std::optional<ConnectionLoop::Reply> ConnectionLoop::HandleFrame(
 
 void ConnectionLoop::ServeHttp(Connection* conn, const char prefix[4]) {
   // Consume the request line (the four verb bytes are already read);
-  // headers and bodies are ignored — these are GET/HEAD endpoints.
+  // headers and bodies are ignored — these are GET/HEAD endpoints. One 2 s
+  // budget bounds the whole line, so a peer trickling bytes cannot hold
+  // the connection's reader and writer threads for longer than that.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
   std::string line(prefix, 4);
   while (line.size() < 4096 && line.back() != '\n') {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
     char ch;
-    if (!ReadFull(conn->sock, &ch, 1, std::chrono::milliseconds(2000)).ok()) {
-      return;
-    }
+    if (left.count() <= 0 || !ReadFull(conn->sock, &ch, 1, left).ok()) return;
     line.push_back(ch);
   }
   // "VERB /path HTTP/1.x": the path runs from the first space to the next.

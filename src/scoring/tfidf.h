@@ -85,9 +85,6 @@ class TfIdfScoreModel : public AlgebraScoreModel {
   /// in Theorem 2's statement).
   double DirectNodeScore(NodeId node) const;
 
-  /// ‖q‖₂ for this query.
-  double query_norm() const { return query_norm_; }
-
  private:
   /// The query token's idf when `token` is one, else the record's.
   double TokenIdf(TokenId token) const;

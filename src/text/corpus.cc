@@ -3,13 +3,7 @@
 namespace fts {
 
 NodeId Corpus::AddDocument(std::string_view text) {
-  TokenizedDocument doc;
-  for (RawToken& raw : tokenizer_.Tokenize(text)) {
-    doc.tokens.push_back(InternToken(raw.text));
-    doc.positions.push_back(raw.position);
-  }
-  docs_.push_back(std::move(doc));
-  return static_cast<NodeId>(docs_.size() - 1);
+  return AddAnalyzedDocument(tokenizer_.Tokenize(text));
 }
 
 NodeId Corpus::AddAnalyzedDocument(const std::vector<RawToken>& tokens) {

@@ -27,9 +27,10 @@ class Corpus {
   /// Adds a context node from raw text (tokenizing it) and returns its id.
   NodeId AddDocument(std::string_view text);
 
-  /// Adds a context node from a pre-analyzed token stream (as produced by
-  /// Analyzer::AnalyzeDocument); offsets may have gaps where stop-words
-  /// were removed.
+  /// Adds a context node from a token stream with explicit positions.
+  /// Spellings are interned verbatim (no case folding), so a caller that
+  /// normalizes tokens its own way keeps its spellings; offsets may have
+  /// gaps.
   NodeId AddAnalyzedDocument(const std::vector<RawToken>& tokens);
 
   /// Adds a context node from pre-tokenized content. `tokens` are token
@@ -72,8 +73,6 @@ class Corpus {
 
   /// The spelling of token `id`; id must be a valid TokenId.
   const std::string& token_text(TokenId id) const { return id_to_token_[id]; }
-
-  const Tokenizer& tokenizer() const { return tokenizer_; }
 
  private:
   Tokenizer tokenizer_;

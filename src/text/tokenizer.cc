@@ -5,12 +5,7 @@
 namespace fts {
 
 namespace {
-bool IsTokenChar(char c, const TokenizerOptions& opts) {
-  unsigned char uc = static_cast<unsigned char>(c);
-  if (std::isalpha(uc)) return true;
-  if (opts.keep_numbers && std::isdigit(uc)) return true;
-  return false;
-}
+bool IsTokenChar(char c) { return std::isalnum(static_cast<unsigned char>(c)); }
 
 bool IsSentenceBoundary(char c) { return c == '.' || c == '!' || c == '?'; }
 }  // namespace
@@ -26,16 +21,11 @@ std::vector<RawToken> Tokenizer::Tokenize(std::string_view text) const {
   const size_t n = text.size();
   while (i < n) {
     char c = text[i];
-    if (IsTokenChar(c, options_)) {
+    if (IsTokenChar(c)) {
       size_t start = i;
-      while (i < n && IsTokenChar(text[i], options_)) ++i;
-      std::string tok(text.substr(start, i - start));
-      if (options_.lowercase) {
-        for (char& ch : tok) {
-          ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-        }
-      }
-      out.push_back(RawToken{std::move(tok), PositionInfo{offset, sentence, paragraph}});
+      while (i < n && IsTokenChar(text[i])) ++i;
+      out.push_back(RawToken{Normalize(text.substr(start, i - start)),
+                             PositionInfo{offset, sentence, paragraph}});
       ++offset;
       token_seen_in_sentence = true;
       token_seen_in_paragraph = true;
@@ -67,10 +57,8 @@ std::vector<RawToken> Tokenizer::Tokenize(std::string_view text) const {
 
 std::string Tokenizer::Normalize(std::string_view token) const {
   std::string out(token);
-  if (options_.lowercase) {
-    for (char& ch : out) {
-      ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-    }
+  for (char& ch : out) {
+    ch = static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
   }
   return out;
 }

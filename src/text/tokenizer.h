@@ -2,7 +2,7 @@
 //
 // The tokenizer turns raw text into the (token, position) stream of the
 // full-text model. Tokens are maximal runs of alphanumeric characters,
-// case-folded by default. Sentence boundaries are '.', '!', '?';
+// case-folded to lower case. Sentence boundaries are '.', '!', '?';
 // paragraph boundaries are blank lines. Both are recorded in the emitted
 // PositionInfo so structural predicates can be evaluated later.
 
@@ -17,14 +17,6 @@
 
 namespace fts {
 
-/// Tokenizer configuration.
-struct TokenizerOptions {
-  /// Case-fold tokens to lower case (standard IR practice).
-  bool lowercase = true;
-  /// Treat digits as token characters.
-  bool keep_numbers = true;
-};
-
 /// A single token occurrence produced by the tokenizer.
 struct RawToken {
   std::string text;
@@ -36,8 +28,6 @@ struct RawToken {
 /// are safe concurrently).
 class Tokenizer {
  public:
-  explicit Tokenizer(TokenizerOptions options = {}) : options_(options) {}
-
   /// Tokenizes `text`. Offsets are consecutive from 0; sentence and
   /// paragraph ordinals increase at boundary characters.
   std::vector<RawToken> Tokenize(std::string_view text) const;
@@ -45,9 +35,6 @@ class Tokenizer {
   /// Normalizes a query-side token the same way document tokens are
   /// normalized (case folding), so query terms match indexed terms.
   std::string Normalize(std::string_view token) const;
-
- private:
-  TokenizerOptions options_;
 };
 
 }  // namespace fts

@@ -599,35 +599,6 @@ TEST(IndexIoTest, EagerLoadPaysAFixedRecordPerListAndBlock) {
 #endif
 }
 
-TEST(IndexIoTest, PrefaultWarmupLoadsIdentically) {
-  // LoadOptions::prefault touches every page of the mapping at load time
-  // (madvise(MADV_WILLNEED) + a synchronous walk). It must not change any
-  // observable property of the loaded index: same storage mode, same lazy
-  // first-touch validation, same contents.
-  InvertedIndex built = BuildTestIndex();
-  const std::string path = ::testing::TempDir() + "/fts_prefault.idx";
-  ASSERT_TRUE(SaveIndexToFile(built, path).ok());
-
-  LoadOptions warm;
-  warm.mode = LoadOptions::Mode::kMmap;
-  warm.prefault = true;
-  InvertedIndex prefaulted;
-  ASSERT_TRUE(LoadIndexFromFile(path, &prefaulted, warm).ok());
-  EXPECT_EQ(prefaulted.storage(), IndexStorage::kMapped);
-  EXPECT_TRUE(prefaulted.lazy_validation());
-  EXPECT_GT(prefaulted.MappedBytes(), 0u);
-  ExpectIndexEq(built, prefaulted);
-
-  // prefault on an eager load is ignored, not an error.
-  LoadOptions eager;
-  eager.prefault = true;
-  InvertedIndex heap;
-  ASSERT_TRUE(LoadIndexFromFile(path, &heap, eager).ok());
-  EXPECT_EQ(heap.storage(), IndexStorage::kHeapBuffer);
-  ExpectIndexEq(built, heap);
-  std::remove(path.c_str());
-}
-
 TEST(IndexIoTest, MmapSourceOutlivesFileRemoval) {
   // POSIX mmap pins the inode: removing (or write-then-rename replacing)
   // the file under a mapped index must not invalidate it — this is the

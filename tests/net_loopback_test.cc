@@ -4,9 +4,9 @@
 // calls, and the fail-closed connection contract — malformed frames,
 // oversized declared lengths, disconnect with requests in flight, and
 // admission-control shedding. Plus the HTTP /metrics and /healthz dialect
-// served on the same port. The connection-level cases
-// (NetLoopbackFrontTest) run against both fronts, FtsServer and
-// RouterServer.
+// served on the same port, whose request line has one read budget. The
+// connection-level cases (NetLoopbackFrontTest) run against both fronts,
+// FtsServer and RouterServer.
 
 #include <gtest/gtest.h>
 
@@ -498,6 +498,31 @@ TEST_P(NetLoopbackFrontTest, HttpMetricsAndHealthOnSamePort) {
     EXPECT_NE(degraded.find("503"), std::string::npos);
     EXPECT_NE(degraded.find("shard down"), std::string::npos);
   }
+}
+
+TEST_P(NetLoopbackFrontTest, TrickledHttpRequestLineIsCutOff) {
+  // A peer that sends its request line one byte every 500 ms never trips a
+  // per-byte timeout; the line's single 2 s budget must still close it.
+  Front lb(GetParam());
+  auto sock = ConnectTcp("127.0.0.1", lb.port(),
+                         std::chrono::milliseconds(2000));
+  ASSERT_TRUE(sock.ok());
+  ASSERT_TRUE(WriteAll(*sock, "GET /metr").ok());
+  const auto start = std::chrono::steady_clock::now();
+  bool closed = false;
+  while (std::chrono::steady_clock::now() - start < std::chrono::seconds(5)) {
+    char ch;
+    const Status s = ReadFull(*sock, &ch, 1, std::chrono::milliseconds(500));
+    if (s.code() != StatusCode::kDeadlineExceeded) {
+      closed = true;  // EOF or reset: the server dropped the connection
+      break;
+    }
+    (void)WriteAll(*sock, "i");
+  }
+  EXPECT_TRUE(closed);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(3));
+  // The server as a whole is unaffected.
+  EXPECT_TRUE(lb.client->Ping().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(Fronts, NetLoopbackFrontTest,

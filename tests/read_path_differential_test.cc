@@ -26,9 +26,18 @@
 // random BOOL, 6 PPRED and 5 NPRED pipelined, 4 COMP-only, 12 structural,
 // 17 pair-shaped), 760 in all. The serving cases run seeds 1 and 2.
 //
-// CMakeLists.txt registers this one binary with CTest as six slices, named
-// after the suites it replaced and filtered to the cases below; the
-// engines_differential_test slice takes every case the others do not.
+// CMakeLists.txt registers this one binary with CTest as six slices,
+// named after the cases they run:
+//
+//   read_path_class_engines_test  ClassEnginesMatchTheAnchors
+//   read_path_segmented_test      SegmentedPathsMatchTheAnchors
+//   read_path_pair_routing_test   PairRoutingMatchesTheAnchors,
+//                                 NpredSinglePassHookMatchesPipeline
+//   read_path_concurrent_test     ConcurrentPathsMatchTheAnchors
+//   read_path_cluster_test        ShardedClusterMatchesTheAnchors,
+//                                 ReadPathClusterTest.*
+//   read_path_one_index_and_merge_test  every other case:
+//                                 OneIndexPathsMatchTheAnchors, MergePins.*
 //
 // Where each behaviour of the suites this harness replaced is checked now:
 //

@@ -159,15 +159,21 @@ TEST(SearchServiceTest, TrySubmitShedsLoadWhenQueueFull) {
   EXPECT_LE(m.peak_queue_depth, 2u);
 }
 
-TEST(SearchServiceTest, DefaultTimeoutBoundsEveryQuery) {
+TEST(SearchServiceTest, RequestTimeoutBoundsTheQuery) {
   InvertedIndex index = SmallIndex();
   SearchService::Options options;
   options.num_workers = 1;
-  options.default_timeout = std::chrono::nanoseconds(1);  // expired on arrival
   SearchService service(&index, options);
-  auto r = service.Search("'apple' AND 'banana'");
+  SearchService::RequestOptions request;
+  request.timeout = std::chrono::nanoseconds(1);  // expired on arrival
+  auto r = service.Submit("'apple' AND 'banana'", request).get();
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(service.metrics().failed, 1u);
+  // The worker's context is reused: the next query without a timeout must
+  // not inherit the expired deadline.
+  auto next = service.Search("'apple' AND 'banana'");
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(service.metrics().completed, 1u);
 }
 
 TEST(SearchServiceTest, MetricsMergeCountersAcrossQueries) {

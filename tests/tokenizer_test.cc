@@ -26,28 +26,16 @@ TEST(TokenizerTest, OffsetsAreConsecutive) {
   }
 }
 
-TEST(TokenizerTest, LowercasesByDefault) {
+TEST(TokenizerTest, Lowercases) {
   Tokenizer tok;
   auto toks = tok.Tokenize("Task COMPLETION");
   EXPECT_EQ(Texts(toks), (std::vector<std::string>{"task", "completion"}));
 }
 
-TEST(TokenizerTest, CaseFoldingCanBeDisabled) {
-  Tokenizer tok(TokenizerOptions{.lowercase = false});
-  auto toks = tok.Tokenize("Task COMPLETION");
-  EXPECT_EQ(Texts(toks), (std::vector<std::string>{"Task", "COMPLETION"}));
-}
-
-TEST(TokenizerTest, NumbersKeptByDefault) {
+TEST(TokenizerTest, KeepsNumbers) {
   Tokenizer tok;
   auto toks = tok.Tokenize("isbn 1000 x2");
   EXPECT_EQ(Texts(toks), (std::vector<std::string>{"isbn", "1000", "x2"}));
-}
-
-TEST(TokenizerTest, NumbersCanBeDropped) {
-  Tokenizer tok(TokenizerOptions{.keep_numbers = false});
-  auto toks = tok.Tokenize("isbn 1000 alpha");
-  EXPECT_EQ(Texts(toks), (std::vector<std::string>{"isbn", "alpha"}));
 }
 
 TEST(TokenizerTest, SentenceBoundariesAdvanceOrdinal) {

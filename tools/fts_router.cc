@@ -1,7 +1,7 @@
 // fts_router: scatter-gather front for document-partitioned fts_server
 // shards (docs/serving.md). Connects to every shard, assigns doc-id bases
-// by prefix sum, optionally exchanges global scoring statistics so shard
-// scores are bit-identical to a single-index run, then serves the same
+// by prefix sum, exchanges global scoring statistics so shard scores are
+// bit-identical to a single-index run, then serves the same
 // wire protocol (and HTTP /metrics, /healthz) a single fts_server speaks.
 
 #include <cstdio>
@@ -19,13 +19,9 @@ void Usage() {
   std::fprintf(stderr,
                "usage: fts_router --shard HOST:PORT [--shard HOST:PORT ...]\n"
                "                  [--port N] [--name STR] [--listen-all]\n"
-               "                  [--no-stats-exchange]\n"
                "  --shard HOST:PORT     a shard server, in doc-id-range order\n"
                "  --port N              TCP port (default 7080; 0 = ephemeral)\n"
-               "  --listen-all          bind 0.0.0.0 instead of loopback\n"
-               "  --no-stats-exchange   skip the global df/idf exchange (fine\n"
-               "                        for unscored serving; scored results\n"
-               "                        would use shard-local statistics)\n");
+               "  --listen-all          bind 0.0.0.0 instead of loopback\n");
   std::exit(2);
 }
 
@@ -53,7 +49,6 @@ int main(int argc, char** argv) {
   fts::net::ShardRouter::Options router_options;
   fts::net::RouterServer::Options server_options;
   server_options.port = 7080;
-  bool exchange_stats = true;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -70,8 +65,6 @@ int main(int argc, char** argv) {
       server_options.name = next();
     } else if (arg == "--listen-all") {
       server_options.loopback_only = false;
-    } else if (arg == "--no-stats-exchange") {
-      exchange_stats = false;
     } else {
       Usage();
     }
@@ -92,16 +85,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(shard.num_nodes),
                 static_cast<unsigned long long>(shard.base));
   }
-  if (exchange_stats) {
-    s = router.ExchangeGlobalStats();
-    if (!s.ok()) {
-      std::fprintf(stderr, "fts_router: stats exchange: %s\n",
-                   s.ToString().c_str());
-      return 1;
-    }
-    std::printf("fts_router: global statistics pushed to %zu shards\n",
-                router.num_shards());
+  s = router.ExchangeGlobalStats();
+  if (!s.ok()) {
+    std::fprintf(stderr, "fts_router: stats exchange: %s\n",
+                 s.ToString().c_str());
+    return 1;
   }
+  std::printf("fts_router: global statistics pushed to %zu shards\n",
+              router.num_shards());
 
   fts::net::RouterServer server(&router, server_options);
   s = server.Start();
