@@ -144,12 +144,6 @@ void BlockListWriter::FlushPending() {
   pending_bytes_.clear();
 }
 
-void BlockListWriter::Finish() {
-  FlushPending();
-  std::vector<PendingEntry>().swap(pending_);
-  std::vector<uint8_t>().swap(pending_bytes_);
-}
-
 void BlockListWriter::FlushPendingBitset(BlockPostingList::SkipEntry* skip) {
   // Bitset block layout:
   //   base varint        absolute first node id (bit 0 is always set)
@@ -600,23 +594,6 @@ Status BlockPostingList::DecodeBlock(size_t block,
     entries->push_back(e);
   }
   return Status::OK();
-}
-
-PostingStore PostingStore::FromWriters(std::vector<BlockListWriter> writers) {
-  size_t blocks = 0, bytes = 0;
-  for (BlockListWriter& w : writers) {
-    w.Finish();
-    blocks += w.skips_.size();
-    bytes += w.payload_.size();
-  }
-  PostingStore store;
-  store.Reserve(writers.size(), blocks, bytes);
-  for (BlockListWriter& w : writers) {
-    store.Add(std::move(w));
-    w = BlockListWriter();  // its buffers go as its bytes land
-  }
-  store.Seal();
-  return store;
 }
 
 void PostingStore::Reserve(size_t lists, size_t blocks, size_t payload_bytes) {

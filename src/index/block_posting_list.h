@@ -277,10 +277,6 @@ class BlockListWriter {
   void AppendEncoded(NodeId node, uint32_t pos_count,
                      std::string_view pos_bytes);
 
-  /// Flushes the partially filled tail block, if any, and releases the
-  /// pending-block buffers. Idempotent; PostingStore::FromWriters calls it.
-  void Finish();
-
  private:
   friend class PostingStore;
 
@@ -324,11 +320,6 @@ class PostingStore {
   PostingStore(PostingStore&&) noexcept = default;
   PostingStore& operator=(PostingStore&&) noexcept = default;
 
-  /// A sealed store of `writers`' lists, in order. It is sized up front,
-  /// so each payload byte is copied once, and each writer's buffers go as
-  /// its bytes land: a build never holds its payload twice.
-  static PostingStore FromWriters(std::vector<BlockListWriter> writers);
-
   /// Sizes the arrays for `lists` more lists holding `blocks` blocks and
   /// `payload_bytes` writer payload bytes in all, so adding them never
   /// regrows the store.
@@ -336,8 +327,7 @@ class PostingStore {
 
   /// Appends `writer`'s list (flushing its tail block first) and empties
   /// the writer. Its buffers keep their capacity, so one writer reused for
-  /// list after list allocates once; a writer that is not reused frees
-  /// them when it goes.
+  /// list after list allocates once.
   void Add(BlockListWriter&& writer);
 
   /// Gives back the payload buffer's growth slack, for a caller that

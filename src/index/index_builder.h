@@ -4,17 +4,17 @@
 // L2 norms are precomputed here, matching the paper's observation that "all
 // of the scoring information in R_t can be precomputed", Section 3.1).
 //
-// Two passes. The group-and-append pass walks the documents in node order,
-// groups each document's occurrences by token with one sort of packed
-// (token, index-in-document) keys, and appends every group straight to its
-// token's list writer (BlockListWriter), encoded into the block-compressed
-// form; only the per-node unique-token count outlives a document. Each
-// finished list is then sealed into the index's stores (PostingStore),
-// which free the writer's buffers as its bytes land. The statistics and norm
-// pass then reads the finished list headers (InvertedIndex::FinishLists,
-// which a segment merge ends with too) through ComputeNodeNorms
-// (index/inverted_index.h), the same pass snapshots run with global
-// statistics. No uncompressed form of a list is ever built. The saved
+// Three passes write the lists: count each token's occurrences, scatter
+// each as a (node, index-in-document) record into its token's bucket (one
+// stable counting sort, so buckets are in node order), then write each
+// bucket, grouped by node, and IL_ANY through one reused BlockListWriter
+// into the index's stores (PostingStore::Add), counting each node's
+// unique tokens on the way — the Reserve / Add / Seal protocol
+// PairIndex::Build and MergeSegments use too. A fourth pass reads the
+// finished list headers for the statistics and norms
+// (InvertedIndex::FinishLists, which a segment merge ends with too,
+// through ComputeNodeNorms, the pass snapshots run with global
+// statistics). No uncompressed form of a list is ever built. The saved
 // bytes are pinned by tests/index_builder_golden_test.cc.
 
 #ifndef FTS_INDEX_INDEX_BUILDER_H_
@@ -37,15 +37,12 @@ struct IndexBuildOptions {
 /// One-shot index construction.
 class IndexBuilder {
  public:
-  /// Builds the complete index for `corpus`. Token ids in the index match
-  /// the corpus dictionary ids.
-  static InvertedIndex Build(const Corpus& corpus);
-
-  /// As above, additionally building whatever IndexBuildOptions asks for
-  /// (pair lists never perturb the classic sections: token lists, IL_ANY,
-  /// norms, and IndexStats are bit-identical with or without them).
+  /// Builds the complete index for `corpus`, plus whatever `options` asks
+  /// for (pair lists never perturb the classic sections: token lists,
+  /// IL_ANY, norms, and IndexStats are bit-identical with or without
+  /// them). Token ids in the index match the corpus dictionary ids.
   static InvertedIndex Build(const Corpus& corpus,
-                             const IndexBuildOptions& options);
+                             const IndexBuildOptions& options = {});
 };
 
 }  // namespace fts

@@ -170,10 +170,11 @@ struct SegmentMergerAccess {
                 return std::pair{a.node, a.offset} < std::pair{b.node, b.offset};
               });
 
-    // Each merged list is sealed into the index's stores as soon as it is
-    // written, so only one list's own buffer exists at a time. The stores
-    // are sized from the source lists, whose bytes the merged lists copy
-    // less the deleted entries', so they rarely regrow.
+    // Each merged list goes through one reused writer into the index's
+    // stores as soon as it is written, so only one list's own buffer
+    // exists at a time. The stores are sized from the source lists, whose
+    // bytes the merged lists copy less the deleted entries', so they
+    // rarely regrow.
     InvertedIndex index;
     index.token_texts_.reserve(tokens.size());
     index.token_ids_.reserve(tokens.size());
@@ -185,27 +186,26 @@ struct SegmentMergerAccess {
       }
     }
     index.lists_.Reserve(tokens.size() + 1, blocks, bytes);
+    BlockListWriter out;
     for (TokenId id = 0; id < tokens.size(); ++id) {
       index.token_texts_.emplace_back(tokens[id].text);
       index.token_ids_.emplace(tokens[id].text, id);
-      BlockListWriter out;
       for (const auto& [s, local] : tokens[id].sources) {
         FTS_RETURN_IF_ERROR(AppendLive(*segments[s].index->block_list(local),
                                        remap[s], &entries, &out));
       }
       index.lists_.Add(std::move(out));
     }
-    BlockListWriter any;
     for (size_t s = 0; s < segments.size(); ++s) {
       const InvertedIndex& idx = *segments[s].index;
-      FTS_RETURN_IF_ERROR(AppendLive(idx.block_any_list(), remap[s], &entries, &any));
+      FTS_RETURN_IF_ERROR(AppendLive(idx.block_any_list(), remap[s], &entries, &out));
       for (NodeId n = 0; n < remap[s].size(); ++n) {
         if (remap[s][n] != kInvalidNode) {
           index.unique_tokens_.push_back(idx.unique_tokens(n));
         }
       }
     }
-    index.lists_.Add(std::move(any));
+    index.lists_.Add(std::move(out));
     index.lists_.Seal();
     FTS_RETURN_IF_ERROR(index.FinishLists());
 

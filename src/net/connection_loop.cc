@@ -192,20 +192,26 @@ std::optional<ConnectionLoop::Reply> ConnectionLoop::HandleFrame(
 }
 
 void ConnectionLoop::ServeHttp(Connection* conn, const char prefix[4]) {
-  // Consume the request line (the four verb bytes are already read);
-  // headers and bodies are ignored — these are GET/HEAD endpoints. One 2 s
-  // budget bounds the whole line, so a peer trickling bytes cannot hold
-  // the connection's reader and writer threads for longer than that.
+  // Read the request line (the four verb bytes are already read) in
+  // chunks, up to its '\n' or 4,096 bytes. Headers and bodies are ignored
+  // (GET/HEAD endpoints; the connection closes after its one reply). One
+  // 2 s budget bounds the whole line, so a peer trickling bytes cannot
+  // hold the connection's reader and writer threads for longer than that.
+  constexpr size_t kMaxLine = 4096;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
   std::string line(prefix, 4);
-  while (line.size() < 4096 && line.back() != '\n') {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    char ch;
-    if (left.count() <= 0 || !ReadFull(conn->sock, &ch, 1, left).ok()) return;
-    line.push_back(ch);
+  size_t eol = std::string::npos;
+  while (line.size() < kMaxLine && eol == std::string::npos) {
+    const size_t old_size = line.size();
+    line.resize(kMaxLine);
+    const StatusOr<size_t> got = ReadSome(conn->sock, line.data() + old_size,
+                                          kMaxLine - old_size, deadline);
+    if (!got.ok()) return;
+    line.resize(old_size + *got);
+    eol = line.find('\n', old_size);
   }
+  if (eol != std::string::npos) line.resize(eol + 1);
   // "VERB /path HTTP/1.x": the path runs from the first space to the next.
   const size_t path_begin = line.find(' ') + 1;  // npos + 1 == 0
   const size_t path_end = line.find(' ', path_begin);

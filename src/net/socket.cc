@@ -167,36 +167,39 @@ StatusOr<Socket> ConnectTcp(const std::string& host, uint16_t port,
   return last;
 }
 
+StatusOr<size_t> ReadSome(const Socket& sock, void* buf, size_t len,
+                          std::chrono::steady_clock::time_point deadline) {
+  if (deadline != kNoDeadline) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (left.count() <= 0) return Status::DeadlineExceeded("net: read timed out");
+    const int ready = PollOne(sock.fd(), POLLIN, static_cast<int>(left.count()));
+    if (ready < 0) return Errno("poll(read)");
+    if (ready == 0) return Status::DeadlineExceeded("net: read timed out");
+  }
+  while (true) {
+    const ssize_t n = ::recv(sock.fd(), buf, len, 0);
+    if (n > 0) return static_cast<size_t>(n);
+    if (n == 0) return Status::Unavailable("net: connection closed by peer");
+    if (errno != EINTR) return Errno("recv");
+  }
+}
+
 Status ReadFull(const Socket& sock, void* buf, size_t len,
                 std::chrono::milliseconds timeout) {
-  const auto start = std::chrono::steady_clock::now();
-  size_t got = 0;
+  const auto deadline = timeout == kNoTimeout
+                            ? kNoDeadline
+                            : std::chrono::steady_clock::now() + timeout;
   char* out = static_cast<char*>(buf);
-  while (got < len) {
-    if (timeout != kNoTimeout) {
-      const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start);
-      const auto left = timeout - elapsed;
-      if (left.count() <= 0) {
-        return Status::DeadlineExceeded("net: read timed out");
-      }
-      const int ready =
-          PollOne(sock.fd(), POLLIN, static_cast<int>(left.count()));
-      if (ready < 0) return Errno("poll(read)");
-      if (ready == 0) return Status::DeadlineExceeded("net: read timed out");
+  for (size_t got = 0; got < len;) {
+    const StatusOr<size_t> n = ReadSome(sock, out + got, len - got, deadline);
+    // Clean close at a frame boundary is the peer hanging up, not
+    // corruption; mid-object EOF is a truncated stream.
+    if (n.status().code() == StatusCode::kUnavailable && got > 0) {
+      return Status::IOError("net: connection closed mid-read");
     }
-    const ssize_t n = ::recv(sock.fd(), out + got, len - got, 0);
-    if (n == 0) {
-      // Clean close at a frame boundary is the peer hanging up, not
-      // corruption; mid-object EOF is a truncated stream.
-      return got == 0 ? Status::Unavailable("net: connection closed by peer")
-                      : Status::IOError("net: connection closed mid-read");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("recv");
-    }
-    got += static_cast<size_t>(n);
+    FTS_RETURN_IF_ERROR(n.status());
+    got += *n;
   }
   return Status::OK();
 }
@@ -238,7 +241,6 @@ Status ReadFramePayload(const Socket& sock, const char (&header)[4],
         std::to_string(max_frame_bytes));
   }
   payload->resize(len);
-  if (len == 0) return Status::OK();
   Status read = ReadFull(sock, payload->data(), len, timeout);
   if (!read.ok() && read.code() == StatusCode::kUnavailable) {
     // EOF after a header is a truncated frame, not a clean hangup.

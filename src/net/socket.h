@@ -68,6 +68,16 @@ StatusOr<Socket> AcceptWithTimeout(const Socket& listener,
 StatusOr<Socket> ConnectTcp(const std::string& host, uint16_t port,
                             std::chrono::milliseconds timeout = kNoTimeout);
 
+/// ReadSome's "no deadline".
+inline constexpr std::chrono::steady_clock::time_point kNoDeadline{};
+
+/// Reads what has arrived, at most `len` (> 0) bytes, into `buf`, waiting
+/// until `deadline` for the first byte; returns the count. Unavailable on
+/// clean EOF, IOError on a socket error, DeadlineExceeded when nothing
+/// arrives in time.
+StatusOr<size_t> ReadSome(const Socket& sock, void* buf, size_t len,
+                          std::chrono::steady_clock::time_point deadline);
+
 /// Reads exactly `len` bytes into `buf`. Unavailable on clean EOF at
 /// offset 0 (peer closed between frames), IOError on mid-read EOF or a
 /// socket error, DeadlineExceeded when `timeout` (kNoTimeout = none)

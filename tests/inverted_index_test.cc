@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <string>
+
 #include "index/block_posting_list.h"
 #include "index/index_builder.h"
 #include "text/corpus.h"
+#include "workload/corpus_gen.h"
 
 #include "raw_postings.h"
 
@@ -142,22 +147,81 @@ TEST(BlockListCursorTest, SeekEntryOnNullAndEmptyLists) {
   EXPECT_TRUE(empty_cursor.exhausted());
 }
 
-TEST(InvertedIndexTest, BlockListsMatchRawOracle) {
-  // The resident block lists carry exactly the logical content of the raw
-  // oracle representation built from the same corpus.
-  Corpus corpus = SmallCorpus();
-  RawPostingOracle oracle = BuildRawPostingOracle(corpus);
-  InvertedIndex index = IndexBuilder::Build(corpus);
+/// Expects `got` to hold exactly `want`'s entries and positions.
+void ExpectSameList(const BlockPostingList& got, const PostingList& want,
+                    const std::string& what) {
+  EXPECT_EQ(got.num_entries(), want.num_entries()) << what;
+  EXPECT_EQ(got.total_positions(), want.total_positions()) << what;
+  const PostingList decoded = Materialize(got);
+  ASSERT_EQ(decoded.num_entries(), want.num_entries()) << what;
+  for (size_t i = 0; i < want.num_entries(); ++i) {
+    ASSERT_EQ(decoded.entry(i).node, want.entry(i).node) << what << " entry " << i;
+    const auto g = decoded.positions(decoded.entry(i));
+    const auto w = want.positions(want.entry(i));
+    ASSERT_TRUE(std::equal(g.begin(), g.end(), w.begin(), w.end()))
+        << what << " entry " << i;
+  }
+}
+
+/// Expects every token list, IL_ANY and every node's unique-token count of
+/// `index`, built from `corpus`, to equal the raw oracle's.
+void ExpectIndexMatchesOracle(const Corpus& corpus, const InvertedIndex& index) {
+  const RawPostingOracle oracle = BuildRawPostingOracle(corpus);
   ASSERT_EQ(oracle.lists.size(), index.vocabulary_size());
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
     ASSERT_NE(index.block_list(t), nullptr);
-    EXPECT_EQ(index.block_list(t)->num_entries(), oracle.lists[t].num_entries());
-    EXPECT_EQ(index.block_list(t)->total_positions(),
-              oracle.lists[t].total_positions());
+    ExpectSameList(*index.block_list(t), oracle.lists[t], corpus.token_text(t));
     EXPECT_EQ(index.df(t), static_cast<uint32_t>(oracle.lists[t].num_entries()));
   }
-  EXPECT_EQ(index.block_any_list().num_entries(), oracle.any_list.num_entries());
-  EXPECT_EQ(index.block_list_for_text("zzz"), nullptr);
+  ExpectSameList(index.block_any_list(), oracle.any_list, "IL_ANY");
+  ASSERT_EQ(index.num_nodes(), corpus.num_nodes());
+  for (NodeId n = 0; n < corpus.num_nodes(); ++n) {
+    const std::vector<TokenId>& tokens = corpus.doc(n).tokens;
+    EXPECT_EQ(index.unique_tokens(n),
+              std::set<TokenId>(tokens.begin(), tokens.end()).size())
+        << "node " << n;
+  }
+}
+
+TEST(InvertedIndexTest, BlockListsMatchRawOracle) {
+  // The resident block lists carry exactly the logical content of the raw
+  // oracle representation built from the same corpus.
+  const Corpus small = SmallCorpus();
+  const InvertedIndex small_index = IndexBuilder::Build(small);
+  ExpectIndexMatchesOracle(small, small_index);
+  EXPECT_EQ(small_index.block_list_for_text("zzz"), nullptr);
+
+  // Multi-block lists (dense topic tokens and Zipf-sparse ones), plus the
+  // edge cases a builder can trip on: a dictionary token that never
+  // occurs (an empty list, df 0), empty documents and offset gaps.
+  Corpus corpus = GenerateCorpus({.num_nodes = 1500});
+  corpus.AddTokens({});
+  const TokenId ghost = corpus.InternToken("never-occurs");
+  ASSERT_TRUE(corpus
+                  .AddTokensWithPositions({"gap", TopicToken(0), "gap"},
+                                          {{0, 0, 0}, {9, 1, 0}, {40, 3, 1}})
+                  .ok());
+  corpus.AddTokens({});
+  size_t multi_block = 0;
+  for (const bool dense : {true, false}) {
+    SCOPED_TRACE(dense ? "dense blocks on" : "dense blocks off");
+    const bool prev = BlockPostingList::SetDenseBlocksEnabledByDefault(dense);
+    const InvertedIndex index = IndexBuilder::Build(corpus);
+    BlockPostingList::SetDenseBlocksEnabledByDefault(prev);
+    ExpectIndexMatchesOracle(corpus, index);
+    EXPECT_EQ(index.df(ghost), 0u);
+    EXPECT_TRUE(index.block_list(ghost)->empty());
+    size_t bitset_blocks = 0;
+    for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
+      const BlockPostingList& list = *index.block_list(t);
+      multi_block += list.num_blocks() > 1;
+      for (const auto& skip : list.skips()) {
+        bitset_blocks += skip.encoding == BlockPostingList::kEncodingBitset;
+      }
+    }
+    EXPECT_EQ(bitset_blocks > 0, dense);
+  }
+  EXPECT_GT(multi_block, 0u);
 }
 
 TEST(InvertedIndexTest, OovTokenHasNoList) {

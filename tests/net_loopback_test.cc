@@ -332,20 +332,30 @@ TEST(NetLoopbackTest, MetricsExposeL2CacheMemoryAccounting) {
   EXPECT_EQ(shard_bytes, bytes);
 }
 
-/// Sends one HTTP request on a raw socket and returns the full response.
-std::string HttpGet(uint16_t port, const std::string& target) {
+/// Sends `request` in one write on a raw socket and returns the full
+/// response. `*closed` (if given) says whether the server then closed the
+/// connection, rather than leaving the read to time out.
+std::string HttpExchange(uint16_t port, const std::string& request,
+                         bool* closed = nullptr) {
   auto sock = ConnectTcp("127.0.0.1", port, std::chrono::milliseconds(2000));
   EXPECT_TRUE(sock.ok());
-  const std::string request = "GET " + target + " HTTP/1.0\r\n\r\n";
   EXPECT_TRUE(WriteAll(*sock, request).ok());
   std::string response;
   char buf[1024];
   while (true) {
     const Status s = ReadFull(*sock, buf, 1, std::chrono::milliseconds(2000));
-    if (!s.ok()) break;
+    if (!s.ok()) {
+      if (closed != nullptr) *closed = s.code() != StatusCode::kDeadlineExceeded;
+      break;
+    }
     response.push_back(buf[0]);
   }
   return response;
+}
+
+/// Sends one HTTP GET on a raw socket and returns the full response.
+std::string HttpGet(uint16_t port, const std::string& target) {
+  return HttpExchange(port, "GET " + target + " HTTP/1.0\r\n\r\n");
 }
 
 TEST(NetLoopbackTest, MetricsExposeIndexMemoryGauges) {
@@ -521,6 +531,36 @@ TEST_P(NetLoopbackFrontTest, TrickledHttpRequestLineIsCutOff) {
   }
   EXPECT_TRUE(closed);
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(3));
+  // The server as a whole is unaffected.
+  EXPECT_TRUE(lb.client->Ping().ok());
+}
+
+TEST_P(NetLoopbackFrontTest, HttpRequestLineWithHeadersInOneSend) {
+  // The request line and its headers arrive together: the line is read in
+  // one chunk that runs past its '\n', and the path still parses.
+  Front lb(GetParam());
+  bool closed = false;
+  const std::string response = HttpExchange(
+      lb.port(),
+      "GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\nUser-Agent: probe/1.0"
+      "\r\nAccept: text/plain\r\nConnection: keep-alive\r\n\r\n",
+      &closed);
+  EXPECT_NE(response.find("200 OK"), std::string::npos);
+  EXPECT_NE(response.find("fts_up 1"), std::string::npos);
+  EXPECT_TRUE(closed);
+}
+
+TEST_P(NetLoopbackFrontTest, OverlongHttpRequestLineIsCutAt4096Bytes) {
+  // A request line longer than 4,096 bytes is cut there: its path never
+  // ends within the cut, so the reply is a 404, and the connection closes.
+  Front lb(GetParam());
+  bool closed = false;
+  const std::string response = HttpExchange(
+      lb.port(),
+      "GET /" + std::string(6000, 'x') + " HTTP/1.0\r\nHost: 127.0.0.1\r\n\r\n",
+      &closed);
+  EXPECT_NE(response.find("404"), std::string::npos);
+  EXPECT_TRUE(closed);
   // The server as a whole is unaffected.
   EXPECT_TRUE(lb.client->Ping().ok());
 }
