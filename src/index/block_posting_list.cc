@@ -46,6 +46,26 @@ uint64_t LoadFixed64Le(const uint8_t* p) {
   return v;
 }
 
+/// True when [p, lim) holds exactly `n` varint32s as GetVarint32Ptr reads
+/// them (first touch's position framing walk), keeping no value.
+bool HoldsVarint32s(const uint8_t* p, const uint8_t* const lim, uint64_t n) {
+  if (p == lim) return n == 0;
+  if ((lim[-1] & 0x80) != 0) return false;  // the last varint runs past lim
+  // A byte with its high bit clear ends a varint. With no four continuation
+  // bytes in a row, every varint is 1-4 bytes, which GetVarint32Ptr always
+  // accepts: counting the ends is the walk (two vectorizable loops).
+  uint64_t ends = 0;
+  uint8_t run4 = 0;
+  for (const uint8_t* q = p; q < lim; ++q) ends += *q < 0x80;
+  for (const uint8_t* q = p + 3; q < lim; ++q) run4 |= q[-3] & q[-2] & q[-1] & q[0];
+  if (run4 < 0x80) return ends == n;
+  uint32_t unused;  // a 5-byte varint, or a malformed longer one
+  for (; n > 0; --n) {
+    if ((p = GetVarint32Ptr(p, lim, &unused)) == nullptr) return false;
+  }
+  return p == lim;
+}
+
 std::atomic<bool>& DenseBlocksDefaultFlag() {
   static std::atomic<bool> flag{true};
   return flag;
@@ -221,12 +241,13 @@ Status BlockPostingList::DecodeBlockEntries(size_t block,
   if (skip.encoding != kEncodingVarint && skip.encoding != kEncodingBitset) {
     return Status::Corruption("unknown block encoding");
   }
-  // First touch of a lazily validated block: verify the payload checksum
+  // First touch of a loaded block, the one block validator (queries, the
+  // eager load and the merger all reach it): verify the payload checksum
   // recorded in the (load-time-checksummed) skip directory before parsing
-  // a single byte, so a flipped bit in an mmap'd file surfaces here as
-  // Corruption rather than as structurally plausible garbage. Memoized:
-  // once this decode succeeds end to end the block is marked verified and
-  // later decodes skip the hash.
+  // a single byte, so a flipped bit surfaces here as Corruption rather
+  // than as structurally plausible garbage. Memoized: once this decode
+  // succeeds end to end the block is marked verified and later decodes
+  // skip the hash and the framing walk below.
   const bool first_touch = !BlockVerified(block);
   if (first_touch) {
     if (Fnv1a32(payload.substr(skip.byte_offset, end - skip.byte_offset)) !=
@@ -291,6 +312,17 @@ Status BlockPostingList::DecodeBlockEntries(size_t block,
     }
   }
   if (first_touch) {
+    // Every entry's bytes hold exactly 3 * pos_count varints, so any entry
+    // of a verified block decodes (and a merge may copy it verbatim).
+    const uint8_t* const base =
+        reinterpret_cast<const uint8_t*>(payload.data());
+    for (const EntryRef& e : *entries) {
+      const uint8_t* const pos = base + e.pos_byte_begin;
+      if (!HoldsVarint32s(pos, pos + e.pos_byte_len,
+                          uint64_t{3} * e.header.pos_count)) {
+        return Status::Corruption("malformed position bytes at first touch");
+      }
+    }
     VerifiedFlags()[block].store(1, std::memory_order_release);
   }
   // The one place a bulk block decode is charged: the cursor arena and
@@ -905,13 +937,12 @@ std::span<const PositionInfo> BlockListCursor::GetPositionsSlow() {
         return {bulk_positions_.data(), bulk_offsets_[1]};
       }
       // Bulk refused (structural anomaly): fall through so the per-entry
-      // path re-surfaces the exact Corruption its first-touch checks
-      // would have reported.
+      // path re-surfaces the exact Corruption it would have reported.
     }
     Status s = list_->DecodePositions((*entries_)[idx_], &positions_, counters_);
     if (!s.ok()) {
-      // Structurally inconsistent position bytes (reachable only when a
-      // crafted file defeats the checksums): report through status() and
+      // Malformed position bytes (first touch of the block rejects them,
+      // so this guards against logic drift): report through status() and
       // hand back an empty PosList — fail closed, never partial garbage.
       positions_.clear();
       if (status_.ok()) status_ = std::move(s);

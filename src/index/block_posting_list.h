@@ -30,9 +30,9 @@
 // byte store (the index's own buffer when built, the loaded file's bytes
 // otherwise). BlockListWriter holds the append-time state and seals each
 // finished list into a store. Loaded lists carry per-block checksums and
-// validate each block — checksum plus structure — on its first decode,
-// memoized per block; a first-touch failure is reported through the
-// cursor's sticky status() and the cursor fails closed.
+// validate each block — checksum, structure, position framing — on its
+// first decode, memoized per block; a first-touch failure is reported
+// through the cursor's sticky status() and the cursor fails closed.
 
 #ifndef FTS_INDEX_BLOCK_POSTING_LIST_H_
 #define FTS_INDEX_BLOCK_POSTING_LIST_H_
@@ -152,11 +152,12 @@ class BlockPostingList {
                      std::vector<PositionInfo>* positions) const;
 
   /// Decodes only block `block`'s entry headers (node ids, position
-  /// counts), skipping position bytes entirely. Under first-touch
-  /// validation this additionally verifies the block's payload checksum
-  /// and structural invariants on its first decode and memoizes success
-  /// per block, so the bulk-decode hot path and the block caches pay the
-  /// checksum once per block per index lifetime. `counters`, when
+  /// counts), hopping over position bytes. A loaded list's first decode of
+  /// the block is the block's one validator: it verifies the payload
+  /// checksum, the entry structure and each entry's position framing
+  /// (exactly 3 * pos_count varint32s, walked uncharged, decoding no
+  /// position) and memoizes success per block, so the hot path and the
+  /// block caches pay it once per block per index lifetime. `counters`, when
   /// non-null, is charged simd_groups_decoded for each bulk group decode
   /// the dispatched SIMD arm performed and, for a non-empty block,
   /// blocks_decoded, blocks_bulk_decoded and entries_decoded.
@@ -178,8 +179,8 @@ class BlockPostingList {
   /// concatenated PosLists and `offsets[i]`/`offsets[i+1]` bound entry
   /// `from + i`'s slice. Returns non-OK on any structural anomaly without
   /// any partial contract: callers fall back to the per-entry
-  /// DecodePositions path, whose exact first-touch checks re-surface the
-  /// same Corruption. `delta_scratch` is caller-owned reusable scratch.
+  /// DecodePositions path, whose exact checks re-surface the same
+  /// Corruption. `delta_scratch` is caller-owned reusable scratch.
   Status DecodeBlockPositionsBulk(std::span<const EntryRef> refs, size_t from,
                                   size_t to,
                                   std::vector<uint32_t>* delta_scratch,
@@ -440,7 +441,7 @@ class BlockListCursor {
 
   /// PosList of the current entry (decoded on first call per entry); the
   /// cursor must be on an entry. Returns an empty span (and sets status())
-  /// if the position bytes fail first-touch validation. Serving from the
+  /// if the position bytes fail to decode. Serving from the
   /// whole-block bulk arena is inlined (two loads); everything else —
   /// per-entry decode, streak detection, the bulk decode itself — is
   /// out of line.

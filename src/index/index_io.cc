@@ -175,8 +175,8 @@ Status GetBlockListDirectory(std::string_view data, size_t* offset,
   }
   // Every node id in a valid block is <= its skip max_node, so checking the
   // last block's max here guarantees the ids stay below cnodes (they index
-  // the per-node scalar tables during scoring) even when the block bodies
-  // are only validated lazily on first touch.
+  // the per-node scalar tables during scoring) once first touch has
+  // checked each block's ids against its max_node.
   if (!dir->skips.empty() && dir->skips.back().max_node >= cnodes) {
     return Status::Corruption("posting node id out of range");
   }
@@ -226,12 +226,11 @@ void PutCommonSections(const InvertedIndex& index, std::string* out) {
 // Loader backdoor into InvertedIndex privates (declared friend there); all
 // deserialization paths funnel through Load().
 struct IndexIoAccess {
-  static Status Load(std::shared_ptr<IndexSource> source, bool prefer_lazy,
-                     InvertedIndex* out);
+  static Status Load(std::shared_ptr<IndexSource> source, InvertedIndex* out);
 };
 
 Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
-                           bool prefer_lazy, InvertedIndex* out) {
+                           InvertedIndex* out) {
   const std::string_view data = source->view();
   if (data.size() < kMinFileSize) {
     return Status::Corruption("index data smaller than the fixed envelope (" +
@@ -329,7 +328,7 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   // Pair-index section: frequent-term table (rank order), then the sorted
   // canonical key table with each key's list inline. Every structural
   // invariant Find()/the planner rely on is enforced here; the lists
-  // themselves get the same directory checks and (lazy or eager) payload
+  // themselves get the same directory checks and first-touch block
   // validation as any other list.
   uint32_t max_distance;
   uint64_t num_frequent;
@@ -406,15 +405,10 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     return Status::Corruption("index header checksum mismatch");
   }
   index.source_ = source;  // lists view into it from here on
-  if (prefer_lazy) {
-    // O(header) load: per-block structure and payload checksums are
-    // verified on first decode instead (memoized in BlockPostingList).
-    index.lazy_validation_ = true;
-  } else {
-    // Adopted payloads are fully validated up front (streaming, O(block)
-    // scratch) so query-time cursors never touch malformed bytes.
-    FTS_RETURN_IF_ERROR(index.ValidateBlocks());
-  }
+  // A mapped file loads in O(header): each block is validated on its first
+  // decode. A heap buffer is validated in full now, through the same
+  // first-touch decode, so its cursors never touch malformed bytes.
+  if (!source->is_mapped()) FTS_RETURN_IF_ERROR(index.ValidateBlocks());
   // The stored norms are final: derive the minimum the score models use
   // for impact upper bounds, as ComputeNodeNorms does at build time.
   index.min_uniq_norm_ = MinUniqNorm(index, index.node_norms_, nullptr);
@@ -469,8 +463,7 @@ void SaveIndexToString(const InvertedIndex& index, std::string* out) {
 Status LoadIndexFromString(const std::string& data, InvertedIndex* out) {
   // One heap copy of the whole input; the loaded lists view into it rather
   // than holding per-list payload copies.
-  return IndexIoAccess::Load(IndexSource::FromString(data),
-                             /*prefer_lazy=*/false, out);
+  return IndexIoAccess::Load(IndexSource::FromString(data), out);
 }
 
 Status SaveIndexToFile(const InvertedIndex& index, const std::string& path) {
@@ -496,8 +489,7 @@ Status LoadIndexFromFile(const std::string& path, InvertedIndex* out,
     // The load parses the header and directories front to back:
     // sequential readahead helps. Hints are best-effort, failures ignored.
     (void)source->Advise(AccessHint::kSequential);
-    FTS_RETURN_IF_ERROR(
-        IndexIoAccess::Load(source, /*prefer_lazy=*/true, out));
+    FTS_RETURN_IF_ERROR(IndexIoAccess::Load(source, out));
     // Serving reads hop between blocks via the skip tables; linear
     // readahead would drag in pages queries never touch.
     (void)source->Advise(AccessHint::kRandom);
@@ -505,7 +497,7 @@ Status LoadIndexFromFile(const std::string& path, InvertedIndex* out,
   }
   FTS_ASSIGN_OR_RETURN(std::shared_ptr<IndexSource> source,
                        IndexSource::ReadFile(path));
-  return IndexIoAccess::Load(std::move(source), /*prefer_lazy=*/false, out);
+  return IndexIoAccess::Load(std::move(source), out);
 }
 
 StatusOr<std::shared_ptr<const IndexSnapshot>> LoadSnapshotFromFile(

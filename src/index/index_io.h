@@ -9,8 +9,10 @@
 // by its payload bytes verbatim. The trailer hash covers only the header
 // and directory bytes, never a payload, which is what makes lazy loading
 // sound: an mmap load verifies everything it reads in O(header) time, and
-// each block's checksum and structure are verified on its first decode
-// (first-touch validation, memoized per block). The pair section holds the
+// each block's checksum, structure and position framing are verified on
+// its first decode (first-touch validation, memoized per block). An eager
+// load runs that same first decode over every block up front
+// (InvertedIndex::ValidateBlocks). The pair section holds the
 // auxiliary (frequent-term, other-term) lists of index/pair_index.h in the
 // same list layout; an index without a pair index writes it empty.
 //
@@ -36,7 +38,8 @@ namespace fts {
 struct LoadOptions {
   enum class Mode {
     /// Read the whole file into a heap buffer and validate every block up
-    /// front. Always available; the only mode for non-file inputs.
+    /// front, through the first-touch decode an mmap load defers. Always
+    /// available; the only mode for non-file inputs.
     kEager,
     /// mmap the file read-only and decode blocks straight from the
     /// mapping. The load runs in O(header) time; each block is validated

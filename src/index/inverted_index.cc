@@ -84,36 +84,18 @@ size_t InvertedIndex::num_lists() const {
 }
 
 Status InvertedIndex::ValidateBlocks() const {
-  const uint64_t cnodes = stats_.cnodes;
-  const auto validate = [cnodes](const BlockPostingList& block) {
-    std::vector<PostingEntry> entries;
-    std::vector<PositionInfo> positions;
-    uint64_t total_entries = 0;
-    uint64_t total_positions = 0;
-    bool have_prev = false;
-    NodeId prev = 0;
-    for (size_t b = 0; b < block.num_blocks(); ++b) {
-      FTS_RETURN_IF_ERROR(block.DecodeBlock(b, &entries, &positions));
-      for (const PostingEntry& e : entries) {
-        if (have_prev && e.node <= prev) {
-          return Status::Corruption("non-increasing node ids across blocks");
-        }
-        // Node ids index the per-node scalar tables (unique_tokens_,
-        // node_norms_) during scoring; an out-of-range id must never
-        // survive loading.
-        if (e.node >= cnodes) {
-          return Status::Corruption("posting node id out of range");
-        }
-        prev = e.node;
-        have_prev = true;
+  // DecodeBlockEntries validates each block on its first decode; what is
+  // left is the one list-level total no block header states.
+  std::vector<BlockPostingList::EntryRef> entries;
+  const auto validate = [&entries](const BlockPostingList& l) -> Status {
+    uint64_t positions = 0;
+    for (size_t b = 0; b < l.num_blocks(); ++b) {
+      FTS_RETURN_IF_ERROR(l.DecodeBlockEntries(b, &entries));
+      for (const BlockPostingList::EntryRef& e : entries) {
+        positions += e.header.pos_count;
       }
-      total_entries += entries.size();
-      total_positions += positions.size();
     }
-    if (total_entries != block.num_entries()) {
-      return Status::Corruption("block entry total disagrees with list header");
-    }
-    if (total_positions != block.total_positions()) {
+    if (positions != l.total_positions()) {
       return Status::Corruption("block position total disagrees with list header");
     }
     return Status::OK();
@@ -122,7 +104,10 @@ Status InvertedIndex::ValidateBlocks() const {
     FTS_RETURN_IF_ERROR(validate(l));
   }
   if (pair_index_ != nullptr) {
-    FTS_RETURN_IF_ERROR(pair_index_->Validate(cnodes));
+    for (size_t i = 0; i < pair_index_->num_keys(); ++i) {
+      FTS_RETURN_IF_ERROR(validate(pair_index_->list(i)));
+    }
+    FTS_RETURN_IF_ERROR(pair_index_->Validate());
   }
   return Status::OK();
 }

@@ -189,10 +189,6 @@ class InvertedIndex {
   /// storage() == kMapped).
   size_t MappedBytes() const;
 
-  /// True when per-block validation is deferred to first decode (lazy mmap
-  /// loads) rather than performed at load time.
-  bool lazy_validation() const { return lazy_validation_; }
-
   /// Auxiliary (frequent-term, other-term) pair lists for fast phrase and
   /// NEAR/k evaluation (index/pair_index.h), or nullptr when the index was
   /// built (or loaded) without them — the planner then always uses the
@@ -215,11 +211,11 @@ class InvertedIndex {
   void BuildPairIndex(std::span<const TokenizedDocument> docs,
                       const PairIndexOptions& opts);
 
-  /// Fully validates every resident block list by streaming a decode of all
-  /// entry headers and position payloads (transient, O(block) memory):
-  /// node ids must increase across blocks and the decoded entry/position
-  /// totals must match the list headers. Returns Corruption on any
-  /// malformed payload, so cursors never see invalid bytes at query time.
+  /// Runs the first-touch decode (DecodeBlockEntries) of every block of
+  /// every token list, IL_ANY and pair list, checks each list's position
+  /// total against its header, then PairIndex::Validate. Returns
+  /// Corruption on any malformed payload. The eager load and the merger (on
+  /// a mapped segment) run it.
   Status ValidateBlocks() const;
 
   /// The token lists by TokenId, then IL_ANY (lists_.list(vocab)).
@@ -236,7 +232,6 @@ class InvertedIndex {
   /// built index, whose lists view lists_'s own buffer). Shared so
   /// moves/loans never dangle.
   std::shared_ptr<IndexSource> source_;
-  bool lazy_validation_ = false;
 };
 
 /// The TF-IDF norm pass shared by IndexBuilder (an index's own record) and

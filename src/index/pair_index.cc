@@ -207,52 +207,32 @@ size_t PairIndex::MemoryUsage() const {
   return bytes;
 }
 
-Status PairIndex::Validate(uint64_t cnodes) const {
+Status PairIndex::Validate() const {
   const int64_t window = int64_t{max_distance_} + 1;
-  std::vector<PostingEntry> entries;
+  std::vector<BlockPostingList::EntryRef> entries;
   std::vector<PositionInfo> positions;
   for (const BlockPostingList& l : lists_.lists()) {
-    uint64_t total_entries = 0;
-    uint64_t total_positions = 0;
-    bool have_prev = false;
-    NodeId prev = 0;
     for (size_t b = 0; b < l.num_blocks(); ++b) {
-      FTS_RETURN_IF_ERROR(l.DecodeBlock(b, &entries, &positions));
-      for (const PostingEntry& e : entries) {
-        if (have_prev && e.node <= prev) {
-          return Status::Corruption("non-increasing node ids in pair list");
-        }
-        if (e.node >= cnodes) {
-          return Status::Corruption("pair-list node id out of range");
-        }
-        prev = e.node;
-        have_prev = true;
+      FTS_RETURN_IF_ERROR(l.DecodeBlockEntries(b, &entries));
+      for (const BlockPostingList::EntryRef& e : entries) {
         // Every entry is the packed tf header plus >= 1 record, and every
         // record's delta respects the build window — anything else cannot
         // have come from the builder.
-        if (e.pos_count < 2) {
+        if (e.header.pos_count < 2) {
           return Status::Corruption("pair-list entry missing records");
         }
-        const PositionInfo& h = positions[e.pos_begin];
+        FTS_RETURN_IF_ERROR(l.DecodePositions(e, &positions));
+        const PositionInfo& h = positions[0];
         if (h.offset == 0 || h.sentence == 0) {
           return Status::Corruption("pair-list entry has zero term frequency");
         }
-        for (uint32_t k = 1; k < e.pos_count; ++k) {
-          const int64_t delta =
-              UnZigZag(positions[e.pos_begin + k].sentence);
+        for (uint32_t k = 1; k < e.header.pos_count; ++k) {
+          const int64_t delta = UnZigZag(positions[k].sentence);
           if (delta == 0 || delta > window || delta < -window) {
             return Status::Corruption("pair-list record delta out of window");
           }
         }
       }
-      total_entries += entries.size();
-      total_positions += positions.size();
-    }
-    if (total_entries != l.num_entries()) {
-      return Status::Corruption("pair-list entry total disagrees with header");
-    }
-    if (total_positions != l.total_positions()) {
-      return Status::Corruption("pair-list position total disagrees with header");
     }
   }
   return Status::OK();

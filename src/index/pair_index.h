@@ -128,11 +128,11 @@ class PairIndex {
   /// InvertedIndex::MemoryUsage).
   size_t MemoryUsage() const;
 
-  /// Streams a full decode of every pair list, checking node-id
-  /// monotonicity, node range, record well-formedness (the packed tf
-  /// header plus at least one record per entry), and header totals.
-  /// `cnodes` bounds the node ids, as in InvertedIndex::ValidateBlocks.
-  Status Validate(uint64_t cnodes) const;
+  /// Checks every entry's pair records (decoded into one reused buffer):
+  /// a packed tf header of two non-zero frequencies, then >= 1 record,
+  /// each delta inside the build window. Block bytes are validated on
+  /// first decode, as every list's are (InvertedIndex::ValidateBlocks).
+  Status Validate() const;
 
  private:
   friend struct IndexIoAccess;  // index_io.cc (de)serializers

@@ -122,10 +122,11 @@ StatusOr<std::vector<TokenizedDocument>> TokenStreams(const InvertedIndex& index
 struct SegmentMergerAccess {
   static StatusOr<InvertedIndex> Merge(const std::vector<SegmentView>& segments,
                                        const IndexBuildOptions& options) {
-    // Lazily validated bytes are checked in full before any is copied
-    // into the merged lists, which are trusted (never re-validated).
+    // A mapped segment's blocks are checked in full (a heap-loaded one's
+    // were at load) before any is copied into the merged lists, which are
+    // trusted (never re-validated).
     for (const SegmentView& seg : segments) {
-      if (seg.index->lazy_validation()) {
+      if (seg.index->storage() == IndexStorage::kMapped) {
         FTS_RETURN_IF_ERROR(seg.index->ValidateBlocks());
       }
     }

@@ -428,7 +428,8 @@ TEST(DecodedBlockCacheTest, SeekingThroughCacheMatchesDirectSeeks) {
 // ---------------------------------------------------------------------------
 // First-touch validation (the lazy mmap-load contract): lists assembled
 // from borrowed bytes with per-block checksums verify each block's
-// checksum and structure on its first decode, memoize success, and report
+// checksum, entry structure and position framing on its first decode (the
+// eager load and the merger reach the same decode), memoize success, and report
 // corruption through cursor status() instead of crashing or asserting.
 // ---------------------------------------------------------------------------
 
@@ -441,8 +442,8 @@ struct LazyListParts {
   uint32_t block_size = 0;
 };
 
-LazyListParts MakeLazyParts(uint32_t entries, uint32_t block_size) {
-  const PostingList raw = MakeRawList(entries, 3, 4);
+/// `raw`'s blocks, with the checksums a writer of the file would record.
+LazyListParts LazyPartsOf(const PostingList& raw, uint32_t block_size) {
   const OwnedBlockList built = FromPostingList(raw, block_size);
   LazyListParts parts;
   parts.payload = std::string(built.data());
@@ -458,6 +459,13 @@ LazyListParts MakeLazyParts(uint32_t entries, uint32_t block_size) {
         Fnv1a32(std::string_view(parts.payload).substr(begin, end - begin)));
   }
   return parts;
+}
+
+/// Stride 3 (the default) packs full blocks as bitsets; stride 8 keeps
+/// them varint.
+LazyListParts MakeLazyParts(uint32_t entries, uint32_t block_size,
+                            uint32_t stride = 3) {
+  return LazyPartsOf(MakeRawList(entries, stride, 4), block_size);
 }
 
 /// A checked list over a copy of `parts.payload`, as a loader adopts one.
@@ -578,6 +586,69 @@ TEST(FirstTouchValidationTest, CrossBlockMonotonicityCheckedLazily) {
   const Status s = lazy.DecodeBlockEntries(1, &entries);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kCorruption);
+}
+
+/// Damages only one entry's position framing in block 1 — a continuation
+/// bit on the entry's last position byte, so its last varint runs into
+/// whatever follows — and reseals the block checksum. The entry headers
+/// still decode, so only first touch's framing walk can object; it must,
+/// before the block is memoized as verified.
+void ExpectFramingDamageRejectedAtFirstTouch(uint32_t stride, uint8_t encoding) {
+  LazyListParts parts = MakeLazyParts(300, 128, stride);
+  ASSERT_EQ(parts.skips.size(), 3u);
+  ASSERT_EQ(parts.skips[1].encoding, encoding);
+  std::vector<BlockPostingList::EntryRef> entries;
+  ASSERT_TRUE(AssembleLazy(parts).DecodeBlockEntries(1, &entries).ok());
+  const BlockPostingList::EntryRef victim = entries[5];
+  char& last = parts.payload[victim.pos_byte_begin + victim.pos_byte_len - 1];
+  ASSERT_EQ(last & 0x80, 0);
+  last = static_cast<char>(last | 0x80);
+  const size_t begin = parts.skips[1].byte_offset;
+  const size_t end = parts.skips[2].byte_offset;
+  parts.checksums[1] =
+      Fnv1a32(std::string_view(parts.payload).substr(begin, end - begin));
+  const OwnedBlockList lazy = AssembleLazy(parts);
+  const Status s = lazy.DecodeBlockEntries(1, &entries);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_FALSE(lazy.BlockVerified(1));
+  // Its neighbours are intact and verify.
+  EXPECT_TRUE(lazy.DecodeBlockEntries(0, &entries).ok());
+  EXPECT_TRUE(lazy.BlockVerified(0));
+}
+
+TEST(FirstTouchValidationTest, PositionFramingCheckedInVarintBlocks) {
+  ExpectFramingDamageRejectedAtFirstTouch(8, BlockPostingList::kEncodingVarint);
+}
+
+TEST(FirstTouchValidationTest, PositionFramingCheckedInBitsetBlocks) {
+  ExpectFramingDamageRejectedAtFirstTouch(3, BlockPostingList::kEncodingBitset);
+}
+
+TEST(FirstTouchValidationTest, FiveBytePositionVarintsVerify) {
+  // Offsets from 2^28 up encode as 5-byte varints, which the framing walk
+  // checks byte by byte: a valid one verifies, and one whose fifth byte
+  // carries bits past 32 (a resealed edit) is rejected at first touch.
+  PostingList raw;
+  for (uint32_t i = 0; i < 40; ++i) {
+    raw.Append(1 + 8 * i, std::vector<PositionInfo>{{3, 0, 0}, {(1u << 31) + i, 0, 0}});
+  }
+  LazyListParts parts = LazyPartsOf(raw, 128);
+  ASSERT_EQ(parts.skips.size(), 1u);
+  std::vector<BlockPostingList::EntryRef> entries;
+  ASSERT_TRUE(AssembleLazy(parts).DecodeBlockEntries(0, &entries).ok());
+  ASSERT_EQ(entries.size(), 40u);
+  // Entry 7's bytes: offset 3, sentence 0, paragraph 0, then the 5-byte
+  // offset delta, whose fifth byte holds bits 28..31 of the value.
+  const BlockPostingList::EntryRef victim = entries[7];
+  ASSERT_EQ(victim.pos_byte_len, 3u + 5u + 2u);
+  char& fifth = parts.payload[victim.pos_byte_begin + 3 + 4];
+  ASSERT_EQ(fifth & 0xF0, 0);
+  fifth = static_cast<char>(fifth | 0x10);
+  parts.checksums[0] = Fnv1a32(parts.payload);
+  const OwnedBlockList lazy = AssembleLazy(parts);
+  const Status s = lazy.DecodeBlockEntries(0, &entries);
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
+  EXPECT_FALSE(lazy.BlockVerified(0));
 }
 
 // ---------------------------------------------------------------------------

@@ -180,20 +180,50 @@ Status DrainList(const BlockPostingList* list) {
   return cursor.status();
 }
 
-/// Decodes every block and PosList of every list through cursors — token
-/// lists, IL_ANY, and any pair lists — and returns the first sticky
-/// decode error.
-Status TouchEveryBlock(const InvertedIndex& index) {
+/// Every list of `index`: token lists, IL_ANY, and any pair lists.
+std::vector<const BlockPostingList*> EveryList(const InvertedIndex& index) {
+  std::vector<const BlockPostingList*> lists;
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
-    FTS_RETURN_IF_ERROR(DrainList(index.block_list(t)));
+    lists.push_back(index.block_list(t));
   }
-  FTS_RETURN_IF_ERROR(DrainList(&index.block_any_list()));
+  lists.push_back(&index.block_any_list());
   if (const PairIndex* pairs = index.pair_index()) {
-    for (size_t i = 0; i < pairs->num_keys(); ++i) {
-      FTS_RETURN_IF_ERROR(DrainList(&pairs->list(i)));
-    }
+    for (size_t i = 0; i < pairs->num_keys(); ++i) lists.push_back(&pairs->list(i));
+  }
+  return lists;
+}
+
+/// Decodes every block and PosList of every list through cursors and
+/// returns the first sticky decode error.
+Status TouchEveryBlock(const InvertedIndex& index) {
+  for (const BlockPostingList* list : EveryList(index)) {
+    FTS_RETURN_IF_ERROR(DrainList(list));
   }
   return Status::OK();
+}
+
+/// The promise a verified block keeps, which the merger's verbatim copy of
+/// position bytes rests on: every entry of every block that
+/// DecodeBlockEntries accepts — token lists, IL_ANY and pair lists —
+/// decodes with DecodePositions.
+::testing::AssertionResult AcceptedBlocksDecodePositions(const InvertedIndex& index) {
+  const std::vector<const BlockPostingList*> lists = EveryList(index);
+  std::vector<BlockPostingList::EntryRef> entries;
+  std::vector<PositionInfo> positions;
+  for (size_t l = 0; l < lists.size(); ++l) {
+    for (size_t b = 0; b < lists[l]->num_blocks(); ++b) {
+      if (!lists[l]->DecodeBlockEntries(b, &entries).ok()) continue;
+      for (const BlockPostingList::EntryRef& e : entries) {
+        const Status s = lists[l]->DecodePositions(e, &positions);
+        if (!s.ok()) {
+          return ::testing::AssertionFailure()
+                 << "list " << l << " block " << b << " node " << e.header.node
+                 << ": " << s.ToString();
+        }
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
 }
 
 /// Re-seals a (mutated) v6 blob: recomputes every per-block payload
@@ -338,10 +368,12 @@ bool ResealV6(std::string* blob) {
 
 // ---------------------------------------------------------------------------
 // Eager loader corruption sweeps. The eager (heap) load path adopts
-// compressed payloads verbatim and validates them fully
-// (InvertedIndex::ValidateBlocks) before any cursor can read them, so
-// every mutation must surface as Status::Corruption — never a crash, hang,
-// or oversized allocation (the ASan+UBSan CI job runs these sweeps).
+// compressed payloads verbatim and validates them fully before any cursor
+// can read them (InvertedIndex::ValidateBlocks: every block's first-touch
+// decode — checksum, entry structure, position framing — plus each list's
+// position total), so every mutation must surface as Status::Corruption —
+// never a crash, hang, or oversized allocation (the ASan+UBSan CI job
+// runs these sweeps).
 // ---------------------------------------------------------------------------
 
 TEST(EagerCorruptionSweep, EveryByteFlipIsRejected) {
@@ -393,13 +425,14 @@ class ResealedFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ResealedFuzz, ResealedMutationsAreRejectedOrSane) {
   // The checksums are recomputable by an attacker; reseal them after each
-  // mutation so the structural validators — skip-table checks, block
-  // decode bounds, ValidateBlocks totals — do the rejecting. A mutation
-  // that happens to stay structurally valid (e.g. a changed position
-  // delta) may load, in which case queries must still run without
-  // faulting. Both load modes run: eager loads validate every block up
-  // front, lazy (mmap) loads only the directory, leaving block structure
-  // to first touch.
+  // mutation so the structural validators — skip-table checks, first-touch
+  // entry structure and position framing, list position totals — do the
+  // rejecting. A mutation that happens to stay structurally valid (e.g. a
+  // changed position delta) may load, in which case queries must still
+  // run without faulting. Both load modes run: eager loads run first touch
+  // over every block up front, lazy (mmap) loads only the directory,
+  // leaving each block to its first decode — after which every entry of
+  // an accepted block must decode its positions.
   const std::string blob = SaveSmallIndex();
   const std::string path = ::testing::TempDir() + "/fts_resealed_fuzz.idx";
   auto scored_query = ParseQuery("'w0' OR 'w3'", SurfaceLanguage::kBool);
@@ -443,6 +476,9 @@ TEST_P(ResealedFuzz, ResealedMutationsAreRejectedOrSane) {
     InvertedIndex eager, mapped;
     const Status eager_status = LoadIndexFromString(mutated, &eager);
     const Status mapped_status = LoadMapped(path, &mapped);
+    if (mapped_status.ok()) {
+      EXPECT_TRUE(AcceptedBlocksDecodePositions(mapped));
+    }
     for (const auto& [s, loaded] :
          {std::pair<Status, InvertedIndex*>{eager_status, &eager},
           std::pair<Status, InvertedIndex*>{mapped_status, &mapped}}) {
@@ -473,7 +509,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ResealedFuzz, ::testing::Values(1, 2, 3));
 // ---------------------------------------------------------------------------
 // mmap first-touch corruption sweeps. A lazy (mmap) load verifies only
 // the header/directory trailer checksum up front; every block payload byte
-// is covered by a per-block checksum verified on the block's first decode.
+// is covered by a per-block checksum verified on the block's first decode
+// (the same decode that validates an eager load's blocks up front).
 // So EVERY single-byte flip must surface as Corruption — at load time when
 // it lands in the header/directory/trailer, or at first decode when it
 // lands in a payload — and truncations must all fail at load (the
@@ -581,8 +618,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MmapPayloadFuzz, ::testing::Values(4, 5));
 
 // ---------------------------------------------------------------------------
 // Lazily validated segments beyond one query. MergeSegments copies
-// position bytes verbatim into trusted in-memory lists, so a lazy input is
-// validated in full before any byte is copied: every damaged payload fails
+// position bytes verbatim into trusted in-memory lists, so a mapped input
+// is validated in full (ValidateBlocks: first touch of every block, pair
+// lists included) before any byte is copied: every damaged payload fails
 // the merge with Corruption, and damage no checksum sees (resealed) either
 // fails it or leaves a merged index whose every block decodes. A snapshot
 // computes its scoring stats on the first scored query, decoding every
@@ -681,6 +719,7 @@ void ResealedDamageSweep(const IndexBuildOptions& options, const std::string& pa
     InvertedIndex mapped;
     if (!LoadMapped(path, &mapped).ok()) continue;
     const auto merged = MergeSegments({{&mapped, 0, nullptr}}, options);
+    EXPECT_TRUE(AcceptedBlocksDecodePositions(mapped)) << "byte " << pos;
     if (!merged.ok()) {
       EXPECT_EQ(merged.status().code(), StatusCode::kCorruption)
           << merged.status().ToString();

@@ -262,7 +262,7 @@ TEST(IndexIoTest, MmapLoadStaysLazyAndKeepsBlockMaxima) {
   mmap.mode = LoadOptions::Mode::kMmap;
   InvertedIndex mapped;
   ASSERT_TRUE(LoadIndexFromFile(path, &mapped, mmap).ok());
-  EXPECT_TRUE(mapped.lazy_validation());
+  EXPECT_EQ(mapped.storage(), IndexStorage::kMapped);
   for (TokenId t = 0; t < mapped.vocabulary_size(); ++t) {
     const BlockPostingList* a = index.block_list(t);
     const BlockPostingList* b = mapped.block_list(t);
@@ -433,7 +433,7 @@ TEST(IndexIoTest, RoundTripsBitsetBlocks) {
   mmap.mode = LoadOptions::Mode::kMmap;
   InvertedIndex mapped;
   ASSERT_TRUE(LoadIndexFromFile(path, &mapped, mmap).ok());
-  EXPECT_TRUE(mapped.lazy_validation());
+  EXPECT_EQ(mapped.storage(), IndexStorage::kMapped);
   EXPECT_TRUE(AnyBitsetList(mapped));
   ExpectIndexEq(index, mapped);
   std::remove(path.c_str());
@@ -465,7 +465,6 @@ TEST(IndexIoTest, RejectsEveryDirectoryBitFlip) {
 TEST(IndexIoTest, StorageModeMatrix) {
   InvertedIndex built = BuildTestIndex();
   EXPECT_EQ(built.storage(), IndexStorage::kOwned);
-  EXPECT_FALSE(built.lazy_validation());
   EXPECT_EQ(built.MappedBytes(), 0u);
 
   const std::string path = ::testing::TempDir() + "/fts_storage_matrix.idx";
@@ -474,7 +473,6 @@ TEST(IndexIoTest, StorageModeMatrix) {
   InvertedIndex eager;
   ASSERT_TRUE(LoadIndexFromFile(path, &eager).ok());
   EXPECT_EQ(eager.storage(), IndexStorage::kHeapBuffer);
-  EXPECT_FALSE(eager.lazy_validation());
   EXPECT_EQ(eager.MappedBytes(), 0u);
 
   LoadOptions mmap;
@@ -482,7 +480,6 @@ TEST(IndexIoTest, StorageModeMatrix) {
   InvertedIndex mapped;
   ASSERT_TRUE(LoadIndexFromFile(path, &mapped, mmap).ok());
   EXPECT_EQ(mapped.storage(), IndexStorage::kMapped);
-  EXPECT_TRUE(mapped.lazy_validation());
   EXPECT_GT(mapped.MappedBytes(), 0u);
   // Mapped payload bytes are page-cache backed, not heap: the resident
   // accounting of the mapped index must come in below the eager load's

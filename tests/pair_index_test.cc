@@ -312,7 +312,7 @@ TEST(PairIndexTest, WindowsAtTheTopOfTheDistanceRangeRouteLikeThePipeline) {
     const PairIndex* pairs = index.pair_index();
     ASSERT_NE(pairs, nullptr) << max_distance;
     ASSERT_EQ(pairs->max_distance(), PairIndex::kMaxDistance);
-    EXPECT_TRUE(pairs->Validate(index.num_nodes()).ok());
+    EXPECT_TRUE(pairs->Validate().ok());
     for (const uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{5},
                              uint64_t{PairIndex::kMaxDistance},
                              uint64_t{max_distance}}) {
@@ -346,7 +346,7 @@ TEST(PairIndexTest, ValidatePassesOnBuiltIndex) {
   const Corpus corpus = SmallCorpus();
   const InvertedIndex index = IndexBuilder::Build(corpus, PairOptions(3, 4));
   ASSERT_NE(index.pair_index(), nullptr);
-  const Status s = index.pair_index()->Validate(index.num_nodes());
+  const Status s = index.pair_index()->Validate();
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
@@ -406,7 +406,7 @@ TEST(PairIndexTest, V6RoundTripsHeapAndMmap) {
                 DecodePairList(built->list(i)).size())
           << i;
     }
-    EXPECT_TRUE(pairs->Validate(loaded->num_nodes()).ok());
+    EXPECT_TRUE(pairs->Validate().ok());
   }
 }
 

@@ -178,7 +178,7 @@ std::shared_ptr<const InvertedIndex> LoadMmapTwin(const InvertedIndex& src,
   auto twin = std::make_shared<InvertedIndex>();
   EXPECT_TRUE(LoadIndexFromFile(path, twin.get(), options).ok());
   std::remove(path.c_str());
-  EXPECT_TRUE(twin->lazy_validation());
+  EXPECT_EQ(twin->storage(), IndexStorage::kMapped);
   return twin;
 }
 
