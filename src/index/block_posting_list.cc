@@ -49,19 +49,9 @@ uint64_t LoadFixed64Le(const uint8_t* p) {
 /// True when [p, lim) holds exactly `n` varint32s as GetVarint32Ptr reads
 /// them (first touch's position framing walk), keeping no value.
 bool HoldsVarint32s(const uint8_t* p, const uint8_t* const lim, uint64_t n) {
-  if (p == lim) return n == 0;
-  if ((lim[-1] & 0x80) != 0) return false;  // the last varint runs past lim
-  // A byte with its high bit clear ends a varint. With no four continuation
-  // bytes in a row, every varint is 1-4 bytes, which GetVarint32Ptr always
-  // accepts: counting the ends is the walk (two vectorizable loops).
-  uint64_t ends = 0;
-  uint8_t run4 = 0;
-  for (const uint8_t* q = p; q < lim; ++q) ends += *q < 0x80;
-  for (const uint8_t* q = p + 3; q < lim; ++q) run4 |= q[-3] & q[-2] & q[-1] & q[0];
-  if (run4 < 0x80) return ends == n;
-  uint32_t unused;  // a 5-byte varint, or a malformed longer one
+  uint32_t v;
   for (; n > 0; --n) {
-    if ((p = GetVarint32Ptr(p, lim, &unused)) == nullptr) return false;
+    if ((p = GetVarint32Ptr(p, lim, &v)) == nullptr) return false;
   }
   return p == lim;
 }

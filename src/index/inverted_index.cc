@@ -87,7 +87,7 @@ Status InvertedIndex::ValidateBlocks() const {
   // DecodeBlockEntries validates each block on its first decode; what is
   // left is the one list-level total no block header states.
   std::vector<BlockPostingList::EntryRef> entries;
-  const auto validate = [&entries](const BlockPostingList& l) -> Status {
+  for (const BlockPostingList& l : lists_.lists()) {
     uint64_t positions = 0;
     for (size_t b = 0; b < l.num_blocks(); ++b) {
       FTS_RETURN_IF_ERROR(l.DecodeBlockEntries(b, &entries));
@@ -98,17 +98,8 @@ Status InvertedIndex::ValidateBlocks() const {
     if (positions != l.total_positions()) {
       return Status::Corruption("block position total disagrees with list header");
     }
-    return Status::OK();
-  };
-  for (const BlockPostingList& l : lists_.lists()) {
-    FTS_RETURN_IF_ERROR(validate(l));
   }
-  if (pair_index_ != nullptr) {
-    for (size_t i = 0; i < pair_index_->num_keys(); ++i) {
-      FTS_RETURN_IF_ERROR(validate(pair_index_->list(i)));
-    }
-    FTS_RETURN_IF_ERROR(pair_index_->Validate());
-  }
+  if (pair_index_ != nullptr) FTS_RETURN_IF_ERROR(pair_index_->Validate());
   return Status::OK();
 }
 

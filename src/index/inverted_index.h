@@ -212,8 +212,9 @@ class InvertedIndex {
                       const PairIndexOptions& opts);
 
   /// Runs the first-touch decode (DecodeBlockEntries) of every block of
-  /// every token list, IL_ANY and pair list, checks each list's position
-  /// total against its header, then PairIndex::Validate. Returns
+  /// every token list and IL_ANY, checks each list's position total
+  /// against its header, then PairIndex::Validate, which does the same
+  /// for each pair list and checks its records in that one walk. Returns
   /// Corruption on any malformed payload. The eager load and the merger (on
   /// a mapped segment) run it.
   Status ValidateBlocks() const;

@@ -212,9 +212,11 @@ Status PairIndex::Validate() const {
   std::vector<BlockPostingList::EntryRef> entries;
   std::vector<PositionInfo> positions;
   for (const BlockPostingList& l : lists_.lists()) {
+    uint64_t total = 0;
     for (size_t b = 0; b < l.num_blocks(); ++b) {
       FTS_RETURN_IF_ERROR(l.DecodeBlockEntries(b, &entries));
       for (const BlockPostingList::EntryRef& e : entries) {
+        total += e.header.pos_count;
         // Every entry is the packed tf header plus >= 1 record, and every
         // record's delta respects the build window — anything else cannot
         // have come from the builder.
@@ -233,6 +235,9 @@ Status PairIndex::Validate() const {
           }
         }
       }
+    }
+    if (total != l.total_positions()) {
+      return Status::Corruption("block position total disagrees with list header");
     }
   }
   return Status::OK();
