@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <iterator>
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -21,7 +22,7 @@ namespace {
 
 /// Bitset words are stored little-endian so files are byte-identical
 /// across hosts; the shift loops compile to plain loads/stores on LE.
-void PutFixed64Le(std::string* out, uint64_t v) {
+void PutFixed64Le(PageBytes* out, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
   }
@@ -36,6 +37,16 @@ uint8_t* EncodeVarint32(uint8_t* out, uint32_t v) {
   }
   *out++ = static_cast<uint8_t>(v);
   return out;
+}
+
+void PutVarint32(PageBytes* out, uint32_t v) {
+  uint8_t buf[5];
+  out->insert(out->end(), buf, EncodeVarint32(buf, v));
+}
+
+void AppendBytes(PageBytes* out, const void* bytes, size_t n) {
+  const char* p = static_cast<const char*>(bytes);
+  out->insert(out->end(), p, p + n);
 }
 
 uint64_t LoadFixed64Le(const uint8_t* p) {
@@ -144,9 +155,7 @@ void BlockListWriter::FlushPending() {
       prev_node = e.node;
       PutVarint32(&payload_, e.pos_count);
       PutVarint32(&payload_, e.pos_byte_len);
-      payload_.append(reinterpret_cast<const char*>(pending_bytes_.data()) +
-                          e.pos_byte_begin,
-                      e.pos_byte_len);
+      AppendBytes(&payload_, pending_bytes_.data() + e.pos_byte_begin, e.pos_byte_len);
     }
   }
   skips_.push_back(skip);
@@ -180,8 +189,7 @@ void BlockListWriter::FlushPendingBitset(BlockPostingList::SkipEntry* skip) {
   for (const PendingEntry& e : pending_) PutVarint32(&payload_, e.pos_count);
   for (const PendingEntry& e : pending_) PutVarint32(&payload_, e.pos_byte_len);
   // The pending entries' bytes are already back to back in entry order.
-  payload_.append(reinterpret_cast<const char*>(pending_bytes_.data()),
-                  pending_bytes_.size());
+  AppendBytes(&payload_, pending_bytes_.data(), pending_bytes_.size());
 }
 
 size_t BlockPostingList::byte_size() const {
@@ -621,20 +629,25 @@ Status BlockPostingList::DecodeBlock(size_t block,
 void PostingStore::Reserve(size_t lists, size_t blocks, size_t payload_bytes) {
   extents_.reserve(extents_.size() + lists);
   skips_.reserve(skips_.size() + blocks);
-  payload_.reserve(payload_.size() + payload_bytes);
+  if (payload_bytes > 0) {
+    if (payloads_.empty()) payloads_.emplace_back();
+    payloads_.back().reserve(payloads_.back().size() + payload_bytes);
+  }
 }
 
 void PostingStore::Add(BlockListWriter&& writer) {
   assert(checksums_.empty());  // writer and checked lists never mix
   writer.FlushPending();
+  if (payloads_.empty()) payloads_.emplace_back();
+  PageBytes& payload = payloads_.back();
   extents_.push_back({.num_entries = writer.num_entries_,
                       .total_positions = writer.total_positions_,
-                      .payload_begin = payload_.size(),
+                      .payload_begin = payload.size(),
                       .payload_size = writer.payload_.size(),
                       .num_blocks = static_cast<uint32_t>(writer.skips_.size()),
-                      .block_size = writer.block_size_});
-  payload_.insert(payload_.end(), writer.payload_.begin(),
-                  writer.payload_.end());
+                      .block_size = writer.block_size_,
+                      .buffer = payloads_.size() - 1});
+  payload.insert(payload.end(), writer.payload_.begin(), writer.payload_.end());
   skips_.insert(skips_.end(), writer.skips_.begin(), writer.skips_.end());
   writer.num_entries_ = 0;
   writer.total_positions_ = 0;
@@ -642,19 +655,45 @@ void PostingStore::Add(BlockListWriter&& writer) {
   writer.skips_.clear();
 }
 
+void PostingStore::ShrinkPayload() {
+  for (PageBytes& payload : payloads_) payload.shrink_to_fit();
+}
+
+void PostingStore::Append(std::span<PostingStore> parts) {
+  assert(checksums_.empty());  // writer and checked lists never mix
+  size_t lists = 0, blocks = 0;
+  for (const PostingStore& part : parts) {
+    lists += part.extents_.size();
+    blocks += part.skips_.size();
+  }
+  Reserve(lists, blocks, 0);
+  for (PostingStore& part : parts) {
+    assert(part.lists_.empty() && part.checksums_.empty());
+    for (Extent e : part.extents_) {
+      e.buffer += payloads_.size();
+      extents_.push_back(e);
+    }
+    skips_.insert(skips_.end(), part.skips_.begin(), part.skips_.end());
+    std::move(part.payloads_.begin(), part.payloads_.end(),
+              std::back_inserter(payloads_));
+    part = PostingStore();
+  }
+}
+
 void PostingStore::AddChecked(uint32_t block_size, uint64_t num_entries,
                               uint64_t total_positions,
                               std::span<const BlockPostingList::SkipEntry> skips,
                               std::span<const uint32_t> checksums,
                               size_t payload_begin, size_t payload_size) {
-  assert(payload_.empty() && checksums.size() == skips.size() &&
+  assert(payloads_.empty() && checksums.size() == skips.size() &&
          skips.size() <= UINT32_MAX);
   extents_.push_back({.num_entries = num_entries,
                       .total_positions = total_positions,
                       .payload_begin = payload_begin,
                       .payload_size = payload_size,
                       .num_blocks = static_cast<uint32_t>(skips.size()),
-                      .block_size = block_size});
+                      .block_size = block_size,
+                      .buffer = 0});
   skips_.insert(skips_.end(), skips.begin(), skips.end());
   checksums_.insert(checksums_.end(), checksums.begin(), checksums.end());
 }
@@ -665,9 +704,13 @@ void PostingStore::Seal(std::shared_ptr<const IndexSource> source) {
   skips_.shrink_to_fit();
   checksums_.shrink_to_fit();
   source_ = std::move(source);
-  const std::string_view bytes =
-      source_ != nullptr ? source_->view()
-                         : std::string_view(payload_.data(), payload_.size());
+  // The bytes an extent's offsets index: the source, or one payload buffer.
+  std::vector<std::string_view> buffers;
+  if (source_ != nullptr) {
+    buffers.push_back(source_->view());
+  } else {
+    for (const PageBytes& p : payloads_) buffers.emplace_back(p.data(), p.size());
+  }
   const bool checked = !checksums_.empty();
   if (checked) {
     verified_ = std::make_unique<std::atomic<uint8_t>[]>(skips_.size());
@@ -682,7 +725,7 @@ void PostingStore::Seal(std::shared_ptr<const IndexSource> source) {
   for (size_t i = 0; i < extents_.size(); ++i) {
     const Extent& e = extents_[i];
     BlockPostingList& l = lists_[i];
-    l.data_ = bytes.substr(e.payload_begin, e.payload_size);
+    l.data_ = buffers[e.buffer].substr(e.payload_begin, e.payload_size);
     l.skips_ = std::span<const BlockPostingList::SkipEntry>(skips_).subspan(
         first_block, e.num_blocks);
     if (checked) {
@@ -699,10 +742,12 @@ void PostingStore::Seal(std::shared_ptr<const IndexSource> source) {
 }
 
 size_t PostingStore::MemoryUsage() const {
-  return lists_.capacity() * sizeof(BlockPostingList) +
-         skips_.capacity() * sizeof(BlockPostingList::SkipEntry) +
-         checksums_.capacity() * sizeof(uint32_t) +
-         (verified_ != nullptr ? skips_.size() : 0) + payload_.capacity();
+  size_t bytes = lists_.capacity() * sizeof(BlockPostingList) +
+                 skips_.capacity() * sizeof(BlockPostingList::SkipEntry) +
+                 checksums_.capacity() * sizeof(uint32_t) +
+                 (verified_ != nullptr ? skips_.size() : 0);
+  for (const PageBytes& payload : payloads_) bytes += payload.capacity();
+  return bytes;
 }
 
 BlockListCursor& BlockListCursor::operator=(BlockListCursor&& o) noexcept {

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/page_allocator.h"
 #include "common/status.h"
 #include "text/document.h"
 
@@ -301,7 +302,7 @@ class BlockListWriter {
   bool dense_enabled_ = BlockPostingList::DenseBlocksEnabledByDefault();
   uint64_t num_entries_ = 0;
   uint64_t total_positions_ = 0;
-  std::string payload_;  // sealed blocks' bytes
+  PageBytes payload_;  // sealed blocks' bytes
   std::vector<BlockPostingList::SkipEntry> skips_;
   std::vector<PendingEntry> pending_;
   std::vector<uint8_t> pending_bytes_;
@@ -331,9 +332,14 @@ class PostingStore {
   /// list after list allocates once.
   void Add(BlockListWriter&& writer);
 
-  /// Gives back the payload buffer's growth slack, for a caller that
+  /// Gives back the payload buffers' growth slack, for a caller that
   /// could not size the payload up front (Reserve). Call before Seal.
-  void ShrinkPayload() { payload_.shrink_to_fit(); }
+  void ShrinkPayload();
+
+  /// Appends every list of `parts` (unsealed stores of writer-added
+  /// lists), part after part, and empties the parts. Each part's payload
+  /// buffers are adopted, not copied; the skip directory is sized once.
+  void Append(std::span<PostingStore> parts);
 
   /// Appends a list read from a file: blocks `skips` (fewer than 2^32),
   /// with per-block payload checksums `checksums`, over the
@@ -370,6 +376,7 @@ class PostingStore {
     size_t payload_size;
     uint32_t num_blocks;  // the list's blocks follow the previous list's
     uint32_t block_size;
+    size_t buffer;  // writer-added lists: which of payloads_ holds it; else 0
   };
 
   std::vector<BlockPostingList> lists_;
@@ -379,9 +386,11 @@ class PostingStore {
   /// One flag per block of checked lists; null when every list came from
   /// a writer.
   std::unique_ptr<std::atomic<uint8_t>[]> verified_;
-  /// Writer-added lists' payload bytes (a vector: moving it keeps the
-  /// buffer the lists view).
-  std::vector<char> payload_;
+  /// Writer-added lists' payload bytes: the buffer Add appends to is the
+  /// last; Append adopts the earlier ones (vectors: moving them keeps the
+  /// buffers the lists view). Pages, so a buffer a build worker filled
+  /// leaves nothing resident in its thread's malloc arena once freed.
+  std::vector<PageBytes> payloads_;
   std::shared_ptr<const IndexSource> source_;
 };
 

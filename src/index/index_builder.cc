@@ -1,10 +1,75 @@
 #include "index/index_builder.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <exception>
+#include <memory>
+#include <thread>
 
 #include "index/block_posting_list.h"
 
 namespace fts {
+namespace {
+
+/// Occurrences each build worker must have to itself: a corpus of fewer
+/// than two such shares builds on the calling thread alone. On an idle
+/// 4-core host a second worker already pays at ~260k occurrences (a
+/// 1,500-node build 30 -> 24 ms), but builds that run beside other work —
+/// sharded builds started one per shard, ingest seals beside queries —
+/// lose by it; 2^19 keeps every build under ~1M occurrences on one thread.
+constexpr size_t kOccurrencesPerWorker = size_t{1} << 19;
+
+/// How many records ahead of the one being written the write pass
+/// prefetches its position: each gather is a miss into a random document.
+constexpr size_t kPrefetchAhead = 16;
+
+/// One token occurrence as the counting sort moves it.
+struct Occurrence {
+  NodeId node;
+  uint32_t at;  // index into the document's positions
+};
+
+/// Calls fn(w) for every w in [0, workers): the calling thread runs w = 0,
+/// one thread each of the others, all joined before this returns. One
+/// worker starts no thread. An exception from any call is rethrown here.
+template <typename Fn>
+void RunWorkers(size_t workers, const Fn& fn) {
+  std::vector<std::exception_ptr> errors(workers);
+  const auto run = [&](size_t w) {
+    try {
+      fn(w);
+    } catch (...) {
+      errors[w] = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> threads;
+    threads.reserve(workers - 1);
+    for (size_t w = 1; w < workers; ++w) threads.emplace_back(run, w);
+    run(0);
+  }
+  for (const std::exception_ptr& e : errors) {
+    if (e != nullptr) std::rethrow_exception(e);
+  }
+}
+
+/// Cuts the items [0, prefix.size() - 1) into `parts` contiguous ranges of
+/// about equal weight, where prefix[i] is the weight of the items before
+/// item i: range p is [bounds[p], bounds[p + 1]).
+std::vector<size_t> SplitByWeight(std::span<const size_t> prefix, size_t parts) {
+  std::vector<size_t> bounds(parts + 1, prefix.size() - 1);
+  bounds[0] = 0;
+  for (size_t p = 1; p < parts; ++p) {
+    const size_t target = prefix.back() / parts * p;
+    const auto from = prefix.begin() + static_cast<ptrdiff_t>(bounds[p - 1]);
+    const auto at = std::lower_bound(from, prefix.end() - 1, target);
+    bounds[p] = static_cast<size_t>(at - prefix.begin());
+  }
+  return bounds;
+}
+
+}  // namespace
 
 InvertedIndex IndexBuilder::Build(const Corpus& corpus,
                                   const IndexBuildOptions& options) {
@@ -18,58 +83,117 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
     index.token_ids_.emplace(corpus.token_text(t), t);
   }
 
-  // Count and scatter: one stable counting sort of the occurrences by
-  // token. Token t's count lands in start[t + 2]; after the prefix sums
-  // start[t + 1] is its bucket's first slot, which the scatter advances to
-  // the bucket's end, leaving bucket t at [start[t], start[t + 1]) in
-  // (node, index-in-document) order — the order its list is written in.
-  struct Occurrence {
-    NodeId node;
-    uint32_t at;  // index into the document's positions
-  };
-  std::vector<size_t> start(vocab + 2, 0);
-  for (const TokenizedDocument& doc : corpus.docs()) {
-    for (const TokenId t : doc.tokens) ++start[t + 2];
-  }
-  for (size_t t = 2; t < start.size(); ++t) start[t] += start[t - 1];
-  std::vector<Occurrence> occurrences(start.back());
+  // The worker count follows from the work: one per kOccurrencesPerWorker
+  // occurrences, at least one, at most one per core.
+  std::vector<size_t> node_start(num_nodes + 1, 0);
   for (NodeId n = 0; n < num_nodes; ++n) {
-    const std::vector<TokenId>& tokens = corpus.doc(n).tokens;
-    for (uint32_t i = 0; i < tokens.size(); ++i) {
-      occurrences[start[tokens[i] + 1]++] = {n, i};
-    }
+    node_start[n + 1] = node_start[n] + corpus.doc(n).tokens.size();
   }
+  const size_t total = node_start.back();
+  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
+  const size_t workers = std::clamp<size_t>(total / kOccurrencesPerWorker, 1, cores);
 
-  // Write: each token's bucket, grouped by node, then IL_ANY, goes through
-  // one reused writer into the index's store, so one list's buffers exist
-  // at a time. A token with no occurrence gets its empty list.
-  index.unique_tokens_.assign(num_nodes, 0);
-  index.lists_.Reserve(vocab + 1, 0, 0);
-  BlockListWriter writer;
-  std::vector<PositionInfo> group;
-  for (size_t t = 0; t < vocab; ++t) {
-    for (size_t o = start[t]; o < start[t + 1];) {
-      const NodeId n = occurrences[o].node;
-      const std::vector<PositionInfo>& positions = corpus.doc(n).positions;
-      group.clear();
-      for (; o < start[t + 1] && occurrences[o].node == n; ++o) {
-        group.push_back(positions[occurrences[o].at]);
-      }
-      writer.Append(n, group);
-      ++index.unique_tokens_[n];
+  // Count and scatter: one stable counting sort of the occurrences by
+  // token, over contiguous node ranges with one histogram per worker.
+  const std::vector<size_t> node_bounds = SplitByWeight(node_start, workers);
+  std::vector<std::vector<size_t>> counts(workers);
+  RunWorkers(workers, [&](size_t w) {
+    std::vector<size_t>& count = counts[w];
+    count.assign(vocab, 0);
+    for (NodeId n = node_bounds[w]; n < node_bounds[w + 1]; ++n) {
+      for (const TokenId t : corpus.doc(n).tokens) ++count[t];
     }
-    index.lists_.Add(std::move(writer));
+  });
+  // Bucket t is [start[t], start[t + 1]) of the records; the token lists
+  // are written in `workers` contiguous token ranges balanced by
+  // occurrences, and each range's buckets get an array of their own, freed
+  // once its lists are written. Slots are handed out token-major, then
+  // worker-major, so every bucket holds its occurrences in (node,
+  // index-in-document) order, the order its list is written in.
+  std::vector<size_t> start(vocab + 1, 0);
+  for (size_t t = 0; t < vocab; ++t) {
+    for (const std::vector<size_t>& count : counts) start[t + 1] += count[t];
+    start[t + 1] += start[t];
   }
-  std::vector<Occurrence>().swap(occurrences);
-  for (NodeId n = 0; n < num_nodes; ++n) {
-    const std::vector<PositionInfo>& positions = corpus.doc(n).positions;
-    if (!positions.empty()) writer.Append(n, positions);
+  const std::vector<size_t> token_bounds = SplitByWeight(start, workers);
+  std::vector<std::unique_ptr<Occurrence[]>> records(workers);
+  std::vector<std::vector<Occurrence*>> slots(workers, std::vector<Occurrence*>(vocab));
+  for (size_t r = 0; r < workers; ++r) {
+    const size_t first = token_bounds[r], last = token_bounds[r + 1];
+    // Left uninitialised: the scatter writes every record.
+    records[r] = std::make_unique_for_overwrite<Occurrence[]>(start[last] - start[first]);
+    Occurrence* at = records[r].get();
+    for (size_t t = first; t < last; ++t) {
+      for (size_t w = 0; w < workers; ++w) {
+        slots[w][t] = at;
+        at += counts[w][t];
+      }
+    }
   }
-  index.lists_.Add(std::move(writer));
-  // The payload keeps its growth slack (never written, so mostly never
-  // resident): trimming it copies the payload into a fresh buffer, and one
-  // such copy per ingest seal raised the e2e ingest_live workload's peak
-  // RSS by ~9% (4-vCPU VM).
+  std::vector<std::vector<size_t>>().swap(counts);
+  RunWorkers(workers, [&](size_t w) {
+    std::vector<Occurrence*>& slot = slots[w];
+    for (NodeId n = node_bounds[w]; n < node_bounds[w + 1]; ++n) {
+      const std::vector<TokenId>& tokens = corpus.doc(n).tokens;
+      for (uint32_t i = 0; i < tokens.size(); ++i) *slot[tokens[i]]++ = {n, i};
+    }
+    std::vector<Occurrence*>().swap(slot);
+  });
+
+  // Write: the token ranges, then IL_ANY, each task through its worker's
+  // reused writer into its own staged store; the workers take tasks in
+  // turn. Each bucket is written grouped by node, its positions gathered
+  // with a prefetch kPrefetchAhead records ahead, and each range counts
+  // its entries per node: a node's distinct tokens. A token with no
+  // occurrence gets its empty list.
+  std::vector<PostingStore> staged(workers + 1);  // token ranges, IL_ANY
+  std::vector<std::vector<uint32_t>> unique(workers);
+  std::atomic<size_t> next_task{0};
+  RunWorkers(workers, [&](size_t) {
+    BlockListWriter writer;
+    std::vector<PositionInfo> group;
+    for (size_t r; (r = next_task.fetch_add(1)) <= workers;) {
+      if (r == workers) {
+        for (NodeId n = 0; n < num_nodes; ++n) {
+          const std::vector<PositionInfo>& positions = corpus.doc(n).positions;
+          if (!positions.empty()) writer.Append(n, positions);
+        }
+        staged[r].Add(std::move(writer));
+        continue;
+      }
+      const size_t first = token_bounds[r], last = token_bounds[r + 1];
+      const size_t base = start[first], end = start[last];
+      const Occurrence* const occ = records[r].get();
+      std::vector<uint32_t>& entries = unique[r];
+      entries.assign(num_nodes, 0);
+      staged[r].Reserve(last - first, 0, 0);
+      for (size_t t = first; t < last; ++t) {
+        for (size_t o = start[t]; o < start[t + 1];) {
+          const NodeId n = occ[o - base].node;
+          const std::vector<PositionInfo>& positions = corpus.doc(n).positions;
+          group.clear();
+          for (; o < start[t + 1] && occ[o - base].node == n; ++o) {
+            if (o + kPrefetchAhead < end) {
+              const Occurrence& ahead = occ[o + kPrefetchAhead - base];
+              __builtin_prefetch(corpus.doc(ahead.node).positions.data() + ahead.at);
+            }
+            group.push_back(positions[occ[o - base].at]);
+          }
+          writer.Append(n, group);
+          ++entries[n];
+        }
+        staged[r].Add(std::move(writer));
+      }
+      records[r].reset();
+    }
+  });
+  index.unique_tokens_ = std::move(unique[0]);
+  for (size_t r = 1; r < workers; ++r) {
+    for (NodeId n = 0; n < num_nodes; ++n) index.unique_tokens_[n] += unique[r][n];
+  }
+  // The staged lists follow one another in token order, IL_ANY last; the
+  // index's store adopts their payload buffers.
+  index.lists_.Append(staged);
   index.lists_.Seal();
   // Corpus shape statistics and TF-IDF norms from the finished lists —
   // the pass a segment merge runs too. Freshly built lists always decode.

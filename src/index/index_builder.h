@@ -4,18 +4,36 @@
 // L2 norms are precomputed here, matching the paper's observation that "all
 // of the scoring information in R_t can be precomputed", Section 3.1).
 //
-// Three passes write the lists: count each token's occurrences, scatter
-// each as a (node, index-in-document) record into its token's bucket (one
-// stable counting sort, so buckets are in node order), then write each
-// bucket, grouped by node, and IL_ANY through one reused BlockListWriter
-// into the index's stores (PostingStore::Add), counting each node's
-// unique tokens on the way — the Reserve / Add / Seal protocol
-// PairIndex::Build and MergeSegments use too. A fourth pass reads the
+// Three passes write the lists: count each token's occurrences, scatter each
+// occurrence as an 8-byte (node, index-in-document) record into its token's
+// bucket (one stable counting sort, so buckets are in node order), then
+// write each bucket, grouped by node, and IL_ANY through a reused
+// BlockListWriter into staged stores (PostingStore::Add) — the Reserve / Add
+// / Seal protocol PairIndex::Build and MergeSegments use too. The write pass
+// prefetches the position of the record 16 ahead, since each gather lands in
+// a random document.
+//
+// The passes run on clamp(occurrences / 2^19, 1, hardware_concurrency())
+// workers, set by the corpus size and the core count alone; the calling
+// thread is one of them, and one worker starts no thread (ingest seals and
+// 3,000-node shards, which run beside other work, stay there). Count and
+// scatter take contiguous node ranges, one histogram each; slots are handed
+// out token-major, then worker-major, so every bucket stays in node order.
+// The write pass splits the vocabulary into contiguous token ranges balanced
+// by occurrences, plus IL_ANY as one more task, each into its own staged
+// store; PostingStore::Append then moves them into the index's store in
+// token order, adopting their payload buffers (past 1 MiB, pages of their
+// own, common/page_allocator.h, so nothing a worker filled stays in its
+// thread's malloc arena once the index is freed). Peak memory is the records
+// (8 B per occurrence, one array per token range, freed as its range
+// finishes) plus the lists' payload; nothing is copied twice. Each range
+// also counts its entries per node; their sum is each node's distinct-token
+// count. A fourth pass, serial so the norms are bit-identical, reads the
 // finished list headers for the statistics and norms
-// (InvertedIndex::FinishLists, which a segment merge ends with too,
-// through ComputeNodeNorms, the pass snapshots run with global
-// statistics). No uncompressed form of a list is ever built. The saved
-// bytes are pinned by tests/index_builder_golden_test.cc.
+// (InvertedIndex::FinishLists, which a segment merge ends with too, through
+// ComputeNodeNorms, the pass snapshots run with global statistics). No
+// uncompressed form of a list is ever built. The saved bytes are pinned by
+// tests/index_builder_golden_test.cc.
 
 #ifndef FTS_INDEX_INDEX_BUILDER_H_
 #define FTS_INDEX_INDEX_BUILDER_H_

@@ -98,6 +98,17 @@ void PutBlockPostingList(std::string* out, const BlockPostingList& list,
   out->append(payload);
 }
 
+/// Largest varint32 / varint64 encodings.
+constexpr size_t kMaxVarint32 = 5;
+constexpr size_t kMaxVarint64 = 10;
+
+/// An upper bound of the bytes PutBlockPostingList writes for `list`: four
+/// header varints, six varints per skip entry, the payload size and the
+/// payload.
+size_t BlockListBound(const BlockPostingList& list) {
+  return 5 * kMaxVarint64 + 6 * kMaxVarint32 * list.num_blocks() + list.data().size();
+}
+
 /// Parsed directory of one serialized block list; the payload is left in
 /// place (only its range is recorded). Reused across lists, so parsing
 /// allocates nothing per list once the vectors have grown.
@@ -417,7 +428,26 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
 }
 
 void SaveIndexToString(const InvertedIndex& index, std::string* out) {
+  // Sized once from an upper bound — the payloads plus bounds of every
+  // directory and section — so a large index never regrows its output.
+  const PairIndex* pair = index.pair_index();
+  // The statistics (five varints, three doubles), the dictionary size and
+  // the pair section's three counts.
+  size_t bound = kMagicSize + 5 * kMaxVarint64 + 4 * kMaxVarint32 + 3 * 8 + kTrailerSize;
+  bound += index.num_nodes() * (kMaxVarint32 + 8);
+  bound += BlockListBound(index.block_any_list());
+  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
+    bound += kMaxVarint64 + index.token_text(t).size();
+    bound += BlockListBound(*index.block_list(t));
+  }
+  if (pair != nullptr) {
+    bound += pair->num_frequent() * kMaxVarint32;
+    for (size_t i = 0; i < pair->num_keys(); ++i) {
+      bound += 2 * kMaxVarint32 + BlockListBound(pair->list(i));
+    }
+  }
   out->clear();
+  out->reserve(bound);
   out->append(kMagic, kMagicSize);
   PutCommonSections(index, out);
 
@@ -429,7 +459,6 @@ void SaveIndexToString(const InvertedIndex& index, std::string* out) {
   // Pair-index section: an index without one writes the empty shape
   // (max_distance 0, no frequent terms, no keys) so the loader needs no
   // presence flag.
-  const PairIndex* pair = index.pair_index();
   PutVarint32(out, pair != nullptr ? pair->max_distance() : 0);
   PutVarint64(out, pair != nullptr ? pair->num_frequent() : 0);
   if (pair != nullptr) {

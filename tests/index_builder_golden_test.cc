@@ -115,5 +115,15 @@ TEST(IndexBuilderGoldenTest, EdgeCorpusPairs) {
                {1046, 0x3ca7b33a4821516bULL});
 }
 
+// 6,000 nodes of the default shape: ~1.05M occurrences, enough that the
+// builder splits its passes across two or more workers (on a host with at
+// least two cores). Recorded from the single-threaded builder.
+TEST(IndexBuilderGoldenTest, PaperCorpus6000Classic) {
+  CorpusGenOptions opts;
+  opts.num_nodes = 6000;
+  ExpectGolden(SavedFile(GenerateCorpus(opts), {}, "paper_6000_classic"),
+               {8554402, 0x3199fb24e017ff73ULL});
+}
+
 }  // namespace
 }  // namespace fts

@@ -222,6 +222,13 @@ TEST(InvertedIndexTest, BlockListsMatchRawOracle) {
     EXPECT_EQ(bitset_blocks > 0, dense);
   }
   EXPECT_GT(multi_block, 0u);
+
+  // ~1.05M occurrences, past the builder's two-worker threshold: on a host
+  // with two or more cores the count, scatter and write passes split
+  // across workers (node ranges, then token ranges), and every list, IL_ANY
+  // and every unique-token count must still be the oracle's.
+  const Corpus large = GenerateCorpus({.num_nodes = 6000});
+  ExpectIndexMatchesOracle(large, IndexBuilder::Build(large));
 }
 
 TEST(InvertedIndexTest, OovTokenHasNoList) {
