@@ -9,7 +9,7 @@
 #include <emmintrin.h>
 #endif
 
-#include "common/fnv.h"
+#include "common/crc32c.h"
 #include "common/varint.h"
 #include "common/varint_simd.h"
 #include "index/decoded_block_cache.h"
@@ -245,10 +245,10 @@ Status BlockPostingList::DecodeBlockEntries(size_t block,
   // a single byte, so a flipped bit surfaces here as Corruption rather
   // than as structurally plausible garbage. Memoized: once this decode
   // succeeds end to end the block is marked verified and later decodes
-  // skip the hash and the framing walk below.
+  // skip the checksum and the framing walk below.
   const bool first_touch = !BlockVerified(block);
   if (first_touch) {
-    if (Fnv1a32(payload.substr(skip.byte_offset, end - skip.byte_offset)) !=
+    if (Crc32c(payload.substr(skip.byte_offset, end - skip.byte_offset)) !=
         Checksums()[block]) {
       return Status::Corruption("block payload checksum mismatch at first touch");
     }

@@ -1,4 +1,4 @@
-// Block-compressed, skip-seekable posting storage (the v6 index layout).
+// Block-compressed, skip-seekable posting storage (the v7 index layout).
 //
 // A BlockPostingList stores one inverted list's (cn, PosList) sequence
 // packed into fixed-size blocks (kDefaultBlockSize entries) of
@@ -228,7 +228,7 @@ class BlockPostingList {
   std::string_view data_;
   /// This list's slice of the store's flat skip directory.
   std::span<const SkipEntry> skips_;
-  /// First of num_blocks() per-block payload checksums (FNV-1a32) in the
+  /// First of num_blocks() per-block payload checksums (CRC32C) in the
   /// store's table; null for lists sealed from a writer.
   const uint32_t* checksums_ = nullptr;
   /// First of num_blocks() first-touch validation flags in the store's

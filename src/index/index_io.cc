@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/fnv.h"
+#include "common/crc32c.h"
 #include "common/varint.h"
 #include "index/block_posting_list.h"
 #include "index/index_source.h"
@@ -18,11 +18,11 @@ namespace fts {
 
 namespace {
 
-constexpr char kMagic[8] = {'F', 'T', 'S', 'I', 'D', 'X', '6', '\0'};
+constexpr char kMagic[8] = {'F', 'T', 'S', 'I', 'D', 'X', '7', '\0'};
 constexpr size_t kMagicSize = sizeof(kMagic);
 /// Byte of the magic that holds the format version digit.
 constexpr size_t kVersionByte = 6;
-constexpr size_t kTrailerSize = 8;  // fixed64 checksum
+constexpr size_t kTrailerSize = 8;  // fixed64 holding the CRC32C
 /// The smallest byte count a file can occupy: magic + trailer. Inputs
 /// below this are rejected before any section parsing runs.
 constexpr size_t kMinFileSize = kMagicSize + kTrailerSize;
@@ -55,11 +55,11 @@ Status GetDouble(std::string_view data, size_t* offset, double* d) {
 
 // ---------------------------------------------------------------------------
 // Posting lists: the BlockPostingList skip directory, each entry extended
-// with the block's FNV-1a32 payload checksum, its max_tf (largest
+// with the block's CRC32C payload checksum, its max_tf (largest
 // per-entry position count, the block-max statistic top-k evaluation turns
 // into impact upper bounds) and its encoding tag (varint-delta vs
 // fixed-width bitset), then the payload dumped verbatim from / adopted
-// verbatim into BlockPostingList. The trailer hash hops over payloads.
+// verbatim into BlockPostingList. The trailer checksum hops over payloads.
 // ---------------------------------------------------------------------------
 
 /// Byte range of one list's payload within the serialized output.
@@ -84,9 +84,9 @@ void PutBlockPostingList(std::string* out, const BlockPostingList& list,
     PutVarint32(out, s.entry_count);
     const size_t end = b + 1 < list.num_blocks() ? list.skip(b + 1).byte_offset
                                                  : payload.size();
-    PutVarint32(out, Fnv1a32(payload.substr(s.byte_offset, end - s.byte_offset)));
+    PutVarint32(out, Crc32c(payload.substr(s.byte_offset, end - s.byte_offset)));
     PutVarint32(out, s.max_tf);
-    // The encoding tag lives in the directory, so the trailer hash covers
+    // The encoding tag lives in the directory, so the trailer checksum covers
     // it: a flipped tag is Corruption at load, never a block parsed under
     // the wrong layout.
     PutVarint32(out, s.encoding);
@@ -124,7 +124,7 @@ struct BlockListDirectory {
 
 /// Parses one list's directory and skips its payload, leaving `*offset`
 /// past the list. Every count is bounded by the remaining input before
-/// sizing containers: the trailer hash is recomputable by an attacker, so
+/// sizing containers: the trailer checksum is recomputable by an attacker, so
 /// a crafted header must fail with Corruption, not a giant allocation.
 Status GetBlockListDirectory(std::string_view data, size_t* offset,
                              uint64_t cnodes, BlockListDirectory* dir) {
@@ -251,12 +251,12 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   if (std::memcmp(data.data(), kMagic, kMagicSize) != 0) {
     const char version = data[kVersionByte];
     if (std::memcmp(data.data(), kMagic, kVersionByte) == 0 &&
-        data[kVersionByte + 1] == '\0' && version >= '1' && version <= '5') {
+        data[kVersionByte + 1] == '\0' && version >= '1' && version <= '6') {
       // A retired format: fail closed with a message that says what to do,
       // rather than the generic bad-magic error.
       return Status::Corruption(std::string("index format v") + version +
                                 " is no longer supported; rebuild the "
-                                "index to write the current v6 format");
+                                "index to write the current v7 format");
     }
     return Status::Corruption("bad index magic");
   }
@@ -265,8 +265,8 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   // The trailer covers only header/directory bytes; it is accumulated
   // during the parse below, hopping over payload ranges without touching
   // them.
-  uint64_t header_hash = kFnv1aSeed;
-  size_t hash_mark = kMagicSize;  // next byte not yet folded into header_hash
+  uint32_t header_crc = 0;
+  size_t crc_mark = kMagicSize;  // next byte not yet folded into header_crc
 
   InvertedIndex index;
   size_t offset = kMagicSize;
@@ -317,10 +317,10 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   const auto adopt = [&](PostingStore* store) -> Status {
     FTS_RETURN_IF_ERROR(GetBlockListDirectory(data, &offset, s.cnodes, &dir));
     // Fold the header/directory bytes since the last payload into the
-    // trailer hash, then hop over this list's payload untouched.
-    header_hash = Fnv1aAccumulate(
-        header_hash, data.substr(hash_mark, dir.payload_begin - hash_mark));
-    hash_mark = dir.payload_begin + dir.payload_size;
+    // trailer checksum, then hop over this list's payload untouched.
+    header_crc =
+        Crc32cExtend(header_crc, data.substr(crc_mark, dir.payload_begin - crc_mark));
+    crc_mark = dir.payload_begin + dir.payload_size;
     store->AddChecked(dir.block_size == 0 ? BlockPostingList::kDefaultBlockSize
                                           : dir.block_size,
                       dir.num_entries, dir.total_positions, dir.skips,
@@ -407,12 +407,11 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   if (offset != body_end) {
     return Status::Corruption("trailing bytes in index payload");
   }
-  header_hash = Fnv1aAccumulate(header_hash,
-                                data.substr(hash_mark, body_end - hash_mark));
+  header_crc = Crc32cExtend(header_crc, data.substr(crc_mark, body_end - crc_mark));
   size_t coff = body_end;
   uint64_t stored;
   FTS_RETURN_IF_ERROR(GetFixed64(data, &coff, &stored));
-  if (stored != header_hash) {
+  if (stored != header_crc) {  // the upper 32 bits are zero
     return Status::Corruption("index header checksum mismatch");
   }
   index.source_ = source;  // lists view into it from here on
@@ -479,14 +478,14 @@ void SaveIndexToString(const InvertedIndex& index, std::string* out) {
   // Trailer: header/directory bytes only — block payloads are covered by
   // their per-block checksums, so a lazy loader can verify everything it
   // eagerly reads without touching payload bytes.
-  uint64_t hash = kFnv1aSeed;
+  uint32_t crc = 0;
   size_t mark = kMagicSize;
   for (const PayloadRange& r : payload_ranges) {
-    hash = Fnv1aAccumulate(hash, std::string_view(*out).substr(mark, r.begin - mark));
+    crc = Crc32cExtend(crc, std::string_view(*out).substr(mark, r.begin - mark));
     mark = r.end;
   }
-  hash = Fnv1aAccumulate(hash, std::string_view(*out).substr(mark));
-  PutFixed64(out, hash);
+  crc = Crc32cExtend(crc, std::string_view(*out).substr(mark));
+  PutFixed64(out, crc);
 }
 
 Status LoadIndexFromString(const std::string& data, InvertedIndex* out) {

@@ -1,12 +1,12 @@
-// Binary serialization of InvertedIndex: the v6 format ("FTSIDX6\0"), the
+// Binary serialization of InvertedIndex: the v7 format ("FTSIDX7\0"), the
 // only one written or read (layout in docs/index_format.md).
 //
 // An 8-byte magic, varint-coded sections (statistics, per-node scalars,
 // dictionary), one block list per token plus IL_ANY, an optional
-// pair-index section, and a trailing FNV-1a 64 hash. Each list is the
-// BlockPostingList skip directory — per block: max_node, byte_offset,
-// entry_count, FNV-1a32 payload checksum, max_tf, encoding tag — followed
-// by its payload bytes verbatim. The trailer hash covers only the header
+// pair-index section, and a trailing CRC32C (common/crc32c.h) in a fixed64.
+// Each list is the BlockPostingList skip directory — per block: max_node,
+// byte_offset, entry_count, CRC32C payload checksum, max_tf, encoding tag —
+// followed by its payload bytes verbatim. The trailer covers only the header
 // and directory bytes, never a payload, which is what makes lazy loading
 // sound: an mmap load verifies everything it reads in O(header) time, and
 // each block's checksum, structure and position framing are verified on
@@ -16,7 +16,7 @@
 // auxiliary (frequent-term, other-term) lists of index/pair_index.h in the
 // same list layout; an index without a pair index writes it empty.
 //
-// Files of the retired v1-v5 formats fail closed with Corruption naming
+// Files of the retired v1-v6 formats fail closed with Corruption naming
 // their version; they must be rebuilt from the source documents. Loaded
 // block lists are the index's only representation, viewing their payload
 // bytes out of one shared IndexSource (heap buffer or mmap'd file region)

@@ -21,7 +21,7 @@
 // monotonicity on decode, so arbitrary record streams round-trip
 // losslessly — and the pair lists inherit varint/SIMD/hybrid block decode,
 // per-block checksums, mmap loading with first-touch validation, and both
-// block-cache levels for free. On disk they live in an optional v6 section
+// block-cache levels for free. On disk they live in an optional v7 section
 // (docs/index_format.md); a file without the section simply has the
 // feature off.
 //

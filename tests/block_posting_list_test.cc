@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/fnv.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/varint_simd.h"
 #include "index/decoded_block_cache.h"
@@ -456,7 +456,7 @@ LazyListParts LazyPartsOf(const PostingList& raw, uint32_t block_size) {
     const size_t end = b + 1 < built.num_blocks() ? built.skip(b + 1).byte_offset
                                                   : parts.payload.size();
     parts.checksums.push_back(
-        Fnv1a32(std::string_view(parts.payload).substr(begin, end - begin)));
+        Crc32c(std::string_view(parts.payload).substr(begin, end - begin)));
   }
   return parts;
 }
@@ -580,7 +580,7 @@ TEST(FirstTouchValidationTest, CrossBlockMonotonicityCheckedLazily) {
   const size_t end = parts.skips.size() > 2 ? parts.skips[2].byte_offset
                                             : parts.payload.size();
   parts.checksums[1] =
-      Fnv1a32(std::string_view(parts.payload).substr(victim, end - victim));
+      Crc32c(std::string_view(parts.payload).substr(victim, end - victim));
   const OwnedBlockList lazy = AssembleLazy(parts);
   std::vector<BlockPostingList::EntryRef> entries;
   const Status s = lazy.DecodeBlockEntries(1, &entries);
@@ -606,7 +606,7 @@ void ExpectFramingDamageRejectedAtFirstTouch(uint32_t stride, uint8_t encoding) 
   const size_t begin = parts.skips[1].byte_offset;
   const size_t end = parts.skips[2].byte_offset;
   parts.checksums[1] =
-      Fnv1a32(std::string_view(parts.payload).substr(begin, end - begin));
+      Crc32c(std::string_view(parts.payload).substr(begin, end - begin));
   const OwnedBlockList lazy = AssembleLazy(parts);
   const Status s = lazy.DecodeBlockEntries(1, &entries);
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
@@ -644,7 +644,7 @@ TEST(FirstTouchValidationTest, FiveBytePositionVarintsVerify) {
   char& fifth = parts.payload[victim.pos_byte_begin + 3 + 4];
   ASSERT_EQ(fifth & 0xF0, 0);
   fifth = static_cast<char>(fifth | 0x10);
-  parts.checksums[0] = Fnv1a32(parts.payload);
+  parts.checksums[0] = Crc32c(parts.payload);
   const OwnedBlockList lazy = AssembleLazy(parts);
   const Status s = lazy.DecodeBlockEntries(0, &entries);
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
@@ -777,7 +777,7 @@ TEST(DenseBlockTest, BitsetWordFlipRejectsEvenWithResealedChecksum) {
   // words. Flip a bit in the middle of the first word.
   parts.payload[2 + 3] = static_cast<char>(parts.payload[2 + 3] ^ 0x08);
   const size_t end = parts.skips[1].byte_offset;
-  parts.checksums[0] = Fnv1a32(std::string_view(parts.payload).substr(0, end));
+  parts.checksums[0] = Crc32c(std::string_view(parts.payload).substr(0, end));
   const OwnedBlockList lazy = AssembleLazy(parts);
   std::vector<BlockPostingList::EntryRef> entries;
   const Status s = lazy.DecodeBlockEntries(0, &entries);

@@ -13,7 +13,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/fnv.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/varint.h"
 #include "eval/bool_engine.h"
@@ -226,17 +226,17 @@ Status TouchEveryBlock(const InvertedIndex& index) {
   return ::testing::AssertionSuccess();
 }
 
-/// Re-seals a (mutated) v6 blob: recomputes every per-block payload
-/// checksum and the trailer hash over the header/directory bytes. Both are
+/// Re-seals a (mutated) v7 blob: recomputes every per-block payload
+/// checksum and the trailer checksum over the header/directory bytes. Both are
 /// recomputable by anyone, so they only catch accidents; resealing lets a
 /// mutation through to the structural validators behind them, which are
 /// what must stop a crafted file. Walks the layout of
 /// docs/index_format.md, copying every other byte verbatim. Returns false
 /// when the bytes no longer parse far enough to reseal (the loader then
 /// sees the unsealed blob, which must fail anyway).
-class V6Resealer {
+class V7Resealer {
  public:
-  explicit V6Resealer(std::string_view in) : in_(in) {}
+  explicit V7Resealer(std::string_view in) : in_(in) {}
 
   bool Run(std::string* sealed) {
     if (in_.size() < 16) return false;
@@ -268,16 +268,16 @@ class V6Resealer {
       if (!Copy() || !Copy() || !List()) return false;
     }
     if (off_ + 8 != in_.size()) return false;
-    uint64_t hash = kFnv1aSeed;
+    uint32_t crc = 0;
     size_t mark = 8;
     for (const auto& [begin, end] : payloads_) {
-      hash = Fnv1aAccumulate(hash,
-                             std::string_view(out_).substr(mark, begin - mark));
+      crc = Crc32cExtend(crc, std::string_view(out_).substr(mark, begin - mark));
       mark = end;
     }
-    hash = Fnv1aAccumulate(hash, std::string_view(out_).substr(mark));
+    crc = Crc32cExtend(crc, std::string_view(out_).substr(mark));
+    const uint64_t trailer_value = crc;
     char trailer[8];
-    std::memcpy(trailer, &hash, 8);
+    std::memcpy(trailer, &trailer_value, 8);
     out_.append(trailer, 8);
     *sealed = std::move(out_);
     return true;
@@ -342,7 +342,7 @@ class V6Resealer {
                                : data_size;
       out_.append(blocks[b].head);
       PutVarint32(&out_,
-                  Fnv1a32(payload.substr(begin, end > begin ? end - begin : 0)));
+                  Crc32c(payload.substr(begin, end > begin ? end - begin : 0)));
       out_.append(blocks[b].tail);
     }
     out_.append(in_.substr(size_begin, off_ - size_begin));
@@ -358,10 +358,10 @@ class V6Resealer {
   std::vector<std::pair<size_t, size_t>> payloads_;  // [begin, end) in out_
 };
 
-/// Reseals `blob` in place when it still parses; see V6Resealer.
-bool ResealV6(std::string* blob) {
+/// Reseals `blob` in place when it still parses; see V7Resealer.
+bool ResealV7(std::string* blob) {
   std::string sealed;
-  if (!V6Resealer(*blob).Run(&sealed)) return false;
+  if (!V7Resealer(*blob).Run(&sealed)) return false;
   *blob = std::move(sealed);
   return true;
 }
@@ -404,7 +404,7 @@ TEST(ResealerTest, ResealingAnIntactBlobIsTheIdentity) {
   // resealed tests below would only ever exercise the checksum checks.
   const std::string blob = SaveSmallIndex();
   std::string resealed = blob;
-  ASSERT_TRUE(ResealV6(&resealed));
+  ASSERT_TRUE(ResealV7(&resealed));
   EXPECT_EQ(resealed, blob);
   // A payload flip plus a reseal must get past both checksums. The byte
   // before the empty three-byte pair section and the trailer ends IL_ANY's
@@ -416,7 +416,7 @@ TEST(ResealerTest, ResealingAnIntactBlobIsTheIdentity) {
   InvertedIndex loaded;
   EXPECT_EQ(LoadIndexFromString(mutated, &loaded).code(),
             StatusCode::kCorruption);
-  ASSERT_TRUE(ResealV6(&mutated));
+  ASSERT_TRUE(ResealV7(&mutated));
   const Status s = LoadIndexFromString(mutated, &loaded);
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
@@ -461,7 +461,7 @@ TEST_P(ResealedFuzz, ResealedMutationsAreRejectedOrSane) {
           break;
       }
     }
-    const bool resealed = ResealV6(&mutated);
+    const bool resealed = ResealV7(&mutated);
     resealed_trials += resealed;
     // A resealed blob carries valid checksums, so whatever rejects it must
     // be a structural check.
@@ -714,7 +714,7 @@ void ResealedDamageSweep(const IndexBuildOptions& options, const std::string& pa
     std::string mutated = blob;
     const size_t pos = 8 + rng.Uniform(mutated.size() - 16);
     mutated[pos] = static_cast<char>(rng.Uniform(256));
-    if (!ResealV6(&mutated)) continue;
+    if (!ResealV7(&mutated)) continue;
     WriteFile(path, mutated);
     InvertedIndex mapped;
     if (!LoadMapped(path, &mapped).ok()) continue;
@@ -793,7 +793,7 @@ TEST(LazySegmentCorruption, IlAnyPositionWithoutATokenFailsAPairMerge) {
     for (int delta : {-1, 1}) {
       std::string mutated = blob;
       mutated[pos] = static_cast<char>(mutated[pos] + delta);
-      if (!ResealV6(&mutated)) continue;
+      if (!ResealV7(&mutated)) continue;
       InvertedIndex eager;
       if (!LoadIndexFromString(mutated, &eager).ok()) continue;
       if (!AnyPositionWithoutToken(eager)) continue;
@@ -919,7 +919,7 @@ TEST(DenseCorruptionSweep, RandomBitsetDamageIsRejectedOrSane) {
 }
 
 // ---------------------------------------------------------------------------
-// v6 pair-section sweep. The pair lists reuse the block codec, so their
+// v7 pair-section sweep. The pair lists reuse the block codec, so their
 // payloads are per-block checksummed (first-touch under mmap) and the
 // section's own header — max_distance, the frequent-term table, the
 // delta-coded key table — is folded into the directory trailer hash. A
@@ -931,7 +931,7 @@ TEST(DenseCorruptionSweep, RandomBitsetDamageIsRejectedOrSane) {
 // vocabulary); the ASan+UBSan CI job runs this sweep exhaustively.
 // ---------------------------------------------------------------------------
 
-std::string SaveV6PairIndex() {
+std::string SaveV7PairIndex() {
   CorpusGenOptions opts;
   opts.seed = 31;
   opts.num_nodes = 80;
@@ -946,14 +946,14 @@ std::string SaveV6PairIndex() {
   EXPECT_NE(index.pair_index(), nullptr);
   EXPECT_GT(index.pair_index()->num_keys(), 0u);
   std::string blob;
-  SaveIndexToString(index, &blob);  // default format: v6
+  SaveIndexToString(index, &blob);  // default format: v7
   return blob;
 }
 
-TEST(V6PairCorruptionSweep, EveryByteFlipSurfacesCorruption) {
-  const std::string blob = SaveV6PairIndex();
-  ASSERT_EQ(blob[6], '6');
-  const std::string path = ::testing::TempDir() + "/fts_v6_pair_sweep.idx";
+TEST(V7PairCorruptionSweep, EveryByteFlipSurfacesCorruption) {
+  const std::string blob = SaveV7PairIndex();
+  ASSERT_EQ(blob[6], '7');
+  const std::string path = ::testing::TempDir() + "/fts_v7_pair_sweep.idx";
   LoadOptions mmap;
   mmap.mode = LoadOptions::Mode::kMmap;
   for (size_t pos = 0; pos < blob.size(); pos += SweepStride()) {
@@ -972,9 +972,9 @@ TEST(V6PairCorruptionSweep, EveryByteFlipSurfacesCorruption) {
   std::remove(path.c_str());
 }
 
-TEST(V6PairCorruptionSweep, EveryTruncationFailsAtLoad) {
-  const std::string blob = SaveV6PairIndex();
-  const std::string path = ::testing::TempDir() + "/fts_v6_pair_trunc.idx";
+TEST(V7PairCorruptionSweep, EveryTruncationFailsAtLoad) {
+  const std::string blob = SaveV7PairIndex();
+  const std::string path = ::testing::TempDir() + "/fts_v7_pair_trunc.idx";
   LoadOptions mmap;
   mmap.mode = LoadOptions::Mode::kMmap;
   for (size_t len = 0; len < blob.size(); len += SweepStride()) {
@@ -987,10 +987,10 @@ TEST(V6PairCorruptionSweep, EveryTruncationFailsAtLoad) {
   std::remove(path.c_str());
 }
 
-TEST(V6PairCorruptionSweep, EagerLoadRejectsEveryFlipUpFront) {
+TEST(V7PairCorruptionSweep, EagerLoadRejectsEveryFlipUpFront) {
   // The eager (heap) load path validates every payload before returning,
   // pair lists included — no flip may survive to query time at all.
-  const std::string blob = SaveV6PairIndex();
+  const std::string blob = SaveV7PairIndex();
   for (size_t pos = 0; pos < blob.size(); pos += SweepStride()) {
     std::string mutated = blob;
     mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (pos % 8)));
@@ -1040,7 +1040,7 @@ TEST(CraftedFileTest, OutOfRangeNodeIdsAreRejected) {
   ASSERT_EQ(blob[cnodes_off], 2);
   blob[cnodes_off] = 1;
   blob.erase(node1_scalars_off, 9);
-  ASSERT_TRUE(ResealV6(&blob));
+  ASSERT_TRUE(ResealV7(&blob));
   for (const Status& s : LoadBothModes(blob)) {
     ASSERT_FALSE(s.ok());
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
@@ -1052,14 +1052,14 @@ TEST(CraftedFileTest, OutOfRangeNodeIdsAreRejected) {
   }
 }
 
-/// Hand-assembles a v6 file: `cnodes` nodes, the one-token vocabulary
+/// Hand-assembles a v7 file: `cnodes` nodes, the one-token vocabulary
 /// {"a"} whose list holds one varint block per entry of `nodes` (a single
 /// entry with one position), an empty IL_ANY and an empty pair section.
 /// The directory records `nodes` as the blocks' max_node values and
 /// `offsets` (default: the true block starts) as their byte offsets, both
 /// delta-coded with 32-bit wrap-around, exactly as a crafted file can.
-/// Checksums and trailer come from ResealV6.
-std::string AssembleV6(uint64_t cnodes, const std::vector<NodeId>& nodes,
+/// Checksums and trailer come from ResealV7.
+std::string AssembleV7(uint64_t cnodes, const std::vector<NodeId>& nodes,
                        std::vector<uint32_t> offsets = {}) {
   std::string payload;
   std::vector<uint32_t> starts;
@@ -1076,7 +1076,7 @@ std::string AssembleV6(uint64_t cnodes, const std::vector<NodeId>& nodes,
     std::memcpy(buf, &d, 8);
     out->append(buf, 8);
   };
-  std::string blob("FTSIDX6\0", 8);
+  std::string blob("FTSIDX7\0", 8);
   PutVarint64(&blob, cnodes);
   PutVarint64(&blob, nodes.size());  // total positions
   for (int i = 0; i < 3; ++i) PutVarint32(&blob, 1);
@@ -1114,14 +1114,14 @@ std::string AssembleV6(uint64_t cnodes, const std::vector<NodeId>& nodes,
   PutVarint64(&blob, 0);
   blob.append(3, '\0');  // empty pair section
   blob.append(8, '\0');  // trailer
-  EXPECT_TRUE(ResealV6(&blob));
+  EXPECT_TRUE(ResealV7(&blob));
   return blob;
 }
 
 TEST(CraftedFileTest, AssembledFileLoads) {
   // Control for the wrap-around cases below: the assembler's well-formed
   // output loads in both modes and every block decodes.
-  const std::string blob = AssembleV6(32, {5, 9, 31});
+  const std::string blob = AssembleV7(32, {5, 9, 31});
   for (const Status& s : LoadBothModes(blob)) {
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
@@ -1133,14 +1133,14 @@ TEST(CraftedFileTest, AssembledFileLoads) {
 TEST(CraftedFileTest, DuplicateFrequentTermIsRejected) {
   // The assembled file's empty pair section, replaced by max_distance 1
   // and a frequent table naming token 0 once (control) or twice.
-  const std::string base = AssembleV6(32, {5, 9, 31});
+  const std::string base = AssembleV7(32, {5, 9, 31});
   const size_t section = base.size() - 8 - 3;
   for (const bool duplicate : {false, true}) {
     std::string blob = base;
     std::string pairs = duplicate ? std::string("\x01\x02\x00\x00\x00", 5)
                                   : std::string("\x01\x01\x00\x00", 4);
     blob.replace(section, 3, pairs);
-    ASSERT_TRUE(ResealV6(&blob));
+    ASSERT_TRUE(ResealV7(&blob));
     for (const Status& s : LoadBothModes(blob)) {
       if (!duplicate) {
         EXPECT_TRUE(s.ok()) << s.ToString();
@@ -1164,9 +1164,9 @@ TEST(CraftedFileTest, WrappedSkipDirectoryDeltasAreRejected) {
   auto scored_query = ParseQuery("'a'", SurfaceLanguage::kBool);
   ASSERT_TRUE(scored_query.ok());
   const std::vector<std::string> crafted = {
-      AssembleV6(32, {0xFFFFFFF0u, 0x10}),
+      AssembleV7(32, {0xFFFFFFF0u, 0x10}),
       // Block 2's offset delta wraps back to byte 5, inside block 1.
-      AssembleV6(32, {1, 2, 3}, {0, 8, 5}),
+      AssembleV7(32, {1, 2, 3}, {0, 8, 5}),
   };
   const std::string path = ::testing::TempDir() + "/fts_wrapped_skip.idx";
   for (const std::string& blob : crafted) {

@@ -1,11 +1,13 @@
 // Golden-bytes gate for IndexBuilder: the FNV-1a 64 hash and length of the
-// saved (v6) file for fixed corpora and build options are pinned here. Any
+// saved (v7) file for fixed corpora and build options are pinned here. Any
 // change to the builder's loops, the norm pass or the pair-list builder that
 // alters a single output byte fails this test — rewrites of those loops must
 // keep the bytes exactly, so the format version never has to move for them.
 //
-// The hashes were recorded from the map-based builder the current one
-// replaced. Bitset blocks are pinned on (the process default is
+// The hashes were recorded with the v7 writer (CRC32C block and trailer
+// checksums) from the builder of format v6's last release, whose list bytes
+// equal those of the map-based builder it replaced; v7 moved only the
+// checksums. Bitset blocks are pinned on (the process default is
 // environment-controlled) so the expected bytes do not depend on the
 // caller's environment.
 
@@ -16,8 +18,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
-#include "common/fnv.h"
 #include "index/block_posting_list.h"
 #include "index/index_builder.h"
 #include "index/index_io.h"
@@ -62,6 +64,16 @@ IndexBuildOptions Pairs(size_t frequent, uint32_t max_distance) {
   return options;
 }
 
+/// FNV-1a 64 of `data`: the file hash the pins are recorded in.
+uint64_t Fnv1a64(std::string_view data) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : data) {
+    hash ^= static_cast<uint8_t>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
 struct Golden {
   uint64_t size;
   uint64_t fnv;
@@ -92,37 +104,52 @@ void ExpectGolden(const Golden& got, const Golden& want) {
 
 TEST(IndexBuilderGoldenTest, PaperCorpusClassic) {
   ExpectGolden(SavedFile(PaperCorpus(), {}, "paper_classic"),
-               {2410266, 0x91f2cb7186e9a2aeULL});
+               {2410231, 0x2810ac46ad8e304eULL});
 }
 
 TEST(IndexBuilderGoldenTest, PaperCorpusPairs16x2) {
   ExpectGolden(SavedFile(PaperCorpus(), Pairs(16, 2), "paper_pairs_16_2"),
-               {7790738, 0x95c9cf5aade92ba3ULL});
+               {7790657, 0xbf1a24f65ecea73eULL});
 }
 
 TEST(IndexBuilderGoldenTest, PaperCorpusPairs4x0) {
   ExpectGolden(SavedFile(PaperCorpus(), Pairs(4, 0), "paper_pairs_4_0"),
-               {3237888, 0x2423d8e18c1e665dULL});
+               {3237788, 0x10e5014b78ada362ULL});
 }
 
 TEST(IndexBuilderGoldenTest, EdgeCorpusClassic) {
   ExpectGolden(SavedFile(EdgeCorpus(), {}, "edge_classic"),
-               {567, 0xead5f69b41507236ULL});
+               {568, 0x0f565897f2bc1bcaULL});
 }
 
 TEST(IndexBuilderGoldenTest, EdgeCorpusPairs) {
   ExpectGolden(SavedFile(EdgeCorpus(), Pairs(2, 2), "edge_pairs_2_2"),
-               {1046, 0x3ca7b33a4821516bULL});
+               {1046, 0x74255b77c51aea3dULL});
 }
 
 // 6,000 nodes of the default shape: ~1.05M occurrences, enough that the
 // builder splits its passes across two or more workers (on a host with at
-// least two cores). Recorded from the single-threaded builder.
+// least two cores).
 TEST(IndexBuilderGoldenTest, PaperCorpus6000Classic) {
   CorpusGenOptions opts;
   opts.num_nodes = 6000;
   ExpectGolden(SavedFile(GenerateCorpus(opts), {}, "paper_6000_classic"),
-               {8554402, 0x3199fb24e017ff73ULL});
+               {8554435, 0x2ad3a2df0992ce7dULL});
+}
+
+// 24,000 nodes of the default shape with six topic occurrences at seed 1
+// (the e2e uniform_mmap corpus): 4,181,093 occurrences, enough for one
+// build worker per core on a host with four or more cores.
+TEST(IndexBuilderGoldenTest, PaperCorpus24000Classic) {
+  CorpusGenOptions opts;
+  opts.num_nodes = 24000;
+  opts.seed = 1;
+  opts.topic_occurrences = 6;
+  const Corpus corpus = GenerateCorpus(opts);
+  size_t occurrences = 0;
+  for (NodeId n = 0; n < corpus.num_nodes(); ++n) occurrences += corpus.doc(n).tokens.size();
+  ASSERT_EQ(occurrences, 4181093u);
+  ExpectGolden(SavedFile(corpus, {}, "paper_24000_classic"), {35294002, 0xfc59f4912c218c8eULL});
 }
 
 }  // namespace

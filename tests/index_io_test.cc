@@ -152,7 +152,7 @@ TEST(IndexIoTest, TooSmallFilesAreRejectedWithDistinctMessage) {
   for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{15}}) {
     {
       std::ofstream f(path, std::ios::binary | std::ios::trunc);
-      f.write("FTSIDX6\0ABCDEFG", static_cast<std::streamsize>(len));
+      f.write("FTSIDX7\0ABCDEFG", static_cast<std::streamsize>(len));
     }
     for (auto mode : {LoadOptions::Mode::kEager, LoadOptions::Mode::kMmap}) {
       LoadOptions opts;
@@ -171,22 +171,22 @@ TEST(IndexIoTest, TooSmallFilesAreRejectedWithDistinctMessage) {
   std::remove(path.c_str());
 }
 
-TEST(IndexIoTest, SavesTheV6Magic) {
+TEST(IndexIoTest, SavesTheV7Magic) {
   InvertedIndex index = BuildTestIndex();
   std::string data;
   SaveIndexToString(index, &data);
-  EXPECT_EQ(data.substr(0, 8), std::string("FTSIDX6\0", 8));
+  EXPECT_EQ(data.substr(0, 8), std::string("FTSIDX7\0", 8));
 }
 
 TEST(IndexIoTest, RetiredFormatsFailClosed) {
-  // Files of the retired v1-v5 formats are rejected in every load mode with
+  // Files of the retired v1-v6 formats are rejected in every load mode with
   // a message naming the version and the fix, not a generic magic error.
-  // The body is a valid v6 one, so only the magic can reject it.
+  // The body is a valid v7 one, so only the magic can reject it.
   InvertedIndex index = BuildTestIndex();
   std::string data;
   SaveIndexToString(index, &data);
   const std::string path = ::testing::TempDir() + "/fts_retired_magic.idx";
-  for (char version = '1'; version <= '5'; ++version) {
+  for (char version = '1'; version <= '6'; ++version) {
     std::string old = data;
     old[6] = version;
     {
@@ -194,7 +194,8 @@ TEST(IndexIoTest, RetiredFormatsFailClosed) {
       f.write(old.data(), static_cast<std::streamsize>(old.size()));
     }
     const std::string want = std::string("index format v") + version +
-                             " is no longer supported; rebuild the index";
+                             " is no longer supported; rebuild the index "
+                             "to write the current v7 format";
     InvertedIndex loaded;
     std::vector<Status> results = {LoadIndexFromString(old, &loaded)};
     for (auto mode : {LoadOptions::Mode::kEager, LoadOptions::Mode::kMmap}) {
@@ -210,7 +211,7 @@ TEST(IndexIoTest, RetiredFormatsFailClosed) {
   }
   // Any other magic keeps the generic error.
   std::string unknown = data;
-  unknown[6] = '7';
+  unknown[6] = '8';
   InvertedIndex loaded;
   const Status s = LoadIndexFromString(unknown, &loaded);
   EXPECT_EQ(s.code(), StatusCode::kCorruption);

@@ -374,7 +374,7 @@ TEST(PairIndexTest, ClassicSectionsAreBitIdenticalWithPairsOnOrOff) {
             std::string(kEmptyPairSection, '\0'));
 }
 
-TEST(PairIndexTest, V6RoundTripsHeapAndMmap) {
+TEST(PairIndexTest, V7RoundTripsHeapAndMmap) {
   const Corpus corpus = SmallCorpus();
   const InvertedIndex index = IndexBuilder::Build(corpus, PairOptions(2, 3));
   const PairIndex* built = index.pair_index();
@@ -382,7 +382,7 @@ TEST(PairIndexTest, V6RoundTripsHeapAndMmap) {
 
   std::string blob;
   SaveIndexToString(index, &blob);  // default format carries the section
-  ASSERT_EQ(blob[6], '6');
+  ASSERT_EQ(blob[6], '7');
 
   InvertedIndex heap;
   ASSERT_TRUE(LoadIndexFromString(blob, &heap).ok());
@@ -410,13 +410,13 @@ TEST(PairIndexTest, V6RoundTripsHeapAndMmap) {
   }
 }
 
-TEST(PairIndexTest, V6WithoutPairsLoadsAsNoPairIndex) {
+TEST(PairIndexTest, V7WithoutPairsLoadsAsNoPairIndex) {
   // A pair-free index carries the empty section shape and loads with the
   // feature off.
   const InvertedIndex index = IndexBuilder::Build(SmallCorpus());
   std::string blob;
   SaveIndexToString(index, &blob);
-  ASSERT_EQ(blob[6], '6');
+  ASSERT_EQ(blob[6], '7');
   InvertedIndex loaded;
   ASSERT_TRUE(LoadIndexFromString(blob, &loaded).ok());
   EXPECT_EQ(loaded.pair_index(), nullptr);
