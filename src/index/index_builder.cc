@@ -24,6 +24,11 @@ constexpr size_t kOccurrencesPerWorker = size_t{1} << 19;
 /// prefetches its position: each gather is a miss into a random document.
 constexpr size_t kPrefetchAhead = 16;
 
+/// Token chunks the write pass cuts per worker: with two, a worker that
+/// drew a costly chunk (rare tokens cost more per occurrence, each being an
+/// entry of its own) is evened out by the others taking more.
+constexpr size_t kChunksPerWorker = 2;
+
 /// One token occurrence as the counting sort moves it.
 struct Occurrence {
   NodeId node;
@@ -69,6 +74,21 @@ std::vector<size_t> SplitByWeight(std::span<const size_t> prefix, size_t parts) 
   return bounds;
 }
 
+/// The payload bytes to stage for the tokens whose buckets `prefix`
+/// bounds (prefix[i] .. prefix[i + 1] for each): 4 per occurrence for its
+/// position deltas plus 4 per entry for its header, a token having at most
+/// one entry per node. That covers the 3.4 to 6.9 bytes per occurrence
+/// that chunks of the generated corpora take, from frequent to rare
+/// tokens; a chunk that outgrows it only regrows its buffer.
+size_t StagedPayloadBytes(std::span<const size_t> prefix, size_t num_nodes) {
+  size_t bytes = 0;
+  for (size_t i = 0; i + 1 < prefix.size(); ++i) {
+    const size_t occurrences = prefix[i + 1] - prefix[i];
+    bytes += 4 * occurrences + 4 * std::min(occurrences, num_nodes);
+  }
+  return bytes;
+}
+
 }  // namespace
 
 InvertedIndex IndexBuilder::Build(const Corpus& corpus,
@@ -105,24 +125,25 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
     }
   });
   // Bucket t is [start[t], start[t + 1]) of the records; the token lists
-  // are written in `workers` contiguous token ranges balanced by
-  // occurrences, and each range's buckets get an array of their own, freed
-  // once its lists are written. Slots are handed out token-major, then
-  // worker-major, so every bucket holds its occurrences in (node,
-  // index-in-document) order, the order its list is written in.
+  // are written in kChunksPerWorker * workers contiguous token chunks
+  // balanced by occurrences, and each chunk's buckets get an array of their
+  // own, freed once its lists are written. Slots are handed out
+  // token-major, then worker-major, so every bucket holds its occurrences
+  // in (node, index-in-document) order, the order its list is written in.
   std::vector<size_t> start(vocab + 1, 0);
   for (size_t t = 0; t < vocab; ++t) {
     for (const std::vector<size_t>& count : counts) start[t + 1] += count[t];
     start[t + 1] += start[t];
   }
-  const std::vector<size_t> token_bounds = SplitByWeight(start, workers);
-  std::vector<std::unique_ptr<Occurrence[]>> records(workers);
+  const size_t chunks = kChunksPerWorker * workers;
+  const std::vector<size_t> token_bounds = SplitByWeight(start, chunks);
+  std::vector<std::unique_ptr<Occurrence[]>> records(chunks);
   std::vector<std::vector<Occurrence*>> slots(workers, std::vector<Occurrence*>(vocab));
-  for (size_t r = 0; r < workers; ++r) {
-    const size_t first = token_bounds[r], last = token_bounds[r + 1];
+  for (size_t c = 0; c < chunks; ++c) {
+    const size_t first = token_bounds[c], last = token_bounds[c + 1];
     // Left uninitialised: the scatter writes every record.
-    records[r] = std::make_unique_for_overwrite<Occurrence[]>(start[last] - start[first]);
-    Occurrence* at = records[r].get();
+    records[c] = std::make_unique_for_overwrite<Occurrence[]>(start[last] - start[first]);
+    Occurrence* at = records[c].get();
     for (size_t t = first; t < last; ++t) {
       for (size_t w = 0; w < workers; ++w) {
         slots[w][t] = at;
@@ -140,33 +161,42 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
     std::vector<Occurrence*>().swap(slot);
   });
 
-  // Write: the token ranges, then IL_ANY, each task through its worker's
-  // reused writer into its own staged store; the workers take tasks in
-  // turn. Each bucket is written grouped by node, its positions gathered
-  // with a prefetch kPrefetchAhead records ahead, and each range counts
-  // its entries per node: a node's distinct tokens. A token with no
-  // occurrence gets its empty list.
-  std::vector<PostingStore> staged(workers + 1);  // token ranges, IL_ANY
+  // Write: IL_ANY, the largest single task, then the token chunks from the
+  // last one down, each task through its worker's reused writer into its
+  // own staged store; the workers take tasks in turn. Token ids follow
+  // first appearance, so the last chunks hold the rare tokens, which cost
+  // the most per occurrence (each occurrence is an entry of its own):
+  // taking them early leaves the cheap chunks to fill the tail. Each
+  // chunk's staged payload is sized once up front from its occurrences
+  // (StagedPayloadBytes), so it is allocated once — mapped pages past
+  // 1 MiB — and never regrown inside a worker. Each bucket is written
+  // grouped by node, its positions gathered with a prefetch kPrefetchAhead
+  // records ahead, and each worker counts its entries per node: a node's
+  // distinct tokens. A token with no occurrence gets its empty list.
+  std::vector<PostingStore> staged(chunks + 1);  // token chunks, IL_ANY
   std::vector<std::vector<uint32_t>> unique(workers);
   std::atomic<size_t> next_task{0};
-  RunWorkers(workers, [&](size_t) {
+  RunWorkers(workers, [&](size_t w) {
     BlockListWriter writer;
     std::vector<PositionInfo> group;
-    for (size_t r; (r = next_task.fetch_add(1)) <= workers;) {
-      if (r == workers) {
+    std::vector<uint32_t>& entries = unique[w];
+    entries.assign(num_nodes, 0);
+    for (size_t task; (task = next_task.fetch_add(1)) <= chunks;) {
+      if (task == 0) {
         for (NodeId n = 0; n < num_nodes; ++n) {
           const std::vector<PositionInfo>& positions = corpus.doc(n).positions;
           if (!positions.empty()) writer.Append(n, positions);
         }
-        staged[r].Add(std::move(writer));
+        staged[chunks].Add(std::move(writer));
         continue;
       }
-      const size_t first = token_bounds[r], last = token_bounds[r + 1];
+      const size_t c = chunks - task;
+      const size_t first = token_bounds[c], last = token_bounds[c + 1];
       const size_t base = start[first], end = start[last];
-      const Occurrence* const occ = records[r].get();
-      std::vector<uint32_t>& entries = unique[r];
-      entries.assign(num_nodes, 0);
-      staged[r].Reserve(last - first, 0, 0);
+      const Occurrence* const occ = records[c].get();
+      staged[c].Reserve(last - first, 0,
+                        StagedPayloadBytes(std::span(start).subspan(first, last - first + 1),
+                                           num_nodes));
       for (size_t t = first; t < last; ++t) {
         for (size_t o = start[t]; o < start[t + 1];) {
           const NodeId n = occ[o - base].node;
@@ -182,14 +212,14 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
           writer.Append(n, group);
           ++entries[n];
         }
-        staged[r].Add(std::move(writer));
+        staged[c].Add(std::move(writer));
       }
-      records[r].reset();
+      records[c].reset();
     }
   });
   index.unique_tokens_ = std::move(unique[0]);
-  for (size_t r = 1; r < workers; ++r) {
-    for (NodeId n = 0; n < num_nodes; ++n) index.unique_tokens_[n] += unique[r][n];
+  for (size_t w = 1; w < workers; ++w) {
+    for (NodeId n = 0; n < num_nodes; ++n) index.unique_tokens_[n] += unique[w][n];
   }
   // The staged lists follow one another in token order, IL_ANY last; the
   // index's store adopts their payload buffers.

@@ -19,16 +19,18 @@
 // 3,000-node shards, which run beside other work, stay there). Count and
 // scatter take contiguous node ranges, one histogram each; slots are handed
 // out token-major, then worker-major, so every bucket stays in node order.
-// The write pass splits the vocabulary into contiguous token ranges balanced
-// by occurrences, plus IL_ANY as one more task, each into its own staged
-// store; PostingStore::Append then moves them into the index's store in
-// token order, adopting their payload buffers (past 1 MiB, pages of their
-// own, common/page_allocator.h, so nothing a worker filled stays in its
-// thread's malloc arena once the index is freed). Peak memory is the records
-// (8 B per occurrence, one array per token range, freed as its range
-// finishes) plus the lists' payload; nothing is copied twice. Each range
-// also counts its entries per node; their sum is each node's distinct-token
-// count. A fourth pass, serial so the norms are bit-identical, reads the
+// The write pass cuts the vocabulary into two contiguous token chunks per
+// worker, balanced by occurrences; the workers take IL_ANY, the largest
+// single task, first, then the chunks from the last (rare tokens, the
+// costliest per occurrence) down, each into its own staged store whose
+// payload is sized once from the chunk's occurrences. PostingStore::Append
+// then moves them into the index's store in token order, adopting their
+// payload buffers (past 1 MiB, pages of their own, common/page_allocator.h,
+// so nothing a worker filled stays in its thread's malloc arena once the
+// index is freed). Peak memory is the records (8 B per occurrence, one
+// array per chunk, freed as its chunk finishes) plus the lists' payload;
+// nothing is copied twice. Each worker also counts its entries per node;
+// their sum is each node's distinct-token count. A fourth pass, serial so the norms are bit-identical, reads the
 // finished list headers for the statistics and norms
 // (InvertedIndex::FinishLists, which a segment merge ends with too, through
 // ComputeNodeNorms, the pass snapshots run with global statistics). No
