@@ -202,6 +202,24 @@ StatusOr<SetGlobalStatsResponse> FtsClient::SetGlobalStats(
               DecodeSetGlobalStatsResponse, options_.call_timeout);
 }
 
+std::future<StatusOr<StatsResponse>> FtsClient::StatsAsync(uint64_t* request_id) {
+  StatsRequest req;
+  req.request_id = *request_id = NextId();
+  return Send(req.request_id, EncodeStatsRequest(req), DecodeStatsResponse);
+}
+
+std::future<StatusOr<SetGlobalStatsResponse>> FtsClient::SetGlobalStatsAsync(
+    uint64_t global_live_nodes,
+    std::vector<std::pair<std::string, uint32_t>> df_by_text,
+    uint64_t* request_id) {
+  SetGlobalStatsRequest req;
+  req.request_id = *request_id = NextId();
+  req.global_live_nodes = global_live_nodes;
+  req.df_by_text = std::move(df_by_text);
+  return Send(req.request_id, EncodeSetGlobalStatsRequest(req),
+              DecodeSetGlobalStatsResponse);
+}
+
 StatusOr<MetricsResponse> FtsClient::Metrics() {
   return Call(MetricsRequest{}, EncodeMetricsRequest, DecodeMetricsResponse,
               options_.call_timeout);

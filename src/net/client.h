@@ -88,6 +88,15 @@ class FtsClient {
       std::vector<std::pair<std::string, uint32_t>> df_by_text);
   StatusOr<MetricsResponse> Metrics();
 
+  /// Pipelined Stats and SetGlobalStats, as SearchAsync: the request is
+  /// encoded, sent and freed before they return, so a caller can have one
+  /// in flight on every shard at once. The id is stored in `*request_id`.
+  std::future<StatusOr<StatsResponse>> StatsAsync(uint64_t* request_id);
+  std::future<StatusOr<SetGlobalStatsResponse>> SetGlobalStatsAsync(
+      uint64_t global_live_nodes,
+      std::vector<std::pair<std::string, uint32_t>> df_by_text,
+      uint64_t* request_id);
+
   /// Closes the connection and fails everything in flight; the next call
   /// reconnects. Idempotent.
   void Disconnect();

@@ -1,10 +1,36 @@
 #include "net/shard_router.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 namespace fts {
 namespace net {
+namespace {
+
+/// When a wait on replies sent now stops: `timeout` from now, or never
+/// when it is zero.
+using GiveUp = std::optional<std::chrono::steady_clock::time_point>;
+
+GiveUp GiveUpAfter(std::chrono::milliseconds timeout) {
+  if (timeout.count() == 0) return std::nullopt;
+  return std::chrono::steady_clock::now() + timeout;
+}
+
+/// The reply to call `id` on `client`, or DeadlineExceeded when it is not
+/// in by `give_up`; its slot is then abandoned (left, it would stay in
+/// flight for the connection's lifetime).
+template <typename Resp>
+StatusOr<Resp> AwaitReply(FtsClient& client, uint64_t id,
+                          std::future<StatusOr<Resp>>& reply, const GiveUp& give_up) {
+  if (!give_up.has_value() || reply.wait_until(*give_up) == std::future_status::ready) {
+    return reply.get();
+  }
+  client.Abandon(id);
+  return Status::DeadlineExceeded("net: no reply within the shard call timeout");
+}
+
+}  // namespace
 
 ShardRouter::ShardRouter(Options options) : options_(std::move(options)) {}
 
@@ -46,32 +72,51 @@ Status ShardRouter::Connect() {
 
 Status ShardRouter::ExchangeGlobalStats() {
   if (clients_.empty()) return Status::Unavailable("router not connected");
-  // Gather: every shard's local df table and node count.
-  std::unordered_map<std::string, uint32_t> df;
+  const size_t shards = clients_.size();
+  // Each step sends to every shard before waiting on any (pipelined, as
+  // Scatter is), so it costs the slowest shard rather than their sum, and
+  // each request is encoded and freed in turn rather than all at once.
+  std::vector<uint64_t> ids(shards);
+  // Gather: every shard's local df table and node count, summed. The
+  // replies and the summing map are freed before the scatter.
   uint64_t global_live_nodes = 0;
-  for (size_t i = 0; i < clients_.size(); ++i) {
-    StatusOr<StatsResponse> stats = clients_[i]->Stats();
-    if (!stats.ok()) {
-      return Status(stats.status().code(), "shard " + std::to_string(i) +
-                                               " stats: " +
-                                               stats.status().message());
+  std::vector<std::pair<std::string, uint32_t>> table;
+  {
+    std::vector<std::future<StatusOr<StatsResponse>>> pending;
+    for (size_t i = 0; i < shards; ++i) pending.push_back(clients_[i]->StatsAsync(&ids[i]));
+    const GiveUp give_up = GiveUpAfter(options_.call_timeout);
+    std::vector<StatusOr<StatsResponse>> replies;
+    for (size_t i = 0; i < shards; ++i) {
+      replies.push_back(AwaitReply(*clients_[i], ids[i], pending[i], give_up));
     }
-    global_live_nodes += stats->num_nodes;
-    for (const auto& [text, d] : stats->df_by_text) df[text] += d;
+    std::unordered_map<std::string, uint32_t> df;
+    for (size_t i = 0; i < shards; ++i) {
+      if (!replies[i].ok()) {
+        const Status& s = replies[i].status();
+        return Status(s.code(), "shard " + std::to_string(i) + " stats: " + s.message());
+      }
+      global_live_nodes += replies[i]->num_nodes;
+      for (const auto& [text, d] : replies[i]->df_by_text) df[text] += d;
+    }
+    table.assign(df.begin(), df.end());
   }
   // Scatter: the summed table back to every shard, which rebuilds its
   // snapshot under corpus-global idf (IndexSnapshot::CreateSharded).
-  std::vector<std::pair<std::string, uint32_t>> table(df.begin(), df.end());
-  for (size_t i = 0; i < clients_.size(); ++i) {
-    StatusOr<SetGlobalStatsResponse> resp =
-        clients_[i]->SetGlobalStats(global_live_nodes, table);
+  std::vector<std::future<StatusOr<SetGlobalStatsResponse>>> pending;
+  for (size_t i = 0; i < shards; ++i) {
+    pending.push_back(clients_[i]->SetGlobalStatsAsync(global_live_nodes, table, &ids[i]));
+  }
+  const GiveUp give_up = GiveUpAfter(options_.call_timeout);
+  Status failure;
+  for (size_t i = 0; i < shards; ++i) {
+    StatusOr<SetGlobalStatsResponse> resp = AwaitReply(*clients_[i], ids[i], pending[i], give_up);
     const Status s = resp.ok() ? resp->status : resp.status();
-    if (!s.ok()) {
-      return Status(s.code(), "shard " + std::to_string(i) +
-                                  " set-global-stats: " + s.message());
+    if (!s.ok() && failure.ok()) {
+      failure = Status(s.code(), "shard " + std::to_string(i) +
+                                     " set-global-stats: " + s.message());
     }
   }
-  return Status::OK();
+  return failure;
 }
 
 ShardRouter::PendingSearch ShardRouter::Scatter(std::string_view query,
@@ -80,9 +125,7 @@ ShardRouter::PendingSearch ShardRouter::Scatter(std::string_view query,
                                                uint64_t deadline_us) {
   PendingSearch pending;
   pending.top_k = top_k;
-  const std::chrono::milliseconds wait =
-      SearchWait(options_.call_timeout, deadline_us);
-  if (wait.count() > 0) pending.give_up = std::chrono::steady_clock::now() + wait;
+  pending.give_up = GiveUpAfter(SearchWait(options_.call_timeout, deadline_us));
   // The same request to every shard, pipelined — responses are matched by
   // id, so the fan-out runs concurrently over N connections.
   pending.request_ids.resize(clients_.size());
@@ -114,15 +157,8 @@ StatusOr<SearchResponse> ShardRouter::Gather(PendingSearch pending) {
   std::vector<SearchResponse> parts(pending.replies.size());
   Status failure;
   for (size_t i = 0; i < pending.replies.size(); ++i) {
-    std::future<StatusOr<SearchResponse>>& reply = pending.replies[i];
-    StatusOr<SearchResponse> part = Status::DeadlineExceeded(
-        "net: no reply within the shard call timeout");
-    if (!pending.give_up.has_value() ||
-        reply.wait_until(*pending.give_up) == std::future_status::ready) {
-      part = reply.get();
-    } else {
-      clients_[i]->Abandon(pending.request_ids[i]);
-    }
+    StatusOr<SearchResponse> part = AwaitReply(*clients_[i], pending.request_ids[i],
+                                               pending.replies[i], pending.give_up);
     const Status s = part.ok() ? part->status : part.status();
     if (!s.ok()) {
       if (failure.ok()) {

@@ -70,7 +70,8 @@ class ShardRouter {
   Status Connect();
 
   /// Collects every shard's local df table, sums them into the corpus
-  /// global, and pushes the aggregate back to every shard — after which
+  /// global, and pushes the aggregate back to every shard (each step
+  /// pipelined to all shards at once) — after which
   /// shard scores are bit-identical to a single-index run. Required once
   /// (per generation) when shards serve a scored configuration; a no-op
   /// corpus-wise for unscored serving.

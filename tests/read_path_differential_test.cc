@@ -69,7 +69,8 @@
 //   net_scatter_gather: a 3-shard ShardRouter over loopback FtsServers with
 //     the stats exchange -> ShardedClusterMatchesTheAnchors; RouterServer,
 //     shard death, unscored top-k as a prefix -> ReadPathClusterTest, which
-//     also pins a pipelined router connection and the shard call timeout.
+//     also pins a pipelined router connection, the shard call timeout and
+//     the failing shard's name from the stats exchange.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -1080,6 +1081,30 @@ TEST(ReadPathClusterTest, QueryFailsWhenAShardDies) {
   bool any_dead = false;
   for (const net::ShardHealth& h : cluster.router->Probe()) any_dead |= !h.alive;
   EXPECT_TRUE(any_dead);
+}
+
+TEST(ReadPathClusterTest, StatsExchangeNamesTheFailingShard) {
+  // The exchange asks every shard at once; a shard that cannot answer
+  // still fails it under its own name.
+  Cluster cluster;
+  cluster.Init(GetWorld(1).surviving, ScoringKind::kTfIdf, /*exchange_stats=*/true);
+  if (HasFatalFailure()) return;
+  cluster.servers[1]->Stop();
+  const Status s = cluster.router->ExchangeGlobalStats();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("shard 1 stats: "), std::string::npos) << s.ToString();
+
+  // A shard that never answers fails it at the call timeout.
+  FakeShard stalled(/*release_at=*/0);
+  net::ShardRouter::Options ropts;
+  ropts.shards.push_back({"127.0.0.1", stalled.port()});
+  ropts.call_timeout = std::chrono::milliseconds(200);
+  net::ShardRouter router(ropts);
+  ASSERT_OK(router.Connect());
+  const Status timed_out = router.ExchangeGlobalStats();
+  EXPECT_EQ(timed_out.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_NE(timed_out.message().find("shard 0 stats: "), std::string::npos)
+      << timed_out.ToString();
 }
 
 TEST(ReadPathClusterTest, UnscoredTopKIsFirstKOfConcatenation) {
