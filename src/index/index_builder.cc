@@ -125,9 +125,10 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
     }
   });
   // Bucket t is [start[t], start[t + 1]) of the records; the token lists
-  // are written in kChunksPerWorker * workers contiguous token chunks
-  // balanced by occurrences, and each chunk's buckets get an array of their
-  // own, freed once its lists are written. Slots are handed out
+  // are written in contiguous token chunks balanced by occurrences,
+  // kChunksPerWorker per worker (one worker has nothing to balance and
+  // writes one), and each chunk's buckets get an array of their own, freed
+  // once its lists are written. Slots are handed out
   // token-major, then worker-major, so every bucket holds its occurrences
   // in (node, index-in-document) order, the order its list is written in.
   std::vector<size_t> start(vocab + 1, 0);
@@ -135,7 +136,7 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
     for (const std::vector<size_t>& count : counts) start[t + 1] += count[t];
     start[t + 1] += start[t];
   }
-  const size_t chunks = kChunksPerWorker * workers;
+  const size_t chunks = workers == 1 ? 1 : kChunksPerWorker * workers;
   const std::vector<size_t> token_bounds = SplitByWeight(start, chunks);
   std::vector<std::unique_ptr<Occurrence[]>> records(chunks);
   std::vector<std::vector<Occurrence*>> slots(workers, std::vector<Occurrence*>(vocab));
@@ -161,12 +162,14 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
     std::vector<Occurrence*>().swap(slot);
   });
 
-  // Write: IL_ANY, the largest single task, then the token chunks from the
-  // last one down, each task through its worker's reused writer into its
-  // own staged store; the workers take tasks in turn. Token ids follow
-  // first appearance, so the last chunks hold the rare tokens, which cost
-  // the most per occurrence (each occurrence is an entry of its own):
-  // taking them early leaves the cheap chunks to fill the tail. Each
+  // Write: each task through its worker's reused writer into its own
+  // staged store; the workers take tasks in turn. Several workers take
+  // IL_ANY, the largest single task, first, then the token chunks from the
+  // last one down: token ids follow first appearance, so the last chunks
+  // hold the rare tokens, which cost the most per occurrence (each
+  // occurrence is an entry of its own), and taking them early leaves the
+  // cheap chunks to fill the tail. One worker writes its chunk, then
+  // IL_ANY, which measured ~5% faster for it than the other order. Each
   // chunk's staged payload is sized once up front from its occurrences
   // (StagedPayloadBytes), so it is allocated once — mapped pages past
   // 1 MiB — and never regrown inside a worker. Each bucket is written
@@ -182,7 +185,7 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
     std::vector<uint32_t>& entries = unique[w];
     entries.assign(num_nodes, 0);
     for (size_t task; (task = next_task.fetch_add(1)) <= chunks;) {
-      if (task == 0) {
+      if (task == (workers > 1 ? 0 : chunks)) {
         for (NodeId n = 0; n < num_nodes; ++n) {
           const std::vector<PositionInfo>& positions = corpus.doc(n).positions;
           if (!positions.empty()) writer.Append(n, positions);
@@ -190,7 +193,7 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
         staged[chunks].Add(std::move(writer));
         continue;
       }
-      const size_t c = chunks - task;
+      const size_t c = workers > 1 ? chunks - task : task;
       const size_t first = token_bounds[c], last = token_bounds[c + 1];
       const size_t base = start[first], end = start[last];
       const Occurrence* const occ = records[c].get();

@@ -192,16 +192,6 @@ StatusOr<StatsResponse> FtsClient::Stats() {
               options_.call_timeout);
 }
 
-StatusOr<SetGlobalStatsResponse> FtsClient::SetGlobalStats(
-    uint64_t global_live_nodes,
-    std::vector<std::pair<std::string, uint32_t>> df_by_text) {
-  SetGlobalStatsRequest req;
-  req.global_live_nodes = global_live_nodes;
-  req.df_by_text = std::move(df_by_text);
-  return Call(std::move(req), EncodeSetGlobalStatsRequest,
-              DecodeSetGlobalStatsResponse, options_.call_timeout);
-}
-
 std::future<StatusOr<StatsResponse>> FtsClient::StatsAsync(uint64_t* request_id) {
   StatsRequest req;
   req.request_id = *request_id = NextId();

@@ -83,9 +83,6 @@ class FtsClient {
 
   StatusOr<PingResponse> Ping();
   StatusOr<StatsResponse> Stats();
-  StatusOr<SetGlobalStatsResponse> SetGlobalStats(
-      uint64_t global_live_nodes,
-      std::vector<std::pair<std::string, uint32_t>> df_by_text);
   StatusOr<MetricsResponse> Metrics();
 
   /// Pipelined Stats and SetGlobalStats, as SearchAsync: the request is
