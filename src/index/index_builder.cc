@@ -126,9 +126,9 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
   });
   // Bucket t is [start[t], start[t + 1]) of the records; the token lists
   // are written in contiguous token chunks balanced by occurrences,
-  // kChunksPerWorker per worker (one worker has nothing to balance and
-  // writes one), and each chunk's buckets get an array of their own, freed
-  // once its lists are written. Slots are handed out
+  // kChunksPerWorker per worker when there are several (one worker has
+  // nothing to balance and writes one chunk), and each chunk's buckets get
+  // an array of their own, freed once its lists are written. Slots are handed out
   // token-major, then worker-major, so every bucket holds its occurrences
   // in (node, index-in-document) order, the order its list is written in.
   std::vector<size_t> start(vocab + 1, 0);
@@ -136,7 +136,8 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
     for (const std::vector<size_t>& count : counts) start[t + 1] += count[t];
     start[t + 1] += start[t];
   }
-  const size_t chunks = workers == 1 ? 1 : kChunksPerWorker * workers;
+  const bool balanced = workers > 1;
+  const size_t chunks = balanced ? kChunksPerWorker * workers : 1;
   const std::vector<size_t> token_bounds = SplitByWeight(start, chunks);
   std::vector<std::unique_ptr<Occurrence[]>> records(chunks);
   std::vector<std::vector<Occurrence*>> slots(workers, std::vector<Occurrence*>(vocab));
@@ -163,19 +164,22 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
   });
 
   // Write: each task through its worker's reused writer into its own
-  // staged store; the workers take tasks in turn. Several workers take
+  // staged store; the workers take tasks in turn. Balanced, they take
   // IL_ANY, the largest single task, first, then the token chunks from the
   // last one down: token ids follow first appearance, so the last chunks
   // hold the rare tokens, which cost the most per occurrence (each
   // occurrence is an entry of its own), and taking them early leaves the
-  // cheap chunks to fill the tail. One worker writes its chunk, then
-  // IL_ANY, which measured ~5% faster for it than the other order. Each
-  // chunk's staged payload is sized once up front from its occurrences
-  // (StagedPayloadBytes), so it is allocated once — mapped pages past
-  // 1 MiB — and never regrown inside a worker. Each bucket is written
-  // grouped by node, its positions gathered with a prefetch kPrefetchAhead
-  // records ahead, and each worker counts its entries per node: a node's
-  // distinct tokens. A token with no occurrence gets its empty list.
+  // cheap chunks to fill the tail. Each chunk's staged payload is then
+  // sized once up front from its occurrences (StagedPayloadBytes), so it
+  // is allocated once — mapped pages past 1 MiB — and never regrown inside
+  // a worker's own malloc arena. One worker writes its chunk, then IL_ANY,
+  // growing its buffer on the calling thread's heap: a small build reuses
+  // warm pages there, where a buffer sized up front faults fresh ones in
+  // (measured ~6% of a 200-node build, and IL_ANY first ~5% of a
+  // 2,000-node one). Each bucket is written grouped by node, its
+  // positions gathered with a prefetch kPrefetchAhead records ahead, and
+  // each worker counts its entries per node: a node's distinct tokens. A
+  // token with no occurrence gets its empty list.
   std::vector<PostingStore> staged(chunks + 1);  // token chunks, IL_ANY
   std::vector<std::vector<uint32_t>> unique(workers);
   std::atomic<size_t> next_task{0};
@@ -185,7 +189,7 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
     std::vector<uint32_t>& entries = unique[w];
     entries.assign(num_nodes, 0);
     for (size_t task; (task = next_task.fetch_add(1)) <= chunks;) {
-      if (task == (workers > 1 ? 0 : chunks)) {
+      if (task == (balanced ? 0 : chunks)) {
         for (NodeId n = 0; n < num_nodes; ++n) {
           const std::vector<PositionInfo>& positions = corpus.doc(n).positions;
           if (!positions.empty()) writer.Append(n, positions);
@@ -193,13 +197,15 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
         staged[chunks].Add(std::move(writer));
         continue;
       }
-      const size_t c = workers > 1 ? chunks - task : task;
+      const size_t c = balanced ? chunks - task : task;
       const size_t first = token_bounds[c], last = token_bounds[c + 1];
       const size_t base = start[first], end = start[last];
       const Occurrence* const occ = records[c].get();
-      staged[c].Reserve(last - first, 0,
-                        StagedPayloadBytes(std::span(start).subspan(first, last - first + 1),
-                                           num_nodes));
+      const size_t payload_bytes =
+          balanced ? StagedPayloadBytes(std::span(start).subspan(first, last - first + 1),
+                                        num_nodes)
+                   : 0;
+      staged[c].Reserve(last - first, 0, payload_bytes);
       for (size_t t = first; t < last; ++t) {
         for (size_t o = start[t]; o < start[t + 1];) {
           const NodeId n = occ[o - base].node;

@@ -24,7 +24,7 @@
 // single task, first, then the chunks from the last (rare tokens, the
 // costliest per occurrence) down, each into its own staged store whose
 // payload is sized once from the chunk's occurrences. One worker writes
-// one chunk, then IL_ANY. PostingStore::Append
+// one chunk, then IL_ANY, growing its buffers on the calling thread's heap. PostingStore::Append
 // then moves them into the index's store in token order, adopting their
 // payload buffers (past 1 MiB, pages of their own, common/page_allocator.h,
 // so nothing a worker filled stays in its thread's malloc arena once the
