@@ -128,9 +128,10 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
   // are written in contiguous token chunks balanced by occurrences,
   // kChunksPerWorker per worker when there are several (one worker has
   // nothing to balance and writes one chunk), and each chunk's buckets get
-  // an array of their own, freed once its lists are written. Slots are handed out
-  // token-major, then worker-major, so every bucket holds its occurrences
-  // in (node, index-in-document) order, the order its list is written in.
+  // an array of their own, freed once its lists are written. Slots are
+  // handed out token-major, then worker-major, so every bucket holds its
+  // occurrences in (node, index-in-document) order, the order its list is
+  // written in.
   std::vector<size_t> start(vocab + 1, 0);
   for (size_t t = 0; t < vocab; ++t) {
     for (const std::vector<size_t>& count : counts) start[t + 1] += count[t];
