@@ -240,7 +240,8 @@ Status BlockPostingList::DecodeBlockEntries(size_t block,
     return Status::Corruption("unknown block encoding");
   }
   // First touch of a loaded block, the one block validator (queries, the
-  // eager load and the merger all reach it): verify the payload checksum
+  // merger and the stats pass all reach it, whether the file was read or
+  // mapped): verify the payload checksum
   // recorded in the (load-time-checksummed) skip directory before parsing
   // a single byte, so a flipped bit surfaces here as Corruption rather
   // than as structurally plausible garbage. Memoized: once this decode
@@ -746,7 +747,7 @@ size_t PostingStore::MemoryUsage() const {
                  skips_.capacity() * sizeof(BlockPostingList::SkipEntry) +
                  checksums_.capacity() * sizeof(uint32_t) +
                  (verified_ != nullptr ? skips_.size() : 0);
-  for (const PageBytes& payload : payloads_) bytes += payload.capacity();
+  for (const PageBytes& payload : payloads_) bytes += payload.size();
   return bytes;
 }
 

@@ -275,7 +275,8 @@ class BlockListWriter {
   /// per-entry deltas, independent of the node id, so an entry moves
   /// between lists — under a new id — as a byte copy; the result is what
   /// Append would have produced from the decoded positions. The bytes must
-  /// come from a trusted list (built, or fully validated).
+  /// come from a trusted list (built, or a block that passed its first
+  /// decode).
   void AppendEncoded(NodeId node, uint32_t pos_count,
                      std::string_view pos_bytes);
 
@@ -361,9 +362,11 @@ class PostingStore {
   const BlockPostingList& list(size_t i) const { return lists_[i]; }
   std::span<const BlockPostingList> lists() const { return lists_; }
 
-  /// Resident heap bytes: the list records, the three per-block arrays and
-  /// the store's own payload buffer. A source's bytes are not counted —
-  /// the index that loaded it charges a heap source once.
+  /// Resident heap bytes: the list records and the three per-block arrays
+  /// by capacity, and the bytes written to the store's own payload buffers
+  /// (a buffer reserved larger than it was filled leaves its unwritten
+  /// pages untouched). A source's bytes are not counted — the index that
+  /// loaded it charges a heap source once.
   size_t MemoryUsage() const;
 
  private:

@@ -414,11 +414,10 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   if (stored != header_crc) {  // the upper 32 bits are zero
     return Status::Corruption("index header checksum mismatch");
   }
+  // Read or mapped, the load parses no payload byte: each block is
+  // validated on its first decode, and each pair record where a routed
+  // query reads it (eval/pair_plan.cc).
   index.source_ = source;  // lists view into it from here on
-  // A mapped file loads in O(header): each block is validated on its first
-  // decode. A heap buffer is validated in full now, through the same
-  // first-touch decode, so its cursors never touch malformed bytes.
-  if (!source->is_mapped()) FTS_RETURN_IF_ERROR(index.ValidateBlocks());
   // The stored norms are final: derive the minimum the score models use
   // for impact upper bounds, as ComputeNodeNorms does at build time.
   index.min_uniq_norm_ = MinUniqNorm(index, index.node_norms_, nullptr);

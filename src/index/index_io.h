@@ -8,13 +8,18 @@
 // byte_offset, entry_count, CRC32C payload checksum, max_tf, encoding tag —
 // followed by its payload bytes verbatim. The trailer covers only the header
 // and directory bytes, never a payload, which is what makes lazy loading
-// sound: an mmap load verifies everything it reads in O(header) time, and
-// each block's checksum, structure and position framing are verified on
-// its first decode (first-touch validation, memoized per block). An eager
-// load runs that same first decode over every block up front
-// (InvertedIndex::ValidateBlocks). The pair section holds the
-// auxiliary (frequent-term, other-term) lists of index/pair_index.h in the
-// same list layout; an index without a pair index writes it empty.
+// sound: a load verifies everything it parses — header, statistics,
+// dictionary, directories — and no payload byte, and each block's
+// checksum, structure and position framing are verified on its first
+// decode (first-touch validation, memoized per block). That is the one
+// policy for every loaded block, whether the file was read into a heap
+// buffer or mapped; a malformed block fails the query, merge or stats
+// pass that first decodes it with Corruption, and the loaded index keeps
+// serving every other block. The pair section holds the auxiliary
+// (frequent-term, other-term) lists of index/pair_index.h in the same list
+// layout; their records are checked where a routed query reads them
+// (eval/pair_plan.cc). An index without a pair index writes the section
+// empty.
 //
 // Files of the retired v1-v6 formats fail closed with Corruption naming
 // their version; they must be rebuilt from the source documents. Loaded
@@ -34,18 +39,19 @@
 
 namespace fts {
 
-/// How LoadIndexFromFile materializes the file.
+/// Where LoadIndexFromFile puts the file's bytes. The mode chooses only
+/// that: either way the load parses everything but the block payloads, and
+/// each block is validated on its first decode.
 struct LoadOptions {
   enum class Mode {
-    /// Read the whole file into a heap buffer and validate every block up
-    /// front, through the first-touch decode an mmap load defers. Always
-    /// available; the only mode for non-file inputs.
+    /// Read the whole file into one heap buffer. Always available; the
+    /// only mode for non-file inputs.
     kEager,
     /// mmap the file read-only and decode blocks straight from the
-    /// mapping. The load runs in O(header) time; each block is validated
-    /// on its first decode instead. The mapping is advised
-    /// MADV_SEQUENTIAL for the load-time parse and MADV_RANDOM for the
-    /// block-seek serving phase that follows.
+    /// mapping, so the load runs in O(header) time and untouched blocks
+    /// never become resident. The mapping is advised MADV_SEQUENTIAL for
+    /// the load-time parse and MADV_RANDOM for the block-seek serving
+    /// phase that follows.
     kMmap,
   };
   Mode mode = Mode::kEager;

@@ -3,12 +3,14 @@
 // owned string; instead every BlockPostingList holds a string_view slice
 // into one shared IndexSource, which either
 //
-//   - owns a heap buffer (the LoadIndexFromString path, kept for non-file
-//     inputs and as the portable fallback), or
+//   - owns a heap buffer (LoadIndexFromString, and the eager
+//     LoadIndexFromFile that is also the portable fallback), or
 //   - wraps an mmap'd read-only file region, so block payloads are backed
 //     by the page cache and fault in lazily on first decode — untouched
 //     lists never become resident at all.
 //
+// Either way the bytes are parsed the same: the loader reads the header and
+// directories, and each block is validated on its first decode.
 // The InvertedIndex keeps the source alive via shared_ptr for as long as
 // any list views into it. Mapping is PRIVATE + read-only; the file must
 // not be rewritten in place while mapped (write-then-rename replacement is
@@ -32,7 +34,7 @@ namespace fts {
 /// definition).
 enum class AccessHint {
   /// Aggressive readahead: the caller will stream the region front to
-  /// back (load-time header parse, eager validation over a mapping).
+  /// back (the load-time header parse).
   kSequential,
   /// Readahead is more likely to hurt than help: block-seek query traffic
   /// touches scattered pages.

@@ -43,11 +43,6 @@ const BlockPostingList& InvertedIndex::block_any_list() const {
                                            : kEmpty;
 }
 
-IndexStorage InvertedIndex::storage() const {
-  if (source_ == nullptr) return IndexStorage::kOwned;
-  return source_->is_mapped() ? IndexStorage::kMapped : IndexStorage::kHeapBuffer;
-}
-
 size_t InvertedIndex::MappedBytes() const {
   return source_ != nullptr && source_->is_mapped() ? source_->size() : 0;
 }
@@ -81,26 +76,6 @@ size_t InvertedIndex::MemoryUsage() const {
 
 size_t InvertedIndex::num_lists() const {
   return lists_.size() + (pair_index_ != nullptr ? pair_index_->num_keys() : 0);
-}
-
-Status InvertedIndex::ValidateBlocks() const {
-  // DecodeBlockEntries validates each block on its first decode; what is
-  // left is the one list-level total no block header states.
-  std::vector<BlockPostingList::EntryRef> entries;
-  for (const BlockPostingList& l : lists_.lists()) {
-    uint64_t positions = 0;
-    for (size_t b = 0; b < l.num_blocks(); ++b) {
-      FTS_RETURN_IF_ERROR(l.DecodeBlockEntries(b, &entries));
-      for (const BlockPostingList::EntryRef& e : entries) {
-        positions += e.header.pos_count;
-      }
-    }
-    if (positions != l.total_positions()) {
-      return Status::Corruption("block position total disagrees with list header");
-    }
-  }
-  if (pair_index_ != nullptr) FTS_RETURN_IF_ERROR(pair_index_->Validate());
-  return Status::OK();
 }
 
 Status InvertedIndex::FinishLists() {

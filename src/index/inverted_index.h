@@ -98,19 +98,6 @@ class IndexSource;       // index/index_source.h
 class PairIndex;         // index/pair_index.h
 struct PairIndexOptions;  // index/pair_index.h
 
-/// Where a loaded index's posting payload bytes live (see
-/// index/index_source.h and docs/index_format.md for the full matrix).
-enum class IndexStorage {
-  /// Built in memory: lists view the index's own payload store.
-  kOwned,
-  /// Lists view into one shared heap buffer (LoadIndexFromString, eager
-  /// LoadIndexFromFile).
-  kHeapBuffer,
-  /// Lists view into an mmap'd read-only file region; block payloads are
-  /// page-cache resident and fault in on first decode.
-  kMapped,
-};
-
 /// Immutable inverted index over a corpus. Build with IndexBuilder; persist
 /// with SaveIndex/LoadIndex (index/index_io.h).
 ///
@@ -174,19 +161,17 @@ class InvertedIndex {
   /// Resident heap footprint of the index in bytes: compressed posting
   /// payloads (the built payload store or the heap source buffer) + list
   /// records and per-block arrays + dictionary + per-node scalars. Counted
-  /// from container capacities, so it reflects what the process actually
-  /// holds. Mmap'd payload bytes are NOT included — they are page-cache
-  /// backed and reclaimable; see MappedBytes().
+  /// from container capacities, except a built store's payload, counted by
+  /// the bytes written (PostingStore::MemoryUsage), so it reflects what the
+  /// process actually holds. Mmap'd payload bytes are NOT included — they
+  /// are page-cache backed and reclaimable; see MappedBytes().
   size_t MemoryUsage() const;
 
   /// Lists resident in the index: token lists, IL_ANY and pair lists.
   size_t num_lists() const;
 
-  /// Where the posting payload bytes live.
-  IndexStorage storage() const;
-
-  /// Size of the mmap'd file region backing this index (0 unless
-  /// storage() == kMapped).
+  /// Size of the mmap'd file region backing this index (0 unless it was
+  /// loaded with LoadOptions::Mode::kMmap).
   size_t MappedBytes() const;
 
   /// Auxiliary (frequent-term, other-term) pair lists for fast phrase and
@@ -210,14 +195,6 @@ class InvertedIndex {
   /// node) when opts.frequent_terms > 0; keeps none when nothing pairs.
   void BuildPairIndex(std::span<const TokenizedDocument> docs,
                       const PairIndexOptions& opts);
-
-  /// Runs the first-touch decode (DecodeBlockEntries) of every block of
-  /// every token list and IL_ANY, checks each list's position total
-  /// against its header, then PairIndex::Validate, which does the same
-  /// for each pair list and checks its records in that one walk. Returns
-  /// Corruption on any malformed payload. The eager load and the merger (on
-  /// a mapped segment) run it.
-  Status ValidateBlocks() const;
 
   /// The token lists by TokenId, then IL_ANY (lists_.list(vocab)).
   PostingStore lists_;

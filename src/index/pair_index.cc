@@ -207,40 +207,4 @@ size_t PairIndex::MemoryUsage() const {
   return bytes;
 }
 
-Status PairIndex::Validate() const {
-  const int64_t window = int64_t{max_distance_} + 1;
-  std::vector<BlockPostingList::EntryRef> entries;
-  std::vector<PositionInfo> positions;
-  for (const BlockPostingList& l : lists_.lists()) {
-    uint64_t total = 0;
-    for (size_t b = 0; b < l.num_blocks(); ++b) {
-      FTS_RETURN_IF_ERROR(l.DecodeBlockEntries(b, &entries));
-      for (const BlockPostingList::EntryRef& e : entries) {
-        total += e.header.pos_count;
-        // Every entry is the packed tf header plus >= 1 record, and every
-        // record's delta respects the build window — anything else cannot
-        // have come from the builder.
-        if (e.header.pos_count < 2) {
-          return Status::Corruption("pair-list entry missing records");
-        }
-        FTS_RETURN_IF_ERROR(l.DecodePositions(e, &positions));
-        const PositionInfo& h = positions[0];
-        if (h.offset == 0 || h.sentence == 0) {
-          return Status::Corruption("pair-list entry has zero term frequency");
-        }
-        for (uint32_t k = 1; k < e.header.pos_count; ++k) {
-          const int64_t delta = UnZigZag(positions[k].sentence);
-          if (delta == 0 || delta > window || delta < -window) {
-            return Status::Corruption("pair-list record delta out of window");
-          }
-        }
-      }
-    }
-    if (total != l.total_positions()) {
-      return Status::Corruption("block position total disagrees with list header");
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace fts

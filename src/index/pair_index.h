@@ -128,14 +128,6 @@ class PairIndex {
   /// InvertedIndex::MemoryUsage).
   size_t MemoryUsage() const;
 
-  /// Walks every pair list once: each block's first-touch decode
-  /// (DecodeBlockEntries, which validates the block bytes), each list's
-  /// position total against its header, and each entry's pair records
-  /// (decoded into one reused buffer): a packed tf header of two non-zero
-  /// frequencies, then >= 1 record, each delta inside the build window.
-  /// InvertedIndex::ValidateBlocks runs it for the pair section.
-  Status Validate() const;
-
  private:
   friend struct IndexIoAccess;  // index_io.cc (de)serializers
 

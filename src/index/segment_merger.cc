@@ -26,6 +26,9 @@ struct MergedToken {
 
 /// Appends the live entries of `list` to `out` under their merged ids
 /// (`remap`, kInvalidNode for a deleted node), position bytes verbatim.
+/// Each block is decoded, and so validated on its first touch, before
+/// any of its bytes are copied into the merged list, which is trusted
+/// (never re-validated).
 Status AppendLive(const BlockPostingList& list, const std::vector<NodeId>& remap,
                   std::vector<BlockPostingList::EntryRef>* entries,
                   BlockListWriter* out) {
@@ -122,15 +125,6 @@ StatusOr<std::vector<TokenizedDocument>> TokenStreams(const InvertedIndex& index
 struct SegmentMergerAccess {
   static StatusOr<InvertedIndex> Merge(const std::vector<SegmentView>& segments,
                                        const IndexBuildOptions& options) {
-    // A mapped segment's blocks are checked in full (a heap-loaded one's
-    // were at load) before any is copied into the merged lists, which are
-    // trusted (never re-validated).
-    for (const SegmentView& seg : segments) {
-      if (seg.index->storage() == IndexStorage::kMapped) {
-        FTS_RETURN_IF_ERROR(seg.index->ValidateBlocks());
-      }
-    }
-
     // Dense renumbering of the live nodes, in segment order.
     std::vector<std::vector<NodeId>> remap(segments.size());
     NodeId next = 0;

@@ -30,9 +30,9 @@
 namespace fts {
 
 /// Merges `segments` (with their tombstones) into one segment holding only
-/// the live documents, renumbered densely in segment order. A lazily
-/// validated input is fully validated before any of its bytes are copied,
-/// so a malformed one fails the merge with Corruption. With
+/// the live documents, renumbered densely in segment order. Every block of
+/// a loaded input is validated on its first decode, before any of its
+/// bytes are copied, so a malformed one fails the merge with Corruption. With
 /// options.pairs.frequent_terms > 0 the pair lists are rebuilt over the
 /// merged index from its token-id streams (per-segment pair lists cannot
 /// be concatenated — frequent-term ranks shift as dfs merge); inputs whose

@@ -141,6 +141,33 @@ TEST(BlockPostingListTest, ListObjectStaysSmall) {
   EXPECT_LE(sizeof(BlockPostingList), 80u);
 }
 
+TEST(PostingStoreTest, MemoryUsageCountsThePayloadBytesWritten) {
+  // A store whose payload was reserved larger than it was filled holds the
+  // unwritten slack as untouched pages: MemoryUsage counts the list record,
+  // the skip directory and the bytes written, the same as for a store
+  // sized exactly.
+  const PostingList raw = MakeRawList(1000, 3, 5);
+  const auto fill = [&raw](PostingStore* store) {
+    BlockListWriter writer;
+    for (size_t i = 0; i < raw.num_entries(); ++i) {
+      writer.Append(raw.entry(i).node, raw.positions(raw.entry(i)));
+    }
+    store->Add(std::move(writer));
+    store->Seal();
+  };
+  PostingStore exact, reserved;
+  fill(&exact);
+  reserved.Reserve(1, 0, size_t{4} << 20);
+  fill(&reserved);
+  const BlockPostingList& list = reserved.list(0);
+  EXPECT_EQ(reserved.MemoryUsage(),
+            sizeof(BlockPostingList) +
+                list.num_blocks() * sizeof(BlockPostingList::SkipEntry) +
+                list.data().size());
+  EXPECT_EQ(reserved.MemoryUsage(), exact.MemoryUsage());
+  EXPECT_LT(reserved.MemoryUsage(), size_t{1} << 20);
+}
+
 TEST(BlockListCursorTest, SequentialScanMatchesRawCursor) {
   PostingList raw = MakeRawList(500, 4, 3);
   OwnedBlockList block = FromPostingList(raw, 64);

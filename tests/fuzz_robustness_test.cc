@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/varint.h"
 #include "eval/bool_engine.h"
@@ -28,6 +27,7 @@
 #include "workload/corpus_gen.h"
 
 #include "raw_postings.h"
+#include "v7_reseal.h"
 
 namespace fts {
 namespace {
@@ -226,154 +226,15 @@ Status TouchEveryBlock(const InvertedIndex& index) {
   return ::testing::AssertionSuccess();
 }
 
-/// Re-seals a (mutated) v7 blob: recomputes every per-block payload
-/// checksum and the trailer checksum over the header/directory bytes. Both are
-/// recomputable by anyone, so they only catch accidents; resealing lets a
-/// mutation through to the structural validators behind them, which are
-/// what must stop a crafted file. Walks the layout of
-/// docs/index_format.md, copying every other byte verbatim. Returns false
-/// when the bytes no longer parse far enough to reseal (the loader then
-/// sees the unsealed blob, which must fail anyway).
-class V7Resealer {
- public:
-  explicit V7Resealer(std::string_view in) : in_(in) {}
-
-  bool Run(std::string* sealed) {
-    if (in_.size() < 16) return false;
-    out_.assign(in_.substr(0, 8));  // magic
-    off_ = 8;
-    uint64_t cnodes, vocab, len, count;
-    // Statistics: two varint64, three varint32, three doubles.
-    if (!Copy(&cnodes) || !Copy() || !Copy() || !Copy() || !Copy() ||
-        !CopyBytes(24)) {
-      return false;
-    }
-    for (uint64_t n = 0; n < cnodes; ++n) {
-      if (!Copy() || !CopyBytes(8)) return false;
-    }
-    if (!Copy(&vocab)) return false;
-    for (uint64_t t = 0; t < vocab; ++t) {
-      if (!Copy(&len) || !CopyBytes(len)) return false;
-    }
-    for (uint64_t t = 0; t <= vocab; ++t) {  // token lists, then IL_ANY
-      if (!List()) return false;
-    }
-    // Pair section: max_distance, frequent table, keys with inline lists.
-    if (!Copy() || !Copy(&count)) return false;
-    for (uint64_t i = 0; i < count; ++i) {
-      if (!Copy()) return false;
-    }
-    if (!Copy(&count)) return false;
-    for (uint64_t i = 0; i < count; ++i) {
-      if (!Copy() || !Copy() || !List()) return false;
-    }
-    if (off_ + 8 != in_.size()) return false;
-    uint32_t crc = 0;
-    size_t mark = 8;
-    for (const auto& [begin, end] : payloads_) {
-      crc = Crc32cExtend(crc, std::string_view(out_).substr(mark, begin - mark));
-      mark = end;
-    }
-    crc = Crc32cExtend(crc, std::string_view(out_).substr(mark));
-    const uint64_t trailer_value = crc;
-    char trailer[8];
-    std::memcpy(trailer, &trailer_value, 8);
-    out_.append(trailer, 8);
-    *sealed = std::move(out_);
-    return true;
-  }
-
- private:
-  /// Reads one varint without copying it.
-  bool Skip(uint64_t* value = nullptr) {
-    uint64_t v;
-    if (!GetVarint64(in_, &off_, &v).ok()) return false;
-    if (value != nullptr) *value = v;
-    return true;
-  }
-
-  /// Copies one varint verbatim.
-  bool Copy(uint64_t* value = nullptr) {
-    const size_t begin = off_;
-    if (!Skip(value)) return false;
-    out_.append(in_.substr(begin, off_ - begin));
-    return true;
-  }
-
-  bool CopyBytes(uint64_t n) {
-    if (n > in_.size() - off_) return false;
-    out_.append(in_.substr(off_, n));
-    off_ += n;
-    return true;
-  }
-
-  /// One list: header and directory, with each block's checksum varint
-  /// recomputed over the block's payload range, then the payload.
-  bool List() {
-    uint64_t num_blocks;
-    if (!Copy() || !Copy() || !Copy() || !Copy(&num_blocks)) return false;
-    struct Block {
-      std::string_view head;  // max_node delta, byte_offset delta, count
-      std::string_view tail;  // max_tf, encoding
-      uint64_t offset;
-    };
-    std::vector<Block> blocks;
-    uint64_t offset = 0;
-    for (uint64_t b = 0; b < num_blocks; ++b) {
-      const size_t head = off_;
-      uint64_t d_off;
-      if (!Skip() || !Skip(&d_off) || !Skip()) return false;
-      const size_t head_end = off_;
-      if (!Skip()) return false;  // the stale checksum
-      const size_t tail = off_;
-      if (!Skip() || !Skip()) return false;
-      offset += d_off;
-      blocks.push_back({in_.substr(head, head_end - head),
-                        in_.substr(tail, off_ - tail), offset});
-    }
-    const size_t size_begin = off_;
-    uint64_t data_size;
-    if (!Skip(&data_size) || data_size > in_.size() - off_) return false;
-    const std::string_view payload = in_.substr(off_, data_size);
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      const uint64_t begin = std::min(blocks[b].offset, data_size);
-      const uint64_t end = b + 1 < blocks.size()
-                               ? std::min(blocks[b + 1].offset, data_size)
-                               : data_size;
-      out_.append(blocks[b].head);
-      PutVarint32(&out_,
-                  Crc32c(payload.substr(begin, end > begin ? end - begin : 0)));
-      out_.append(blocks[b].tail);
-    }
-    out_.append(in_.substr(size_begin, off_ - size_begin));
-    payloads_.emplace_back(out_.size(), out_.size() + data_size);
-    out_.append(payload);
-    off_ += data_size;
-    return true;
-  }
-
-  std::string_view in_;
-  size_t off_ = 0;
-  std::string out_;
-  std::vector<std::pair<size_t, size_t>> payloads_;  // [begin, end) in out_
-};
-
-/// Reseals `blob` in place when it still parses; see V7Resealer.
-bool ResealV7(std::string* blob) {
-  std::string sealed;
-  if (!V7Resealer(*blob).Run(&sealed)) return false;
-  *blob = std::move(sealed);
-  return true;
-}
-
 // ---------------------------------------------------------------------------
 // Eager loader corruption sweeps. The eager (heap) load path adopts
-// compressed payloads verbatim and validates them fully before any cursor
-// can read them (InvertedIndex::ValidateBlocks: every block's first-touch
-// decode — checksum, entry structure, position framing — plus each list's
-// position total), so every mutation must surface as Status::Corruption —
-// never a crash, hang, or oversized allocation (the ASan+UBSan CI job
-// runs these sweeps).
+// compressed payloads verbatim and, like an mmap load, parses none of
+// them: each block is validated on its first decode (checksum, entry
+// structure, position framing), before any cursor reads its bytes. So
+// every flip must surface as Status::Corruption — at load when it lands in
+// the header, directory or trailer, at first decode when it lands in a
+// payload — and every truncation at load; never a crash, hang, or
+// oversized allocation (the ASan+UBSan CI job runs these sweeps).
 // ---------------------------------------------------------------------------
 
 TEST(EagerCorruptionSweep, EveryByteFlipIsRejected) {
@@ -382,7 +243,8 @@ TEST(EagerCorruptionSweep, EveryByteFlipIsRejected) {
     std::string mutated = blob;
     mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (pos % 8)));
     InvertedIndex loaded;
-    const Status s = LoadIndexFromString(mutated, &loaded);
+    Status s = LoadIndexFromString(mutated, &loaded);
+    if (s.ok()) s = TouchEveryBlock(loaded);
     ASSERT_FALSE(s.ok()) << "byte " << pos << " flip accepted";
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << "byte " << pos;
   }
@@ -409,16 +271,19 @@ TEST(ResealerTest, ResealingAnIntactBlobIsTheIdentity) {
   // A payload flip plus a reseal must get past both checksums. The byte
   // before the empty three-byte pair section and the trailer ends IL_ANY's
   // payload: a position delta, whose low bit changes a value but not the
-  // structure, so the resealed blob loads.
+  // structure, so the resealed blob loads and every block decodes. Unsealed,
+  // the flip fails its block's checksum at first decode.
   std::string mutated = blob;
   const size_t pos = mutated.size() - 8 - 3 - 1;
   mutated[pos] = static_cast<char>(mutated[pos] ^ 0x01);
-  InvertedIndex loaded;
-  EXPECT_EQ(LoadIndexFromString(mutated, &loaded).code(),
-            StatusCode::kCorruption);
+  InvertedIndex unsealed;
+  ASSERT_TRUE(LoadIndexFromString(mutated, &unsealed).ok());
+  EXPECT_EQ(TouchEveryBlock(unsealed).code(), StatusCode::kCorruption);
   ASSERT_TRUE(ResealV7(&mutated));
+  InvertedIndex loaded;
   const Status s = LoadIndexFromString(mutated, &loaded);
-  EXPECT_TRUE(s.ok()) << s.ToString();
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(TouchEveryBlock(loaded).ok());
 }
 
 class ResealedFuzz : public ::testing::TestWithParam<uint64_t> {};
@@ -429,10 +294,9 @@ TEST_P(ResealedFuzz, ResealedMutationsAreRejectedOrSane) {
   // entry structure and position framing, list position totals — do the
   // rejecting. A mutation that happens to stay structurally valid (e.g. a
   // changed position delta) may load, in which case queries must still
-  // run without faulting. Both load modes run: eager loads run first touch
-  // over every block up front, lazy (mmap) loads only the directory,
-  // leaving each block to its first decode — after which every entry of
-  // an accepted block must decode its positions.
+  // run without faulting. Both load modes run, and both parse only the
+  // directory, leaving each block to its first decode — after which every
+  // entry of an accepted block must decode its positions.
   const std::string blob = SaveSmallIndex();
   const std::string path = ::testing::TempDir() + "/fts_resealed_fuzz.idx";
   auto scored_query = ParseQuery("'w0' OR 'w3'", SurfaceLanguage::kBool);
@@ -510,7 +374,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ResealedFuzz, ::testing::Values(1, 2, 3));
 // mmap first-touch corruption sweeps. A lazy (mmap) load verifies only
 // the header/directory trailer checksum up front; every block payload byte
 // is covered by a per-block checksum verified on the block's first decode
-// (the same decode that validates an eager load's blocks up front).
+// (the same decode that validates an eager load's blocks).
 // So EVERY single-byte flip must surface as Corruption — at load time when
 // it lands in the header/directory/trailer, or at first decode when it
 // lands in a payload — and truncations must all fail at load (the
@@ -618,9 +482,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MmapPayloadFuzz, ::testing::Values(4, 5));
 
 // ---------------------------------------------------------------------------
 // Lazily validated segments beyond one query. MergeSegments copies
-// position bytes verbatim into trusted in-memory lists, so a mapped input
-// is validated in full (ValidateBlocks: first touch of every block, pair
-// lists included) before any byte is copied: every damaged payload fails
+// position bytes verbatim into trusted in-memory lists, and decodes each
+// block of a loaded input (its first touch, which validates it) before
+// copying any of its bytes: every damaged payload fails
 // the merge with Corruption, and damage no checksum sees (resealed) either
 // fails it or leaves a merged index whose every block decodes. A snapshot
 // computes its scoring stats on the first scored query, decoding every
@@ -987,15 +851,17 @@ TEST(V7PairCorruptionSweep, EveryTruncationFailsAtLoad) {
   std::remove(path.c_str());
 }
 
-TEST(V7PairCorruptionSweep, EagerLoadRejectsEveryFlipUpFront) {
-  // The eager (heap) load path validates every payload before returning,
-  // pair lists included — no flip may survive to query time at all.
+TEST(V7PairCorruptionSweep, EagerLoadSurfacesEveryFlip) {
+  // The eager (heap) load validates its blocks as the mmap load does, on
+  // first decode, pair lists included: every flip surfaces at load or
+  // before any cursor reads the flipped block's bytes.
   const std::string blob = SaveV7PairIndex();
   for (size_t pos = 0; pos < blob.size(); pos += SweepStride()) {
     std::string mutated = blob;
     mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (pos % 8)));
     InvertedIndex loaded;
-    const Status s = LoadIndexFromString(mutated, &loaded);
+    Status s = LoadIndexFromString(mutated, &loaded);
+    if (s.ok()) s = TouchEveryBlock(loaded);
     ASSERT_FALSE(s.ok()) << "byte " << pos << " flip accepted";
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << "byte " << pos;
   }

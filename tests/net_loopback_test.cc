@@ -4,7 +4,9 @@
 // calls, and the fail-closed connection contract — malformed frames,
 // oversized declared lengths, disconnect with requests in flight, and
 // admission-control shedding. Plus the HTTP /metrics and /healthz dialect
-// served on the same port, whose request line has one read budget. The
+// served on the same port, whose request line has one read budget. A
+// corrupt block of an eagerly loaded index fails the query that touches
+// it, in band. The
 // connection-level cases (NetLoopbackFrontTest) run against both fronts,
 // FtsServer and RouterServer.
 
@@ -13,6 +15,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <string>
@@ -28,6 +31,8 @@
 #include "net/wire.h"
 #include "text/corpus.h"
 #include "workload/corpus_gen.h"
+
+#include "v7_reseal.h"
 
 namespace fts {
 namespace net {
@@ -154,6 +159,64 @@ TEST(NetLoopbackTest, ParseErrorAnsweredInBand) {
   auto after = lb.client->Ping();
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->num_nodes, 5u);
+}
+
+/// Whether every block of `list` first-decodes cleanly.
+bool Decodes(const BlockPostingList& list) {
+  std::vector<BlockPostingList::EntryRef> entries;
+  for (size_t b = 0; b < list.num_blocks(); ++b) {
+    if (!list.DecodeBlockEntries(b, &entries).ok()) return false;
+  }
+  return true;
+}
+
+TEST(NetLoopbackTest, CorruptBlockOfAnEagerLoadFailsOnlyTheQueryThatTouchesIt) {
+  // One structurally bad block of 'zebra''s list behind a valid (resealed)
+  // checksum: the eager load parses no block, so the server starts; the
+  // query whose first decode reaches the block is answered with
+  // Corruption, and the same connection keeps serving the other lists.
+  Corpus corpus;
+  corpus.AddDocument("apple banana cherry.");
+  corpus.AddDocument("banana zebra apple.");
+  corpus.AddDocument("cherry apple.");
+  std::string blob;
+  SaveIndexToString(IndexBuilder::Build(corpus), &blob);
+  // The first byte whose high bit, flipped and resealed, breaks the
+  // structure of 'zebra''s list and of no other.
+  std::string crafted;
+  for (size_t pos = 8; pos + 8 < blob.size() && crafted.empty(); ++pos) {
+    std::string mutated = blob;
+    mutated[pos] = static_cast<char>(mutated[pos] ^ 0x80);
+    InvertedIndex probe;
+    if (!ResealV7(&mutated) || !LoadIndexFromString(mutated, &probe).ok()) continue;
+    const BlockPostingList* zebra = probe.block_list_for_text("zebra");
+    bool only_zebra =
+        zebra != nullptr && !Decodes(*zebra) && Decodes(probe.block_any_list());
+    for (TokenId t = 0; t < probe.vocabulary_size() && only_zebra; ++t) {
+      only_zebra = probe.token_text(t) == "zebra" || Decodes(*probe.block_list(t));
+    }
+    if (only_zebra) crafted = std::move(mutated);
+  }
+  ASSERT_FALSE(crafted.empty());
+  const std::string path = ::testing::TempDir() + "/fts_corrupt_block.idx";
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write(crafted.data(), static_cast<std::streamsize>(crafted.size()));
+  }
+  auto served = std::make_shared<InvertedIndex>();
+  ASSERT_TRUE(LoadIndexFromFile(path, served.get()).ok());  // eager
+  std::remove(path.c_str());
+
+  Loopback lb({}, served);
+  for (int attempt = 0; attempt < 2; ++attempt) {  // the failure is not memoized away
+    auto bad = lb.client->Search("'zebra' OR 'cherry'");
+    ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+    EXPECT_EQ(bad->status.code(), StatusCode::kCorruption) << bad->status.ToString();
+    auto good = lb.client->Search("'apple' AND 'banana'");
+    ASSERT_TRUE(good.ok()) << good.status().ToString();
+    ASSERT_TRUE(good->status.ok()) << good->status.ToString();
+    EXPECT_EQ(good->nodes, (std::vector<WireNodeId>{0, 1}));
+  }
 }
 
 TEST(NetLoopbackTest, DeeplyNestedQueryAnsweredInBand) {

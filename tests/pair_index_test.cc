@@ -2,7 +2,8 @@
 // ordering, Find's swap semantics, record-stream invariants (packed tf
 // header, window-bounded signed deltas, lexicographic record order), the
 // on-disk section (heap and mmap round-trips, classic sections
-// bit-identical with pairs on or off), the builder against a brute-force
+// bit-identical with pairs on or off, crafted records failing the routed
+// query that reads them in both load modes), the builder against a brute-force
 // enumeration of a generated corpus, routed evaluation at the top of the
 // distance range, and the segment plumbing — Seal and MergeSegments
 // carrying IndexBuildOptions so compaction rebuilds pair lists over the
@@ -16,12 +17,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/varint.h"
 #include "eval/ppred_engine.h"
 #include "index/block_posting_list.h"
 #include "index/index_builder.h"
@@ -33,6 +36,8 @@
 #include "lang/parser.h"
 #include "text/corpus.h"
 #include "workload/corpus_gen.h"
+
+#include "v7_reseal.h"
 
 namespace fts {
 namespace {
@@ -167,6 +172,39 @@ std::vector<PairRow> DecodePairList(const BlockPostingList& list) {
   }
   EXPECT_TRUE(cursor.status().ok()) << cursor.status().ToString();
   return rows;
+}
+
+/// distance(p, q, k) over tokens `a` and `b` of `index` through
+/// PpredEngine under `routing`: kForce reads the pair list through
+/// TryEvaluatePairPlan, which checks every pair record it reads; kOff runs
+/// the position pipeline and never touches a pair list.
+StatusOr<QueryResult> EvaluateDistance(const InvertedIndex& index,
+                                       const std::string& a, const std::string& b,
+                                       uint64_t k, PairRouting routing) {
+  const std::string query = "SOME p SOME q (p HAS '" + a + "' AND q HAS '" + b +
+                            "' AND distance(p, q, " + std::to_string(k) + "))";
+  PpredEngine engine(&index, ScoringKind::kNone, CursorMode::kAdaptive, routing);
+  return engine.Evaluate(*ParseQuery(query, SurfaceLanguage::kComp));
+}
+
+/// Routes distance(p, q, max_distance) over every key of `index`'s pair
+/// index and expects the pipeline's nodes: each routed query reads every
+/// entry of its list through TryEvaluatePairPlan's record checks.
+void ExpectEveryKeyRoutesLikeThePipeline(const InvertedIndex& index) {
+  const PairIndex* pairs = index.pair_index();
+  ASSERT_NE(pairs, nullptr);
+  for (size_t i = 0; i < pairs->num_keys(); ++i) {
+    const std::string& a = index.token_text(pairs->key(i).first);
+    const std::string& b = index.token_text(pairs->key(i).second);
+    const auto routed =
+        EvaluateDistance(index, a, b, pairs->max_distance(), PairRouting::kForce);
+    ASSERT_TRUE(routed.ok()) << a << "," << b << ": " << routed.status().ToString();
+    EXPECT_EQ(routed->counters.pair_seeks, 1u) << a << "," << b;
+    const auto pipeline =
+        EvaluateDistance(index, a, b, pairs->max_distance(), PairRouting::kOff);
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+    EXPECT_EQ(routed->nodes, pipeline->nodes) << a << "," << b;
+  }
 }
 
 TEST(PairIndexTest, RecordsAreCompleteWindowBoundedAndSorted) {
@@ -312,17 +350,11 @@ TEST(PairIndexTest, WindowsAtTheTopOfTheDistanceRangeRouteLikeThePipeline) {
     const PairIndex* pairs = index.pair_index();
     ASSERT_NE(pairs, nullptr) << max_distance;
     ASSERT_EQ(pairs->max_distance(), PairIndex::kMaxDistance);
-    EXPECT_TRUE(pairs->Validate().ok());
     for (const uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{5},
                              uint64_t{PairIndex::kMaxDistance},
                              uint64_t{max_distance}}) {
-      const std::string query =
-          "SOME p SOME q (p HAS 'apple' AND q HAS 'banana' AND distance(p, q, " +
-          std::to_string(k) + "))";
       const auto run = [&](PairRouting routing) {
-        PpredEngine engine(&index, ScoringKind::kNone, CursorMode::kAdaptive,
-                           routing);
-        return engine.Evaluate(*ParseQuery(query, SurfaceLanguage::kComp));
+        return EvaluateDistance(index, "apple", "banana", k, routing);
       };
       const auto pipeline = run(PairRouting::kOff);
       ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
@@ -342,12 +374,10 @@ TEST(PairIndexTest, WindowsAtTheTopOfTheDistanceRangeRouteLikeThePipeline) {
   }
 }
 
-TEST(PairIndexTest, ValidatePassesOnBuiltIndex) {
+TEST(PairIndexTest, EveryKeyOfABuiltIndexRoutesLikeThePipeline) {
   const Corpus corpus = SmallCorpus();
   const InvertedIndex index = IndexBuilder::Build(corpus, PairOptions(3, 4));
-  ASSERT_NE(index.pair_index(), nullptr);
-  const Status s = index.pair_index()->Validate();
-  EXPECT_TRUE(s.ok()) << s.ToString();
+  ExpectEveryKeyRoutesLikeThePipeline(index);
 }
 
 TEST(PairIndexTest, ClassicSectionsAreBitIdenticalWithPairsOnOrOff) {
@@ -406,8 +436,111 @@ TEST(PairIndexTest, V7RoundTripsHeapAndMmap) {
                 DecodePairList(built->list(i)).size())
           << i;
     }
-    EXPECT_TRUE(pairs->Validate().ok());
+    ExpectEveryKeyRoutesLikeThePipeline(*loaded);
   }
+}
+
+/// `base` (a saved index without pair lists) with its empty pair section
+/// replaced by the frequent term `first` and one key, (first, second),
+/// whose list holds one entry: node `node` with `positions` (the packed tf
+/// header, then the records), encoded as the writer encodes them, in one
+/// block. Resealed, so only the record checks can reject it.
+std::string WithOnePairList(std::string base, uint32_t max_distance,
+                            TokenId first, TokenId second, NodeId node,
+                            const std::vector<PositionInfo>& positions) {
+  const uint32_t count = static_cast<uint32_t>(positions.size());
+  std::vector<uint8_t> pos_bytes;
+  BlockListWriter::EncodePositions(positions, &pos_bytes);
+  std::string payload;
+  PutVarint32(&payload, node);
+  PutVarint32(&payload, count);
+  PutVarint32(&payload, static_cast<uint32_t>(pos_bytes.size()));
+  payload.append(pos_bytes.begin(), pos_bytes.end());
+  std::string section;
+  PutVarint32(&section, max_distance);
+  PutVarint64(&section, 1);  // frequent terms: `first`
+  PutVarint32(&section, first);
+  PutVarint64(&section, 1);  // keys: (first, second), first delta-coded from 0
+  PutVarint32(&section, first);
+  PutVarint32(&section, second);
+  PutVarint64(&section, 1);      // entries
+  PutVarint64(&section, count);  // positions
+  PutVarint32(&section, BlockPostingList::kDefaultBlockSize);
+  PutVarint64(&section, 1);  // blocks
+  PutVarint32(&section, node);   // max_node
+  PutVarint32(&section, 0);      // byte offset
+  PutVarint32(&section, 1);      // entry count
+  PutVarint32(&section, 0);      // checksum, filled in by the reseal
+  PutVarint32(&section, count);  // max_tf
+  PutVarint32(&section, BlockPostingList::kEncodingVarint);
+  PutVarint64(&section, payload.size());
+  section += payload;
+  constexpr size_t kEmptyPairSection = 3;
+  constexpr size_t kTrailer = 8;
+  base.replace(base.size() - kTrailer - kEmptyPairSection, kEmptyPairSection,
+               section);
+  EXPECT_TRUE(ResealV7(&base));
+  return base;
+}
+
+TEST(PairIndexTest, CraftedRecordsFailTheRoutedQueryInBothLoadModes) {
+  // Pair records the builder never writes, in a sound, resealed block:
+  // neither load mode parses a record, and the routed query that reads the
+  // entry fails closed with Corruption through TryEvaluatePairPlan, while
+  // the pipeline, which never reads a pair list, still answers.
+  Corpus corpus;
+  corpus.AddDocument("apple banana");
+  const InvertedIndex plain = IndexBuilder::Build(corpus);
+  std::string base;
+  SaveIndexToString(plain, &base);
+  const TokenId apple = plain.LookupToken("apple");
+  const TokenId banana = plain.LookupToken("banana");
+  constexpr uint32_t kMaxDistance = 1;  // records' |delta| <= 2
+  const uint32_t adjacent = PairIndex::ZigZag(1);
+  struct Case {
+    std::string error;  // empty: the control, as the builder writes it
+    std::vector<PositionInfo> positions;
+  };
+  const std::vector<Case> cases = {
+      {"", {{1, 1, 0}, {0, adjacent, 0}}},
+      {"pair-list entry without records", {{1, 1, 0}}},
+      {"pair-list entry with zero term frequency", {{0, 1, 0}, {0, adjacent, 0}}},
+      {"pair-list record delta out of window",
+       {{1, 1, 0}, {0, PairIndex::ZigZag(3), 0}}},
+  };
+  const std::string path = ::testing::TempDir() + "/fts_crafted_pair_records.idx";
+  for (const Case& c : cases) {
+    const std::string blob =
+        WithOnePairList(base, kMaxDistance, apple, banana, 0, c.positions);
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+    }
+    InvertedIndex eager, mapped;
+    ASSERT_TRUE(LoadIndexFromString(blob, &eager).ok()) << c.error;
+    ASSERT_TRUE(
+        LoadIndexFromFile(path, &mapped, {.mode = LoadOptions::Mode::kMmap}).ok())
+        << c.error;
+    for (const InvertedIndex* loaded : {&eager, &mapped}) {
+      const auto pipeline =
+          EvaluateDistance(*loaded, "apple", "banana", 1, PairRouting::kOff);
+      ASSERT_TRUE(pipeline.ok()) << pipeline.status().ToString();
+      EXPECT_EQ(pipeline->nodes, std::vector<NodeId>{0});
+      const auto routed =
+          EvaluateDistance(*loaded, "apple", "banana", 1, PairRouting::kForce);
+      if (c.error.empty()) {
+        ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+        EXPECT_EQ(routed->counters.pair_seeks, 1u);
+        EXPECT_EQ(routed->nodes, pipeline->nodes);
+        continue;
+      }
+      ASSERT_FALSE(routed.ok()) << c.error;
+      EXPECT_EQ(routed.status().code(), StatusCode::kCorruption) << c.error;
+      EXPECT_NE(routed.status().message().find(c.error), std::string::npos)
+          << routed.status().ToString();
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(PairIndexTest, V7WithoutPairsLoadsAsNoPairIndex) {

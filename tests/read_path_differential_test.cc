@@ -63,8 +63,8 @@
 //     vs the anchor, never routing under forced cursor modes -> the two
 //     kAuto cases; the NPRED single-pass hook ->
 //     NpredSinglePassHookMatchesPipeline.
-//   concurrent_query: 8 threads sharing one small L2, the cold-mmap
-//     first-touch race, SearchService::SearchBatch ->
+//   concurrent_query: 8 threads sharing one small L2, the first-touch race
+//     on a cold mapped and a cold heap load, SearchService::SearchBatch ->
 //     ConcurrentPathsMatchTheAnchors.
 //   net_scatter_gather: a 3-shard ShardRouter over loopback FtsServers with
 //     the stats exchange -> ShardedClusterMatchesTheAnchors; RouterServer,
@@ -167,19 +167,18 @@ std::string SavedBytes(const InvertedIndex& index, const std::string& tag) {
   return bytes;
 }
 
-/// Round-trips `src` through a temp file and maps it back with lazy
-/// first-touch validation. The file is removed at once; the mapping pins
-/// the inode.
-std::shared_ptr<const InvertedIndex> LoadMmapTwin(const InvertedIndex& src,
-                                                  const std::string& tag) {
+/// Round-trips `src` through a temp file and loads it back with `mode`
+/// (default: mapped); either way no block is validated until its first
+/// decode. The file is removed at once; a mapping pins the inode.
+std::shared_ptr<const InvertedIndex> LoadTwin(
+    const InvertedIndex& src, const std::string& tag,
+    LoadOptions::Mode mode = LoadOptions::Mode::kMmap) {
   const std::string path = TempPath(tag);
   EXPECT_TRUE(SaveIndexToFile(src, path).ok());
-  LoadOptions options;
-  options.mode = LoadOptions::Mode::kMmap;
   auto twin = std::make_shared<InvertedIndex>();
-  EXPECT_TRUE(LoadIndexFromFile(path, twin.get(), options).ok());
+  EXPECT_TRUE(LoadIndexFromFile(path, twin.get(), {.mode = mode}).ok());
   std::remove(path.c_str());
-  EXPECT_EQ(twin->storage(), IndexStorage::kMapped);
+  EXPECT_EQ(twin->MappedBytes() > 0, mode == LoadOptions::Mode::kMmap);
   return twin;
 }
 
@@ -349,7 +348,7 @@ std::unique_ptr<World> MakeWorld(uint64_t seed) {
     }
     views.push_back({seg.get(), base, dead.get()});
     base += static_cast<NodeId>(seg->num_nodes());
-    mapped.push_back(LoadMmapTwin(*seg, tag + "_" + std::to_string(s)));
+    mapped.push_back(LoadTwin(*seg, tag + "_" + std::to_string(s)));
     heap.push_back(std::move(seg));
     tombstones.push_back(std::move(dead));
   }
@@ -358,7 +357,7 @@ std::unique_ptr<World> MakeWorld(uint64_t seed) {
   w->merged = std::make_shared<InvertedIndex>(Must(MergeSegments(views, PairBuild())));
   w->reference_plain = std::make_shared<InvertedIndex>(IndexBuilder::Build(w->surviving));
   w->merged_plain = std::make_shared<InvertedIndex>(Must(MergeSegments(views)));
-  w->reference_mmap = LoadMmapTwin(*w->reference, tag);
+  w->reference_mmap = LoadTwin(*w->reference, tag);
   w->shapes = {
       {"single/heap", IndexSnapshot::ForIndex(w->reference.get()), false},
       {"single/mmap", IndexSnapshot::ForIndex(w->reference_mmap.get()), false},
@@ -757,13 +756,19 @@ TEST_P(ReadPathServing, ConcurrentPathsMatchTheAnchors) {
     }
   }
 
-  // Cold mmap: every thread starts on a freshly mapped index at once, so
-  // first-touch validation of the same blocks races maximally.
-  const auto cold = LoadMmapTwin(*w.reference, "cold_" + std::to_string(GetParam()));
-  const Shape cold_shape{"cold-mmap", IndexSnapshot::ForIndex(cold.get()), false};
-  SharedBlockCache cache;
-  const Searcher searcher(cold_shape.snapshot, {ScoringKind::kProbabilistic});
-  Hammer(w, cold_shape, searcher, &cache, kProbabilistic, /*rounds=*/1, "cold-mmap");
+  // Cold loads: every thread starts on a freshly loaded index at once, so
+  // first-touch validation of the same blocks races maximally — mapped,
+  // and read into the heap, whose blocks are validated the same way.
+  for (const auto& [mode, name] :
+       {std::pair{LoadOptions::Mode::kMmap, "cold-mmap"},
+        std::pair{LoadOptions::Mode::kEager, "cold-heap"}}) {
+    const auto cold =
+        LoadTwin(*w.reference, std::string(name) + "_" + std::to_string(GetParam()), mode);
+    const Shape cold_shape{name, IndexSnapshot::ForIndex(cold.get()), false};
+    SharedBlockCache cache;
+    const Searcher searcher(cold_shape.snapshot, {ScoringKind::kProbabilistic});
+    Hammer(w, cold_shape, searcher, &cache, kProbabilistic, /*rounds=*/1, name);
+  }
 
   // The worker pool: batch submission fans the queries (as surface text)
   // across workers, full and ranked.

@@ -26,7 +26,9 @@ void Usage() {
       "  --mode MODE             cursor mode (default adaptive)\n"
       "  --workers N             worker threads (default: hardware)\n"
       "  --listen-all            bind 0.0.0.0 instead of loopback\n"
-      "  --mmap                  mmap the index instead of eager load\n"
+      "  --mmap                  map the index file instead of reading it into\n"
+      "                          the heap (blocks are checked on first use\n"
+      "                          either way)\n"
       "  --admission-max-cost N  shed queries costlier than N under pressure\n"
       "  --admission-pressure F  queue fraction in [0, 1] that arms shedding\n"
       "                          (default 0.5)\n");
