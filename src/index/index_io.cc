@@ -1,10 +1,13 @@
 #include "index/index_io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <utility>
 #include <vector>
 
@@ -62,14 +65,123 @@ Status GetDouble(std::string_view data, size_t* offset, double* d) {
 // verbatim into BlockPostingList. The trailer checksum hops over payloads.
 // ---------------------------------------------------------------------------
 
-/// Byte range of one list's payload within the serialized output.
-struct PayloadRange {
-  size_t begin = 0;
-  size_t end = 0;
+/// Largest varint32 / varint64 encodings.
+constexpr size_t kMaxVarint32 = 5;
+constexpr size_t kMaxVarint64 = 10;
+
+/// The file sink's reused buffer, and the payload size from which a span
+/// skips it and goes straight to write(2).
+constexpr size_t kFileBufferBytes = size_t{1} << 20;
+constexpr size_t kDirectWriteBytes = size_t{64} << 10;
+
+/// Where a save's bytes go: the one emitter (EmitIndex) writes every
+/// section through it, into a string (SaveIndexToString) or a file
+/// (SaveIndexToFile). Directory bytes are appended to Bytes(); block
+/// payloads go through Payload(), which the trailer CRC32C hops over, so
+/// the trailer is extended as the bytes go by and the whole file is never
+/// staged. The file sink copies directories and small payloads into one
+/// reused 1 MiB buffer and writes larger payloads straight from the lists.
+class IndexSink {
+ public:
+  /// Appends the file to `*out`, which the caller has sized.
+  explicit IndexSink(std::string* out) : out_(out) { Start(); }
+  /// Writes the file to `path`, created or truncated.
+  explicit IndexSink(const std::string& path)
+      : out_(&buffer_),
+        path_(path),
+        fd_(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666)) {
+    if (fd_ < 0) status_ = Status::IOError("cannot open for write: " + path);
+    buffer_.reserve(kFileBufferBytes);
+    Start();
+  }
+  ~IndexSink() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  IndexSink(const IndexSink&) = delete;
+  IndexSink& operator=(const IndexSink&) = delete;
+
+  /// The first failure to open or write the file, if any.
+  const Status& status() const { return status_; }
+
+  /// The string to append at most `max_bytes` directory bytes to.
+  std::string* Bytes(size_t max_bytes) {
+    if (fd_ >= 0 && buffer_.size() + max_bytes > kFileBufferBytes) Flush();
+    return out_;
+  }
+
+  /// Appends one list's payload bytes, which the trailer does not cover.
+  void Payload(std::string_view bytes) {
+    FoldCrc();
+    if (fd_ >= 0 && bytes.size() >= kDirectWriteBytes) {
+      Flush();
+      Write(bytes);
+      return;
+    }
+    Bytes(bytes.size())->append(bytes);
+    crc_mark_ = out_->size();
+  }
+
+  /// Appends the trailer; a file sink then writes what it holds and closes
+  /// the file. Returns the first failure to open, write or close it.
+  Status Finish() {
+    FoldCrc();
+    PutFixed64(Bytes(kTrailerSize), crc_);
+    if (fd_ < 0) return status_;
+    Write(buffer_);
+    // The close reports a failure the writes could not (a full device on
+    // some file systems), so it is checked too.
+    if (::close(std::exchange(fd_, -1)) != 0 && status_.ok()) {
+      status_ = Status::IOError("short write: " + path_);
+    }
+    return status_;
+  }
+
+ private:
+  void Start() {
+    out_->append(kMagic, kMagicSize);
+    crc_mark_ = out_->size();  // the trailer starts past the magic
+  }
+
+  /// Extends the trailer over the directory bytes appended since the last
+  /// fold.
+  void FoldCrc() {
+    crc_ = Crc32cExtend(crc_, std::string_view(*out_).substr(crc_mark_));
+    crc_mark_ = out_->size();
+  }
+
+  /// Writes out and empties the file sink's buffer.
+  void Flush() {
+    FoldCrc();
+    Write(buffer_);
+    buffer_.clear();
+    crc_mark_ = 0;
+  }
+
+  /// Writes all of `bytes` to the file, retrying interrupted and short
+  /// writes; after the first failure nothing more is written.
+  void Write(std::string_view bytes) {
+    while (!bytes.empty() && status_.ok()) {
+      const ssize_t n = ::write(fd_, bytes.data(), bytes.size());
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) {
+        status_ = Status::IOError("short write: " + path_);
+        return;
+      }
+      bytes.remove_prefix(static_cast<size_t>(n));
+    }
+  }
+
+  std::string buffer_;  // the file sink's; unused by a string sink
+  std::string* out_;    // where Bytes() appends: the string, or buffer_
+  std::string path_;
+  int fd_ = -1;         // the file; -1 for a string sink
+  Status status_;
+  uint32_t crc_ = 0;
+  size_t crc_mark_ = 0;  // first byte of *out_ not yet in crc_
 };
 
-void PutBlockPostingList(std::string* out, const BlockPostingList& list,
-                         std::vector<PayloadRange>* payload_ranges) {
+void PutBlockPostingList(const BlockPostingList& list, IndexSink* sink) {
+  std::string* out = sink->Bytes(5 * kMaxVarint64 + 6 * kMaxVarint32 * list.num_blocks());
   PutVarint64(out, list.num_entries());
   PutVarint64(out, list.total_positions());
   PutVarint32(out, list.block_size());
@@ -94,13 +206,8 @@ void PutBlockPostingList(std::string* out, const BlockPostingList& list,
     prev_off = s.byte_offset;
   }
   PutVarint64(out, payload.size());
-  payload_ranges->push_back({out->size(), out->size() + payload.size()});
-  out->append(payload);
+  sink->Payload(payload);
 }
-
-/// Largest varint32 / varint64 encodings.
-constexpr size_t kMaxVarint32 = 5;
-constexpr size_t kMaxVarint64 = 10;
 
 /// An upper bound of the bytes PutBlockPostingList writes for `list`: four
 /// header varints, six varints per skip entry, the payload size and the
@@ -205,9 +312,11 @@ Status GetBlockListDirectory(std::string_view data, size_t* offset,
   return Status::OK();
 }
 
-void PutCommonSections(const InvertedIndex& index, std::string* out) {
+/// Writes the whole file of `index` through `sink`, trailer included.
+Status EmitIndex(const InvertedIndex& index, IndexSink* sink) {
   // Statistics.
   const IndexStats& s = index.stats();
+  std::string* out = sink->Bytes(5 * kMaxVarint64 + 3 * 8);
   PutVarint64(out, s.cnodes);
   PutVarint64(out, s.total_positions);
   PutVarint32(out, s.pos_per_cnode);
@@ -219,17 +328,51 @@ void PutCommonSections(const InvertedIndex& index, std::string* out) {
 
   // Per-node scalars.
   for (NodeId n = 0; n < s.cnodes; ++n) {
+    out = sink->Bytes(kMaxVarint32 + 8);
     PutVarint32(out, index.unique_tokens(n));
     PutDouble(out, index.node_norm(n));
   }
 
   // Dictionary.
-  PutVarint64(out, index.vocabulary_size());
+  PutVarint64(sink->Bytes(kMaxVarint64), index.vocabulary_size());
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
     const std::string& text = index.token_text(t);
+    out = sink->Bytes(kMaxVarint64 + text.size());
     PutVarint64(out, text.size());
     out->append(text);
   }
+
+  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
+    PutBlockPostingList(*index.block_list(t), sink);
+  }
+  PutBlockPostingList(index.block_any_list(), sink);
+  // Pair-index section: an index without one writes the empty shape
+  // (max_distance 0, no frequent terms, no keys) so the loader needs no
+  // presence flag.
+  const PairIndex* pair = index.pair_index();
+  PutVarint32(sink->Bytes(kMaxVarint32), pair != nullptr ? pair->max_distance() : 0);
+  PutVarint64(sink->Bytes(kMaxVarint64), pair != nullptr ? pair->num_frequent() : 0);
+  if (pair != nullptr) {
+    for (const TokenId t : pair->frequent_terms()) {
+      PutVarint32(sink->Bytes(kMaxVarint32), t);
+    }
+  }
+  PutVarint64(sink->Bytes(kMaxVarint64), pair != nullptr ? pair->num_keys() : 0);
+  if (pair != nullptr) {
+    TokenId prev_first = 0;
+    for (size_t i = 0; i < pair->num_keys(); ++i) {
+      const PairTermKey& k = pair->key(i);
+      out = sink->Bytes(2 * kMaxVarint32);
+      PutVarint32(out, k.first - prev_first);
+      PutVarint32(out, k.second);
+      prev_first = k.first;
+      PutBlockPostingList(pair->list(i), sink);
+    }
+  }
+  // Trailer: header/directory bytes only — block payloads are covered by
+  // their per-block checksums, so a lazy loader can verify everything it
+  // eagerly reads without touching payload bytes.
+  return sink->Finish();
 }
 
 }  // namespace
@@ -446,45 +589,8 @@ void SaveIndexToString(const InvertedIndex& index, std::string* out) {
   }
   out->clear();
   out->reserve(bound);
-  out->append(kMagic, kMagicSize);
-  PutCommonSections(index, out);
-
-  std::vector<PayloadRange> payload_ranges;
-  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
-    PutBlockPostingList(out, *index.block_list(t), &payload_ranges);
-  }
-  PutBlockPostingList(out, index.block_any_list(), &payload_ranges);
-  // Pair-index section: an index without one writes the empty shape
-  // (max_distance 0, no frequent terms, no keys) so the loader needs no
-  // presence flag.
-  PutVarint32(out, pair != nullptr ? pair->max_distance() : 0);
-  PutVarint64(out, pair != nullptr ? pair->num_frequent() : 0);
-  if (pair != nullptr) {
-    for (const TokenId t : pair->frequent_terms()) PutVarint32(out, t);
-  }
-  PutVarint64(out, pair != nullptr ? pair->num_keys() : 0);
-  if (pair != nullptr) {
-    TokenId prev_first = 0;
-    for (size_t i = 0; i < pair->num_keys(); ++i) {
-      const PairTermKey& k = pair->key(i);
-      PutVarint32(out, k.first - prev_first);
-      PutVarint32(out, k.second);
-      prev_first = k.first;
-      PutBlockPostingList(out, pair->list(i), &payload_ranges);
-    }
-  }
-
-  // Trailer: header/directory bytes only — block payloads are covered by
-  // their per-block checksums, so a lazy loader can verify everything it
-  // eagerly reads without touching payload bytes.
-  uint32_t crc = 0;
-  size_t mark = kMagicSize;
-  for (const PayloadRange& r : payload_ranges) {
-    crc = Crc32cExtend(crc, std::string_view(*out).substr(mark, r.begin - mark));
-    mark = r.end;
-  }
-  crc = Crc32cExtend(crc, std::string_view(*out).substr(mark));
-  PutFixed64(out, crc);
+  IndexSink sink(out);
+  [[maybe_unused]] const Status emitted = EmitIndex(index, &sink);  // a string cannot fail
 }
 
 Status LoadIndexFromString(const std::string& data, InvertedIndex* out) {
@@ -494,16 +600,9 @@ Status LoadIndexFromString(const std::string& data, InvertedIndex* out) {
 }
 
 Status SaveIndexToFile(const InvertedIndex& index, const std::string& path) {
-  std::string data;
-  SaveIndexToString(index, &data);
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return Status::IOError("cannot open for write: " + path);
-  f.write(data.data(), static_cast<std::streamsize>(data.size()));
-  // A small index sits entirely in the stream buffer, so a full device
-  // only reports the failure when close() flushes it.
-  f.close();
-  if (!f) return Status::IOError("short write: " + path);
-  return Status::OK();
+  IndexSink sink(path);
+  FTS_RETURN_IF_ERROR(sink.status());
+  return EmitIndex(index, &sink);
 }
 
 Status LoadIndexFromFile(const std::string& path, InvertedIndex* out,

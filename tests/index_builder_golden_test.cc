@@ -79,20 +79,30 @@ struct Golden {
   uint64_t fnv;
 };
 
-/// Builds `corpus` with `options`, saves it through SaveIndexToFile, and
-/// returns the file's length and FNV-1a 64 hash.
-Golden SavedFile(const Corpus& corpus, const IndexBuildOptions& options,
-                 const std::string& tag) {
+/// Builds `corpus` with `options`, with bitset blocks pinned on.
+InvertedIndex Built(const Corpus& corpus, const IndexBuildOptions& options) {
   const bool prev = BlockPostingList::SetDenseBlocksEnabledByDefault(true);
-  const InvertedIndex index = IndexBuilder::Build(corpus, options);
+  InvertedIndex index = IndexBuilder::Build(corpus, options);
   BlockPostingList::SetDenseBlocksEnabledByDefault(prev);
+  return index;
+}
+
+/// The bytes SaveIndexToFile writes for `index`.
+std::string FileBytes(const InvertedIndex& index, const std::string& tag) {
   const std::string path = ::testing::TempDir() + "/fts_golden_" + tag + ".idx";
   EXPECT_TRUE(SaveIndexToFile(index, path).ok());
   std::ifstream in(path, std::ios::binary);
   std::stringstream bytes;
   bytes << in.rdbuf();
   std::remove(path.c_str());
-  const std::string data = bytes.str();
+  return bytes.str();
+}
+
+/// Builds `corpus` with `options`, saves it through SaveIndexToFile, and
+/// returns the file's length and FNV-1a 64 hash.
+Golden SavedFile(const Corpus& corpus, const IndexBuildOptions& options,
+                 const std::string& tag) {
+  const std::string data = FileBytes(Built(corpus, options), tag);
   return {data.size(), Fnv1a64(data)};
 }
 
@@ -150,6 +160,35 @@ TEST(IndexBuilderGoldenTest, PaperCorpus24000Classic) {
   for (NodeId n = 0; n < corpus.num_nodes(); ++n) occurrences += corpus.doc(n).tokens.size();
   ASSERT_EQ(occurrences, 4181093u);
   ExpectGolden(SavedFile(corpus, {}, "paper_24000_classic"), {35294002, 0xfc59f4912c218c8eULL});
+}
+
+// The file and the string save are one emitter with two sinks: for every
+// corpus and option set pinned above they write the same bytes. The 24,000-
+// node file has payloads past the file sink's direct-write size and more
+// directory bytes than its buffer holds.
+TEST(IndexBuilderGoldenTest, FileAndStringSavesWriteTheSameBytes) {
+  CorpusGenOptions nodes6000;
+  nodes6000.num_nodes = 6000;
+  CorpusGenOptions nodes24000;
+  nodes24000.num_nodes = 24000;
+  nodes24000.seed = 1;
+  nodes24000.topic_occurrences = 6;
+  const Corpus edge = EdgeCorpus();
+  const Corpus paper6000 = GenerateCorpus(nodes6000);
+  const Corpus paper24000 = GenerateCorpus(nodes24000);
+  const struct {
+    const Corpus* corpus;
+    IndexBuildOptions options;
+  } cases[] = {{&PaperCorpus(), {}},     {&PaperCorpus(), Pairs(16, 2)},
+               {&PaperCorpus(), Pairs(4, 0)}, {&edge, {}},
+               {&edge, Pairs(2, 2)},     {&paper6000, {}},
+               {&paper24000, {}}};
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const InvertedIndex index = Built(*cases[i].corpus, cases[i].options);
+    std::string blob;
+    SaveIndexToString(index, &blob);
+    EXPECT_TRUE(FileBytes(index, "sinks_" + std::to_string(i)) == blob) << "case " << i;
+  }
 }
 
 }  // namespace

@@ -153,13 +153,24 @@ TEST(IndexIoTest, MissingFileIsIOError) {
 }
 
 TEST(IndexIoTest, SaveToFullDeviceIsIOError) {
-  // /dev/full accepts the open and buffers the write; ENOSPC surfaces only
-  // when the stream is flushed, which must still fail the save.
+  // /dev/full accepts the open and fails every write with ENOSPC: the
+  // save's one buffered write at its end must still fail it.
   if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
   Corpus corpus;
   corpus.AddDocument("alpha beta");
   const InvertedIndex index = IndexBuilder::Build(corpus);
-  EXPECT_EQ(SaveIndexToFile(index, "/dev/full").code(), StatusCode::kIOError);
+  const Status saved = SaveIndexToFile(index, "/dev/full");
+  EXPECT_EQ(saved.code(), StatusCode::kIOError);
+  EXPECT_EQ(saved.message(), "short write: /dev/full");
+}
+
+TEST(IndexIoTest, SaveToUnopenablePathIsIOError) {
+  Corpus corpus;
+  corpus.AddDocument("alpha beta");
+  const InvertedIndex index = IndexBuilder::Build(corpus);
+  const Status saved = SaveIndexToFile(index, "/nonexistent/path/index.idx");
+  EXPECT_EQ(saved.code(), StatusCode::kIOError);
+  EXPECT_EQ(saved.message(), "cannot open for write: /nonexistent/path/index.idx");
 }
 
 TEST(IndexIoTest, TooSmallFilesAreRejectedWithDistinctMessage) {
