@@ -1,4 +1,4 @@
-// Substrate microbenchmarks: tokenizer, index construction, sequential
+// Substrate microbenchmarks: tokenizer, index construction, the norm pass, sequential
 // block-cursor scans, resident-memory accounting, serialization round
 // trips, eager-vs-mmap load paths, and the adaptive-vs-fixed cursor-mode
 // comparison.
@@ -103,6 +103,32 @@ void BM_IndexBuildPairsSmall(benchmark::State& state) {
   PairIndexedBuild(state, static_cast<uint32_t>(state.range(0)));
 }
 BENCHMARK(BM_IndexBuildPairsSmall)->Arg(100)->Unit(benchmark::kMillisecond);
+
+// The TF-IDF norm pass (ComputeNodeNorms) that a snapshot runs under
+// global statistics, and a build or merge under its own, over the 6,000-
+// node index. Its 1,047,020 occurrences are just short of two workers'
+// shares, so the pass runs on the calling thread and prices the sum
+// itself. One pass stays under scripts/bench_check.py's 20 ms cap on both
+// decode arms, so it is gated.
+void BM_NodeNorms(benchmark::State& state) {
+  const InvertedIndex& index = SharedIndex(static_cast<uint32_t>(state.range(0)), 6);
+  fts::SegmentScoringStats stats = index.scoring_stats();
+  std::vector<double> norms;
+  for (auto _ : state) {
+    if (!fts::ComputeNodeNorms(index, nullptr, &norms, &stats).ok()) {
+      state.SkipWithError("norm pass failed");
+      return;
+    }
+    benchmark::DoNotOptimize(norms.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["nodes"] = static_cast<double>(index.num_nodes());
+}
+BENCHMARK(BM_NodeNorms)
+    ->Arg(6000)
+    ->UseRealTime()
+    ->MeasureProcessCPUTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ListCursorScan(benchmark::State& state) {
   // Sequential scan of the hot list through the resident block cursor —

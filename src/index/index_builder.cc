@@ -3,76 +3,23 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <exception>
 #include <memory>
-#include <thread>
 
 #include "index/block_posting_list.h"
+#include "index/build_workers.h"
 
 namespace fts {
 namespace {
 
-/// Occurrences each build worker must have to itself: a corpus of fewer
-/// than two such shares builds on the calling thread alone. On an idle
-/// 4-core host a second worker already pays at ~260k occurrences (a
-/// 1,500-node build 30 -> 24 ms), but builds that run beside other work —
-/// sharded builds started one per shard, ingest seals beside queries —
-/// lose by it; 2^19 keeps every build under ~1M occurrences on one thread.
-constexpr size_t kOccurrencesPerWorker = size_t{1} << 19;
-
 /// How many records ahead of the one being written the write pass
 /// prefetches its position: each gather is a miss into a random document.
 constexpr size_t kPrefetchAhead = 16;
-
-/// Token chunks the write pass cuts per worker: with two, a worker that
-/// drew a costly chunk (rare tokens cost more per occurrence, each being an
-/// entry of its own) is evened out by the others taking more.
-constexpr size_t kChunksPerWorker = 2;
 
 /// One token occurrence as the counting sort moves it.
 struct Occurrence {
   NodeId node;
   uint32_t at;  // index into the document's positions
 };
-
-/// Calls fn(w) for every w in [0, workers): the calling thread runs w = 0,
-/// one thread each of the others, all joined before this returns. One
-/// worker starts no thread. An exception from any call is rethrown here.
-template <typename Fn>
-void RunWorkers(size_t workers, const Fn& fn) {
-  std::vector<std::exception_ptr> errors(workers);
-  const auto run = [&](size_t w) {
-    try {
-      fn(w);
-    } catch (...) {
-      errors[w] = std::current_exception();
-    }
-  };
-  {
-    std::vector<std::jthread> threads;
-    threads.reserve(workers - 1);
-    for (size_t w = 1; w < workers; ++w) threads.emplace_back(run, w);
-    run(0);
-  }
-  for (const std::exception_ptr& e : errors) {
-    if (e != nullptr) std::rethrow_exception(e);
-  }
-}
-
-/// Cuts the items [0, prefix.size() - 1) into `parts` contiguous ranges of
-/// about equal weight, where prefix[i] is the weight of the items before
-/// item i: range p is [bounds[p], bounds[p + 1]).
-std::vector<size_t> SplitByWeight(std::span<const size_t> prefix, size_t parts) {
-  std::vector<size_t> bounds(parts + 1, prefix.size() - 1);
-  bounds[0] = 0;
-  for (size_t p = 1; p < parts; ++p) {
-    const size_t target = prefix.back() / parts * p;
-    const auto from = prefix.begin() + static_cast<ptrdiff_t>(bounds[p - 1]);
-    const auto at = std::lower_bound(from, prefix.end() - 1, target);
-    bounds[p] = static_cast<size_t>(at - prefix.begin());
-  }
-  return bounds;
-}
 
 /// The payload bytes to stage for the tokens whose buckets `prefix`
 /// bounds (prefix[i] .. prefix[i + 1] for each): 4 per occurrence for its
@@ -109,9 +56,7 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
   for (NodeId n = 0; n < num_nodes; ++n) {
     node_start[n + 1] = node_start[n] + corpus.doc(n).tokens.size();
   }
-  const size_t total = node_start.back();
-  const size_t cores = std::max(1u, std::thread::hardware_concurrency());
-  const size_t workers = std::clamp<size_t>(total / kOccurrencesPerWorker, 1, cores);
+  const size_t workers = WorkersFor(node_start.back());
 
   // Count and scatter: one stable counting sort of the occurrences by
   // token, over contiguous node ranges with one histogram per worker.

@@ -14,9 +14,10 @@
 // a random document.
 //
 // The passes run on clamp(occurrences / 2^19, 1, hardware_concurrency())
-// workers, set by the corpus size and the core count alone; the calling
-// thread is one of them, and one worker starts no thread (ingest seals and
-// 3,000-node shards, which run beside other work, stay there). Count and
+// workers (WorkersFor, index/build_workers.h), set by the corpus size and
+// the core count alone; the calling thread is one of them, and one worker
+// starts no thread (ingest seals and 3,000-node shards, which run beside
+// other work, stay there). Count and
 // scatter take contiguous node ranges, one histogram each; slots are handed
 // out token-major, then worker-major, so every bucket stays in node order.
 // The write pass cuts the vocabulary into two contiguous token chunks per
@@ -31,12 +32,13 @@
 // index is freed). Peak memory is the records (8 B per occurrence, one
 // array per chunk, freed as its chunk finishes) plus the lists' payload;
 // nothing is copied twice. Each worker also counts its entries per node;
-// their sum is each node's distinct-token count. A fourth pass, serial so the norms are bit-identical, reads the
-// finished list headers for the statistics and norms
-// (InvertedIndex::FinishLists, which a segment merge ends with too, through
-// ComputeNodeNorms, the pass snapshots run with global statistics). No
-// uncompressed form of a list is ever built. The saved bytes are pinned by
-// tests/index_builder_golden_test.cc.
+// their sum is each node's distinct-token count. A fourth pass reads the
+// finished lists for the statistics and norms (InvertedIndex::FinishLists,
+// which a segment merge ends with too, through ComputeNodeNorms, the pass
+// snapshots run with global statistics); its norms are exact, order-free
+// sums, so it runs on the same workers and still stores the same bits as
+// a serial pass. No uncompressed form of a list is ever built. The saved
+// bytes are pinned by tests/index_builder_golden_test.cc.
 
 #ifndef FTS_INDEX_INDEX_BUILDER_H_
 #define FTS_INDEX_INDEX_BUILDER_H_

@@ -590,7 +590,8 @@ void SaveIndexToString(const InvertedIndex& index, std::string* out) {
   out->clear();
   out->reserve(bound);
   IndexSink sink(out);
-  [[maybe_unused]] const Status emitted = EmitIndex(index, &sink);  // a string cannot fail
+  // A string sink cannot fail.
+  [[maybe_unused]] const Status emitted = EmitIndex(index, &sink);
 }
 
 Status LoadIndexFromString(const std::string& data, InvertedIndex* out) {

@@ -10,12 +10,12 @@ namespace {
 /// per-segment global df projections and global-idf norms, from an
 /// already-aggregated global df table. Norms come from the
 /// ComputeNodeNorms pass IndexBuilder runs, with global live df /
-/// live_nodes substituted for the per-segment statistics, so every score
-/// over the snapshot is bit-identical to a single-shot build of the
-/// surviving documents. A shard server re-runs exactly this pass when a
-/// scatter-gather router pushes the cross-shard global table to it
-/// (IndexSnapshot::CreateSharded), so single-process and sharded
-/// snapshots share it verbatim.
+/// live_nodes substituted for the per-segment statistics; its sums are
+/// exact and order-free, so every score over the snapshot is
+/// bit-identical to a single-shot build of the surviving documents. A
+/// shard server re-runs exactly this pass when a scatter-gather router
+/// pushes the cross-shard global table to it (IndexSnapshot::CreateSharded),
+/// so single-process and sharded snapshots share it verbatim.
 Status ComputeSegmentStats(
     const std::vector<SegmentView>& segments, uint64_t live_nodes,
     const std::unordered_map<std::string, uint32_t>* df_by_text,

@@ -18,7 +18,8 @@
 // tombstones (ForIndex included) uses its index's own record, which *is*
 // global. Every other snapshot owns snapshot-global records — global live
 // df per token and per-segment node norms recomputed under global idf by
-// the ComputeNodeNorms pass IndexBuilder itself runs. Creating a
+// the ComputeNodeNorms pass IndexBuilder itself runs, whose exact,
+// order-free sums give a node the same norm bits in any segment. Creating a
 // generation does not pay for them: they are computed once per
 // generation, under std::call_once, either by the first scored Searcher
 // or, before publishing, by a writer whose readers score (stats_demand(),

@@ -1,13 +1,14 @@
 #include "index/inverted_index.h"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
+#include <atomic>
 
 #include "index/block_posting_list.h"
+#include "index/build_workers.h"
 #include "index/index_source.h"
 #include "index/pair_index.h"
 #include "index/tombstone_set.h"
+#include "scoring/score_model.h"
 
 namespace fts {
 
@@ -128,34 +129,75 @@ void InvertedIndex::BuildPairIndex(std::span<const TokenizedDocument> docs,
 Status ComputeNodeNorms(const InvertedIndex& index, const TombstoneSet* dead,
                         std::vector<double>* norms,
                         SegmentScoringStats* stats) {
-  std::vector<TokenId> by_text(index.vocabulary_size());
-  std::iota(by_text.begin(), by_text.end(), TokenId{0});
-  std::sort(by_text.begin(), by_text.end(), [&index](TokenId a, TokenId b) {
-    return index.token_text(a) < index.token_text(b);
-  });
-  std::vector<double> sum_sq(index.num_nodes(), 0.0);
-  std::vector<BlockPostingList::EntryRef> entries;
-  for (const TokenId t : by_text) {
-    const uint32_t df = stats->global_df[t];
-    if (df == 0) continue;  // absent, or every occurrence tombstoned
-    const BlockPostingList* list = index.block_list(t);
-    if (list == nullptr || list->empty()) continue;
-    const double idf = stats->Idf(df);
-    for (size_t b = 0; b < list->num_blocks(); ++b) {
-      FTS_RETURN_IF_ERROR(list->DecodeBlockEntries(b, &entries));
-      for (const BlockPostingList::EntryRef& e : entries) {
-        const NodeId n = e.header.node;
-        if (dead != nullptr && dead->Contains(n)) continue;
-        const uint32_t uniq = index.unique_tokens(n);
-        const double tf = static_cast<double>(e.header.pos_count) / uniq;
-        sum_sq[n] += tf * idf * tf * idf;
-      }
+  // With several workers the vocabulary is cut into kChunksPerWorker token
+  // chunks per worker, balanced by the entries to decode (a token with df
+  // 0 contributes nothing and is never decoded), which the workers take in
+  // turn from the last (rare tokens, the costliest per entry) down; any
+  // worker may sum any chunk, the sums being order-free. One worker takes
+  // the vocabulary as one chunk.
+  const size_t vocab = index.vocabulary_size();
+  const size_t num_nodes = index.num_nodes();
+  const size_t workers = WorkersFor(index.stats().total_positions);
+  const size_t chunks = workers == 1 ? 1 : kChunksPerWorker * workers;
+  uint32_t block_entries = 0;  // a decoded block holds at most this many
+  std::vector<size_t> entries_before(chunks > 1 ? vocab + 1 : 0, 0);
+  for (TokenId t = 0; t < vocab; ++t) {
+    const BlockPostingList& list = *index.block_list(t);
+    block_entries = std::max(block_entries, list.block_size());
+    if (chunks > 1) {
+      entries_before[t + 1] =
+          entries_before[t] + (stats->global_df[t] != 0 ? list.num_entries() : 0);
     }
   }
-  norms->assign(index.num_nodes(), 1.0);
-  for (NodeId n = 0; n < index.num_nodes(); ++n) {
-    if (dead != nullptr && dead->Contains(n)) continue;  // never scored
-    if (sum_sq[n] > 0) (*norms)[n] = std::sqrt(sum_sq[n]);
+  const std::vector<size_t> bounds =
+      chunks > 1 ? SplitByWeight(entries_before, chunks) : std::vector<size_t>{0, vocab};
+
+  // Each worker sums into accumulators of its own, which the calling
+  // thread sizes, as it does their decode scratch, so a worker thread
+  // allocates nothing (and leaves nothing in a malloc arena of its own).
+  std::vector<NormSum> sums(workers * num_nodes, 0);
+  // A line of its own per worker: a decode writes its vector's end pointer
+  // for every entry.
+  struct alignas(64) Scratch {
+    std::vector<BlockPostingList::EntryRef> entries;
+  };
+  std::vector<Scratch> scratch(workers);
+  for (Scratch& s : scratch) s.entries.reserve(block_entries);
+  std::vector<Status> failed(workers);
+  std::atomic<size_t> next_chunk{0};
+  RunWorkers(workers, [&](size_t w) {
+    NormSum* const sum = sums.data() + w * num_nodes;
+    std::vector<BlockPostingList::EntryRef>& entries = scratch[w].entries;
+    for (size_t task; (task = next_chunk.fetch_add(1)) < chunks;) {
+      const size_t c = chunks - 1 - task;
+      for (TokenId t = bounds[c]; t < bounds[c + 1]; ++t) {
+        const uint32_t df = stats->global_df[t];
+        if (df == 0) continue;
+        const uint64_t weight = NormWeight(stats->Idf(df));
+        const BlockPostingList& list = *index.block_list(t);
+        for (size_t b = 0; b < list.num_blocks(); ++b) {
+          Status decoded = list.DecodeBlockEntries(b, &entries);
+          if (!decoded.ok()) {
+            failed[w] = std::move(decoded);
+            return;
+          }
+          for (const BlockPostingList::EntryRef& e : entries) {
+            const NodeId n = e.header.node;
+            if (dead != nullptr && dead->Contains(n)) continue;
+            sum[n] += NormTerm(e.header.pos_count, weight);
+          }
+        }
+      }
+    }
+  });
+  for (const Status& status : failed) FTS_RETURN_IF_ERROR(status);
+
+  // Dead and empty nodes, whose sums stayed 0, get the neutral norm.
+  norms->resize(num_nodes);
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    NormSum total = 0;
+    for (size_t w = 0; w < workers; ++w) total += sums[w * num_nodes + n];
+    (*norms)[n] = NodeNorm(total, index.unique_tokens(n));
   }
   stats->norms = *norms;
   stats->min_uniq_norm = MinUniqNorm(index, *norms, dead);

@@ -212,18 +212,24 @@ class InvertedIndex {
   std::shared_ptr<IndexSource> source_;
 };
 
-/// The TF-IDF norm pass shared by IndexBuilder (an index's own record) and
-/// IndexSnapshot (snapshot-global ones): ||n||_2 = sqrt(sum_t (tf(n,t) *
+/// The TF-IDF norm pass shared by IndexBuilder and MergeSegments (an
+/// index's own record) and IndexSnapshot (snapshot-global ones, a shard's
+/// under the router's global df included): ||n||_2 = sqrt(sum_t (tf(n,t) *
 /// idf(t))^2) with the paper's tf = occurs/unique_tokens and idf =
-/// stats->Idf(stats->global_df[t]). Reads list headers only (no position
-/// bytes). The sum runs in *sorted token text* order — a canonical order
-/// independent of dictionary interning — so every node adds the same
-/// terms in the same order wherever the same logical corpus is indexed;
-/// that is what keeps multi-segment and sharded scores bit-identical to a
-/// single-shot build. Tokens with df 0 and nodes in `dead` (nullable)
-/// contribute nothing; dead and empty nodes get the neutral norm 1.0.
-/// Fills `*norms`, points stats->norms at it and sets
-/// stats->min_uniq_norm (MinUniqNorm).
+/// stats->Idf(stats->global_df[t]), computed as the exact, order-free sum
+/// scoring/score_model.h defines (NormWeight, NormTerm, NodeNorm). Reads
+/// entry headers only (no position bytes). Because the sum is exact, the
+/// norm of a node is the same wherever its live document is indexed — one
+/// segment or several, merged, sharded, interned in any token order, on
+/// any number of workers — which is what keeps multi-segment and sharded
+/// scores bit-identical to a single-shot build. The pass runs on
+/// WorkersFor(total positions) workers (index/build_workers.h), each
+/// summing token chunks balanced by entries into accumulators of its own,
+/// merged by integer addition. Tokens with df 0 and nodes in `dead`
+/// (nullable) contribute nothing; dead and empty nodes get the neutral
+/// norm 1.0. Fills `*norms`, points stats->norms at it and sets
+/// stats->min_uniq_norm (MinUniqNorm). Fails only if a block fails to
+/// decode.
 Status ComputeNodeNorms(const InvertedIndex& index, const TombstoneSet* dead,
                         std::vector<double>* norms,
                         SegmentScoringStats* stats);

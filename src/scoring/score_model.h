@@ -14,6 +14,8 @@
 #ifndef FTS_SCORING_SCORE_MODEL_H_
 #define FTS_SCORING_SCORE_MODEL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -28,6 +30,71 @@
 #include "text/document.h"
 
 namespace fts {
+
+// ---------------------------------------------------------------------------
+// The TF-IDF node norm (paper Section 3.1) as an exact sum.
+//
+// ||n||_2 = sqrt(sum_t (tf(n,t) * idf(t))^2) with tf(n,t) =
+// pos_count(n,t) / unique_tokens(n). The divisor is common to every term,
+// so ||n||_2 = sqrt(sum_t pos_count(n,t)^2 * idf(t)^2) / unique_tokens(n),
+// and that is how a norm is computed:
+//   - each (node, token) entry contributes NormTerm(pos_count, weight),
+//     where weight = NormWeight(idf) is idf^2 (the double idf * idf)
+//     rounded to nearest on the 2^-kNormFractionBits grid, and the term is
+//     the exact integer product pos_count^2 * weight;
+//   - a node's terms add up exactly, in a NormSum;
+//   - NodeNorm(sum, unique_tokens) is the norm: sum, rounded once to a
+//     double and scaled by 2^-kNormFractionBits, then the square root,
+//     divided by max(1, unique_tokens).
+//
+// Why: every term is rounded on its own, before the sum, and integer
+// addition is associative, so a norm does not depend on the order its
+// terms are added in. A segment, a merge, a shard under the global df, a
+// corpus interned in another token order and a pass split across any
+// number of workers all produce the same bits as a single-shot build of
+// the same live documents, by construction rather than by sharing one
+// summation order. The grid keeps ~52 significant bits of any idf^2 >=
+// (ln 2)^2, the smallest idf of a token with a live occurrence.
+//
+// Overflow bound: idf = ln(1 + live_nodes / df) <= ln(1 + 2^64) < 44.4, so
+// idf^2 < 2^kIdfSquaredBits and a weight < 2^(kIdfSquaredBits +
+// kNormFractionBits). A node's position counts sum to its IL_ANY entry's
+// count, a uint32, so its sum of pos_count^2 is below 2^64 and its NormSum
+// below 2^(64 + kIdfSquaredBits + kNormFractionBits) <= 2^128. (A crafted
+// file whose counts break the bound wraps the unsigned sum into a wrong
+// norm; it cannot cause undefined behaviour.)
+// ---------------------------------------------------------------------------
+
+/// The exact accumulator of a node's norm terms.
+using NormSum = unsigned __int128;
+
+/// Fraction bits of the fixed-point idf^2 weights.
+inline constexpr int kNormFractionBits = 52;
+
+/// idf^2 < 2^kIdfSquaredBits for every idf Idf can return.
+inline constexpr int kIdfSquaredBits = 11;
+
+static_assert(64 + kIdfSquaredBits + kNormFractionBits <= 128,
+              "a node's norm sum must fit its accumulator");
+
+/// idf^2 on the 2^-kNormFractionBits grid: idf * idf * 2^52, rounded to
+/// the nearest integer.
+inline uint64_t NormWeight(double idf) {
+  return static_cast<uint64_t>(std::nearbyint(std::ldexp(idf * idf, kNormFractionBits)));
+}
+
+/// One entry's exact contribution to its node's norm sum.
+inline NormSum NormTerm(uint32_t pos_count, uint64_t weight) {
+  return static_cast<NormSum>(uint64_t{pos_count} * pos_count) * weight;
+}
+
+/// The norm of a node whose terms sum to `sum`; the neutral 1.0 when the
+/// node has no live term.
+inline double NodeNorm(NormSum sum, uint32_t unique_tokens) {
+  if (sum == 0) return 1.0;
+  return std::sqrt(std::ldexp(static_cast<double>(sum), -kNormFractionBits)) /
+         std::max<uint32_t>(1, unique_tokens);
+}
 
 /// Which Section 3 scoring method an engine applies (kNone disables
 /// scoring entirely).

@@ -5,11 +5,12 @@
 // keep the bytes exactly, so the format version never has to move for them.
 //
 // The hashes were recorded with the v7 writer (CRC32C block and trailer
-// checksums) from the builder of format v6's last release, whose list bytes
-// equal those of the map-based builder it replaced; v7 moved only the
-// checksums. Bitset blocks are pinned on (the process default is
-// environment-controlled) so the expected bytes do not depend on the
-// caller's environment.
+// checksums) once node norms became exact, order-free sums
+// (scoring/score_model.h); that moved only the stored norms and the
+// trailer. The list bytes are those of format v6's last release, equal to
+// the map-based builder's it replaced. Bitset blocks are pinned on (the
+// process default is environment-controlled) so the expected bytes do not
+// depend on the caller's environment.
 
 #include <gtest/gtest.h>
 
@@ -114,27 +115,27 @@ void ExpectGolden(const Golden& got, const Golden& want) {
 
 TEST(IndexBuilderGoldenTest, PaperCorpusClassic) {
   ExpectGolden(SavedFile(PaperCorpus(), {}, "paper_classic"),
-               {2410231, 0x2810ac46ad8e304eULL});
+               {2410231, 0xdea3fbcc6ac76501ULL});
 }
 
 TEST(IndexBuilderGoldenTest, PaperCorpusPairs16x2) {
   ExpectGolden(SavedFile(PaperCorpus(), Pairs(16, 2), "paper_pairs_16_2"),
-               {7790657, 0xbf1a24f65ecea73eULL});
+               {7790657, 0xd20d27fa8966f0b0ULL});
 }
 
 TEST(IndexBuilderGoldenTest, PaperCorpusPairs4x0) {
   ExpectGolden(SavedFile(PaperCorpus(), Pairs(4, 0), "paper_pairs_4_0"),
-               {3237788, 0x10e5014b78ada362ULL});
+               {3237788, 0xed2b667af9021c71ULL});
 }
 
 TEST(IndexBuilderGoldenTest, EdgeCorpusClassic) {
   ExpectGolden(SavedFile(EdgeCorpus(), {}, "edge_classic"),
-               {568, 0x0f565897f2bc1bcaULL});
+               {568, 0x004d6a2ddbfe1681ULL});
 }
 
 TEST(IndexBuilderGoldenTest, EdgeCorpusPairs) {
   ExpectGolden(SavedFile(EdgeCorpus(), Pairs(2, 2), "edge_pairs_2_2"),
-               {1046, 0x74255b77c51aea3dULL});
+               {1046, 0x5bfb50000ca27157ULL});
 }
 
 // 6,000 nodes of the default shape: ~1.05M occurrences, enough that the
@@ -144,7 +145,7 @@ TEST(IndexBuilderGoldenTest, PaperCorpus6000Classic) {
   CorpusGenOptions opts;
   opts.num_nodes = 6000;
   ExpectGolden(SavedFile(GenerateCorpus(opts), {}, "paper_6000_classic"),
-               {8554435, 0x2ad3a2df0992ce7dULL});
+               {8554435, 0xd011774b6cd372faULL});
 }
 
 // 24,000 nodes of the default shape with six topic occurrences at seed 1
@@ -159,7 +160,7 @@ TEST(IndexBuilderGoldenTest, PaperCorpus24000Classic) {
   size_t occurrences = 0;
   for (NodeId n = 0; n < corpus.num_nodes(); ++n) occurrences += corpus.doc(n).tokens.size();
   ASSERT_EQ(occurrences, 4181093u);
-  ExpectGolden(SavedFile(corpus, {}, "paper_24000_classic"), {35294002, 0xfc59f4912c218c8eULL});
+  ExpectGolden(SavedFile(corpus, {}, "paper_24000_classic"), {35294002, 0x9f56112ea94874a3ULL});
 }
 
 // The file and the string save are one emitter with two sinks: for every
@@ -179,10 +180,15 @@ TEST(IndexBuilderGoldenTest, FileAndStringSavesWriteTheSameBytes) {
   const struct {
     const Corpus* corpus;
     IndexBuildOptions options;
-  } cases[] = {{&PaperCorpus(), {}},     {&PaperCorpus(), Pairs(16, 2)},
-               {&PaperCorpus(), Pairs(4, 0)}, {&edge, {}},
-               {&edge, Pairs(2, 2)},     {&paper6000, {}},
-               {&paper24000, {}}};
+  } cases[] = {
+      {&PaperCorpus(), {}},
+      {&PaperCorpus(), Pairs(16, 2)},
+      {&PaperCorpus(), Pairs(4, 0)},
+      {&edge, {}},
+      {&edge, Pairs(2, 2)},
+      {&paper6000, {}},
+      {&paper24000, {}},
+  };
   for (size_t i = 0; i < std::size(cases); ++i) {
     const InvertedIndex index = Built(*cases[i].corpus, cases[i].options);
     std::string blob;

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <unordered_map>
 
 #include "algebra/fta.h"
 #include "eval/bool_engine.h"
 #include "eval/comp_engine.h"
 #include "index/index_builder.h"
+#include "index/index_snapshot.h"
+#include "index/segment_merger.h"
+#include "index/tombstone_set.h"
 #include "lang/parser.h"
 #include "scoring/probabilistic.h"
 #include "workload/corpus_gen.h"
@@ -307,6 +315,238 @@ TEST_F(ScoringFixture, ScoringAddsNoDecodeWorkToEvaluation) {
     EXPECT_EQ(b->counters.positions_decoded, 0u);
     EXPECT_EQ(c->counters.positions_decoded, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Node norms are exact, order-free sums (scoring/score_model.h): every way
+// of indexing the same live documents stores the same norm bits.
+// ---------------------------------------------------------------------------
+
+TEST_F(ScoringFixture, NormsMatchTheClassicalDefinition) {
+  // sqrt(sum_t (tf * idf)^2), summed in doubles, to within a few ulps.
+  const SegmentScoringStats stats = index.scoring_stats();
+  std::vector<double> sum_sq(index.num_nodes(), 0.0);
+  std::vector<BlockPostingList::EntryRef> entries;
+  for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
+    const BlockPostingList& list = *index.block_list(t);
+    const double idf = stats.Idf(stats.global_df[t]);
+    for (size_t b = 0; b < list.num_blocks(); ++b) {
+      ASSERT_TRUE(list.DecodeBlockEntries(b, &entries).ok());
+      for (const BlockPostingList::EntryRef& e : entries) {
+        const double tf = static_cast<double>(e.header.pos_count) /
+                          index.unique_tokens(e.header.node);
+        sum_sq[e.header.node] += tf * idf * tf * idf;
+      }
+    }
+  }
+  for (NodeId n = 0; n < index.num_nodes(); ++n) {
+    ASSERT_GT(sum_sq[n], 0.0);
+    EXPECT_NEAR(index.node_norm(n), std::sqrt(sum_sq[n]),
+                1e-14 * std::sqrt(sum_sq[n]))
+        << "node " << n;
+  }
+}
+
+TEST(NormSumTest, LargestTermsStayInsideTheDocumentedBound) {
+  // The largest idf Idf can return: one live occurrence among 2^64 - 1
+  // live nodes.
+  SegmentScoringStats stats;
+  stats.live_nodes = std::numeric_limits<uint64_t>::max();
+  const double max_idf = stats.Idf(1);
+  EXPECT_LT(max_idf * max_idf, std::ldexp(1.0, kIdfSquaredBits));
+  const uint64_t weight = NormWeight(max_idf);
+  EXPECT_LT(weight, uint64_t{1} << (kIdfSquaredBits + kNormFractionBits));
+  // The largest term: a node whose whole uint32 position count is one
+  // token's, which is also the largest sum any node can reach.
+  const uint32_t max_count = std::numeric_limits<uint32_t>::max();
+  const NormSum term = NormTerm(max_count, weight);
+  const NormSum bound = NormSum{1} << (64 + kIdfSquaredBits + kNormFractionBits);
+  EXPECT_TRUE(term < bound);
+  EXPECT_TRUE(term / weight == NormSum{uint64_t{max_count} * max_count});  // no wrap
+  const double norm = NodeNorm(term, 1);
+  EXPECT_NEAR(norm, max_idf * max_count, 1e-15 * max_idf * max_count);
+  // The smallest idf of a live token, ln 2, keeps 52 significant bits.
+  const double min_idf = std::log(2.0);
+  EXPECT_GE(NormWeight(min_idf), uint64_t{1} << (kNormFractionBits - 2));
+  EXPECT_EQ(NormWeight(0.0), 0u);
+  EXPECT_EQ(NodeNorm(0, 7), 1.0);
+}
+
+/// The documents `nodes` of `src`, in that order, in a corpus of their own.
+/// When `intern_first` is given its spellings are interned first, in its
+/// order, so token ids follow it rather than first appearance.
+Corpus Rebuilt(const Corpus& src, const std::vector<NodeId>& nodes,
+               const std::vector<std::string>& intern_first = {}) {
+  Corpus out;
+  for (const std::string& token : intern_first) out.InternToken(token);
+  for (const NodeId n : nodes) {
+    const TokenizedDocument& doc = src.doc(n);
+    std::vector<RawToken> tokens;
+    for (size_t i = 0; i < doc.size(); ++i) {
+      tokens.push_back({src.token_text(doc.tokens[i]), doc.positions[i]});
+    }
+    out.AddAnalyzedDocument(tokens);
+  }
+  return out;
+}
+
+/// Same bits: the two spans compare equal under memcmp.
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// A 12,000-node corpus of the default shape (~2.1M occurrences: a
+/// single-shot build sums its norms on up to four workers), cut into three
+/// uneven segments: the first (~1.1M occurrences) sums on two workers, the
+/// others on one.
+class NormInvarianceTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    CorpusGenOptions opts;
+    opts.num_nodes = 12000;
+    opts.seed = 5;
+    corpus_ = new Corpus(GenerateCorpus(opts));
+    full_ = new InvertedIndex(IndexBuilder::Build(*corpus_));
+  }
+  static void TearDownTestSuite() {
+    delete full_;
+    delete corpus_;
+  }
+
+  static constexpr NodeId kCuts[4] = {0, 6500, 9000, 12000};
+
+  static std::vector<std::shared_ptr<const InvertedIndex>> Segments() {
+    std::vector<std::shared_ptr<const InvertedIndex>> segments;
+    for (size_t s = 0; s < 3; ++s) {
+      auto slice = corpus_->Slice(kCuts[s], kCuts[s + 1]);
+      EXPECT_TRUE(slice.ok());
+      segments.push_back(
+          std::make_shared<const InvertedIndex>(IndexBuilder::Build(*slice)));
+    }
+    return segments;
+  }
+
+  static Corpus* corpus_;
+  static InvertedIndex* full_;
+};
+
+Corpus* NormInvarianceTest::corpus_ = nullptr;
+InvertedIndex* NormInvarianceTest::full_ = nullptr;
+
+TEST_F(NormInvarianceTest, SegmentsMergesAndShardsStoreTheSingleShotBits) {
+  const SegmentScoringStats full = full_->scoring_stats();
+  const std::vector<std::shared_ptr<const InvertedIndex>> segments = Segments();
+
+  // Three segments, no deletes: per-segment norms under the global df.
+  {
+    auto snap = IndexSnapshot::Create(segments);
+    ASSERT_TRUE(snap.ok());
+    auto stats = (*snap)->ScoringStats();
+    ASSERT_TRUE(stats.ok());
+    std::vector<double> norms;
+    double min_uniq_norm = std::numeric_limits<double>::infinity();
+    for (const SegmentScoringStats& st : *stats) {
+      norms.insert(norms.end(), st.norms.begin(), st.norms.end());
+      min_uniq_norm = std::min(min_uniq_norm, st.min_uniq_norm);
+    }
+    EXPECT_TRUE(SameBits(norms, full.norms));
+    EXPECT_TRUE(SameBits({&min_uniq_norm, 1}, {&full.min_uniq_norm, 1}));
+  }
+
+  // Each segment as a shard scored under the corpus-global df.
+  {
+    std::unordered_map<std::string, uint32_t> df_by_text;
+    for (const auto& segment : segments) {
+      ASSERT_TRUE(AddLiveDfByText(*segment, nullptr, &df_by_text).ok());
+    }
+    for (size_t s = 0; s < 3; ++s) {
+      auto shard = IndexSnapshot::CreateSharded(segments[s], corpus_->num_nodes(),
+                                                df_by_text);
+      ASSERT_TRUE(shard.ok());
+      auto stats = (*shard)->ScoringStats();
+      ASSERT_TRUE(stats.ok());
+      const std::span<const double> want =
+          full.norms.subspan(kCuts[s], kCuts[s + 1] - kCuts[s]);
+      EXPECT_TRUE(SameBits((*stats)[0].norms, want)) << "shard " << s;
+    }
+  }
+
+  // The merge of the three segments is the single-shot index again.
+  {
+    std::vector<SegmentView> views;
+    NodeId base = 0;
+    for (const auto& segment : segments) {
+      views.push_back({.index = segment.get(), .base = base});
+      base += static_cast<NodeId>(segment->num_nodes());
+    }
+    auto merged = MergeSegments(views, {});
+    ASSERT_TRUE(merged.ok());
+    const SegmentScoringStats own = merged->scoring_stats();
+    EXPECT_TRUE(SameBits(own.norms, full.norms));
+    EXPECT_TRUE(SameBits({&own.min_uniq_norm, 1}, {&full.min_uniq_norm, 1}));
+  }
+}
+
+TEST_F(NormInvarianceTest, TombstonedSegmentsAndTheirMergeStoreTheSurvivorsBits) {
+  const std::vector<std::shared_ptr<const InvertedIndex>> segments = Segments();
+  // Delete every seventh node, and every node of a stretch of the last
+  // segment: some tokens lose every live occurrence.
+  std::vector<std::shared_ptr<const TombstoneSet>> tombstones;
+  std::vector<NodeId> survivors;
+  for (size_t s = 0; s < 3; ++s) {
+    auto dead = std::make_shared<TombstoneSet>(segments[s]->num_nodes());
+    for (NodeId n = kCuts[s]; n < kCuts[s + 1]; ++n) {
+      if (n % 7 == 3 || (n >= 10000 && n < 10400)) {
+        dead->MarkDeleted(n - kCuts[s]);
+      } else {
+        survivors.push_back(n);
+      }
+    }
+    tombstones.push_back(std::move(dead));
+  }
+  const InvertedIndex want_index = IndexBuilder::Build(Rebuilt(*corpus_, survivors));
+  const SegmentScoringStats want = want_index.scoring_stats();
+
+  auto snap = IndexSnapshot::Create(segments, tombstones);
+  ASSERT_TRUE(snap.ok());
+  auto stats = (*snap)->ScoringStats();
+  ASSERT_TRUE(stats.ok());
+  std::vector<double> live_norms;
+  double min_uniq_norm = std::numeric_limits<double>::infinity();
+  for (size_t s = 0; s < 3; ++s) {
+    const SegmentScoringStats& st = (*stats)[s];
+    for (NodeId n = 0; n < st.norms.size(); ++n) {
+      if (!tombstones[s]->Contains(n)) live_norms.push_back(st.norms[n]);
+    }
+    min_uniq_norm = std::min(min_uniq_norm, st.min_uniq_norm);
+  }
+  EXPECT_TRUE(SameBits(live_norms, want.norms));
+  EXPECT_TRUE(SameBits({&min_uniq_norm, 1}, {&want.min_uniq_norm, 1}));
+
+  auto merged = MergeSegments((*snap)->segments(), {});
+  ASSERT_TRUE(merged.ok());
+  const SegmentScoringStats own = merged->scoring_stats();
+  EXPECT_TRUE(SameBits(own.norms, want.norms));
+  EXPECT_TRUE(SameBits({&own.min_uniq_norm, 1}, {&want.min_uniq_norm, 1}));
+}
+
+TEST_F(NormInvarianceTest, ShuffledInterningStoresTheSameBits) {
+  // The same documents, with token ids in a shuffled order instead of
+  // first appearance: every list is summed in another order.
+  std::vector<std::string> vocabulary;
+  for (TokenId t = 0; t < corpus_->vocabulary_size(); ++t) {
+    vocabulary.push_back(corpus_->token_text(t));
+  }
+  std::shuffle(vocabulary.begin(), vocabulary.end(), std::mt19937(11));
+  std::vector<NodeId> all(corpus_->num_nodes());
+  for (NodeId n = 0; n < all.size(); ++n) all[n] = n;
+  const InvertedIndex shuffled = IndexBuilder::Build(Rebuilt(*corpus_, all, vocabulary));
+  ASSERT_NE(shuffled.token_text(0), full_->token_text(0));
+  const SegmentScoringStats a = shuffled.scoring_stats();
+  const SegmentScoringStats b = full_->scoring_stats();
+  EXPECT_TRUE(SameBits(a.norms, b.norms));
+  EXPECT_TRUE(SameBits({&a.min_uniq_norm, 1}, {&b.min_uniq_norm, 1}));
 }
 
 }  // namespace
