@@ -74,59 +74,98 @@ constexpr size_t kMaxVarint64 = 10;
 constexpr size_t kFileBufferBytes = size_t{1} << 20;
 constexpr size_t kDirectWriteBytes = size_t{64} << 10;
 
-/// Where a save's bytes go: the one emitter (EmitIndex) writes every
-/// section through it, into a string (SaveIndexToString) or a file
-/// (SaveIndexToFile). Directory bytes are appended to Bytes(); block
-/// payloads go through Payload(), which the trailer CRC32C hops over, so
-/// the trailer is extended as the bytes go by and the whole file is never
-/// staged. The file sink copies directories and small payloads into one
-/// reused 1 MiB buffer and writes larger payloads straight from the lists.
-class IndexSink {
+/// The trailer CRC32C of the bytes appended to one buffer, payloads
+/// excepted. It folds the buffer in bulk, when it is written out or ends,
+/// rather than list by list: word loads of bytes just stored as varints
+/// stall on store forwarding.
+struct TrailerCrc {
+  /// Appends a payload to `out`, marked for the fold to hop over.
+  void AppendPayload(std::string* out, std::string_view bytes) {
+    payloads.push_back({out->size(), out->size() + bytes.size()});
+    out->append(bytes);
+  }
+
+  /// Extends the CRC over `out` from `mark` to its end, payloads excepted.
+  void Fold(std::string_view out) {
+    for (const auto& [begin, end] : payloads) {
+      crc = Crc32cExtend(crc, out.substr(mark, begin - mark));
+      mark = end;
+    }
+    payloads.clear();
+    crc = Crc32cExtend(crc, out.substr(mark));
+    mark = out.size();
+  }
+
+  uint32_t crc = 0;
+  size_t mark = kMagicSize;  // first byte not yet folded; the magic is not covered
+  std::vector<std::pair<size_t, size_t>> payloads;  // [begin, end) past mark
+};
+
+/// The sinks of the one emitter, EmitIndex: SaveIndexToString's appends
+/// to a string, SaveIndexToFile's writes a file without ever staging it.
+/// The emitter appends directory bytes to Bytes(n) (at most n per call)
+/// and hands each list's payload to Payload(), which the trailer skips.
+class StringSink {
  public:
   /// Appends the file to `*out`, which the caller has sized.
-  explicit IndexSink(std::string* out) : out_(out) { Start(); }
-  /// Writes the file to `path`, created or truncated.
-  explicit IndexSink(const std::string& path)
-      : out_(&buffer_),
-        path_(path),
+  explicit StringSink(std::string* out) : out_(out) { out_->append(kMagic, kMagicSize); }
+
+  std::string* Bytes(size_t) { return out_; }
+  void Payload(std::string_view bytes) { crc_.AppendPayload(out_, bytes); }
+
+  /// Appends the trailer.
+  Status Finish() {
+    crc_.Fold(*out_);
+    PutFixed64(out_, crc_.crc);
+    return Status::OK();
+  }
+
+ private:
+  std::string* out_;
+  TrailerCrc crc_;
+};
+
+/// Copies directories and payloads under kDirectWriteBytes into one
+/// reused buffer of kFileBufferBytes, and writes larger payloads straight
+/// from the lists.
+class FileSink {
+ public:
+  /// Creates or truncates `path`; status() says whether that failed.
+  explicit FileSink(const std::string& path)
+      : path_(path),
         fd_(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666)) {
     if (fd_ < 0) status_ = Status::IOError("cannot open for write: " + path);
     buffer_.reserve(kFileBufferBytes);
-    Start();
+    buffer_.append(kMagic, kMagicSize);
   }
-  ~IndexSink() {
+  ~FileSink() {
     if (fd_ >= 0) ::close(fd_);
   }
-  IndexSink(const IndexSink&) = delete;
-  IndexSink& operator=(const IndexSink&) = delete;
+  FileSink(const FileSink&) = delete;
+  FileSink& operator=(const FileSink&) = delete;
 
   /// The first failure to open or write the file, if any.
   const Status& status() const { return status_; }
 
-  /// The string to append at most `max_bytes` directory bytes to.
   std::string* Bytes(size_t max_bytes) {
-    if (fd_ >= 0 && buffer_.size() + max_bytes > kFileBufferBytes) Flush();
-    return out_;
+    if (buffer_.size() + max_bytes > kFileBufferBytes) Flush();
+    return &buffer_;
   }
 
-  /// Appends one list's payload bytes, which the trailer does not cover.
   void Payload(std::string_view bytes) {
-    FoldCrc();
-    if (fd_ >= 0 && bytes.size() >= kDirectWriteBytes) {
+    if (bytes.size() >= kDirectWriteBytes) {
       Flush();
       Write(bytes);
       return;
     }
-    Bytes(bytes.size())->append(bytes);
-    crc_mark_ = out_->size();
+    crc_.AppendPayload(Bytes(bytes.size()), bytes);
   }
 
-  /// Appends the trailer; a file sink then writes what it holds and closes
-  /// the file. Returns the first failure to open, write or close it.
+  /// Appends the trailer, writes what is buffered and closes the file.
+  /// Returns the first failure to open, write or close it.
   Status Finish() {
-    FoldCrc();
-    PutFixed64(Bytes(kTrailerSize), crc_);
-    if (fd_ < 0) return status_;
+    crc_.Fold(buffer_);
+    PutFixed64(Bytes(kTrailerSize), crc_.crc);
     Write(buffer_);
     // The close reports a failure the writes could not (a full device on
     // some file systems), so it is checked too.
@@ -137,24 +176,12 @@ class IndexSink {
   }
 
  private:
-  void Start() {
-    out_->append(kMagic, kMagicSize);
-    crc_mark_ = out_->size();  // the trailer starts past the magic
-  }
-
-  /// Extends the trailer over the directory bytes appended since the last
-  /// fold.
-  void FoldCrc() {
-    crc_ = Crc32cExtend(crc_, std::string_view(*out_).substr(crc_mark_));
-    crc_mark_ = out_->size();
-  }
-
-  /// Writes out and empties the file sink's buffer.
+  /// Writes out and empties the buffer.
   void Flush() {
-    FoldCrc();
+    crc_.Fold(buffer_);
     Write(buffer_);
     buffer_.clear();
-    crc_mark_ = 0;
+    crc_.mark = 0;
   }
 
   /// Writes all of `bytes` to the file, retrying interrupted and short
@@ -171,16 +198,15 @@ class IndexSink {
     }
   }
 
-  std::string buffer_;  // the file sink's; unused by a string sink
-  std::string* out_;    // where Bytes() appends: the string, or buffer_
   std::string path_;
-  int fd_ = -1;         // the file; -1 for a string sink
+  int fd_;
   Status status_;
-  uint32_t crc_ = 0;
-  size_t crc_mark_ = 0;  // first byte of *out_ not yet in crc_
+  std::string buffer_;
+  TrailerCrc crc_;
 };
 
-void PutBlockPostingList(const BlockPostingList& list, IndexSink* sink) {
+template <typename Sink>
+void PutBlockPostingList(const BlockPostingList& list, Sink* sink) {
   std::string* out = sink->Bytes(5 * kMaxVarint64 + 6 * kMaxVarint32 * list.num_blocks());
   PutVarint64(out, list.num_entries());
   PutVarint64(out, list.total_positions());
@@ -313,7 +339,8 @@ Status GetBlockListDirectory(std::string_view data, size_t* offset,
 }
 
 /// Writes the whole file of `index` through `sink`, trailer included.
-Status EmitIndex(const InvertedIndex& index, IndexSink* sink) {
+template <typename Sink>
+Status EmitIndex(const InvertedIndex& index, Sink* sink) {
   // Statistics.
   const IndexStats& s = index.stats();
   std::string* out = sink->Bytes(5 * kMaxVarint64 + 3 * 8);
@@ -589,7 +616,7 @@ void SaveIndexToString(const InvertedIndex& index, std::string* out) {
   }
   out->clear();
   out->reserve(bound);
-  IndexSink sink(out);
+  StringSink sink(out);
   // A string sink cannot fail.
   [[maybe_unused]] const Status emitted = EmitIndex(index, &sink);
 }
@@ -601,7 +628,7 @@ Status LoadIndexFromString(const std::string& data, InvertedIndex* out) {
 }
 
 Status SaveIndexToFile(const InvertedIndex& index, const std::string& path) {
-  IndexSink sink(path);
+  FileSink sink(path);
   FTS_RETURN_IF_ERROR(sink.status());
   return EmitIndex(index, &sink);
 }
