@@ -75,9 +75,10 @@ constexpr size_t kFileBufferBytes = size_t{1} << 20;
 constexpr size_t kDirectWriteBytes = size_t{64} << 10;
 
 /// The trailer CRC32C of the bytes appended to one buffer, payloads
-/// excepted. It folds the buffer in bulk, when it is written out or ends,
-/// rather than list by list: word loads of bytes just stored as varints
-/// stall on store forwarding.
+/// excepted. It folds the buffer in bulk, when it is written out or ends:
+/// folding each list's directory as it was written made the string save
+/// ~7% slower (BM_IndexSerialize), most likely because the CRC's word
+/// loads then read bytes still in flight from single-byte varint stores.
 struct TrailerCrc {
   /// Appends a payload to `out`, marked for the fold to hop over.
   void AppendPayload(std::string* out, std::string_view bytes) {

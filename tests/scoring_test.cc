@@ -402,16 +402,20 @@ bool SameBits(std::span<const double> a, std::span<const double> b) {
 /// others on one.
 class NormInvarianceTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    CorpusGenOptions opts;
-    opts.num_nodes = 12000;
-    opts.seed = 5;
-    corpus_ = new Corpus(GenerateCorpus(opts));
-    full_ = new InvertedIndex(IndexBuilder::Build(*corpus_));
+  static const Corpus& TheCorpus() {
+    static const Corpus* corpus = [] {
+      CorpusGenOptions opts;
+      opts.num_nodes = 12000;
+      opts.seed = 5;
+      return new Corpus(GenerateCorpus(opts));
+    }();
+    return *corpus;
   }
-  static void TearDownTestSuite() {
-    delete full_;
-    delete corpus_;
+
+  static const InvertedIndex& Full() {
+    static const InvertedIndex* full =
+        new InvertedIndex(IndexBuilder::Build(TheCorpus()));
+    return *full;
   }
 
   static constexpr NodeId kCuts[4] = {0, 6500, 9000, 12000};
@@ -419,23 +423,17 @@ class NormInvarianceTest : public ::testing::Test {
   static std::vector<std::shared_ptr<const InvertedIndex>> Segments() {
     std::vector<std::shared_ptr<const InvertedIndex>> segments;
     for (size_t s = 0; s < 3; ++s) {
-      auto slice = corpus_->Slice(kCuts[s], kCuts[s + 1]);
+      auto slice = TheCorpus().Slice(kCuts[s], kCuts[s + 1]);
       EXPECT_TRUE(slice.ok());
       segments.push_back(
           std::make_shared<const InvertedIndex>(IndexBuilder::Build(*slice)));
     }
     return segments;
   }
-
-  static Corpus* corpus_;
-  static InvertedIndex* full_;
 };
 
-Corpus* NormInvarianceTest::corpus_ = nullptr;
-InvertedIndex* NormInvarianceTest::full_ = nullptr;
-
 TEST_F(NormInvarianceTest, SegmentsMergesAndShardsStoreTheSingleShotBits) {
-  const SegmentScoringStats full = full_->scoring_stats();
+  const SegmentScoringStats full = Full().scoring_stats();
   const std::vector<std::shared_ptr<const InvertedIndex>> segments = Segments();
 
   // Three segments, no deletes: per-segment norms under the global df.
@@ -461,7 +459,7 @@ TEST_F(NormInvarianceTest, SegmentsMergesAndShardsStoreTheSingleShotBits) {
       ASSERT_TRUE(AddLiveDfByText(*segment, nullptr, &df_by_text).ok());
     }
     for (size_t s = 0; s < 3; ++s) {
-      auto shard = IndexSnapshot::CreateSharded(segments[s], corpus_->num_nodes(),
+      auto shard = IndexSnapshot::CreateSharded(segments[s], TheCorpus().num_nodes(),
                                                 df_by_text);
       ASSERT_TRUE(shard.ok());
       auto stats = (*shard)->ScoringStats();
@@ -505,7 +503,7 @@ TEST_F(NormInvarianceTest, TombstonedSegmentsAndTheirMergeStoreTheSurvivorsBits)
     }
     tombstones.push_back(std::move(dead));
   }
-  const InvertedIndex want_index = IndexBuilder::Build(Rebuilt(*corpus_, survivors));
+  const InvertedIndex want_index = IndexBuilder::Build(Rebuilt(TheCorpus(), survivors));
   const SegmentScoringStats want = want_index.scoring_stats();
 
   auto snap = IndexSnapshot::Create(segments, tombstones);
@@ -535,16 +533,17 @@ TEST_F(NormInvarianceTest, ShuffledInterningStoresTheSameBits) {
   // The same documents, with token ids in a shuffled order instead of
   // first appearance: every list is summed in another order.
   std::vector<std::string> vocabulary;
-  for (TokenId t = 0; t < corpus_->vocabulary_size(); ++t) {
-    vocabulary.push_back(corpus_->token_text(t));
+  for (TokenId t = 0; t < TheCorpus().vocabulary_size(); ++t) {
+    vocabulary.push_back(TheCorpus().token_text(t));
   }
   std::shuffle(vocabulary.begin(), vocabulary.end(), std::mt19937(11));
-  std::vector<NodeId> all(corpus_->num_nodes());
+  std::vector<NodeId> all(TheCorpus().num_nodes());
   for (NodeId n = 0; n < all.size(); ++n) all[n] = n;
-  const InvertedIndex shuffled = IndexBuilder::Build(Rebuilt(*corpus_, all, vocabulary));
-  ASSERT_NE(shuffled.token_text(0), full_->token_text(0));
+  const InvertedIndex shuffled =
+      IndexBuilder::Build(Rebuilt(TheCorpus(), all, vocabulary));
+  ASSERT_NE(shuffled.token_text(0), Full().token_text(0));
   const SegmentScoringStats a = shuffled.scoring_stats();
-  const SegmentScoringStats b = full_->scoring_stats();
+  const SegmentScoringStats b = Full().scoring_stats();
   EXPECT_TRUE(SameBits(a.norms, b.norms));
   EXPECT_TRUE(SameBits({&a.min_uniq_norm, 1}, {&b.min_uniq_norm, 1}));
 }
