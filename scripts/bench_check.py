@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark regression smoke check.
 
-Runs the micro benchmarks (micro_index, micro_postings) with a very short
---benchmark_min_time and compares each benchmark's CPU time (best of
+Runs the micro benchmarks (micro_index, micro_postings, ...) with a very
+short --benchmark_min_time and compares each benchmark's CPU time (best of
 --runs short runs) against the committed baselines in
-bench/baselines/BENCH_<bench>.json. Because the
+bench/baselines/BENCH_<bench>.<arm>.json. Because the
 baselines were recorded on a different machine than CI runners, raw ratios
 are meaningless; instead each benchmark's new/baseline ratio is normalized
 by the *median* ratio across all benchmarks of that binary. A uniformly
@@ -28,11 +28,12 @@ the Debug leg is advisory. (The `library_build_type: debug` field inside
 the baseline JSONs describes the google-benchmark harness package, not
 this library's optimization level.)
 
-Baselines are decode-arm-aware: the runtime-dispatched group-varint
-decoder makes decode-heavy benchmarks genuinely faster under SIMD, so each
-run's recorded `fts_decode_arm` context selects
-bench/baselines/BENCH_<bench>.<arm>.json when that file exists, falling
-back to the plain BENCH_<bench>.json (recorded scalar-forced — the
+Baselines are decode-arm-aware, one file per arm: the runtime-dispatched
+group-varint decoder makes decode-heavy benchmarks genuinely faster under
+SIMD, so each run's recorded `fts_decode_arm` context selects
+bench/baselines/BENCH_<bench>.<arm>.json. A run on an arm without a file
+(ssse3), or one that records no arm, is compared against
+BENCH_<bench>.scalar.json, recorded with FTS_FORCE_SCALAR_DECODE=1 (the
 portable floor every arm should at least match).
 
 Note: the container's google-benchmark predates the "0.01x" min-time
@@ -147,11 +148,12 @@ def check_bench(build_dir, baseline_dir, bench, min_time, threshold, runs,
     # decode-heavy benchmarks genuinely faster, so a scalar-forced run
     # compared against an avx2-recorded baseline reports the SIMD speedup
     # itself as a regression (and vice versa hides real ones). Prefer a
-    # baseline recorded under the same arm; the plain file is the portable
+    # baseline recorded under the same arm; the scalar file is the portable
     # floor for arms without a dedicated recording.
-    baseline_path = os.path.join(baseline_dir, f"BENCH_{bench}.json")
+    scalar_path = os.path.join(baseline_dir, f"BENCH_{bench}.scalar.json")
+    baseline_path = scalar_path
     arm_warning = None
-    if arm is not None:
+    if arm is not None and arm != "scalar":
         arm_path = os.path.join(baseline_dir, f"BENCH_{bench}.{arm}.json")
         if os.path.exists(arm_path):
             baseline_path = arm_path

@@ -12,10 +12,6 @@ void PutVarint64(std::string* out, uint64_t value) {
   out->push_back(static_cast<char>(value));
 }
 
-void PutVarint32(std::string* out, uint32_t value) {
-  PutVarint64(out, value);
-}
-
 Status GetVarint64(std::string_view data, size_t* offset, uint64_t* value) {
   uint64_t result = 0;
   int shift = 0;
@@ -107,7 +103,6 @@ inline const uint8_t* GetVarint32Unchecked(const uint8_t* p, uint32_t* value) {
 
 const uint8_t* GetVarint32Group(const uint8_t* p, const uint8_t* limit,
                                 uint32_t* out, size_t count) {
-  constexpr size_t kMaxVarint32Bytes = 5;
   size_t i = 0;
   // Unrolled fast loop: four unchecked decodes per iteration as long as
   // even four maximal-width varints cannot run past `limit`.

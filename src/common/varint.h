@@ -1,6 +1,7 @@
-// LEB128-style variable-length integer coding used by the on-disk inverted
-// index format. Posting lists store node ids and position offsets as deltas,
-// so most values fit in one or two bytes.
+// Integer coding of the on-disk inverted index format: LEB128-style
+// variable-length integers and little-endian fixed-width 64-bit words.
+// Posting lists store node ids and position offsets as deltas, so most
+// values fit in one or two bytes.
 //
 // Two decode tiers are provided. The Status-returning GetVarint* functions
 // are the convenient form used on cold paths (index load framing, skip
@@ -13,8 +14,10 @@
 #ifndef FTS_COMMON_VARINT_H_
 #define FTS_COMMON_VARINT_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -22,11 +25,53 @@
 
 namespace fts {
 
+/// Largest varint32 encoding.
+constexpr size_t kMaxVarint32Bytes = 5;
+
 /// Appends `value` to `out` as an unsigned LEB128 varint (1..10 bytes).
 void PutVarint64(std::string* out, uint64_t value);
 
-/// Appends `value` as a 32-bit varint (1..5 bytes).
-void PutVarint32(std::string* out, uint32_t value);
+/// Writes `value` as a 32-bit varint (1..5 bytes) at `out`, which has room
+/// for kMaxVarint32Bytes; returns the byte after it.
+inline uint8_t* EncodeVarint32(uint8_t* out, uint32_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<uint8_t>(value | 0x80);
+    value >>= 7;
+  }
+  *out++ = static_cast<uint8_t>(value);
+  return out;
+}
+
+/// Appends `value` as a 32-bit varint to a byte container (std::string,
+/// PageBytes).
+template <typename Bytes>
+void PutVarint32(Bytes* out, uint32_t value) {
+  uint8_t buf[kMaxVarint32Bytes];
+  const char* begin = reinterpret_cast<const char*>(buf);
+  out->insert(out->end(), begin,
+              reinterpret_cast<const char*>(EncodeVarint32(buf, value)));
+}
+
+/// The little-endian 64-bit word at `p` (unaligned), whatever the host's
+/// byte order: bitset words, doubles and the trailer are stored this way,
+/// so files are byte-identical across hosts.
+inline uint64_t LoadFixed64Le(const void* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+  return v;
+}
+
+/// Appends `value` to a byte container as a little-endian 64-bit word.
+template <typename Bytes>
+void PutFixed64Le(Bytes* out, uint64_t value) {
+  if constexpr (std::endian::native == std::endian::big) {
+    value = __builtin_bswap64(value);
+  }
+  char buf[sizeof(value)];
+  std::memcpy(buf, &value, sizeof(value));
+  out->insert(out->end(), buf, buf + sizeof(value));
+}
 
 /// Decodes a varint from `data` starting at `*offset`, advancing `*offset`
 /// past the encoded bytes. Returns Corruption if the input is truncated or

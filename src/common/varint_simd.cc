@@ -79,75 +79,75 @@ const ShuffleTable* BuildShuffleTable() {
   return table;
 }
 
+/// The 16-byte step both SIMD arms take while `i + 8 <= count` and 16
+/// bytes remain: sixteen one-byte values widen straight to uint32 lanes;
+/// otherwise the table gathers up to eight 1..2-byte varints, and a first
+/// varint of 3+ bytes (or a malformed one) goes through the checked scalar
+/// decoder. Advances `*i`; returns the pointer past what it decoded, or
+/// nullptr on malformed input.
+__attribute__((target("ssse3"), always_inline)) inline const uint8_t* Step16(
+    const ShuffleTable* tab, const uint8_t* p, const uint8_t* limit,
+    uint32_t* out, size_t* i, size_t count) {
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i chunk = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+  const uint32_t mask =
+      static_cast<uint32_t>(_mm_movemask_epi8(chunk)) & 0xFFFFu;
+  if (mask == 0 && *i + 16 <= count) {
+    const __m128i lo = _mm_unpacklo_epi8(chunk, zero);
+    const __m128i hi = _mm_unpackhi_epi8(chunk, zero);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + *i),
+                     _mm_unpacklo_epi16(lo, zero));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + *i + 4),
+                     _mm_unpackhi_epi16(lo, zero));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + *i + 8),
+                     _mm_unpacklo_epi16(hi, zero));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + *i + 12),
+                     _mm_unpackhi_epi16(hi, zero));
+    *i += 16;
+    return p + 16;
+  }
+  const uint32_t m12 = mask & 0xFFFu;
+  const uint8_t num = tab->num[m12];
+  if (num == 0) return GetVarint32Ptr(p, limit, &out[(*i)++]);
+  const __m128i ctl =
+      _mm_load_si128(reinterpret_cast<const __m128i*>(tab->control[m12]));
+  const __m128i lanes = _mm_shuffle_epi8(chunk, ctl);
+  // lane = b0 | b1<<8; value = (b0 & 0x7F) | (b1 << 7).
+  const __m128i vals = _mm_or_si128(
+      _mm_and_si128(lanes, _mm_set1_epi16(0x007F)),
+      _mm_and_si128(_mm_srli_epi16(lanes, 1), _mm_set1_epi16(0x3F80)));
+  // Store all 8 widened lanes (i + 8 <= count); lanes past `num` hold
+  // garbage and are overwritten by the next step or the tail.
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out + *i),
+                   _mm_unpacklo_epi16(vals, zero));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(out + *i + 4),
+                   _mm_unpackhi_epi16(vals, zero));
+  *i += num;
+  return p + tab->consumed[m12];
+}
+
+/// The checked scalar tail both SIMD arms finish with.
+inline const uint8_t* ScalarTail(const uint8_t* p, const uint8_t* limit,
+                                 uint32_t* out, size_t i, size_t count) {
+  for (; i < count && p != nullptr; ++i) p = GetVarint32Ptr(p, limit, &out[i]);
+  return p;
+}
+
 }  // namespace
 
 __attribute__((target("ssse3"))) const uint8_t* GetVarint32GroupSsse3(
     const uint8_t* p, const uint8_t* limit, uint32_t* out, size_t count) {
   const ShuffleTable* tab = BuildShuffleTable();
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i low7 = _mm_set1_epi16(0x007F);
-  const __m128i high7 = _mm_set1_epi16(0x3F80);
   size_t i = 0;
   while (i + 8 <= count && limit - p >= 16) {
-    const __m128i chunk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    const uint32_t mask =
-        static_cast<uint32_t>(_mm_movemask_epi8(chunk)) & 0xFFFFu;
-    if (mask == 0 && i + 16 <= count) {
-      // 16 one-byte values: widen straight to uint32 lanes.
-      const __m128i lo = _mm_unpacklo_epi8(chunk, zero);
-      const __m128i hi = _mm_unpackhi_epi8(chunk, zero);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                       _mm_unpacklo_epi16(lo, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 4),
-                       _mm_unpackhi_epi16(lo, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 8),
-                       _mm_unpacklo_epi16(hi, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 12),
-                       _mm_unpackhi_epi16(hi, zero));
-      p += 16;
-      i += 16;
-      continue;
-    }
-    const uint32_t m12 = mask & 0xFFFu;
-    const uint8_t num = tab->num[m12];
-    if (num == 0) {
-      // First varint spans 3+ bytes (or is malformed): checked scalar
-      // decode of that one varint, then re-enter the vector loop.
-      p = GetVarint32Ptr(p, limit, &out[i]);
-      if (p == nullptr) return nullptr;
-      ++i;
-      continue;
-    }
-    const __m128i ctl = _mm_load_si128(
-        reinterpret_cast<const __m128i*>(tab->control[m12]));
-    const __m128i lanes = _mm_shuffle_epi8(chunk, ctl);
-    // lane = b0 | b1<<8; value = (b0 & 0x7F) | (b1 << 7).
-    const __m128i vals =
-        _mm_or_si128(_mm_and_si128(lanes, low7),
-                     _mm_and_si128(_mm_srli_epi16(lanes, 1), high7));
-    // Store all 8 widened lanes (i + 8 <= count); lanes past `num` hold
-    // garbage and are overwritten by the next iteration or the tail.
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_unpacklo_epi16(vals, zero));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 4),
-                     _mm_unpackhi_epi16(vals, zero));
-    i += num;
-    p += tab->consumed[m12];
+    if ((p = Step16(tab, p, limit, out, &i, count)) == nullptr) return nullptr;
   }
-  for (; i < count; ++i) {
-    p = GetVarint32Ptr(p, limit, &out[i]);
-    if (p == nullptr) return nullptr;
-  }
-  return p;
+  return ScalarTail(p, limit, out, i, count);
 }
 
 __attribute__((target("avx2"))) const uint8_t* GetVarint32GroupAvx2(
     const uint8_t* p, const uint8_t* limit, uint32_t* out, size_t count) {
   const ShuffleTable* tab = BuildShuffleTable();
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i low7 = _mm_set1_epi16(0x007F);
-  const __m128i high7 = _mm_set1_epi16(0x3F80);
   size_t i = 0;
   while (i + 8 <= count && limit - p >= 16) {
     if (limit - p >= 32 && i + 32 <= count) {
@@ -171,51 +171,9 @@ __attribute__((target("avx2"))) const uint8_t* GetVarint32GroupAvx2(
         continue;
       }
     }
-    const __m128i chunk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    const uint32_t mask =
-        static_cast<uint32_t>(_mm_movemask_epi8(chunk)) & 0xFFFFu;
-    if (mask == 0 && i + 16 <= count) {
-      const __m128i lo = _mm_unpacklo_epi8(chunk, zero);
-      const __m128i hi = _mm_unpackhi_epi8(chunk, zero);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                       _mm_unpacklo_epi16(lo, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 4),
-                       _mm_unpackhi_epi16(lo, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 8),
-                       _mm_unpacklo_epi16(hi, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 12),
-                       _mm_unpackhi_epi16(hi, zero));
-      p += 16;
-      i += 16;
-      continue;
-    }
-    const uint32_t m12 = mask & 0xFFFu;
-    const uint8_t num = tab->num[m12];
-    if (num == 0) {
-      p = GetVarint32Ptr(p, limit, &out[i]);
-      if (p == nullptr) return nullptr;
-      ++i;
-      continue;
-    }
-    const __m128i ctl = _mm_load_si128(
-        reinterpret_cast<const __m128i*>(tab->control[m12]));
-    const __m128i lanes = _mm_shuffle_epi8(chunk, ctl);
-    const __m128i vals =
-        _mm_or_si128(_mm_and_si128(lanes, low7),
-                     _mm_and_si128(_mm_srli_epi16(lanes, 1), high7));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_unpacklo_epi16(vals, zero));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 4),
-                     _mm_unpackhi_epi16(vals, zero));
-    i += num;
-    p += tab->consumed[m12];
+    if ((p = Step16(tab, p, limit, out, &i, count)) == nullptr) return nullptr;
   }
-  for (; i < count; ++i) {
-    p = GetVarint32Ptr(p, limit, &out[i]);
-    if (p == nullptr) return nullptr;
-  }
-  return p;
+  return ScalarTail(p, limit, out, i, count);
 }
 
 #else  // !FTS_VARINT_SIMD_X86

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "common/varint.h"
 #include "eval/planner.h"
 #include "index/block_posting_list.h"
 #include "index/decoded_block_cache.h"
@@ -170,16 +171,11 @@ class BoolEvaluator {
     if (lo > hi) return false;  // disjoint blocks: one plain seek handles it
     const auto lentries = lc.block_entries();
     const auto rentries = rc.block_entries();
-    const auto load_word = [](const uint8_t* p) {
-      uint64_t w = 0;
-      for (int b = 0; b < 8; ++b) w |= uint64_t{p[b]} << (8 * b);
-      return w;
-    };
     uint64_t rwords[kMaxDenseWords];
     uint32_t rcum[kMaxDenseWords + 1];  // set bits before word w
     rcum[0] = 0;
     for (size_t w = 0; w < rv.nwords; ++w) {
-      rwords[w] = load_word(rv.words + 8 * w);
+      rwords[w] = LoadFixed64Le(rv.words + 8 * w);
       rcum[w + 1] = rcum[w] + static_cast<uint32_t>(std::popcount(rwords[w]));
     }
     const TombstoneSet* ltomb = lc.tombstone_filter();
@@ -187,7 +183,7 @@ class BoolEvaluator {
     if (counters_ != nullptr) ++counters_->bitset_blocks_intersected;
     uint32_t lrank_before = 0;
     for (size_t w = 0; w < lv.nwords; ++w) {
-      const uint64_t lword = load_word(lv.words + 8 * w);
+      const uint64_t lword = LoadFixed64Le(lv.words + 8 * w);
       const NodeId wstart = lv.base + static_cast<NodeId>(64 * w);
       if (wstart > hi) break;
       if (wstart + 63 < lo) {

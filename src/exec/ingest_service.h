@@ -46,7 +46,8 @@ class IngestService : public SnapshotSource {
     size_t merge_factor = 8;
     /// When non-empty, every sealed segment is also flushed to
     /// `<spill_dir>/segment-<seal#>.fts` as an ordinary index file,
-    /// crash-consistently (write-then-rename; see SaveSegmentAtomic).
+    /// consistent across a process crash (write-then-rename, no fsync;
+    /// see SaveSegmentAtomic).
     std::string spill_dir;
     /// IndexBuilder knobs applied to every seal and compaction. With
     /// build.pairs.frequent_terms > 0 each sealed segment carries its own

@@ -20,41 +20,9 @@ namespace fts {
 
 namespace {
 
-/// Bitset words are stored little-endian so files are byte-identical
-/// across hosts; the shift loops compile to plain loads/stores on LE.
-void PutFixed64Le(PageBytes* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-/// PutVarint32's encoding, written at `out` (room for 5 bytes); returns
-/// the byte after it.
-uint8_t* EncodeVarint32(uint8_t* out, uint32_t v) {
-  while (v >= 0x80) {
-    *out++ = static_cast<uint8_t>(v | 0x80);
-    v >>= 7;
-  }
-  *out++ = static_cast<uint8_t>(v);
-  return out;
-}
-
-void PutVarint32(PageBytes* out, uint32_t v) {
-  uint8_t buf[5];
-  out->insert(out->end(), buf, EncodeVarint32(buf, v));
-}
-
 void AppendBytes(PageBytes* out, const void* bytes, size_t n) {
   const char* p = static_cast<const char*>(bytes);
   out->insert(out->end(), p, p + n);
-}
-
-uint64_t LoadFixed64Le(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
 }
 
 /// True when [p, lim) holds exactly `n` varint32s as GetVarint32Ptr reads
@@ -85,7 +53,7 @@ bool BlockPostingList::SetDenseBlocksEnabledByDefault(bool enabled) {
 void BlockListWriter::EncodePositions(std::span<const PositionInfo> positions,
                                       std::vector<uint8_t>* out) {
   const size_t begin = out->size();
-  out->resize(begin + positions.size() * 3 * 5);  // 5 = max varint32
+  out->resize(begin + positions.size() * 3 * kMaxVarint32Bytes);
   uint8_t* p = out->data() + begin;
   uint32_t prev_off = 0, prev_sent = 0, prev_para = 0;
   for (const PositionInfo& pos : positions) {
@@ -405,33 +373,32 @@ Status BlockPostingList::DecodeBitsetBlock(size_t block, const SkipEntry& skip,
   // Per-entry position counts, then position byte lengths: contiguous
   // streams decoded in bulk through the dispatched (SIMD-capable) group
   // decoder — this is the entry-header decode the hybrid layout exists to
-  // un-interleave.
+  // un-interleave. One loop serves both; each store compiles into its own
+  // copy of it.
   const bool simd = SimdDecodeActive();
-  uint32_t buf[128];
-  for (uint32_t done = 0; done < skip.entry_count;) {
-    const uint32_t chunk = std::min(skip.entry_count - done, 128u);
-    if ((p = GetVarint32GroupAuto(p, lim, buf, chunk)) == nullptr) {
-      return Status::Corruption("malformed bitset count stream");
+  const auto stream = [&](auto store) {
+    uint32_t buf[128];
+    for (uint32_t done = 0; done < skip.entry_count;) {
+      const uint32_t chunk = std::min(skip.entry_count - done, 128u);
+      if ((p = GetVarint32GroupAuto(p, lim, buf, chunk)) == nullptr) return false;
+      if (simd && counters != nullptr) ++counters->simd_groups_decoded;
+      for (uint32_t j = 0; j < chunk; ++j) store(es[done + j], buf[j]);
+      done += chunk;
     }
-    if (simd && counters != nullptr) ++counters->simd_groups_decoded;
-    for (uint32_t j = 0; j < chunk; ++j) {
-      if (buf[j] > skip.max_tf) {
-        return Status::Corruption("entry position count exceeds block max_tf");
-      }
-      (*entries)[done + j].header.pos_count = buf[j];
-    }
-    done += chunk;
+    return true;
+  };
+  uint32_t max_count = 0;
+  if (!stream([&](EntryRef& e, uint32_t count) {
+        e.header.pos_count = count;
+        max_count = std::max(max_count, count);
+      })) {
+    return Status::Corruption("malformed bitset count stream");
   }
-  for (uint32_t done = 0; done < skip.entry_count;) {
-    const uint32_t chunk = std::min(skip.entry_count - done, 128u);
-    if ((p = GetVarint32GroupAuto(p, lim, buf, chunk)) == nullptr) {
-      return Status::Corruption("malformed bitset length stream");
-    }
-    if (simd && counters != nullptr) ++counters->simd_groups_decoded;
-    for (uint32_t j = 0; j < chunk; ++j) {
-      (*entries)[done + j].pos_byte_len = buf[j];
-    }
-    done += chunk;
+  if (max_count > skip.max_tf) {
+    return Status::Corruption("entry position count exceeds block max_tf");
+  }
+  if (!stream([](EntryRef& e, uint32_t len) { e.pos_byte_len = len; })) {
+    return Status::Corruption("malformed bitset length stream");
   }
   // Position bytes follow the length stream back to back; the lengths must
   // tile the remaining payload exactly.
@@ -452,103 +419,62 @@ Status BlockPostingList::DecodeBitsetBlock(size_t block, const SkipEntry& skip,
 Status BlockPostingList::DecodePositions(const EntryRef& entry,
                                          std::vector<PositionInfo>* positions,
                                          EvalCounters* counters) const {
-  const std::string_view payload = data();
-  // Each position takes at least 3 bytes (three varints).
-  if (entry.header.pos_count > entry.pos_byte_len / 3 + 1 ||
-      entry.pos_byte_begin > payload.size() ||
-      entry.pos_byte_len > payload.size() - entry.pos_byte_begin) {
-    return Status::Corruption("position count larger than position bytes");
-  }
-  const uint32_t count = entry.header.pos_count;
-  positions->resize(count);
-  const uint8_t* const base = reinterpret_cast<const uint8_t*>(payload.data());
-  const uint8_t* p = base + entry.pos_byte_begin;
-  const uint8_t* const lim = p + entry.pos_byte_len;
-  // Bulk-decode the delta triples in fixed-size chunks through the
-  // dispatched group decoder (pshufb shuffle-table kernel when a SIMD arm
-  // is active, the unchecked four-wide scalar loop otherwise), then
-  // prefix-sum into the output. The chunk buffer keeps the scratch
-  // stack-resident.
-  const bool simd = SimdDecodeActive();
-  uint32_t deltas[3 * 64];
-  uint32_t off = 0, sent = 0, para = 0;
-  uint32_t done = 0;
-  while (done < count) {
-    const uint32_t chunk = std::min(count - done, 64u);
-    if ((p = GetVarint32GroupAuto(p, lim, deltas, 3 * chunk)) == nullptr) {
-      return Status::Corruption("malformed position bytes");
-    }
-    if (simd && counters != nullptr) ++counters->simd_groups_decoded;
-    for (uint32_t j = 0; j < chunk; ++j) {
-      off += deltas[3 * j];
-      sent += deltas[3 * j + 1];
-      para += deltas[3 * j + 2];
-      (*positions)[done + j] = PositionInfo{off, sent, para};
-    }
-    done += chunk;
-  }
-  if (p != lim) {
-    return Status::Corruption("position bytes length mismatch");
-  }
+  FTS_RETURN_IF_ERROR(DecodePositionRun({&entry, 1}, positions, nullptr, counters));
+  positions->resize(entry.header.pos_count);
   return Status::OK();
 }
 
-Status BlockPostingList::DecodeBlockPositionsBulk(
-    std::span<const EntryRef> refs, size_t from, size_t to,
-    std::vector<uint32_t>* delta_scratch, std::vector<PositionInfo>* positions,
-    std::vector<uint32_t>* offsets, EvalCounters* counters) const {
-  if (from >= to || to > refs.size()) {
-    return Status::InvalidArgument("bulk position decode range out of block");
+Status BlockPostingList::DecodePositionRun(std::span<const EntryRef> run,
+                                           std::vector<PositionInfo>* positions,
+                                           std::vector<uint32_t>* offsets,
+                                           EvalCounters* counters) const {
+  if (run.empty()) {
+    return Status::InvalidArgument("empty position run");
   }
   const std::string_view payload = data();
-  const size_t n = to - from;
-  offsets->resize(n + 1);
-  uint32_t* const offs = offsets->data();
+  if (offsets != nullptr) offsets->resize(run.size() + 1);
   uint64_t total = 0;
-  uint64_t next_begin = refs[from].pos_byte_begin;
-  // The same prechecks DecodePositions runs per entry, plus the tiling
-  // requirement that makes one contiguous decode of the concatenated
-  // region equivalent to per-entry decodes of its slices (tiling also
-  // subsumes the per-entry begin bound: the region start and end are
-  // range-checked once below).
-  for (size_t i = from; i < to; ++i) {
-    const EntryRef& e = refs[i];
+  uint64_t next_begin = run[0].pos_byte_begin;
+  // Each position takes at least 3 bytes (three varints), and the entries'
+  // bytes must tile back to back, which makes one decode of the region
+  // equivalent to per-entry decodes of its slices.
+  for (size_t i = 0; i < run.size(); ++i) {
+    const EntryRef& e = run[i];
     if (e.header.pos_count > e.pos_byte_len / 3 + 1 ||
         e.pos_byte_begin != next_begin) {
       return Status::Corruption("position count larger than position bytes");
     }
     next_begin += e.pos_byte_len;
-    offs[i - from] = static_cast<uint32_t>(total);
+    if (offsets != nullptr) (*offsets)[i] = static_cast<uint32_t>(total);
     total += e.header.pos_count;
   }
-  offs[n] = static_cast<uint32_t>(total);
-  if (refs[from].pos_byte_begin > payload.size() ||
-      next_begin > payload.size()) {
+  if (offsets != nullptr) (*offsets)[run.size()] = static_cast<uint32_t>(total);
+  if (run[0].pos_byte_begin > payload.size() || next_begin > payload.size()) {
     return Status::Corruption("position count larger than position bytes");
   }
-  // One slot of headroom each: the vectorized prefix pass below reads
-  // 16-byte delta quads and writes 16-byte sum quads at a 12-byte stride,
-  // so its last load/store reach one lane past the real data.
-  positions->resize(total + 1);
+  // One slot of headroom: the vectorized prefix pass below reads 16-byte
+  // delta quads and writes 16-byte sum quads at a 12-byte stride, so its
+  // last load/store reach one lane past the real data. The vector never
+  // shrinks here: a reused arena is zero-filled once as it grows, not
+  // again each time a longer run follows a shorter one.
+  if (positions->size() < total + 1) positions->resize(total + 1);
   // Decode-and-prefix runs fused in L1-sized chunks: decoding the whole
   // region into a 3*total scratch first looked simpler but round-trips
   // every delta through L2 (written by the kernel, read back by the
   // prefix pass), which dominates once a block's positions outgrow L1.
-  constexpr size_t kChunkValues = 3 * 512;
-  delta_scratch->resize(kChunkValues + 1);
+  constexpr size_t kChunkPositions = 512;
+  uint32_t deltas[3 * kChunkPositions + 1];
   const uint8_t* const base = reinterpret_cast<const uint8_t*>(payload.data());
-  const uint8_t* p = base + refs[from].pos_byte_begin;
-  const uint8_t* const region_end = base + next_begin;
+  const uint8_t* p = base + run[0].pos_byte_begin;
   // The region decodes as one varint stream. The kernel limit is the
   // payload end, not the region end, so its 16/32-byte loads stay engaged
   // to the last value (reads stay inside the payload); the
   // exact-consumption check at the bottom is what pins the stream to the
   // region — a malformed stream that strays past an entry boundary lands
-  // on the wrong total and is rejected, same failure class as the
-  // per-entry path.
+  // on the wrong total and is rejected.
   const bool simd = SimdDecodeActive();
-  size_t ei = from;           // entry whose positions are being emitted
-  uint32_t done_in_entry = 0;  // positions already emitted for refs[ei]
+  size_t ei = 0;               // entry whose positions are being emitted
+  uint32_t done_in_entry = 0;  // positions already emitted for run[ei]
   char* ob = reinterpret_cast<char*>(positions->data());
 #if defined(__SSE2__)
   __m128i sum = _mm_setzero_si128();
@@ -556,21 +482,18 @@ Status BlockPostingList::DecodeBlockPositionsBulk(
   uint32_t off = 0, sent = 0, para = 0;
 #endif
   for (uint64_t left = total; left > 0;) {
-    const size_t take = static_cast<size_t>(
-        std::min<uint64_t>(left, kChunkValues / 3));
-    p = GetVarint32GroupAuto(p, base + payload.size(), delta_scratch->data(),
-                             3 * take);
-    if (p == nullptr) {
-      positions->resize(total);
-      return Status::Corruption("position bytes length mismatch");
-    }
+    const size_t take =
+        static_cast<size_t>(std::min<uint64_t>(left, kChunkPositions));
+    p = GetVarint32GroupAuto(p, base + payload.size(), deltas, 3 * take);
+    if (p == nullptr) return Status::Corruption("malformed position bytes");
+    deltas[3 * take] = 0;  // the lane the last triple's 16-byte load reads
     if (simd && counters != nullptr) ++counters->simd_groups_decoded;
     // Emit this chunk's positions, walking entry boundaries as they pass;
     // deltas reset per entry. A chunk boundary can split an entry, so the
     // running sums and the entry walk persist across iterations.
-    const uint32_t* d = delta_scratch->data();
+    const uint32_t* d = deltas;
     for (size_t avail = take; avail > 0;) {
-      while (refs[ei].header.pos_count == done_in_entry) {
+      while (run[ei].header.pos_count == done_in_entry) {
         ++ei;
         done_in_entry = 0;
 #if defined(__SSE2__)
@@ -579,13 +502,13 @@ Status BlockPostingList::DecodeBlockPositionsBulk(
         off = sent = para = 0;
 #endif
       }
-      const uint32_t run = static_cast<uint32_t>(std::min<uint64_t>(
-          refs[ei].header.pos_count - done_in_entry, avail));
-      for (uint32_t r = 0; r < run; ++r, d += 3, ob += sizeof(PositionInfo)) {
+      const uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(
+          run[ei].header.pos_count - done_in_entry, avail));
+      for (uint32_t r = 0; r < n; ++r, d += 3, ob += sizeof(PositionInfo)) {
 #if defined(__SSE2__)
         // 16-byte load of the delta triple (lane 3 is the next triple's
         // first word), add onto the running sums, 16-byte store whose
-        // stray lane the next store — or the arena headroom — absorbs.
+        // stray lane the next store — or the headroom slot — absorbs.
         sum = _mm_add_epi32(
             sum, _mm_loadu_si128(reinterpret_cast<const __m128i*>(d)));
         _mm_storeu_si128(reinterpret_cast<__m128i*>(ob), sum);
@@ -596,13 +519,12 @@ Status BlockPostingList::DecodeBlockPositionsBulk(
         *reinterpret_cast<PositionInfo*>(ob) = PositionInfo{off, sent, para};
 #endif
       }
-      done_in_entry += run;
-      avail -= run;
+      done_in_entry += n;
+      avail -= n;
     }
     left -= take;
   }
-  positions->resize(total);  // drop the headroom slot; capacity kept
-  if (p != region_end) {
+  if (p != base + next_begin) {
     return Status::Corruption("position bytes length mismatch");
   }
   return Status::OK();
@@ -762,16 +684,14 @@ BlockListCursor& BlockListCursor::operator=(BlockListCursor&& o) noexcept {
   entries_ = o.entries_ == nullptr ? nullptr
                                    : (own_arena ? &arena_ : &cached_->entries);
   positions_ = std::move(o.positions_);
-  positions_for_ = o.positions_for_;
-  bulk_positions_ = std::move(o.bulk_positions_);
-  bulk_offsets_ = std::move(o.bulk_offsets_);
-  delta_scratch_ = std::move(o.delta_scratch_);
-  bulk_block_ = o.bulk_block_;
-  bulk_from_ = o.bulk_from_;
-  bulk_to_ = o.bulk_to_;
-  bulk_span_ = o.bulk_span_;
+  pos_offsets_ = std::move(o.pos_offsets_);
+  pos_block_ = o.pos_block_;
+  pos_from_ = o.pos_from_;
+  pos_to_ = o.pos_to_;
+  pos_span_ = o.pos_span_;
   last_pos_block_ = o.last_pos_block_;
   last_pos_idx_ = o.last_pos_idx_;
+  streak_len_ = o.streak_len_;
   block_ = o.block_;
   idx_ = o.idx_;
   started_ = o.started_;
@@ -806,7 +726,6 @@ bool BlockListCursor::LoadBlock(size_t block) {
     ++counters_->first_touch_validations;
   }
   block_ = block;
-  positions_for_ = SIZE_MAX;
   return true;
 }
 
@@ -937,56 +856,46 @@ bool BlockListCursor::CurrentDenseBlock(DenseBlockView* view) const {
 
 std::span<const PositionInfo> BlockListCursor::GetPositionsSlow() {
   assert(started_ && !exhausted_);
-  if (positions_for_ != idx_) {
-    // Two consecutive entries' positions in one block predict a
-    // positions-heavy walk of the rest of it: decode the remaining tail in
-    // one contiguous pass (bitset blocks concatenate position bytes
-    // exactly so the SIMD kernel never stops at entry boundaries).
-    // Selective access — one phrase match per block — never streaks, so it
-    // keeps strict per-entry laziness.
-    const bool consec = last_pos_block_ == block_ && last_pos_idx_ + 1 == idx_;
-    streak_len_ = consec ? streak_len_ + 1 : 1;
-    last_pos_block_ = block_;
-    last_pos_idx_ = idx_;
-    // `continuing` = the walk just crossed the end of the previous bulk
-    // range (whose entries were served by the inline fast path, so
-    // streak_len_ did not advance across them).
-    const bool continuing = bulk_block_ == block_ && idx_ == bulk_to_;
-    if ((continuing || streak_len_ >= kBulkStreakTrigger) &&
-        idx_ + 1 < entries_->size() &&
-        list_->skip(block_).encoding == BlockPostingList::kEncodingBitset) {
-      // Geometric span growth: a continuing walk doubles the previous
-      // span; a fresh streak starts small.
-      const uint32_t span = continuing ? bulk_span_ * 2 : kBulkSpanInitial;
-      const size_t to = std::min(entries_->size(), idx_ + span);
-      if (list_->DecodeBlockPositionsBulk(block_entries(), idx_, to,
-                                          &delta_scratch_, &bulk_positions_,
-                                          &bulk_offsets_, counters_)
-              .ok()) {
-        bulk_block_ = block_;
-        bulk_from_ = idx_;
-        bulk_to_ = to;
-        bulk_span_ = span;
-        if (counters_ != nullptr) {
-          counters_->positions_decoded += bulk_positions_.size();
-        }
-        return {bulk_positions_.data(), bulk_offsets_[1]};
-      }
-      // Bulk refused (structural anomaly): fall through so the per-entry
-      // path re-surfaces the exact Corruption it would have reported.
-    }
-    Status s = list_->DecodePositions((*entries_)[idx_], &positions_, counters_);
-    if (!s.ok()) {
-      // Malformed position bytes (first touch of the block rejects them,
-      // so this guards against logic drift): report through status() and
-      // hand back an empty PosList — fail closed, never partial garbage.
-      positions_.clear();
-      if (status_.ok()) status_ = std::move(s);
-    }
-    positions_for_ = idx_;
-    if (counters_ != nullptr) counters_->positions_decoded += positions_.size();
+  // Two consecutive entries' positions in one block predict a
+  // positions-heavy walk of the rest of it: decode a span of the following
+  // entries in one contiguous pass (bitset blocks concatenate position
+  // bytes exactly so the SIMD kernel never stops at entry boundaries).
+  // Selective access — one phrase match per block — never streaks, so it
+  // keeps strict per-entry laziness: a run of one entry.
+  const bool consec = last_pos_block_ == block_ && last_pos_idx_ + 1 == idx_;
+  streak_len_ = consec ? streak_len_ + 1 : 1;
+  last_pos_block_ = block_;
+  last_pos_idx_ = idx_;
+  // `continuing` = the walk just crossed the end of the previous span
+  // (whose entries were served by the inline fast path, so streak_len_
+  // did not advance across them).
+  const bool continuing = pos_block_ == block_ && idx_ == pos_to_ && pos_span_ > 0;
+  uint32_t span = 0;
+  size_t to = idx_ + 1;
+  if ((continuing || streak_len_ >= kBulkStreakTrigger) &&
+      idx_ + 1 < entries_->size() &&
+      list_->skip(block_).encoding == BlockPostingList::kEncodingBitset) {
+    // Geometric span growth: a continuing walk doubles the previous span;
+    // a fresh streak starts small.
+    span = continuing ? pos_span_ * 2 : kBulkSpanInitial;
+    to = std::min(entries_->size(), idx_ + span);
   }
-  return {positions_.data(), positions_.size()};
+  Status s = list_->DecodePositionRun(block_entries().subspan(idx_, to - idx_),
+                                      &positions_, &pos_offsets_, counters_);
+  if (!s.ok()) {
+    // Malformed position bytes (first touch of the block rejects them, so
+    // this guards against logic drift): report through status() and hand
+    // back an empty PosList — fail closed, never partial garbage.
+    pos_block_ = SIZE_MAX;
+    if (status_.ok()) status_ = std::move(s);
+    return {};
+  }
+  pos_block_ = block_;
+  pos_from_ = idx_;
+  pos_to_ = to;
+  pos_span_ = span;
+  if (counters_ != nullptr) counters_->positions_decoded += pos_offsets_.back();
+  return {positions_.data(), pos_offsets_[1]};
 }
 
 }  // namespace fts

@@ -166,28 +166,30 @@ class BlockPostingList {
                             EvalCounters* counters = nullptr) const;
 
   /// Decodes the PosList of one entry previously returned by
-  /// DecodeBlockEntries (replacing `positions`).
+  /// DecodeBlockEntries (replacing `positions`): DecodePositionRun's run
+  /// of one.
   Status DecodePositions(const EntryRef& entry,
                          std::vector<PositionInfo>* positions,
                          EvalCounters* counters = nullptr) const;
 
-  /// Decodes the PosLists of every entry in `refs[from..to)` — a slice of
-  /// one decoded block's entries — in a single pass: the regions must tile
+  /// The one position decoder. Decodes the PosLists of `run` — one entry,
+  /// or consecutive entries of one decoded block whose position bytes tile
   /// back to back (true by construction for bitset blocks, whose layout
   /// concatenates all position bytes exactly so this pass can run the
   /// dispatched group decoder at full width instead of stopping at every
-  /// ~17-byte entry boundary). On success `positions` holds the
-  /// concatenated PosLists and `offsets[i]`/`offsets[i+1]` bound entry
-  /// `from + i`'s slice. Returns non-OK on any structural anomaly without
-  /// any partial contract: callers fall back to the per-entry
-  /// DecodePositions path, whose exact checks re-surface the same
-  /// Corruption. `delta_scratch` is caller-owned reusable scratch.
-  Status DecodeBlockPositionsBulk(std::span<const EntryRef> refs, size_t from,
-                                  size_t to,
-                                  std::vector<uint32_t>* delta_scratch,
-                                  std::vector<PositionInfo>* positions,
-                                  std::vector<uint32_t>* offsets,
-                                  EvalCounters* counters = nullptr) const;
+  /// ~17-byte entry boundary) — in one decode-and-prefix pass, into the
+  /// front of `positions`, which grows to hold them plus one slot and is
+  /// never shrunk (a reused arena is not zero-filled again). When
+  /// `offsets` is non-null it is replaced by run.size() + 1 bounds:
+  /// offsets[i]..offsets[i+1] is entry i's slice. Returns Corruption on any
+  /// structural anomaly (bytes that do not tile, a count the bytes cannot
+  /// hold, malformed varints, a region not consumed exactly). `counters`,
+  /// when non-null, is charged simd_groups_decoded per group decode of a
+  /// SIMD arm.
+  Status DecodePositionRun(std::span<const EntryRef> run,
+                           std::vector<PositionInfo>* positions,
+                           std::vector<uint32_t>* offsets,
+                           EvalCounters* counters = nullptr) const;
 
   /// True when block `block` has already passed (or never needs) first-touch
   /// validation. Cursors use the transition to charge
@@ -453,15 +455,14 @@ class BlockListCursor {
 
   /// PosList of the current entry (decoded on first call per entry); the
   /// cursor must be on an entry. Returns an empty span (and sets status())
-  /// if the position bytes fail to decode. Serving from the
-  /// whole-block bulk arena is inlined (two loads); everything else —
-  /// per-entry decode, streak detection, the bulk decode itself — is
-  /// out of line.
+  /// if the position bytes fail to decode. Serving from the position arena
+  /// is inlined (two loads); the decode and the streak rule that sizes it
+  /// are out of line.
   std::span<const PositionInfo> GetPositions() {
-    if (bulk_block_ == block_ && idx_ >= bulk_from_ && idx_ < bulk_to_) {
-      const size_t rel = idx_ - bulk_from_;
-      return {bulk_positions_.data() + bulk_offsets_[rel],
-              bulk_offsets_[rel + 1] - bulk_offsets_[rel]};
+    if (pos_block_ == block_ && idx_ >= pos_from_ && idx_ < pos_to_) {
+      const size_t rel = idx_ - pos_from_;
+      return {positions_.data() + pos_offsets_[rel],
+              pos_offsets_[rel + 1] - pos_offsets_[rel]};
     }
     return GetPositionsSlow();
   }
@@ -540,29 +541,27 @@ class BlockListCursor {
   const std::vector<BlockPostingList::EntryRef>* entries_ = nullptr;
   std::vector<BlockPostingList::EntryRef> arena_;  // reusable decode arena
   std::shared_ptr<const DecodedBlock> cached_;
-  std::vector<PositionInfo> positions_;  // lazily decoded, current entry only
-  size_t positions_for_ = SIZE_MAX;      // idx_ the cache was decoded for
-  /// Bulk position arena: when GetPositions is called for
-  /// kBulkStreakTrigger consecutive entries of one bitset block — the
-  /// signature of a positions-heavy walk — a bounded span of the block's
-  /// following PosLists decodes in one contiguous SIMD pass into these
-  /// (offsets_[rel]..offsets_[rel+1] slice per entry). Spans start small
-  /// and double each time the walk crosses bulk_to_: a full-block walk
-  /// converges to a handful of wide decodes, while an adaptive zig-zag
-  /// that streaks briefly and then skips away wastes at most one small
-  /// span — measured on the fig6/fig8 predicate workloads, whose streaks
-  /// run ~2 entries, a 2-entry trigger with unbounded spans cost ~20%.
-  /// Selective access never triggers it, keeping per-entry laziness for
-  /// one-match-per-block patterns.
+  /// The position arena: the PosLists of entries [pos_from_, pos_to_) of
+  /// block pos_block_, entry pos_from_ + i's at positions_[pos_offsets_[i],
+  /// pos_offsets_[i + 1]). A lone GetPositions decodes a run of one entry.
+  /// When GetPositions is called for kBulkStreakTrigger consecutive entries
+  /// of one bitset block — the signature of a positions-heavy walk — a
+  /// bounded span of the block's following PosLists decodes in one
+  /// contiguous SIMD pass instead. Spans start small and double each time
+  /// the walk crosses pos_to_: a full-block walk converges to a handful of
+  /// wide decodes, while an adaptive zig-zag that streaks briefly and then
+  /// skips away wastes at most one small span — measured on the fig6/fig8
+  /// predicate workloads, whose streaks run ~2 entries, a 2-entry trigger
+  /// with unbounded spans cost ~20%. Selective access never triggers it,
+  /// keeping per-entry laziness for one-match-per-block patterns.
   static constexpr uint32_t kBulkStreakTrigger = 3;
   static constexpr uint32_t kBulkSpanInitial = 8;
-  std::vector<PositionInfo> bulk_positions_;
-  std::vector<uint32_t> bulk_offsets_;
-  std::vector<uint32_t> delta_scratch_;
-  size_t bulk_block_ = SIZE_MAX;    // block_ the bulk arena covers
-  size_t bulk_from_ = 0;            // first entry index it covers
-  size_t bulk_to_ = 0;              // one past the last entry it covers
-  uint32_t bulk_span_ = 0;          // entries the last bulk decode took
+  std::vector<PositionInfo> positions_;
+  std::vector<uint32_t> pos_offsets_;
+  size_t pos_block_ = SIZE_MAX;  // block_ the arena covers
+  size_t pos_from_ = 0;          // first entry index it covers
+  size_t pos_to_ = 0;            // one past the last entry it covers
+  uint32_t pos_span_ = 0;        // entries of the last span; 0 for one entry
   size_t last_pos_block_ = SIZE_MAX;  // previous GetPositions target
   size_t last_pos_idx_ = SIZE_MAX;
   uint32_t streak_len_ = 0;         // consecutive-entry GetPositions run

@@ -30,29 +30,16 @@ constexpr size_t kTrailerSize = 8;  // fixed64 holding the CRC32C
 /// below this are rejected before any section parsing runs.
 constexpr size_t kMinFileSize = kMagicSize + kTrailerSize;
 
-void PutFixed64(std::string* out, uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
-Status GetFixed64(std::string_view data, size_t* offset, uint64_t* v) {
-  if (*offset + 8 > data.size()) {
-    return Status::Corruption("truncated fixed64 at offset " + std::to_string(*offset));
-  }
-  std::memcpy(v, data.data() + *offset, 8);
-  *offset += 8;
-  return Status::OK();
-}
-
 void PutDouble(std::string* out, double d) {
-  PutFixed64(out, std::bit_cast<uint64_t>(d));
+  PutFixed64Le(out, std::bit_cast<uint64_t>(d));
 }
 
 Status GetDouble(std::string_view data, size_t* offset, double* d) {
-  uint64_t bits;
-  FTS_RETURN_IF_ERROR(GetFixed64(data, offset, &bits));
-  *d = std::bit_cast<double>(bits);
+  if (data.size() - *offset < 8) {
+    return Status::Corruption("truncated double at offset " + std::to_string(*offset));
+  }
+  *d = std::bit_cast<double>(LoadFixed64Le(data.data() + *offset));
+  *offset += 8;
   return Status::OK();
 }
 
@@ -65,8 +52,7 @@ Status GetDouble(std::string_view data, size_t* offset, double* d) {
 // verbatim into BlockPostingList. The trailer checksum hops over payloads.
 // ---------------------------------------------------------------------------
 
-/// Largest varint32 / varint64 encodings.
-constexpr size_t kMaxVarint32 = 5;
+/// Largest varint64 encoding.
 constexpr size_t kMaxVarint64 = 10;
 
 /// The file sink's reused buffer, and the payload size from which a span
@@ -117,7 +103,7 @@ class StringSink {
   /// Appends the trailer.
   Status Finish() {
     crc_.Fold(*out_);
-    PutFixed64(out_, crc_.crc);
+    PutFixed64Le(out_, crc_.crc);
     return Status::OK();
   }
 
@@ -166,7 +152,7 @@ class FileSink {
   /// Returns the first failure to open, write or close it.
   Status Finish() {
     crc_.Fold(buffer_);
-    PutFixed64(Bytes(kTrailerSize), crc_.crc);
+    PutFixed64Le(Bytes(kTrailerSize), crc_.crc);
     Write(buffer_);
     // The close reports a failure the writes could not (a full device on
     // some file systems), so it is checked too.
@@ -208,7 +194,8 @@ class FileSink {
 
 template <typename Sink>
 void PutBlockPostingList(const BlockPostingList& list, Sink* sink) {
-  std::string* out = sink->Bytes(5 * kMaxVarint64 + 6 * kMaxVarint32 * list.num_blocks());
+  std::string* out =
+      sink->Bytes(5 * kMaxVarint64 + 6 * kMaxVarint32Bytes * list.num_blocks());
   PutVarint64(out, list.num_entries());
   PutVarint64(out, list.total_positions());
   PutVarint32(out, list.block_size());
@@ -240,7 +227,7 @@ void PutBlockPostingList(const BlockPostingList& list, Sink* sink) {
 /// header varints, six varints per skip entry, the payload size and the
 /// payload.
 size_t BlockListBound(const BlockPostingList& list) {
-  return 5 * kMaxVarint64 + 6 * kMaxVarint32 * list.num_blocks() + list.data().size();
+  return 5 * kMaxVarint64 + 6 * kMaxVarint32Bytes * list.num_blocks() + list.data().size();
 }
 
 /// Parsed directory of one serialized block list; the payload is left in
@@ -356,7 +343,7 @@ Status EmitIndex(const InvertedIndex& index, Sink* sink) {
 
   // Per-node scalars.
   for (NodeId n = 0; n < s.cnodes; ++n) {
-    out = sink->Bytes(kMaxVarint32 + 8);
+    out = sink->Bytes(kMaxVarint32Bytes + 8);
     PutVarint32(out, index.unique_tokens(n));
     PutDouble(out, index.node_norm(n));
   }
@@ -378,11 +365,11 @@ Status EmitIndex(const InvertedIndex& index, Sink* sink) {
   // (max_distance 0, no frequent terms, no keys) so the loader needs no
   // presence flag.
   const PairIndex* pair = index.pair_index();
-  PutVarint32(sink->Bytes(kMaxVarint32), pair != nullptr ? pair->max_distance() : 0);
+  PutVarint32(sink->Bytes(kMaxVarint32Bytes), pair != nullptr ? pair->max_distance() : 0);
   PutVarint64(sink->Bytes(kMaxVarint64), pair != nullptr ? pair->num_frequent() : 0);
   if (pair != nullptr) {
     for (const TokenId t : pair->frequent_terms()) {
-      PutVarint32(sink->Bytes(kMaxVarint32), t);
+      PutVarint32(sink->Bytes(kMaxVarint32Bytes), t);
     }
   }
   PutVarint64(sink->Bytes(kMaxVarint64), pair != nullptr ? pair->num_keys() : 0);
@@ -390,7 +377,7 @@ Status EmitIndex(const InvertedIndex& index, Sink* sink) {
     TokenId prev_first = 0;
     for (size_t i = 0; i < pair->num_keys(); ++i) {
       const PairTermKey& k = pair->key(i);
-      out = sink->Bytes(2 * kMaxVarint32);
+      out = sink->Bytes(2 * kMaxVarint32Bytes);
       PutVarint32(out, k.first - prev_first);
       PutVarint32(out, k.second);
       prev_first = k.first;
@@ -431,7 +418,10 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     }
     return Status::Corruption("bad index magic");
   }
-  const size_t body_end = data.size() - kTrailerSize;
+  // Every section is parsed from the body alone: a section that runs into
+  // the trailer is truncated, so `offset` never passes the body's end and
+  // the bounds below, which subtract it from the body's size, cannot wrap.
+  const std::string_view body = data.substr(0, data.size() - kTrailerSize);
 
   // The trailer covers only header/directory bytes; it is accumulated
   // during the parse below, hopping over payload ranges without touching
@@ -442,41 +432,41 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   InvertedIndex index;
   size_t offset = kMagicSize;
   IndexStats& s = index.stats_;
-  FTS_RETURN_IF_ERROR(GetVarint64(data, &offset, &s.cnodes));
-  FTS_RETURN_IF_ERROR(GetVarint64(data, &offset, &s.total_positions));
-  FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &s.pos_per_cnode));
-  FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &s.entries_per_token));
-  FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &s.pos_per_entry));
-  FTS_RETURN_IF_ERROR(GetDouble(data, &offset, &s.avg_pos_per_cnode));
-  FTS_RETURN_IF_ERROR(GetDouble(data, &offset, &s.avg_entries_per_token));
-  FTS_RETURN_IF_ERROR(GetDouble(data, &offset, &s.avg_pos_per_entry));
+  FTS_RETURN_IF_ERROR(GetVarint64(body, &offset, &s.cnodes));
+  FTS_RETURN_IF_ERROR(GetVarint64(body, &offset, &s.total_positions));
+  FTS_RETURN_IF_ERROR(GetVarint32(body, &offset, &s.pos_per_cnode));
+  FTS_RETURN_IF_ERROR(GetVarint32(body, &offset, &s.entries_per_token));
+  FTS_RETURN_IF_ERROR(GetVarint32(body, &offset, &s.pos_per_entry));
+  FTS_RETURN_IF_ERROR(GetDouble(body, &offset, &s.avg_pos_per_cnode));
+  FTS_RETURN_IF_ERROR(GetDouble(body, &offset, &s.avg_entries_per_token));
+  FTS_RETURN_IF_ERROR(GetDouble(body, &offset, &s.avg_pos_per_entry));
 
   // Bound every count read from the file by the bytes that could encode it
   // before sizing containers: the checksum is recomputable by an attacker,
   // so a crafted header must fail with Corruption, not a giant allocation.
-  if (s.cnodes > (body_end - offset) / 9) {  // >= 1 varint + 8-byte double each
+  if (s.cnodes > (body.size() - offset) / 9) {  // >= 1 varint + 8-byte double each
     return Status::Corruption("node count larger than remaining input");
   }
   index.unique_tokens_.resize(s.cnodes);
   index.node_norms_.resize(s.cnodes);
   for (uint64_t n = 0; n < s.cnodes; ++n) {
-    FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &index.unique_tokens_[n]));
-    FTS_RETURN_IF_ERROR(GetDouble(data, &offset, &index.node_norms_[n]));
+    FTS_RETURN_IF_ERROR(GetVarint32(body, &offset, &index.unique_tokens_[n]));
+    FTS_RETURN_IF_ERROR(GetDouble(body, &offset, &index.node_norms_[n]));
   }
 
   uint64_t vocab;
-  FTS_RETURN_IF_ERROR(GetVarint64(data, &offset, &vocab));
-  if (vocab > body_end - offset) {  // >= 1 length byte per token
+  FTS_RETURN_IF_ERROR(GetVarint64(body, &offset, &vocab));
+  if (vocab > body.size() - offset) {  // >= 1 length byte per token
     return Status::Corruption("vocabulary larger than remaining input");
   }
   index.token_texts_.reserve(vocab);
   for (uint64_t t = 0; t < vocab; ++t) {
     uint64_t len;
-    FTS_RETURN_IF_ERROR(GetVarint64(data, &offset, &len));
-    if (len > body_end - offset) {  // subtract, don't add: no overflow
+    FTS_RETURN_IF_ERROR(GetVarint64(body, &offset, &len));
+    if (len > body.size() - offset) {  // subtract, don't add: no overflow
       return Status::Corruption("truncated dictionary string");
     }
-    index.token_texts_.emplace_back(data.substr(offset, len));
+    index.token_texts_.emplace_back(body.substr(offset, len));
     index.token_ids_.emplace(index.token_texts_.back(), static_cast<TokenId>(t));
     offset += len;
   }
@@ -486,7 +476,7 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   // directory is read.
   BlockListDirectory dir;
   const auto adopt = [&](PostingStore* store) -> Status {
-    FTS_RETURN_IF_ERROR(GetBlockListDirectory(data, &offset, s.cnodes, &dir));
+    FTS_RETURN_IF_ERROR(GetBlockListDirectory(body, &offset, s.cnodes, &dir));
     // Fold the header/directory bytes since the last payload into the
     // trailer checksum, then hop over this list's payload untouched.
     header_crc =
@@ -514,9 +504,9 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   // validation as any other list.
   uint32_t max_distance;
   uint64_t num_frequent;
-  FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &max_distance));
-  FTS_RETURN_IF_ERROR(GetVarint64(data, &offset, &num_frequent));
-  if (num_frequent > body_end - offset) {  // >= 1 byte per id
+  FTS_RETURN_IF_ERROR(GetVarint32(body, &offset, &max_distance));
+  FTS_RETURN_IF_ERROR(GetVarint64(body, &offset, &num_frequent));
+  if (num_frequent > body.size() - offset) {  // >= 1 byte per id
     return Status::Corruption("pair frequent table larger than input");
   }
   auto pair = std::make_unique<PairIndex>();
@@ -524,7 +514,7 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   pair->frequent_.reserve(num_frequent);
   for (uint64_t i = 0; i < num_frequent; ++i) {
     uint32_t tok;
-    FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &tok));
+    FTS_RETURN_IF_ERROR(GetVarint32(body, &offset, &tok));
     if (tok >= vocab) {
       return Status::Corruption("pair frequent token out of vocabulary");
     }
@@ -538,8 +528,8 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     return Status::Corruption("duplicate pair frequent token");
   }
   uint64_t num_keys;
-  FTS_RETURN_IF_ERROR(GetVarint64(data, &offset, &num_keys));
-  if (num_keys > (body_end - offset) / 2) {  // >= 2 bytes per key
+  FTS_RETURN_IF_ERROR(GetVarint64(body, &offset, &num_keys));
+  if (num_keys > (body.size() - offset) / 2) {  // >= 2 bytes per key
     return Status::Corruption("pair key table larger than input");
   }
   if (num_keys > 0 && num_frequent == 0) {
@@ -551,8 +541,8 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   TokenId prev_second = 0;
   for (uint64_t i = 0; i < num_keys; ++i) {
     uint32_t d_first, second;
-    FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &d_first));
-    FTS_RETURN_IF_ERROR(GetVarint32(data, &offset, &second));
+    FTS_RETURN_IF_ERROR(GetVarint32(body, &offset, &d_first));
+    FTS_RETURN_IF_ERROR(GetVarint32(body, &offset, &second));
     const TokenId first = prev_first + d_first;
     if (first >= vocab || second >= vocab || first == second) {
       return Status::Corruption("bad pair key");
@@ -575,14 +565,12 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   pair->lists_.Seal(source);
   if (!pair->keys_.empty()) index.pair_index_ = std::move(pair);
 
-  if (offset != body_end) {
+  if (offset != body.size()) {
     return Status::Corruption("trailing bytes in index payload");
   }
-  header_crc = Crc32cExtend(header_crc, data.substr(crc_mark, body_end - crc_mark));
-  size_t coff = body_end;
-  uint64_t stored;
-  FTS_RETURN_IF_ERROR(GetFixed64(data, &coff, &stored));
-  if (stored != header_crc) {  // the upper 32 bits are zero
+  header_crc = Crc32cExtend(header_crc, body.substr(crc_mark));
+  // The upper 32 bits of the stored trailer are zero.
+  if (LoadFixed64Le(data.data() + body.size()) != header_crc) {
     return Status::Corruption("index header checksum mismatch");
   }
   // Read or mapped, the load parses no payload byte: each block is
@@ -602,17 +590,17 @@ void SaveIndexToString(const InvertedIndex& index, std::string* out) {
   const PairIndex* pair = index.pair_index();
   // The statistics (five varints, three doubles), the dictionary size and
   // the pair section's three counts.
-  size_t bound = kMagicSize + 5 * kMaxVarint64 + 4 * kMaxVarint32 + 3 * 8 + kTrailerSize;
-  bound += index.num_nodes() * (kMaxVarint32 + 8);
+  size_t bound = kMagicSize + 5 * kMaxVarint64 + 4 * kMaxVarint32Bytes + 3 * 8 + kTrailerSize;
+  bound += index.num_nodes() * (kMaxVarint32Bytes + 8);
   bound += BlockListBound(index.block_any_list());
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
     bound += kMaxVarint64 + index.token_text(t).size();
     bound += BlockListBound(*index.block_list(t));
   }
   if (pair != nullptr) {
-    bound += pair->num_frequent() * kMaxVarint32;
+    bound += pair->num_frequent() * kMaxVarint32Bytes;
     for (size_t i = 0; i < pair->num_keys(); ++i) {
-      bound += 2 * kMaxVarint32 + BlockListBound(pair->list(i));
+      bound += 2 * kMaxVarint32Bytes + BlockListBound(pair->list(i));
     }
   }
   out->clear();

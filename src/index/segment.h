@@ -3,10 +3,13 @@
 // A SegmentBuffer accumulates documents in memory (an ordinary Corpus);
 // Seal() runs IndexBuilder over it and hands back an immutable segment —
 // just an InvertedIndex, so a sealed segment serializes, mmaps, caches and
-// evaluates exactly like a one-shot index. Durability is write-then-
-// rename: SaveSegmentAtomic serializes to `<path>.tmp` and renames into
-// place, so a crash mid-flush leaves either the old file or no file, never
-// a torn one.
+// evaluates exactly like a one-shot index. Spill files are written
+// write-then-rename: SaveSegmentAtomic serializes to `<path>.tmp` and
+// renames into place, so a process crash mid-flush leaves either the old
+// file or no file, never a torn one. Neither the file nor its directory is
+// fsynced, so a power loss can still leave a torn or missing file; a torn
+// file fails closed at load (trailer and per-block CRC32C). Durability
+// against power loss is not provided here (see the WAL item in ROADMAP.md).
 
 #ifndef FTS_INDEX_SEGMENT_H_
 #define FTS_INDEX_SEGMENT_H_
@@ -45,8 +48,10 @@ class SegmentBuffer {
   Corpus corpus_;
 };
 
-/// Serializes `segment` to `path` crash-consistently: writes `<path>.tmp`
-/// and renames it into place (rename(2) is atomic within a filesystem).
+/// Serializes `segment` to `path`, consistent across a process crash:
+/// writes `<path>.tmp` and renames it into place (rename(2) is atomic
+/// within a filesystem). Nothing is fsynced, so a power loss may still
+/// tear or lose the file; a torn file is rejected as Corruption at load.
 Status SaveSegmentAtomic(const InvertedIndex& segment, const std::string& path);
 
 }  // namespace fts

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/varint.h"
+
 namespace fts {
 namespace net {
 
@@ -140,9 +142,7 @@ void PutU32(std::string* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
 }
 
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
+void PutU64(std::string* out, uint64_t v) { PutFixed64Le(out, v); }
 
 void PutString(std::string* out, std::string_view s) {
   PutU32(out, static_cast<uint32_t>(s.size()));
@@ -181,12 +181,8 @@ bool WireReader::GetU32(uint32_t* v) {
 
 bool WireReader::GetU64(uint64_t* v) {
   if (data_.size() - pos_ < 8) return false;
-  uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) {
-    out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-  }
+  *v = LoadFixed64Le(data_.data() + pos_);
   pos_ += 8;
-  *v = out;
   return true;
 }
 

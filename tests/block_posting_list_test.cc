@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/varint_simd.h"
@@ -834,53 +839,129 @@ TEST(DenseBlockTest, SimdDecodeCountersChargeWhenActive) {
 
 class CursorStreamDifferential : public ::testing::TestWithParam<uint64_t> {};
 
+std::vector<PositionInfo> PositionsOf(std::span<const PositionInfo> positions) {
+  return {positions.begin(), positions.end()};
+}
+
 TEST_P(CursorStreamDifferential, CursorStreamsMatchRawOracle) {
   // Below the engines: every block list replays the exact entry/position
-  // stream of its raw twin, under sequential iteration and under an
-  // interleaved seek/next access pattern.
+  // stream of its raw twin under sequential iteration, streaked position
+  // reads and an interleaved seek/next access pattern. The corpus gives
+  // lists of several bitset blocks, so the cursor's one position arena
+  // serves runs of one entry and multi-entry spans on both sides of a
+  // block boundary.
   Rng rng(GetParam() * 29 + 1);
-  Corpus corpus = RandomWorkloadCorpus(&rng, 40, 8);
+  Corpus corpus = RandomWorkloadCorpus(&rng, 600, 8);
   RawPostingOracle oracle = BuildRawPostingOracle(corpus);
   InvertedIndex index = IndexBuilder::Build(corpus);
   ASSERT_EQ(oracle.lists.size(), index.vocabulary_size());
+  struct Twin {
+    std::string name;
+    const PostingList* raw;
+    const BlockPostingList* block;
+  };
+  std::vector<Twin> twins;
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
-    SCOPED_TRACE(index.token_text(t));
-    // Sequential: identical node and position streams.
-    ListCursor rc(oracle.list(t));
-    BlockListCursor bc(index.block_list(t));
-    while (true) {
-      const NodeId expected = rc.NextEntry();
-      ASSERT_EQ(bc.NextEntry(), expected);
-      if (expected == kInvalidNode) break;
-      auto rp = rc.GetPositions();
-      auto bp = bc.GetPositions();
-      ASSERT_EQ(std::vector<PositionInfo>(rp.begin(), rp.end()),
-                std::vector<PositionInfo>(bp.begin(), bp.end()));
+    twins.push_back({index.token_text(t), oracle.list(t), index.block_list(t)});
+  }
+  twins.push_back({"IL_ANY", &oracle.any_list, &index.block_any_list()});
+
+  // Streaks of 1, 2, 3 and 9 position reads, each followed by one or two
+  // entries whose positions are never asked for. pattern[i] is the length
+  // of the streak entry i belongs to, or 0 for a skipped entry; walking
+  // each list at every phase of the 21-entry pattern puts each streak
+  // across every block boundary at each of its offsets.
+  std::vector<uint32_t> pattern;
+  for (const auto& [streak, gap] : {std::pair{1u, 1u}, {2u, 2u}, {3u, 1u}, {9u, 2u}}) {
+    pattern.insert(pattern.end(), streak, streak);
+    pattern.insert(pattern.end(), gap, 0u);
+  }
+  std::map<uint32_t, size_t> streaks_across_blocks;
+  size_t multi_block_bitset_lists = 0;
+  for (const Twin& twin : twins) {
+    SCOPED_TRACE(twin.name);
+    size_t bitset_blocks = 0;
+    for (const BlockPostingList::SkipEntry& s : twin.block->skips()) {
+      bitset_blocks += s.encoding == BlockPostingList::kEncodingBitset;
     }
-    // Interleaved seek/next: identical landing nodes.
-    ListCursor rs(oracle.list(t));
-    BlockListCursor bs(index.block_list(t));
-    while (!rs.exhausted()) {
-      if (rng.Bernoulli(0.5)) {
-        const NodeId target = static_cast<NodeId>(rng.Uniform(
-            static_cast<uint32_t>(corpus.num_nodes()) + 2));
-        ASSERT_EQ(rs.SeekEntry(target), bs.SeekEntry(target));
-      } else {
-        ASSERT_EQ(rs.NextEntry(), bs.NextEntry());
+    multi_block_bitset_lists += bitset_blocks >= 2;
+    // Sequential: identical node and position streams.
+    {
+      ListCursor rc(twin.raw);
+      BlockListCursor bc(twin.block);
+      while (true) {
+        const NodeId expected = rc.NextEntry();
+        ASSERT_EQ(bc.NextEntry(), expected);
+        if (expected == kInvalidNode) break;
+        ASSERT_EQ(PositionsOf(bc.GetPositions()), PositionsOf(rc.GetPositions()));
       }
-      if (!rs.exhausted()) {
-        ASSERT_EQ(rs.GetPositions().size(), bs.GetPositions().size());
+      ASSERT_TRUE(bc.status().ok()) << bc.status().ToString();
+    }
+    // Streaked reads; every third read asks twice, so the arena serves
+    // repeated reads of an entry as well as fresh ones.
+    for (size_t phase = 0; phase < pattern.size(); ++phase) {
+      ListCursor rc(twin.raw);
+      BlockListCursor bc(twin.block);
+      size_t reads = 0;
+      size_t prev_block = SIZE_MAX;
+      uint32_t prev_streak = 0;
+      for (size_t i = phase;; ++i) {
+        const NodeId expected = rc.NextEntry();
+        ASSERT_EQ(bc.NextEntry(), expected);
+        if (expected == kInvalidNode) break;
+        const uint32_t streak = pattern[i % pattern.size()];
+        if (streak != 0 && streak == prev_streak && bc.current_block() != prev_block) {
+          ++streaks_across_blocks[streak];
+        }
+        prev_streak = streak;
+        prev_block = bc.current_block();
+        if (streak == 0) continue;
+        const std::vector<PositionInfo> want = PositionsOf(rc.GetPositions());
+        ASSERT_EQ(PositionsOf(bc.GetPositions()), want) << "entry " << i - phase;
+        if (++reads % 3 == 0) {
+          ASSERT_EQ(PositionsOf(bc.GetPositions()), want) << "entry " << i - phase;
+        }
       }
+      ASSERT_TRUE(bc.status().ok()) << bc.status().ToString();
+    }
+    // One read per block, at the same entry index of each: the arena
+    // holds the previous block's entry, which must not serve this one.
+    for (const size_t first : {size_t{0}, size_t{3}}) {
+      ListCursor rc(twin.raw);
+      BlockListCursor bc(twin.block);
+      for (size_t i = first; i < twin.raw->num_entries();
+           i += BlockPostingList::kDefaultBlockSize) {
+        const NodeId target = twin.raw->entry(i).node;
+        ASSERT_EQ(rc.SeekEntry(target), target);
+        ASSERT_EQ(bc.SeekEntry(target), target);
+        ASSERT_EQ(PositionsOf(bc.GetPositions()), PositionsOf(rc.GetPositions()))
+            << "entry " << i;
+      }
+      ASSERT_TRUE(bc.status().ok()) << bc.status().ToString();
+    }
+    // Interleaved seek/next: identical landing nodes and positions.
+    {
+      ListCursor rs(twin.raw);
+      BlockListCursor bs(twin.block);
+      while (!rs.exhausted()) {
+        if (rng.Bernoulli(0.5)) {
+          const NodeId target = static_cast<NodeId>(rng.Uniform(
+              static_cast<uint32_t>(corpus.num_nodes()) + 2));
+          ASSERT_EQ(rs.SeekEntry(target), bs.SeekEntry(target));
+        } else {
+          ASSERT_EQ(rs.NextEntry(), bs.NextEntry());
+        }
+        if (!rs.exhausted() && rng.Bernoulli(0.7)) {
+          ASSERT_EQ(PositionsOf(bs.GetPositions()), PositionsOf(rs.GetPositions()));
+        }
+      }
+      ASSERT_TRUE(bs.status().ok()) << bs.status().ToString();
     }
   }
-  // IL_ANY too.
-  ListCursor ra(&oracle.any_list);
-  BlockListCursor ba(&index.block_any_list());
-  while (true) {
-    const NodeId expected = ra.NextEntry();
-    ASSERT_EQ(ba.NextEntry(), expected);
-    if (expected == kInvalidNode) break;
-    ASSERT_EQ(ra.GetPositions().size(), ba.GetPositions().size());
+  // The corpus must keep exercising what the test is for.
+  EXPECT_GE(multi_block_bitset_lists, 3u);
+  for (const uint32_t streak : {2u, 3u, 9u}) {
+    EXPECT_GT(streaks_across_blocks[streak], 0u) << "streak " << streak;
   }
 }
 

@@ -873,16 +873,79 @@ TEST(V7PairCorruptionSweep, EagerLoadSurfacesEveryFlip) {
 // modes, since a lazy load validates block structure only on first touch.
 // ---------------------------------------------------------------------------
 
-/// Loads `blob` eagerly and from an mmap'd file; returns both statuses.
+/// Loads `blob` from a string and from a file in both load modes (read
+/// and mmap'd); returns the three statuses.
 std::vector<Status> LoadBothModes(const std::string& blob) {
   const std::string path = ::testing::TempDir() + "/fts_crafted.idx";
   std::vector<Status> results;
-  InvertedIndex eager, mapped;
-  results.push_back(LoadIndexFromString(blob, &eager));
+  InvertedIndex from_string, read, mapped;
+  results.push_back(LoadIndexFromString(blob, &from_string));
   WriteFile(path, blob);
+  results.push_back(LoadIndexFromFile(path, &read));
   results.push_back(LoadMapped(path, &mapped));
   std::remove(path.c_str());
   return results;
+}
+
+TEST(CraftedFileTest, SectionsRunningIntoTheTrailerAreRejected) {
+  // Short files whose last section runs into the 8-byte trailer. Each
+  // section is parsed from the body alone, so it reads as truncated; a
+  // parse over the whole input let `offset` pass the body's end, where the
+  // remaining-input bound (body end - offset) wrapped and admitted any
+  // count, and the count's allocation threw instead of failing closed.
+  const auto stats = [](uint64_t cnodes) {
+    std::string blob("FTSIDX7\0", 8);
+    PutVarint64(&blob, cnodes);
+    blob.append(4, '\0');   // total positions and three varint32 stats
+    blob.append(24, '\0');  // three double stats
+    return blob;
+  };
+  // An empty list directory: no entries, no positions, the default block
+  // size, no blocks, no payload.
+  const auto empty_list = [](std::string* blob) {
+    PutVarint64(blob, 0);
+    PutVarint64(blob, 0);
+    PutVarint32(blob, BlockPostingList::kDefaultBlockSize);
+    PutVarint64(blob, 0);
+    PutVarint64(blob, 0);
+  };
+  constexpr uint64_t kHuge = uint64_t{1} << 60;  // a 9-byte varint
+  std::vector<std::string> crafted;
+  // Node counts: the node scalars' bound (45 and 42 bytes).
+  crafted.push_back(stats(kHuge));
+  crafted.push_back(stats(uint64_t{1} << 40));
+  ASSERT_EQ(crafted[0].size(), 45u);
+  ASSERT_EQ(crafted[1].size(), 42u);
+  // The vocabulary's bound.
+  std::string blob = stats(0);
+  PutVarint64(&blob, kHuge);
+  crafted.push_back(blob);
+  // The pair frequent table's bound: no tokens, an empty IL_ANY, then
+  // max_distance 0 and the count.
+  blob = stats(0);
+  PutVarint64(&blob, 0);
+  empty_list(&blob);
+  PutVarint32(&blob, 0);
+  PutVarint64(&blob, kHuge);
+  crafted.push_back(blob);
+  // The pair key table's bound: the vocabulary {"a"} with an empty list,
+  // an empty IL_ANY, max_distance 1, the frequent table {0}, then the count.
+  blob = stats(0);
+  PutVarint64(&blob, 1);
+  PutVarint64(&blob, 1);
+  blob.append("a");
+  empty_list(&blob);
+  empty_list(&blob);
+  PutVarint32(&blob, 1);
+  PutVarint64(&blob, 1);
+  PutVarint32(&blob, 0);
+  PutVarint64(&blob, kHuge);
+  crafted.push_back(blob);
+  for (size_t i = 0; i < crafted.size(); ++i) {
+    for (const Status& s : LoadBothModes(crafted[i])) {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << i << ": " << s.ToString();
+    }
+  }
 }
 
 TEST(CraftedFileTest, OutOfRangeNodeIdsAreRejected) {
