@@ -173,6 +173,19 @@ void BM_IndexResidentBytes(benchmark::State& state) {
   for (fts::TokenId t = 0; t < index.vocabulary_size(); ++t) {
     raw_mirror += DecodeRaw(index.block_list(t)).bytes();
   }
+  // The v8 layout's split: list payload bytes (entry headers and offsets)
+  // per stored position, over the token lists and IL_ANY, and the run
+  // table that holds every node's sentences and paragraphs once.
+  double payload_bytes = 0, positions = 0;
+  for (fts::TokenId t = 0; t <= index.vocabulary_size(); ++t) {
+    const fts::BlockPostingList& list =
+        t < index.vocabulary_size() ? *index.block_list(t) : index.block_any_list();
+    payload_bytes += static_cast<double>(list.data().size());
+    positions += static_cast<double>(list.total_positions());
+  }
+  state.counters["payload_bytes_per_position"] = payload_bytes / positions;
+  state.counters["structure_bytes"] =
+      static_cast<double>(index.run_table().bytes().size());
   const double resident = static_cast<double>(index.MemoryUsage());
   state.counters["resident_index_bytes"] = resident;
   state.counters["raw_mirror_bytes"] = static_cast<double>(raw_mirror);

@@ -188,85 +188,88 @@ LeafReads PlanLeafReads(const FtaExprPtr& plan) {
   return reads;
 }
 
+bool PlanReadsStructure(const FtaExprPtr& plan) {
+  if (!plan) return false;
+  if (plan->kind() == FtaExpr::Kind::kSelect && plan->pred().pred != nullptr &&
+      plan->pred().pred->reads_structure()) {
+    return true;
+  }
+  // child() aliases left(), so left+right covers unary nodes too.
+  return PlanReadsStructure(plan->left()) || PlanReadsStructure(plan->right());
+}
+
+namespace {
+
+/// What every operator of one EvaluateFta call shares.
+struct FtaEvalArgs {
+  const InvertedIndex& index;
+  const AlgebraScoreModel* model;
+  EvalCounters* counters;
+  DecodedBlockCache* cache;
+  const Deadline* deadline;
+  const TombstoneSet* tombstones;
+  const RunTable* structure;  // set when the plan reads sentence/paragraph
+};
+
+StatusOr<FtRelation> Evaluate(const FtaExprPtr& expr, const FtaEvalArgs& a) {
+  if (!expr) return Status::InvalidArgument("null algebra expression");
+  // One check per operator application: COMP's intermediates are the
+  // expensive part, so expiry stops before the next one materializes.
+  if (a.deadline != nullptr && a.deadline->Expired()) {
+    return Status::DeadlineExceeded("query deadline expired (COMP)");
+  }
+  switch (expr->kind()) {
+    case FtaExpr::Kind::kSearchContext:
+      return OpScanSearchContext(a.index, a.model, a.counters, a.tombstones);
+    case FtaExpr::Kind::kHasPos:
+      return OpScanHasPos(a.index, a.model, a.counters, a.cache, a.tombstones,
+                          a.structure);
+    case FtaExpr::Kind::kToken:
+      return OpScanToken(a.index, expr->token(), a.model, a.counters, a.cache,
+                         a.tombstones, a.structure);
+    case FtaExpr::Kind::kProject: {
+      FTS_ASSIGN_OR_RETURN(FtRelation in, Evaluate(expr->child(), a));
+      return OpProject(in, expr->project_cols(), a.model, a.counters);
+    }
+    case FtaExpr::Kind::kSelect: {
+      FTS_ASSIGN_OR_RETURN(FtRelation in, Evaluate(expr->child(), a));
+      return OpSelect(in, expr->pred(), a.model, a.counters);
+    }
+    case FtaExpr::Kind::kJoin:
+    case FtaExpr::Kind::kAntiJoin:
+    case FtaExpr::Kind::kUnion:
+    case FtaExpr::Kind::kIntersect:
+    case FtaExpr::Kind::kDifference:
+      break;
+  }
+  FTS_ASSIGN_OR_RETURN(FtRelation l, Evaluate(expr->left(), a));
+  FTS_ASSIGN_OR_RETURN(FtRelation r, Evaluate(expr->right(), a));
+  switch (expr->kind()) {
+    case FtaExpr::Kind::kJoin:
+      return OpJoin(l, r, a.model, a.counters);
+    case FtaExpr::Kind::kAntiJoin:
+      return OpAntiJoin(l, r, a.model, a.counters);
+    case FtaExpr::Kind::kUnion:
+      return OpUnion(l, r, a.model, a.counters);
+    case FtaExpr::Kind::kIntersect:
+      return OpIntersect(l, r, a.model, a.counters);
+    case FtaExpr::Kind::kDifference:
+      return OpDifference(l, r, a.model, a.counters);
+    default:
+      return Status::Internal("unreachable algebra kind");
+  }
+}
+
+}  // namespace
+
 StatusOr<FtRelation> EvaluateFta(const FtaExprPtr& expr, const InvertedIndex& index,
                                  const AlgebraScoreModel* model,
                                  EvalCounters* counters,
                                  DecodedBlockCache* cache,
                                  const Deadline* deadline,
                                  const TombstoneSet* tombstones) {
-  if (!expr) return Status::InvalidArgument("null algebra expression");
-  // One check per operator application: COMP's intermediates are the
-  // expensive part, so expiry stops before the next one materializes.
-  if (deadline != nullptr && deadline->Expired()) {
-    return Status::DeadlineExceeded("query deadline expired (COMP)");
-  }
-  switch (expr->kind()) {
-    case FtaExpr::Kind::kSearchContext:
-      return OpScanSearchContext(index, model, counters, tombstones);
-    case FtaExpr::Kind::kHasPos:
-      return OpScanHasPos(index, model, counters, cache, tombstones);
-    case FtaExpr::Kind::kToken:
-      return OpScanToken(index, expr->token(), model, counters, cache,
-                         tombstones);
-    case FtaExpr::Kind::kProject: {
-      FTS_ASSIGN_OR_RETURN(FtRelation in,
-                           EvaluateFta(expr->child(), index, model, counters,
-                                       cache, deadline, tombstones));
-      return OpProject(in, expr->project_cols(), model, counters);
-    }
-    case FtaExpr::Kind::kJoin: {
-      FTS_ASSIGN_OR_RETURN(FtRelation l,
-                           EvaluateFta(expr->left(), index, model, counters,
-                                       cache, deadline, tombstones));
-      FTS_ASSIGN_OR_RETURN(FtRelation r,
-                           EvaluateFta(expr->right(), index, model, counters,
-                                       cache, deadline, tombstones));
-      return OpJoin(l, r, model, counters);
-    }
-    case FtaExpr::Kind::kSelect: {
-      FTS_ASSIGN_OR_RETURN(FtRelation in,
-                           EvaluateFta(expr->child(), index, model, counters,
-                                       cache, deadline, tombstones));
-      return OpSelect(in, expr->pred(), model, counters);
-    }
-    case FtaExpr::Kind::kAntiJoin: {
-      FTS_ASSIGN_OR_RETURN(FtRelation l,
-                           EvaluateFta(expr->left(), index, model, counters,
-                                       cache, deadline, tombstones));
-      FTS_ASSIGN_OR_RETURN(FtRelation r,
-                           EvaluateFta(expr->right(), index, model, counters,
-                                       cache, deadline, tombstones));
-      return OpAntiJoin(l, r, model, counters);
-    }
-    case FtaExpr::Kind::kUnion: {
-      FTS_ASSIGN_OR_RETURN(FtRelation l,
-                           EvaluateFta(expr->left(), index, model, counters,
-                                       cache, deadline, tombstones));
-      FTS_ASSIGN_OR_RETURN(FtRelation r,
-                           EvaluateFta(expr->right(), index, model, counters,
-                                       cache, deadline, tombstones));
-      return OpUnion(l, r, model, counters);
-    }
-    case FtaExpr::Kind::kIntersect: {
-      FTS_ASSIGN_OR_RETURN(FtRelation l,
-                           EvaluateFta(expr->left(), index, model, counters,
-                                       cache, deadline, tombstones));
-      FTS_ASSIGN_OR_RETURN(FtRelation r,
-                           EvaluateFta(expr->right(), index, model, counters,
-                                       cache, deadline, tombstones));
-      return OpIntersect(l, r, model, counters);
-    }
-    case FtaExpr::Kind::kDifference: {
-      FTS_ASSIGN_OR_RETURN(FtRelation l,
-                           EvaluateFta(expr->left(), index, model, counters,
-                                       cache, deadline, tombstones));
-      FTS_ASSIGN_OR_RETURN(FtRelation r,
-                           EvaluateFta(expr->right(), index, model, counters,
-                                       cache, deadline, tombstones));
-      return OpDifference(l, r, model, counters);
-    }
-  }
-  return Status::Internal("unreachable algebra kind");
+  return Evaluate(expr, {index, model, counters, cache, deadline, tombstones,
+                         PlanReadsStructure(expr) ? &index.run_table() : nullptr});
 }
 
 }  // namespace fts

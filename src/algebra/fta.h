@@ -81,6 +81,11 @@ class FtaExpr {
 /// the per-query cache decision (ExecContext::BlockCacheFor).
 LeafReads PlanLeafReads(const FtaExprPtr& plan);
 
+/// True when a selection of `plan` has a predicate that reads sentence or
+/// paragraph (PositionPredicate::reads_structure): its scans then fill
+/// them from the index's run table.
+bool PlanReadsStructure(const FtaExprPtr& plan);
+
 /// Bottom-up materialized evaluation (the COMP strategy, Section 5.4).
 /// `model` (nullable) supplies the Section 3 score transformations;
 /// `counters` (nullable) accumulates list and tuple traffic. `cache`
@@ -92,6 +97,7 @@ LeafReads PlanLeafReads(const FtaExprPtr& plan);
 /// the next operator instead of materializing another relation. `tombstones`
 /// (nullable) filters deleted nodes out of every leaf scan — including the
 /// SearchContext universe — when `index` is one segment of a snapshot.
+/// The leaf scans fill sentence and paragraph when PlanReadsStructure.
 StatusOr<FtRelation> EvaluateFta(const FtaExprPtr& expr, const InvertedIndex& index,
                                  const AlgebraScoreModel* model,
                                  EvalCounters* counters,

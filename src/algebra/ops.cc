@@ -45,11 +45,13 @@ std::vector<NodeGroup> GroupByNode(const FtRelation& r) {
 StatusOr<FtRelation> OpScanToken(const InvertedIndex& index, std::string_view token,
                                  const AlgebraScoreModel* model,
                                  EvalCounters* counters, DecodedBlockCache* cache,
-                                 const TombstoneSet* tombstones) {
+                                 const TombstoneSet* tombstones,
+                                 const RunTable* structure) {
   const TokenId tok = index.LookupToken(token);
   if (tok == kInvalidToken) return FtRelation(1);  // OOV token: empty relation
   // One tuple per occurrence, each carrying the entry's static leaf score.
-  BlockListCursor cursor(index.block_list(tok), counters, cache, tombstones);
+  BlockListCursor cursor(index.block_list(tok), counters, cache, tombstones,
+                         structure);
   FtRelation out(1);
   while (cursor.NextEntry() != kInvalidNode) {
     const NodeId node = cursor.current_node();
@@ -73,8 +75,10 @@ StatusOr<FtRelation> OpScanToken(const InvertedIndex& index, std::string_view to
 StatusOr<FtRelation> OpScanHasPos(const InvertedIndex& index,
                                   const AlgebraScoreModel* model,
                                   EvalCounters* counters, DecodedBlockCache* cache,
-                                  const TombstoneSet* tombstones) {
-  BlockListCursor cursor(&index.block_any_list(), counters, cache, tombstones);
+                                  const TombstoneSet* tombstones,
+                                  const RunTable* structure) {
+  BlockListCursor cursor(&index.block_any_list(), counters, cache, tombstones,
+                         structure);
   FtRelation out(1);
   const double s = model ? model->AnyLeafScore() : 0.0;
   while (cursor.NextEntry() != kInvalidNode) {

@@ -35,14 +35,16 @@ struct AlgebraPredicateCall {
 /// scanned from the block-resident list. `cache` (nullable) serves
 /// repeated block decodes within one query evaluation. `tombstones`
 /// (nullable) filters deleted nodes out of the scan when `index` is one
-/// segment of a snapshot. Returns Corruption when a lazily validated block
-/// fails its first-touch decode (mmap-loaded index) rather than a
-/// truncated relation.
+/// segment of a snapshot. `structure` (nullable, the index's run table)
+/// fills each position's sentence and paragraph; without it they read 0.
+/// Returns Corruption when a lazily validated block fails its first-touch
+/// decode (mmap-loaded index) rather than a truncated relation.
 StatusOr<FtRelation> OpScanToken(const InvertedIndex& index, std::string_view token,
                                  const AlgebraScoreModel* model,
                                  EvalCounters* counters,
                                  DecodedBlockCache* cache = nullptr,
-                                 const TombstoneSet* tombstones = nullptr);
+                                 const TombstoneSet* tombstones = nullptr,
+                                 const RunTable* structure = nullptr);
 
 /// HasPos: one tuple per position of every node (materializes IL_ANY).
 /// Fails like OpScanToken on lazily detected corruption.
@@ -50,7 +52,8 @@ StatusOr<FtRelation> OpScanHasPos(const InvertedIndex& index,
                                   const AlgebraScoreModel* model,
                                   EvalCounters* counters,
                                   DecodedBlockCache* cache = nullptr,
-                                  const TombstoneSet* tombstones = nullptr);
+                                  const TombstoneSet* tombstones = nullptr,
+                                  const RunTable* structure = nullptr);
 
 /// SearchContext: one zero-column tuple per live context node — tombstoned
 /// nodes are outside the universe (deleted documents neither match nor

@@ -74,7 +74,7 @@ namespace fts {
 //                           number.
 //   simd_groups_decoded     Varint groups decoded through a SIMD arm (one
 //                           per bulk group-decoder call — entry-header
-//                           streams, position-triple chunks, bitset-block
+//                           streams, position-record chunks, bitset-block
 //                           count/length streams). Zero when the scalar arm
 //                           is dispatched (FTS_FORCE_SCALAR_DECODE=1 or no
 //                           SSSE3), so tests can assert the intended arm

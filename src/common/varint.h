@@ -1,5 +1,6 @@
 // Integer coding of the on-disk inverted index format: LEB128-style
-// variable-length integers and little-endian fixed-width 64-bit words.
+// variable-length integers and little-endian fixed-width 32- and 64-bit
+// words.
 // Posting lists store node ids and position offsets as deltas, so most
 // values fit in one or two bytes.
 //
@@ -71,6 +72,21 @@ void PutFixed64Le(Bytes* out, uint64_t value) {
   char buf[sizeof(value)];
   std::memcpy(buf, &value, sizeof(value));
   out->insert(out->end(), buf, buf + sizeof(value));
+}
+
+/// The little-endian 32-bit word at `p` (unaligned): the run table's
+/// directory (index/run_table.h) is stored this way.
+inline uint32_t LoadFixed32Le(const void* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap32(v);
+  return v;
+}
+
+/// Stores `value` at `p` (unaligned) as a little-endian 32-bit word.
+inline void StoreFixed32Le(void* p, uint32_t value) {
+  if constexpr (std::endian::native == std::endian::big) value = __builtin_bswap32(value);
+  std::memcpy(p, &value, sizeof(value));
 }
 
 /// Decodes a varint from `data` starting at `*offset`, advancing `*offset`

@@ -68,6 +68,7 @@ class RankedNegativePredicate : public PositionPredicate {
   int arity() const override { return inner_->arity(); }
   int num_constants() const override { return inner_->num_constants(); }
   PredicateClass cls() const override { return inner_->cls(); }
+  bool reads_structure() const override { return inner_->reads_structure(); }
 
   bool Eval(std::span<const PositionInfo> positions,
             std::span<const int64_t> consts) const override {

@@ -153,23 +153,23 @@ Status EvaluatePairPlan(const PairPlanMatch& match, const PairRoute& route,
       FTS_RETURN_IF_ERROR(deadline->Check());
     }
     ++counters->pair_entries_decoded;
-    const std::span<const PositionInfo> ps = cur.GetPositions();
+    const std::span<const PairRecord> rs = cur.GetRecords();
     if (!cur.status().ok()) return cur.status();
-    if (ps.size() < 2) {
+    if (rs.size() < 2) {
       return Status::Corruption("pair-list entry without records");
     }
-    // positions[0] packs the two per-node term frequencies in storage
-    // (first, second) order; every later triple is one co-occurrence.
-    const uint32_t tf_first = ps[0].offset;
-    const uint32_t tf_second = ps[0].sentence;
+    // The header record holds the two per-node term frequencies in storage
+    // (first, second) order; every later record is one co-occurrence.
+    const uint32_t tf_first = rs[0].first;
+    const uint32_t tf_second = rs[0].second;
     if (tf_first == 0 || tf_second == 0) {
       return Status::Corruption("pair-list entry with zero term frequency");
     }
     bool found = false;
     uint32_t wa = 0, wb = 0;  // witness = lex-min satisfying (off_a, off_b)
-    for (size_t k = 1; k < ps.size(); ++k) {
-      const int64_t off_first = ps[k].offset;
-      const int32_t delta = PairIndex::UnZigZag(ps[k].sentence);
+    for (size_t k = 1; k < rs.size(); ++k) {
+      const int64_t off_first = rs[k].first;
+      const int32_t delta = PairIndex::UnZigZag(rs[k].second);
       if (delta == 0 || delta > window || delta < -window) {
         return Status::Corruption("pair-list record delta out of window");
       }

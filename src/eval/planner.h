@@ -66,7 +66,7 @@ uint64_t EstimateCandidates(const LangExprPtr& normalized,
 
 // --- Pair list vs position pipeline ----------------------------------------
 
-/// kAuto's comparison for an eligible pair with a list, in decoded-triple
+/// kAuto's comparison for an eligible pair with a list, in decoded-record
 /// units: df_pair * records_per_entry against min(df_a, df_b) * (1 +
 /// pos_per_a + pos_per_b). Like every rule here it reads only the
 /// segment's own list headers (the pair list, a's and b's): cost is counted

@@ -37,7 +37,7 @@ class ScanCursor : public PosCursor {
   ScanCursor(TokenId token, const PipelineContext& ctx)
       : ctx_(ctx),
         cursor_(ctx.index->block_list(token), ctx.counters, ctx.cache,
-                ctx.tombstones),
+                ctx.tombstones, ctx.structure),
         token_(token) {}
 
   size_t num_cols() const override { return 1; }
@@ -466,10 +466,8 @@ class AntiJoinCursor : public PosCursor {
   bool r_started_ = false;
 };
 
-}  // namespace
-
-StatusOr<std::unique_ptr<PosCursor>> BuildPipeline(const FtaExprPtr& plan,
-                                                   const PipelineContext& ctx) {
+StatusOr<std::unique_ptr<PosCursor>> Build(const FtaExprPtr& plan,
+                                           const PipelineContext& ctx) {
   if (!plan) return Status::InvalidArgument("null plan");
   switch (plan->kind()) {
     case FtaExpr::Kind::kToken: {
@@ -479,8 +477,8 @@ StatusOr<std::unique_ptr<PosCursor>> BuildPipeline(const FtaExprPtr& plan,
           new ScanCursor(ctx.index->LookupToken(plan->token()), ctx));
     }
     case FtaExpr::Kind::kJoin: {
-      FTS_ASSIGN_OR_RETURN(auto l, BuildPipeline(plan->left(), ctx));
-      FTS_ASSIGN_OR_RETURN(auto r, BuildPipeline(plan->right(), ctx));
+      FTS_ASSIGN_OR_RETURN(auto l, Build(plan->left(), ctx));
+      FTS_ASSIGN_OR_RETURN(auto r, Build(plan->right(), ctx));
       return std::unique_ptr<PosCursor>(
           new JoinCursor(std::move(l), std::move(r), ctx));
     }
@@ -490,24 +488,24 @@ StatusOr<std::unique_ptr<PosCursor>> BuildPipeline(const FtaExprPtr& plan,
                                    std::string(plan->pred().pred->name()) +
                                    "' is neither positive nor negative");
       }
-      FTS_ASSIGN_OR_RETURN(auto in, BuildPipeline(plan->child(), ctx));
+      FTS_ASSIGN_OR_RETURN(auto in, Build(plan->child(), ctx));
       return std::unique_ptr<PosCursor>(
           new SelectCursor(std::move(in), plan->pred(), ctx));
     }
     case FtaExpr::Kind::kProject: {
-      FTS_ASSIGN_OR_RETURN(auto in, BuildPipeline(plan->child(), ctx));
+      FTS_ASSIGN_OR_RETURN(auto in, Build(plan->child(), ctx));
       return std::unique_ptr<PosCursor>(
           new ProjectCursor(std::move(in), plan->project_cols(), ctx));
     }
     case FtaExpr::Kind::kUnion: {
-      FTS_ASSIGN_OR_RETURN(auto l, BuildPipeline(plan->left(), ctx));
-      FTS_ASSIGN_OR_RETURN(auto r, BuildPipeline(plan->right(), ctx));
+      FTS_ASSIGN_OR_RETURN(auto l, Build(plan->left(), ctx));
+      FTS_ASSIGN_OR_RETURN(auto r, Build(plan->right(), ctx));
       return std::unique_ptr<PosCursor>(
           new UnionCursor(std::move(l), std::move(r), ctx));
     }
     case FtaExpr::Kind::kAntiJoin: {
-      FTS_ASSIGN_OR_RETURN(auto l, BuildPipeline(plan->left(), ctx));
-      FTS_ASSIGN_OR_RETURN(auto r, BuildPipeline(plan->right(), ctx));
+      FTS_ASSIGN_OR_RETURN(auto l, Build(plan->left(), ctx));
+      FTS_ASSIGN_OR_RETURN(auto r, Build(plan->right(), ctx));
       return std::unique_ptr<PosCursor>(
           new AntiJoinCursor(std::move(l), std::move(r), ctx));
     }
@@ -519,6 +517,16 @@ StatusOr<std::unique_ptr<PosCursor>> BuildPipeline(const FtaExprPtr& plan,
                                  "' requires materialized (COMP) evaluation");
   }
   return Status::Internal("unreachable plan kind");
+}
+
+}  // namespace
+
+StatusOr<std::unique_ptr<PosCursor>> BuildPipeline(const FtaExprPtr& plan,
+                                                   const PipelineContext& ctx) {
+  PipelineContext built = ctx;
+  built.structure =
+      PlanReadsStructure(plan) && ctx.index != nullptr ? &ctx.index->run_table() : nullptr;
+  return Build(plan, built);
 }
 
 Status RunPipeline(const FtaExprPtr& plan, PipelineContext ctx,

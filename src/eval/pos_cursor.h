@@ -102,6 +102,10 @@ struct PipelineContext {
   /// snapshot: leaf cursors filter deleted nodes, so no operator above
   /// them ever sees a tombstoned entry. Null on the standalone-index path.
   const TombstoneSet* tombstones = nullptr;  // nullable
+  /// The index's run table when the plan reads sentence or paragraph
+  /// (PlanReadsStructure, algebra/fta.h): leaf scans fill them from it.
+  /// BuildPipeline sets it from the plan; a caller's value is ignored.
+  const RunTable* structure = nullptr;
 };
 
 /// Builds a pipelined cursor tree for `plan`. Returns Unsupported when the

@@ -5,15 +5,12 @@
 #include <cassert>
 #include <iterator>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 #include "common/crc32c.h"
 #include "common/varint.h"
 #include "common/varint_simd.h"
 #include "index/decoded_block_cache.h"
 #include "index/index_source.h"
+#include "index/run_table.h"
 #include "index/tombstone_set.h"
 
 namespace fts {
@@ -53,21 +50,32 @@ bool BlockPostingList::SetDenseBlocksEnabledByDefault(bool enabled) {
 void BlockListWriter::EncodePositions(std::span<const PositionInfo> positions,
                                       std::vector<uint8_t>* out) {
   const size_t begin = out->size();
-  out->resize(begin + positions.size() * 3 * kMaxVarint32Bytes);
+  out->resize(begin + positions.size() * kMaxVarint32Bytes);
   uint8_t* p = out->data() + begin;
-  uint32_t prev_off = 0, prev_sent = 0, prev_para = 0;
+  uint32_t prev = 0;
   for (const PositionInfo& pos : positions) {
-    p = EncodeVarint32(p, pos.offset - prev_off);
-    p = EncodeVarint32(p, pos.sentence - prev_sent);
-    p = EncodeVarint32(p, pos.paragraph - prev_para);
-    prev_off = pos.offset;
-    prev_sent = pos.sentence;
-    prev_para = pos.paragraph;
+    p = EncodeVarint32(p, pos.offset - prev);
+    prev = pos.offset;
+  }
+  out->resize(p - out->data());
+}
+
+void BlockListWriter::EncodeRecords(std::span<const PairRecord> records,
+                                    std::vector<uint8_t>* out) {
+  const size_t begin = out->size();
+  out->resize(begin + records.size() * 2 * kMaxVarint32Bytes);
+  uint8_t* p = out->data() + begin;
+  uint32_t prev = 0;
+  for (const PairRecord& r : records) {
+    p = EncodeVarint32(p, r.first - prev);
+    p = EncodeVarint32(p, r.second);
+    prev = r.first;
   }
   out->resize(p - out->data());
 }
 
 void BlockListWriter::Append(NodeId node, std::span<const PositionInfo> positions) {
+  assert(lanes_ == 1);
   const size_t begin = pending_bytes_.size();
   EncodePositions(positions, &pending_bytes_);
   AppendPending(node, static_cast<uint32_t>(positions.size()), begin);
@@ -279,14 +287,15 @@ Status BlockPostingList::DecodeBlockEntries(size_t block,
     }
   }
   if (first_touch) {
-    // Every entry's bytes hold exactly 3 * pos_count varints, so any entry
-    // of a verified block decodes (and a merge may copy it verbatim).
+    // Every entry's bytes hold exactly lanes() * pos_count varints, so any
+    // entry of a verified block decodes (and a merge may copy it
+    // verbatim).
     const uint8_t* const base =
         reinterpret_cast<const uint8_t*>(payload.data());
     for (const EntryRef& e : *entries) {
       const uint8_t* const pos = base + e.pos_byte_begin;
       if (!HoldsVarint32s(pos, pos + e.pos_byte_len,
-                          uint64_t{3} * e.header.pos_count)) {
+                          uint64_t{lanes_} * e.header.pos_count)) {
         return Status::Corruption("malformed position bytes at first touch");
       }
     }
@@ -428,19 +437,37 @@ Status BlockPostingList::DecodePositionRun(std::span<const EntryRef> run,
                                            std::vector<PositionInfo>* positions,
                                            std::vector<uint32_t>* offsets,
                                            EvalCounters* counters) const {
+  return DecodeRun<1>(run, positions, offsets, counters);
+}
+
+Status BlockPostingList::DecodePositionRun(std::span<const EntryRef> run,
+                                           std::vector<PairRecord>* records,
+                                           std::vector<uint32_t>* offsets,
+                                           EvalCounters* counters) const {
+  return DecodeRun<2>(run, records, offsets, counters);
+}
+
+template <uint32_t kLanes, typename Out>
+Status BlockPostingList::DecodeRun(std::span<const EntryRef> run,
+                                   std::vector<Out>* out,
+                                   std::vector<uint32_t>* offsets,
+                                   EvalCounters* counters) const {
   if (run.empty()) {
     return Status::InvalidArgument("empty position run");
+  }
+  if (lanes_ != kLanes) {
+    return Status::InvalidArgument("record lanes disagree with the list's");
   }
   const std::string_view payload = data();
   if (offsets != nullptr) offsets->resize(run.size() + 1);
   uint64_t total = 0;
   uint64_t next_begin = run[0].pos_byte_begin;
-  // Each position takes at least 3 bytes (three varints), and the entries'
-  // bytes must tile back to back, which makes one decode of the region
+  // Each record takes at least one byte per lane, and the entries' bytes
+  // must tile back to back, which makes one decode of the region
   // equivalent to per-entry decodes of its slices.
   for (size_t i = 0; i < run.size(); ++i) {
     const EntryRef& e = run[i];
-    if (e.header.pos_count > e.pos_byte_len / 3 + 1 ||
+    if (uint64_t{kLanes} * e.header.pos_count > e.pos_byte_len ||
         e.pos_byte_begin != next_begin) {
       return Status::Corruption("position count larger than position bytes");
     }
@@ -452,18 +479,15 @@ Status BlockPostingList::DecodePositionRun(std::span<const EntryRef> run,
   if (run[0].pos_byte_begin > payload.size() || next_begin > payload.size()) {
     return Status::Corruption("position count larger than position bytes");
   }
-  // One slot of headroom: the vectorized prefix pass below reads 16-byte
-  // delta quads and writes 16-byte sum quads at a 12-byte stride, so its
-  // last load/store reach one lane past the real data. The vector never
-  // shrinks here: a reused arena is zero-filled once as it grows, not
-  // again each time a longer run follows a shorter one.
-  if (positions->size() < total + 1) positions->resize(total + 1);
+  // The vector never shrinks here: a reused arena is zero-filled once as
+  // it grows, not again each time a longer run follows a shorter one.
+  if (out->size() < total) out->resize(total);
   // Decode-and-prefix runs fused in L1-sized chunks: decoding the whole
-  // region into a 3*total scratch first looked simpler but round-trips
-  // every delta through L2 (written by the kernel, read back by the
-  // prefix pass), which dominates once a block's positions outgrow L1.
-  constexpr size_t kChunkPositions = 512;
-  uint32_t deltas[3 * kChunkPositions + 1];
+  // region into a scratch first looked simpler but round-trips every
+  // delta through L2 (written by the kernel, read back by the prefix
+  // pass), which dominates once a block's records outgrow L1.
+  constexpr size_t kChunkRecords = 1536 / kLanes;
+  uint32_t deltas[kLanes * kChunkRecords];
   const uint8_t* const base = reinterpret_cast<const uint8_t*>(payload.data());
   const uint8_t* p = base + run[0].pos_byte_begin;
   // The region decodes as one varint stream. The kernel limit is the
@@ -473,51 +497,36 @@ Status BlockPostingList::DecodePositionRun(std::span<const EntryRef> run,
   // region — a malformed stream that strays past an entry boundary lands
   // on the wrong total and is rejected.
   const bool simd = SimdDecodeActive();
-  size_t ei = 0;               // entry whose positions are being emitted
-  uint32_t done_in_entry = 0;  // positions already emitted for run[ei]
-  char* ob = reinterpret_cast<char*>(positions->data());
-#if defined(__SSE2__)
-  __m128i sum = _mm_setzero_si128();
-#else
-  uint32_t off = 0, sent = 0, para = 0;
-#endif
+  size_t ei = 0;               // entry whose records are being emitted
+  uint32_t done_in_entry = 0;  // records already emitted for run[ei]
+  Out* o = out->data();
+  uint32_t sum = 0;  // the offset lane's running sum within the entry
   for (uint64_t left = total; left > 0;) {
     const size_t take =
-        static_cast<size_t>(std::min<uint64_t>(left, kChunkPositions));
-    p = GetVarint32GroupAuto(p, base + payload.size(), deltas, 3 * take);
+        static_cast<size_t>(std::min<uint64_t>(left, kChunkRecords));
+    p = GetVarint32GroupAuto(p, base + payload.size(), deltas, kLanes * take);
     if (p == nullptr) return Status::Corruption("malformed position bytes");
-    deltas[3 * take] = 0;  // the lane the last triple's 16-byte load reads
     if (simd && counters != nullptr) ++counters->simd_groups_decoded;
-    // Emit this chunk's positions, walking entry boundaries as they pass;
-    // deltas reset per entry. A chunk boundary can split an entry, so the
-    // running sums and the entry walk persist across iterations.
+    // Emit this chunk's records, walking entry boundaries as they pass;
+    // the offset sum restarts per entry. A chunk boundary can split an
+    // entry, so the running sum and the entry walk persist across
+    // iterations.
     const uint32_t* d = deltas;
     for (size_t avail = take; avail > 0;) {
       while (run[ei].header.pos_count == done_in_entry) {
         ++ei;
         done_in_entry = 0;
-#if defined(__SSE2__)
-        sum = _mm_setzero_si128();
-#else
-        off = sent = para = 0;
-#endif
+        sum = 0;
       }
       const uint32_t n = static_cast<uint32_t>(std::min<uint64_t>(
           run[ei].header.pos_count - done_in_entry, avail));
-      for (uint32_t r = 0; r < n; ++r, d += 3, ob += sizeof(PositionInfo)) {
-#if defined(__SSE2__)
-        // 16-byte load of the delta triple (lane 3 is the next triple's
-        // first word), add onto the running sums, 16-byte store whose
-        // stray lane the next store — or the headroom slot — absorbs.
-        sum = _mm_add_epi32(
-            sum, _mm_loadu_si128(reinterpret_cast<const __m128i*>(d)));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(ob), sum);
-#else
-        off += d[0];
-        sent += d[1];
-        para += d[2];
-        *reinterpret_cast<PositionInfo*>(ob) = PositionInfo{off, sent, para};
-#endif
+      for (uint32_t r = 0; r < n; ++r, d += kLanes, ++o) {
+        sum += d[0];
+        if constexpr (kLanes == 1) {
+          *o = PositionInfo{sum, 0, 0};
+        } else {
+          *o = PairRecord{sum, d[1]};
+        }
       }
       done_in_entry += n;
       avail -= n;
@@ -569,6 +578,7 @@ void PostingStore::Add(BlockListWriter&& writer) {
                       .payload_size = writer.payload_.size(),
                       .num_blocks = static_cast<uint32_t>(writer.skips_.size()),
                       .block_size = writer.block_size_,
+                      .lanes = writer.lanes_,
                       .buffer = payloads_.size() - 1});
   payload.insert(payload.end(), writer.payload_.begin(), writer.payload_.end());
   skips_.insert(skips_.end(), writer.skips_.begin(), writer.skips_.end());
@@ -603,7 +613,8 @@ void PostingStore::Append(std::span<PostingStore> parts) {
   }
 }
 
-void PostingStore::AddChecked(uint32_t block_size, uint64_t num_entries,
+void PostingStore::AddChecked(uint32_t lanes, uint32_t block_size,
+                              uint64_t num_entries,
                               uint64_t total_positions,
                               std::span<const BlockPostingList::SkipEntry> skips,
                               std::span<const uint32_t> checksums,
@@ -616,6 +627,7 @@ void PostingStore::AddChecked(uint32_t block_size, uint64_t num_entries,
                       .payload_size = payload_size,
                       .num_blocks = static_cast<uint32_t>(skips.size()),
                       .block_size = block_size,
+                      .lanes = lanes,
                       .buffer = 0});
   skips_.insert(skips_.end(), skips.begin(), skips.end());
   checksums_.insert(checksums_.end(), checksums.begin(), checksums.end());
@@ -660,6 +672,7 @@ void PostingStore::Seal(std::shared_ptr<const IndexSource> source) {
     l.total_positions_ = e.total_positions;
     l.uid_ = uid++;
     l.block_size_ = e.block_size;
+    l.lanes_ = static_cast<uint8_t>(e.lanes);
   }
   std::vector<Extent>().swap(extents_);
 }
@@ -678,12 +691,14 @@ BlockListCursor& BlockListCursor::operator=(BlockListCursor&& o) noexcept {
   counters_ = o.counters_;
   cache_ = o.cache_;
   tombstones_ = o.tombstones_;
+  structure_ = o.structure_;
   const bool own_arena = o.entries_ == &o.arena_;
   arena_ = std::move(o.arena_);
   cached_ = std::move(o.cached_);
   entries_ = o.entries_ == nullptr ? nullptr
                                    : (own_arena ? &arena_ : &cached_->entries);
   positions_ = std::move(o.positions_);
+  records_ = std::move(o.records_);
   pos_offsets_ = std::move(o.pos_offsets_);
   pos_block_ = o.pos_block_;
   pos_from_ = o.pos_from_;
@@ -854,14 +869,15 @@ bool BlockListCursor::CurrentDenseBlock(DenseBlockView* view) const {
   return true;
 }
 
-std::span<const PositionInfo> BlockListCursor::GetPositionsSlow() {
+template <typename T>
+std::span<const T> BlockListCursor::DecodeIntoArena(std::vector<T>* arena) {
   assert(started_ && !exhausted_);
-  // Two consecutive entries' positions in one block predict a
-  // positions-heavy walk of the rest of it: decode a span of the following
-  // entries in one contiguous pass (bitset blocks concatenate position
-  // bytes exactly so the SIMD kernel never stops at entry boundaries).
-  // Selective access — one phrase match per block — never streaks, so it
-  // keeps strict per-entry laziness: a run of one entry.
+  // Two consecutive entries' records in one block predict a records-heavy
+  // walk of the rest of it: decode a span of the following entries in one
+  // contiguous pass (bitset blocks concatenate record bytes exactly so the
+  // SIMD kernel never stops at entry boundaries). Selective access — one
+  // phrase match per block — never streaks, so it keeps strict per-entry
+  // laziness: a run of one entry.
   const bool consec = last_pos_block_ == block_ && last_pos_idx_ + 1 == idx_;
   streak_len_ = consec ? streak_len_ + 1 : 1;
   last_pos_block_ = block_;
@@ -881,11 +897,12 @@ std::span<const PositionInfo> BlockListCursor::GetPositionsSlow() {
     to = std::min(entries_->size(), idx_ + span);
   }
   Status s = list_->DecodePositionRun(block_entries().subspan(idx_, to - idx_),
-                                      &positions_, &pos_offsets_, counters_);
+                                      arena, &pos_offsets_, counters_);
   if (!s.ok()) {
-    // Malformed position bytes (first touch of the block rejects them, so
-    // this guards against logic drift): report through status() and hand
-    // back an empty PosList — fail closed, never partial garbage.
+    // Malformed record bytes (first touch of the block rejects them, so
+    // this guards against logic drift), or a list of the other lane
+    // count: report through status() and hand back an empty span — fail
+    // closed, never partial garbage.
     pos_block_ = SIZE_MAX;
     if (status_.ok()) status_ = std::move(s);
     return {};
@@ -895,7 +912,26 @@ std::span<const PositionInfo> BlockListCursor::GetPositionsSlow() {
   pos_to_ = to;
   pos_span_ = span;
   if (counters_ != nullptr) counters_->positions_decoded += pos_offsets_.back();
-  return {positions_.data(), pos_offsets_[1]};
+  return {arena->data(), pos_offsets_[1]};
+}
+
+std::span<const PositionInfo> BlockListCursor::GetPositionsSlow() {
+  const std::span<const PositionInfo> current = DecodeIntoArena(&positions_);
+  if (structure_ != nullptr && pos_block_ == block_) {
+    // The plan reads sentence or paragraph: fill every decoded entry's
+    // positions from its node's runs.
+    for (size_t i = pos_from_; i < pos_to_; ++i) {
+      const size_t rel = i - pos_from_;
+      structure_->Fill((*entries_)[i].header.node,
+                       std::span(positions_.data() + pos_offsets_[rel],
+                                 pos_offsets_[rel + 1] - pos_offsets_[rel]));
+    }
+  }
+  return current;
+}
+
+std::span<const PairRecord> BlockListCursor::GetRecordsSlow() {
+  return DecodeIntoArena(&records_);
 }
 
 }  // namespace fts

@@ -1,11 +1,16 @@
-// Block-compressed, skip-seekable posting storage (the v7 index layout).
+// Block-compressed, skip-seekable posting storage (the v8 index layout).
 //
 // A BlockPostingList stores one inverted list's (cn, PosList) sequence
 // packed into fixed-size blocks (kDefaultBlockSize entries) of
 // varint-coded deltas: node ids are delta-coded within a block (first id
-// absolute, so every block decodes independently), and positions are coded
-// as offset/sentence/paragraph deltas behind a per-entry byte-length, so
-// entry headers decode without touching position bytes.
+// absolute, so every block decodes independently), and each entry's
+// records sit behind a per-entry byte-length, so entry headers decode
+// without touching record bytes. A record has one or two 32-bit lanes (the
+// list's lanes()): token lists and IL_ANY store one, the token offset,
+// delta-coded within the entry; sentence and paragraph live once per node
+// in the index's run table (index/run_table.h), and a cursor fills them in
+// only for a plan that reads them. Pair lists (index/pair_index.h) store
+// two: an offset lane coded the same way and a second lane stored as is.
 // Each block is fronted by a skip header (max_node, byte_offset,
 // entry_count), so a cursor can locate the unique block that may contain a
 // target node with a binary search over headers and decode only that block
@@ -52,6 +57,15 @@
 namespace fts {
 
 class IndexSource;  // index/index_source.h
+class RunTable;     // index/run_table.h
+
+/// One record of a two-lane list (a pair list, index/pair_index.h):
+/// `first` is the offset lane, delta-coded within its entry, `second` the
+/// lane stored as is.
+struct PairRecord {
+  uint32_t first = 0;
+  uint32_t second = 0;
+};
 
 /// One (cn, PosList) pair of an inverted list as BlockPostingList::
 /// DecodeBlock returns it: the entry's positions are the [pos_begin,
@@ -121,6 +135,10 @@ class BlockPostingList {
     return false;
   }
 
+  /// Lanes per record: 1 for token lists and IL_ANY (the offset), 2 for
+  /// pair lists (PairRecord).
+  uint32_t lanes() const { return lanes_; }
+
   size_t num_entries() const { return num_entries_; }
   bool empty() const { return num_entries_ == 0; }
   size_t total_positions() const { return total_positions_; }
@@ -146,9 +164,10 @@ class BlockPostingList {
     uint32_t pos_byte_len;    // length of the entry's position bytes
   };
 
-  /// Decodes block `block` into `entries`/`positions` (replacing their
-  /// contents; entries' pos_begin index into `positions`). Returns
-  /// Corruption on malformed payload bytes.
+  /// Decodes block `block` of a one-lane list into `entries`/`positions`
+  /// (replacing their contents; entries' pos_begin index into
+  /// `positions`, which carry offsets only). Returns Corruption on
+  /// malformed payload bytes.
   Status DecodeBlock(size_t block, std::vector<PostingEntry>* entries,
                      std::vector<PositionInfo>* positions) const;
 
@@ -156,7 +175,7 @@ class BlockPostingList {
   /// counts), hopping over position bytes. A loaded list's first decode of
   /// the block is the block's one validator: it verifies the payload
   /// checksum, the entry structure and each entry's position framing
-  /// (exactly 3 * pos_count varint32s, walked uncharged, decoding no
+  /// (exactly lanes() * pos_count varint32s, walked uncharged, decoding no
   /// position) and memoizes success per block, so the hot path and the
   /// block caches pay it once per block per index lifetime. `counters`, when
   /// non-null, is charged simd_groups_decoded for each bulk group decode
@@ -165,21 +184,25 @@ class BlockPostingList {
   Status DecodeBlockEntries(size_t block, std::vector<EntryRef>* entries,
                             EvalCounters* counters = nullptr) const;
 
-  /// Decodes the PosList of one entry previously returned by
-  /// DecodeBlockEntries (replacing `positions`): DecodePositionRun's run
-  /// of one.
+  /// Decodes the PosList of one entry of a one-lane list previously
+  /// returned by DecodeBlockEntries (replacing `positions`, offsets only):
+  /// DecodePositionRun's run of one.
   Status DecodePositions(const EntryRef& entry,
                          std::vector<PositionInfo>* positions,
                          EvalCounters* counters = nullptr) const;
 
-  /// The one position decoder. Decodes the PosLists of `run` — one entry,
+  /// The one record decoder, a decode-and-prefix kernel over the list's
+  /// lanes: this overload decodes one-lane lists into positions that
+  /// carry the offset (sentence and paragraph 0), the next one two-lane
+  /// lists into PairRecords; asked for the other lane count it returns
+  /// InvalidArgument. Decodes the PosLists of `run` — one entry,
   /// or consecutive entries of one decoded block whose position bytes tile
   /// back to back (true by construction for bitset blocks, whose layout
   /// concatenates all position bytes exactly so this pass can run the
   /// dispatched group decoder at full width instead of stopping at every
-  /// ~17-byte entry boundary) — in one decode-and-prefix pass, into the
-  /// front of `positions`, which grows to hold them plus one slot and is
-  /// never shrunk (a reused arena is not zero-filled again). When
+  /// few-byte entry boundary) — in one decode-and-prefix pass, into the
+  /// front of `positions`, which grows to hold them and is never shrunk
+  /// (a reused arena is not zero-filled again). When
   /// `offsets` is non-null it is replaced by run.size() + 1 bounds:
   /// offsets[i]..offsets[i+1] is entry i's slice. Returns Corruption on any
   /// structural anomaly (bytes that do not tile, a count the bytes cannot
@@ -188,6 +211,10 @@ class BlockPostingList {
   /// SIMD arm.
   Status DecodePositionRun(std::span<const EntryRef> run,
                            std::vector<PositionInfo>* positions,
+                           std::vector<uint32_t>* offsets,
+                           EvalCounters* counters = nullptr) const;
+  Status DecodePositionRun(std::span<const EntryRef> run,
+                           std::vector<PairRecord>* records,
                            std::vector<uint32_t>* offsets,
                            EvalCounters* counters = nullptr) const;
 
@@ -210,6 +237,11 @@ class BlockPostingList {
 
  private:
   friend class PostingStore;
+
+  /// DecodePositionRun's kernel, for kLanes-lane lists emitting Out.
+  template <uint32_t kLanes, typename Out>
+  Status DecodeRun(std::span<const EntryRef> run, std::vector<Out>* out,
+                   std::vector<uint32_t>* offsets, EvalCounters* counters) const;
 
   Status DecodeBitsetBlock(size_t block, const SkipEntry& skip,
                            std::string_view payload, size_t end,
@@ -242,6 +274,7 @@ class BlockPostingList {
   uint64_t total_positions_ = 0;
   uint64_t uid_ = 0;
   uint32_t block_size_ = kDefaultBlockSize;
+  uint8_t lanes_ = 1;
 };
 
 // An index holds one record per token and per pair key (hundreds of
@@ -255,21 +288,31 @@ static_assert(sizeof(BlockPostingList) <= 80,
 /// the list is read through the store from then on.
 class BlockListWriter {
  public:
+  /// A writer of `lanes`-lane records (1: token lists; 2: pair lists).
   explicit BlockListWriter(
-      uint32_t block_size = BlockPostingList::kDefaultBlockSize)
+      uint32_t block_size = BlockPostingList::kDefaultBlockSize,
+      uint32_t lanes = 1)
       : block_size_(block_size == 0 ? BlockPostingList::kDefaultBlockSize
-                                    : block_size) {}
+                                    : block_size),
+        lanes_(static_cast<uint8_t>(lanes)) {}
 
-  /// Appends one entry; node ids must be strictly increasing. Its positions
-  /// are encoded into the pending block's bytes at once.
+  /// Appends one entry of a one-lane list; node ids must be strictly
+  /// increasing. Its offsets are encoded into the pending block's bytes at
+  /// once; sentence and paragraph are not stored (the run table holds
+  /// them).
   void Append(NodeId node, std::span<const PositionInfo> positions);
 
-  /// Appends the bytes Append stores for `positions` to `out`: offset,
-  /// sentence and paragraph varint deltas restarting from zero, so they
-  /// never depend on the entry's node id or its neighbours. AppendEncoded
-  /// takes them as they are.
+  /// Appends the bytes Append stores for `positions` to `out`: offset
+  /// varint deltas restarting from zero, so they never depend on the
+  /// entry's node id or its neighbours. AppendEncoded takes them as they
+  /// are.
   static void EncodePositions(std::span<const PositionInfo> positions,
                               std::vector<uint8_t>* out);
+
+  /// The two-lane counterpart of EncodePositions: per record the `first`
+  /// lane as a varint delta restarting from zero, then `second` as is.
+  static void EncodeRecords(std::span<const PairRecord> records,
+                            std::vector<uint8_t>* out);
 
   /// Appends one entry whose `pos_count` positions are already encoded:
   /// `pos_bytes` is an entry's position bytes exactly as another list holds
@@ -301,6 +344,7 @@ class BlockListWriter {
   void FlushPendingBitset(BlockPostingList::SkipEntry* skip);
 
   uint32_t block_size_;
+  uint8_t lanes_;
   /// Whether FlushPending may classify blocks as dense (bitset-encoded).
   bool dense_enabled_ = BlockPostingList::DenseBlocksEnabledByDefault();
   uint64_t num_entries_ = 0;
@@ -344,12 +388,13 @@ class PostingStore {
   /// buffers are adopted, not copied; the skip directory is sized once.
   void Append(std::span<PostingStore> parts);
 
-  /// Appends a list read from a file: blocks `skips` (fewer than 2^32),
-  /// with per-block payload checksums `checksums`, over the
-  /// [payload_begin, payload_begin + payload_size) slice of the source
-  /// Seal is given. Its blocks are validated on first decode. Allocates
-  /// nothing per list beyond the arrays' amortized growth.
-  void AddChecked(uint32_t block_size, uint64_t num_entries,
+  /// Appends a list read from a file: `lanes`-lane records in blocks
+  /// `skips` (fewer than 2^32), with per-block payload checksums
+  /// `checksums`, over the [payload_begin, payload_begin + payload_size)
+  /// slice of the source Seal is given. Its blocks are validated on first
+  /// decode. Allocates nothing per list beyond the arrays' amortized
+  /// growth.
+  void AddChecked(uint32_t lanes, uint32_t block_size, uint64_t num_entries,
                   uint64_t total_positions,
                   std::span<const BlockPostingList::SkipEntry> skips,
                   std::span<const uint32_t> checksums, size_t payload_begin,
@@ -381,6 +426,7 @@ class PostingStore {
     size_t payload_size;
     uint32_t num_blocks;  // the list's blocks follow the previous list's
     uint32_t block_size;
+    uint32_t lanes;
     size_t buffer;  // writer-added lists: which of payloads_ holds it; else 0
   };
 
@@ -417,13 +463,18 @@ class BlockListCursor {
   /// served from / inserted into it. `tombstones`, when non-null, filters
   /// deleted entries at the cursor level: NextEntry/SeekEntry skip
   /// tombstoned node ids, so the cursor never rests on a deleted entry and
-  /// engines above see only live nodes (docs/ingestion.md).
+  /// engines above see only live nodes (docs/ingestion.md). `structure`,
+  /// the run table of the list's index, is given only when the plan holds
+  /// a predicate that reads sentence or paragraph
+  /// (PositionPredicate::reads_structure): GetPositions then fills them
+  /// in; without it they read 0.
   explicit BlockListCursor(const BlockPostingList* list,
                            EvalCounters* counters = nullptr,
                            DecodedBlockCache* cache = nullptr,
-                           const TombstoneSet* tombstones = nullptr)
+                           const TombstoneSet* tombstones = nullptr,
+                           const RunTable* structure = nullptr)
       : list_(list), counters_(counters), cache_(cache),
-        tombstones_(tombstones) {}
+        tombstones_(tombstones), structure_(structure) {}
 
   // Move-only: `entries_` may point into the cursor's own arena, so the
   // (out-of-line) move re-anchors it and copies are disallowed.
@@ -453,18 +504,20 @@ class BlockListCursor {
   /// has node id >= target the cursor does not move.
   NodeId SeekEntry(NodeId target);
 
-  /// PosList of the current entry (decoded on first call per entry); the
-  /// cursor must be on an entry. Returns an empty span (and sets status())
-  /// if the position bytes fail to decode. Serving from the position arena
-  /// is inlined (two loads); the decode and the streak rule that sizes it
-  /// are out of line.
+  /// PosList of the current entry of a one-lane list (decoded on first
+  /// call per entry); the cursor must be on an entry. Returns an empty
+  /// span (and sets status()) if the position bytes fail to decode.
+  /// Serving from the position arena is inlined (two loads); the decode
+  /// and the streak rule that sizes it are out of line.
   std::span<const PositionInfo> GetPositions() {
-    if (pos_block_ == block_ && idx_ >= pos_from_ && idx_ < pos_to_) {
-      const size_t rel = idx_ - pos_from_;
-      return {positions_.data() + pos_offsets_[rel],
-              pos_offsets_[rel + 1] - pos_offsets_[rel]};
-    }
+    if (InArena()) return Serve(positions_);
     return GetPositionsSlow();
+  }
+
+  /// GetPositions for a two-lane list: the current entry's PairRecords.
+  std::span<const PairRecord> GetRecords() {
+    if (InArena()) return Serve(records_);
+    return GetRecordsSlow();
   }
 
   /// Position count of the current entry — free, no position decode.
@@ -530,11 +583,30 @@ class BlockListCursor {
   /// Out-of-line complements of the inlined fast paths above.
   NodeId NextEntrySlow();
   std::span<const PositionInfo> GetPositionsSlow();
+  std::span<const PairRecord> GetRecordsSlow();
+
+  /// True when the arena holds the current entry's records.
+  bool InArena() const {
+    return pos_block_ == block_ && idx_ >= pos_from_ && idx_ < pos_to_;
+  }
+  /// The current entry's slice of an arena InArena() vouches for.
+  template <typename T>
+  std::span<const T> Serve(const std::vector<T>& arena) const {
+    const size_t rel = idx_ - pos_from_;
+    return {arena.data() + pos_offsets_[rel],
+            pos_offsets_[rel + 1] - pos_offsets_[rel]};
+  }
+  /// Decodes the run the streak rule picks, from the current entry on,
+  /// into `arena` and returns the current entry's slice (empty, with
+  /// status() set, on a decode failure).
+  template <typename T>
+  std::span<const T> DecodeIntoArena(std::vector<T>* arena);
 
   const BlockPostingList* list_;
   EvalCounters* counters_;
   DecodedBlockCache* cache_;
   const TombstoneSet* tombstones_ = nullptr;
+  const RunTable* structure_ = nullptr;
   /// Current block's decoded headers: points into `arena_` (uncached) or
   /// into `cached_` (cache-served; the shared_ptr keeps it alive across
   /// eviction).
@@ -556,7 +628,8 @@ class BlockListCursor {
   /// keeping per-entry laziness for one-match-per-block patterns.
   static constexpr uint32_t kBulkStreakTrigger = 3;
   static constexpr uint32_t kBulkSpanInitial = 8;
-  std::vector<PositionInfo> positions_;
+  std::vector<PositionInfo> positions_;  // one-lane lists' arena
+  std::vector<PairRecord> records_;      // two-lane lists' arena
   std::vector<uint32_t> pos_offsets_;
   size_t pos_block_ = SIZE_MAX;  // block_ the arena covers
   size_t pos_from_ = 0;          // first entry index it covers

@@ -22,16 +22,14 @@ struct Occurrence {
 };
 
 /// The payload bytes to stage for the tokens whose buckets `prefix`
-/// bounds (prefix[i] .. prefix[i + 1] for each): 4 per occurrence for its
-/// position deltas plus 4 per entry for its header, a token having at most
-/// one entry per node. That covers the 3.4 to 6.9 bytes per occurrence
-/// that chunks of the generated corpora take, from frequent to rare
-/// tokens; a chunk that outgrows it only regrows its buffer.
+/// bounds (prefix[i] .. prefix[i + 1] for each): 2 per occurrence for its
+/// offset delta plus 4 per entry for its header, a token having at most
+/// one entry per node. A chunk that outgrows it only regrows its buffer.
 size_t StagedPayloadBytes(std::span<const size_t> prefix, size_t num_nodes) {
   size_t bytes = 0;
   for (size_t i = 0; i + 1 < prefix.size(); ++i) {
     const size_t occurrences = prefix[i + 1] - prefix[i];
-    bytes += 4 * occurrences + 4 * std::min(occurrences, num_nodes);
+    bytes += 2 * occurrences + 4 * std::min(occurrences, num_nodes);
   }
   return bytes;
 }
@@ -45,6 +43,7 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
   const size_t vocab = corpus.vocabulary_size();
 
   index.token_texts_.reserve(vocab);
+  index.token_ids_.reserve(vocab);  // no rehash while the map fills
   for (TokenId t = 0; t < vocab; ++t) {
     index.token_texts_.push_back(corpus.token_text(t));
     index.token_ids_.emplace(corpus.token_text(t), t);
@@ -59,16 +58,38 @@ InvertedIndex IndexBuilder::Build(const Corpus& corpus,
   const size_t workers = WorkersFor(node_start.back());
 
   // Count and scatter: one stable counting sort of the occurrences by
-  // token, over contiguous node ranges with one histogram per worker.
+  // token, over contiguous node ranges with one histogram per worker. The
+  // count pass also encodes each node's sentence and paragraph runs, the
+  // run table's records, into its worker's buffer.
   const std::vector<size_t> node_bounds = SplitByWeight(node_start, workers);
   std::vector<std::vector<size_t>> counts(workers);
+  std::vector<std::vector<uint8_t>> runs(workers);
+  std::vector<uint32_t> run_bytes(num_nodes);
   RunWorkers(workers, [&](size_t w) {
     std::vector<size_t>& count = counts[w];
     count.assign(vocab, 0);
     for (NodeId n = node_bounds[w]; n < node_bounds[w + 1]; ++n) {
-      for (const TokenId t : corpus.doc(n).tokens) ++count[t];
+      const TokenizedDocument& doc = corpus.doc(n);
+      for (const TokenId t : doc.tokens) ++count[t];
+      const size_t before = runs[w].size();
+      RunTable::EncodeRuns(doc.positions, &runs[w]);
+      run_bytes[n] = static_cast<uint32_t>(runs[w].size() - before);
     }
   });
+  {
+    size_t total = 0;
+    for (const std::vector<uint8_t>& r : runs) total += r.size();
+    RunTableWriter table(num_nodes, total);
+    for (size_t w = 0; w < workers; ++w) {
+      const char* at = reinterpret_cast<const char*>(runs[w].data());
+      for (NodeId n = node_bounds[w]; n < node_bounds[w + 1]; ++n) {
+        table.AddNode({at, run_bytes[n]});
+        at += run_bytes[n];
+      }
+    }
+    index.runs_ = table.Finish();
+  }
+  std::vector<std::vector<uint8_t>>().swap(runs);
   // Bucket t is [start[t], start[t + 1]) of the records; the token lists
   // are written in contiguous token chunks balanced by occurrences,
   // kChunksPerWorker per worker when there are several (one worker has

@@ -4,7 +4,9 @@
 // L2 norms are precomputed here, matching the paper's observation that "all
 // of the scoring information in R_t can be precomputed", Section 3.1).
 //
-// Three passes write the lists: count each token's occurrences, scatter each
+// Three passes write the lists: count each token's occurrences (and encode
+// each node's sentence and paragraph runs, the run table of
+// index/run_table.h, on the way), scatter each
 // occurrence as an 8-byte (node, index-in-document) record into its token's
 // bucket (one stable counting sort, so buckets are in node order), then
 // write each bucket, grouped by node, and IL_ANY through a reused

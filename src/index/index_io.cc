@@ -21,7 +21,7 @@ namespace fts {
 
 namespace {
 
-constexpr char kMagic[8] = {'F', 'T', 'S', 'I', 'D', 'X', '7', '\0'};
+constexpr char kMagic[8] = {'F', 'T', 'S', 'I', 'D', 'X', '8', '\0'};
 constexpr size_t kMagicSize = sizeof(kMagic);
 /// Byte of the magic that holds the format version digit.
 constexpr size_t kVersionByte = 6;
@@ -44,7 +44,8 @@ Status GetDouble(std::string_view data, size_t* offset, double* d) {
 }
 
 // ---------------------------------------------------------------------------
-// Posting lists: the BlockPostingList skip directory, each entry extended
+// Posting lists: the record lane count, then the BlockPostingList skip
+// directory, each entry extended
 // with the block's CRC32C payload checksum, its max_tf (largest
 // per-entry position count, the block-max statistic top-k evaluation turns
 // into impact upper bounds) and its encoding tag (varint-delta vs
@@ -196,6 +197,7 @@ template <typename Sink>
 void PutBlockPostingList(const BlockPostingList& list, Sink* sink) {
   std::string* out =
       sink->Bytes(5 * kMaxVarint64 + 6 * kMaxVarint32Bytes * list.num_blocks());
+  PutVarint32(out, list.lanes());
   PutVarint64(out, list.num_entries());
   PutVarint64(out, list.total_positions());
   PutVarint32(out, list.block_size());
@@ -223,7 +225,7 @@ void PutBlockPostingList(const BlockPostingList& list, Sink* sink) {
   sink->Payload(payload);
 }
 
-/// An upper bound of the bytes PutBlockPostingList writes for `list`: four
+/// An upper bound of the bytes PutBlockPostingList writes for `list`: five
 /// header varints, six varints per skip entry, the payload size and the
 /// payload.
 size_t BlockListBound(const BlockPostingList& list) {
@@ -234,6 +236,7 @@ size_t BlockListBound(const BlockPostingList& list) {
 /// place (only its range is recorded). Reused across lists, so parsing
 /// allocates nothing per list once the vectors have grown.
 struct BlockListDirectory {
+  uint32_t lanes = 0;
   uint64_t num_entries = 0;
   uint64_t total_positions = 0;
   uint32_t block_size = 0;
@@ -244,12 +247,18 @@ struct BlockListDirectory {
 };
 
 /// Parses one list's directory and skips its payload, leaving `*offset`
-/// past the list. Every count is bounded by the remaining input before
-/// sizing containers: the trailer checksum is recomputable by an attacker, so
-/// a crafted header must fail with Corruption, not a giant allocation.
+/// past the list. Its lane count must be `lanes`, the one its section
+/// holds. Every count is bounded by the remaining input before sizing
+/// containers: the trailer checksum is recomputable by an attacker, so a
+/// crafted header must fail with Corruption, not a giant allocation.
 Status GetBlockListDirectory(std::string_view data, size_t* offset,
-                             uint64_t cnodes, BlockListDirectory* dir) {
+                             uint64_t cnodes, uint32_t lanes,
+                             BlockListDirectory* dir) {
   uint64_t num_blocks;
+  FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &dir->lanes));
+  if (dir->lanes != lanes) {
+    return Status::Corruption("list lane count disagrees with its section");
+  }
   FTS_RETURN_IF_ERROR(GetVarint64(data, offset, &dir->num_entries));
   FTS_RETURN_IF_ERROR(GetVarint64(data, offset, &dir->total_positions));
   FTS_RETURN_IF_ERROR(GetVarint32(data, offset, &dir->block_size));
@@ -348,6 +357,16 @@ Status EmitIndex(const InvertedIndex& index, Sink* sink) {
     PutDouble(out, index.node_norm(n));
   }
 
+  // The run table, trailer-covered like every byte but the payloads, in
+  // pieces no larger than a direct write.
+  std::string_view runs = index.run_table().bytes();
+  PutVarint64(sink->Bytes(kMaxVarint64), runs.size());
+  while (!runs.empty()) {
+    const size_t n = std::min(runs.size(), kDirectWriteBytes);
+    sink->Bytes(n)->append(runs.substr(0, n));
+    runs.remove_prefix(n);
+  }
+
   // Dictionary.
   PutVarint64(sink->Bytes(kMaxVarint64), index.vocabulary_size());
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
@@ -409,12 +428,12 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   if (std::memcmp(data.data(), kMagic, kMagicSize) != 0) {
     const char version = data[kVersionByte];
     if (std::memcmp(data.data(), kMagic, kVersionByte) == 0 &&
-        data[kVersionByte + 1] == '\0' && version >= '1' && version <= '6') {
+        data[kVersionByte + 1] == '\0' && version >= '1' && version <= '7') {
       // A retired format: fail closed with a message that says what to do,
       // rather than the generic bad-magic error.
       return Status::Corruption(std::string("index format v") + version +
                                 " is no longer supported; rebuild the "
-                                "index to write the current v7 format");
+                                "index to write the current v8 format");
     }
     return Status::Corruption("bad index magic");
   }
@@ -454,12 +473,24 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     FTS_RETURN_IF_ERROR(GetDouble(body, &offset, &index.node_norms_[n]));
   }
 
+  // The run table, validated in full here and viewed in place from then
+  // on.
+  uint64_t runs_size;
+  FTS_RETURN_IF_ERROR(GetVarint64(body, &offset, &runs_size));
+  if (runs_size > body.size() - offset) {  // subtract, don't add: no overflow
+    return Status::Corruption("run table runs into the trailer");
+  }
+  FTS_ASSIGN_OR_RETURN(index.runs_,
+                       RunTable::FromBytes(body.substr(offset, runs_size), s.cnodes));
+  offset += runs_size;
+
   uint64_t vocab;
   FTS_RETURN_IF_ERROR(GetVarint64(body, &offset, &vocab));
   if (vocab > body.size() - offset) {  // >= 1 length byte per token
     return Status::Corruption("vocabulary larger than remaining input");
   }
   index.token_texts_.reserve(vocab);
+  index.token_ids_.reserve(vocab);  // no rehash while the map fills
   for (uint64_t t = 0; t < vocab; ++t) {
     uint64_t len;
     FTS_RETURN_IF_ERROR(GetVarint64(body, &offset, &len));
@@ -475,14 +506,15 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   // index) that will hold it; the stores bind the lists once every
   // directory is read.
   BlockListDirectory dir;
-  const auto adopt = [&](PostingStore* store) -> Status {
-    FTS_RETURN_IF_ERROR(GetBlockListDirectory(body, &offset, s.cnodes, &dir));
+  const auto adopt = [&](PostingStore* store, uint32_t lanes) -> Status {
+    FTS_RETURN_IF_ERROR(GetBlockListDirectory(body, &offset, s.cnodes, lanes, &dir));
     // Fold the header/directory bytes since the last payload into the
     // trailer checksum, then hop over this list's payload untouched.
     header_crc =
         Crc32cExtend(header_crc, data.substr(crc_mark, dir.payload_begin - crc_mark));
     crc_mark = dir.payload_begin + dir.payload_size;
-    store->AddChecked(dir.block_size == 0 ? BlockPostingList::kDefaultBlockSize
+    store->AddChecked(lanes,
+                      dir.block_size == 0 ? BlockPostingList::kDefaultBlockSize
                                           : dir.block_size,
                       dir.num_entries, dir.total_positions, dir.skips,
                       dir.checksums, dir.payload_begin, dir.payload_size);
@@ -491,10 +523,10 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
   index.df_.resize(vocab);
   index.lists_.Reserve(vocab + 1, 0, 0);
   for (uint64_t t = 0; t < vocab; ++t) {
-    FTS_RETURN_IF_ERROR(adopt(&index.lists_));
+    FTS_RETURN_IF_ERROR(adopt(&index.lists_, 1));
     index.df_[t] = static_cast<uint32_t>(dir.num_entries);
   }
-  FTS_RETURN_IF_ERROR(adopt(&index.lists_));
+  FTS_RETURN_IF_ERROR(adopt(&index.lists_, 1));
   index.lists_.Seal(source);
 
   // Pair-index section: frequent-term table (rank order), then the sorted
@@ -560,7 +592,7 @@ Status IndexIoAccess::Load(std::shared_ptr<IndexSource> source,
     prev_first = first;
     prev_second = second;
     pair->keys_.push_back({first, second});
-    FTS_RETURN_IF_ERROR(adopt(&pair->lists_));
+    FTS_RETURN_IF_ERROR(adopt(&pair->lists_, 2));
   }
   pair->lists_.Seal(source);
   if (!pair->keys_.empty()) index.pair_index_ = std::move(pair);
@@ -592,6 +624,7 @@ void SaveIndexToString(const InvertedIndex& index, std::string* out) {
   // the pair section's three counts.
   size_t bound = kMagicSize + 5 * kMaxVarint64 + 4 * kMaxVarint32Bytes + 3 * 8 + kTrailerSize;
   bound += index.num_nodes() * (kMaxVarint32Bytes + 8);
+  bound += kMaxVarint64 + index.run_table().bytes().size();
   bound += BlockListBound(index.block_any_list());
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
     bound += kMaxVarint64 + index.token_text(t).size();

@@ -1,15 +1,17 @@
-// Binary serialization of InvertedIndex: the v7 format ("FTSIDX7\0"), the
+// Binary serialization of InvertedIndex: the v8 format ("FTSIDX8\0"), the
 // only one written or read (layout in docs/index_format.md).
 //
 // An 8-byte magic, varint-coded sections (statistics, per-node scalars,
-// dictionary), one block list per token plus IL_ANY, an optional
-// pair-index section, and a trailing CRC32C (common/crc32c.h) in a fixed64.
-// Each list is the BlockPostingList skip directory — per block: max_node,
+// the run table of each node's sentences and paragraphs, dictionary), one
+// block list per token plus IL_ANY, an optional pair-index section, and a
+// trailing CRC32C (common/crc32c.h) in a fixed64. Each list is its lane
+// count and the BlockPostingList skip directory — per block: max_node,
 // byte_offset, entry_count, CRC32C payload checksum, max_tf, encoding tag —
 // followed by its payload bytes verbatim. The trailer covers only the header
 // and directory bytes, never a payload, which is what makes lazy loading
-// sound: a load verifies everything it parses — header, statistics,
-// dictionary, directories — and no payload byte, and each block's
+// sound: a load verifies everything it parses — header, statistics, the
+// run table (validated in full), dictionary, directories — and no payload
+// byte, and each block's
 // checksum, structure and position framing are verified on its first
 // decode (first-touch validation, memoized per block). That is the one
 // policy for every loaded block, whether the file was read into a heap
@@ -21,7 +23,7 @@
 // (eval/pair_plan.cc). An index without a pair index writes the section
 // empty.
 //
-// Files of the retired v1-v6 formats fail closed with Corruption naming
+// Files of the retired v1-v7 formats fail closed with Corruption naming
 // their version; they must be rebuilt from the source documents. Loaded
 // block lists are the index's only representation, viewing their payload
 // bytes out of one shared IndexSource (heap buffer or mmap'd file region)

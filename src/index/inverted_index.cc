@@ -54,6 +54,7 @@ size_t InvertedIndex::MemoryUsage() const {
   // mmap'd source is page-cache backed and excluded (see MappedBytes()).
   if (source_ != nullptr) bytes += source_->resident_bytes();
   bytes += lists_.MemoryUsage();
+  bytes += runs_.MemoryUsage();
   // A short string lives inside its object; a longer one holds a heap
   // buffer of capacity + 1 bytes.
   const auto heap_bytes = [](const std::string& t) {

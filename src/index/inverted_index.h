@@ -2,7 +2,9 @@
 //
 // For each token `tok` appearing in the corpus there is an inverted list
 // IL_tok of entries (cn, PosList), ordered by context-node id, with PosList
-// ordered by position. IL_ANY holds every position of every node. Lists are
+// ordered by position. IL_ANY holds every position of every node. Lists
+// store offsets; each node's sentences and paragraphs are stored once, in
+// the index's run table (index/run_table.h). Lists are
 // accessed strictly sequentially through cursors that expose exactly the
 // two operations the paper's cost model allows: nextEntry() and
 // getPositions(), both O(1) amortized.
@@ -32,6 +34,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "index/block_posting_list.h"
+#include "index/run_table.h"
 #include "text/document.h"
 
 namespace fts {
@@ -127,6 +130,10 @@ class InvertedIndex {
   /// positions.
   const BlockPostingList& block_any_list() const;
 
+  /// Each node's sentence and paragraph runs: what a cursor fills
+  /// positions from for a plan that reads them.
+  const RunTable& run_table() const { return runs_; }
+
   /// Dictionary lookups.
   TokenId LookupToken(std::string_view token) const;
   const std::string& token_text(TokenId id) const { return token_texts_[id]; }
@@ -160,7 +167,8 @@ class InvertedIndex {
 
   /// Resident heap footprint of the index in bytes: compressed posting
   /// payloads (the built payload store or the heap source buffer) + list
-  /// records and per-block arrays + dictionary + per-node scalars. Counted
+  /// records and per-block arrays + a built run table + dictionary +
+  /// per-node scalars. Counted
   /// from container capacities, except a built store's payload, counted by
   /// the bytes written (PostingStore::MemoryUsage), so it reflects what the
   /// process actually holds. Mmap'd payload bytes are NOT included — they
@@ -198,6 +206,7 @@ class InvertedIndex {
 
   /// The token lists by TokenId, then IL_ANY (lists_.list(vocab)).
   PostingStore lists_;
+  RunTable runs_;  // one entry per node
   std::unique_ptr<PairIndex> pair_index_;   // nullable
   std::vector<std::string> token_texts_;    // TokenId -> spelling
   std::unordered_map<std::string, TokenId> token_ids_;

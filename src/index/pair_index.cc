@@ -45,8 +45,8 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
   // windowed double loop (offsets are strictly increasing within a
   // document, so the inner loop is bounded by the window's token span). A
   // document's records collect in one flat vector, sorted by (key, offset,
-  // signed delta); each key's run is one list entry — the packed tf header,
-  // then one triple per record — whose position bytes are encoded once
+  // signed delta); each key's run is one list entry — the tf header, then
+  // one two-lane record per co-occurrence — whose bytes are encoded once
   // into a flat arena, behind one Group naming its key, node and bytes.
   struct Record {
     uint64_t key;
@@ -66,7 +66,7 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
   std::vector<uint8_t> arena;
   std::vector<size_t> node_begin(docs.size());  // node's first arena byte
   std::vector<uint32_t> tf(vocab, 0);
-  std::vector<PositionInfo> entry;
+  std::vector<PairRecord> entry;
   for (NodeId n = 0; n < docs.size(); ++n) {
     const TokenizedDocument& doc = docs[n];
     recs.clear();
@@ -97,12 +97,12 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
       const uint64_t key = recs[g].key;
       entry.clear();
       entry.push_back({tf[static_cast<TokenId>(key >> 32)],
-                       tf[static_cast<TokenId>(key)], 0});
+                       tf[static_cast<TokenId>(key)]});
       for (; g < recs.size() && recs[g].key == key; ++g) {
-        entry.push_back({recs[g].offset, ZigZag(recs[g].delta), 0});
+        entry.push_back({recs[g].offset, ZigZag(recs[g].delta)});
       }
       const size_t begin = arena.size();
-      BlockListWriter::EncodePositions(entry, &arena);
+      BlockListWriter::EncodeRecords(entry, &arena);
       groups.push_back({key, n, static_cast<uint32_t>(entry.size()),
                         static_cast<uint32_t>(begin - node_begin[n]),
                         static_cast<uint32_t>(arena.size() - begin)});
@@ -141,7 +141,7 @@ PairIndex PairIndex::Build(std::span<const TokenizedDocument> docs,
   out.keys_.reserve(num_keys);
   out.lists_.Reserve(num_keys, num_blocks, 0);
   const char* bytes = reinterpret_cast<const char*>(arena.data());
-  BlockListWriter writer;
+  BlockListWriter writer(BlockPostingList::kDefaultBlockSize, /*lanes=*/2);
   for (size_t g = 0; g < groups.size();) {
     const uint64_t key = groups[g].key;
     for (; g < groups.size() && groups[g].key == key; ++g) {

@@ -12,18 +12,19 @@
 // single skip-seekable list read whose length is the *result* size, not
 // the driver-list size.
 //
-// Physically the pair lists are ordinary BlockPostingLists reusing the
-// position-triple codec: entry positions[0] packs the two per-node term
-// frequencies (needed to reproduce pipeline scores exactly), and each
-// later triple is one co-occurrence record (offset of the key's first
-// term, zig-zag-encoded signed offset delta to the second term, 0). The
-// position codec encodes unsigned wrap-around deltas and never assumes
-// monotonicity on decode, so arbitrary record streams round-trip
-// losslessly — and the pair lists inherit varint/SIMD/hybrid block decode,
+// Physically the pair lists are ordinary BlockPostingLists of two-lane
+// records (PairRecord, index/block_posting_list.h): an entry's first
+// record is its header, the two per-node term frequencies (tf_first,
+// tf_second; needed to reproduce pipeline scores exactly), and each later
+// record is one co-occurrence (offset of the key's first term, zig-zag
+// signed offset delta to the second term). The offset lane is coded as
+// unsigned wrap-around deltas within the entry and the delta lane as is,
+// so any record stream round-trips losslessly — and the pair lists
+// inherit the one record decoder's varint/SIMD/hybrid block decode,
 // per-block checksums, mmap loading with first-touch validation, and both
-// block-cache levels for free. On disk they live in an optional v7 section
-// (docs/index_format.md); a file without the section simply has the
-// feature off.
+// block-cache levels for free. On disk they live in the v8 pair section
+// (docs/index_format.md, docs/pair_index.md); an index built without pair
+// lists writes it empty.
 //
 // Soundness contract consumed by the planner (src/eval/pair_plan.h): a
 // list stores *every* co-occurrence with |offset delta| <= max_distance+1,

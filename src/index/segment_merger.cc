@@ -191,17 +191,25 @@ struct SegmentMergerAccess {
       }
       index.lists_.Add(std::move(out));
     }
+    // IL_ANY, the per-node scalars and the run table follow the live
+    // nodes in merged order; a node's runs are copied as bytes, being
+    // independent of its id.
+    size_t run_bytes = 0;
+    for (const SegmentView& seg : segments) run_bytes += seg.index->run_table().bytes().size();
+    RunTableWriter runs(next, run_bytes);
     for (size_t s = 0; s < segments.size(); ++s) {
       const InvertedIndex& idx = *segments[s].index;
       FTS_RETURN_IF_ERROR(AppendLive(idx.block_any_list(), remap[s], &entries, &out));
       for (NodeId n = 0; n < remap[s].size(); ++n) {
         if (remap[s][n] != kInvalidNode) {
           index.unique_tokens_.push_back(idx.unique_tokens(n));
+          runs.AddNode(idx.run_table().NodeRuns(n));
         }
       }
     }
     index.lists_.Add(std::move(out));
     index.lists_.Seal();
+    index.runs_ = runs.Finish();
     FTS_RETURN_IF_ERROR(index.FinishLists());
 
     if (options.pairs.frequent_terms > 0) {

@@ -22,6 +22,7 @@ class DistancePredicate : public PositionPredicate {
   int arity() const override { return 2; }
   int num_constants() const override { return 1; }
   PredicateClass cls() const override { return PredicateClass::kPositive; }
+  bool reads_structure() const override { return false; }
 
   bool Eval(std::span<const PositionInfo> ps,
             std::span<const int64_t> consts) const override {
@@ -62,6 +63,7 @@ class OrderedDistancePredicate : public PositionPredicate {
   int arity() const override { return 2; }
   int num_constants() const override { return 1; }
   PredicateClass cls() const override { return PredicateClass::kPositive; }
+  bool reads_structure() const override { return false; }
 
   bool Eval(std::span<const PositionInfo> ps,
             std::span<const int64_t> consts) const override {
@@ -100,6 +102,7 @@ class OrderedPredicate : public PositionPredicate {
   int arity() const override { return 2; }
   int num_constants() const override { return 0; }
   PredicateClass cls() const override { return PredicateClass::kPositive; }
+  bool reads_structure() const override { return false; }
 
   bool Eval(std::span<const PositionInfo> ps, std::span<const int64_t>) const override {
     return Off(ps, 0) < Off(ps, 1);
@@ -171,6 +174,7 @@ class WindowPredicate : public PositionPredicate {
   int arity() const override { return kVariadic; }
   int num_constants() const override { return 1; }
   PredicateClass cls() const override { return PredicateClass::kPositive; }
+  bool reads_structure() const override { return false; }
 
   bool Eval(std::span<const PositionInfo> ps,
             std::span<const int64_t> consts) const override {
@@ -209,6 +213,7 @@ class LePredicate : public PositionPredicate {
   int arity() const override { return 2; }
   int num_constants() const override { return 0; }
   PredicateClass cls() const override { return PredicateClass::kPositive; }
+  bool reads_structure() const override { return false; }
 
   bool Eval(std::span<const PositionInfo> ps, std::span<const int64_t>) const override {
     return Off(ps, 0) <= Off(ps, 1);
@@ -231,6 +236,7 @@ class SamePosPredicate : public PositionPredicate {
   int arity() const override { return 2; }
   int num_constants() const override { return 0; }
   PredicateClass cls() const override { return PredicateClass::kPositive; }
+  bool reads_structure() const override { return false; }
 
   bool Eval(std::span<const PositionInfo> ps, std::span<const int64_t>) const override {
     return Off(ps, 0) == Off(ps, 1);
@@ -261,6 +267,7 @@ class DiffPosPredicate : public PositionPredicate {
   int arity() const override { return 2; }
   int num_constants() const override { return 0; }
   PredicateClass cls() const override { return PredicateClass::kNegative; }
+  bool reads_structure() const override { return false; }
 
   bool Eval(std::span<const PositionInfo> ps, std::span<const int64_t>) const override {
     return Off(ps, 0) != Off(ps, 1);
@@ -282,6 +289,7 @@ class NotDistancePredicate : public PositionPredicate {
   int arity() const override { return 2; }
   int num_constants() const override { return 1; }
   PredicateClass cls() const override { return PredicateClass::kNegative; }
+  bool reads_structure() const override { return false; }
 
   bool Eval(std::span<const PositionInfo> ps,
             std::span<const int64_t> consts) const override {
@@ -306,6 +314,7 @@ class NotOrderedPredicate : public PositionPredicate {
   int arity() const override { return 2; }
   int num_constants() const override { return 0; }
   PredicateClass cls() const override { return PredicateClass::kNegative; }
+  bool reads_structure() const override { return false; }
 
   bool Eval(std::span<const PositionInfo> ps, std::span<const int64_t>) const override {
     return Off(ps, 0) >= Off(ps, 1);

@@ -58,6 +58,14 @@ class PositionPredicate {
 
   virtual PredicateClass cls() const = 0;
 
+  /// Whether Eval or the advance hooks read PositionInfo::sentence or
+  /// ::paragraph. A cursor fills them from the index's run table
+  /// (index/run_table.h) only for a plan holding such a predicate, so the
+  /// default is true: a predicate that says nothing gets filled positions.
+  /// One that reads offsets alone returns false and spares its plans the
+  /// fill.
+  virtual bool reads_structure() const { return true; }
+
   /// Truth value on a concrete tuple. `positions.size()` must satisfy the
   /// arity contract and `consts.size() == num_constants()`.
   virtual bool Eval(std::span<const PositionInfo> positions,

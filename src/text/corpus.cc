@@ -2,11 +2,29 @@
 
 namespace fts {
 
-NodeId Corpus::AddDocument(std::string_view text) {
-  return AddAnalyzedDocument(tokenizer_.Tokenize(text));
+namespace {
+
+/// InvalidArgument unless the offsets `offset_of(0..n)` strictly increase.
+template <typename OffsetOf>
+Status CheckIncreasing(size_t n, const OffsetOf& offset_of) {
+  for (size_t i = 1; i < n; ++i) {
+    if (offset_of(i) <= offset_of(i - 1)) {
+      return Status::InvalidArgument("position offsets must be strictly increasing");
+    }
+  }
+  return Status::OK();
 }
 
-NodeId Corpus::AddAnalyzedDocument(const std::vector<RawToken>& tokens) {
+}  // namespace
+
+NodeId Corpus::AddDocument(std::string_view text) {
+  // The tokenizer numbers tokens consecutively: the offsets increase.
+  return *AddAnalyzedDocument(tokenizer_.Tokenize(text));
+}
+
+StatusOr<NodeId> Corpus::AddAnalyzedDocument(const std::vector<RawToken>& tokens) {
+  FTS_RETURN_IF_ERROR(CheckIncreasing(
+      tokens.size(), [&](size_t i) { return tokens[i].position.offset; }));
   TokenizedDocument doc;
   for (const RawToken& raw : tokens) {
     doc.tokens.push_back(InternToken(raw.text));
@@ -35,11 +53,8 @@ StatusOr<NodeId> Corpus::AddTokensWithPositions(const std::vector<std::string>& 
                                    std::to_string(tokens.size()) + " vs " +
                                    std::to_string(positions.size()));
   }
-  for (size_t i = 1; i < positions.size(); ++i) {
-    if (positions[i].offset <= positions[i - 1].offset) {
-      return Status::InvalidArgument("position offsets must be strictly increasing");
-    }
-  }
+  FTS_RETURN_IF_ERROR(CheckIncreasing(
+      positions.size(), [&](size_t i) { return positions[i].offset; }));
   TokenizedDocument doc;
   for (size_t i = 0; i < tokens.size(); ++i) {
     doc.tokens.push_back(InternToken(tokenizer_.Normalize(tokens[i])));

@@ -30,8 +30,9 @@ class Corpus {
   /// Adds a context node from a token stream with explicit positions.
   /// Spellings are interned verbatim (no case folding), so a caller that
   /// normalizes tokens its own way keeps its spellings; offsets may have
-  /// gaps.
-  NodeId AddAnalyzedDocument(const std::vector<RawToken>& tokens);
+  /// gaps but must strictly increase (InvalidArgument otherwise: the
+  /// index's run table and every engine's position order rely on it).
+  StatusOr<NodeId> AddAnalyzedDocument(const std::vector<RawToken>& tokens);
 
   /// Adds a context node from pre-tokenized content. `tokens` are token
   /// strings in position order; positions default to consecutive offsets in

@@ -36,6 +36,11 @@ inline constexpr TokenId kInvalidToken = std::numeric_limits<TokenId>::max();
 /// (the "(n)" annotations in the paper's Figure 1); `sentence` and
 /// `paragraph` are 0-based structural ordinals used by samesentence /
 /// samepara predicates. Ordering of positions is ordering of offsets.
+/// Offsets strictly increase within a node, so sentence and paragraph are
+/// a function of (node, offset): the index stores them once per node
+/// (index/run_table.h), and positions read from it carry them only for
+/// plans holding a predicate that reads them
+/// (PositionPredicate::reads_structure); elsewhere they read 0.
 struct PositionInfo {
   uint32_t offset = 0;
   uint32_t sentence = 0;

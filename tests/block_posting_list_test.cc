@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <utility>
@@ -34,6 +35,8 @@ PostingList MakeRawList(uint32_t num_entries, uint32_t stride, uint32_t pos_per_
   return raw;
 }
 
+/// Same entries and offsets. A list stores offsets alone: sentence and
+/// paragraph live in its index's run table (index/run_table.h).
 void ExpectListsEqual(const PostingList& a, const PostingList& b) {
   ASSERT_EQ(a.num_entries(), b.num_entries());
   ASSERT_EQ(a.total_positions(), b.total_positions());
@@ -44,8 +47,6 @@ void ExpectListsEqual(const PostingList& a, const PostingList& b) {
     ASSERT_EQ(pa.size(), pb.size());
     for (size_t j = 0; j < pa.size(); ++j) {
       EXPECT_EQ(pa[j].offset, pb[j].offset);
-      EXPECT_EQ(pa[j].sentence, pb[j].sentence);
-      EXPECT_EQ(pa[j].paragraph, pb[j].paragraph);
     }
   }
 }
@@ -304,6 +305,22 @@ TEST(BlockListCursorTest, WorksOnIndexBuiltLists) {
   EXPECT_EQ(block->num_entries(), raw->num_entries());
   ExpectListsEqual(*raw, Materialize(*block));
   EXPECT_EQ(index.block_any_list().num_entries(), oracle.any_list.num_entries());
+  // Given the run table, a cursor restores every sentence and paragraph;
+  // without it they read 0.
+  ListCursor rc(raw);
+  BlockListCursor filled(block, nullptr, nullptr, nullptr, &index.run_table());
+  BlockListCursor bare(block);
+  for (NodeId n = rc.NextEntry(); n != kInvalidNode; n = rc.NextEntry()) {
+    ASSERT_EQ(filled.NextEntry(), n);
+    ASSERT_EQ(bare.NextEntry(), n);
+    const auto want = rc.GetPositions();
+    const auto got = filled.GetPositions();
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+    for (const PositionInfo& p : bare.GetPositions()) {
+      EXPECT_EQ(p.sentence, 0u);
+      EXPECT_EQ(p.paragraph, 0u);
+    }
+  }
 }
 
 TEST(BlockPostingListTest, CompressedFootprintIsSmallerThanRawStructs) {
@@ -503,7 +520,7 @@ LazyListParts MakeLazyParts(uint32_t entries, uint32_t block_size,
 /// A checked list over a copy of `parts.payload`, as a loader adopts one.
 OwnedBlockList AssembleLazy(const LazyListParts& parts) {
   PostingStore store;
-  store.AddChecked(parts.block_size, parts.num_entries, parts.total_positions,
+  store.AddChecked(/*lanes=*/1, parts.block_size, parts.num_entries, parts.total_positions,
                    parts.skips, parts.checksums, 0, parts.payload.size());
   store.Seal(IndexSource::FromString(parts.payload));
   return OwnedBlockList(std::move(store));
@@ -669,11 +686,11 @@ TEST(FirstTouchValidationTest, FiveBytePositionVarintsVerify) {
   std::vector<BlockPostingList::EntryRef> entries;
   ASSERT_TRUE(AssembleLazy(parts).DecodeBlockEntries(0, &entries).ok());
   ASSERT_EQ(entries.size(), 40u);
-  // Entry 7's bytes: offset 3, sentence 0, paragraph 0, then the 5-byte
-  // offset delta, whose fifth byte holds bits 28..31 of the value.
+  // Entry 7's bytes: offset 3, then the 5-byte offset delta, whose fifth
+  // byte holds bits 28..31 of the value.
   const BlockPostingList::EntryRef victim = entries[7];
-  ASSERT_EQ(victim.pos_byte_len, 3u + 5u + 2u);
-  char& fifth = parts.payload[victim.pos_byte_begin + 3 + 4];
+  ASSERT_EQ(victim.pos_byte_len, 1u + 5u);
+  char& fifth = parts.payload[victim.pos_byte_begin + 1 + 4];
   ASSERT_EQ(fifth & 0xF0, 0);
   fifth = static_cast<char>(fifth | 0x10);
   parts.checksums[0] = Crc32c(parts.payload);
@@ -722,8 +739,8 @@ TEST(DenseBlockTest, BitsetBlocksRoundTripEntriesAndPositions) {
     ASSERT_EQ(got.size(), want.size());
     for (size_t j = 0; j < got.size(); ++j) {
       EXPECT_EQ(got[j].offset, want[j].offset);
-      EXPECT_EQ(got[j].sentence, want[j].sentence);
-      EXPECT_EQ(got[j].paragraph, want[j].paragraph);
+      EXPECT_EQ(got[j].sentence, 0u);  // no run table: offsets only
+      EXPECT_EQ(got[j].paragraph, 0u);
     }
   }
   EXPECT_TRUE(cursor.status().ok());
@@ -820,7 +837,7 @@ TEST(DenseBlockTest, BitsetWordFlipRejectsEvenWithResealedChecksum) {
 TEST(DenseBlockTest, SimdDecodeCountersChargeWhenActive) {
   // The dispatched decoder reports which arm it resolved to; when a SIMD
   // arm is active, bulk-decoding a dense list must charge
-  // simd_groups_decoded (bitset count/len streams + position triples).
+  // simd_groups_decoded (bitset count/len streams + position offsets).
   const OwnedBlockList dense =
       FromPostingList(MakeRawList(256, 1, 6), 128);
   ASSERT_TRUE(dense.has_bitset_blocks());
@@ -849,7 +866,8 @@ TEST_P(CursorStreamDifferential, CursorStreamsMatchRawOracle) {
   // reads and an interleaved seek/next access pattern. The corpus gives
   // lists of several bitset blocks, so the cursor's one position arena
   // serves runs of one entry and multi-entry spans on both sides of a
-  // block boundary.
+  // block boundary. Every cursor is given the run table, so each entry of
+  // a span gets its own node's sentences and paragraphs.
   Rng rng(GetParam() * 29 + 1);
   Corpus corpus = RandomWorkloadCorpus(&rng, 600, 8);
   RawPostingOracle oracle = BuildRawPostingOracle(corpus);
@@ -865,6 +883,7 @@ TEST_P(CursorStreamDifferential, CursorStreamsMatchRawOracle) {
     twins.push_back({index.token_text(t), oracle.list(t), index.block_list(t)});
   }
   twins.push_back({"IL_ANY", &oracle.any_list, &index.block_any_list()});
+  const RunTable* runs = &index.run_table();
 
   // Streaks of 1, 2, 3 and 9 position reads, each followed by one or two
   // entries whose positions are never asked for. pattern[i] is the length
@@ -888,7 +907,7 @@ TEST_P(CursorStreamDifferential, CursorStreamsMatchRawOracle) {
     // Sequential: identical node and position streams.
     {
       ListCursor rc(twin.raw);
-      BlockListCursor bc(twin.block);
+      BlockListCursor bc(twin.block, nullptr, nullptr, nullptr, runs);
       while (true) {
         const NodeId expected = rc.NextEntry();
         ASSERT_EQ(bc.NextEntry(), expected);
@@ -901,7 +920,7 @@ TEST_P(CursorStreamDifferential, CursorStreamsMatchRawOracle) {
     // repeated reads of an entry as well as fresh ones.
     for (size_t phase = 0; phase < pattern.size(); ++phase) {
       ListCursor rc(twin.raw);
-      BlockListCursor bc(twin.block);
+      BlockListCursor bc(twin.block, nullptr, nullptr, nullptr, runs);
       size_t reads = 0;
       size_t prev_block = SIZE_MAX;
       uint32_t prev_streak = 0;
@@ -928,7 +947,7 @@ TEST_P(CursorStreamDifferential, CursorStreamsMatchRawOracle) {
     // holds the previous block's entry, which must not serve this one.
     for (const size_t first : {size_t{0}, size_t{3}}) {
       ListCursor rc(twin.raw);
-      BlockListCursor bc(twin.block);
+      BlockListCursor bc(twin.block, nullptr, nullptr, nullptr, runs);
       for (size_t i = first; i < twin.raw->num_entries();
            i += BlockPostingList::kDefaultBlockSize) {
         const NodeId target = twin.raw->entry(i).node;
@@ -942,7 +961,7 @@ TEST_P(CursorStreamDifferential, CursorStreamsMatchRawOracle) {
     // Interleaved seek/next: identical landing nodes and positions.
     {
       ListCursor rs(twin.raw);
-      BlockListCursor bs(twin.block);
+      BlockListCursor bs(twin.block, nullptr, nullptr, nullptr, runs);
       while (!rs.exhausted()) {
         if (rng.Bernoulli(0.5)) {
           const NodeId target = static_cast<NodeId>(rng.Uniform(

@@ -54,6 +54,25 @@ TEST(CorpusTest, AddTokensWithPositionsRequiresIncreasingOffsets) {
   EXPECT_FALSE(result.ok());
 }
 
+TEST(CorpusTest, AddAnalyzedDocumentRequiresIncreasingOffsets) {
+  // The run table and every engine's position order rely on strictly
+  // increasing offsets, so an analyzed stream is held to them too: a
+  // repeated or decreasing offset is rejected and adds no node.
+  Corpus corpus;
+  for (const std::vector<RawToken>& tokens :
+       {std::vector<RawToken>{{"a", {5, 0, 0}}, {"b", {5, 0, 0}}},
+        std::vector<RawToken>{{"a", {5, 0, 0}}, {"b", {4, 1, 0}}}}) {
+    const StatusOr<NodeId> added = corpus.AddAnalyzedDocument(tokens);
+    ASSERT_FALSE(added.ok());
+    EXPECT_EQ(added.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(added.status().message(), "position offsets must be strictly increasing");
+  }
+  EXPECT_EQ(corpus.num_nodes(), 0u);
+  const StatusOr<NodeId> gap = corpus.AddAnalyzedDocument({{"a", {0, 0, 0}}, {"b", {7, 1, 0}}});
+  ASSERT_TRUE(gap.ok());
+  EXPECT_EQ(*gap, 0u);
+}
+
 TEST(CorpusTest, AddTokensWithPositionsKeepsStructure) {
   Corpus corpus;
   auto result = corpus.AddTokensWithPositions(

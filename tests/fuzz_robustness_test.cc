@@ -24,10 +24,11 @@
 #include "index/segment_merger.h"
 #include "lang/parser.h"
 #include "lang/translate.h"
+#include "text/corpus.h"
 #include "workload/corpus_gen.h"
 
 #include "raw_postings.h"
-#include "v7_reseal.h"
+#include "v8_reseal.h"
 
 namespace fts {
 namespace {
@@ -169,12 +170,17 @@ Status LoadMapped(const std::string& path, InvertedIndex* out) {
   return LoadIndexFromFile(path, out, mmap);
 }
 
-/// Streams one list through a cursor (the production read path) and
-/// returns its first sticky decode error.
+/// Streams one list through a cursor (the production read path), its
+/// records as its lane count has them, and returns its first sticky decode
+/// error.
 Status DrainList(const BlockPostingList* list) {
   BlockListCursor cursor(list);
   while (cursor.NextEntry() != kInvalidNode) {
-    (void)cursor.GetPositions();
+    if (list->lanes() == 2) {
+      (void)cursor.GetRecords();
+    } else {
+      (void)cursor.GetPositions();
+    }
     if (!cursor.status().ok()) break;
   }
   return cursor.status();
@@ -205,16 +211,20 @@ Status TouchEveryBlock(const InvertedIndex& index) {
 /// The promise a verified block keeps, which the merger's verbatim copy of
 /// position bytes rests on: every entry of every block that
 /// DecodeBlockEntries accepts — token lists, IL_ANY and pair lists —
-/// decodes with DecodePositions.
+/// decodes with DecodePositionRun.
 ::testing::AssertionResult AcceptedBlocksDecodePositions(const InvertedIndex& index) {
   const std::vector<const BlockPostingList*> lists = EveryList(index);
   std::vector<BlockPostingList::EntryRef> entries;
   std::vector<PositionInfo> positions;
+  std::vector<PairRecord> records;
   for (size_t l = 0; l < lists.size(); ++l) {
     for (size_t b = 0; b < lists[l]->num_blocks(); ++b) {
       if (!lists[l]->DecodeBlockEntries(b, &entries).ok()) continue;
       for (const BlockPostingList::EntryRef& e : entries) {
-        const Status s = lists[l]->DecodePositions(e, &positions);
+        const Status s =
+            lists[l]->lanes() == 2
+                ? lists[l]->DecodePositionRun({&e, 1}, &records, nullptr)
+                : lists[l]->DecodePositions(e, &positions);
         if (!s.ok()) {
           return ::testing::AssertionFailure()
                  << "list " << l << " block " << b << " node " << e.header.node
@@ -266,7 +276,7 @@ TEST(ResealerTest, ResealingAnIntactBlobIsTheIdentity) {
   // resealed tests below would only ever exercise the checksum checks.
   const std::string blob = SaveSmallIndex();
   std::string resealed = blob;
-  ASSERT_TRUE(ResealV7(&resealed));
+  ASSERT_TRUE(ResealV8(&resealed));
   EXPECT_EQ(resealed, blob);
   // A payload flip plus a reseal must get past both checksums. The byte
   // before the empty three-byte pair section and the trailer ends IL_ANY's
@@ -279,7 +289,7 @@ TEST(ResealerTest, ResealingAnIntactBlobIsTheIdentity) {
   InvertedIndex unsealed;
   ASSERT_TRUE(LoadIndexFromString(mutated, &unsealed).ok());
   EXPECT_EQ(TouchEveryBlock(unsealed).code(), StatusCode::kCorruption);
-  ASSERT_TRUE(ResealV7(&mutated));
+  ASSERT_TRUE(ResealV8(&mutated));
   InvertedIndex loaded;
   const Status s = LoadIndexFromString(mutated, &loaded);
   ASSERT_TRUE(s.ok()) << s.ToString();
@@ -325,7 +335,7 @@ TEST_P(ResealedFuzz, ResealedMutationsAreRejectedOrSane) {
           break;
       }
     }
-    const bool resealed = ResealV7(&mutated);
+    const bool resealed = ResealV8(&mutated);
     resealed_trials += resealed;
     // A resealed blob carries valid checksums, so whatever rejects it must
     // be a structural check.
@@ -578,7 +588,7 @@ void ResealedDamageSweep(const IndexBuildOptions& options, const std::string& pa
     std::string mutated = blob;
     const size_t pos = 8 + rng.Uniform(mutated.size() - 16);
     mutated[pos] = static_cast<char>(rng.Uniform(256));
-    if (!ResealV7(&mutated)) continue;
+    if (!ResealV8(&mutated)) continue;
     WriteFile(path, mutated);
     InvertedIndex mapped;
     if (!LoadMapped(path, &mapped).ok()) continue;
@@ -657,7 +667,7 @@ TEST(LazySegmentCorruption, IlAnyPositionWithoutATokenFailsAPairMerge) {
     for (int delta : {-1, 1}) {
       std::string mutated = blob;
       mutated[pos] = static_cast<char>(mutated[pos] + delta);
-      if (!ResealV7(&mutated)) continue;
+      if (!ResealV8(&mutated)) continue;
       InvertedIndex eager;
       if (!LoadIndexFromString(mutated, &eager).ok()) continue;
       if (!AnyPositionWithoutToken(eager)) continue;
@@ -783,7 +793,7 @@ TEST(DenseCorruptionSweep, RandomBitsetDamageIsRejectedOrSane) {
 }
 
 // ---------------------------------------------------------------------------
-// v7 pair-section sweep. The pair lists reuse the block codec, so their
+// v8 pair-section sweep. The pair lists reuse the block codec, so their
 // payloads are per-block checksummed (first-touch under mmap) and the
 // section's own header — max_distance, the frequent-term table, the
 // delta-coded key table — is folded into the directory trailer hash. A
@@ -795,7 +805,7 @@ TEST(DenseCorruptionSweep, RandomBitsetDamageIsRejectedOrSane) {
 // vocabulary); the ASan+UBSan CI job runs this sweep exhaustively.
 // ---------------------------------------------------------------------------
 
-std::string SaveV7PairIndex() {
+std::string SaveV8PairIndex() {
   CorpusGenOptions opts;
   opts.seed = 31;
   opts.num_nodes = 80;
@@ -810,14 +820,14 @@ std::string SaveV7PairIndex() {
   EXPECT_NE(index.pair_index(), nullptr);
   EXPECT_GT(index.pair_index()->num_keys(), 0u);
   std::string blob;
-  SaveIndexToString(index, &blob);  // default format: v7
+  SaveIndexToString(index, &blob);  // default format: v8
   return blob;
 }
 
-TEST(V7PairCorruptionSweep, EveryByteFlipSurfacesCorruption) {
-  const std::string blob = SaveV7PairIndex();
-  ASSERT_EQ(blob[6], '7');
-  const std::string path = ::testing::TempDir() + "/fts_v7_pair_sweep.idx";
+TEST(V8PairCorruptionSweep, EveryByteFlipSurfacesCorruption) {
+  const std::string blob = SaveV8PairIndex();
+  ASSERT_EQ(blob[6], '8');
+  const std::string path = ::testing::TempDir() + "/fts_v8_pair_sweep.idx";
   LoadOptions mmap;
   mmap.mode = LoadOptions::Mode::kMmap;
   for (size_t pos = 0; pos < blob.size(); pos += SweepStride()) {
@@ -836,9 +846,9 @@ TEST(V7PairCorruptionSweep, EveryByteFlipSurfacesCorruption) {
   std::remove(path.c_str());
 }
 
-TEST(V7PairCorruptionSweep, EveryTruncationFailsAtLoad) {
-  const std::string blob = SaveV7PairIndex();
-  const std::string path = ::testing::TempDir() + "/fts_v7_pair_trunc.idx";
+TEST(V8PairCorruptionSweep, EveryTruncationFailsAtLoad) {
+  const std::string blob = SaveV8PairIndex();
+  const std::string path = ::testing::TempDir() + "/fts_v8_pair_trunc.idx";
   LoadOptions mmap;
   mmap.mode = LoadOptions::Mode::kMmap;
   for (size_t len = 0; len < blob.size(); len += SweepStride()) {
@@ -851,11 +861,11 @@ TEST(V7PairCorruptionSweep, EveryTruncationFailsAtLoad) {
   std::remove(path.c_str());
 }
 
-TEST(V7PairCorruptionSweep, EagerLoadSurfacesEveryFlip) {
+TEST(V8PairCorruptionSweep, EagerLoadSurfacesEveryFlip) {
   // The eager (heap) load validates its blocks as the mmap load does, on
   // first decode, pair lists included: every flip surfaces at load or
   // before any cursor reads the flipped block's bytes.
-  const std::string blob = SaveV7PairIndex();
+  const std::string blob = SaveV8PairIndex();
   for (size_t pos = 0; pos < blob.size(); pos += SweepStride()) {
     std::string mutated = blob;
     mutated[pos] = static_cast<char>(mutated[pos] ^ (1 << (pos % 8)));
@@ -894,15 +904,21 @@ TEST(CraftedFileTest, SectionsRunningIntoTheTrailerAreRejected) {
   // remaining-input bound (body end - offset) wrapped and admitted any
   // count, and the count's allocation threw instead of failing closed.
   const auto stats = [](uint64_t cnodes) {
-    std::string blob("FTSIDX7\0", 8);
+    std::string blob("FTSIDX8\0", 8);
     PutVarint64(&blob, cnodes);
     blob.append(4, '\0');   // total positions and three varint32 stats
     blob.append(24, '\0');  // three double stats
     return blob;
   };
-  // An empty list directory: no entries, no positions, the default block
-  // size, no blocks, no payload.
+  // The run table of no node: a one-entry zero directory.
+  const auto no_runs = [](std::string* blob) {
+    PutVarint64(blob, 4);
+    blob->append(4, '\0');
+  };
+  // An empty list directory: one lane, no entries, no positions, the
+  // default block size, no blocks, no payload.
   const auto empty_list = [](std::string* blob) {
+    PutVarint32(blob, 1);
     PutVarint64(blob, 0);
     PutVarint64(blob, 0);
     PutVarint32(blob, BlockPostingList::kDefaultBlockSize);
@@ -916,13 +932,19 @@ TEST(CraftedFileTest, SectionsRunningIntoTheTrailerAreRejected) {
   crafted.push_back(stats(uint64_t{1} << 40));
   ASSERT_EQ(crafted[0].size(), 45u);
   ASSERT_EQ(crafted[1].size(), 42u);
-  // The vocabulary's bound.
+  // The run table's size.
   std::string blob = stats(0);
+  PutVarint64(&blob, kHuge);
+  crafted.push_back(blob);
+  // The vocabulary's bound.
+  blob = stats(0);
+  no_runs(&blob);
   PutVarint64(&blob, kHuge);
   crafted.push_back(blob);
   // The pair frequent table's bound: no tokens, an empty IL_ANY, then
   // max_distance 0 and the count.
   blob = stats(0);
+  no_runs(&blob);
   PutVarint64(&blob, 0);
   empty_list(&blob);
   PutVarint32(&blob, 0);
@@ -931,6 +953,7 @@ TEST(CraftedFileTest, SectionsRunningIntoTheTrailerAreRejected) {
   // The pair key table's bound: the vocabulary {"a"} with an empty list,
   // an empty IL_ANY, max_distance 1, the frequent table {0}, then the count.
   blob = stats(0);
+  no_runs(&blob);
   PutVarint64(&blob, 1);
   PutVarint64(&blob, 1);
   blob.append("a");
@@ -963,13 +986,17 @@ TEST(CraftedFileTest, OutOfRangeNodeIdsAreRejected) {
   SaveIndexToString(index, &blob);
   // Layout after the 8-byte magic: cnodes (varint, value 2 = 1 byte), four
   // more 1-byte stat varints, three 8-byte stat doubles, then per-node
-  // scalar records of 9 bytes each.
+  // scalar records of 9 bytes each, then the run table: its size (15),
+  // the directory {0, 0, 3} and node 1's one 3-byte run, which becomes
+  // the one-node table {0, 0}.
   const size_t cnodes_off = 8;
   const size_t node1_scalars_off = 8 + 5 + 3 * 8 + 9;
   ASSERT_EQ(blob[cnodes_off], 2);
   blob[cnodes_off] = 1;
   blob.erase(node1_scalars_off, 9);
-  ASSERT_TRUE(ResealV7(&blob));
+  ASSERT_EQ(blob[node1_scalars_off], 15);
+  blob.replace(node1_scalars_off, 16, std::string("\x08", 1) + std::string(8, '\0'));
+  ASSERT_TRUE(ResealV8(&blob));
   for (const Status& s : LoadBothModes(blob)) {
     ASSERT_FALSE(s.ok());
     EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
@@ -981,14 +1008,98 @@ TEST(CraftedFileTest, OutOfRangeNodeIdsAreRejected) {
   }
 }
 
-/// Hand-assembles a v7 file: `cnodes` nodes, the one-token vocabulary
-/// {"a"} whose list holds one varint block per entry of `nodes` (a single
-/// entry with one position), an empty IL_ANY and an empty pair section.
+/// Where the run table of a saved file lies: its size varint at
+/// `size_at`, its bytes at [begin, begin + size), and its node count.
+struct RunTableSection {
+  size_t size_at = 0;
+  size_t begin = 0;
+  uint64_t size = 0;
+  uint64_t cnodes = 0;
+};
+
+/// Walks the statistics and per-node scalars of a saved file (the
+/// layout of docs/index_format.md) to its run table.
+RunTableSection FindRunTable(std::string_view blob) {
+  RunTableSection t;
+  size_t off = 8;
+  uint64_t skipped;
+  EXPECT_TRUE(GetVarint64(blob, &off, &t.cnodes).ok());
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(GetVarint64(blob, &off, &skipped).ok());
+  off += 24;  // three double stats
+  for (uint64_t n = 0; n < t.cnodes; ++n) {
+    EXPECT_TRUE(GetVarint64(blob, &off, &skipped).ok());
+    off += 8;
+  }
+  t.size_at = off;
+  EXPECT_TRUE(GetVarint64(blob, &off, &t.size).ok());
+  t.begin = off;
+  return t;
+}
+
+TEST(CraftedFileTest, RunTableDamageIsRejected) {
+  // The run table is validated in full at load, from a string, a read
+  // file and a mapped file alike: a directory entry past the records,
+  // a run whose offset does not increase and a size running into the
+  // trailer are structural errors even resealed, and an unsealed flip of
+  // a well-formed run is the trailer checksum's.
+  Corpus corpus;
+  corpus.AddDocument("a b. c d.\n\ne f. g");
+  corpus.AddDocument("");
+  corpus.AddDocument("h. i j.\n\nk");
+  InvertedIndex index = IndexBuilder::Build(corpus);
+  std::string base;
+  SaveIndexToString(index, &base);
+  const RunTableSection t = FindRunTable(base);
+  ASSERT_EQ(t.cnodes, 3u);
+  ASSERT_EQ(t.size, index.run_table().bytes().size());
+  ASSERT_EQ(base.substr(t.begin, t.size), index.run_table().bytes());
+  const size_t records = t.begin + 4 * (t.cnodes + 1);
+  // Node 0's runs, four one-byte triples: (0, 0, 0), (2, 1, 0), (2, 1, 1)
+  // and (2, 1, 0).
+  ASSERT_EQ(LoadFixed32Le(base.data() + t.begin + 4), 12u);
+  ASSERT_EQ(base.substr(records, 6), std::string("\0\0\0\x02\x01\0", 6));
+
+  struct Case {
+    std::string what;
+    std::string blob;
+    std::string error;
+  };
+  std::vector<Case> cases;
+  std::string blob = base;
+  blob[t.begin + 4] = '\x7f';  // node 0 ends past the records
+  EXPECT_TRUE(ResealV8(&blob));
+  cases.push_back({"directory entry out of range", blob,
+                   "run table directory entry out of range"});
+  blob = base;
+  blob[records + 3] = '\0';  // node 0's second run starts where its first does
+  EXPECT_TRUE(ResealV8(&blob));
+  cases.push_back({"offsets not increasing", blob, "run offsets not increasing"});
+  blob = base;
+  std::string size;
+  PutVarint64(&size, base.size() - t.begin);  // through the trailer
+  blob.replace(t.size_at, t.begin - t.size_at, size);
+  cases.push_back({"into the trailer", blob, "run table runs into the trailer"});
+  blob = base;
+  blob[records + 5] = '\x02';  // a well-formed run, the trailer not resealed
+  cases.push_back({"checksum", blob, "index header checksum mismatch"});
+  for (const Case& c : cases) {
+    for (const Status& s : LoadBothModes(c.blob)) {
+      EXPECT_EQ(s.code(), StatusCode::kCorruption) << c.what << ": " << s.ToString();
+      EXPECT_NE(s.message().find(c.error), std::string::npos)
+          << c.what << ": " << s.ToString();
+    }
+  }
+}
+
+/// Hand-assembles a v8 file: `cnodes` nodes with no runs, the one-token
+/// vocabulary {"a"} whose list holds one varint block per entry of `nodes`
+/// (a single entry with one position), an empty IL_ANY and an empty pair
+/// section.
 /// The directory records `nodes` as the blocks' max_node values and
 /// `offsets` (default: the true block starts) as their byte offsets, both
 /// delta-coded with 32-bit wrap-around, exactly as a crafted file can.
-/// Checksums and trailer come from ResealV7.
-std::string AssembleV7(uint64_t cnodes, const std::vector<NodeId>& nodes,
+/// Checksums and trailer come from ResealV8.
+std::string AssembleV8(uint64_t cnodes, const std::vector<NodeId>& nodes,
                        std::vector<uint32_t> offsets = {}) {
   std::string payload;
   std::vector<uint32_t> starts;
@@ -996,8 +1107,8 @@ std::string AssembleV7(uint64_t cnodes, const std::vector<NodeId>& nodes,
     starts.push_back(static_cast<uint32_t>(payload.size()));
     PutVarint32(&payload, node);  // absolute first id
     PutVarint32(&payload, 1);     // position count
-    PutVarint32(&payload, 3);     // position byte length
-    payload.append(3, '\0');      // offset, sentence, paragraph deltas
+    PutVarint32(&payload, 1);     // position byte length
+    payload.append(1, '\0');      // offset delta
   }
   if (offsets.empty()) offsets = starts;
   const auto put_double = [](std::string* out, double d) {
@@ -1005,7 +1116,7 @@ std::string AssembleV7(uint64_t cnodes, const std::vector<NodeId>& nodes,
     std::memcpy(buf, &d, 8);
     out->append(buf, 8);
   };
-  std::string blob("FTSIDX7\0", 8);
+  std::string blob("FTSIDX8\0", 8);
   PutVarint64(&blob, cnodes);
   PutVarint64(&blob, nodes.size());  // total positions
   for (int i = 0; i < 3; ++i) PutVarint32(&blob, 1);
@@ -1014,9 +1125,12 @@ std::string AssembleV7(uint64_t cnodes, const std::vector<NodeId>& nodes,
     PutVarint32(&blob, 1);
     put_double(&blob, 1.0);
   }
+  PutVarint64(&blob, 4 * (cnodes + 1));  // run table: a zero directory
+  blob.append(4 * (cnodes + 1), '\0');
   PutVarint64(&blob, 1);  // vocabulary {"a"}
   PutVarint64(&blob, 1);
   blob.append("a");
+  PutVarint32(&blob, 1);             // lanes
   PutVarint64(&blob, nodes.size());  // entries
   PutVarint64(&blob, nodes.size());  // positions
   PutVarint32(&blob, BlockPostingList::kDefaultBlockSize);
@@ -1035,7 +1149,8 @@ std::string AssembleV7(uint64_t cnodes, const std::vector<NodeId>& nodes,
   }
   PutVarint64(&blob, payload.size());
   blob.append(payload);
-  // IL_ANY: no entries, no blocks, no payload.
+  // IL_ANY: one lane, no entries, no blocks, no payload.
+  PutVarint32(&blob, 1);
   PutVarint64(&blob, 0);
   PutVarint64(&blob, 0);
   PutVarint32(&blob, BlockPostingList::kDefaultBlockSize);
@@ -1043,14 +1158,14 @@ std::string AssembleV7(uint64_t cnodes, const std::vector<NodeId>& nodes,
   PutVarint64(&blob, 0);
   blob.append(3, '\0');  // empty pair section
   blob.append(8, '\0');  // trailer
-  EXPECT_TRUE(ResealV7(&blob));
+  EXPECT_TRUE(ResealV8(&blob));
   return blob;
 }
 
 TEST(CraftedFileTest, AssembledFileLoads) {
   // Control for the wrap-around cases below: the assembler's well-formed
   // output loads in both modes and every block decodes.
-  const std::string blob = AssembleV7(32, {5, 9, 31});
+  const std::string blob = AssembleV8(32, {5, 9, 31});
   for (const Status& s : LoadBothModes(blob)) {
     EXPECT_TRUE(s.ok()) << s.ToString();
   }
@@ -1062,14 +1177,14 @@ TEST(CraftedFileTest, AssembledFileLoads) {
 TEST(CraftedFileTest, DuplicateFrequentTermIsRejected) {
   // The assembled file's empty pair section, replaced by max_distance 1
   // and a frequent table naming token 0 once (control) or twice.
-  const std::string base = AssembleV7(32, {5, 9, 31});
+  const std::string base = AssembleV8(32, {5, 9, 31});
   const size_t section = base.size() - 8 - 3;
   for (const bool duplicate : {false, true}) {
     std::string blob = base;
     std::string pairs = duplicate ? std::string("\x01\x02\x00\x00\x00", 5)
                                   : std::string("\x01\x01\x00\x00", 4);
     blob.replace(section, 3, pairs);
-    ASSERT_TRUE(ResealV7(&blob));
+    ASSERT_TRUE(ResealV8(&blob));
     for (const Status& s : LoadBothModes(blob)) {
       if (!duplicate) {
         EXPECT_TRUE(s.ok()) << s.ToString();
@@ -1093,9 +1208,9 @@ TEST(CraftedFileTest, WrappedSkipDirectoryDeltasAreRejected) {
   auto scored_query = ParseQuery("'a'", SurfaceLanguage::kBool);
   ASSERT_TRUE(scored_query.ok());
   const std::vector<std::string> crafted = {
-      AssembleV7(32, {0xFFFFFFF0u, 0x10}),
+      AssembleV8(32, {0xFFFFFFF0u, 0x10}),
       // Block 2's offset delta wraps back to byte 5, inside block 1.
-      AssembleV7(32, {1, 2, 3}, {0, 8, 5}),
+      AssembleV8(32, {1, 2, 3}, {0, 8, 5}),
   };
   const std::string path = ::testing::TempDir() + "/fts_wrapped_skip.idx";
   for (const std::string& blob : crafted) {

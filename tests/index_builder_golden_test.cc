@@ -1,14 +1,14 @@
 // Golden-bytes gate for IndexBuilder: the FNV-1a 64 hash and length of the
-// saved (v7) file for fixed corpora and build options are pinned here. Any
+// saved (v8) file for fixed corpora and build options are pinned here. Any
 // change to the builder's loops, the norm pass or the pair-list builder that
 // alters a single output byte fails this test — rewrites of those loops must
 // keep the bytes exactly, so the format version never has to move for them.
 //
-// The hashes were recorded with the v7 writer (CRC32C block and trailer
-// checksums) once node norms became exact, order-free sums
-// (scoring/score_model.h); that moved only the stored norms and the
-// trailer. The list bytes are those of format v6's last release, equal to
-// the map-based builder's it replaced. Bitset blocks are pinned on (the
+// The hashes were recorded with the v8 writer: token lists and IL_ANY
+// store offsets only, each node's sentences and paragraphs are stored once
+// in the run table, and pair lists store two-lane records — the format
+// change moved every file, the entry structure, block boundaries and
+// block encodings did not. Bitset blocks are pinned on (the
 // process default is environment-controlled) so the expected bytes do not
 // depend on the caller's environment.
 
@@ -115,27 +115,27 @@ void ExpectGolden(const Golden& got, const Golden& want) {
 
 TEST(IndexBuilderGoldenTest, PaperCorpusClassic) {
   ExpectGolden(SavedFile(PaperCorpus(), {}, "paper_classic"),
-               {2410231, 0xdea3fbcc6ac76501ULL});
+               {1436867, 0x48c6df7df8afd0beULL});
 }
 
 TEST(IndexBuilderGoldenTest, PaperCorpusPairs16x2) {
   ExpectGolden(SavedFile(PaperCorpus(), Pairs(16, 2), "paper_pairs_16_2"),
-               {7790657, 0xd20d27fa8966f0b0ULL});
+               {5575020, 0x90d02da2b864f496ULL});
 }
 
 TEST(IndexBuilderGoldenTest, PaperCorpusPairs4x0) {
   ExpectGolden(SavedFile(PaperCorpus(), Pairs(4, 0), "paper_pairs_4_0"),
-               {3237788, 0xed2b667af9021c71ULL});
+               {2085919, 0xcc79419865552619ULL});
 }
 
 TEST(IndexBuilderGoldenTest, EdgeCorpusClassic) {
   ExpectGolden(SavedFile(EdgeCorpus(), {}, "edge_classic"),
-               {568, 0x004d6a2ddbfe1681ULL});
+               {512, 0x52d3ecc8a357d8d7ULL});
 }
 
 TEST(IndexBuilderGoldenTest, EdgeCorpusPairs) {
   ExpectGolden(SavedFile(EdgeCorpus(), Pairs(2, 2), "edge_pairs_2_2"),
-               {1046, 0x5bfb50000ca27157ULL});
+               {903, 0xc85ef76beaeb499fULL});
 }
 
 // 6,000 nodes of the default shape: ~1.05M occurrences, enough that the
@@ -145,7 +145,7 @@ TEST(IndexBuilderGoldenTest, PaperCorpus6000Classic) {
   CorpusGenOptions opts;
   opts.num_nodes = 6000;
   ExpectGolden(SavedFile(GenerateCorpus(opts), {}, "paper_6000_classic"),
-               {8554435, 0xd011774b6cd372faULL});
+               {4663933, 0x429a3f2d7161d8f7ULL});
 }
 
 // 24,000 nodes of the default shape with six topic occurrences at seed 1
@@ -160,7 +160,7 @@ TEST(IndexBuilderGoldenTest, PaperCorpus24000Classic) {
   size_t occurrences = 0;
   for (NodeId n = 0; n < corpus.num_nodes(); ++n) occurrences += corpus.doc(n).tokens.size();
   ASSERT_EQ(occurrences, 4181093u);
-  ExpectGolden(SavedFile(corpus, {}, "paper_24000_classic"), {35294002, 0x9f56112ea94874a3ULL});
+  ExpectGolden(SavedFile(corpus, {}, "paper_24000_classic"), {19752524, 0x52ac0b6b4a6c0af2ULL});
 }
 
 // The file and the string save are one emitter with two sinks: for every

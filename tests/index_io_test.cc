@@ -45,6 +45,9 @@ void ExpectIndexEq(const InvertedIndex& a, const InvertedIndex& b) {
     EXPECT_EQ(a.unique_tokens(n), b.unique_tokens(n));
     EXPECT_DOUBLE_EQ(a.node_norm(n), b.node_norm(n));
   }
+  // The run table round-trips byte for byte (a load views it in place).
+  EXPECT_EQ(a.run_table().num_nodes(), a.num_nodes());
+  EXPECT_EQ(a.run_table().bytes(), b.run_table().bytes());
   for (TokenId t = 0; t < a.vocabulary_size(); ++t) {
     ASSERT_EQ(a.token_text(t), b.token_text(t));
     const PostingList la = Materialize(*a.block_list(t));
@@ -181,7 +184,7 @@ TEST(IndexIoTest, TooSmallFilesAreRejectedWithDistinctMessage) {
   for (size_t len : {size_t{0}, size_t{1}, size_t{7}, size_t{15}}) {
     {
       std::ofstream f(path, std::ios::binary | std::ios::trunc);
-      f.write("FTSIDX7\0ABCDEFG", static_cast<std::streamsize>(len));
+      f.write("FTSIDX8\0ABCDEFG", static_cast<std::streamsize>(len));
     }
     for (auto mode : {LoadOptions::Mode::kEager, LoadOptions::Mode::kMmap}) {
       LoadOptions opts;
@@ -200,22 +203,22 @@ TEST(IndexIoTest, TooSmallFilesAreRejectedWithDistinctMessage) {
   std::remove(path.c_str());
 }
 
-TEST(IndexIoTest, SavesTheV7Magic) {
+TEST(IndexIoTest, SavesTheV8Magic) {
   InvertedIndex index = BuildTestIndex();
   std::string data;
   SaveIndexToString(index, &data);
-  EXPECT_EQ(data.substr(0, 8), std::string("FTSIDX7\0", 8));
+  EXPECT_EQ(data.substr(0, 8), std::string("FTSIDX8\0", 8));
 }
 
 TEST(IndexIoTest, RetiredFormatsFailClosed) {
-  // Files of the retired v1-v6 formats are rejected in every load mode with
+  // Files of the retired v1-v7 formats are rejected in every load mode with
   // a message naming the version and the fix, not a generic magic error.
-  // The body is a valid v7 one, so only the magic can reject it.
+  // The body is a valid v8 one, so only the magic can reject it.
   InvertedIndex index = BuildTestIndex();
   std::string data;
   SaveIndexToString(index, &data);
   const std::string path = ::testing::TempDir() + "/fts_retired_magic.idx";
-  for (char version = '1'; version <= '6'; ++version) {
+  for (char version = '1'; version <= '7'; ++version) {
     std::string old = data;
     old[6] = version;
     {
@@ -224,7 +227,7 @@ TEST(IndexIoTest, RetiredFormatsFailClosed) {
     }
     const std::string want = std::string("index format v") + version +
                              " is no longer supported; rebuild the index "
-                             "to write the current v7 format";
+                             "to write the current v8 format";
     InvertedIndex loaded;
     std::vector<Status> results = {LoadIndexFromString(old, &loaded)};
     for (auto mode : {LoadOptions::Mode::kEager, LoadOptions::Mode::kMmap}) {
@@ -240,7 +243,7 @@ TEST(IndexIoTest, RetiredFormatsFailClosed) {
   }
   // Any other magic keeps the generic error.
   std::string unknown = data;
-  unknown[6] = '8';
+  unknown[6] = '9';
   InvertedIndex loaded;
   const Status s = LoadIndexFromString(unknown, &loaded);
   EXPECT_EQ(s.code(), StatusCode::kCorruption);

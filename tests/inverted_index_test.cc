@@ -147,20 +147,24 @@ TEST(BlockListCursorTest, SeekEntryOnNullAndEmptyLists) {
   EXPECT_TRUE(empty_cursor.exhausted());
 }
 
-/// Expects `got` to hold exactly `want`'s entries and positions.
+/// Expects `got` to hold exactly `want`'s entries and positions, read
+/// through a cursor that fills sentence and paragraph from `runs`.
 void ExpectSameList(const BlockPostingList& got, const PostingList& want,
-                    const std::string& what) {
+                    const RunTable& runs, const std::string& what) {
   EXPECT_EQ(got.num_entries(), want.num_entries()) << what;
   EXPECT_EQ(got.total_positions(), want.total_positions()) << what;
-  const PostingList decoded = Materialize(got);
-  ASSERT_EQ(decoded.num_entries(), want.num_entries()) << what;
-  for (size_t i = 0; i < want.num_entries(); ++i) {
-    ASSERT_EQ(decoded.entry(i).node, want.entry(i).node) << what << " entry " << i;
-    const auto g = decoded.positions(decoded.entry(i));
-    const auto w = want.positions(want.entry(i));
+  ListCursor rc(&want);
+  BlockListCursor bc(&got, nullptr, nullptr, nullptr, &runs);
+  for (size_t i = 0;; ++i) {
+    const NodeId n = rc.NextEntry();
+    ASSERT_EQ(bc.NextEntry(), n) << what << " entry " << i;
+    if (n == kInvalidNode) break;
+    const auto g = bc.GetPositions();
+    const auto w = rc.GetPositions();
     ASSERT_TRUE(std::equal(g.begin(), g.end(), w.begin(), w.end()))
         << what << " entry " << i;
   }
+  ASSERT_TRUE(bc.status().ok()) << what << ": " << bc.status().ToString();
 }
 
 /// Expects every token list, IL_ANY and every node's unique-token count of
@@ -170,10 +174,11 @@ void ExpectIndexMatchesOracle(const Corpus& corpus, const InvertedIndex& index) 
   ASSERT_EQ(oracle.lists.size(), index.vocabulary_size());
   for (TokenId t = 0; t < index.vocabulary_size(); ++t) {
     ASSERT_NE(index.block_list(t), nullptr);
-    ExpectSameList(*index.block_list(t), oracle.lists[t], corpus.token_text(t));
+    ExpectSameList(*index.block_list(t), oracle.lists[t], index.run_table(),
+                   corpus.token_text(t));
     EXPECT_EQ(index.df(t), static_cast<uint32_t>(oracle.lists[t].num_entries()));
   }
-  ExpectSameList(index.block_any_list(), oracle.any_list, "IL_ANY");
+  ExpectSameList(index.block_any_list(), oracle.any_list, index.run_table(), "IL_ANY");
   ASSERT_EQ(index.num_nodes(), corpus.num_nodes());
   for (NodeId n = 0; n < corpus.num_nodes(); ++n) {
     const std::vector<TokenId>& tokens = corpus.doc(n).tokens;

@@ -32,7 +32,7 @@
 #include "text/corpus.h"
 #include "workload/corpus_gen.h"
 
-#include "v7_reseal.h"
+#include "v8_reseal.h"
 
 namespace fts {
 namespace net {
@@ -188,7 +188,7 @@ TEST(NetLoopbackTest, CorruptBlockOfAnEagerLoadFailsOnlyTheQueryThatTouchesIt) {
     std::string mutated = blob;
     mutated[pos] = static_cast<char>(mutated[pos] ^ 0x80);
     InvertedIndex probe;
-    if (!ResealV7(&mutated) || !LoadIndexFromString(mutated, &probe).ok()) continue;
+    if (!ResealV8(&mutated) || !LoadIndexFromString(mutated, &probe).ok()) continue;
     const BlockPostingList* zebra = probe.block_list_for_text("zebra");
     bool only_zebra =
         zebra != nullptr && !Decodes(*zebra) && Decodes(probe.block_any_list());

@@ -37,7 +37,7 @@
 #include "text/corpus.h"
 #include "workload/corpus_gen.h"
 
-#include "v7_reseal.h"
+#include "v8_reseal.h"
 
 namespace fts {
 namespace {
@@ -157,16 +157,15 @@ std::vector<PairRow> DecodePairList(const BlockPostingList& list) {
   std::vector<PairRow> rows;
   BlockListCursor cursor(&list);
   while (cursor.NextEntry() != kInvalidNode) {
-    const auto ps = cursor.GetPositions();
+    const auto rs = cursor.GetRecords();
     EXPECT_TRUE(cursor.status().ok()) << cursor.status().ToString();
-    EXPECT_GE(ps.size(), 2u);  // tf header + at least one record
+    EXPECT_GE(rs.size(), 2u);  // tf header + at least one record
     PairRow row;
     row.node = cursor.current_node();
-    row.tf_first = ps[0].offset;
-    row.tf_second = ps[0].sentence;
-    for (size_t i = 1; i < ps.size(); ++i) {
-      row.records.emplace_back(ps[i].offset,
-                               PairIndex::UnZigZag(ps[i].sentence));
+    row.tf_first = rs[0].first;
+    row.tf_second = rs[0].second;
+    for (size_t i = 1; i < rs.size(); ++i) {
+      row.records.emplace_back(rs[i].first, PairIndex::UnZigZag(rs[i].second));
     }
     rows.push_back(std::move(row));
   }
@@ -404,7 +403,7 @@ TEST(PairIndexTest, ClassicSectionsAreBitIdenticalWithPairsOnOrOff) {
             std::string(kEmptyPairSection, '\0'));
 }
 
-TEST(PairIndexTest, V7RoundTripsHeapAndMmap) {
+TEST(PairIndexTest, V8RoundTripsHeapAndMmap) {
   const Corpus corpus = SmallCorpus();
   const InvertedIndex index = IndexBuilder::Build(corpus, PairOptions(2, 3));
   const PairIndex* built = index.pair_index();
@@ -412,7 +411,7 @@ TEST(PairIndexTest, V7RoundTripsHeapAndMmap) {
 
   std::string blob;
   SaveIndexToString(index, &blob);  // default format carries the section
-  ASSERT_EQ(blob[6], '7');
+  ASSERT_EQ(blob[6], '8');
 
   InvertedIndex heap;
   ASSERT_TRUE(LoadIndexFromString(blob, &heap).ok());
@@ -442,15 +441,15 @@ TEST(PairIndexTest, V7RoundTripsHeapAndMmap) {
 
 /// `base` (a saved index without pair lists) with its empty pair section
 /// replaced by the frequent term `first` and one key, (first, second),
-/// whose list holds one entry: node `node` with `positions` (the packed tf
-/// header, then the records), encoded as the writer encodes them, in one
+/// whose list holds one entry: node `node` with `records` (the tf header,
+/// then the co-occurrences), encoded as the writer encodes them, in one
 /// block. Resealed, so only the record checks can reject it.
 std::string WithOnePairList(std::string base, uint32_t max_distance,
                             TokenId first, TokenId second, NodeId node,
-                            const std::vector<PositionInfo>& positions) {
-  const uint32_t count = static_cast<uint32_t>(positions.size());
+                            const std::vector<PairRecord>& records) {
+  const uint32_t count = static_cast<uint32_t>(records.size());
   std::vector<uint8_t> pos_bytes;
-  BlockListWriter::EncodePositions(positions, &pos_bytes);
+  BlockListWriter::EncodeRecords(records, &pos_bytes);
   std::string payload;
   PutVarint32(&payload, node);
   PutVarint32(&payload, count);
@@ -463,6 +462,7 @@ std::string WithOnePairList(std::string base, uint32_t max_distance,
   PutVarint64(&section, 1);  // keys: (first, second), first delta-coded from 0
   PutVarint32(&section, first);
   PutVarint32(&section, second);
+  PutVarint32(&section, 2);      // lanes
   PutVarint64(&section, 1);      // entries
   PutVarint64(&section, count);  // positions
   PutVarint32(&section, BlockPostingList::kDefaultBlockSize);
@@ -479,7 +479,7 @@ std::string WithOnePairList(std::string base, uint32_t max_distance,
   constexpr size_t kTrailer = 8;
   base.replace(base.size() - kTrailer - kEmptyPairSection, kEmptyPairSection,
                section);
-  EXPECT_TRUE(ResealV7(&base));
+  EXPECT_TRUE(ResealV8(&base));
   return base;
 }
 
@@ -499,19 +499,18 @@ TEST(PairIndexTest, CraftedRecordsFailTheRoutedQueryInBothLoadModes) {
   const uint32_t adjacent = PairIndex::ZigZag(1);
   struct Case {
     std::string error;  // empty: the control, as the builder writes it
-    std::vector<PositionInfo> positions;
+    std::vector<PairRecord> records;
   };
   const std::vector<Case> cases = {
-      {"", {{1, 1, 0}, {0, adjacent, 0}}},
-      {"pair-list entry without records", {{1, 1, 0}}},
-      {"pair-list entry with zero term frequency", {{0, 1, 0}, {0, adjacent, 0}}},
-      {"pair-list record delta out of window",
-       {{1, 1, 0}, {0, PairIndex::ZigZag(3), 0}}},
+      {"", {{1, 1}, {0, adjacent}}},
+      {"pair-list entry without records", {{1, 1}}},
+      {"pair-list entry with zero term frequency", {{0, 1}, {0, adjacent}}},
+      {"pair-list record delta out of window", {{1, 1}, {0, PairIndex::ZigZag(3)}}},
   };
   const std::string path = ::testing::TempDir() + "/fts_crafted_pair_records.idx";
   for (const Case& c : cases) {
     const std::string blob =
-        WithOnePairList(base, kMaxDistance, apple, banana, 0, c.positions);
+        WithOnePairList(base, kMaxDistance, apple, banana, 0, c.records);
     {
       std::ofstream f(path, std::ios::binary | std::ios::trunc);
       f.write(blob.data(), static_cast<std::streamsize>(blob.size()));
@@ -543,13 +542,13 @@ TEST(PairIndexTest, CraftedRecordsFailTheRoutedQueryInBothLoadModes) {
   std::remove(path.c_str());
 }
 
-TEST(PairIndexTest, V7WithoutPairsLoadsAsNoPairIndex) {
+TEST(PairIndexTest, V8WithoutPairsLoadsAsNoPairIndex) {
   // A pair-free index carries the empty section shape and loads with the
   // feature off.
   const InvertedIndex index = IndexBuilder::Build(SmallCorpus());
   std::string blob;
   SaveIndexToString(index, &blob);
-  ASSERT_EQ(blob[6], '7');
+  ASSERT_EQ(blob[6], '8');
   InvertedIndex loaded;
   ASSERT_TRUE(LoadIndexFromString(blob, &loaded).ok());
   EXPECT_EQ(loaded.pair_index(), nullptr);

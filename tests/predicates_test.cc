@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "algebra/fta.h"
 #include "common/rng.h"
+#include "eval/pos_cursor.h"
+#include "index/index_builder.h"
 #include "predicates/builtin.h"
+#include "text/corpus.h"
 
 namespace fts {
 namespace {
@@ -145,6 +149,76 @@ TEST(PredicateRegistryTest, UserPredicatesExtendTheLanguage) {
   const auto* p = registry.Find("firstsentence");
   ASSERT_NE(p, nullptr);
   EXPECT_TRUE(p->Eval(std::vector<PositionInfo>{P(0, 0, 0), P(1, 0, 0)}, {}));
+}
+
+TEST(PredicatesTest, OnlyStructuralBuiltinsReadStructure) {
+  // A cursor fills sentence and paragraph only for plans whose predicates
+  // read them; among the builtins that is the four structural ones.
+  for (const std::string& name : PredicateRegistry::Default().Names()) {
+    const bool structural = name == "samepara" || name == "samesentence" ||
+                            name == "not_samepara" || name == "not_samesentence";
+    EXPECT_EQ(Get(name)->reads_structure(), structural) << name;
+  }
+}
+
+/// A positive predicate that holds for every tuple and records each
+/// position it is shown. It says nothing about reads_structure, so it gets
+/// the default: filled positions.
+class Recorder : public PositionPredicate {
+ public:
+  std::string_view name() const override { return "recorder"; }
+  int arity() const override { return 2; }
+  int num_constants() const override { return 0; }
+  PredicateClass cls() const override { return PredicateClass::kPositive; }
+  bool Eval(std::span<const PositionInfo> ps, std::span<const int64_t>) const override {
+    seen.insert(seen.end(), ps.begin(), ps.end());
+    return true;
+  }
+  void AdvanceBounds(std::span<const PositionInfo>, std::span<const int64_t>,
+                     std::span<uint32_t>) const override {}  // never fails
+
+  mutable std::vector<PositionInfo> seen;
+};
+
+/// The same, declaring that it reads offsets alone.
+class OffsetRecorder : public Recorder {
+ public:
+  bool reads_structure() const override { return false; }
+};
+
+TEST(PredicateRegistryTest, UnannouncedPredicatesSeeFilledPositions) {
+  // Lists store offsets; the run table restores sentence and paragraph for
+  // a plan holding a predicate that may read them. A registered predicate
+  // that does not override reads_structure() must see them filled, through
+  // the materialized (COMP) scans and the pipelined cursors alike; one
+  // that declares offsets alone sees them 0.
+  Corpus corpus;
+  corpus.AddDocument("a b. c a.\n\nb c a. b");
+  const InvertedIndex index = IndexBuilder::Build(corpus);
+  const TokenizedDocument& doc = corpus.doc(0);
+  for (const bool announced : {false, true}) {
+    SCOPED_TRACE(announced ? "reads offsets alone" : "says nothing");
+    const std::unique_ptr<Recorder> pred =
+        announced ? std::make_unique<OffsetRecorder>() : std::make_unique<Recorder>();
+    const auto plan = FtaExpr::Select(
+        FtaExpr::Join(FtaExpr::Token("a"), FtaExpr::Token("b")), {pred.get(), {0, 1}, {}});
+    ASSERT_TRUE(plan.ok());
+    ASSERT_TRUE(EvaluateFta(*plan, index, nullptr, nullptr).ok());
+    std::vector<NodeId> nodes;
+    std::vector<double> scores;
+    ASSERT_TRUE(RunPipeline(*plan, {.index = &index}, &nodes, &scores).ok());
+    EXPECT_EQ(nodes, std::vector<NodeId>{0});
+    ASSERT_FALSE(pred->seen.empty());
+    bool structured = false;
+    for (const PositionInfo& p : pred->seen) {
+      ASSERT_LT(p.offset, doc.positions.size());
+      const PositionInfo& truth = doc.positions[p.offset];
+      EXPECT_EQ(p.sentence, announced ? 0 : truth.sentence) << p.offset;
+      EXPECT_EQ(p.paragraph, announced ? 0 : truth.paragraph) << p.offset;
+      structured |= truth.sentence > 0 && truth.paragraph > 0;
+    }
+    EXPECT_TRUE(structured);  // some position lies past the first sentence and paragraph
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -524,7 +524,7 @@ TEST(MergePins, TokenSpellingsAreKept) {
   // Corpus::AddAnalyzedDocument interns spellings verbatim; a merge must
   // not re-normalize them ("Apple" stays "Apple", not "apple").
   Corpus part;
-  part.AddAnalyzedDocument({{"Apple", {0, 0, 0}}, {"pie", {1, 0, 0}}});
+  ASSERT_TRUE(part.AddAnalyzedDocument({{"Apple", {0, 0, 0}}, {"pie", {1, 0, 0}}}).ok());
   const InvertedIndex segment = IndexBuilder::Build(part);
   const InvertedIndex merged = Must(MergeSegments({{&segment, 0, nullptr}}));
   ASSERT_EQ(merged.vocabulary_size(), 2u);

@@ -385,7 +385,7 @@ Corpus Rebuilt(const Corpus& src, const std::vector<NodeId>& nodes,
     for (size_t i = 0; i < doc.size(); ++i) {
       tokens.push_back({src.token_text(doc.tokens[i]), doc.positions[i]});
     }
-    out.AddAnalyzedDocument(tokens);
+    EXPECT_TRUE(out.AddAnalyzedDocument(tokens).ok());
   }
   return out;
 }

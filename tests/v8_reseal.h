@@ -1,10 +1,10 @@
-// V7Resealer: recomputes the checksums of a (mutated) v7 index file so a
+// V8Resealer: recomputes the checksums of a (mutated) v8 index file so a
 // crafted file reaches the structural validators behind them. Test
 // support for the crafted-file suites; header-only, because every
 // tests/*.cc file builds its own test binary.
 
-#ifndef FTS_TESTS_V7_RESEAL_H_
-#define FTS_TESTS_V7_RESEAL_H_
+#ifndef FTS_TESTS_V8_RESEAL_H_
+#define FTS_TESTS_V8_RESEAL_H_
 
 #include <algorithm>
 #include <cstdint>
@@ -19,7 +19,7 @@
 
 namespace fts {
 
-/// Re-seals a (mutated) v7 blob: recomputes every per-block payload
+/// Re-seals a (mutated) v8 blob: recomputes every per-block payload
 /// checksum and the trailer checksum over the header/directory bytes. Both are
 /// recomputable by anyone, so they only catch accidents; resealing lets a
 /// mutation through to the structural validators behind them, which are
@@ -27,9 +27,9 @@ namespace fts {
 /// docs/index_format.md, copying every other byte verbatim. Returns false
 /// when the bytes no longer parse far enough to reseal (the loader then
 /// sees the unsealed blob, which must fail anyway).
-class V7Resealer {
+class V8Resealer {
  public:
-  explicit V7Resealer(std::string_view in) : in_(in) {}
+  explicit V8Resealer(std::string_view in) : in_(in) {}
 
   bool Run(std::string* sealed) {
     if (in_.size() < 16) return false;
@@ -44,6 +44,8 @@ class V7Resealer {
     for (uint64_t n = 0; n < cnodes; ++n) {
       if (!Copy() || !CopyBytes(8)) return false;
     }
+    // The run table: its size, then its bytes (trailer-covered).
+    if (!Copy(&len) || !CopyBytes(len)) return false;
     if (!Copy(&vocab)) return false;
     for (uint64_t t = 0; t < vocab; ++t) {
       if (!Copy(&len) || !CopyBytes(len)) return false;
@@ -100,11 +102,12 @@ class V7Resealer {
     return true;
   }
 
-  /// One list: header and directory, with each block's checksum varint
-  /// recomputed over the block's payload range, then the payload.
+  /// One list: header (lanes, entries, positions, block size, blocks) and
+  /// directory, with each block's checksum varint recomputed over the
+  /// block's payload range, then the payload.
   bool List() {
     uint64_t num_blocks;
-    if (!Copy() || !Copy() || !Copy() || !Copy(&num_blocks)) return false;
+    if (!Copy() || !Copy() || !Copy() || !Copy() || !Copy(&num_blocks)) return false;
     struct Block {
       std::string_view head;  // max_node delta, byte_offset delta, count
       std::string_view tail;  // max_tf, encoding
@@ -151,14 +154,14 @@ class V7Resealer {
   std::vector<std::pair<size_t, size_t>> payloads_;  // [begin, end) in out_
 };
 
-/// Reseals `blob` in place when it still parses; see V7Resealer.
-inline bool ResealV7(std::string* blob) {
+/// Reseals `blob` in place when it still parses; see V8Resealer.
+inline bool ResealV8(std::string* blob) {
   std::string sealed;
-  if (!V7Resealer(*blob).Run(&sealed)) return false;
+  if (!V8Resealer(*blob).Run(&sealed)) return false;
   *blob = std::move(sealed);
   return true;
 }
 
 }  // namespace fts
 
-#endif  // FTS_TESTS_V7_RESEAL_H_
+#endif  // FTS_TESTS_V8_RESEAL_H_
